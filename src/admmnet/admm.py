@@ -1,8 +1,7 @@
 """Synchronous-round ADMM engines.
 
-``node_step`` advances the node-based algorithm, which keeps three vectors
-per node (the estimate x_i, the neighborhood average y_i and the dual
-p_i). One round is
+The node-based engine keeps three vectors per node (the estimate x_i, the
+neighborhood average y_i and the dual p_i). One round is
 
 1. x_i <- prox of f_i at weight c * m_i, where m_i = sum_{j in N(i)} P_ji^2
    and the prox center folds the neighbors' duals:
@@ -10,7 +9,7 @@ p_i). One round is
 2. y_i <- (1/|N(i)|) sum_{j in N(i)} P_ij x_j
 3. p_i <- p_i + c y_i
 
-``edge_step`` advances the reference formulation that keeps one pair
+The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot. With the matched
 initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the
 two engines generate identical x sequences.
@@ -59,8 +58,6 @@ class AdmmState:
     x: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    x_sum: np.ndarray = field(repr=False)  # sum_{s=0}^{t} x(s)
-    ergodic: np.ndarray = field(repr=False)  # (1/t) sum_{s=1}^{t} x(s); zeros at t=0
     c: float = 1.0
 
 
@@ -85,15 +82,17 @@ class RunConfig:
 
 @dataclass
 class AdmmTrace:
-    """Per-iteration snapshots of a run (index 0 is the initial state)."""
+    """Per-iteration snapshots of a run (index 0 is the initial state).
+
+    Running sums and ergodic means are derived from ``xs`` on each access;
+    read them once per use, not once per round.
+    """
 
     engine: str
     c: float
     xs: np.ndarray  # (T+1, n, d)
     ys: np.ndarray
     ps: np.ndarray
-    x_sums: np.ndarray
-    ergodic: np.ndarray
     accounting: RoundAccounting
     zs: np.ndarray | None = None  # (T+1, n, n, d), edge engine only
     lams: np.ndarray | None = None
@@ -109,6 +108,19 @@ class AdmmTrace:
     @property
     def dimension(self) -> int:
         return self.xs.shape[2]
+
+    @property
+    def x_sums(self) -> np.ndarray:
+        """Running sums sum_{s=0}^{t} x(s), shape (T+1, n, d)."""
+        return np.cumsum(self.xs, axis=0)
+
+    @property
+    def ergodic(self) -> np.ndarray:
+        """Ergodic means (1/t) sum_{s=1}^{t} x(s), shape (T+1, n, d); zeros at t=0."""
+        erg = np.zeros_like(self.xs)
+        np.cumsum(self.xs[1:], axis=0, out=erg[1:])
+        erg[1:] /= np.arange(1, self.T + 1)[:, None, None]
+        return erg
 
 
 class _Workspace:
@@ -137,7 +149,7 @@ def initial_state(problem: NetworkProblem, c: float, init=None) -> AdmmState:
         p0 = np.zeros((n, d))
     else:
         x0, y0, p0 = (np.array(a, dtype=float).reshape(n, d) for a in init)
-    return AdmmState(t=0, x=x0, y=y0, p=p0, x_sum=x0.copy(), ergodic=np.zeros((n, d)), c=float(c))
+    return AdmmState(t=0, x=x0, y=y0, p=p0, c=float(c))
 
 
 def initial_edge_state(problem: NetworkProblem, c: float, init=None) -> EdgeAdmmState:
@@ -172,22 +184,7 @@ def _node_step(state: AdmmState, problem: NetworkProblem, ws: _Workspace) -> Adm
     y_new = np.empty((n, d))
     for i in range(n):
         y_new[i] = ws.inv_size[i] * (ws.row[i] @ x_new[ws.nbrs[i]])
-    p_new = state.p + c * y_new
-    t_new = state.t + 1
-    return AdmmState(
-        t=t_new,
-        x=x_new,
-        y=y_new,
-        p=p_new,
-        x_sum=state.x_sum + x_new,
-        ergodic=((t_new - 1) * state.ergodic + x_new) / t_new,
-        c=c,
-    )
-
-
-def node_step(state: AdmmState, problem: NetworkProblem) -> AdmmState:
-    """One synchronized round of the node-based engine."""
-    return _node_step(state, problem, _Workspace(problem))
+    return AdmmState(t=state.t + 1, x=x_new, y=y_new, p=state.p + c * y_new, c=c)
 
 
 def _edge_step(state: EdgeAdmmState, problem: NetworkProblem, ws: _Workspace) -> EdgeAdmmState:
@@ -223,11 +220,6 @@ def _edge_step(state: EdgeAdmmState, problem: NetworkProblem, ws: _Workspace) ->
     return EdgeAdmmState(t=state.t + 1, x=x_new, z=z_new, lam=lam_new, c=c)
 
 
-def edge_step(state: EdgeAdmmState, problem: NetworkProblem) -> EdgeAdmmState:
-    """One round of the per-edge reference engine."""
-    return _edge_step(state, problem, _Workspace(problem))
-
-
 def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     """Run T synchronized rounds and record every snapshot."""
     if config.T < 1:
@@ -245,30 +237,20 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         xs = np.empty((T + 1, n, d))
         ys = np.empty_like(xs)
         ps = np.empty_like(xs)
-        x_sums = np.empty_like(xs)
-        erg = np.empty_like(xs)
-        for arr, val in ((xs, state.x), (ys, state.y), (ps, state.p), (x_sums, state.x_sum), (erg, state.ergodic)):
-            arr[0] = val
+        xs[0], ys[0], ps[0] = state.x, state.y, state.p
         for t in range(1, T + 1):
             state = _node_step(state, problem, ws)
             xs[t], ys[t], ps[t] = state.x, state.y, state.p
-            x_sums[t], erg[t] = state.x_sum, state.ergodic
-        return AdmmTrace(engine="node", c=config.c, xs=xs, ys=ys, ps=ps, x_sums=x_sums, ergodic=erg, accounting=acct)
+        return AdmmTrace(engine="node", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
     state = initial_edge_state(problem, config.c, config.init)
     xs = np.empty((T + 1, n, d))
     zs = np.empty((T + 1, n, n, d))
     lams = np.empty_like(zs)
     xs[0], zs[0], lams[0] = state.x, state.z, state.lam
-    x_sums = np.empty_like(xs)
-    erg = np.empty_like(xs)
-    x_sums[0] = state.x
-    erg[0] = 0.0
     for t in range(1, T + 1):
         state = _edge_step(state, problem, ws)
         xs[t], zs[t], lams[t] = state.x, state.z, state.lam
-        x_sums[t] = x_sums[t - 1] + state.x
-        erg[t] = ((t - 1) * erg[t - 1] + state.x) / t
     # y and p reconstructed through the reduction identities, for reporting
     ys = np.zeros_like(xs)
     ps = np.zeros_like(xs)
@@ -277,8 +259,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         ys[t] = Dinv * (problem.comm.P @ xs[t])
         ps[t] = lams[t, np.arange(n), np.arange(n)]
     return AdmmTrace(
-        engine="edge", c=config.c, xs=xs, ys=ys, ps=ps, x_sums=x_sums, ergodic=erg,
-        accounting=acct, zs=zs, lams=lams,
+        engine="edge", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct, zs=zs, lams=lams,
     )
 
 
@@ -312,13 +293,14 @@ def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) ->
     c = trace.c
     Minv = 1.0 / spectral.col_norms_sq[:, None]
     W = spectral.gram
+    x_sums = trace.x_sums
     out = np.empty(trace.T)
     for t in range(trace.T):
         pred = (
             -(1.0 / c) * Minv * hs[t]
             + trace.xs[t]
             - Minv * (W @ trace.xs[t])
-            - Minv * (W @ trace.x_sums[t])
+            - Minv * (W @ x_sums[t])
         )
         out[t] = float(np.max(np.abs(trace.xs[t + 1] - pred)))
     return out

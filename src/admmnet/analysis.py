@@ -23,6 +23,7 @@ metric block:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,11 @@ from .graph import CommunicationMatrix, Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
 
+# The tolerance policy shared by `run` and `check`.
 BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver and prox noise
+RECURRENCE_LIMIT = 1e-8  # largest admissible residual of the eliminated-variable recurrence
+REPLAY_RTOL = 1e-9  # largest deviation |got - want| / max(1, |want|) of a replayed trace
+RATIO_FLOOR = 1e-24  # contraction ratios with a smaller denominator are nan, not judged
 
 
 # --- auxiliary sequences ---------------------------------------------------
@@ -82,22 +87,24 @@ def _metric_dist_sq(spectral: SpectralData, r_diff: np.ndarray, x_diff: np.ndarr
     return float(np.sum(r_diff * r_diff)) + quad
 
 
+def _metric_path(
+    trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_star: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of Q x(s) over s <= t, and their squared metric distances to (ref, x*)."""
+    running = np.cumsum(spectral.gram_sqrt @ trace.xs, axis=0)
+    dist = np.array(
+        [_metric_dist_sq(spectral, running[t] - ref, trace.xs[t] - x_star) for t in range(trace.T + 1)]
+    )
+    return running, dist
+
+
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
     Q = spectral.gram_sqrt
-    T = trace.T
-    running = np.empty_like(trace.xs)
-    running[0] = Q @ trace.xs[0]
-    for t in range(1, T + 1):
-        running[t] = running[t - 1] + Q @ trace.xs[t]
-
     dual_ref = -(1.0 / c) * _pinv_sqrt_apply(spectral, optimal.subgrad)
     dual_resid = float(np.linalg.norm(Q @ dual_ref + (1.0 / c) * optimal.subgrad))
     span = dual_ref - _project_span(spectral, dual_ref)
     span_resid = float(np.linalg.norm(span))
-
-    dist = np.empty(T + 1)
-    for t in range(T + 1):
-        dist[t] = _metric_dist_sq(spectral, running[t] - dual_ref, trace.xs[t] - optimal.x_star)
+    running, dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(
         running_qx=running,
         dual_ref=dual_ref,
@@ -263,6 +270,87 @@ def sublinear_bounds(subgrad_bound: float, spectral: SpectralData, x_star: np.nd
     )
 
 
+# --- one check pipeline --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of one bound test over the rounds of the per-round table."""
+
+    passed: bool
+    worst_t: int  # round with the largest value - bound; 0 when no round was judged
+    value: float  # judged value at worst_t; nan when no round was judged
+    bound: float  # bound at worst_t
+    judged: int  # number of rounds judged
+
+    @property
+    def worst_margin(self) -> float:
+        return self.value - self.bound
+
+
+def _verdict(ts: np.ndarray, values: np.ndarray, bounds) -> Verdict:
+    """value <= bound + BOUND_SLACK at every round; a nan value fails."""
+    if values.size == 0:
+        return Verdict(passed=True, worst_t=0, value=math.nan, bound=math.nan, judged=0)
+    bounds = np.broadcast_to(bounds, values.shape)
+    margins = values - bounds
+    k = int(np.argmax(margins))  # the first nan, if any
+    return Verdict(
+        passed=bool(margins[k] <= BOUND_SLACK),
+        worst_t=int(ts[k]),
+        value=float(values[k]),
+        bound=float(bounds[k]),
+        judged=values.size,
+    )
+
+
+def judge_table(
+    rows: Sequence[Mapping],
+    sublinear: SublinearBound | None = None,
+    contraction_bound: float | None = None,
+) -> dict[str, Verdict]:
+    """Judge the per-round table (trace CSV rows) against the certificates.
+
+    With ``sublinear`` the |ergodic_obj_gap| and feasibility columns are
+    judged against its envelopes at each row's t ("objective",
+    "feasibility"); with ``contraction_bound`` the contraction_ratio column
+    is judged against it ("contraction"), skipping nan ratios, whose
+    previous distance fell below RATIO_FLOOR.
+    """
+
+    def column(key: str) -> np.ndarray:
+        return np.array([row[key] for row in rows], dtype=float)
+
+    ts = np.array([row["t"] for row in rows], dtype=int)
+    verdicts = {}
+    if sublinear is not None:
+        verdicts["objective"] = _verdict(ts, np.abs(column("ergodic_obj_gap")), sublinear.objective_bound(ts))
+        verdicts["feasibility"] = _verdict(ts, column("feasibility"), sublinear.feasibility_bound(ts))
+    if contraction_bound is not None:
+        ratios = column("contraction_ratio")
+        live = ~np.isnan(ratios)
+        verdicts["contraction"] = _verdict(ts[live], ratios[live], contraction_bound)
+    return verdicts
+
+
+def ergodic_errors(
+    trace: AdmmTrace, problem: NetworkProblem, spectral: SpectralData, optimal: OptimalPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """Signed gaps F(xhat(t)) - F* and feasibilities |Q xhat(t)| for t = 1..T."""
+    erg = trace.ergodic
+    Q = spectral.gram_sqrt
+    gaps = np.array([problem.f_value(erg[t]) - optimal.f_star for t in range(1, trace.T + 1)])
+    feas = np.array([float(np.linalg.norm(Q @ erg[t])) for t in range(1, trace.T + 1)])
+    return gaps, feas
+
+
+def contraction_ratios(dist: np.ndarray, floor: float = RATIO_FLOOR) -> np.ndarray:
+    """One-step ratios dist[t] / dist[t-1] for t = 1..T; nan where dist[t-1] < floor."""
+    prev = dist[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(prev >= floor, dist[1:] / prev, np.nan)
+
+
 @dataclass(frozen=True)
 class SublinearReport:
     obj_gap: np.ndarray = field(repr=False)  # |F(xhat(T)) - F*| for T = 1..T
@@ -279,24 +367,23 @@ def sublinear_check(
     spectral: SpectralData,
     problem: NetworkProblem,
 ) -> SublinearReport:
-    """Verify both ergodic envelopes at every T of a zero-initialized run."""
-    T = trace.T
-    Q = spectral.gram_sqrt
-    obj_gap = np.empty(T)
-    obj_bound = np.empty(T)
-    feas = np.empty(T)
-    feas_bound = np.empty(T)
-    for t in range(1, T + 1):
-        xhat = trace.ergodic[t]
-        obj_gap[t - 1] = abs(problem.f_value(xhat) - optimal.f_star)
-        obj_bound[t - 1] = bounds.objective_bound(t)
-        feas[t - 1] = float(np.linalg.norm(Q @ xhat))
-        feas_bound[t - 1] = bounds.feasibility_bound(t)
-        if obj_gap[t - 1] > obj_bound[t - 1] + BOUND_SLACK:
-            raise BoundViolatedError(t, obj_gap[t - 1], obj_bound[t - 1], what="objective bound")
-        if feas[t - 1] > feas_bound[t - 1] + BOUND_SLACK:
-            raise BoundViolatedError(t, feas[t - 1], feas_bound[t - 1], what="feasibility bound")
-    return SublinearReport(obj_gap=obj_gap, obj_bound=obj_bound, feasibility=feas, feas_bound=feas_bound)
+    """Verify both ergodic envelopes at every T of a zero-initialized run.
+
+    Raises BoundViolatedError at the worst violating round.
+    """
+    ts = np.arange(1, trace.T + 1)
+    gaps, feas = ergodic_errors(trace, problem, spectral, optimal)
+    report = SublinearReport(
+        obj_gap=np.abs(gaps),
+        obj_bound=bounds.objective_bound(ts),
+        feasibility=feas,
+        feas_bound=bounds.feasibility_bound(ts),
+    )
+    rows = [{"t": t, "ergodic_obj_gap": g, "feasibility": f} for t, g, f in zip(ts, gaps, feas)]
+    for what, v in judge_table(rows, sublinear=bounds).items():
+        if not v.passed:
+            raise BoundViolatedError(v.worst_t, v.value, v.bound, what=f"{what} bound")
+    return report
 
 
 def gap_inequality_check(
@@ -320,16 +407,10 @@ def gap_inequality_check(
     Q = spectral.gram_sqrt
     if r is None:
         r = np.zeros_like(optimal.x_star)
-    aux_run = np.empty_like(trace.xs)
-    aux_run[0] = Q @ trace.xs[0]
-    for t in range(1, trace.T + 1):
-        aux_run[t] = aux_run[t - 1] + Q @ trace.xs[t]
-    dist = np.empty(trace.T + 1)
-    for t in range(trace.T + 1):
-        dist[t] = _metric_dist_sq(spectral, aux_run[t] - r, trace.xs[t] - optimal.x_star)
+    running, dist = _metric_path(trace, spectral, r, optimal.x_star)
     margins = np.empty(trace.T)
     for t in range(trace.T):
-        step = _metric_dist_sq(spectral, aux_run[t] - aux_run[t + 1], trace.xs[t] - trace.xs[t + 1])
+        step = _metric_dist_sq(spectral, running[t] - running[t + 1], trace.xs[t] - trace.xs[t + 1])
         lhs = (2.0 / c) * (problem.f_value(trace.xs[t + 1]) - optimal.f_star) + 2.0 * float(
             np.sum(r * (Q @ trace.xs[t + 1]))
         )
@@ -338,9 +419,6 @@ def gap_inequality_check(
         if margins[t] < -BOUND_SLACK * max(1.0, abs(rhs)):
             raise BoundViolatedError(t + 1, lhs, rhs, what="one-step gap inequality")
     return margins
-
-
-# --- contraction check -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -355,21 +433,18 @@ def contraction_check(
     trace: AdmmTrace,
     aux: AuxSequences,
     cert: RateCertificate,
-    denom_floor: float = 1e-24,
+    denom_floor: float = RATIO_FLOOR,
 ) -> ContractionReport:
-    """Assert the per-iteration metric contraction at the certificate rate."""
-    dist = aux.metric_dist_sq
-    bound = 1.0 / (1.0 + cert.gain)
-    ratios = np.full(trace.T, np.nan)
-    checked = 0
-    for t in range(trace.T):
-        if dist[t] < denom_floor:
-            continue
-        ratios[t] = dist[t + 1] / dist[t]
-        checked += 1
-        if ratios[t] > bound + BOUND_SLACK:
-            raise ContractionViolatedError(t, float(ratios[t]), bound)
-    return ContractionReport(ratios=ratios, bound=bound, checked=checked, converged=checked < trace.T)
+    """Assert the per-iteration metric contraction at the certificate rate.
+
+    Raises ContractionViolatedError at the worst violating round.
+    """
+    ratios = contraction_ratios(aux.metric_dist_sq, denom_floor)
+    rows = [{"t": t, "contraction_ratio": ratio} for t, ratio in enumerate(ratios, start=1)]
+    v = judge_table(rows, contraction_bound=cert.rate)["contraction"]
+    if not v.passed:
+        raise ContractionViolatedError(v.worst_t, v.value, v.bound)
+    return ContractionReport(ratios=ratios, bound=cert.rate, checked=v.judged, converged=v.judged < trace.T)
 
 
 # --- Laplacian network bounds ------------------------------------------------

@@ -28,18 +28,15 @@ from .config import (
     build_problem,
     parse_experiment_config,
 )
-from .errors import AdmmNetError, AnalysisError, CertificateFailedError, ConfigParseError
+from .errors import AdmmNetError, CertificateFailedError, ConfigParseError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
 from .objectives import aggregate, central_solve, estimation_problem, require_curvature
+from .reporting import fmt
 from .spectral import compute_spectral_data, psd_certificates
 
 FIGURE1_DEGREES = (10, 20, 30)
 FIGURE1_N = 50
 FIGURE1_T = 150
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _fmt12(x: float) -> str:
@@ -52,6 +49,19 @@ def _resolve_penalty(cfg: ExperimentConfig, problem, spectral) -> float:
         nu, lip = require_curvature(problem)
         return analysis.optimize_rate(nu, lip, spectral).best_penalty
     return float(cfg.admm.c)
+
+
+def _certified_rate(agg, spectral, c: float) -> float | None:
+    """Certified contraction rate at penalty c; None without curvature metadata."""
+    if agg.strong_convexity is None or agg.lipschitz is None:
+        return None
+    return analysis.optimize_rate(agg.strong_convexity, agg.lipschitz, spectral, c=c).rate
+
+
+def _worst(v: analysis.Verdict) -> str:
+    if not v.judged:
+        return "no round judged"
+    return f"worst margin {fmt(v.worst_margin)} at t={v.worst_t}"
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False) -> int:
@@ -72,15 +82,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
     lines = [
         "# admmnet report v1",
         f"graph: kind={cfg.graph.kind} n={g.n} d_max={g.d_max} d_min={g.d_min}",
-        f"spectral: a(G)={_fmt(spectral.algebraic_connectivity)}"
-        f" min_nonzero_eig={_fmt(spectral.min_pos_eig_gram)}"
-        f" max_metric_eig={_fmt(spectral.max_eig_metric)}",
+        f"spectral: a(G)={fmt(spectral.algebraic_connectivity)}"
+        f" min_nonzero_eig={fmt(spectral.min_pos_eig_gram)}"
+        f" max_metric_eig={fmt(spectral.max_eig_metric)}",
         f"objective: preset={cfg.objective.preset or cfg.objective.kind}"
         f" nu={agg.strong_convexity} L={agg.lipschitz} kappa={agg.condition_number}"
-        f" U={_fmt(agg.subgrad_bound)}",
-        f"optimal: x_star={_fmt(optimal.x_star[0, 0])} f_star={_fmt(optimal.f_star)}"
-        f" oracle_residual={_fmt(optimal.residual)}",
-        f"admm: engine={cfg.admm.engine} c={_fmt(c)} T={cfg.admm.T}"
+        f" U={fmt(agg.subgrad_bound)}",
+        f"optimal: x_star={fmt(optimal.x_star[0, 0])} f_star={fmt(optimal.f_star)}"
+        f" oracle_residual={fmt(optimal.residual)}",
+        f"admm: engine={cfg.admm.engine} c={fmt(c)} T={cfg.admm.T}"
         f" messages_per_round={trace.accounting.messages_per_round}"
         f" storage_vectors={trace.accounting.storage_vectors}",
     ]
@@ -96,35 +106,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
     if check_all or checks.psd:
         try:
             psd_certificates(spectral)
-            record("psd", True, f"min eigs {_fmt(spectral.eig_gram.min)}, {_fmt(spectral.eig_metric.min)}")
+            record("psd", True, f"min eigs {fmt(spectral.eig_gram.min)}, {fmt(spectral.eig_metric.min)}")
         except CertificateFailedError as exc:
             record("psd", False, str(exc))
     if check_all or checks.sublinear:
         bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-        try:
-            rep = analysis.sublinear_check(trace, bounds, optimal, spectral, problem)
-            worst = float(np.max(rep.obj_gap - rep.obj_bound))
-            record("sublinear", True, f"worst objective margin {_fmt(worst)}")
-        except AnalysisError as exc:
-            record("sublinear", False, str(exc))
+        verdicts = analysis.judge_table(rows, sublinear=bounds)
+        obj, feas = verdicts["objective"], verdicts["feasibility"]
+        record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
     if check_all or checks.contraction:
-        if agg.strong_convexity is None or agg.lipschitz is None:
+        rate = _certified_rate(agg, spectral, c)
+        if rate is None:
             lines.append("check contraction: SKIP (no curvature metadata)")
         else:
-            cert = analysis.optimize_rate(agg.strong_convexity, agg.lipschitz, spectral, c=c)
-            try:
-                rep = analysis.contraction_check(trace, aux, cert)
-                detail = f"bound {_fmt(rep.bound)}, checked {rep.checked}"
-                if rep.converged:
-                    detail += ", converged"
-                record("contraction", True, detail)
-            except AnalysisError as exc:
-                record("contraction", False, str(exc))
+            v = analysis.judge_table(rows, contraction_bound=rate)["contraction"]
+            detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
+            if v.judged < trace.T:
+                detail += ", converged"
+            record("contraction", v.passed, detail)
     if check_all or checks.recurrence:
         if cfg.admm.engine == "node":
             resid = admm.recurrence_residuals(trace, spectral, problem)
             worst = float(np.max(resid))
-            record("recurrence", worst <= 1e-8, f"max residual {_fmt(worst)}")
+            record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
         else:
             lines.append("check recurrence: SKIP (node engine only)")
 
@@ -159,7 +163,7 @@ def run_figure1(out_dir: Path) -> int:
         slopes.append(slope)
         r2s.append(r2)
         lines.append(
-            f"d={d}: c={_fmt(c)} rate={_fmt(cert.best_rate)} slope={_fmt(slope)} r2={_fmt(r2)}"
+            f"d={d}: c={fmt(c)} rate={fmt(cert.best_rate)} slope={fmt(slope)} r2={fmt(r2)}"
         )
     ordered = slopes[2] < slopes[1] < slopes[0]
     linear = all(r2 >= 0.99 for r2 in r2s)
@@ -223,14 +227,14 @@ def cmd_certify(args) -> int:
     net = analysis.laplacian_network_bounds(g, nu=nu, lipschitz=lip)
     eps = 1e-6
     iters = math.ceil(math.log(1.0 / eps) / math.log(1.0 / cert.best_rate))
-    print(f"nu={_fmt(nu)} L={_fmt(lip)} kappa={_fmt(cert.condition_number)}")
-    print(f"min_nonzero_eig={_fmt(cert.min_pos_eig_gram)} max_metric_eig={_fmt(cert.max_eig_metric)}")
-    print(f"penalty_star={_fmt(cert.best_penalty)}")
-    print(f"balance_star={_fmt(cert.best_balance)}")
-    print(f"gain_star={_fmt(cert.best_gain)}")
-    print(f"rate_star={_fmt(cert.best_rate)}")
+    print(f"nu={fmt(nu)} L={fmt(lip)} kappa={fmt(cert.condition_number)}")
+    print(f"min_nonzero_eig={fmt(cert.min_pos_eig_gram)} max_metric_eig={fmt(cert.max_eig_metric)}")
+    print(f"penalty_star={fmt(cert.best_penalty)}")
+    print(f"balance_star={fmt(cert.best_balance)}")
+    print(f"gain_star={fmt(cert.best_gain)}")
+    print(f"rate_star={fmt(cert.best_rate)}")
     print(f"certified_iterations_to_{eps:g}={iters}")
-    print(f"degree_connectivity_coefficient={_fmt(net.iteration_coefficient)}")
+    print(f"degree_connectivity_coefficient={fmt(net.iteration_coefficient)}")
     return 0
 
 
@@ -245,12 +249,11 @@ def cmd_check(args) -> int:
 
     failures = 0
 
-    def verdict(name: str, passed: bool, detail: str = "") -> None:
+    def verdict(name: str, passed: bool, detail: str) -> None:
         nonlocal failures
         if not passed:
             failures += 1
-        suffix = f" ({detail})" if detail else ""
-        print(f"check {name}: {'PASS' if passed else 'FAIL'}{suffix}")
+        print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
 
     if len(rows) != cfg.admm.T:
         verdict("replay", False, f"trace has {len(rows)} rows, config says T={cfg.admm.T}")
@@ -258,30 +261,18 @@ def cmd_check(args) -> int:
     trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
     aux = analysis.aux_sequences(trace, spectral, optimal, c)
     expected = reporting.trace_rows(trace, problem, spectral, optimal, aux)
-    worst = 0.0
-    for got, want in zip(rows, expected):
-        for key in ("obj_gap", "ergodic_obj_gap", "feasibility", "dist_sq", "gnorm_sq"):
-            scale = max(1.0, abs(want[key]))
-            worst = max(worst, abs(got[key] - want[key]) / scale)
-    verdict("replay", worst <= 1e-9, f"worst relative deviation {_fmt(worst)}")
+    worst = reporting.replay_deviation(rows, expected)
+    verdict("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
 
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-    obj_ok = all(abs(r["ergodic_obj_gap"]) <= bounds.objective_bound(r["t"]) + 1e-9 for r in rows)
-    verdict("sublinear_objective", obj_ok)
-    feas_ok = all(r["feasibility"] <= bounds.feasibility_bound(r["t"]) + 1e-9 for r in rows)
-    verdict("sublinear_feasibility", feas_ok)
-
-    if agg.strong_convexity is None or agg.lipschitz is None:
+    for name, v in analysis.judge_table(rows, sublinear=bounds).items():
+        verdict(f"sublinear_{name}", v.passed, _worst(v))
+    rate = _certified_rate(agg, spectral, c)
+    if rate is None:
         print("check contraction: SKIP (no curvature metadata)")
     else:
-        cert = analysis.optimize_rate(agg.strong_convexity, agg.lipschitz, spectral, c=c)
-        bound = 1.0 / (1.0 + cert.gain)
-        bad = [
-            r["t"]
-            for r in rows
-            if not math.isnan(r["contraction_ratio"]) and r["contraction_ratio"] > bound + 1e-9
-        ]
-        verdict("contraction", not bad, f"bound {_fmt(bound)}" + (f", first violation t={bad[0]}" if bad else ""))
+        v = analysis.judge_table(rows, contraction_bound=rate)["contraction"]
+        verdict("contraction", v.passed, f"bound {fmt(rate)}, {_worst(v)}")
     return 1 if failures else 0
 
 

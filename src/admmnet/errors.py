@@ -73,10 +73,6 @@ class EigNoConvergenceError(SpectralError):
     pass
 
 
-class NotPSDError(SpectralError):
-    pass
-
-
 class DegenerateSpectrumError(SpectralError):
     pass
 

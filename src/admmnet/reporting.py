@@ -16,11 +16,12 @@ messages the cumulative link messages through round t.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from .admm import AdmmTrace
-from .analysis import AuxSequences
+from .analysis import AuxSequences, contraction_ratios, ergodic_errors
 from .errors import ConfigParseError
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData
@@ -36,10 +37,11 @@ TRACE_COLUMNS = (
     "contraction_ratio",
     "messages",
 )
-RATIO_FLOOR = 1e-24
+INT_COLUMNS = ("t", "messages")
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """Round-trip decimal text of a float (17 significant digits)."""
     return format(float(x), ".17g")
 
 
@@ -50,24 +52,44 @@ def trace_rows(
     optimal: OptimalPoint,
     aux: AuxSequences,
 ) -> list[dict]:
-    Q = spectral.gram_sqrt
+    """The per-round table: one dict per round t = 1..T, keyed by TRACE_COLUMNS."""
+    erg_gaps, feas = ergodic_errors(trace, problem, spectral, optimal)
+    ratios = contraction_ratios(aux.metric_dist_sq)
     rows = []
     for t in range(1, trace.T + 1):
-        gnorm_prev = aux.metric_dist_sq[t - 1]
-        ratio = aux.metric_dist_sq[t] / gnorm_prev if gnorm_prev >= RATIO_FLOOR else float("nan")
         rows.append(
             {
                 "t": t,
                 "obj_gap": problem.f_value(trace.xs[t]) - optimal.f_star,
-                "ergodic_obj_gap": problem.f_value(trace.ergodic[t]) - optimal.f_star,
-                "feasibility": float(np.linalg.norm(Q @ trace.ergodic[t])),
+                "ergodic_obj_gap": float(erg_gaps[t - 1]),
+                "feasibility": float(feas[t - 1]),
                 "dist_sq": float(np.sum((trace.xs[t] - optimal.x_star) ** 2)),
                 "gnorm_sq": float(aux.metric_dist_sq[t]),
-                "contraction_ratio": ratio,
+                "contraction_ratio": float(ratios[t - 1]),
                 "messages": t * trace.accounting.messages_per_round,
             }
         )
     return rows
+
+
+def replay_deviation(got: list[dict], want: list[dict]) -> float:
+    """Worst deviation of a trace from its replay, over every column and row.
+
+    Float columns deviate by |got - want| / max(1, |want|), and nan matches
+    only nan; any other difference, in the integer columns too, is inf.
+    """
+    if len(got) != len(want):
+        return math.inf
+    worst = 0.0
+    for g_row, w_row in zip(got, want):
+        for key in TRACE_COLUMNS:
+            g, w = g_row[key], w_row[key]
+            if key in INT_COLUMNS or math.isnan(g) or math.isnan(w):
+                dev = 0.0 if g == w or (math.isnan(g) and math.isnan(w)) else math.inf
+            else:
+                dev = abs(g - w) / max(1.0, abs(w))
+            worst = max(worst, dev)
+    return worst
 
 
 def write_trace_csv(path, rows: list[dict]) -> None:
@@ -79,12 +101,12 @@ def write_trace_csv(path, rows: list[dict]) -> None:
             writer.writerow(
                 [
                     str(row["t"]),
-                    _fmt(row["obj_gap"]),
-                    _fmt(row["ergodic_obj_gap"]),
-                    _fmt(row["feasibility"]),
-                    _fmt(row["dist_sq"]),
-                    _fmt(row["gnorm_sq"]),
-                    _fmt(row["contraction_ratio"]),
+                    fmt(row["obj_gap"]),
+                    fmt(row["ergodic_obj_gap"]),
+                    fmt(row["feasibility"]),
+                    fmt(row["dist_sq"]),
+                    fmt(row["gnorm_sq"]),
+                    fmt(row["contraction_ratio"]),
                     str(row["messages"]),
                 ]
             )

@@ -24,7 +24,6 @@ from .errors import (
     CertificateFailedError,
     DegenerateSpectrumError,
     EigNoConvergenceError,
-    NotPSDError,
     NotSymmetricError,
 )
 from .graph import CommunicationMatrix, Graph, laplacian
@@ -95,21 +94,6 @@ def sym_eig(S: np.ndarray) -> Eigendecomposition:
     if recon > RECON_RTOL * (1.0 + spec_norm):
         raise EigNoConvergenceError(f"reconstruction error {recon:.3e} too large")
     return Eigendecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
-def matrix_sqrt(W: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues in [-1e-10 |W|, 0) are clamped.
-
-    Raises NotPSDError when an eigenvalue is below -1e-8 |W|.
-    """
-    dec = sym_eig(W)
-    norm = max(abs(dec.min), abs(dec.max))
-    vals = dec.eigenvalues.copy()
-    if norm > 0.0 and dec.min < -1e-8 * norm:
-        raise NotPSDError(f"eigenvalue {dec.min:.3e} below -1e-8 * |W| = {-1e-8 * norm:.3e}")
-    vals[vals < 0.0] = 0.0
-    Q = dec.eigenvectors @ np.diag(np.sqrt(vals)) @ dec.eigenvectors.T
-    return (Q + Q.T) / 2.0
 
 
 def algebraic_connectivity(g: Graph) -> float:

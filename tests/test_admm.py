@@ -19,13 +19,6 @@ def test_first_round_k3(k3_problem):
     assert np.max(np.abs(trace.ps[1][:, 0] - FIRST_Y)) <= 1e-15
 
 
-def test_node_step_matches_run(k3_problem):
-    state = admm.initial_state(k3_problem, c=1.0)
-    state = admm.node_step(state, k3_problem)
-    assert np.max(np.abs(state.x[:, 0] - FIRST_X)) <= 1e-15
-    assert state.t == 1
-
-
 def test_consensus_fixed_point(k3):
     objs = tuple(Quadratic(target=np.array([4.0]), weight=1.0) for _ in range(3))
     prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
@@ -57,9 +50,11 @@ def test_stacked_identities(p3_problem):
 
 def test_ergodic_and_xsum_recursions(k3_problem):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=40))
+    ergodic, x_sums = trace.ergodic, trace.x_sums
+    assert np.all(ergodic[0] == 0.0)
     for t in range(1, trace.T + 1):
-        assert np.allclose(trace.ergodic[t], trace.xs[1 : t + 1].mean(axis=0), atol=1e-13)
-        assert np.allclose(trace.x_sums[t], trace.xs[: t + 1].sum(axis=0), atol=1e-12)
+        assert np.allclose(ergodic[t], trace.xs[1 : t + 1].mean(axis=0), atol=1e-13)
+        assert np.allclose(x_sums[t], trace.xs[: t + 1].sum(axis=0), atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -113,7 +108,7 @@ def test_recurrence_detects_corruption(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=30))
     # corrupt one node only; a constant shift would hide in the consensus
     # null space of the Gram matrix
-    trace.x_sums[10:, 0, :] += 0.05
+    trace.xs[10:, 0, :] += 0.05
     resid = admm.recurrence_residuals(trace, k3_spectral, k3_problem)
     assert float(np.max(resid)) > 1e-6
 

@@ -182,6 +182,27 @@ def test_sublinear_check_detects_violation(k3_problem, k3_spectral, k3_optimal):
         analysis.sublinear_check(trace, shrunk, k3_optimal, k3_spectral, k3_problem)
 
 
+def test_judge_table_reports_worst_rounds(k3_spectral, k3_optimal):
+    # K3 envelopes at U = sqrt(2), c = 1: 112/(3t) and 113/(3t)
+    bounds = analysis.sublinear_bounds(math.sqrt(2.0), k3_spectral, k3_optimal.x_star, 1.0)
+    ratios = (0.5, math.nan, 0.9, 0.7)
+    rows = [
+        {"t": t, "ergodic_obj_gap": -1.0, "feasibility": 1.0, "contraction_ratio": r}
+        for t, r in zip(range(1, 5), ratios)
+    ]
+    rows[3]["ergodic_obj_gap"] = -20.0
+    verdicts = analysis.judge_table(rows, bounds, contraction_bound=0.8)
+    obj, feas, con = verdicts["objective"], verdicts["feasibility"], verdicts["contraction"]
+    assert not obj.passed and obj.worst_t == 4 and obj.value == 20.0
+    assert obj.bound == bounds.objective_bound(4)
+    assert feas.passed and feas.worst_t == 4 and feas.worst_margin < 0.0
+    # the nan ratio is not judged; t=3 exceeds the bound
+    assert not con.passed and con.worst_t == 3 and con.judged == 3
+    rows[1]["feasibility"] = math.nan
+    nan_feas = analysis.judge_table(rows, bounds)["feasibility"]
+    assert not nan_feas.passed and nan_feas.worst_t == 2
+
+
 def test_gap_inequality_both_references(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=120))
     aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,42 @@ def test_check_detects_tampering(tmp_path, capsys):
     rc = cli.main(["check", "--config", str(cfg), "--trace", str(trace)])
     assert rc == 1
     assert "check replay: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(("column", "value"), [("t", "1"), ("contraction_ratio", "0.5"), ("messages", "0")])
+def test_check_replay_compares_every_column(tmp_path, capsys, column, value):
+    # t, contraction_ratio and messages of round 5, each set to a value the
+    # bound checks alone would accept
+    cfg = write_config(tmp_path)
+    cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    trace = tmp_path / "out" / "trace.csv"
+    lines = trace.read_text().splitlines()
+    fields = lines[6].split(",")
+    assert fields[0] == "5"
+    fields[reporting.TRACE_COLUMNS.index(column)] = value
+    lines[6] = ",".join(fields)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli.main(["check", "--config", str(cfg), "--trace", str(trace)])
+    assert rc == 1
+    assert "check replay: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_benchmark_tracer_follows_run_and_check(tmp_path, monkeypatch, engine):
+    # the benchmark traces the CLI by wrapping module attributes by name;
+    # a renamed entry point or trace field would break it only at bench time
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from spans import Tracer
+
+    cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 20").replace("engine = node", f"engine = {engine}"))
+    out = tmp_path / "out"
+    tracer = Tracer()
+    with tracer.installed():
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
+        assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert any(span.name == "admm.run" for span in tracer.spans)
+    assert tracer.counts["admm.trace_bytes"] > 0
 
 
 def test_invalid_graph_file_reports_line(tmp_path, capsys):

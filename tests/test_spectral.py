@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet.errors import CertificateFailedError, NotPSDError, NotSymmetricError
+from admmnet.errors import CertificateFailedError, NotSymmetricError
 from admmnet.graph import generate_graph, laplacian
 from admmnet.spectral import (
     algebraic_connectivity,
     compute_spectral_data,
-    matrix_sqrt,
     psd_certificates,
     sym_eig,
 )
@@ -112,18 +111,6 @@ def test_consensus_direction_in_null_space(p3_spectral):
     ones = np.ones(3)
     assert np.max(np.abs(p3_spectral.gram @ ones)) <= 1e-10
     assert np.max(np.abs(p3_spectral.gram_sqrt @ ones)) <= 1e-10
-
-
-def test_matrix_sqrt_cases(k3):
-    assert np.allclose(matrix_sqrt(np.eye(4)), np.eye(4))
-    assert np.allclose(matrix_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-    P = laplacian(k3).P
-    assert np.allclose(matrix_sqrt(P), P / math.sqrt(3.0), atol=1e-10)
-
-
-def test_matrix_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        matrix_sqrt(np.diag([1.0, -0.5]))
 
 
 def test_psd_certificates_k3(k3_spectral):
