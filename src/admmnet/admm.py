@@ -1,30 +1,38 @@
 """Synchronous-round ADMM engines.
 
-The node-based engine keeps three vectors per node (the estimate x_i, the
-neighborhood average y_i and the dual p_i). One round is
+The node-based engine keeps three (n, d) arrays: the estimates x, the
+neighborhood averages y and the duals p. One round is three array
+expressions over all nodes at once:
 
-1. x_i <- prox of f_i at weight c * m_i, where m_i = sum_{j in N(i)} P_ji^2
-   and the prox center folds the neighbors' duals:
-   v_i = x_i - (1/(c m_i)) sum_{j in N(i)} P_ji (p_j + c y_j)
-2. y_i <- (1/|N(i)|) sum_{j in N(i)} P_ij x_j
-3. p_i <- p_i + c y_i
+1. x <- prox(v) at weights c m, where m_i = sum_{j in N(i)} P_ji^2 and the
+   prox center folds the neighbors' duals: v = x - P'(p + c y) / (c m)
+2. y <- D^-1 P x, with D = diag(|N(i)|) over closed neighborhoods N(i)
+3. p <- p + c y
+
+The prox is batched per objective kind (``NetworkProblem.prox``): the
+closed forms of Quadratic and L1Quadratic act on stacked parameters, and
+only CustomSmooth nodes are solved one at a time.
 
 The edge-based engine is the reference formulation that keeps one pair
-(z_ij, lambda_ij) per directed neighborhood slot. With the matched
-initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the
-two engines generate identical x sequences.
+(z_ij, lambda_ij) per directed neighborhood slot, as (n, n, d) arrays that
+are zero outside the closed neighborhoods. With the matched initialization
+lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the two engines
+generate identical x sequences.
 
-All state is (n, d) arrays; P entries act as scalars on rows, so vector
-problems never materialize a Kronecker product.
+P entries act as scalars on rows, so vector problems never materialize a
+Kronecker product, and P follows the graph's sparsity (see
+``graph.CommunicationMatrix``). Both engines raise NonFiniteIterateError
+after a round that leaves a non-finite estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AdmmError, ProxFailureError, ZeroMWeightError
+from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
 from .graph import Graph
 from .objectives import NetworkProblem
 
@@ -124,21 +132,30 @@ class AdmmTrace:
 
 
 class _Workspace:
-    """Per-run gather indices and prox weights derived from the problem."""
+    """Per-run arrays derived from the problem and the penalty c."""
 
-    def __init__(self, problem: NetworkProblem):
-        g = problem.graph
-        P = problem.comm.P
-        self.n = g.n
-        self.d = problem.dimension
-        self.nbrs = [np.array(g.closed_neighbors(i), dtype=int) for i in range(g.n)]
-        self.col = [P[self.nbrs[i], i].copy() for i in range(g.n)]  # P_ji, j in N(i)
-        self.row = [P[i, self.nbrs[i]].copy() for i in range(g.n)]  # P_ij, j in N(i)
-        self.inv_size = np.array([1.0 / (deg + 1.0) for deg in g.degrees])
-        self.m_diag = np.array([float(self.col[i] @ self.col[i]) for i in range(g.n)])
-        for i, m in enumerate(self.m_diag):
-            if m <= 0.0:
-                raise ZeroMWeightError(i)
+    def __init__(self, problem: NetworkProblem, c: float):
+        self.graph = problem.graph
+        self.P = problem.comm.P
+        self.inv_size = 1.0 / (np.array(self.graph.degrees, dtype=float) + 1.0)[:, None]  # D^-1
+        m = np.einsum("ji,ji->i", self.P, self.P)  # sum_{j in N(i)} P_ji^2
+        zero = np.flatnonzero(m <= 0.0)
+        if zero.size:
+            raise ZeroMWeightError(int(zero[0]))
+        self.rho = c * m[:, None]  # prox weights c m_i, (n, 1)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """(n, n, 1) flags of the closed neighborhoods, mask[i, j] = j in N(i); edge engine only."""
+        edges = np.array(self.graph.edges, dtype=int).reshape(-1, 2)
+        mask = np.eye(self.graph.n, dtype=bool)
+        mask[edges[:, 0], edges[:, 1]] = True
+        mask[edges[:, 1], edges[:, 0]] = True
+        return mask[:, :, None]
+
+    def prox_center(self, x: np.ndarray, y: np.ndarray, p: np.ndarray, c: float) -> np.ndarray:
+        """v = x - P'(p + c y) / (c m), the prox center of the next node round."""
+        return x - (self.P.T @ (p + c * y)) / self.rho
 
 
 def initial_state(problem: NetworkProblem, c: float, init=None) -> AdmmState:
@@ -155,69 +172,40 @@ def initial_state(problem: NetworkProblem, c: float, init=None) -> AdmmState:
 def initial_edge_state(problem: NetworkProblem, c: float, init=None) -> EdgeAdmmState:
     """Edge state matching a node init through the reduction identities."""
     node = initial_state(problem, c, init)
-    ws = _Workspace(problem)
-    n, d = problem.n, problem.dimension
-    z = np.zeros((n, n, d))
-    lam = np.zeros((n, n, d))
-    P = problem.comm.P
-    for i in range(n):
-        for j in ws.nbrs[i]:
-            z[i, j] = P[i, j] * node.x[j] - node.y[i]
-            lam[i, j] = node.p[i]
+    ws = _Workspace(problem, c)
+    z = np.where(ws.mask, ws.P[:, :, None] * node.x[None, :, :] - node.y[:, None, :], 0.0)
+    lam = np.where(ws.mask, node.p[:, None, :], 0.0)
     return EdgeAdmmState(t=0, x=node.x.copy(), z=z, lam=lam, c=float(c))
 
 
 def _node_step(state: AdmmState, problem: NetworkProblem, ws: _Workspace) -> AdmmState:
     c = state.c
-    n, d = ws.n, ws.d
-    dual_load = state.p + c * state.y  # p_j(t) + c y_j(t), gathered per node below
-    x_new = np.empty((n, d))
-    for i in range(n):
-        rho = c * ws.m_diag[i]
-        v = state.x[i] - (ws.col[i] @ dual_load[ws.nbrs[i]]) / rho
-        try:
-            x_new[i] = problem.objectives[i].prox(v, rho)
-        except AdmmError:
-            raise
-        except Exception as exc:
-            raise ProxFailureError(i, exc) from exc
-    y_new = np.empty((n, d))
-    for i in range(n):
-        y_new[i] = ws.inv_size[i] * (ws.row[i] @ x_new[ws.nbrs[i]])
-    return AdmmState(t=state.t + 1, x=x_new, y=y_new, p=state.p + c * y_new, c=c)
+    x = problem.prox(ws.prox_center(state.x, state.y, state.p, c), ws.rho)
+    y = ws.inv_size * (ws.P @ x)
+    return AdmmState(t=state.t + 1, x=x, y=y, p=state.p + c * y, c=c)
 
 
 def _edge_step(state: EdgeAdmmState, problem: NetworkProblem, ws: _Workspace) -> EdgeAdmmState:
     c = state.c
-    n, d = ws.n, ws.d
-    P = problem.comm.P
-    x_new = np.empty((n, d))
-    for j in range(n):
-        rho = c * ws.m_diag[j]
-        # stationarity of the x_j subproblem of the full augmented Lagrangian
-        acc = np.zeros(d)
-        for i in ws.nbrs[j]:
-            acc += P[i, j] * (c * state.z[i, j] - state.lam[i, j])
-        v = acc / rho
-        try:
-            x_new[j] = problem.objectives[j].prox(v, rho)
-        except AdmmError:
-            raise
-        except Exception as exc:
-            raise ProxFailureError(j, exc) from exc
-    z_new = np.zeros_like(state.z)
-    lam_new = np.zeros_like(state.lam)
-    for i in range(n):
-        # minimize over z_i subject to sum_j z_ij = 0: project the
-        # unconstrained minimizer by subtracting the neighborhood mean
-        mu = np.zeros(d)
-        for j in ws.nbrs[i]:
-            mu += P[i, j] * x_new[j] + state.lam[i, j] / c
-        mu *= ws.inv_size[i]
-        for j in ws.nbrs[i]:
-            z_new[i, j] = P[i, j] * x_new[j] + state.lam[i, j] / c - mu
-            lam_new[i, j] = state.lam[i, j] + c * (P[i, j] * x_new[j] - z_new[i, j])
-    return EdgeAdmmState(t=state.t + 1, x=x_new, z=z_new, lam=lam_new, c=c)
+    P = ws.P[:, :, None]
+    # stationarity of each x_j subproblem of the full augmented Lagrangian:
+    # center sum_i P_ij (c z_ij - lam_ij) / (c m_j)
+    v = (P * (c * state.z - state.lam)).sum(axis=0) / ws.rho
+    x = problem.prox(v, ws.rho)
+    Px = P * x[None, :, :]  # P_ij x_j
+    u = Px + state.lam / c
+    # minimize over z_i subject to sum_j z_ij = 0: project the
+    # unconstrained minimizer by subtracting the neighborhood mean
+    mu = ws.inv_size * u.sum(axis=1)
+    z = np.where(ws.mask, u - mu[:, None, :], 0.0)
+    lam = state.lam + c * (Px - z)
+    return EdgeAdmmState(t=state.t + 1, x=x, z=z, lam=lam, c=c)
+
+
+def _require_finite(x: np.ndarray, t: int) -> None:
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteIterateError(int(np.flatnonzero(~finite.all(axis=1))[0]), t)
 
 
 def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
@@ -228,7 +216,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         raise AdmmError(f"penalty c must be positive, got {config.c}")
     if config.engine not in ("node", "edge"):
         raise AdmmError(f"unknown engine {config.engine!r}")
-    ws = _Workspace(problem)
+    ws = _Workspace(problem, config.c)
     n, d, T = problem.n, problem.dimension, config.T
     acct = account(problem.graph, d)
 
@@ -240,6 +228,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         xs[0], ys[0], ps[0] = state.x, state.y, state.p
         for t in range(1, T + 1):
             state = _node_step(state, problem, ws)
+            _require_finite(state.x, t)
             xs[t], ys[t], ps[t] = state.x, state.y, state.p
         return AdmmTrace(engine="node", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
@@ -250,14 +239,14 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     xs[0], zs[0], lams[0] = state.x, state.z, state.lam
     for t in range(1, T + 1):
         state = _edge_step(state, problem, ws)
+        _require_finite(state.x, t)
         xs[t], zs[t], lams[t] = state.x, state.z, state.lam
-    # y and p reconstructed through the reduction identities, for reporting
-    ys = np.zeros_like(xs)
-    ps = np.zeros_like(xs)
-    Dinv = ws.inv_size[:, None]
-    for t in range(T + 1):
-        ys[t] = Dinv * (problem.comm.P @ xs[t])
-        ps[t] = lams[t, np.arange(n), np.arange(n)]
+    # y and p reconstructed through the reduction identities, for reporting:
+    # y(t) = D^-1 P x(t) and p_i(t) = lambda_ii(t)
+    ys = ws.P @ xs
+    ys *= ws.inv_size
+    diag = np.arange(n)
+    ps = lams[:, diag, diag]
     return AdmmTrace(
         engine="edge", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct, zs=zs, lams=lams,
     )
@@ -266,18 +255,13 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
 def implicit_subgradients(trace: AdmmTrace, problem: NetworkProblem) -> np.ndarray:
     """Subgradients h(x(t+1)) implied by prox optimality, shape (T, n, d).
 
-    h_i = c m_i (v_i - x_i(t+1)) where v_i is the prox center of round t+1.
+    h = c m (v - x(t+1)) row-wise, where v is the prox center of round t+1.
     """
-    ws = _Workspace(problem)
-    c = trace.c
-    T, n, d = trace.T, trace.n, trace.dimension
-    hs = np.empty((T, n, d))
-    for t in range(T):
-        dual_load = trace.ps[t] + c * trace.ys[t]
-        for i in range(n):
-            rho = c * ws.m_diag[i]
-            v = trace.xs[t][i] - (ws.col[i] @ dual_load[ws.nbrs[i]]) / rho
-            hs[t, i] = rho * (v - trace.xs[t + 1][i])
+    ws = _Workspace(problem, trace.c)
+    hs = np.empty((trace.T, trace.n, trace.dimension))
+    for t in range(trace.T):
+        v = ws.prox_center(trace.xs[t], trace.ys[t], trace.ps[t], trace.c)
+        hs[t] = ws.rho * (v - trace.xs[t + 1])
     return hs
 
 

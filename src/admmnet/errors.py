@@ -119,6 +119,13 @@ class ProxFailureError(AdmmError):
         self.node = node
 
 
+class NonFiniteIterateError(AdmmError):
+    def __init__(self, node: int, t: int):
+        super().__init__(f"non-finite estimate at node {node} after round {t}")
+        self.node = node
+        self.t = t
+
+
 class ZeroMWeightError(AdmmError):
     def __init__(self, node: int):
         super().__init__(f"zero prox weight at node {node} (all-zero column in P)")

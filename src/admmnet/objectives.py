@@ -9,12 +9,18 @@ Three kinds are supported:
 plus :class:`NetworkProblem` (graph + communication matrix + one objective
 per node) and a centralized oracle solver that produces the consensus
 optimum used as ground truth by every certificate check.
+
+A problem evaluates its objectives on whole (n, d) iterates: values and
+proximal maps of every node come from the per-kind stacked parameters of
+:meth:`LocalObjective.stacked`, in closed form for ``Quadratic`` and
+``L1Quadratic``; ``CustomSmooth`` nodes are visited one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .errors import (
     InnerSolverNoConvergenceError,
     MissingCurvatureMetadataError,
     OracleNoConvergenceError,
+    ProxFailureError,
 )
 from .graph import CommunicationMatrix, Graph, laplacian
 
@@ -69,6 +76,64 @@ class LocalObjective:
     def smooth_gradient(self, x) -> np.ndarray:
         return self.gradient(x)
 
+    @classmethod
+    def stacked(cls, objectives: Sequence[LocalObjective], nodes: Sequence[int]):
+        """Rows object for ``objectives`` (all of this kind) sitting at ``nodes``.
+
+        The default visits one node at a time; kinds with a closed form
+        override it with stacked parameters.
+        """
+        return _EachRow(tuple(objectives), tuple(nodes))
+
+
+class _EachRow:
+    """Objectives without a closed-form prox, evaluated one row at a time."""
+
+    def __init__(self, objectives: tuple[LocalObjective, ...], nodes: tuple[int, ...]):
+        self.objectives = objectives
+        self.nodes = nodes
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        return np.array([f.value(x) for f, x in zip(self.objectives, X)])
+
+    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        X = np.empty_like(V)
+        for k, (node, f) in enumerate(zip(self.nodes, self.objectives)):
+            try:
+                X[k] = f.prox(V[k], float(rho[k, 0]))
+            except Exception as exc:
+                raise ProxFailureError(node, exc) from exc
+        return X
+
+
+@dataclass(frozen=True)
+class _QuadraticRows:
+    """(w/2)|x - a|^2 + tau |x|_1 on every row: (k, 1) weights, (k, d) targets.
+
+    ``tau`` is None for plain quadratics, so no l1 term is evaluated.
+    """
+
+    weight: np.ndarray
+    target: np.ndarray
+    tau: np.ndarray | None = None
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        diff = X - self.target
+        vals = 0.5 * self.weight[:, 0] * np.einsum("ij,ij->i", diff, diff)
+        if self.tau is not None:
+            vals += self.tau[:, 0] * np.abs(X).sum(axis=1)
+        return vals
+
+    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        u = (self.weight * self.target + rho * V) / (self.weight + rho)
+        if self.tau is None:
+            return u
+        return soft_threshold(u, self.tau / (self.weight + rho))
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
+
 
 @dataclass(frozen=True)
 class Quadratic(LocalObjective):
@@ -113,6 +178,13 @@ class Quadratic(LocalObjective):
         if rho <= 0:
             raise ValueError("rho must be positive")
         return (self.weight * self.target + rho * v) / (self.weight + rho)
+
+    @classmethod
+    def stacked(cls, objectives, nodes):
+        return _QuadraticRows(
+            weight=_column([o.weight for o in objectives]),
+            target=np.stack([o.target for o in objectives]),
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +247,10 @@ class L1Quadratic(LocalObjective):
         u = (self.weight * self.target + rho * v) / (self.weight + rho)
         return soft_threshold(u, self.tau / (self.weight + rho))
 
+    @classmethod
+    def stacked(cls, objectives, nodes):
+        return replace(Quadratic.stacked(objectives, nodes), tau=_column([o.tau for o in objectives]))
+
 
 @dataclass(frozen=True)
 class CustomSmooth(LocalObjective):
@@ -227,7 +303,10 @@ class CustomSmooth(LocalObjective):
         x = v.copy()
         for _ in range(100_000):
             g = self.gradient(x) + rho * (x - v)
-            if float(np.linalg.norm(g)) <= 0.5 * target:
+            g_norm = float(np.linalg.norm(g))
+            if not np.isfinite(g_norm):
+                raise InnerSolverNoConvergenceError("prox inner solver hit a non-finite gradient", g_norm)
+            if g_norm <= 0.5 * target:
                 break
             x_new = x - step * g
             if float(np.linalg.norm(x_new - x)) <= 1e-13:
@@ -235,7 +314,7 @@ class CustomSmooth(LocalObjective):
                 break
             x = x_new
         residual = float(np.linalg.norm(self.gradient(x) + rho * (x - v)))
-        if residual > target:
+        if not residual <= target:  # also refuses a nan residual or target
             raise InnerSolverNoConvergenceError("prox inner solver stalled", residual)
         return x
 
@@ -268,9 +347,30 @@ class NetworkProblem:
     def dimension(self) -> int:
         return self.objectives[0].dimension
 
+    @cached_property
+    def _kinds(self) -> tuple[tuple[np.ndarray, object], ...]:
+        """(node indices, stacked objectives) per objective kind, built once per problem."""
+        by_kind: dict[type, list[int]] = {}
+        for i, f in enumerate(self.objectives):
+            by_kind.setdefault(type(f), []).append(i)
+        return tuple(
+            (np.array(idx), kind.stacked([self.objectives[i] for i in idx], idx))
+            for kind, idx in by_kind.items()
+        )
+
     def f_value(self, X: np.ndarray) -> float:
         """Sum of local objective values over the rows of an (n, d) iterate."""
-        return float(sum(f.value(X[i]) for i, f in enumerate(self.objectives)))
+        return float(sum(np.sum(rows.values(X[idx])) for idx, rows in self._kinds))
+
+    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 for (n, d) centers, (n, 1) weights.
+
+        Raises ProxFailureError naming the node when a per-node prox fails.
+        """
+        X = np.empty_like(V)
+        for idx, rows in self._kinds:
+            X[idx] = rows.prox(V[idx], rho[idx])
+        return X
 
     def is_smooth(self) -> bool:
         return all(o.gradient_lipschitz is not None for o in self.objectives)

@@ -1,11 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from admmnet import admm
-from admmnet.errors import AdmmError, ZeroMWeightError
-from admmnet.graph import generate_graph, laplacian
-from admmnet.objectives import NetworkProblem, Quadratic, estimation_problem
+from admmnet import admm, analysis, reporting
+from admmnet.errors import (
+    AdmmError,
+    InnerSolverNoConvergenceError,
+    NonFiniteIterateError,
+    ProxFailureError,
+    ZeroMWeightError,
+)
+from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
+from admmnet.objectives import (
+    CustomSmooth,
+    L1Quadratic,
+    NetworkProblem,
+    Quadratic,
+    central_solve,
+    estimation_problem,
+)
 from admmnet.spectral import compute_spectral_data
+from conftest import random_connected_graph
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
 FIRST_Y = np.array([-1.0 / 7.0, 0.0, 1.0 / 7.0])
@@ -169,3 +184,112 @@ def test_zero_column_raises_zero_weight(p3):
     prob = NetworkProblem(graph=p3, comm=comm, objectives=tuple(Quadratic(target=np.array([float(i)])) for i in range(3)))
     with pytest.raises(ZeroMWeightError):
         admm.run(prob, admm.RunConfig(c=1.0, T=1))
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_non_finite_iterate_raises(k3_problem, engine):
+    # c m overflows to inf, so the first prox returns nan on every node
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterateError) as info:
+            admm.run(k3_problem, admm.RunConfig(c=1e308, T=5, engine=engine))
+    assert (info.value.node, info.value.t) == (0, 1)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_non_finite_iterate_names_node(p3_problem, engine):
+    x0 = np.zeros((3, 1))
+    x0[2] = np.inf  # path 0-1-2: only node 2 reads its own estimate back
+    init = (x0, np.zeros((3, 1)), np.zeros((3, 1)))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteIterateError) as info:
+            admm.run(p3_problem, admm.RunConfig(c=1.0, T=5, engine=engine, init=init))
+    assert (info.value.node, info.value.t) == (2, 1)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_prox_failure_names_custom_node(engine):
+    g = generate_graph("path", 5)
+    k = 2
+    # the declared Lipschitz constant is far too small, so the inner
+    # gradient iterations diverge once the prox center leaves 0
+    stalling = CustomSmooth(
+        value_fn=lambda x: 5e5 * float(x @ x), grad_fn=lambda x: 1e6 * x, dim=1, nu=1.0, lipschitz=1.0
+    )
+    objs = [Quadratic(target=np.array([float(i + 1)])) for i in range(5)]
+    objs[k] = stalling
+    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ProxFailureError) as info:
+            admm.run(prob, admm.RunConfig(c=1.0, T=10, engine=engine))
+    assert info.value.node == k
+    assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
+
+
+def _mixed_problem(rng, n, d):
+    g = random_connected_graph(rng, n)
+    P = np.zeros((n, n))
+    for i, j in g.edges:  # edge-weighted Laplacian: custom P with the graph's sparsity
+        w = rng.uniform(0.5, 2.0)
+        P[[i, j], [i, j]] += w
+        P[[i, j], [j, i]] -= w
+    objs = []
+    for _ in range(n):
+        target, weight = rng.normal(scale=3.0, size=d), rng.uniform(0.5, 2.0)
+        if rng.random() < 0.5:
+            objs.append(Quadratic(target=target, weight=weight))
+        else:
+            objs.append(L1Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 1.0)))
+    return NetworkProblem(graph=g, comm=custom_comm_matrix(P, g), objectives=tuple(objs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.sampled_from([1, 2, 3]), st.integers(0, 10_000))
+def test_vectorized_round_properties(n, d, seed):
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng, n, d)
+    c = rng.uniform(0.3, 3.0)
+    init = tuple(rng.normal(size=(n, d)) for _ in range(3))
+    node = admm.run(prob, admm.RunConfig(c=c, T=30, init=init))
+    edge = admm.run(prob, admm.RunConfig(c=c, T=30, engine="edge", init=init))
+    assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
+
+    # the recurrence eliminates p = c * sum_s D^-1 P x(s), so start on it
+    x0 = init[0]
+    y0 = (prob.comm.P @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
+    trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
+    sd = compute_spectral_data(prob.comm, prob.graph)
+    assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8
+
+    V = rng.normal(scale=3.0, size=(n, d))
+    rho = rng.uniform(0.1, 10.0, size=(n, 1))
+    X = prob.prox(V, rho)
+    for i, f in enumerate(prob.objectives):
+        want = f.prox(V[i], float(rho[i, 0]))
+        assert np.all(np.abs(X[i] - want) <= 1e-15 * np.abs(want))
+
+
+def _forbid_per_node_calls(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node objective call on the round path")
+
+    for kind in (Quadratic, L1Quadratic):
+        monkeypatch.setattr(kind, "prox", refuse)
+        monkeypatch.setattr(kind, "value", refuse)
+
+
+@pytest.mark.parametrize("kind", ["estimation", "l1"])
+def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
+    g = generate_graph("circulant", 12, d=4)
+    if kind == "estimation":
+        prob = estimation_problem(g, dimension=2)
+    else:
+        objs = tuple(L1Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
+        prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=objs)
+    sd = compute_spectral_data(prob.comm, g)
+    _forbid_per_node_calls(monkeypatch)
+    optimal = central_solve(prob)
+    for engine in ("node", "edge"):
+        trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
+        aux = analysis.aux_sequences(trace, sd, optimal, 1.0)
+        assert len(reporting.trace_rows(trace, prob, sd, optimal, aux)) == 20
+        assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8

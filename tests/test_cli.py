@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from admmnet import cli, reporting
-from admmnet.config import parse_experiment_config
+from admmnet.config import build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError
 from admmnet.graph import generate_graph, write_graph_file
 
@@ -22,6 +22,9 @@ T = 200
 engine = node
 init = zero
 """
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, text=K3_CONFIG, name="exp.ini"):
@@ -227,3 +230,11 @@ def test_missing_config_errors(capsys):
     rc = cli.main(["run", "--out", "unused"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_ini_blocks_parse(tmp_path):
+    blocks = README.read_text(encoding="utf-8").split("```ini\n")[1:]
+    assert blocks, "README has no ini block"
+    for k, block in enumerate(blocks):
+        cfg = parse_experiment_config(write_config(tmp_path, block.split("```")[0], f"readme{k}.ini"))
+        assert build_problem(cfg).n == cfg.graph.n

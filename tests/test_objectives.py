@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet.errors import DimensionMismatchError, MissingCurvatureMetadataError
+from admmnet.errors import (
+    DimensionMismatchError,
+    InnerSolverNoConvergenceError,
+    MissingCurvatureMetadataError,
+)
 from admmnet.graph import generate_graph, laplacian
 from admmnet.objectives import (
     CustomSmooth,
@@ -94,6 +98,14 @@ def test_prox_first_order_optimality(seed):
         rho = float(rng.uniform(0.05, 20))
         p = f.prox(v, rho)
         assert prox_residual(f, v, rho, p) <= 1e-10 * rho * (1 + np.linalg.norm(v))
+
+
+def test_custom_smooth_prox_refuses_non_finite_gradient():
+    f = CustomSmooth(
+        value_fn=lambda x: 0.0, grad_fn=lambda x: np.full_like(x, np.nan), dim=1, nu=1.0, lipschitz=1.0
+    )
+    with pytest.raises(InnerSolverNoConvergenceError):
+        f.prox(np.array([1.0]), 1.0)
 
 
 def test_custom_smooth_prox_matches_linear_solve():
