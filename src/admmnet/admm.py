@@ -258,10 +258,9 @@ def implicit_subgradients(trace: AdmmTrace, problem: NetworkProblem) -> np.ndarr
     h = c m (v - x(t+1)) row-wise, where v is the prox center of round t+1.
     """
     ws = _Workspace(problem, trace.c)
-    hs = np.empty((trace.T, trace.n, trace.dimension))
-    for t in range(trace.T):
-        v = ws.prox_center(trace.xs[t], trace.ys[t], trace.ps[t], trace.c)
-        hs[t] = ws.rho * (v - trace.xs[t + 1])
+    hs = ws.prox_center(trace.xs[:-1], trace.ys[:-1], trace.ps[:-1], trace.c)
+    hs -= trace.xs[1:]
+    hs *= ws.rho
     return hs
 
 
@@ -273,18 +272,18 @@ def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) ->
     with M = diag(col_norms_sq) and W the weighted Gram matrix. The
     returned vector holds the residual of that identity for t = 0..T-1.
     """
-    hs = implicit_subgradients(trace, problem)
-    c = trace.c
+    # evaluated in place, in the order of
+    # pred = -(1/c) M^-1 h + x(t) - M^-1 W x(t) - M^-1 W sum_{s<=t} x(s)
+    pred = implicit_subgradients(trace, problem)
     Minv = 1.0 / spectral.col_norms_sq[:, None]
-    W = spectral.gram
-    x_sums = trace.x_sums
-    out = np.empty(trace.T)
-    for t in range(trace.T):
-        pred = (
-            -(1.0 / c) * Minv * hs[t]
-            + trace.xs[t]
-            - Minv * (W @ trace.xs[t])
-            - Minv * (W @ x_sums[t])
-        )
-        out[t] = float(np.max(np.abs(trace.xs[t + 1] - pred)))
-    return out
+    pred *= -(1.0 / trace.c) * Minv
+    xs = trace.xs[:-1]
+    pred += xs
+    term = spectral.gram @ xs
+    term *= Minv
+    pred -= term
+    np.matmul(spectral.gram, trace.x_sums[:-1], out=term)
+    term *= Minv
+    pred -= term
+    pred -= trace.xs[1:]
+    return np.abs(pred, out=pred).max(axis=(1, 2))

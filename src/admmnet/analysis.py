@@ -23,7 +23,7 @@ metric block:
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
 from .admm import AdmmTrace
 from .graph import CommunicationMatrix, Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
-from .spectral import SpectralData, compute_spectral_data
+from .spectral import ZERO_EIG_RTOL, SpectralData, compute_spectral_data
 
 # The tolerance policy shared by `run` and `check`.
 BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver and prox noise
@@ -68,41 +68,43 @@ class AuxSequences:
     span_residual: float = 0.0
 
 
-def _pinv_sqrt_apply(spectral: SpectralData, B: np.ndarray) -> np.ndarray:
-    """Apply the pseudoinverse of the Gram square root columnwise.
+def _gram_apply(spectral: SpectralData, B: np.ndarray, fn) -> np.ndarray:
+    """V diag(fn(lam)) V' B over the eigenpairs (lam, V) of the Gram matrix.
 
-    Only eigenvalues above 1e-9 of the largest are inverted, which pins the
-    result to the column span and annihilates the consensus direction.
+    Eigenvalues at or below ZERO_EIG_RTOL of the largest count as zero and
+    get weight 0, which pins the result to the column span and annihilates
+    the consensus direction.
     """
     vals = spectral.eig_gram.eigenvalues
     vecs = spectral.eig_gram.eigenvectors
-    thresh = 1e-9 * float(vals[-1])
-    inv = np.where(vals > thresh, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
-    return vecs @ (inv[:, None] * (vecs.T @ B))
+    weights = np.where(vals > ZERO_EIG_RTOL * float(vals[-1]), fn(np.clip(vals, 1e-300, None)), 0.0)
+    return vecs @ (weights[:, None] * (vecs.T @ B))
 
 
-def _metric_dist_sq(spectral: SpectralData, r_diff: np.ndarray, x_diff: np.ndarray) -> float:
-    """|r_diff|^2 + x_diff' (metric block) x_diff, stacked over columns."""
-    quad = float(np.sum(x_diff * (spectral.metric_block @ x_diff)))
-    return float(np.sum(r_diff * r_diff)) + quad
+def _metric_sq(spectral: SpectralData, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|r|^2 + x' (metric block) x per entry of (..., n, d) stacks of one shape; overwrites r."""
+    r *= r
+    total = r.sum(axis=(-2, -1))
+    mx = np.matmul(spectral.metric_block, x, out=r)
+    mx *= x
+    total += mx.sum(axis=(-2, -1))
+    return total
 
 
 def _metric_path(
     trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_star: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running sums of Q x(s) over s <= t, and their squared metric distances to (ref, x*)."""
-    running = np.cumsum(spectral.gram_sqrt @ trace.xs, axis=0)
-    dist = np.array(
-        [_metric_dist_sq(spectral, running[t] - ref, trace.xs[t] - x_star) for t in range(trace.T + 1)]
-    )
-    return running, dist
+    running = spectral.gram_sqrt @ trace.xs
+    np.cumsum(running, axis=0, out=running)
+    return running, _metric_sq(spectral, running - ref, trace.xs - x_star)
 
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
     Q = spectral.gram_sqrt
-    dual_ref = -(1.0 / c) * _pinv_sqrt_apply(spectral, optimal.subgrad)
+    dual_ref = -(1.0 / c) * _gram_apply(spectral, optimal.subgrad, lambda lam: 1.0 / np.sqrt(lam))
     dual_resid = float(np.linalg.norm(Q @ dual_ref + (1.0 / c) * optimal.subgrad))
-    span = dual_ref - _project_span(spectral, dual_ref)
+    span = dual_ref - _gram_apply(spectral, dual_ref, np.ones_like)
     span_resid = float(np.linalg.norm(span))
     running, dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(
@@ -112,14 +114,6 @@ def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoin
         dual_ref_residual=dual_resid,
         span_residual=span_resid,
     )
-
-
-def _project_span(spectral: SpectralData, B: np.ndarray) -> np.ndarray:
-    vals = spectral.eig_gram.eigenvalues
-    vecs = spectral.eig_gram.eigenvectors
-    thresh = 1e-9 * float(vals[-1])
-    keep = (vals > thresh).astype(float)
-    return vecs @ (keep[:, None] * (vecs.T @ B))
 
 
 # --- linear rate certificates ----------------------------------------------
@@ -305,29 +299,26 @@ def _verdict(ts: np.ndarray, values: np.ndarray, bounds) -> Verdict:
 
 
 def judge_table(
-    rows: Sequence[Mapping],
+    table: Mapping[str, np.ndarray],
     sublinear: SublinearBound | None = None,
     contraction_bound: float | None = None,
 ) -> dict[str, Verdict]:
-    """Judge the per-round table (trace CSV rows) against the certificates.
+    """Judge the per-round table (trace CSV columns) against the certificates.
 
     With ``sublinear`` the |ergodic_obj_gap| and feasibility columns are
     judged against its envelopes at each row's t ("objective",
     "feasibility"); with ``contraction_bound`` the contraction_ratio column
     is judged against it ("contraction"), skipping nan ratios, whose
-    previous distance fell below RATIO_FLOOR.
+    previous distance fell below RATIO_FLOOR. Only the columns judged and
+    ``t`` need to be present.
     """
-
-    def column(key: str) -> np.ndarray:
-        return np.array([row[key] for row in rows], dtype=float)
-
-    ts = np.array([row["t"] for row in rows], dtype=int)
+    ts = table["t"]
     verdicts = {}
     if sublinear is not None:
-        verdicts["objective"] = _verdict(ts, np.abs(column("ergodic_obj_gap")), sublinear.objective_bound(ts))
-        verdicts["feasibility"] = _verdict(ts, column("feasibility"), sublinear.feasibility_bound(ts))
+        verdicts["objective"] = _verdict(ts, np.abs(table["ergodic_obj_gap"]), sublinear.objective_bound(ts))
+        verdicts["feasibility"] = _verdict(ts, table["feasibility"], sublinear.feasibility_bound(ts))
     if contraction_bound is not None:
-        ratios = column("contraction_ratio")
+        ratios = table["contraction_ratio"]
         live = ~np.isnan(ratios)
         verdicts["contraction"] = _verdict(ts[live], ratios[live], contraction_bound)
     return verdicts
@@ -337,11 +328,11 @@ def ergodic_errors(
     trace: AdmmTrace, problem: NetworkProblem, spectral: SpectralData, optimal: OptimalPoint
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed gaps F(xhat(t)) - F* and feasibilities |Q xhat(t)| for t = 1..T."""
-    erg = trace.ergodic
-    Q = spectral.gram_sqrt
-    gaps = np.array([problem.f_value(erg[t]) - optimal.f_star for t in range(1, trace.T + 1)])
-    feas = np.array([float(np.linalg.norm(Q @ erg[t])) for t in range(1, trace.T + 1)])
-    return gaps, feas
+    erg = trace.ergodic[1:]
+    gaps = problem.f_value(erg) - optimal.f_star
+    qe = spectral.gram_sqrt @ erg
+    qe *= qe
+    return gaps, np.sqrt(qe.sum(axis=(1, 2)))
 
 
 def contraction_ratios(dist: np.ndarray, floor: float = RATIO_FLOOR) -> np.ndarray:
@@ -379,8 +370,8 @@ def sublinear_check(
         feasibility=feas,
         feas_bound=bounds.feasibility_bound(ts),
     )
-    rows = [{"t": t, "ergodic_obj_gap": g, "feasibility": f} for t, g, f in zip(ts, gaps, feas)]
-    for what, v in judge_table(rows, sublinear=bounds).items():
+    table = {"t": ts, "ergodic_obj_gap": gaps, "feasibility": feas}
+    for what, v in judge_table(table, sublinear=bounds).items():
         if not v.passed:
             raise BoundViolatedError(v.worst_t, v.value, v.bound, what=f"{what} bound")
     return report
@@ -402,22 +393,22 @@ def gap_inequality_check(
       <= dist(t) - dist(t+1) - step(t)
     where the distances are squared metric distances to (r, x*). Returns
     rhs - lhs per round and raises BoundViolatedError when negative beyond
-    the shared slack.
+    the shared slack, at the first violating round.
     """
-    Q = spectral.gram_sqrt
     if r is None:
         r = np.zeros_like(optimal.x_star)
     running, dist = _metric_path(trace, spectral, r, optimal.x_star)
-    margins = np.empty(trace.T)
-    for t in range(trace.T):
-        step = _metric_dist_sq(spectral, running[t] - running[t + 1], trace.xs[t] - trace.xs[t + 1])
-        lhs = (2.0 / c) * (problem.f_value(trace.xs[t + 1]) - optimal.f_star) + 2.0 * float(
-            np.sum(r * (Q @ trace.xs[t + 1]))
-        )
-        rhs = dist[t] - dist[t + 1] - step
-        margins[t] = rhs - lhs
-        if margins[t] < -BOUND_SLACK * max(1.0, abs(rhs)):
-            raise BoundViolatedError(t + 1, lhs, rhs, what="one-step gap inequality")
+    xs = trace.xs
+    step = _metric_sq(spectral, running[:-1] - running[1:], xs[:-1] - xs[1:])
+    lhs = (2.0 / c) * (problem.f_value(xs[1:]) - optimal.f_star) + 2.0 * np.sum(
+        r * (spectral.gram_sqrt @ xs[1:]), axis=(1, 2)
+    )
+    rhs = dist[:-1] - dist[1:] - step
+    margins = rhs - lhs
+    bad = np.flatnonzero(margins < -BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
+    if bad.size:
+        t = int(bad[0])
+        raise BoundViolatedError(t + 1, float(lhs[t]), float(rhs[t]), what="one-step gap inequality")
     return margins
 
 
@@ -440,8 +431,8 @@ def contraction_check(
     Raises ContractionViolatedError at the worst violating round.
     """
     ratios = contraction_ratios(aux.metric_dist_sq, denom_floor)
-    rows = [{"t": t, "contraction_ratio": ratio} for t, ratio in enumerate(ratios, start=1)]
-    v = judge_table(rows, contraction_bound=cert.rate)["contraction"]
+    table = {"t": np.arange(1, trace.T + 1), "contraction_ratio": ratios}
+    v = judge_table(table, contraction_bound=cert.rate)["contraction"]
     if not v.passed:
         raise ContractionViolatedError(v.worst_t, v.value, v.bound)
     return ContractionReport(ratios=ratios, bound=cert.rate, checked=v.judged, converged=v.judged < trace.T)

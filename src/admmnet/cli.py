@@ -64,20 +64,35 @@ def _worst(v: analysis.Verdict) -> str:
     return f"worst margin {fmt(v.worst_margin)} at t={v.worst_t}"
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _run_config(cfg: ExperimentConfig):
+    """(problem, spectral data, optimum, aggregate info, penalty, trace, per-round table) of a run of ``cfg``."""
     problem = build_problem(cfg)
-    g = problem.graph
-    spectral = compute_spectral_data(problem.comm, g)
+    spectral = compute_spectral_data(problem.comm, problem.graph)
     optimal = central_solve(problem)
-    agg = aggregate(problem, optimal)
     c = _resolve_penalty(cfg, problem, spectral)
-
     trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
     aux = analysis.aux_sequences(trace, spectral, optimal, c)
-    rows = reporting.trace_rows(trace, problem, spectral, optimal, aux)
-    trace_path = out_dir / "trace.csv"
-    reporting.write_trace_csv(trace_path, rows)
+    table = reporting.trace_rows(trace, problem, spectral, optimal, aux)
+    return problem, spectral, optimal, aggregate(problem, optimal), c, trace, table
+
+
+class _Recorder:
+    """Appends one verdict line per check to ``lines`` and counts the failed checks."""
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+        self.failures = 0
+
+    def __call__(self, name: str, passed: bool, detail: str) -> None:
+        self.failures += not passed
+        self.lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    problem, spectral, optimal, agg, c, trace, table = _run_config(cfg)
+    g = problem.graph
+    reporting.write_trace_csv(out_dir / "trace.csv", table)
 
     lines = [
         "# admmnet report v1",
@@ -94,14 +109,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
         f" messages_per_round={trace.accounting.messages_per_round}"
         f" storage_vectors={trace.accounting.storage_vectors}",
     ]
-    failures = 0
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        nonlocal failures
-        if not passed:
-            failures += 1
-        lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
-
+    record = _Recorder(lines)
     checks = cfg.checks
     if check_all or checks.psd:
         try:
@@ -111,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
             record("psd", False, str(exc))
     if check_all or checks.sublinear:
         bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-        verdicts = analysis.judge_table(rows, sublinear=bounds)
+        verdicts = analysis.judge_table(table, sublinear=bounds)
         obj, feas = verdicts["objective"], verdicts["feasibility"]
         record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
     if check_all or checks.contraction:
@@ -119,15 +127,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
         if rate is None:
             lines.append("check contraction: SKIP (no curvature metadata)")
         else:
-            v = analysis.judge_table(rows, contraction_bound=rate)["contraction"]
+            v = analysis.judge_table(table, contraction_bound=rate)["contraction"]
             detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
             if v.judged < trace.T:
                 detail += ", converged"
             record("contraction", v.passed, detail)
     if check_all or checks.recurrence:
         if cfg.admm.engine == "node":
-            resid = admm.recurrence_residuals(trace, spectral, problem)
-            worst = float(np.max(resid))
+            worst = float(np.max(admm.recurrence_residuals(trace, spectral, problem)))
             record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
         else:
             lines.append("check recurrence: SKIP (node engine only)")
@@ -135,7 +142,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
     report = "\n".join(lines) + "\n"
     (out_dir / "report.txt").write_text(report, encoding="ascii")
     sys.stdout.write(report)
-    return 1 if failures else 0
+    return 1 if record.failures else 0
 
 
 def run_figure1(out_dir: Path) -> int:
@@ -156,10 +163,9 @@ def run_figure1(out_dir: Path) -> int:
         c = cert.best_penalty / 4.0
         trace = admm.run(problem, admm.RunConfig(c=c, T=FIGURE1_T))
         aux = analysis.aux_sequences(trace, spectral, optimal, c)
-        rows = reporting.trace_rows(trace, problem, spectral, optimal, aux)
-        reporting.write_trace_csv(out_dir / f"figure1_d{d}.csv", rows)
-        errors = np.sqrt(np.array([row["dist_sq"] for row in rows]))
-        slope, r2 = reporting.fit_tail_slope(errors)
+        table = reporting.trace_rows(trace, problem, spectral, optimal, aux)
+        reporting.write_trace_csv(out_dir / f"figure1_d{d}.csv", table)
+        slope, r2 = reporting.fit_tail_slope(np.sqrt(table["dist_sq"]))
         slopes.append(slope)
         r2s.append(r2)
         lines.append(
@@ -220,7 +226,7 @@ def cmd_certify(args) -> int:
         g = problem.graph
         nu, lip = require_curvature(problem)
     else:
-        g = read_graph_file(args.graph_file) if args.graph_file else generate_graph("complete", args.n)
+        g = _graph_for_table(args)
         nu, lip = args.nu, args.lipschitz
     spectral = compute_spectral_data(laplacian(g), g)
     cert = analysis.optimize_rate(nu, lip, spectral)
@@ -240,40 +246,26 @@ def cmd_certify(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = parse_experiment_config(args.config)
-    rows = reporting.read_trace_csv(args.trace)
-    problem = build_problem(cfg)
-    spectral = compute_spectral_data(problem.comm, problem.graph)
-    optimal = central_solve(problem)
-    agg = aggregate(problem, optimal)
-    c = _resolve_penalty(cfg, problem, spectral)
-
-    failures = 0
-
-    def verdict(name: str, passed: bool, detail: str) -> None:
-        nonlocal failures
-        if not passed:
-            failures += 1
-        print(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
-
-    if len(rows) != cfg.admm.T:
-        verdict("replay", False, f"trace has {len(rows)} rows, config says T={cfg.admm.T}")
-        return 1
-    trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
-    aux = analysis.aux_sequences(trace, spectral, optimal, c)
-    expected = reporting.trace_rows(trace, problem, spectral, optimal, aux)
-    worst = reporting.replay_deviation(rows, expected)
-    verdict("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
-
-    bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-    for name, v in analysis.judge_table(rows, sublinear=bounds).items():
-        verdict(f"sublinear_{name}", v.passed, _worst(v))
-    rate = _certified_rate(agg, spectral, c)
-    if rate is None:
-        print("check contraction: SKIP (no curvature metadata)")
+    table = reporting.read_trace_csv(args.trace)
+    lines: list[str] = []
+    record = _Recorder(lines)
+    if len(table["t"]) != cfg.admm.T:
+        record("replay", False, f"trace has {len(table['t'])} rows, config says T={cfg.admm.T}")
     else:
-        v = analysis.judge_table(rows, contraction_bound=rate)["contraction"]
-        verdict("contraction", v.passed, f"bound {fmt(rate)}, {_worst(v)}")
-    return 1 if failures else 0
+        _, spectral, optimal, agg, c, _, expected = _run_config(cfg)
+        worst = reporting.replay_deviation(table, expected)
+        record("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
+        bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
+        for name, v in analysis.judge_table(table, sublinear=bounds).items():
+            record(f"sublinear_{name}", v.passed, _worst(v))
+        rate = _certified_rate(agg, spectral, c)
+        if rate is None:
+            lines.append("check contraction: SKIP (no curvature metadata)")
+        else:
+            v = analysis.judge_table(table, contraction_bound=rate)["contraction"]
+            record("contraction", v.passed, f"bound {fmt(rate)}, {_worst(v)}")
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 1 if record.failures else 0
 
 
 def cmd_run(args) -> int:

@@ -94,7 +94,7 @@ def parse_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)

@@ -185,9 +185,11 @@ def generate_graph(kind: str, n: int, *, d: int | None = None, p: float | None =
         if p is None or not (0.0 < p <= 1.0):
             raise InfeasibleParamsError(f"erdos_renyi requires p in (0,1], got {p}")
         base_seed = 0 if seed is None else int(seed)
+        rows, cols = np.triu_indices(n, 1)  # the pairs (i, j > i) in row-major order
         for attempt in range(1000):
             rng = np.random.default_rng([base_seed, attempt])
-            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            keep = rng.random(rows.size) < p  # one draw per pair, in pair order
+            edges = list(zip(rows[keep].tolist(), cols[keep].tolist()))
             try:
                 return build_graph(n, edges)
             except DisconnectedError:
@@ -285,8 +287,11 @@ def write_graph_file(g: Graph, path) -> None:
 
 def read_graph_file(path) -> Graph:
     """Read the format written by :func:`write_graph_file`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFileError(f"cannot read graph file: {exc}") from exc
     if not lines:
         raise GraphFileError("empty graph file", lineno=1)
     head = lines[0].split()

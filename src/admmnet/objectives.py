@@ -94,7 +94,9 @@ class _EachRow:
         self.nodes = nodes
 
     def values(self, X: np.ndarray) -> np.ndarray:
-        return np.array([f.value(x) for f, x in zip(self.objectives, X)])
+        rows = X.reshape(-1, *X.shape[-2:])
+        vals = [[f.value(x) for f, x in zip(self.objectives, row)] for row in rows]
+        return np.array(vals).reshape(X.shape[:-1])
 
     def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
         X = np.empty_like(V)
@@ -118,10 +120,13 @@ class _QuadraticRows:
     tau: np.ndarray | None = None
 
     def values(self, X: np.ndarray) -> np.ndarray:
+        """Row values of a (..., k, d) stack, shape (..., k)."""
         diff = X - self.target
-        vals = 0.5 * self.weight[:, 0] * np.einsum("ij,ij->i", diff, diff)
+        vals = np.einsum("...ij,...ij->...i", diff, diff)
+        vals *= 0.5 * self.weight[:, 0]
         if self.tau is not None:
-            vals += self.tau[:, 0] * np.abs(X).sum(axis=1)
+            np.abs(X, out=diff)
+            vals += self.tau[:, 0] * diff.sum(axis=-1)
         return vals
 
     def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -348,19 +353,29 @@ class NetworkProblem:
         return self.objectives[0].dimension
 
     @cached_property
-    def _kinds(self) -> tuple[tuple[np.ndarray, object], ...]:
-        """(node indices, stacked objectives) per objective kind, built once per problem."""
+    def _kinds(self) -> tuple[tuple[np.ndarray | slice, object], ...]:
+        """(node indices, stacked objectives) per objective kind, built once per problem.
+
+        A kind that holds every node is indexed by a slice, so its rows are
+        views, not copies, of the (..., n, d) arrays.
+        """
         by_kind: dict[type, list[int]] = {}
         for i, f in enumerate(self.objectives):
             by_kind.setdefault(type(f), []).append(i)
+        whole = len(by_kind) == 1
         return tuple(
-            (np.array(idx), kind.stacked([self.objectives[i] for i in idx], idx))
+            (slice(None) if whole else np.array(idx), kind.stacked([self.objectives[i] for i in idx], idx))
             for kind, idx in by_kind.items()
         )
 
-    def f_value(self, X: np.ndarray) -> float:
-        """Sum of local objective values over the rows of an (n, d) iterate."""
-        return float(sum(np.sum(rows.values(X[idx])) for idx, rows in self._kinds))
+    def f_value(self, X: np.ndarray) -> float | np.ndarray:
+        """Sum of local objective values over the rows of each (n, d) iterate.
+
+        A single (n, d) iterate gives a float; a (..., n, d) stack gives one
+        value per iterate, shape (...).
+        """
+        total = sum(rows.values(X[..., idx, :]).sum(axis=-1) for idx, rows in self._kinds)
+        return float(total) if X.ndim == 2 else total
 
     def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """Row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 for (n, d) centers, (n, 1) weights.
@@ -371,9 +386,6 @@ class NetworkProblem:
         for idx, rows in self._kinds:
             X[idx] = rows.prox(V[idx], rho[idx])
         return X
-
-    def is_smooth(self) -> bool:
-        return all(o.gradient_lipschitz is not None for o in self.objectives)
 
 
 def estimation_objectives(n: int, dimension: int = 1) -> tuple[Quadratic, ...]:

@@ -1,7 +1,8 @@
-"""Trace CSV schema, diagnostics rows and slope fitting.
+"""The per-round table, its trace CSV schema and I/O, and slope fitting.
 
 The CSV layout is fixed and versioned by a leading comment line. A row per
-iteration t = 1..T:
+iteration t = 1..T; in memory the table is one array per column, integer
+for INT_COLUMNS:
 
     t, obj_gap, ergodic_obj_gap, feasibility, dist_sq, gnorm_sq,
     contraction_ratio, messages
@@ -16,7 +17,9 @@ messages the cumulative link messages through round t.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -51,96 +54,87 @@ def trace_rows(
     spectral: SpectralData,
     optimal: OptimalPoint,
     aux: AuxSequences,
-) -> list[dict]:
-    """The per-round table: one dict per round t = 1..T, keyed by TRACE_COLUMNS."""
+) -> dict[str, np.ndarray]:
+    """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS."""
+    ts = np.arange(1, trace.T + 1)
     erg_gaps, feas = ergodic_errors(trace, problem, spectral, optimal)
-    ratios = contraction_ratios(aux.metric_dist_sq)
-    rows = []
-    for t in range(1, trace.T + 1):
-        rows.append(
-            {
-                "t": t,
-                "obj_gap": problem.f_value(trace.xs[t]) - optimal.f_star,
-                "ergodic_obj_gap": float(erg_gaps[t - 1]),
-                "feasibility": float(feas[t - 1]),
-                "dist_sq": float(np.sum((trace.xs[t] - optimal.x_star) ** 2)),
-                "gnorm_sq": float(aux.metric_dist_sq[t]),
-                "contraction_ratio": float(ratios[t - 1]),
-                "messages": t * trace.accounting.messages_per_round,
-            }
-        )
-    return rows
+    obj_gaps = problem.f_value(trace.xs[1:]) - optimal.f_star
+    dev = trace.xs[1:] - optimal.x_star
+    dev *= dev
+    return {
+        "t": ts,
+        "obj_gap": obj_gaps,
+        "ergodic_obj_gap": erg_gaps,
+        "feasibility": feas,
+        "dist_sq": dev.sum(axis=(1, 2)),
+        "gnorm_sq": aux.metric_dist_sq[1:],
+        "contraction_ratio": contraction_ratios(aux.metric_dist_sq),
+        "messages": ts * trace.accounting.messages_per_round,
+    }
 
 
-def replay_deviation(got: list[dict], want: list[dict]) -> float:
-    """Worst deviation of a trace from its replay, over every column and row.
+def replay_deviation(got: Mapping[str, np.ndarray], want: Mapping[str, np.ndarray]) -> float:
+    """Worst deviation of a table from its replay, over every column and row.
 
     Float columns deviate by |got - want| / max(1, |want|), and nan matches
     only nan; any other difference, in the integer columns too, is inf.
     """
-    if len(got) != len(want):
+    if len(got["t"]) != len(want["t"]):
         return math.inf
     worst = 0.0
-    for g_row, w_row in zip(got, want):
-        for key in TRACE_COLUMNS:
-            g, w = g_row[key], w_row[key]
-            if key in INT_COLUMNS or math.isnan(g) or math.isnan(w):
-                dev = 0.0 if g == w or (math.isnan(g) and math.isnan(w)) else math.inf
-            else:
-                dev = abs(g - w) / max(1.0, abs(w))
-            worst = max(worst, dev)
+    for key in TRACE_COLUMNS:
+        g, w = got[key], want[key]
+        if key in INT_COLUMNS:
+            dev = np.where(g == w, 0.0, np.inf)
+        else:
+            with np.errstate(invalid="ignore"):
+                dev = np.abs(g - w) / np.maximum(1.0, np.abs(w))
+            dev[np.isnan(dev)] = np.inf  # a side is nan or infinite
+            dev[(g == w) | (np.isnan(g) & np.isnan(w))] = 0.0
+        worst = max(worst, float(dev.max(initial=0.0)))
     return worst
 
 
-def write_trace_csv(path, rows: list[dict]) -> None:
+def write_trace_csv(path, table: Mapping[str, np.ndarray]) -> None:
+    formats = [str if key in INT_COLUMNS else fmt for key in TRACE_COLUMNS]
+    columns = [table[key].tolist() for key in TRACE_COLUMNS]
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(TRACE_SCHEMA + "\n")
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    str(row["t"]),
-                    fmt(row["obj_gap"]),
-                    fmt(row["ergodic_obj_gap"]),
-                    fmt(row["feasibility"]),
-                    fmt(row["dist_sq"]),
-                    fmt(row["gnorm_sq"]),
-                    fmt(row["contraction_ratio"]),
-                    str(row["messages"]),
-                ]
-            )
+        for row in zip(*columns):
+            writer.writerow([f(v) for f, v in zip(formats, row)])
 
 
-def read_trace_csv(path) -> list[dict]:
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != TRACE_SCHEMA:
-            raise ConfigParseError(f"unknown trace schema {first!r}", lineno=1)
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ConfigParseError(f"unexpected trace header {header}", lineno=2)
-        rows = []
-        for lineno, rec in enumerate(reader, start=3):
-            if len(rec) != len(TRACE_COLUMNS):
-                raise ConfigParseError(f"expected {len(TRACE_COLUMNS)} fields", lineno=lineno)
-            try:
-                rows.append(
-                    {
-                        "t": int(rec[0]),
-                        "obj_gap": float(rec[1]),
-                        "ergodic_obj_gap": float(rec[2]),
-                        "feasibility": float(rec[3]),
-                        "dist_sq": float(rec[4]),
-                        "gnorm_sq": float(rec[5]),
-                        "contraction_ratio": float(rec[6]),
-                        "messages": int(rec[7]),
-                    }
-                )
-            except ValueError as exc:
-                raise ConfigParseError(str(exc), lineno=lineno) from None
-        return rows
+def read_trace_csv(path) -> dict[str, np.ndarray]:
+    """The table written by :func:`write_trace_csv`; ConfigParseError if it cannot be read."""
+    try:
+        with open(path, "r", newline="", encoding="ascii") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read trace: {exc}") from exc
+    buf = io.StringIO(text, newline="")
+    first = buf.readline().rstrip("\n")
+    if first != TRACE_SCHEMA:
+        raise ConfigParseError(f"unknown trace schema {first!r}", lineno=1)
+    reader = csv.reader(buf)
+    header = next(reader, None)
+    if header is None or tuple(header) != TRACE_COLUMNS:
+        raise ConfigParseError(f"unexpected trace header {header}", lineno=2)
+    parsers = [np.int64 if key in INT_COLUMNS else float for key in TRACE_COLUMNS]
+    rows = []
+    for lineno, rec in enumerate(reader, start=3):
+        if len(rec) != len(TRACE_COLUMNS):
+            raise ConfigParseError(f"expected {len(TRACE_COLUMNS)} fields", lineno=lineno)
+        try:
+            rows.append([parse(v) for parse, v in zip(parsers, rec)])
+        except (ValueError, OverflowError) as exc:
+            raise ConfigParseError(str(exc), lineno=lineno) from None
+    columns = zip(*rows) if rows else [()] * len(TRACE_COLUMNS)
+    return {
+        key: np.array(col, dtype=np.int64 if key in INT_COLUMNS else float)
+        for key, col in zip(TRACE_COLUMNS, columns)
+    }
 
 
 def fit_tail_slope(errors: np.ndarray, tail_fraction: float = 0.5) -> tuple[float, float]:

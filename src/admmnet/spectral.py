@@ -82,14 +82,11 @@ def sym_eig(S: np.ndarray) -> Eigendecomposition:
         vals, vecs = np.linalg.eigh((S + S.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
-    vecs = vecs.copy()
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, k] = -col
+    # first entry above 1e-12 of each column; a unit vector always has one
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(vecs.shape[1])]
+    vecs[:, lead < 0] *= -1.0
 
-    recon = float(np.max(np.abs(vecs @ np.diag(vals) @ vecs.T - S)))
+    recon = float(np.max(np.abs((vecs * vals) @ vecs.T - S)))
     spec_norm = float(np.max(np.abs(vals))) if vals.size else 0.0
     if recon > RECON_RTOL * (1.0 + spec_norm):
         raise EigNoConvergenceError(f"reconstruction error {recon:.3e} too large")
@@ -106,7 +103,9 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     P = comm.P
     col_norms_sq = np.sum(P * P, axis=0)
     nbhd_sizes = np.array([deg + 1.0 for deg in g.degrees])
-    gram = P.T @ np.diag(1.0 / nbhd_sizes) @ P
+    # P' D^-1 P with a C-ordered left factor: at some sizes an F-ordered one
+    # takes another BLAS path and changes the last bits of the Gram matrix
+    gram = np.multiply(P.T, 1.0 / nbhd_sizes, order="C") @ P
     gram = (gram + gram.T) / 2.0
 
     eig_gram = sym_eig(gram)
@@ -123,7 +122,7 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     # inject sqrt(eps) ~ 1e-8 into the consensus direction
     vals = eig_gram.eigenvalues
     sqrt_vals = np.where(vals > ZERO_EIG_RTOL * lam_max, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
-    gram_sqrt = eig_gram.eigenvectors @ np.diag(sqrt_vals) @ eig_gram.eigenvectors.T
+    gram_sqrt = (eig_gram.eigenvectors * sqrt_vals) @ eig_gram.eigenvectors.T
     gram_sqrt = (gram_sqrt + gram_sqrt.T) / 2.0
     recon = float(np.max(np.abs(gram_sqrt @ gram_sqrt - gram)))
     if recon > RECON_RTOL * (1.0 + lam_max):

@@ -291,5 +291,5 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     for engine in ("node", "edge"):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
         aux = analysis.aux_sequences(trace, sd, optimal, 1.0)
-        assert len(reporting.trace_rows(trace, prob, sd, optimal, aux)) == 20
+        assert len(reporting.trace_rows(trace, prob, sd, optimal, aux)["t"]) == 20
         assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from admmnet import admm, analysis
+from admmnet import admm, analysis, reporting
 from admmnet.errors import (
     BoundViolatedError,
     ContractionViolatedError,
@@ -14,6 +14,7 @@ from admmnet.errors import (
 )
 from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import (
+    CustomSmooth,
     L1Quadratic,
     NetworkProblem,
     Quadratic,
@@ -185,21 +186,21 @@ def test_sublinear_check_detects_violation(k3_problem, k3_spectral, k3_optimal):
 def test_judge_table_reports_worst_rounds(k3_spectral, k3_optimal):
     # K3 envelopes at U = sqrt(2), c = 1: 112/(3t) and 113/(3t)
     bounds = analysis.sublinear_bounds(math.sqrt(2.0), k3_spectral, k3_optimal.x_star, 1.0)
-    ratios = (0.5, math.nan, 0.9, 0.7)
-    rows = [
-        {"t": t, "ergodic_obj_gap": -1.0, "feasibility": 1.0, "contraction_ratio": r}
-        for t, r in zip(range(1, 5), ratios)
-    ]
-    rows[3]["ergodic_obj_gap"] = -20.0
-    verdicts = analysis.judge_table(rows, bounds, contraction_bound=0.8)
+    table = {
+        "t": np.arange(1, 5),
+        "ergodic_obj_gap": np.array([-1.0, -1.0, -1.0, -20.0]),
+        "feasibility": np.ones(4),
+        "contraction_ratio": np.array([0.5, math.nan, 0.9, 0.7]),
+    }
+    verdicts = analysis.judge_table(table, bounds, contraction_bound=0.8)
     obj, feas, con = verdicts["objective"], verdicts["feasibility"], verdicts["contraction"]
     assert not obj.passed and obj.worst_t == 4 and obj.value == 20.0
     assert obj.bound == bounds.objective_bound(4)
     assert feas.passed and feas.worst_t == 4 and feas.worst_margin < 0.0
     # the nan ratio is not judged; t=3 exceeds the bound
     assert not con.passed and con.worst_t == 3 and con.judged == 3
-    rows[1]["feasibility"] = math.nan
-    nan_feas = analysis.judge_table(rows, bounds)["feasibility"]
+    table["feasibility"][1] = math.nan
+    nan_feas = analysis.judge_table(table, bounds)["feasibility"]
     assert not nan_feas.passed and nan_feas.worst_t == 2
 
 
@@ -300,3 +301,146 @@ def test_empirical_rate_beats_certificate(k3_problem, k3_spectral, k3_optimal):
     valid = report.ratios[~np.isnan(report.ratios)]
     fitted = float(np.exp(np.mean(np.log(valid))))
     assert fitted <= report.bound + 1e-9
+
+
+# --- the whole-trace pass against per-round loops --------------------------
+
+
+def mixed_custom_problem():
+    """L1Quadratic nodes at d = 3 and one CustomSmooth node, on a circulant graph."""
+    g = generate_graph("circulant", 7, d=4)
+    rng = np.random.default_rng(3)
+    objs = [L1Quadratic(target=rng.normal(scale=2.0, size=3), weight=1.5, tau=0.4) for _ in range(7)]
+    H = np.diag([1.0, 2.0, 3.0])
+    b = np.array([0.5, -1.0, 2.0])
+    objs[4] = CustomSmooth(
+        value_fn=lambda x: 0.5 * x @ H @ x - b @ x, grad_fn=lambda x: H @ x - b, dim=3, nu=1.0, lipschitz=3.0
+    )
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+
+
+def table_by_rounds(trace, problem, spectral, optimal, aux):
+    """The per-round table, one round at a time with scalar objective values."""
+
+    def F(X):
+        return sum(f.value(x) for f, x in zip(problem.objectives, X))
+
+    def metric_dist_sq(run_sum, x):
+        r = run_sum - aux.dual_ref
+        dx = x - optimal.x_star
+        return float(np.sum(r * r)) + float(np.sum(dx * (spectral.metric_block @ dx)))
+
+    Q = spectral.gram_sqrt
+    x_sum = np.zeros_like(trace.xs[0])
+    run_sum = Q @ trace.xs[0]
+    prev = metric_dist_sq(run_sum, trace.xs[0])
+    rows = []
+    for t in range(1, trace.T + 1):
+        x = trace.xs[t]
+        x_sum = x_sum + x
+        run_sum = run_sum + Q @ x
+        erg = x_sum / t
+        dist = metric_dist_sq(run_sum, x)
+        rows.append(
+            {
+                "t": t,
+                "obj_gap": F(x) - optimal.f_star,
+                "ergodic_obj_gap": F(erg) - optimal.f_star,
+                "feasibility": float(np.linalg.norm(Q @ erg)),
+                "dist_sq": float(np.sum((x - optimal.x_star) ** 2)),
+                "gnorm_sq": dist,
+                "contraction_ratio": dist / prev if prev >= analysis.RATIO_FLOOR else math.nan,
+                "messages": t * trace.accounting.messages_per_round,
+            }
+        )
+        prev = dist
+    return rows
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_trace_table_matches_per_round_loop(engine):
+    prob = mixed_custom_problem()
+    sd = compute_spectral_data(prob.comm, prob.graph)
+    opt = central_solve(prob)
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=30, engine=engine))
+    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
+    table = reporting.trace_rows(trace, prob, sd, opt, aux)
+    rows = table_by_rounds(trace, prob, sd, opt, aux)
+    assert tuple(table) == reporting.TRACE_COLUMNS
+    for key in reporting.TRACE_COLUMNS:
+        want = np.array([row[key] for row in rows])
+        if key in reporting.INT_COLUMNS:
+            assert table[key].dtype.kind == "i"
+            np.testing.assert_array_equal(table[key], want)
+        else:
+            np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+def recurrence_by_rounds(trace, spectral, problem):
+    hs = admm.implicit_subgradients(trace, problem)
+    Minv = 1.0 / spectral.col_norms_sq[:, None]
+    W = spectral.gram
+    x_sum = np.zeros_like(trace.xs[0])
+    out = []
+    for t in range(trace.T):
+        x_sum = x_sum + trace.xs[t]
+        pred = -(1.0 / trace.c) * Minv * hs[t] + trace.xs[t] - Minv * (W @ trace.xs[t]) - Minv * (W @ x_sum)
+        out.append(float(np.max(np.abs(trace.xs[t + 1] - pred))))
+    return np.array(out)
+
+
+def test_recurrence_residuals_match_per_round_loop():
+    prob = mixed_custom_problem()
+    sd = compute_spectral_data(prob.comm, prob.graph)
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
+    scale = float(np.max(np.abs(trace.xs)))
+    clean = admm.recurrence_residuals(trace, sd, prob)
+    np.testing.assert_allclose(clean, recurrence_by_rounds(trace, sd, prob), rtol=0, atol=1e-12 * scale)
+    trace.xs[12:, 2, 1] += 0.05  # residuals of order 0.05 from round 11 on
+    corrupted = admm.recurrence_residuals(trace, sd, prob)
+    assert float(np.max(corrupted)) > 1e-3
+    np.testing.assert_allclose(corrupted, recurrence_by_rounds(trace, sd, prob), rtol=1e-12, atol=1e-12 * scale)
+
+
+def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
+    """rhs - lhs of the one-step gap inequality, one round at a time."""
+
+    def metric_sq(rv, x):
+        return float(np.sum(rv * rv)) + float(np.sum(x * (spectral.metric_block @ x)))
+
+    Q = spectral.gram_sqrt
+    running = np.cumsum(Q @ trace.xs, axis=0)
+    margins, rhss = [], []
+    for t in range(trace.T):
+        x0, x1 = trace.xs[t], trace.xs[t + 1]
+        dist0 = metric_sq(running[t] - r, x0 - optimal.x_star)
+        dist1 = metric_sq(running[t + 1] - r, x1 - optimal.x_star)
+        step = metric_sq(running[t] - running[t + 1], x0 - x1)
+        f1 = sum(f.value(x) for f, x in zip(problem.objectives, x1))
+        lhs = (2.0 / c) * (f1 - optimal.f_star) + 2.0 * float(np.sum(r * (Q @ x1)))
+        rhs = dist0 - dist1 - step
+        margins.append(rhs - lhs)
+        rhss.append(rhs)
+    return np.array(margins), np.array(rhss)
+
+
+def test_gap_inequality_matches_per_round_loop():
+    prob = mixed_custom_problem()
+    sd = compute_spectral_data(prob.comm, prob.graph)
+    opt = central_solve(prob)
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
+    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
+    for r in (np.zeros_like(opt.x_star), aux.dual_ref):
+        want, rhs = gap_margins_by_rounds(trace, sd, opt, prob, 0.7, r)
+        got = analysis.gap_inequality_check(trace, sd, opt, prob, 0.7, r=r)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(rhs))))
+
+    # one corrupted node breaks the inequality at several rounds; the first is reported
+    trace.xs[12:, 2, 1] += 0.05
+    r = np.zeros_like(opt.x_star)
+    margins, rhs = gap_margins_by_rounds(trace, sd, opt, prob, 0.7, r)
+    violating = np.flatnonzero(margins < -analysis.BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
+    assert violating.size >= 2 and violating[0] != np.argmin(margins)
+    with pytest.raises(BoundViolatedError) as info:
+        analysis.gap_inequality_check(trace, sd, opt, prob, 0.7, r=r)
+    assert info.value.T == violating[0] + 1

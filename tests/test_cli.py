@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,9 @@ def test_run_default_estimation_preset(tmp_path, capsys):
     assert "check contraction: PASS" in out
     assert "check recurrence: PASS" in out
     assert "check psd: PASS" in out
-    rows = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
-    assert len(rows) == 200
-    assert rows[-1]["obj_gap"] <= 1e-10
+    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    assert len(table["t"]) == 200
+    assert table["obj_gap"][-1] <= 1e-10
     assert (tmp_path / "out" / "report.txt").exists()
 
 
@@ -51,20 +52,20 @@ def test_run_config_file(tmp_path):
     cfg = write_config(tmp_path)
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
-    rows = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
-    assert rows[0]["t"] == 1
-    assert rows[0]["messages"] == 6
+    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    assert table["t"][0] == 1
+    assert table["messages"][0] == 6
 
 
 def test_run_single_round(tmp_path):
     cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 1"))
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
-    rows = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
-    assert len(rows) == 1
+    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    assert len(table["t"]) == 1
     # x(1) = (1/7, 2/7, 3/7) gives a known distance to the optimum
     expect = sum((v - 2.0) ** 2 for v in (1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0))
-    assert rows[0]["dist_sq"] == pytest.approx(expect, rel=1e-12)
+    assert table["dist_sq"][0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_run_auto_penalty_and_edge_engine(tmp_path):
@@ -161,6 +162,32 @@ def test_check_replay_compares_every_column(tmp_path, capsys, column, value):
     assert "check replay: FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    ("got", "want", "dev"),
+    [
+        (2.0, 2.0, 0.0),
+        (3.0 + 1e-10, 3.0, 1e-10 / 3.0),
+        (0.5, 0.5 + 1e-10, 1e-10),  # max(1, |want|) floors the scale
+        (math.nan, math.nan, 0.0),
+        (math.inf, math.inf, 0.0),
+        (math.nan, 1.0, math.inf),
+        (1.0, math.inf, math.inf),
+        (-math.inf, math.inf, math.inf),
+    ],
+)
+def test_replay_deviation_rules(got, want, dev):
+    def table(value):
+        cols = {key: np.arange(1, 4) for key in reporting.INT_COLUMNS}
+        cols.update({key: np.full(3, 1.0) for key in reporting.TRACE_COLUMNS if key not in cols})
+        cols["gnorm_sq"][1] = value
+        return cols
+
+    assert reporting.replay_deviation(table(got), table(want)) == pytest.approx(dev, rel=1e-6)
+    shifted = table(want)
+    shifted["messages"] = shifted["messages"] + 1
+    assert reporting.replay_deviation(shifted, table(want)) == math.inf
+
+
 @pytest.mark.parametrize("engine", ["node", "edge"])
 def test_benchmark_tracer_follows_run_and_check(tmp_path, monkeypatch, engine):
     # the benchmark traces the CLI by wrapping module attributes by name;
@@ -185,6 +212,22 @@ def test_invalid_graph_file_reports_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("case", ["missing trace", "non-ascii trace", "non-utf8 config", "missing graph file"])
+def test_unreadable_input_exits_2(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    trace = tmp_path / "trace.csv"
+    argv = ["check", "--config", str(cfg), "--trace", str(trace)]
+    if case == "non-ascii trace":
+        trace.write_bytes(b"# admmnet-trace v1\nt,caf\xc3\xa9\n")
+    elif case == "non-utf8 config":
+        cfg.write_bytes(K3_CONFIG.encode("ascii") + b"; \xff\n")
+        argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    elif case == "missing graph file":
+        argv = ["spectra", "--graph-file", str(tmp_path / "missing.txt")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_rejects_bad_engine(tmp_path):

@@ -88,6 +88,27 @@ def test_erdos_renyi_deterministic():
     assert g3.edges != g1.edges  # overwhelmingly likely for this family
 
 
+def erdos_renyi_by_scalar_draws(n, p, seed):
+    """(graph, attempt): one rng.random() per pair i < j in row-major order, retried until connected."""
+    for attempt in range(1000):
+        rng = np.random.default_rng([seed, attempt])
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        try:
+            return build_graph(n, edges), attempt
+        except DisconnectedError:
+            continue
+    raise AssertionError("no connected draw")
+
+
+@pytest.mark.parametrize(
+    ("n", "p", "seed", "retried"), [(10, 0.25, 0, True), (12, 0.3, 7, False), (80, 0.15, 0, False)]
+)
+def test_erdos_renyi_matches_scalar_draws(n, p, seed, retried):
+    want, attempt = erdos_renyi_by_scalar_draws(n, p, seed)
+    assert (attempt > 0) == retried
+    assert generate_graph("erdos_renyi", n, p=p, seed=seed).edges == want.edges
+
+
 def test_erdos_renyi_low_p_retry_exhausted():
     with pytest.raises(ConnectivityRetryExhaustedError):
         generate_graph("erdos_renyi", 40, p=0.001, seed=0)

@@ -44,13 +44,17 @@ def test_sym_eig_rejects_asymmetric():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(2, 12), st.integers(0, 10_000))
-def test_sym_eig_invariants(n, seed):
+@given(st.integers(2, 12), st.integers(0, 10_000), st.booleans())
+def test_sym_eig_invariants(n, seed, blocks):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
+    if blocks:  # block-diagonal: some eigenvectors start with (near-)zero entries
+        A[: n // 2, n // 2 :] = 0.0
+        A[n // 2 :, : n // 2] = 0.0
     S = (A + A.T) / 2.0
     dec = sym_eig(S)
     V, lam = dec.eigenvectors, dec.eigenvalues
+    assert np.array_equal(np.abs(V), np.abs(np.linalg.eigh(S)[1]))  # only signs change
     assert np.all(np.diff(lam) >= -1e-12)
     norm = float(np.max(np.abs(lam)))
     assert np.max(np.abs(V @ np.diag(lam) @ V.T - S)) <= 1e-10 * (1.0 + norm)
