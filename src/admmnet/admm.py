@@ -14,21 +14,22 @@ closed forms of Quadratic and L1Quadratic act on stacked parameters, and
 only CustomSmooth nodes are solved one at a time.
 
 The edge-based engine is the reference formulation that keeps one pair
-(z_ij, lambda_ij) per directed neighborhood slot, as (n, n, d) arrays that
-are zero outside the closed neighborhoods. With the matched initialization
-lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the two engines
-generate identical x sequences.
+(z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The
+slots are the n + 2|E| rows of (n + 2|E|, d) arrays, in row-major order
+(by i, then j; see ``edge_slots``), so a round costs O(|E| d). With the
+matched initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0)
+the two engines generate identical x sequences.
 
 P entries act as scalars on rows, so vector problems never materialize a
 Kronecker product, and P follows the graph's sparsity (see
-``graph.CommunicationMatrix``). Both engines raise NonFiniteIterateError
-after a round that leaves a non-finite estimate.
+``graph.CommunicationMatrix``). Both engines write each round straight
+into the trace arrays and raise NonFiniteIterateError after a round that
+leaves a non-finite estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,28 +60,6 @@ def account(g: Graph, dimension: int = 1) -> RoundAccounting:
 
 
 @dataclass(frozen=True)
-class AdmmState:
-    """Node-engine snapshot after t rounds."""
-
-    t: int
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-    c: float = 1.0
-
-
-@dataclass(frozen=True)
-class EdgeAdmmState:
-    """Edge-engine snapshot; z and lam are (n, n, d), row i indexed by j in N(i)."""
-
-    t: int
-    x: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
-    c: float = 1.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     c: float
     T: int
@@ -102,7 +81,7 @@ class AdmmTrace:
     ys: np.ndarray
     ps: np.ndarray
     accounting: RoundAccounting
-    zs: np.ndarray | None = None  # (T+1, n, n, d), edge engine only
+    zs: np.ndarray | None = None  # (T+1, n + 2|E|, d), rows as in edge_slots; edge engine only
     lams: np.ndarray | None = None
 
     @property
@@ -135,71 +114,31 @@ class _Workspace:
     """Per-run arrays derived from the problem and the penalty c."""
 
     def __init__(self, problem: NetworkProblem, c: float):
-        self.graph = problem.graph
         self.P = problem.comm.P
-        self.inv_size = 1.0 / (np.array(self.graph.degrees, dtype=float) + 1.0)[:, None]  # D^-1
+        self.inv_size = 1.0 / (np.array(problem.graph.degrees, dtype=float) + 1.0)[:, None]  # D^-1
         m = np.einsum("ji,ji->i", self.P, self.P)  # sum_{j in N(i)} P_ji^2
         zero = np.flatnonzero(m <= 0.0)
         if zero.size:
             raise ZeroMWeightError(int(zero[0]))
         self.rho = c * m[:, None]  # prox weights c m_i, (n, 1)
 
-    @cached_property
-    def mask(self) -> np.ndarray:
-        """(n, n, 1) flags of the closed neighborhoods, mask[i, j] = j in N(i); edge engine only."""
-        edges = np.array(self.graph.edges, dtype=int).reshape(-1, 2)
-        mask = np.eye(self.graph.n, dtype=bool)
-        mask[edges[:, 0], edges[:, 1]] = True
-        mask[edges[:, 1], edges[:, 0]] = True
-        return mask[:, :, None]
-
     def prox_center(self, x: np.ndarray, y: np.ndarray, p: np.ndarray, c: float) -> np.ndarray:
         """v = x - P'(p + c y) / (c m), the prox center of the next node round."""
         return x - (self.P.T @ (p + c * y)) / self.rho
 
 
-def initial_state(problem: NetworkProblem, c: float, init=None) -> AdmmState:
-    n, d = problem.n, problem.dimension
-    if init is None:
-        x0 = np.zeros((n, d))
-        y0 = np.zeros((n, d))
-        p0 = np.zeros((n, d))
-    else:
-        x0, y0, p0 = (np.array(a, dtype=float).reshape(n, d) for a in init)
-    return AdmmState(t=0, x=x0, y=y0, p=p0, c=float(c))
+def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the edge engine's slots (i, j), j in N(i), in row-major order.
 
-
-def initial_edge_state(problem: NetworkProblem, c: float, init=None) -> EdgeAdmmState:
-    """Edge state matching a node init through the reduction identities."""
-    node = initial_state(problem, c, init)
-    ws = _Workspace(problem, c)
-    z = np.where(ws.mask, ws.P[:, :, None] * node.x[None, :, :] - node.y[:, None, :], 0.0)
-    lam = np.where(ws.mask, node.p[:, None, :], 0.0)
-    return EdgeAdmmState(t=0, x=node.x.copy(), z=z, lam=lam, c=float(c))
-
-
-def _node_step(state: AdmmState, problem: NetworkProblem, ws: _Workspace) -> AdmmState:
-    c = state.c
-    x = problem.prox(ws.prox_center(state.x, state.y, state.p, c), ws.rho)
-    y = ws.inv_size * (ws.P @ x)
-    return AdmmState(t=state.t + 1, x=x, y=y, p=state.p + c * y, c=c)
-
-
-def _edge_step(state: EdgeAdmmState, problem: NetworkProblem, ws: _Workspace) -> EdgeAdmmState:
-    c = state.c
-    P = ws.P[:, :, None]
-    # stationarity of each x_j subproblem of the full augmented Lagrangian:
-    # center sum_i P_ij (c z_ij - lam_ij) / (c m_j)
-    v = (P * (c * state.z - state.lam)).sum(axis=0) / ws.rho
-    x = problem.prox(v, ws.rho)
-    Px = P * x[None, :, :]  # P_ij x_j
-    u = Px + state.lam / c
-    # minimize over z_i subject to sum_j z_ij = 0: project the
-    # unconstrained minimizer by subtracting the neighborhood mean
-    mu = ws.inv_size * u.sum(axis=1)
-    z = np.where(ws.mask, u - mu[:, None, :], 0.0)
-    lam = state.lam + c * (Px - z)
-    return EdgeAdmmState(t=state.t + 1, x=x, z=z, lam=lam, c=c)
+    There are n + 2|E| slots; those of row i are contiguous, |N(i)| long and
+    ascending in j, and include the diagonal slot (i, i).
+    """
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    diag = np.arange(g.n)
+    rows = np.concatenate((diag, edges[:, 0], edges[:, 1]))
+    cols = np.concatenate((diag, edges[:, 1], edges[:, 0]))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order]
 
 
 def _require_finite(x: np.ndarray, t: int) -> None:
@@ -217,38 +156,59 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     if config.engine not in ("node", "edge"):
         raise AdmmError(f"unknown engine {config.engine!r}")
     ws = _Workspace(problem, config.c)
-    n, d, T = problem.n, problem.dimension, config.T
+    n, d, T, c = problem.n, problem.dimension, config.T, config.c
     acct = account(problem.graph, d)
+    if config.init is None:
+        x0 = y0 = p0 = np.zeros((n, d))
+    else:
+        x0, y0, p0 = (np.array(a, dtype=float).reshape(n, d) for a in config.init)
+    xs = np.empty((T + 1, n, d))
+    xs[0] = x0
 
     if config.engine == "node":
-        state = initial_state(problem, config.c, config.init)
-        xs = np.empty((T + 1, n, d))
         ys = np.empty_like(xs)
         ps = np.empty_like(xs)
-        xs[0], ys[0], ps[0] = state.x, state.y, state.p
+        ys[0], ps[0] = y0, p0
         for t in range(1, T + 1):
-            state = _node_step(state, problem, ws)
-            _require_finite(state.x, t)
-            xs[t], ys[t], ps[t] = state.x, state.y, state.p
-        return AdmmTrace(engine="node", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct)
+            x = problem.prox(ws.prox_center(xs[t - 1], ys[t - 1], ps[t - 1], c), ws.rho)
+            _require_finite(x, t)
+            xs[t] = x
+            np.matmul(ws.P, x, out=ys[t])
+            ys[t] *= ws.inv_size
+            np.add(ps[t - 1], c * ys[t], out=ps[t])
+        return AdmmTrace(engine="node", c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
-    state = initial_edge_state(problem, config.c, config.init)
-    xs = np.empty((T + 1, n, d))
-    zs = np.empty((T + 1, n, n, d))
+    rows, cols = edge_slots(problem.graph)
+    # N is symmetric, so the slots grouped by column have the row groups' offsets
+    starts = np.searchsorted(rows, np.arange(n))
+    by_col = np.lexsort((rows, cols))
+    P = ws.P[rows, cols][:, None]  # P_ij per slot
+    zs = np.empty((T + 1, rows.size, d))
     lams = np.empty_like(zs)
-    xs[0], zs[0], lams[0] = state.x, state.z, state.lam
+    zs[0] = P * x0[cols] - y0[rows]
+    lams[0] = p0[rows]
     for t in range(1, T + 1):
-        state = _edge_step(state, problem, ws)
-        _require_finite(state.x, t)
-        xs[t], zs[t], lams[t] = state.x, state.z, state.lam
+        z, lam = zs[t - 1], lams[t - 1]
+        # stationarity of each x_j subproblem of the full augmented Lagrangian:
+        # center sum_{i in N(j)} P_ij (c z_ij - lam_ij) / (c m_j)
+        w = P * (c * z - lam)
+        x = problem.prox(np.add.reduceat(w[by_col], starts) / ws.rho, ws.rho)
+        _require_finite(x, t)
+        xs[t] = x
+        Px = P * x[cols]  # P_ij x_j
+        u = Px + lam / c
+        # minimize over z_i subject to sum_j z_ij = 0: project the
+        # unconstrained minimizer by subtracting the neighborhood mean
+        mu = ws.inv_size * np.add.reduceat(u, starts)
+        np.subtract(u, mu[rows], out=zs[t])
+        np.add(lam, c * (Px - zs[t]), out=lams[t])
     # y and p reconstructed through the reduction identities, for reporting:
     # y(t) = D^-1 P x(t) and p_i(t) = lambda_ii(t)
     ys = ws.P @ xs
     ys *= ws.inv_size
-    diag = np.arange(n)
-    ps = lams[:, diag, diag]
+    ps = lams[:, rows == cols]
     return AdmmTrace(
-        engine="edge", c=config.c, xs=xs, ys=ys, ps=ps, accounting=acct, zs=zs, lams=lams,
+        engine="edge", c=c, xs=xs, ys=ys, ps=ps, accounting=acct, zs=zs, lams=lams,
     )
 
 

@@ -87,19 +87,26 @@ def test_node_edge_equivalence_custom_init(p3_problem):
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
 
 
+def _slot_index(g):
+    """{(i, j): row of slot (i, j) in the edge engine's z and lambda arrays}."""
+    return {(int(i), int(j)): s for s, (i, j) in enumerate(zip(*admm.edge_slots(g)))}
+
+
 def test_reduction_identities(k3, k3_problem):
     node = admm.run(k3_problem, admm.RunConfig(c=1.0, T=5))
     edge = admm.run(k3_problem, admm.RunConfig(c=1.0, T=5, engine="edge"))
     P = k3_problem.comm.P
+    slot = _slot_index(k3)
     t = 5
     worst_lam = 0.0
     worst_z = 0.0
     for i in range(3):
         for j in k3.closed_neighbors(i):
-            worst_lam = max(worst_lam, float(np.max(np.abs(edge.lams[t][i, j] - node.ps[t][i]))))
+            s = slot[i, j]
+            worst_lam = max(worst_lam, float(np.max(np.abs(edge.lams[t][s] - node.ps[t][i]))))
             worst_z = max(
                 worst_z,
-                float(np.max(np.abs(edge.zs[t][i, j] - (P[i, j] * node.xs[t][j] - node.ys[t][i])))),
+                float(np.max(np.abs(edge.zs[t][s] - (P[i, j] * node.xs[t][j] - node.ys[t][i])))),
             )
     assert worst_lam <= 1e-10
     assert worst_z <= 1e-10
@@ -107,9 +114,10 @@ def test_reduction_identities(k3, k3_problem):
 
 def test_edge_z_rows_sum_to_zero(p3, p3_problem):
     edge = admm.run(p3_problem, admm.RunConfig(c=1.3, T=8, engine="edge"))
+    slot = _slot_index(p3)
     for t in range(1, 9):
         for i in range(3):
-            total = sum(edge.zs[t][i, j] for j in p3.closed_neighbors(i))
+            total = sum(edge.zs[t][slot[i, j]] for j in p3.closed_neighbors(i))
             assert np.max(np.abs(total)) <= 1e-12
 
 
@@ -266,6 +274,26 @@ def test_vectorized_round_properties(n, d, seed):
     for i, f in enumerate(prob.objectives):
         want = f.prox(V[i], float(rho[i, 0]))
         assert np.all(np.abs(X[i] - want) <= 1e-15 * np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), st.sampled_from([1, 2, 3]), st.integers(0, 10_000))
+def test_edge_slot_identities(n, d, seed):
+    # irregular graphs with an edge-weighted P tell a slot (i, j) from (j, i)
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng, n, d)
+    c = rng.uniform(0.3, 3.0)
+    init = tuple(rng.normal(size=(n, d)) for _ in range(3))
+    T = 12
+    node = admm.run(prob, admm.RunConfig(c=c, T=T, init=init))
+    edge = admm.run(prob, admm.RunConfig(c=c, T=T, engine="edge", init=init))
+    rows, cols = admm.edge_slots(prob.graph)
+    assert edge.zs.shape == edge.lams.shape == (T + 1, n + 2 * prob.graph.m, d)
+    P = prob.comm.P[rows, cols][:, None]
+    assert np.max(np.abs(edge.lams - node.ps[:, rows])) <= 1e-9
+    assert np.max(np.abs(edge.zs - (P * node.xs[:, cols] - node.ys[:, rows]))) <= 1e-9
+    for i in range(n):
+        assert np.max(np.abs(edge.zs[1:, rows == i].sum(axis=1))) <= 1e-9
 
 
 def _forbid_per_node_calls(monkeypatch):

@@ -75,7 +75,7 @@ def test_run_auto_penalty_and_edge_engine(tmp_path):
     assert rc == 0
     out = (tmp_path / "out" / "report.txt").read_text()
     assert "c=0.2581988897471611" in out
-    assert "check recurrence: SKIP (node engine only)" in out
+    assert "check recurrence: PASS" in out
 
 
 def test_spectra_table(capsys):
@@ -227,6 +227,21 @@ def test_unreadable_input_exits_2(tmp_path, capsys, case):
     elif case == "missing graph file":
         argv = ["spectra", "--graph-file", str(tmp_path / "missing.txt")]
     assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectra", "--n", "3", "--csv", "{tmp}/missing/x.csv"],
+        ["run", "--preset", "estimation", "--out", "{tmp}/file/out"],
+        ["run", "--preset", "figure1", "--out", "{tmp}/file/out"],
+    ],
+    ids=["spectra csv in missing dir", "estimation out under file", "figure1 out under file"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert cli.main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
