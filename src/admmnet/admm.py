@@ -151,8 +151,8 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     """Run T synchronized rounds and record every snapshot."""
     if config.T < 1:
         raise AdmmError(f"T must be >= 1, got {config.T}")
-    if config.c <= 0:
-        raise AdmmError(f"penalty c must be positive, got {config.c}")
+    if not 0.0 < config.c < np.inf:
+        raise AdmmError(f"penalty c must be positive and finite, got {config.c}")
     if config.engine not in ("node", "edge"):
         raise AdmmError(f"unknown engine {config.engine!r}")
     ws = _Workspace(problem, config.c)

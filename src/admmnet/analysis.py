@@ -54,22 +54,22 @@ RATIO_FLOOR = 1e-24  # contraction ratios with a smaller denominator are nan, no
 
 @dataclass(frozen=True)
 class AuxSequences:
-    """Running sums of Q x and squared metric distances along a trace.
+    """Squared metric distances of the auxiliary state Q S(t), S(t) = sum_{s<=t} x(s).
 
-    ``dual_ref`` solves  Q dual_ref = -(1/c) subgrad(x*)  within the column
-    span of Q; ``metric_dist_sq[t]`` is
-    |r(t) - dual_ref|^2 + |x(t) - x*|^2 weighted by the metric block.
+    ``dual_ref`` is the x-space reference a = -(1/c) W^+ subgrad(x*), so
+    ``metric_dist_sq[t]`` = (S(t) - a)' W (S(t) - a) + |x(t) - x*|^2 weighted
+    by the metric block; ``dual_ref_residual`` = |W a + subgrad(x*)/c| and
+    ``span_residual`` = |consensus part of a|.
     """
 
-    running_qx: np.ndarray = field(repr=False)  # (T+1, n, d)
     dual_ref: np.ndarray = field(repr=False)  # (n, d)
     metric_dist_sq: np.ndarray = field(repr=False)  # (T+1,)
     dual_ref_residual: float = 0.0
     span_residual: float = 0.0
 
 
-def _gram_apply(spectral: SpectralData, B: np.ndarray, fn) -> np.ndarray:
-    """V diag(fn(lam)) V' B over the eigenpairs (lam, V) of the Gram matrix.
+def _gram_pinv_apply(spectral: SpectralData, B: np.ndarray) -> np.ndarray:
+    """W^+ B over the eigenpairs (lam, V) of the Gram matrix W.
 
     Eigenvalues at or below ZERO_EIG_RTOL of the largest count as zero and
     get weight 0, which pins the result to the column span and annihilates
@@ -77,38 +77,44 @@ def _gram_apply(spectral: SpectralData, B: np.ndarray, fn) -> np.ndarray:
     """
     vals = spectral.eig_gram.eigenvalues
     vecs = spectral.eig_gram.eigenvectors
-    weights = np.where(vals > ZERO_EIG_RTOL * float(vals[-1]), fn(np.clip(vals, 1e-300, None)), 0.0)
+    weights = np.where(vals > ZERO_EIG_RTOL * float(vals[-1]), 1.0 / np.clip(vals, 1e-300, None), 0.0)
     return vecs @ (weights[:, None] * (vecs.T @ B))
 
 
-def _metric_sq(spectral: SpectralData, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|r|^2 + x' (metric block) x per entry of (..., n, d) stacks of one shape; overwrites r."""
-    r *= r
-    total = r.sum(axis=(-2, -1))
-    mx = np.matmul(spectral.metric_block, x, out=r)
-    mx *= x
-    total += mx.sum(axis=(-2, -1))
+def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
+    """|Q v|^2 = v' W v per entry of an (..., n, d) stack; centers v in place.
+
+    W 1 = 0 holds only up to rounding, so the form loses digits on a v with
+    a large consensus part; on v minus its node mean it is exact.
+    """
+    v -= v.mean(axis=-2, keepdims=True)
+    wv = np.matmul(spectral.gram, v)
+    wv *= v
+    return np.maximum(wv.sum(axis=(-2, -1)), 0.0)
+
+
+def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s' W s + x' (metric block) x per entry of (..., n, d) stacks of one shape; overwrites s and x."""
+    total = _gram_form(spectral, s)
+    mx = np.matmul(spectral.metric_block, x)
+    x *= mx
+    total += x.sum(axis=(-2, -1))
     return total
 
 
-def _metric_path(
-    trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_star: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Running sums of Q x(s) over s <= t, and their squared metric distances to (ref, x*)."""
-    running = spectral.gram_sqrt @ trace.xs
-    np.cumsum(running, axis=0, out=running)
-    return running, _metric_sq(spectral, running - ref, trace.xs - x_star)
+def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_star: np.ndarray) -> np.ndarray:
+    """Squared metric distances of (running sum S(t), x(t)) to (ref, x*) for t = 0..T."""
+    s = trace.x_sums
+    s -= ref
+    return _metric_sq(spectral, s, trace.xs - x_star)
 
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
-    Q = spectral.gram_sqrt
-    dual_ref = -(1.0 / c) * _gram_apply(spectral, optimal.subgrad, lambda lam: 1.0 / np.sqrt(lam))
-    dual_resid = float(np.linalg.norm(Q @ dual_ref + (1.0 / c) * optimal.subgrad))
-    span = dual_ref - _gram_apply(spectral, dual_ref, np.ones_like)
-    span_resid = float(np.linalg.norm(span))
-    running, dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
+    dual_ref = -(1.0 / c) * _gram_pinv_apply(spectral, optimal.subgrad)
+    dual_resid = float(np.linalg.norm(spectral.gram @ dual_ref + (1.0 / c) * optimal.subgrad))
+    span_resid = math.sqrt(spectral.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
+    dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(
-        running_qx=running,
         dual_ref=dual_ref,
         metric_dist_sq=dist,
         dual_ref_residual=dual_resid,
@@ -142,8 +148,7 @@ def contraction_gain(nu: float, lipschitz: float, c: float, balance: float, spec
         raise InvalidCError(f"penalty must be positive, got {c}")
     if nu <= 0.0 or lipschitz < nu:
         raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
-    lam_min = spectral.min_pos_eig_gram
-    lam_max = spectral.max_eig_metric
+    lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     term1 = 2.0 * balance * nu / (c * lam_max * (1.0 + 2.0 / lam_min))
     term2 = (1.0 - balance) * c * lam_min / lipschitz
     return min(term1, term2)
@@ -153,21 +158,21 @@ def balance_star(nu: float, lipschitz: float, c: float, spectral) -> float:
     """The balance equating the two contraction terms at penalty c."""
     if c <= 0.0:
         raise InvalidCError(f"penalty must be positive, got {c}")
-    lam_min = spectral.min_pos_eig_gram
-    lam_max = spectral.max_eig_metric
+    lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     a = c * c * lam_max * (2.0 + lam_min)
     return a / (2.0 * nu * lipschitz + a)
 
 
 def _gain_at(nu: float, lipschitz: float, c: float, spectral) -> float:
     """Contraction gain with the balance optimized at this penalty."""
-    lam_min = spectral.min_pos_eig_gram
-    lam_max = spectral.max_eig_metric
+    lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     return 2.0 * nu * lam_min * c / (2.0 * nu * lipschitz + c * c * lam_max * (2.0 + lam_min))
 
 
 def optimize_rate(nu: float, lipschitz: float, spectral, c: float | None = None) -> RateCertificate:
     """Build the rate certificate, optimizing the penalty by golden section.
+
+    ``spectral`` carries ``min_pos_eig_gram`` and ``max_eig_metric``: SpectralData or LaplacianBounds.
 
     The numeric optimizer runs on log(penalty) over the bracket
     [1e-6, 1e6] sqrt(nu L) to relative precision 1e-12 and is cross-checked
@@ -175,8 +180,7 @@ def optimize_rate(nu: float, lipschitz: float, spectral, c: float | None = None)
     """
     if nu <= 0.0 or lipschitz < nu:
         raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
-    lam_min = spectral.min_pos_eig_gram
-    lam_max = spectral.max_eig_metric
+    lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     kappa = lipschitz / nu
 
     scale = math.sqrt(nu * lipschitz)
@@ -330,9 +334,7 @@ def ergodic_errors(
     """Signed gaps F(xhat(t)) - F* and feasibilities |Q xhat(t)| for t = 1..T."""
     erg = trace.ergodic[1:]
     gaps = problem.f_value(erg) - optimal.f_star
-    qe = spectral.gram_sqrt @ erg
-    qe *= qe
-    return gaps, np.sqrt(qe.sum(axis=(1, 2)))
+    return gaps, np.sqrt(_gram_form(spectral, erg))
 
 
 def contraction_ratios(dist: np.ndarray, floor: float = RATIO_FLOOR) -> np.ndarray:
@@ -388,22 +390,24 @@ def gap_inequality_check(
     """Per-round margins of the one-step gap inequality that telescopes
     into the sublinear bounds.
 
-    For a reference vector r (default 0), every round must satisfy
-    (2/c)(F(x(t+1)) - F*) + 2 <r, Q x(t+1)>
+    For an x-space reference r (default 0; ``AuxSequences.dual_ref`` is the
+    one at the optimum), every round must satisfy
+    (2/c)(F(x(t+1)) - F*) + 2 r' W x(t+1)
       <= dist(t) - dist(t+1) - step(t)
-    where the distances are squared metric distances to (r, x*). Returns
-    rhs - lhs per round and raises BoundViolatedError when negative beyond
-    the shared slack, at the first violating round.
+    where the distances are squared metric distances to (r, x*), i.e. the
+    paper's inequality with its dual reference Q r. Returns rhs - lhs per
+    round and raises BoundViolatedError when negative beyond the shared
+    slack, at the first violating round.
     """
     if r is None:
         r = np.zeros_like(optimal.x_star)
-    running, dist = _metric_path(trace, spectral, r, optimal.x_star)
+    dist = _metric_path(trace, spectral, r, optimal.x_star)
     xs = trace.xs
-    step = _metric_sq(spectral, running[:-1] - running[1:], xs[:-1] - xs[1:])
     lhs = (2.0 / c) * (problem.f_value(xs[1:]) - optimal.f_star) + 2.0 * np.sum(
-        r * (spectral.gram_sqrt @ xs[1:]), axis=(1, 2)
+        (spectral.gram @ r) * xs[1:], axis=(1, 2)
     )
-    rhs = dist[:-1] - dist[1:] - step
+    # step(t): S(t) - S(t+1) = -x(t+1)
+    rhs = dist[:-1] - dist[1:] - _metric_sq(spectral, xs[1:].copy(), xs[:-1] - xs[1:])
     margins = rhs - lhs
     bad = np.flatnonzero(margins < -BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
     if bad.size:

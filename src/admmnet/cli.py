@@ -225,9 +225,8 @@ def cmd_certify(args) -> int:
     else:
         g = _graph_for_table(args)
         nu, lip = args.nu, args.lipschitz
-    spectral = compute_spectral_data(laplacian(g), g)
-    cert = analysis.optimize_rate(nu, lip, spectral)
     net = analysis.laplacian_network_bounds(g, nu=nu, lipschitz=lip)
+    cert = analysis.optimize_rate(nu, lip, net)  # net carries both spectral scalars
     eps = 1e-6
     iters = math.ceil(math.log(1.0 / eps) / math.log(1.0 / cert.best_rate))
     print(f"nu={fmt(nu)} L={fmt(lip)} kappa={fmt(cert.condition_number)}")

@@ -26,6 +26,7 @@ which requires curvature metadata on every node.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,13 @@ def _floats(text: str) -> list[float]:
     return [float(p) for p in parts]
 
 
+def _require(name: str, values, ok=lambda v: True, rule: str = "") -> None:
+    """ConfigParseError at the first of ``values`` that is not finite or fails ``ok``."""
+    for v in values:
+        if not (math.isfinite(v) and ok(v)):
+            raise ConfigParseError(f"{name} must be finite{rule}, got {v}")
+
+
 def parse_experiment_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
@@ -127,10 +135,12 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         targets = tuple(tuple(_floats(r)) for r in rows)
         if dimension == 1 and len(rows) == 1:
             targets = tuple((v,) for v in _floats(osec["a"]))
-        weights_raw = _floats(osec.get("w", "1"))
-        weights = tuple(weights_raw)
+        weights = tuple(_floats(osec.get("w", "1")))
+        _require("a", (v for row in targets for v in row))
+        _require("w", weights, lambda v: v >= 0.0, " and >= 0")
     elif preset is None:
         preset = "estimation"
+    _require("tau", (tau,), lambda v: v >= 0.0, " and >= 0")
     objective = ObjectiveSpec(
         preset=preset, kind=kind, targets=targets, weights=weights, tau=tau, dimension=dimension
     )
@@ -138,6 +148,8 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     asec = parser["admm"] if parser.has_section("admm") else {}
     c_raw = asec.get("c", "1.0")
     c: float | str = "auto" if c_raw.strip().lower() == "auto" else float(c_raw)
+    if c != "auto":
+        _require("c", (c,), lambda v: v > 0.0, " and > 0")
     admm = AdmmSpec(
         c=c,
         T=int(asec.get("T", 200)),

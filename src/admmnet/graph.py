@@ -58,17 +58,7 @@ class Graph:
 
     def closed_neighbors(self, i: int) -> tuple[int, ...]:
         """N(i) = neighbors of i together with i itself, ascending."""
-        nbr = self.neighbors[i]
-        out = []
-        placed = False
-        for j in nbr:
-            if not placed and i < j:
-                out.append(i)
-                placed = True
-            out.append(j)
-        if not placed:
-            out.append(i)
-        return tuple(out)
+        return tuple(sorted((*self.neighbors[i], i)))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ for INT_COLUMNS:
     t, obj_gap, ergodic_obj_gap, feasibility, dist_sq, gnorm_sq,
     contraction_ratio, messages
 
-obj_gap / ergodic_obj_gap are signed gaps F(.) - F*, feasibility is the
-norm of Q applied to the ergodic average, dist_sq the squared distance of
-x(t) to the optimum, gnorm_sq the squared metric distance of the auxiliary
-state, contraction_ratio its one-step ratio (nan once converged) and
-messages the cumulative link messages through round t.
+obj_gap / ergodic_obj_gap are signed gaps F(.) - F*, feasibility is
+|Q xhat(t)| = sqrt(e' W e) with e the ergodic average minus its node mean,
+dist_sq the squared distance of x(t) to the optimum, gnorm_sq the squared
+metric distance of the auxiliary state, contraction_ratio its one-step
+ratio (nan once converged) and messages the cumulative link messages
+through round t.
 """
 
 from __future__ import annotations

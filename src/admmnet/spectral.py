@@ -4,14 +4,14 @@ From a communication matrix P and its graph we form
 
 * ``col_norms_sq``  per-node squared column norms, sum_{j in N(i)} P_ji^2
 * ``nbhd_sizes``    |N(i)| = degree + 1
-* ``gram``          P' diag(1/|N|) P, symmetric PSD, null space span{1}
-* ``gram_sqrt``     the PSD square root of ``gram``
+* ``gram``          W = P' diag(1/|N|) P, symmetric PSD, null space span{1}
 * ``metric_block``  diag(col_norms_sq) - gram, the weight of the x part of
   the contraction metric
 
 plus the two eigenvalues the rate certificates consume: the smallest
 nonzero eigenvalue of ``gram`` and the largest eigenvalue of
-``metric_block``.
+``metric_block``. Only ``gram`` gets eigenvectors (they give W^+); the
+paper's norms |Q v| with Q = W^(1/2) are evaluated as forms v' W v.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ RECON_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class Eigendecomposition:
-    """Ascending eigenvalues with orthonormal eigenvector columns."""
+    """Ascending eigenvalues, with orthonormal eigenvector columns when computed."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def min(self) -> float:
@@ -54,10 +54,9 @@ class SpectralData:
     col_norms_sq: np.ndarray = field(repr=False)  # diagonal of M
     nbhd_sizes: np.ndarray = field(repr=False)  # diagonal of D
     gram: np.ndarray = field(repr=False)
-    gram_sqrt: np.ndarray = field(repr=False)
     metric_block: np.ndarray = field(repr=False)
     eig_gram: Eigendecomposition = field(repr=False)
-    eig_metric: Eigendecomposition = field(repr=False)
+    eig_metric: Eigendecomposition = field(repr=False)  # eigenvalues only
     min_pos_eig_gram: float
     max_eig_metric: float
     algebraic_connectivity: float
@@ -67,11 +66,12 @@ class SpectralData:
         return self.gram.shape[0]
 
 
-def sym_eig(S: np.ndarray) -> Eigendecomposition:
+def sym_eig(S: np.ndarray, vectors: bool = True) -> Eigendecomposition:
     """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 
     Eigenvalues ascend; each eigenvector's first entry of magnitude above
-    1e-12 is made positive so repeated calls are reproducible.
+    1e-12 is made positive so repeated calls are reproducible. With
+    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``).
     """
     S = np.asarray(S, dtype=float)
     scale = float(np.linalg.norm(S, ord="fro"))
@@ -79,6 +79,8 @@ def sym_eig(S: np.ndarray) -> Eigendecomposition:
     if defect > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetricError(f"symmetry defect {defect:.3e} exceeds {SYMMETRY_RTOL:.1e} * |S|")
     try:
+        if not vectors:
+            return Eigendecomposition(eigenvalues=np.linalg.eigvalsh((S + S.T) / 2.0))
         vals, vecs = np.linalg.eigh((S + S.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
@@ -95,8 +97,7 @@ def sym_eig(S: np.ndarray) -> Eigendecomposition:
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the graph Laplacian (positive when connected)."""
-    dec = sym_eig(laplacian(g).P)
-    return float(dec.eigenvalues[1])
+    return float(sym_eig(laplacian(g).P, vectors=False).eigenvalues[1])
 
 
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
@@ -110,32 +111,17 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
 
     eig_gram = sym_eig(gram)
     lam_max = eig_gram.max
-    if lam_max <= 0.0:
+    if not lam_max > 0.0:  # nan included
         raise DegenerateSpectrumError("all eigenvalues of P' D^-1 P are numerically zero")
-    positive = eig_gram.eigenvalues[eig_gram.eigenvalues > ZERO_EIG_RTOL * lam_max]
-    if positive.size == 0:
-        raise DegenerateSpectrumError("no eigenvalue above the zero threshold")
-    min_pos = float(positive[0])
-
-    # eigenvalues at or below the zero threshold are exactly zeroed so the
-    # square root keeps null(Q) = span{1}; a bare nonnegative clamp would
-    # inject sqrt(eps) ~ 1e-8 into the consensus direction
-    vals = eig_gram.eigenvalues
-    sqrt_vals = np.where(vals > ZERO_EIG_RTOL * lam_max, np.sqrt(np.clip(vals, 0.0, None)), 0.0)
-    gram_sqrt = (eig_gram.eigenvectors * sqrt_vals) @ eig_gram.eigenvectors.T
-    gram_sqrt = (gram_sqrt + gram_sqrt.T) / 2.0
-    recon = float(np.max(np.abs(gram_sqrt @ gram_sqrt - gram)))
-    if recon > RECON_RTOL * (1.0 + lam_max):
-        raise EigNoConvergenceError(f"square root reconstruction error {recon:.3e}")
+    min_pos = float(eig_gram.eigenvalues[eig_gram.eigenvalues > ZERO_EIG_RTOL * lam_max][0])
 
     metric_block = np.diag(col_norms_sq) - gram
-    eig_metric = sym_eig(metric_block)
+    eig_metric = sym_eig(metric_block, vectors=False)
 
     return SpectralData(
         col_norms_sq=col_norms_sq,
         nbhd_sizes=nbhd_sizes,
         gram=gram,
-        gram_sqrt=gram_sqrt,
         metric_block=metric_block,
         eig_gram=eig_gram,
         eig_metric=eig_metric,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,13 @@ def test_vector_dimension_runs(k3):
 def test_run_rejects_bad_config(k3_problem, kwargs):
     with pytest.raises(AdmmError):
         admm.run(k3_problem, admm.RunConfig(**kwargs))
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_run_rejects_non_finite_penalty(k3_problem, c):
+    # refused before the first round, not reported as a non-finite estimate
+    with pytest.raises(AdmmError, match="positive and finite"):
+        admm.run(k3_problem, admm.RunConfig(c=c, T=3))
 
 
 def test_zero_column_raises_zero_weight(p3):

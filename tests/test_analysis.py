@@ -22,7 +22,7 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import compute_spectral_data
+from admmnet.spectral import ZERO_EIG_RTOL, compute_spectral_data
 from conftest import random_connected_graph
 
 # hand-derived constants for the complete triangle with unit weights
@@ -38,10 +38,10 @@ def spectral_stub(lam_min, lam_max):
 def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=10))
     aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
-    assert np.max(np.abs(aux.running_qx[0])) == 0.0
-    # |r*|^2 = 2/3 and the metric part of x* is 72 on this instance
+    # |r*|^2 = a' W a = 2/3 and the metric part of x* is 72 on this instance
     assert aux.metric_dist_sq[0] == pytest.approx(72.0 + 2.0 / 3.0, abs=1e-10)
-    assert np.allclose(aux.dual_ref[:, 0], np.array([-1.0, 0.0, 1.0]) / math.sqrt(3.0), atol=1e-10)
+    # W = 3I - J on the triangle, so W a = [-1, 0, 1] gives a = [-1, 0, 1]/3
+    assert np.allclose(aux.dual_ref[:, 0], np.array([-1.0, 0.0, 1.0]) / 3.0, atol=1e-10)
     assert aux.dual_ref_residual <= 1e-9
     assert aux.span_residual <= 1e-9
 
@@ -319,18 +319,27 @@ def mixed_custom_problem():
     return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
 
 
+def gram_sqrt(spectral):
+    """Q = W^(1/2) from eigh, its zero eigenvalues zeroed exactly so that Q 1 = 0."""
+    vals, vecs = np.linalg.eigh(spectral.gram)
+    roots = np.where(vals > ZERO_EIG_RTOL * vals[-1], np.sqrt(np.clip(vals, 0.0, None)), 0.0)
+    return (vecs * roots) @ vecs.T
+
+
 def table_by_rounds(trace, problem, spectral, optimal, aux):
     """The per-round table, one round at a time with scalar objective values."""
 
     def F(X):
         return sum(f.value(x) for f, x in zip(problem.objectives, X))
 
+    Q = gram_sqrt(spectral)
+    q_ref = Q @ aux.dual_ref
+
     def metric_dist_sq(run_sum, x):
-        r = run_sum - aux.dual_ref
+        r = run_sum - q_ref
         dx = x - optimal.x_star
         return float(np.sum(r * r)) + float(np.sum(dx * (spectral.metric_block @ dx)))
 
-    Q = spectral.gram_sqrt
     x_sum = np.zeros_like(trace.xs[0])
     run_sum = Q @ trace.xs[0]
     prev = metric_dist_sq(run_sum, trace.xs[0])
@@ -408,7 +417,8 @@ def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
     def metric_sq(rv, x):
         return float(np.sum(rv * rv)) + float(np.sum(x * (spectral.metric_block @ x)))
 
-    Q = spectral.gram_sqrt
+    Q = gram_sqrt(spectral)
+    r = Q @ r  # the dual reference of an x-space reference
     running = np.cumsum(Q @ trace.xs, axis=0)
     margins, rhss = [], []
     for t in range(trace.T):
@@ -444,3 +454,28 @@ def test_gap_inequality_matches_per_round_loop():
     with pytest.raises(BoundViolatedError) as info:
         analysis.gap_inequality_check(trace, sd, opt, prob, 0.7, r=r)
     assert info.value.T == violating[0] + 1
+
+
+def test_quadratic_forms_are_centered():
+    """gnorm_sq and feasibility against |Q v|^2 and |Q v| with Q built from eigh.
+
+    On an irregular graph W 1 = 0 holds only up to rounding, so a form
+    v' W v loses digits when v has a large consensus part: here the running
+    sums (about t x*, x* = 100.5) and the ergodic means (about x*) dwarf
+    their Q parts late in the run. Without removing the node mean first,
+    gnorm_sq is off by ~1e-5 and feasibility by ~5e-9 relative.
+    """
+    g = generate_graph("erdos_renyi", 200, p=0.05, seed=3)
+    prob = estimation_problem(g)
+    sd = compute_spectral_data(prob.comm, g)
+    opt = central_solve(prob)
+    trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
+    aux = analysis.aux_sequences(trace, sd, opt, 1.0)
+    table = reporting.trace_rows(trace, prob, sd, opt, aux)
+    Q = gram_sqrt(sd)
+    r = np.cumsum(Q @ trace.xs, axis=0)[1:] - Q @ aux.dual_ref
+    dx = trace.xs[1:] - opt.x_star
+    gnorm_sq = np.sum(r * r, axis=(1, 2)) + np.sum(dx * (sd.metric_block @ dx), axis=(1, 2))
+    feasibility = np.linalg.norm(Q @ trace.ergodic[1:], axis=(1, 2))
+    np.testing.assert_allclose(table["gnorm_sq"], gnorm_sq, rtol=analysis.REPLAY_RTOL, atol=0)
+    np.testing.assert_allclose(table["feasibility"], feasibility, rtol=analysis.REPLAY_RTOL, atol=0)

@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admmnet import cli, reporting
+from admmnet import analysis, cli, reporting
 from admmnet.config import build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError
 from admmnet.graph import generate_graph, write_graph_file
+from admmnet.spectral import compute_spectral_data
 
 K3_CONFIG = """
 [graph]
@@ -296,3 +297,54 @@ def test_readme_ini_blocks_parse(tmp_path):
     for k, block in enumerate(blocks):
         cfg = parse_experiment_config(write_config(tmp_path, block.split("```")[0], f"readme{k}.ini"))
         assert build_problem(cfg).n == cfg.graph.n
+
+
+EXPLICIT_CONFIG = """
+[graph]
+kind = path
+n = 3
+
+[objective]
+kind = l1_quadratic
+a = -1, 0, 2
+w = 1
+tau = 0.5
+
+[admm]
+c = 1.0
+T = 20
+"""
+
+
+@pytest.mark.parametrize(
+    "key,old,new",
+    [
+        ("w", "w = 1", "w = -1"),
+        ("tau", "tau = 0.5", "tau = -1"),
+        ("tau", "tau = 0.5", "tau = nan"),
+        ("c", "c = 1.0", "c = nan"),
+        ("c", "c = 1.0", "c = inf"),
+        ("a", "a = -1, 0, 2", "a = -1, nan, 2"),
+    ],
+    ids=["w=-1", "tau=-1", "tau=nan", "c=nan", "c=inf", "a=nan"],
+)
+def test_invalid_config_values_exit_2(tmp_path, capsys, key, old, new):
+    cfg = write_config(tmp_path, EXPLICIT_CONFIG.replace(old, new))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_computes_spectral_data_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compute_spectral_data(*args)
+
+    monkeypatch.setattr(cli, "compute_spectral_data", counting)
+    monkeypatch.setattr(analysis, "compute_spectral_data", counting)
+    assert cli.main(["certify", "--n", "5"]) == 0
+    assert len(calls) == 1
+    assert "rate_star=" in capsys.readouterr().out

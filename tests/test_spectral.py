@@ -80,7 +80,6 @@ def test_spectral_data_k3(k3, k3_spectral):
     assert np.allclose(sd.gram, P, atol=1e-12)
     assert np.isclose(sd.min_pos_eig_gram, 3.0, atol=1e-12)
     assert np.isclose(sd.max_eig_metric, 6.0, atol=1e-12)
-    assert np.allclose(sd.gram_sqrt, P / math.sqrt(3.0), atol=1e-10)
     assert np.isclose(sd.algebraic_connectivity, 3.0, atol=1e-12)
 
 
@@ -104,6 +103,17 @@ def test_regular_graph_closed_forms(n, d):
     assert np.isclose(sd.max_eig_metric, d * (d + 1), rtol=1e-10)
 
 
+def test_one_eigendecomposition(monkeypatch):
+    # only the Gram matrix needs eigenvectors; the other spectra use eigvalsh
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
+    g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
+    sd = compute_spectral_data(laplacian(g), g)
+    assert calls == [(30, 30)]
+    assert sd.eig_metric.eigenvectors is None
+
+
 def test_algebraic_connectivity_values(k3, p3):
     assert np.isclose(algebraic_connectivity(k3), 3.0, atol=1e-12)
     assert np.isclose(algebraic_connectivity(p3), 1.0, atol=1e-12)
@@ -114,7 +124,6 @@ def test_algebraic_connectivity_values(k3, p3):
 def test_consensus_direction_in_null_space(p3_spectral):
     ones = np.ones(3)
     assert np.max(np.abs(p3_spectral.gram @ ones)) <= 1e-10
-    assert np.max(np.abs(p3_spectral.gram_sqrt @ ones)) <= 1e-10
 
 
 def test_psd_certificates_k3(k3_spectral):
