@@ -36,6 +36,7 @@ import numpy as np
 from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
 from .graph import Graph
 from .objectives import NetworkProblem
+from .spectral import stack_apply
 
 
 @dataclass(frozen=True)
@@ -233,16 +234,15 @@ def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) ->
     returned vector holds the residual of that identity for t = 0..T-1.
     """
     # evaluated in place, in the order of
-    # pred = -(1/c) M^-1 h + x(t) - M^-1 W x(t) - M^-1 W sum_{s<=t} x(s)
+    # pred = -(1/c) M^-1 h + x(t) - M^-1 W (x(t) + sum_{s<=t} x(s))
     pred = implicit_subgradients(trace, problem)
     Minv = 1.0 / spectral.col_norms_sq[:, None]
     pred *= -(1.0 / trace.c) * Minv
     xs = trace.xs[:-1]
     pred += xs
-    term = spectral.gram @ xs
-    term *= Minv
-    pred -= term
-    np.matmul(spectral.gram, trace.x_sums[:-1], out=term)
+    sums = trace.x_sums[:-1]  # a fresh array, derived on access
+    sums += xs
+    term = stack_apply(spectral.gram, sums)
     term *= Minv
     pred -= term
     pred -= trace.xs[1:]

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BoundViolatedError,
     ContractionViolatedError,
+    DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
     MissingCurvatureMetadataError,
@@ -40,13 +41,14 @@ from .errors import (
 from .admm import AdmmTrace
 from .graph import CommunicationMatrix, Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
-from .spectral import ZERO_EIG_RTOL, SpectralData, compute_spectral_data
+from .spectral import SpectralData, compute_spectral_data, stack_apply
 
 # The tolerance policy shared by `run` and `check`.
 BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver and prox noise
 RECURRENCE_LIMIT = 1e-8  # largest admissible residual of the eliminated-variable recurrence
 REPLAY_RTOL = 1e-9  # largest deviation |got - want| / max(1, |want|) of a replayed trace
 RATIO_FLOOR = 1e-24  # contraction ratios with a smaller denominator are nan, not judged
+RECON_RTOL = 1e-10  # largest relative residual of the dual reference's solve with W
 
 
 # --- auxiliary sequences ---------------------------------------------------
@@ -58,8 +60,8 @@ class AuxSequences:
 
     ``dual_ref`` is the x-space reference a = -(1/c) W^+ subgrad(x*), so
     ``metric_dist_sq[t]`` = (S(t) - a)' W (S(t) - a) + |x(t) - x*|^2 weighted
-    by the metric block; ``dual_ref_residual`` = |W a + subgrad(x*)/c| and
-    ``span_residual`` = |consensus part of a|.
+    by the metric block; ``dual_ref_residual`` = |W a + subgrad(x*)/c|
+    (bounded, see ``aux_sequences``) and ``span_residual`` = |consensus part of a|.
     """
 
     dual_ref: np.ndarray = field(repr=False)  # (n, d)
@@ -69,16 +71,14 @@ class AuxSequences:
 
 
 def _gram_pinv_apply(spectral: SpectralData, B: np.ndarray) -> np.ndarray:
-    """W^+ B over the eigenpairs (lam, V) of the Gram matrix W.
+    """W^+ B for the Gram matrix W, by one linear solve.
 
-    Eigenvalues at or below ZERO_EIG_RTOL of the largest count as zero and
-    get weight 0, which pins the result to the column span and annihilates
-    the consensus direction.
+    null(W) = span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n;
+    removing the column means of its solve drops the 11'/n B part exactly
+    and leaves W^+ B, which is orthogonal to the consensus direction.
     """
-    vals = spectral.eig_gram.eigenvalues
-    vecs = spectral.eig_gram.eigenvectors
-    weights = np.where(vals > ZERO_EIG_RTOL * float(vals[-1]), 1.0 / np.clip(vals, 1e-300, None), 0.0)
-    return vecs @ (weights[:, None] * (vecs.T @ B))
+    X = np.linalg.solve(spectral.gram + 1.0 / spectral.n, B)
+    return X - X.mean(axis=0)
 
 
 def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
     a large consensus part; on v minus its node mean it is exact.
     """
     v -= v.mean(axis=-2, keepdims=True)
-    wv = np.matmul(spectral.gram, v)
+    wv = stack_apply(spectral.gram, v)
     wv *= v
     return np.maximum(wv.sum(axis=(-2, -1)), 0.0)
 
@@ -96,7 +96,7 @@ def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
 def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """s' W s + x' (metric block) x per entry of (..., n, d) stacks of one shape; overwrites s and x."""
     total = _gram_form(spectral, s)
-    mx = np.matmul(spectral.metric_block, x)
+    mx = stack_apply(spectral.metric_block, x)
     x *= mx
     total += x.sum(axis=(-2, -1))
     return total
@@ -110,8 +110,12 @@ def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_st
 
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
+    """Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c)."""
     dual_ref = -(1.0 / c) * _gram_pinv_apply(spectral, optimal.subgrad)
     dual_resid = float(np.linalg.norm(spectral.gram @ dual_ref + (1.0 / c) * optimal.subgrad))
+    scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
+    if not dual_resid <= RECON_RTOL * scale:
+        raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
     span_resid = math.sqrt(spectral.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
     dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(

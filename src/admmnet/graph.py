@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -193,11 +194,9 @@ def generate_graph(kind: str, n: int, *, d: int | None = None, p: float | None =
 def laplacian(g: Graph) -> CommunicationMatrix:
     """Graph Laplacian: diagonal = degrees, -1 on edges, 0 elsewhere."""
     P = np.zeros((g.n, g.n))
-    for i, deg in enumerate(g.degrees):
-        P[i, i] = float(deg)
-    for i, j in g.edges:
-        P[i, j] = -1.0
-        P[j, i] = -1.0
+    P[np.diag_indices(g.n)] = g.degrees
+    i, j = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * g.m).reshape(-1, 2).T
+    P[i, j] = P[j, i] = -1.0
     P.flags.writeable = False
     return CommunicationMatrix(P=P, source="laplacian")
 

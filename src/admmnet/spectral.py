@@ -8,15 +8,18 @@ From a communication matrix P and its graph we form
 * ``metric_block``  diag(col_norms_sq) - gram, the weight of the x part of
   the contraction metric
 
-plus the two eigenvalues the rate certificates consume: the smallest
-nonzero eigenvalue of ``gram`` and the largest eigenvalue of
-``metric_block``. Only ``gram`` gets eigenvectors (they give W^+); the
-paper's norms |Q v| with Q = W^(1/2) are evaluated as forms v' W v.
+plus the numbers the rate certificates read: the smallest nonzero
+eigenvalue of ``gram``, the largest eigenvalue of ``metric_block`` and the
+algebraic connectivity a(G) (computed on first read). Every spectrum is
+eigenvalues only. The paper's norms |Q v| with Q = W^(1/2) are evaluated as
+forms v' W v, and W^+ is applied by one linear solve (see
+``analysis._gram_pinv_apply``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,16 +32,13 @@ from .errors import (
 from .graph import CommunicationMatrix, Graph, laplacian
 
 SYMMETRY_RTOL = 1e-9
-ZERO_EIG_RTOL = 1e-9  # eigenvalues <= rtol * max eigenvalue count as zero
-RECON_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Eigendecomposition:
-    """Ascending eigenvalues, with orthonormal eigenvector columns when computed."""
+class Spectrum:
+    """Ascending eigenvalues of a symmetric matrix."""
 
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def min(self) -> float:
@@ -55,68 +55,65 @@ class SpectralData:
     nbhd_sizes: np.ndarray = field(repr=False)  # diagonal of D
     gram: np.ndarray = field(repr=False)
     metric_block: np.ndarray = field(repr=False)
-    eig_gram: Eigendecomposition = field(repr=False)
-    eig_metric: Eigendecomposition = field(repr=False)  # eigenvalues only
+    eig_gram: Spectrum = field(repr=False)
+    eig_metric: Spectrum = field(repr=False)
     min_pos_eig_gram: float
     max_eig_metric: float
-    algebraic_connectivity: float
+    graph: Graph = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.gram.shape[0]
 
+    @cached_property
+    def algebraic_connectivity(self) -> float:
+        return algebraic_connectivity(self.graph)
 
-def sym_eig(S: np.ndarray, vectors: bool = True) -> Eigendecomposition:
-    """Eigendecomposition of a symmetric matrix with a fixed sign convention.
 
-    Eigenvalues ascend; each eigenvector's first entry of magnitude above
-    1e-12 is made positive so repeated calls are reproducible. With
-    ``vectors=False`` only the eigenvalues are computed (``eigvalsh``).
-    """
+def sym_eig(S: np.ndarray) -> Spectrum:
+    """Ascending eigenvalues (``eigvalsh``) of a matrix that must be symmetric to SYMMETRY_RTOL."""
     S = np.asarray(S, dtype=float)
     scale = float(np.linalg.norm(S, ord="fro"))
     defect = float(np.max(np.abs(S - S.T))) if S.size else 0.0
     if defect > SYMMETRY_RTOL * max(scale, 1e-300):
         raise NotSymmetricError(f"symmetry defect {defect:.3e} exceeds {SYMMETRY_RTOL:.1e} * |S|")
     try:
-        if not vectors:
-            return Eigendecomposition(eigenvalues=np.linalg.eigvalsh((S + S.T) / 2.0))
-        vals, vecs = np.linalg.eigh((S + S.T) / 2.0)
+        return Spectrum(eigenvalues=np.linalg.eigvalsh(S))
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
-    # first entry above 1e-12 of each column; a unit vector always has one
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(vecs.shape[1])]
-    vecs[:, lead < 0] *= -1.0
 
-    recon = float(np.max(np.abs((vecs * vals) @ vecs.T - S)))
-    spec_norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if recon > RECON_RTOL * (1.0 + spec_norm):
-        raise EigNoConvergenceError(f"reconstruction error {recon:.3e} too large")
-    return Eigendecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+def stack_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v for every (n, d) entry of an (..., n, d) stack, as one GEMM of rows (A v)' = v' A'.
+
+    For d = 1 the rows are a free reshape; for d > 1 the stack is transposed first.
+    """
+    rows = np.swapaxes(v, -1, -2)  # (..., d, n)
+    return np.swapaxes((rows.reshape(-1, v.shape[-2]) @ A.T).reshape(rows.shape), -1, -2)
 
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the graph Laplacian (positive when connected)."""
-    return float(sym_eig(laplacian(g).P, vectors=False).eigenvalues[1])
+    return float(sym_eig(laplacian(g).P).eigenvalues[1])
 
 
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     P = comm.P
     col_norms_sq = np.sum(P * P, axis=0)
-    nbhd_sizes = np.array([deg + 1.0 for deg in g.degrees])
-    # P' D^-1 P with a C-ordered left factor: at some sizes an F-ordered one
-    # takes another BLAS path and changes the last bits of the Gram matrix
-    gram = np.multiply(P.T, 1.0 / nbhd_sizes, order="C") @ P
-    gram = (gram + gram.T) / 2.0
+    nbhd_sizes = np.array(g.degrees, dtype=float) + 1.0
+    B = P * (1.0 / np.sqrt(nbhd_sizes))[:, None]  # D^(-1/2) P
+    gram = B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
+    del B
 
     eig_gram = sym_eig(gram)
-    lam_max = eig_gram.max
-    if not lam_max > 0.0:  # nan included
-        raise DegenerateSpectrumError("all eigenvalues of P' D^-1 P are numerically zero")
-    min_pos = float(eig_gram.eigenvalues[eig_gram.eigenvalues > ZERO_EIG_RTOL * lam_max][0])
+    # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
+    # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
+    lam_max, min_pos = eig_gram.max, float(eig_gram.eigenvalues[1])
+    if not min_pos > gram.shape[0] * np.finfo(float).eps * lam_max:  # nan included
+        raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
     metric_block = np.diag(col_norms_sq) - gram
-    eig_metric = sym_eig(metric_block, vectors=False)
+    eig_metric = sym_eig(metric_block)
 
     return SpectralData(
         col_norms_sq=col_norms_sq,
@@ -127,7 +124,7 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
         max_eig_metric=eig_metric.max,
-        algebraic_connectivity=algebraic_connectivity(g),
+        graph=g,
     )
 
 

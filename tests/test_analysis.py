@@ -1,13 +1,16 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from admmnet import admm, analysis, reporting
 from admmnet.errors import (
     BoundViolatedError,
     ContractionViolatedError,
+    DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
     NotLaplacianError,
@@ -22,7 +25,7 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import ZERO_EIG_RTOL, compute_spectral_data
+from admmnet.spectral import compute_spectral_data
 from conftest import random_connected_graph
 
 # hand-derived constants for the complete triangle with unit weights
@@ -54,6 +57,50 @@ def test_aux_dual_ref_zero_for_agreeing_targets(k3):
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=3))
     aux = analysis.aux_sequences(trace, sd, opt, 1.0)
     assert np.max(np.abs(aux.dual_ref)) <= 1e-12
+
+
+def eigh_pinv(W):
+    """W^+ from eigh, with the consensus eigenvalue (the smallest; null(W) = span{1}) dropped."""
+    vals, vecs = np.linalg.eigh(W)
+    inv = np.zeros_like(vals)
+    inv[1:] = 1.0 / vals[1:]
+    return (vecs * inv) @ vecs.T
+
+
+def edge_weighted_laplacian(rng, g):
+    P = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        w = rng.uniform(0.5, 2.0)
+        P[[i, j], [i, j]] += w
+        P[[i, j], [j, i]] -= w
+    return custom_comm_matrix(P, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
+def test_gram_pinv_apply_matches_eigh(n, seed, weighted, d):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
+    comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
+    sd = compute_spectral_data(comm, g)
+    B = rng.normal(size=(n, d))
+    want = eigh_pinv(sd.gram) @ B
+    got = analysis._gram_pinv_apply(sd, B)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral, k3_optimal):
+    # a Gram matrix that no longer annihilates exactly span{1}: W + 11'/n is
+    # still invertible, but its solve is no longer W^+
+    W = k3_spectral.gram.copy()
+    W[0, 1] += 0.1
+    W[1, 0] += 0.1
+    doctored = replace(k3_spectral, gram=W)
+    trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
+    with pytest.raises(DegenerateSpectrumError):
+        analysis.aux_sequences(trace, doctored, k3_optimal, 1.0)
+    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
+    assert aux.dual_ref_residual <= analysis.RECON_RTOL * k3_spectral.eig_gram.max * np.linalg.norm(aux.dual_ref)
 
 
 def test_contraction_gain_k3(k3_spectral):
@@ -320,9 +367,10 @@ def mixed_custom_problem():
 
 
 def gram_sqrt(spectral):
-    """Q = W^(1/2) from eigh, its zero eigenvalues zeroed exactly so that Q 1 = 0."""
+    """Q = W^(1/2) from eigh; the smallest eigenvalue, that of null(W) = span{1}, is zeroed exactly so that Q 1 = 0."""
     vals, vecs = np.linalg.eigh(spectral.gram)
-    roots = np.where(vals > ZERO_EIG_RTOL * vals[-1], np.sqrt(np.clip(vals, 0.0, None)), 0.0)
+    roots = np.sqrt(np.clip(vals, 0.0, None))
+    roots[0] = 0.0
     return (vecs * roots) @ vecs.T
 
 

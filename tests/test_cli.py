@@ -348,3 +348,28 @@ def test_certify_computes_spectral_data_once(monkeypatch, capsys):
     assert cli.main(["certify", "--n", "5"]) == 0
     assert len(calls) == 1
     assert "rate_star=" in capsys.readouterr().out
+
+
+def test_eigen_calls_per_command(tmp_path, monkeypatch):
+    # W, the metric block and (run only, for the report's a(G)) the
+    # Laplacian each get one eigenvalue-only decomposition; no eigenvectors
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 20"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
+    assert calls == {"eigh": 0, "eigvalsh": 3}
+    calls.update(eigh=0, eigvalsh=0)
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert calls == {"eigh": 0, "eigvalsh": 2}

@@ -132,6 +132,28 @@ def test_laplacian_c4():
     assert P[0, 2] == P[1, 3] == 0.0
 
 
+def laplacian_by_edges(g):
+    """The Laplacian filled one diagonal entry and one edge at a time."""
+    P = np.zeros((g.n, g.n))
+    for i, deg in enumerate(g.degrees):
+        P[i, i] = float(deg)
+    for i, j in g.edges:
+        P[i, j] = -1.0
+        P[j, i] = -1.0
+    return P
+
+
+@pytest.mark.parametrize(
+    ("kind", "kwargs"),
+    [("path", {}), ("complete", {}), ("circulant", dict(d=6)), ("erdos_renyi", dict(p=0.05, seed=1))],
+)
+def test_laplacian_matches_edge_loop(kind, kwargs):
+    g = generate_graph(kind, 120, **kwargs)
+    comm = laplacian(g)
+    assert np.array_equal(comm.P, laplacian_by_edges(g))
+    assert comm.P.dtype == np.float64 and not comm.P.flags.writeable
+
+
 def test_validate_laplacian_ok(k3):
     report = validate_comm_matrix(laplacian(k3), k3)
     assert report.ok and not report.violations

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet.errors import CertificateFailedError, NotSymmetricError
-from admmnet.graph import generate_graph, laplacian
+from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, NotSymmetricError
+from admmnet.graph import CommunicationMatrix, generate_graph, laplacian
 from admmnet.spectral import (
     algebraic_connectivity,
     compute_spectral_data,
     psd_certificates,
+    stack_apply,
     sym_eig,
 )
 from conftest import random_connected_graph
@@ -48,27 +49,27 @@ def test_sym_eig_rejects_asymmetric():
 def test_sym_eig_invariants(n, seed, blocks):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n))
-    if blocks:  # block-diagonal: some eigenvectors start with (near-)zero entries
+    if blocks:  # block-diagonal: the spectrum is the union of the blocks' spectra
         A[: n // 2, n // 2 :] = 0.0
         A[n // 2 :, : n // 2] = 0.0
     S = (A + A.T) / 2.0
-    dec = sym_eig(S)
-    V, lam = dec.eigenvectors, dec.eigenvalues
-    assert np.array_equal(np.abs(V), np.abs(np.linalg.eigh(S)[1]))  # only signs change
-    assert np.all(np.diff(lam) >= -1e-12)
+    lam = sym_eig(S).eigenvalues
     norm = float(np.max(np.abs(lam)))
-    assert np.max(np.abs(V @ np.diag(lam) @ V.T - S)) <= 1e-10 * (1.0 + norm)
-    assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-10
-    for k in range(n):
-        first = V[np.nonzero(np.abs(V[:, k]) > 1e-12)[0][0], k]
-        assert first > 0
+    assert lam.shape == (n,)
+    assert np.all(np.diff(lam) >= 0.0)
+    np.testing.assert_allclose(lam, np.linalg.eigh(S)[0], rtol=0, atol=1e-12 * (1.0 + norm))
+    assert abs(lam.sum() - np.trace(S)) <= 1e-10 * (1.0 + norm) * n
+    assert abs(np.sum(lam * lam) - np.sum(S * S)) <= 1e-10 * (1.0 + norm) ** 2 * n
+    if blocks:
+        halves = np.concatenate([sym_eig(S[: n // 2, : n // 2]).eigenvalues, sym_eig(S[n // 2 :, n // 2 :]).eigenvalues])
+        np.testing.assert_allclose(lam, np.sort(halves), rtol=0, atol=1e-12 * (1.0 + norm))
 
 
 def test_sym_eig_deterministic(k3):
     P = laplacian(k3).P
     a, b = sym_eig(P), sym_eig(P)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    assert (a.min, a.max) == (float(a.eigenvalues[0]), float(a.eigenvalues[-1]))
 
 
 def test_spectral_data_k3(k3, k3_spectral):
@@ -104,14 +105,18 @@ def test_regular_graph_closed_forms(n, d):
 
 
 def test_one_eigendecomposition(monkeypatch):
-    # only the Gram matrix needs eigenvectors; the other spectra use eigvalsh
-    calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda S: calls.append(S.shape) or eigh(S))
+    # one eigenvalue-only decomposition per matrix (W, then the metric
+    # block), no eigenvectors; a(G) adds the Laplacian's on first read only
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda S, _fn=fn, _log=calls[name]: _log.append(S.shape) or _fn(S))
     g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
     sd = compute_spectral_data(laplacian(g), g)
-    assert calls == [(30, 30)]
-    assert sd.eig_metric.eigenvectors is None
+    assert calls == {"eigh": [], "eigvalsh": [(30, 30), (30, 30)]}
+    a = sd.algebraic_connectivity
+    assert sd.algebraic_connectivity == a == algebraic_connectivity(g)
+    assert calls == {"eigh": [], "eigvalsh": [(30, 30)] * 4}
 
 
 def test_algebraic_connectivity_values(k3, p3):
@@ -166,3 +171,39 @@ def test_spectral_inequalities_random_graphs(n, seed):
     assert sd.max_eig_metric <= (g.d_max * (g.d_max + 1) + 4 * g.d_max**2 / (g.d_min + 1)) * (1 + 1e-9)
     assert sd.eig_gram.min >= -1e-10
     assert sd.eig_metric.min >= -1e-10
+
+
+@pytest.mark.parametrize("n", [280, 300, 600])
+def test_long_path_min_eig_in_sandwich(n):
+    # lam_2(W) falls below 1e-9 lam_max on these paths; it is still the
+    # smallest nonzero eigenvalue and must sit in a^2/(d_max+1) .. a^2/(d_min+1)
+    g = generate_graph("path", n)
+    sd = compute_spectral_data(laplacian(g), g)
+    a = sd.algebraic_connectivity
+    assert sd.min_pos_eig_gram < 1e-9 * sd.max_eig_metric
+    assert a * a / 3.0 * (1 - 1e-9) <= sd.min_pos_eig_gram <= a * a / 2.0 * (1 + 1e-9)
+
+
+def test_second_null_direction_is_degenerate():
+    # two disjoint triangles: W has a two-dimensional null space
+    g = generate_graph("cycle", 6)
+    P = np.zeros((6, 6))
+    P[:3, :3] = P[3:, 3:] = laplacian(generate_graph("complete", 3)).P
+    with pytest.raises(DegenerateSpectrumError):
+        compute_spectral_data(CommunicationMatrix(P=P, source="custom"), g)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_stack_apply_matches_matmul(d, symmetric):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(9, 9))
+    if symmetric:
+        A = A + A.T
+    v = rng.normal(size=(5, 9, d))
+    want = np.matmul(A, v)
+    np.testing.assert_allclose(stack_apply(A, v), want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(stack_apply(A, v[1:3]), want[1:3], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(stack_apply(A, v[:, :, ::-1]), want[:, :, ::-1], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(stack_apply(A, v[2]), A @ v[2], rtol=1e-13, atol=1e-13)
+    assert stack_apply(A, v).shape == v.shape
