@@ -9,9 +9,10 @@ expressions over all nodes at once:
 2. y <- D^-1 P x, with D = diag(|N(i)|) over closed neighborhoods N(i)
 3. p <- p + c y
 
-The prox is batched per objective kind (``NetworkProblem.prox``): the
-closed forms of Quadratic and L1Quadratic act on stacked parameters, and
-only CustomSmooth nodes are solved one at a time.
+The prox is batched per objective kind and bound once per run
+(``NetworkProblem.bind_prox``): the closed forms of Quadratic and
+L1Quadratic act in place on stacked parameters precomputed at the run's
+weights, and only CustomSmooth nodes are solved one at a time.
 
 The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The
@@ -22,9 +23,15 @@ the two engines generate identical x sequences.
 
 P entries act as scalars on rows, so vector problems never materialize a
 Kronecker product, and P follows the graph's sparsity (see
-``graph.CommunicationMatrix``). Both engines write each round straight
-into the trace arrays and raise NonFiniteIterateError after a round that
-leaves a non-finite estimate.
+``graph.CommunicationMatrix``). A round pays only for its arithmetic:
+everything constant within a run (the row and slot scalings at full
+(., d) width, the flat element indices of the edge engine's gathers, the
+bound prox) is built before the first round, and every round writes into
+preallocated buffers or straight into the trace arrays. Each expression
+keeps its operand order, so the traces are bit-identical to evaluating
+the round formulas above as plain array expressions (the tests hold a
+reference of each). Both engines raise NonFiniteIterateError after a
+round that leaves a non-finite estimate.
 """
 
 from __future__ import annotations
@@ -112,20 +119,26 @@ class AdmmTrace:
 
 
 class _Workspace:
-    """Per-run arrays derived from the problem and the penalty c."""
+    """Per-run arrays derived from the problem and the penalty c.
+
+    Row scalings are stored at full (n, d) width: multiplying by an (n, 1)
+    column runs numpy's inner loop only d elements at a time.
+    """
 
     def __init__(self, problem: NetworkProblem, c: float):
         self.P = problem.comm.P
-        self.inv_size = 1.0 / (np.array(problem.graph.degrees, dtype=float) + 1.0)[:, None]  # D^-1
+        d = problem.dimension
+        size = np.array(problem.graph.degrees, dtype=float) + 1.0
+        self.inv_size = np.repeat(1.0 / size[:, None], d, axis=1)  # D^-1
         m = np.einsum("ji,ji->i", self.P, self.P)  # sum_{j in N(i)} P_ji^2
         zero = np.flatnonzero(m <= 0.0)
         if zero.size:
             raise ZeroMWeightError(int(zero[0]))
-        self.rho = c * m[:, None]  # prox weights c m_i, (n, 1)
+        self.rho = np.repeat(c * m[:, None], d, axis=1)  # prox weights c m_i
 
     def prox_center(self, x: np.ndarray, y: np.ndarray, p: np.ndarray, c: float) -> np.ndarray:
-        """v = x - P'(p + c y) / (c m), the prox center of the next node round."""
-        return x - (self.P.T @ (p + c * y)) / self.rho
+        """v = x - P'(p + c y) / (c m) over (T, n, d) stacks: the prox centers of rounds 1..T."""
+        return x - stack_apply(self.P.T, p + c * y) / self.rho
 
 
 def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +153,11 @@ def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     cols = np.concatenate((diag, edges[:, 1], edges[:, 0]))
     order = np.lexsort((cols, rows))
     return rows[order], cols[order]
+
+
+def _flat_rows(idx: np.ndarray, d: int) -> np.ndarray:
+    """Element indices of the rows ``idx`` of a flattened (k, d) array."""
+    return (idx[:, None] * d + np.arange(d)).ravel()
 
 
 def _require_finite(x: np.ndarray, t: int) -> None:
@@ -166,46 +184,71 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     xs = np.empty((T + 1, n, d))
     xs[0] = x0
 
+    prox = problem.bind_prox(ws.rho)
+
     if config.engine == "node":
         ys = np.empty_like(xs)
         ps = np.empty_like(xs)
         ys[0], ps[0] = y0, p0
+        PT = ws.P.T
+        q, v = np.empty((n, d)), np.empty((n, d))
         for t in range(1, T + 1):
-            x = problem.prox(ws.prox_center(xs[t - 1], ys[t - 1], ps[t - 1], c), ws.rho)
-            _require_finite(x, t)
-            xs[t] = x
-            np.matmul(ws.P, x, out=ys[t])
+            # v = x - P'(p + c y) / (c m), then x <- prox(v)
+            np.multiply(c, ys[t - 1], out=q)
+            np.add(ps[t - 1], q, out=q)
+            np.matmul(PT, q, out=v)
+            np.divide(v, ws.rho, out=v)
+            np.subtract(xs[t - 1], v, out=v)
+            prox(v, xs[t])
+            _require_finite(xs[t], t)
+            np.matmul(ws.P, xs[t], out=ys[t])
             ys[t] *= ws.inv_size
-            np.add(ps[t - 1], c * ys[t], out=ps[t])
+            np.multiply(c, ys[t], out=q)
+            np.add(ps[t - 1], q, out=ps[t])
         return AdmmTrace(engine="node", c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
     rows, cols = edge_slots(problem.graph)
+    S = rows.size
     # N is symmetric, so the slots grouped by column have the row groups' offsets
     starts = np.searchsorted(rows, np.arange(n))
     by_col = np.lexsort((rows, cols))
-    P = ws.P[rows, cols][:, None]  # P_ij per slot
-    zs = np.empty((T + 1, rows.size, d))
+    P = np.repeat(ws.P[rows, cols][:, None], d, axis=1)  # P_ij per slot
+    zs = np.empty((T + 1, S, d))
     lams = np.empty_like(zs)
     zs[0] = P * x0[cols] - y0[rows]
     lams[0] = p0[rows]
+    # flat gathers: np.take of elements beats fancy indexing of rows
+    by_col_flat, cols_flat, rows_flat = (_flat_rows(idx, d) for idx in (by_col, cols, rows))
+    w, w_by_col, Px, u, r = (np.empty((S, d)) for _ in range(5))
+    center, mu = np.empty((n, d)), np.empty((n, d))
     for t in range(1, T + 1):
         z, lam = zs[t - 1], lams[t - 1]
         # stationarity of each x_j subproblem of the full augmented Lagrangian:
         # center sum_{i in N(j)} P_ij (c z_ij - lam_ij) / (c m_j)
-        w = P * (c * z - lam)
-        x = problem.prox(np.add.reduceat(w[by_col], starts) / ws.rho, ws.rho)
-        _require_finite(x, t)
-        xs[t] = x
-        Px = P * x[cols]  # P_ij x_j
-        u = Px + lam / c
+        np.multiply(c, z, out=w)
+        w -= lam
+        w *= P
+        np.take(w.reshape(-1), by_col_flat, out=w_by_col.reshape(-1))
+        np.add.reduceat(w_by_col, starts, out=center)
+        center /= ws.rho
+        prox(center, xs[t])
+        _require_finite(xs[t], t)
+        np.take(xs[t].reshape(-1), cols_flat, out=Px.reshape(-1))
+        Px *= P  # P_ij x_j
+        np.divide(lam, c, out=u)
+        u += Px
         # minimize over z_i subject to sum_j z_ij = 0: project the
         # unconstrained minimizer by subtracting the neighborhood mean
-        mu = ws.inv_size * np.add.reduceat(u, starts)
-        np.subtract(u, mu[rows], out=zs[t])
-        np.add(lam, c * (Px - zs[t]), out=lams[t])
+        np.add.reduceat(u, starts, out=mu)
+        mu *= ws.inv_size
+        np.take(mu.reshape(-1), rows_flat, out=r.reshape(-1))
+        np.subtract(u, r, out=zs[t])
+        np.subtract(Px, zs[t], out=r)
+        r *= c
+        np.add(lam, r, out=lams[t])
     # y and p reconstructed through the reduction identities, for reporting:
     # y(t) = D^-1 P x(t) and p_i(t) = lambda_ii(t)
-    ys = ws.P @ xs
+    ys = stack_apply(ws.P, xs)
     ys *= ws.inv_size
     ps = lams[:, rows == cols]
     return AdmmTrace(

@@ -98,14 +98,19 @@ class _EachRow:
         vals = [[f.value(x) for f, x in zip(self.objectives, row)] for row in rows]
         return np.array(vals).reshape(X.shape[:-1])
 
-    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        X = np.empty_like(V)
-        for k, (node, f) in enumerate(zip(self.nodes, self.objectives)):
-            try:
-                X[k] = f.prox(V[k], float(rho[k, 0]))
-            except Exception as exc:
-                raise ProxFailureError(node, exc) from exc
-        return X
+    def bind(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Per-node prox at the fixed row weights ``rho`` (first column read)."""
+        rhos = [float(r) for r in rho[:, 0]]
+
+        def prox(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+            for k, (node, f, r) in enumerate(zip(self.nodes, self.objectives, rhos)):
+                try:
+                    out[k] = f.prox(V[k], r)
+                except Exception as exc:
+                    raise ProxFailureError(node, exc) from exc
+            return out
+
+        return prox
 
 
 @dataclass(frozen=True)
@@ -129,11 +134,31 @@ class _QuadraticRows:
             vals += self.tau[:, 0] * diff.sum(axis=-1)
         return vals
 
-    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        u = (self.weight * self.target + rho * V) / (self.weight + rho)
-        if self.tau is None:
-            return u
-        return soft_threshold(u, self.tau / (self.weight + rho))
+    def bind(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """Closed-form prox at the fixed row weights ``rho``, (k, 1) or (k, d).
+
+        The kernel evaluates u = (rho v + w a)/(w + rho) and, with an l1
+        term, sign(u) max(|u| - tau/(w + rho), 0) in ``out``, with the same
+        operations as the per-node ``prox`` of each kind, so the bits agree.
+        """
+        wa = self.weight * self.target
+        wr = self.weight + rho
+        threshold = None if self.tau is None else self.tau / wr
+        mag = np.empty_like(wa)
+
+        def prox(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(rho, V, out=out)
+            out += wa
+            out /= wr
+            if threshold is not None:
+                np.abs(out, out=mag)
+                np.subtract(mag, threshold, out=mag)
+                np.maximum(mag, 0.0, out=mag)
+                np.sign(out, out=out)
+                out *= mag
+            return out
+
+        return prox
 
 
 def _column(values) -> np.ndarray:
@@ -377,15 +402,35 @@ class NetworkProblem:
         total = sum(rows.values(X[..., idx, :]).sum(axis=-1) for idx, rows in self._kinds)
         return float(total) if X.ndim == 2 else total
 
-    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 for (n, d) centers, (n, 1) weights.
+    def bind_prox(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The prox at fixed weights, as a kernel ``(V, out) -> out`` built once per run.
 
-        Raises ProxFailureError naming the node when a per-node prox fails.
+        ``rho`` holds the row weights, (n, 1) or expanded to (n, d). The
+        kernel writes row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 of the
+        (n, d) centers V into ``out`` and leaves V unchanged; the closed-form
+        kinds allocate nothing per call. Raises ProxFailureError naming the
+        node when a per-node prox fails.
         """
-        X = np.empty_like(V)
-        for idx, rows in self._kinds:
-            X[idx] = rows.prox(V[idx], rho[idx])
-        return X
+        if len(self._kinds) == 1:  # indexed by a slice: the rows are V and out
+            ((_, rows),) = self._kinds
+            return rows.bind(rho)
+        d = self.dimension
+        parts = [
+            (idx, rows.bind(rho[idx]), np.empty((idx.size, d)), np.empty((idx.size, d)))
+            for idx, rows in self._kinds
+        ]
+
+        def prox(V: np.ndarray, out: np.ndarray) -> np.ndarray:
+            for idx, kernel, v, x in parts:
+                np.take(V, idx, axis=0, out=v)
+                out[idx] = kernel(v, x)
+            return out
+
+        return prox
+
+    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """Row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 for (n, d) centers; see ``bind_prox``."""
+        return self.bind_prox(rho)(V, np.empty_like(V))
 
 
 def estimation_objectives(n: int, dimension: int = 1) -> tuple[Quadratic, ...]:

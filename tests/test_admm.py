@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import compute_spectral_data
+from admmnet.spectral import compute_spectral_data, stack_apply
 from conftest import random_connected_graph
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
@@ -277,12 +278,82 @@ def test_vectorized_round_properties(n, d, seed):
     sd = compute_spectral_data(prob.comm, prob.graph)
     assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8
 
-    V = rng.normal(scale=3.0, size=(n, d))
-    rho = rng.uniform(0.1, 10.0, size=(n, 1))
-    X = prob.prox(V, rho)
-    for i, f in enumerate(prob.objectives):
-        want = f.prox(V[i], float(rho[i, 0]))
-        assert np.all(np.abs(X[i] - want) <= 1e-15 * np.abs(want))
+
+def _reference_prox(problem, V, rho):
+    return np.array([f.prox(v, float(r)) for f, v, r in zip(problem.objectives, V, rho[:, 0])])
+
+
+def _reference_run(problem, c, T, init, engine):
+    """Both engines' rounds as plain array expressions, one node prox at a time.
+
+    ``admm.run`` evaluates the same expressions in the same operand order on
+    preallocated buffers, so its trace must agree bit for bit.
+    """
+    P, n, d = problem.comm.P, problem.n, problem.dimension
+    inv_size = 1.0 / (np.array(problem.graph.degrees, dtype=float) + 1.0)[:, None]
+    rho = c * np.einsum("ji,ji->i", P, P)[:, None]
+    x0, y0, p0 = init
+    xs = np.empty((T + 1, n, d))
+    xs[0] = x0
+    if engine == "node":
+        ys, ps = np.empty_like(xs), np.empty_like(xs)
+        ys[0], ps[0] = y0, p0
+        for t in range(1, T + 1):
+            v = xs[t - 1] - (P.T @ (ps[t - 1] + c * ys[t - 1])) / rho
+            xs[t] = _reference_prox(problem, v, rho)
+            ys[t] = (P @ xs[t]) * inv_size
+            ps[t] = ps[t - 1] + c * ys[t]
+        return xs, ys, ps, None, None
+    rows, cols = admm.edge_slots(problem.graph)
+    starts = np.searchsorted(rows, np.arange(n))
+    by_col = np.lexsort((rows, cols))
+    Pij = P[rows, cols][:, None]
+    zs = np.empty((T + 1, rows.size, d))
+    lams = np.empty_like(zs)
+    zs[0], lams[0] = Pij * x0[cols] - y0[rows], p0[rows]
+    for t in range(1, T + 1):
+        z, lam = zs[t - 1], lams[t - 1]
+        w = Pij * (c * z - lam)
+        xs[t] = _reference_prox(problem, np.add.reduceat(w[by_col], starts) / rho, rho)
+        Px = Pij * xs[t][cols]
+        u = Px + lam / c
+        zs[t] = u - (inv_size * np.add.reduceat(u, starts))[rows]
+        lams[t] = lam + c * (Px - zs[t])
+    return xs, stack_apply(P, xs) * inv_size, lams[:, rows == cols], zs, lams
+
+
+def _quadratic_custom(f):
+    """CustomSmooth twin of a Quadratic or L1Quadratic's smooth part."""
+    return CustomSmooth(
+        value_fn=lambda x: 0.5 * f.weight * float((x - f.target) @ (x - f.target)),
+        grad_fn=lambda x: f.weight * (x - f.target),
+        dim=f.dimension,
+        nu=f.weight,
+        lipschitz=f.weight,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.sampled_from([1, 3]), st.booleans(), st.integers(0, 10_000))
+def test_rounds_bit_identical_to_reference(n, d, with_custom, seed):
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng, n, d)
+    if with_custom:
+        objs = list(prob.objectives)
+        k = int(rng.integers(n))
+        objs[k] = _quadratic_custom(objs[k])
+        prob = replace(prob, objectives=tuple(objs))
+    c = rng.uniform(0.3, 3.0)
+    init = tuple(rng.normal(size=(n, d)) for _ in range(3))
+    for engine in ("node", "edge"):
+        trace = admm.run(prob, admm.RunConfig(c=c, T=15, engine=engine, init=init))
+        xs, ys, ps, zs, lams = _reference_run(prob, c, 15, init, engine)
+        assert np.array_equal(trace.xs, xs)
+        assert np.array_equal(trace.ys, ys)
+        assert np.array_equal(trace.ps, ps)
+        if engine == "edge":
+            assert np.array_equal(trace.zs, zs)
+            assert np.array_equal(trace.lams, lams)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ from admmnet.errors import (
     DimensionMismatchError,
     InnerSolverNoConvergenceError,
     MissingCurvatureMetadataError,
+    ProxFailureError,
 )
 from admmnet.graph import generate_graph, laplacian
 from admmnet.objectives import (
@@ -250,3 +251,74 @@ def test_estimation_objectives_targets():
     objs = estimation_objectives(3)
     assert [o.target[0] for o in objs] == [1.0, 2.0, 3.0]
     assert all(o.weight == 1.0 for o in objs)
+
+
+def _kernel_problem(rng, n, d, kinds):
+    """Objectives drawn from ``kinds`` on a circulant graph of n nodes."""
+    g = generate_graph("circulant", n, d=2)
+    objs = []
+    for i in range(n):
+        target, weight = rng.normal(scale=3.0, size=d), rng.uniform(0.5, 2.0)
+        if kinds[i % len(kinds)] == "quadratic":
+            objs.append(Quadratic(target=target, weight=weight))
+        else:
+            objs.append(L1Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 2.0)))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+
+
+@pytest.mark.parametrize("kinds", [("quadratic",), ("l1",), ("quadratic", "l1")])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("full_width", [False, True])
+def test_bound_prox_matches_objective_prox_bitwise(kinds, d, full_width):
+    # one kind is indexed by a slice, mixed kinds by node arrays
+    rng = np.random.default_rng(7)
+    prob = _kernel_problem(rng, 8, d, kinds)
+    rho = rng.uniform(0.1, 10.0, size=(8, 1))
+    kernel = prob.bind_prox(np.repeat(rho, d, axis=1) if full_width else rho)
+    for _ in range(3):  # the kernel is reused across calls, as across rounds
+        V = rng.normal(scale=3.0, size=(8, d))
+        V_before = V.copy()
+        out = np.full((8, d), np.nan)
+        assert kernel(V, out) is out
+        assert np.array_equal(V, V_before)
+        want = np.array([f.prox(V[i], float(rho[i, 0])) for i, f in enumerate(prob.objectives)])
+        assert np.array_equal(out, want)
+        assert np.array_equal(prob.prox(V, rho), want)
+
+
+def test_bound_prox_writes_only_out():
+    rng = np.random.default_rng(3)
+    prob = _kernel_problem(rng, 6, 2, ("quadratic", "l1"))
+    kernel = prob.bind_prox(np.full((6, 2), 1.5))
+    block = rng.normal(size=(3, 6, 2))  # V and out are rows of one block
+    before = block.copy()
+    kernel(block[0], block[1])
+    assert np.array_equal(block[0], before[0])
+    assert np.array_equal(block[2], before[2])
+    assert not np.array_equal(block[1], before[1])
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_bound_prox_failure_names_custom_node(mixed):
+    def custom(curvature):
+        return CustomSmooth(
+            value_fn=lambda x: 0.5 * curvature * float(x @ x),
+            grad_fn=lambda x: curvature * x,
+            dim=1,
+            nu=1.0,
+            lipschitz=1.0,
+        )
+
+    k = 3
+    objs = [quad(float(i)) if mixed else custom(1.0) for i in range(5)]
+    # the declared Lipschitz constant is far too small, so the inner
+    # gradient iterations of node k diverge
+    objs[k] = custom(1e6)
+    g = generate_graph("path", 5)
+    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+    kernel = prob.bind_prox(np.ones((5, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ProxFailureError) as info:
+            kernel(np.full((5, 1), 2.0), np.empty((5, 1)))
+    assert info.value.node == k
+    assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
