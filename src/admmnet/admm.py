@@ -128,7 +128,7 @@ class _Workspace:
     def __init__(self, problem: NetworkProblem, c: float):
         self.P = problem.comm.P
         d = problem.dimension
-        size = np.array(problem.graph.degrees, dtype=float) + 1.0
+        size = problem.graph.degrees + 1.0
         self.inv_size = np.repeat(1.0 / size[:, None], d, axis=1)  # D^-1
         m = np.einsum("ji,ji->i", self.P, self.P)  # sum_{j in N(i)} P_ji^2
         zero = np.flatnonzero(m <= 0.0)
@@ -147,10 +147,9 @@ def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     There are n + 2|E| slots; those of row i are contiguous, |N(i)| long and
     ascending in j, and include the diagonal slot (i, i).
     """
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     diag = np.arange(g.n)
-    rows = np.concatenate((diag, edges[:, 0], edges[:, 1]))
-    cols = np.concatenate((diag, edges[:, 1], edges[:, 0]))
+    rows = np.concatenate((diag, g.edges[:, 0], g.edges[:, 1]))
+    cols = np.concatenate((diag, g.edges[:, 1], g.edges[:, 0]))
     order = np.lexsort((cols, rows))
     return rows[order], cols[order]
 

@@ -18,15 +18,23 @@ class GraphError(AdmmNetError):
     pass
 
 
-class NodeOutOfRangeError(GraphError):
+class EdgeError(GraphError):
+    """An invalid edge; carries its 0-based position in the input edge list."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
+class NodeOutOfRangeError(EdgeError):
     pass
 
 
-class SelfLoopError(GraphError):
+class SelfLoopError(EdgeError):
     pass
 
 
-class DuplicateEdgeError(GraphError):
+class DuplicateEdgeError(EdgeError):
     pass
 
 

@@ -21,6 +21,7 @@ import csv
 import io
 import math
 from collections.abc import Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -97,14 +98,13 @@ def replay_deviation(got: Mapping[str, np.ndarray], want: Mapping[str, np.ndarra
 
 
 def write_trace_csv(path, table: Mapping[str, np.ndarray]) -> None:
-    formats = [str if key in INT_COLUMNS else fmt for key in TRACE_COLUMNS]
+    """Write the table as CSV with csv-module line ends ("\\r\\n"), floats as :func:`fmt` text."""
+    row = ",".join("%d" if key in INT_COLUMNS else "%.17g" for key in TRACE_COLUMNS) + "\r\n"
     columns = [table[key].tolist() for key in TRACE_COLUMNS]
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(TRACE_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in zip(*columns):
-            writer.writerow([f(v) for f, v in zip(formats, row)])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.write((row * len(table["t"])) % tuple(chain.from_iterable(zip(*columns))))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

@@ -100,7 +100,7 @@ def algebraic_connectivity(g: Graph) -> float:
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     P = comm.P
     col_norms_sq = np.sum(P * P, axis=0)
-    nbhd_sizes = np.array(g.degrees, dtype=float) + 1.0
+    nbhd_sizes = g.degrees + 1.0
     B = P * (1.0 / np.sqrt(nbhd_sizes))[:, None]  # D^(-1/2) P
     gram = B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
     del B

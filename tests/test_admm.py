@@ -103,24 +103,22 @@ def test_reduction_identities(k3, k3_problem):
     t = 5
     worst_lam = 0.0
     worst_z = 0.0
-    for i in range(3):
-        for j in k3.closed_neighbors(i):
-            s = slot[i, j]
-            worst_lam = max(worst_lam, float(np.max(np.abs(edge.lams[t][s] - node.ps[t][i]))))
-            worst_z = max(
-                worst_z,
-                float(np.max(np.abs(edge.zs[t][s] - (P[i, j] * node.xs[t][j] - node.ys[t][i])))),
-            )
+    for (i, j), s in slot.items():
+        worst_lam = max(worst_lam, float(np.max(np.abs(edge.lams[t][s] - node.ps[t][i]))))
+        worst_z = max(
+            worst_z,
+            float(np.max(np.abs(edge.zs[t][s] - (P[i, j] * node.xs[t][j] - node.ys[t][i])))),
+        )
     assert worst_lam <= 1e-10
     assert worst_z <= 1e-10
 
 
 def test_edge_z_rows_sum_to_zero(p3, p3_problem):
     edge = admm.run(p3_problem, admm.RunConfig(c=1.3, T=8, engine="edge"))
-    slot = _slot_index(p3)
+    rows, _ = admm.edge_slots(p3)
     for t in range(1, 9):
         for i in range(3):
-            total = sum(edge.zs[t][slot[i, j]] for j in p3.closed_neighbors(i))
+            total = edge.zs[t][rows == i].sum(axis=0)  # over the slots (i, j), j in N(i)
             assert np.max(np.abs(total)) <= 1e-12
 
 

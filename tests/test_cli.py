@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -187,6 +188,33 @@ def test_replay_deviation_rules(got, want, dev):
     shifted = table(want)
     shifted["messages"] = shifted["messages"] + 1
     assert reporting.replay_deviation(shifted, table(want)) == math.inf
+
+
+def write_trace_csv_by_rows(path, table):
+    """The trace CSV written through the csv module, one formatted field at a time."""
+    formats = [str if key in reporting.INT_COLUMNS else reporting.fmt for key in reporting.TRACE_COLUMNS]
+    columns = [table[key].tolist() for key in reporting.TRACE_COLUMNS]
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        fh.write(reporting.TRACE_SCHEMA + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(reporting.TRACE_COLUMNS)
+        for row in zip(*columns):
+            writer.writerow([f(v) for f, v in zip(formats, row)])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+def test_trace_csv_matches_csv_module(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e-300, -1.7976931348623157e308, 5e-324, 2.0**70]
+    table = {key: np.arange(1, rows + 1) * (3 if key == "messages" else 1) for key in reporting.INT_COLUMNS}
+    for key in reporting.TRACE_COLUMNS:
+        if key not in table:
+            table[key] = rng.choice(special + list(rng.normal(size=4) * 10.0 ** rng.integers(-20, 20, 4)), rows)
+    reporting.write_trace_csv(tmp_path / "fast.csv", table)
+    write_trace_csv_by_rows(tmp_path / "rows.csv", table)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    back = reporting.read_trace_csv(tmp_path / "fast.csv")
+    assert reporting.replay_deviation(back, table) == 0.0
 
 
 @pytest.mark.parametrize("engine", ["node", "edge"])
