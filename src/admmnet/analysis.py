@@ -144,14 +144,19 @@ class RateCertificate:
     max_eig_metric: float
 
 
+def _check_curvature(nu: float, lipschitz: float) -> None:
+    """Raise MissingCurvatureMetadataError unless 0 < nu <= L < inf (nan fails)."""
+    if not 0.0 < nu <= lipschitz < math.inf:
+        raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
+
+
 def contraction_gain(nu: float, lipschitz: float, c: float, balance: float, spectral) -> float:
     """min of the two admissible contraction terms at penalty c and the given balance."""
     if not (0.0 < balance < 1.0):
         raise InvalidBetaError(f"balance must lie in (0,1), got {balance}")
     if c <= 0.0:
         raise InvalidCError(f"penalty must be positive, got {c}")
-    if nu <= 0.0 or lipschitz < nu:
-        raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
+    _check_curvature(nu, lipschitz)
     lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     term1 = 2.0 * balance * nu / (c * lam_max * (1.0 + 2.0 / lam_min))
     term2 = (1.0 - balance) * c * lam_min / lipschitz
@@ -182,8 +187,7 @@ def optimize_rate(nu: float, lipschitz: float, spectral, c: float | None = None)
     [1e-6, 1e6] sqrt(nu L) to relative precision 1e-12 and is cross-checked
     against the closed forms; disagreement above 1e-6 relative raises.
     """
-    if nu <= 0.0 or lipschitz < nu:
-        raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
+    _check_curvature(nu, lipschitz)
     lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     kappa = lipschitz / nu
 

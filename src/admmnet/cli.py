@@ -44,20 +44,6 @@ def _fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _resolve_penalty(cfg: ExperimentConfig, problem, spectral) -> float:
-    if cfg.admm.c == "auto":
-        nu, lip = require_curvature(problem)
-        return analysis.optimize_rate(nu, lip, spectral).best_penalty
-    return float(cfg.admm.c)
-
-
-def _certified_rate(agg, spectral, c: float) -> float | None:
-    """Certified contraction rate at penalty c; None without curvature metadata."""
-    if agg.strong_convexity is None or agg.lipschitz is None:
-        return None
-    return analysis.optimize_rate(agg.strong_convexity, agg.lipschitz, spectral, c=c).rate
-
-
 def _worst(v: analysis.Verdict) -> str:
     if not v.judged:
         return "no round judged"
@@ -65,15 +51,22 @@ def _worst(v: analysis.Verdict) -> str:
 
 
 def _run_config(cfg: ExperimentConfig):
-    """(problem, spectral data, optimum, aggregate info, penalty, trace, per-round table) of a run of ``cfg``."""
+    """(problem, spectral data, optimum, aggregate info, penalty, trace, per-round table,
+    sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``."""
     problem = build_problem(cfg)
     spectral = compute_spectral_data(problem.comm, problem.graph)
     optimal = central_solve(problem)
-    c = _resolve_penalty(cfg, problem, spectral)
+    agg = aggregate(problem, optimal)
+    auto = cfg.admm.c == "auto"
+    cert = None
+    if auto or (agg.strong_convexity is not None and agg.lipschitz is not None):
+        cert = analysis.optimize_rate(*agg.curvature(), spectral, c=None if auto else cfg.admm.c)
+    c = float(cfg.admm.c) if cert is None else cert.penalty
     trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
     aux = analysis.aux_sequences(trace, spectral, optimal, c)
     table = reporting.trace_rows(trace, problem, spectral, optimal, aux)
-    return problem, spectral, optimal, aggregate(problem, optimal), c, trace, table
+    sublinear = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
+    return problem, spectral, optimal, agg, c, trace, table, sublinear, None if cert is None else cert.rate
 
 
 class _Recorder:
@@ -90,7 +83,7 @@ class _Recorder:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, spectral, optimal, agg, c, trace, table = _run_config(cfg)
+    problem, spectral, optimal, agg, c, trace, table, sublinear, rate = _run_config(cfg)
     g = problem.graph
     reporting.write_trace_csv(out_dir / "trace.csv", table)
 
@@ -111,6 +104,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
     ]
     record = _Recorder(lines)
     checks = cfg.checks
+    verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
     if check_all or checks.psd:
         try:
             psd_certificates(spectral)
@@ -118,16 +112,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
         except CertificateFailedError as exc:
             record("psd", False, str(exc))
     if check_all or checks.sublinear:
-        bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-        verdicts = analysis.judge_table(table, sublinear=bounds)
         obj, feas = verdicts["objective"], verdicts["feasibility"]
         record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
     if check_all or checks.contraction:
-        rate = _certified_rate(agg, spectral, c)
         if rate is None:
             lines.append("check contraction: SKIP (no curvature metadata)")
         else:
-            v = analysis.judge_table(table, contraction_bound=rate)["contraction"]
+            v = verdicts["contraction"]
             detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
             if v.judged < trace.T:
                 detail += ", converged"
@@ -248,17 +239,16 @@ def cmd_check(args) -> int:
     if len(table["t"]) != cfg.admm.T:
         record("replay", False, f"trace has {len(table['t'])} rows, config says T={cfg.admm.T}")
     else:
-        _, spectral, optimal, agg, c, _, expected = _run_config(cfg)
+        *_, expected, sublinear, rate = _run_config(cfg)
         worst = reporting.replay_deviation(table, expected)
         record("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
-        bounds = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-        for name, v in analysis.judge_table(table, sublinear=bounds).items():
-            record(f"sublinear_{name}", v.passed, _worst(v))
-        rate = _certified_rate(agg, spectral, c)
+        verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
+        for name in ("objective", "feasibility"):
+            record(f"sublinear_{name}", verdicts[name].passed, _worst(verdicts[name]))
         if rate is None:
             lines.append("check contraction: SKIP (no curvature metadata)")
         else:
-            v = analysis.judge_table(table, contraction_bound=rate)["contraction"]
+            v = verdicts["contraction"]
             record("contraction", v.passed, f"bound {fmt(rate)}, {_worst(v)}")
     sys.stdout.write("".join(line + "\n" for line in lines))
     return 1 if record.failures else 0

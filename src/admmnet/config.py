@@ -1,5 +1,6 @@
 """Experiment configuration: INI-style files with [graph], [objective],
-[admm] and optional [checks] sections.
+[admm] and optional [checks] sections; an unknown section or key is an
+error.
 
 Example::
 
@@ -33,12 +34,7 @@ import numpy as np
 
 from .errors import ConfigParseError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
-from .objectives import (
-    L1Quadratic,
-    NetworkProblem,
-    Quadratic,
-    estimation_objectives,
-)
+from .objectives import NetworkProblem, Quadratic, estimation_objectives
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,22 @@ def parse_experiment_config(path) -> ExperimentConfig:
         raise ConfigParseError(f"invalid config value: {exc}") from exc
 
 
+# the keys each section may hold, lowercased as configparser stores them (T is t)
+_SECTION_KEYS = {
+    "graph": {"kind", "n", "d", "p", "seed", "path"},
+    "objective": {"preset", "kind", "a", "w", "tau", "dimension"},
+    "admm": {"c", "t", "engine", "init"},
+    "checks": {"sublinear", "contraction", "recurrence", "psd"},
+}
+
+
 def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            raise ConfigParseError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigParseError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
     gsec = parser["graph"] if parser.has_section("graph") else {}
     graph = GraphSpec(
         kind=gsec.get("kind", "complete"),
@@ -168,12 +179,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     def _flag(key: str) -> bool:
         return str(csec.get(key, "true")).strip().lower() in ("1", "true", "yes", "on")
 
-    checks = ChecksSpec(
-        sublinear=_flag("sublinear"),
-        contraction=_flag("contraction"),
-        recurrence=_flag("recurrence"),
-        psd=_flag("psd"),
-    )
+    checks = ChecksSpec(**{key: _flag(key) for key in _SECTION_KEYS["checks"]})
     return ExperimentConfig(graph=graph, objective=objective, admm=admm, checks=checks)
 
 
@@ -207,11 +213,9 @@ def build_problem(cfg: ExperimentConfig, graph: Graph | None = None) -> NetworkP
                 raise ConfigParseError(
                     f"target {a} does not match dimension {spec.dimension}"
                 )
-            if spec.kind == "quadratic":
-                objectives.append(Quadratic(target=target, weight=w))
-            elif spec.kind == "l1_quadratic":
-                objectives.append(L1Quadratic(target=target, weight=w, tau=spec.tau))
-            else:
+            if spec.kind not in ("quadratic", "l1_quadratic"):
                 raise ConfigParseError(f"unknown objective kind {spec.kind!r}")
+            tau = spec.tau if spec.kind == "l1_quadratic" else 0.0
+            objectives.append(Quadratic(target=target, weight=w, tau=tau))
         objectives = tuple(objectives)
     return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objectives))

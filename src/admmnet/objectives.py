@@ -1,24 +1,25 @@
 """Local convex objectives with value, (sub)gradient and proximal maps.
 
-Three kinds are supported:
+Two classes are supported:
 
-* :class:`Quadratic`          (w/2) |x - a|^2
-* :class:`L1Quadratic`        (w/2) |x - a|^2 + tau |x|_1
+* :class:`Quadratic`          (w/2) |x - a|^2 + tau |x|_1, tau = 0 by default
 * :class:`CustomSmooth`       user callables with declared curvature
 
 plus :class:`NetworkProblem` (graph + communication matrix + one objective
 per node) and a centralized oracle solver that produces the consensus
 optimum used as ground truth by every certificate check.
+:class:`L1Quadratic` is the same class as ``Quadratic``; its ``kind`` reads
+``"l1_quadratic"`` when tau > 0 and ``"quadratic"`` otherwise.
 
 A problem evaluates its objectives on whole (n, d) iterates: values and
-proximal maps of every node come from the per-kind stacked parameters of
-:meth:`LocalObjective.stacked`, in closed form for ``Quadratic`` and
-``L1Quadratic``; ``CustomSmooth`` nodes are visited one at a time.
+proximal maps of every node come from the per-class stacked parameters of
+:meth:`LocalObjective.stacked`, in closed form for ``Quadratic``;
+``CustomSmooth`` nodes are visited one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -35,6 +36,7 @@ from .graph import CommunicationMatrix, Graph, laplacian
 
 PROX_RTOL = 1e-10  # optimality residual <= PROX_RTOL * rho * (1 + |v|)
 ORACLE_TOL = 1e-12
+ORACLE_ROUNDING = 4.0 * np.finfo(float).eps  # residual floor per unit of |sum_i |grad f_i||
 ORACLE_MAX_ITERS = 500_000
 
 
@@ -78,9 +80,9 @@ class LocalObjective:
 
     @classmethod
     def stacked(cls, objectives: Sequence[LocalObjective], nodes: Sequence[int]):
-        """Rows object for ``objectives`` (all of this kind) sitting at ``nodes``.
+        """Rows object for ``objectives`` (all of this class) sitting at ``nodes``.
 
-        The default visits one node at a time; kinds with a closed form
+        The default visits one node at a time; classes with a closed form
         override it with stacked parameters.
         """
         return _EachRow(tuple(objectives), tuple(nodes))
@@ -117,7 +119,7 @@ class _EachRow:
 class _QuadraticRows:
     """(w/2)|x - a|^2 + tau |x|_1 on every row: (k, 1) weights, (k, d) targets.
 
-    ``tau`` is None for plain quadratics, so no l1 term is evaluated.
+    ``tau`` is None when every row's tau is 0, so no l1 term is evaluated.
     """
 
     weight: np.ndarray
@@ -139,7 +141,7 @@ class _QuadraticRows:
 
         The kernel evaluates u = (rho v + w a)/(w + rho) and, with an l1
         term, sign(u) max(|u| - tau/(w + rho), 0) in ``out``, with the same
-        operations as the per-node ``prox`` of each kind, so the bits agree.
+        operations as the per-node ``Quadratic.prox``, so the bits agree.
         """
         wa = self.weight * self.target
         wr = self.weight + rho
@@ -167,75 +169,26 @@ def _column(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Quadratic(LocalObjective):
-    """(weight/2) |x - target|^2."""
-
-    target: np.ndarray = field(repr=False)
-    weight: float = 1.0
-
-    kind = "quadratic"
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
-
-    @property
-    def dimension(self) -> int:
-        return self.target.shape[0]
-
-    @property
-    def strong_convexity(self) -> float | None:
-        return self.weight if self.weight > 0 else None
-
-    @property
-    def gradient_lipschitz(self) -> float:
-        return self.weight
-
-    @property
-    def smooth_lipschitz(self) -> float:
-        return self.weight
-
-    def value(self, x) -> float:
-        x = self._vec(x)
-        diff = x - self.target
-        return 0.5 * self.weight * float(diff @ diff)
-
-    def gradient(self, x) -> np.ndarray:
-        return self.weight * (self._vec(x) - self.target)
-
-    def prox(self, v, rho: float) -> np.ndarray:
-        v = self._vec(v)
-        if rho <= 0:
-            raise ValueError("rho must be positive")
-        return (self.weight * self.target + rho * v) / (self.weight + rho)
-
-    @classmethod
-    def stacked(cls, objectives, nodes):
-        return _QuadraticRows(
-            weight=_column([o.weight for o in objectives]),
-            target=np.stack([o.target for o in objectives]),
-        )
-
-
-@dataclass(frozen=True)
-class L1Quadratic(LocalObjective):
     """(weight/2) |x - target|^2 + tau |x|_1.
 
     The quadratic part is isotropic, so the prox is an exact soft threshold
-    of the combined quadratic minimizer. ``gradient`` returns the
-    subgradient with sign(0) = 0 on the l1 part.
+    of the combined quadratic minimizer; at tau = 0 the threshold is 0 and
+    returns that minimizer unchanged. ``gradient`` returns the subgradient
+    with sign(0) = 0 on the l1 part.
     """
 
     target: np.ndarray = field(repr=False)
     weight: float = 1.0
     tau: float = 0.0
 
-    kind = "l1_quadratic"
-
     def __post_init__(self):
         object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
         if self.weight < 0 or self.tau < 0:
             raise ValueError("weight and tau must be nonnegative")
+
+    @property
+    def kind(self) -> str:
+        return "l1_quadratic" if self.tau > 0 else "quadratic"
 
     @property
     def dimension(self) -> int:
@@ -279,7 +232,15 @@ class L1Quadratic(LocalObjective):
 
     @classmethod
     def stacked(cls, objectives, nodes):
-        return replace(Quadratic.stacked(objectives, nodes), tau=_column([o.tau for o in objectives]))
+        taus = [o.tau for o in objectives]
+        return _QuadraticRows(
+            weight=_column([o.weight for o in objectives]),
+            target=np.stack([o.target for o in objectives]),
+            tau=_column(taus) if any(taus) else None,
+        )
+
+
+L1Quadratic = Quadratic
 
 
 @dataclass(frozen=True)
@@ -379,9 +340,9 @@ class NetworkProblem:
 
     @cached_property
     def _kinds(self) -> tuple[tuple[np.ndarray | slice, object], ...]:
-        """(node indices, stacked objectives) per objective kind, built once per problem.
+        """(node indices, stacked objectives) per objective class, built once per problem.
 
-        A kind that holds every node is indexed by a slice, so its rows are
+        A class that holds every node is indexed by a slice, so its rows are
         views, not copies, of the (..., n, d) arrays.
         """
         by_kind: dict[type, list[int]] = {}
@@ -428,10 +389,6 @@ class NetworkProblem:
 
         return prox
 
-    def prox(self, V: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """Row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 for (n, d) centers; see ``bind_prox``."""
-        return self.bind_prox(rho)(V, np.empty_like(V))
-
 
 def estimation_objectives(n: int, dimension: int = 1) -> tuple[Quadratic, ...]:
     """Scalar-estimation preset: node i holds (1/2)|x - (i+1)|^2."""
@@ -451,6 +408,14 @@ class AggregateInfo:
     condition_number: float | None
     subgrad_bound: float | None
 
+    def curvature(self) -> tuple[float, float]:
+        """(strong convexity, Lipschitz) or raise MissingCurvatureMetadataError."""
+        if self.strong_convexity is None or self.lipschitz is None:
+            raise MissingCurvatureMetadataError(
+                "every local objective must declare strong convexity and a Lipschitz gradient"
+            )
+        return self.strong_convexity, self.lipschitz
+
 
 @dataclass(frozen=True)
 class OptimalPoint:
@@ -466,17 +431,6 @@ class OptimalPoint:
     residual: float = 0.0
 
 
-def require_curvature(problem: NetworkProblem) -> tuple[float, float]:
-    """Aggregate (strong convexity, Lipschitz) or raise MissingCurvatureMetadataError."""
-    nus = [o.strong_convexity for o in problem.objectives]
-    lips = [o.gradient_lipschitz for o in problem.objectives]
-    if any(v is None for v in nus) or any(v is None for v in lips):
-        raise MissingCurvatureMetadataError(
-            "every local objective must declare strong convexity and a Lipschitz gradient"
-        )
-    return min(nus), max(lips)
-
-
 def aggregate(problem: NetworkProblem, optimal: OptimalPoint | None = None) -> AggregateInfo:
     nus = [o.strong_convexity for o in problem.objectives]
     lips = [o.gradient_lipschitz for o in problem.objectives]
@@ -487,19 +441,26 @@ def aggregate(problem: NetworkProblem, optimal: OptimalPoint | None = None) -> A
     return AggregateInfo(strong_convexity=nu, lipschitz=lip, condition_number=kappa, subgrad_bound=bound)
 
 
+def require_curvature(problem: NetworkProblem) -> tuple[float, float]:
+    """Aggregate (strong convexity, Lipschitz) or raise MissingCurvatureMetadataError."""
+    return aggregate(problem).curvature()
+
+
 def central_solve(problem: NetworkProblem) -> OptimalPoint:
     """Solve min_x sum_i f_i(x) on R^d and stack the result.
 
-    Pure quadratics use the exact weighted-mean closed form; any mix with
-    l1 terms or custom smooth objectives runs proximal-gradient iterations
-    with step 1/(sum of smooth Lipschitz constants) down to a residual of
-    1e-12. The per-node subgradients recorded in the result share a single
-    l1 sign vector, so their node-sum equals the reported residual.
+    Quadratics without an l1 term use the exact weighted-mean closed form;
+    any mix with l1 terms or custom smooth objectives runs proximal-gradient
+    iterations with step 1/(sum of smooth Lipschitz constants) down to a
+    residual of ORACLE_TOL, or to the rounding floor of the node-sum,
+    ORACLE_ROUNDING |sum_i |g_i||, when that is larger. The per-node
+    subgradients g_i recorded in the result share a single l1 sign vector,
+    so their node-sum equals the reported residual.
     """
     objs = problem.objectives
     d = problem.dimension
 
-    if all(isinstance(o, Quadratic) for o in objs):
+    if all(isinstance(o, Quadratic) and o.tau == 0 for o in objs):
         wsum = sum(o.weight for o in objs)
         if wsum > 0:
             xbar = sum(o.weight * o.target for o in objs) / wsum
@@ -511,27 +472,27 @@ def central_solve(problem: NetworkProblem) -> OptimalPoint:
 
     lip_total = sum(o.smooth_lipschitz for o in objs)
     tau_total = sum(o.l1_weight for o in objs)
-    if lip_total == 0.0:
-        # no smooth curvature at all: the l1 sum is minimized at 0
-        xbar = np.zeros(d)
-        xi = np.zeros(d)
-        subgrad = np.stack([o.smooth_gradient(xbar) + o.l1_weight * xi for o in objs])
-        return _stacked(problem, xbar, subgrad, float(np.linalg.norm(subgrad.sum(axis=0))))
-
-    eta = 1.0 / lip_total
     x = np.zeros(d)
     xi = np.zeros(d)
+    if lip_total == 0.0:
+        # no smooth curvature at all: the l1 sum is minimized at 0
+        subgrad = np.stack([o.smooth_gradient(x) + o.l1_weight * xi for o in objs])
+        return _stacked(problem, x, subgrad, float(np.linalg.norm(subgrad.sum(axis=0))))
+
+    eta = 1.0 / lip_total
     residual = np.inf
+    gs = sum(o.smooth_gradient(x) for o in objs)
     for _ in range(ORACLE_MAX_ITERS):
-        gs = sum(o.smooth_gradient(x) for o in objs)
         u = x - eta * gs
-        x_new = soft_threshold(u, eta * tau_total) if tau_total > 0 else u
+        x = soft_threshold(u, eta * tau_total) if tau_total > 0 else u
         if tau_total > 0:
-            xi = (u - x_new) / (eta * tau_total)
-        gs_new = sum(o.smooth_gradient(x_new) for o in objs)
-        residual = float(np.linalg.norm(gs_new + tau_total * xi))
-        x = x_new
-        if residual <= ORACLE_TOL:
+            xi = (u - x) / (eta * tau_total)
+        grads = [o.smooth_gradient(x) for o in objs]
+        gs = sum(grads)
+        residual = float(np.linalg.norm(gs + tau_total * xi))
+        if residual <= ORACLE_TOL or residual <= ORACLE_ROUNDING * float(
+            np.linalg.norm(sum(np.abs(g) for g in grads) + tau_total * np.abs(xi))
+        ) < np.inf:  # an overflowed iterate has an infinite floor and must not stop
             break
     else:
         raise OracleNoConvergenceError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")

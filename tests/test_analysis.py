@@ -13,6 +13,7 @@ from admmnet.errors import (
     DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
+    MissingCurvatureMetadataError,
     NotLaplacianError,
 )
 from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
@@ -117,6 +118,20 @@ def test_contraction_gain_validation(k3_spectral):
         analysis.contraction_gain(1.0, 1.0, 1.0, 1.0, k3_spectral)
     with pytest.raises(InvalidCError):
         analysis.contraction_gain(1.0, 1.0, -1.0, 0.5, k3_spectral)
+
+
+@pytest.mark.parametrize(
+    "nu,lip",
+    [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf), (0.0, 1.0), (2.0, 1.0)],
+)
+def test_curvature_validation_refuses_nan_and_inf(k3_spectral, nu, lip):
+    # nan passes every comparison that guards with `<=`/`<` negated
+    for call in (
+        lambda: analysis.contraction_gain(nu, lip, 1.0, 0.5, k3_spectral),
+        lambda: analysis.optimize_rate(nu, lip, k3_spectral),
+    ):
+        with pytest.raises(MissingCurvatureMetadataError, match="need 0 < nu <= L"):
+            call()
 
 
 def test_min_terms_equal_at_balance_star(k3_spectral):

@@ -7,7 +7,7 @@ import pytest
 
 from admmnet import analysis, cli, reporting
 from admmnet.config import build_problem, parse_experiment_config
-from admmnet.errors import ConfigParseError
+from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
 from admmnet.graph import generate_graph, write_graph_file
 from admmnet.spectral import compute_spectral_data
 
@@ -401,3 +401,64 @@ def test_eigen_calls_per_command(tmp_path, monkeypatch):
     calls.update(eigh=0, eigvalsh=0)
     assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
     assert calls == {"eigh": 0, "eigvalsh": 2}
+
+
+@pytest.mark.parametrize("flag,value", [("--nu", "nan"), ("--L", "inf")])
+def test_certify_rejects_non_finite_curvature(capsys, flag, value):
+    assert cli.main(["certify", "--n", "4", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 0 < nu <= L")
+
+
+def test_auto_penalty_needs_curvature(tmp_path, capsys):
+    # l1 terms are nonsmooth: no Lipschitz gradient, so no certificate-optimal c
+    cfg = write_config(tmp_path, EXPLICIT_CONFIG.replace("c = 1.0", "c = auto"))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "every local objective must declare strong convexity" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old,new,named",
+    [
+        ("engine = node", "engien = edge", "unknown key(s) in [admm]: engien"),
+        ("[admm]", "[chekcs]\npsd = false\n\n[admm]", "unknown section [chekcs]"),
+    ],
+    ids=["key", "section"],
+)
+def test_config_rejects_unknown_keys(tmp_path, capsys, old, new, named):
+    cfg = write_config(tmp_path, K3_CONFIG.replace(old, new))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("c", ["auto", "1.0"])
+def test_one_rate_certificate_per_command(tmp_path, monkeypatch, c):
+    # the penalty and the certified rate at it come from one optimize_rate call
+    calls = []
+    optimize_rate = analysis.optimize_rate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("c"))
+        return optimize_rate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "optimize_rate", counting)
+    cfg = write_config(tmp_path, K3_CONFIG.replace("c = 1.0", f"c = {c}").replace("T = 200", "T = 30"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
+    assert calls == [None if c == "auto" else 1.0]
+    calls.clear()
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert calls == [None if c == "auto" else 1.0]
+
+
+def test_explicit_penalty_is_certified_before_the_rounds(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise OptimizationBracketFailureError("closed-form penalty outside the search bracket")
+
+    monkeypatch.setattr(analysis, "optimize_rate", failing)
+    cfg = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--check-all"]) == 2
+    assert "outside the search bracket" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trace.csv").exists()

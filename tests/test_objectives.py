@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admmnet import objectives
 from admmnet.errors import (
     DimensionMismatchError,
     InnerSolverNoConvergenceError,
     MissingCurvatureMetadataError,
+    OracleNoConvergenceError,
     ProxFailureError,
 )
 from admmnet.graph import generate_graph, laplacian
@@ -283,7 +285,7 @@ def test_bound_prox_matches_objective_prox_bitwise(kinds, d, full_width):
         assert np.array_equal(V, V_before)
         want = np.array([f.prox(V[i], float(rho[i, 0])) for i, f in enumerate(prob.objectives)])
         assert np.array_equal(out, want)
-        assert np.array_equal(prob.prox(V, rho), want)
+        assert np.array_equal(prob.bind_prox(rho)(V, np.empty_like(V)), want)
 
 
 def test_bound_prox_writes_only_out():
@@ -322,3 +324,69 @@ def test_bound_prox_failure_names_custom_node(mixed):
             kernel(np.full((5, 1), 2.0), np.empty((5, 1)))
     assert info.value.node == k
     assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
+
+
+def test_zero_tau_is_the_plain_quadratic_bitwise():
+    # one class: tau = 0 must reproduce the plain quadratic's formulas exactly
+    assert L1Quadratic is Quadratic
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        a, w, rho = rng.normal(scale=5.0, size=3), float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.05, 30.0))
+        x, v = rng.normal(scale=5.0, size=3), rng.normal(scale=5.0, size=3)
+        diff = x - a
+        for f in (Quadratic(target=a, weight=w), L1Quadratic(target=a, weight=w, tau=0.0)):
+            assert f.kind == "quadratic" and f.gradient_lipschitz == w
+            assert f.value(x) == 0.5 * w * float(diff @ diff)
+            assert np.array_equal(f.gradient(x), w * diff)
+            assert np.array_equal(f.prox(v, rho), (w * a + rho * v) / (w + rho))
+    assert l1quad(0.0, tau=0.5).kind == "l1_quadratic"
+
+
+def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
+    g = generate_graph("path", 3)
+    plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.0), quad(3.0)))
+    ((idx, rows),) = plain._kinds
+    assert idx == slice(None) and rows.tau is None
+    mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
+    ((idx, rows),) = mixed._kinds
+    assert idx == slice(None) and rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
+    # every tau is 0: the exact weighted mean, not the iteration
+    assert central_solve(plain).x_star[0, 0] == 2.0
+
+
+def test_oracle_stops_at_the_rounding_floor(monkeypatch):
+    # targets of size 1e3 put the rounding floor of the residual's node-sum
+    # above ORACLE_TOL; the oracle used to iterate there until it gave up
+    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+    rng = np.random.default_rng(0)
+    n, tau = 80, 0.5
+    targets, weights = rng.normal(0.0, 1e3, size=(n, 3)), rng.uniform(0.5, 2.0, size=n)
+    g = generate_graph("circulant", n, d=2)
+    objs = tuple(L1Quadratic(target=a, weight=w, tau=tau) for a, w in zip(targets, weights))
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    # isotropic smooth parts: the optimum soft-thresholds the weighted mean
+    want = soft_threshold(weights @ targets / weights.sum(), n * tau / weights.sum())
+    assert np.allclose(opt.x_star, want, rtol=1e-12, atol=0.0)
+    assert objectives.ORACLE_TOL < opt.residual <= 1e-10
+
+
+def _curvature_misdeclared(a, factor):
+    """(factor/2)(x - a)^2 declared with Lipschitz constant 1."""
+    return CustomSmooth(
+        value_fn=lambda x: 0.5 * factor * float((x - a) @ (x - a)),
+        grad_fn=lambda x: factor * (x - a),
+        dim=1,
+        nu=1.0,
+        lipschitz=1.0,
+    )
+
+
+@pytest.mark.parametrize("factor", [2.0, 3.0], ids=["oscillates", "overflows"])
+def test_oracle_still_raises_without_convergence(monkeypatch, factor):
+    # step 1/(sum of declared L) is 1/factor of the true one: factor 2
+    # bounces between two points, factor 3 overflows to inf and then nan
+    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+    g = generate_graph("path", 2)
+    objs = (_curvature_misdeclared(np.array([1.0]), factor), _curvature_misdeclared(np.array([3.0]), factor))
+    with np.errstate(all="ignore"), pytest.raises(OracleNoConvergenceError):
+        central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
