@@ -470,7 +470,11 @@ class LaplacianBounds:
     complexity_lhs: float  # lam_max (2 + lam_min) / lam_min^2
     complexity_coeff: float  # 16 d_max^4 / (d_min a(G)^2)
     iteration_coefficient: float | None  # sqrt(kappa * complexity_coeff) when curvature known
-    ok: bool
+    violated: tuple[str, ...]  # names of the relations above that fail, in field order
+
+    @property
+    def ok(self) -> bool:
+        return not self.violated
 
 
 def laplacian_network_bounds(
@@ -497,14 +501,14 @@ def laplacian_network_bounds(
     coeff = 16.0 * dmax**4 / (dmin * a * a)
 
     tol = 1e-9
-    ok = (
-        lam_min >= low * (1.0 - tol) - 1e-12
-        and lam_min <= high * (1.0 + tol) + 1e-12
-        and lam_max <= metric_bound * (1.0 + tol) + 1e-12
-        and lam_max <= relaxed_metric * (1.0 + tol) + 1e-12
-        and 1.0 / lam_min <= relaxed_inv * (1.0 + tol) + 1e-12
-        and lhs <= coeff * (1.0 + tol) + 1e-12
-    )
+    holds = {
+        "sandwich_low": low * (1.0 - tol) - 1e-12 <= lam_min,
+        "sandwich_high": lam_min <= high * (1.0 + tol) + 1e-12,
+        "metric_eig_bound": lam_max <= metric_bound * (1.0 + tol) + 1e-12,
+        "relaxed_metric_eig": lam_max <= relaxed_metric * (1.0 + tol) + 1e-12,
+        "relaxed_inv_gram_eig": 1.0 / lam_min <= relaxed_inv * (1.0 + tol) + 1e-12,
+        "complexity": lhs <= coeff * (1.0 + tol) + 1e-12,
+    }
     iteration_coeff = None
     if nu is not None and lipschitz is not None and nu > 0:
         iteration_coeff = math.sqrt((lipschitz / nu) * coeff)
@@ -522,5 +526,5 @@ def laplacian_network_bounds(
         complexity_lhs=lhs,
         complexity_coeff=coeff,
         iteration_coefficient=iteration_coeff,
-        ok=bool(ok),
+        violated=tuple(name for name, held in holds.items() if not held),
     )

@@ -228,6 +228,8 @@ def cmd_certify(args) -> int:
     print(f"rate_star={fmt(cert.best_rate)}")
     print(f"certified_iterations_to_{eps:g}={iters}")
     print(f"degree_connectivity_coefficient={fmt(net.iteration_coefficient)}")
+    # the coefficient rests on complexity_lhs <= complexity_coeff, which fails on sparse graphs
+    print(f"network_bounds={'ok' if net.ok else 'violated(' + ','.join(net.violated) + ')'}")
     return 0
 
 

@@ -20,8 +20,10 @@ Example::
 Explicit objectives replace the preset line with ``kind`` plus per-node
 values: ``a`` (one entry per node, rows separated by ';' when the
 dimension exceeds 1), ``w`` (scalar or per-node) and ``tau`` for the
-l1-regularized kind. ``c = auto`` selects the certificate-optimal penalty,
-which requires curvature metadata on every node.
+l1-regularized kind. ``kind``, ``a``, ``w`` or ``tau`` next to a preset, and
+``tau > 0`` under ``kind = quadratic``, are errors, not ignored.
+``c = auto`` selects the certificate-optimal penalty, which requires
+curvature metadata on every node.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class ObjectiveSpec:
     weights: tuple | None = None
     tau: float = 0.0
     dimension: int = 1
+
+    def __post_init__(self):
+        if self.tau > 0.0 and (self.preset is not None or self.kind != "l1_quadratic"):
+            raise ConfigParseError(f"tau = {self.tau} needs kind = l1_quadratic, the only kind with an l1 term")
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,11 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     targets = weights = None
     tau = float(osec.get("tau", 0.0))
     kind = osec.get("kind", "quadratic")
+    if preset is not None or "a" not in osec:
+        stray = [key for key in ("kind", "a", "w", "tau") if key in osec]
+        if stray:
+            given = "" if preset else " (the default without a)"
+            raise ConfigParseError(f"[objective] {', '.join(stray)} cannot go with preset = {preset or 'estimation'}{given}")
     if preset is None and "a" in osec:
         rows = [r for r in osec["a"].split(";") if r.strip()]
         targets = tuple(tuple(_floats(r)) for r in rows)
@@ -215,7 +226,6 @@ def build_problem(cfg: ExperimentConfig, graph: Graph | None = None) -> NetworkP
                 )
             if spec.kind not in ("quadratic", "l1_quadratic"):
                 raise ConfigParseError(f"unknown objective kind {spec.kind!r}")
-            tau = spec.tau if spec.kind == "l1_quadratic" else 0.0
-            objectives.append(Quadratic(target=target, weight=w, tau=tau))
+            objectives.append(Quadratic(target=target, weight=w, tau=spec.tau))
         objectives = tuple(objectives)
     return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objectives))

@@ -331,7 +331,15 @@ def test_laplacian_bounds_k3(k3):
     assert rep.relaxed_metric_eig == pytest.approx(16.0)
     assert rep.complexity_lhs == pytest.approx(10.0 / 3.0)
     assert rep.complexity_coeff == pytest.approx(128.0 / 9.0)
-    assert rep.ok
+    assert rep.ok and rep.violated == ()
+
+
+@pytest.mark.parametrize("kind,n,d", [("circulant", 200, 20), ("cycle", 300, None), ("path", 50, None)])
+def test_laplacian_bounds_name_the_failing_relation(kind, n, d):
+    # lam_max (2 + lam_min)/lam_min^2 grows like 1/a(G)^4, 16 d_max^4/(d_min a(G)^2) like 1/a(G)^2
+    rep = analysis.laplacian_network_bounds(generate_graph(kind, n, d=d))
+    assert rep.violated == ("complexity",) and not rep.ok
+    assert rep.complexity_lhs > rep.complexity_coeff
 
 
 def test_laplacian_bounds_p3(p3):

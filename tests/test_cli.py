@@ -1,12 +1,13 @@
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from admmnet import analysis, cli, reporting
-from admmnet.config import build_problem, parse_experiment_config
+from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
 from admmnet.graph import generate_graph, write_graph_file
 from admmnet.spectral import compute_spectral_data
@@ -364,6 +365,54 @@ def test_invalid_config_values_exit_2(tmp_path, capsys, key, old, new):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "objective,key",
+    [
+        ("kind = quadratic\na = 1, 2, 3, 4, 5\ntau = 0.5", "tau"),
+        ("preset = estimation\ntau = 0.5", "tau"),
+        ("preset = estimation\ntau = 0", "tau"),
+        ("preset = estimation\na = 1, 2, 3, 4, 5", "a"),
+        ("preset = estimation\nw = 2", "w"),
+        ("preset = estimation\nkind = l1_quadratic", "kind"),
+        ("w = 2\ntau = 0.5", "w, tau"),
+    ],
+    ids=["quadratic-tau", "preset-tau", "preset-tau0", "preset-a", "preset-w", "preset-kind", "no-a-w-tau"],
+)
+def test_objective_keys_that_would_be_ignored_exit_2(tmp_path, capsys, objective, key):
+    # each of these used to run without the key's effect and exit 0
+    text = f"[graph]\nkind = cycle\nn = 5\n\n[objective]\n{objective}\n\n[admm]\nc = 1.0\nT = 20\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: (\[objective\] )?{key} ", err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_quadratic_kind_accepts_zero_tau(tmp_path):
+    text = "[graph]\nkind = cycle\nn = 5\n\n[objective]\nkind = quadratic\na = 1, 2, 3, 4, 5\ntau = 0\n\n[admm]\nc = 1.0\nT = 20\n"
+    cfg = parse_experiment_config(write_config(tmp_path, text))
+    assert build_problem(cfg).objectives[0].kind == "quadratic"
+    with pytest.raises(ConfigParseError, match="tau"):
+        ObjectiveSpec(preset=None, kind="quadratic", targets=((1.0,),), tau=0.5)
+
+
+@pytest.mark.parametrize(
+    "graph,verdict",
+    [
+        ("kind = circulant\nn = 200\nd = 20", "network_bounds=violated(complexity)"),
+        ("kind = complete\nn = 40", "network_bounds=ok"),
+    ],
+)
+def test_certify_states_network_bounds(tmp_path, capsys, graph, verdict):
+    # complexity_lhs grows like 1/a(G)^4 and complexity_coeff like 1/a(G)^2,
+    # so on sparse graphs the coefficient printed above the line is unchecked
+    cfg = write_config(tmp_path, f"[graph]\n{graph}\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("degree_connectivity_coefficient=")
+    assert lines[-1] == verdict
+
+
 def test_certify_computes_spectral_data_once(monkeypatch, capsys):
     calls = []
 
@@ -378,9 +427,8 @@ def test_certify_computes_spectral_data_once(monkeypatch, capsys):
     assert "rate_star=" in capsys.readouterr().out
 
 
-def test_eigen_calls_per_command(tmp_path, monkeypatch):
-    # W, the metric block and (run only, for the report's a(G)) the
-    # Laplacian each get one eigenvalue-only decomposition; no eigenvectors
+def eigen_calls_per_command(tmp_path, monkeypatch, graph: str) -> list:
+    """[(eigh, eigvalsh) calls of run --check-all, the same of check] on K3_CONFIG with ``graph``."""
     calls = {"eigh": 0, "eigvalsh": 0}
 
     def counting(name):
@@ -394,13 +442,26 @@ def test_eigen_calls_per_command(tmp_path, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 20"))
+    cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 20").replace("kind = complete\nn = 3", graph))
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
-    assert calls == {"eigh": 0, "eigvalsh": 3}
-    calls.update(eigh=0, eigvalsh=0)
-    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
-    assert calls == {"eigh": 0, "eigvalsh": 2}
+    counts = []
+    for argv in (["run", "--out", str(out), "--check-all"], ["check", "--trace", str(out / "trace.csv")]):
+        calls.update(eigh=0, eigvalsh=0)
+        assert cli.main([*argv, "--config", str(cfg)]) == 0
+        counts.append((calls["eigh"], calls["eigvalsh"]))
+    return counts
+
+
+def test_eigen_calls_per_command(tmp_path, monkeypatch):
+    # W, the metric block and (run only, for the report's a(G)) the Laplacian
+    # are circulant on K3: cosine sums, no eigensolver at all
+    assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = complete\nn = 3") == [(0, 0), (0, 0)]
+
+
+def test_eigen_calls_per_command_path(tmp_path, monkeypatch):
+    # off the circulant family each of those matrices gets one eigenvalue-only
+    # decomposition, no eigenvectors
+    assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 3), (0, 2)]
 
 
 @pytest.mark.parametrize("flag,value", [("--nu", "nan"), ("--L", "inf")])

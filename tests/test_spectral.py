@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,30 @@ K3_EIGS = (0.0, 3.0, 3.0)
 # P3 Gram matrix spectrum worked out by symmetry reduction
 P3_GRAM_EIGS = (0.0, 0.5, 3.5)
 P3_METRIC_MAX = (27.0 + math.sqrt(681.0)) / 12.0
+EPS = np.finfo(float).eps
+
+
+def circulant(r) -> np.ndarray:
+    """circ(r): row i is r shifted right by i."""
+    r = np.asarray(r, dtype=float)
+    n = r.size
+    return r[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    fn = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: calls.append(S.shape) or _fn(S))
+    return calls
+
+
+def laplacian_closed_form(kind: str, n: int, d: int) -> np.ndarray:
+    """Laplacian spectrum: d - 2 sum_{s <= d/2} cos(2 pi k s / n) on circulants and cycles, (0, n, ..., n) on K_n."""
+    if kind == "complete":
+        return np.array([0.0] + [float(n)] * (n - 1))
+    k = np.arange(n)[:, None]
+    s = np.arange(1, d // 2 + 1)[None, :]
+    return np.sort(d - 2.0 * np.cos(2.0 * np.pi * k * s / n).sum(axis=1))
 
 
 def test_sym_eig_identity():
@@ -42,6 +67,8 @@ def test_sym_eig_k3(k3):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(NotSymmetricError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotSymmetricError):  # circulant, so the symmetry check must come first
+        sym_eig(circulant([0.0, 1.0, 0.0, 0.0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -93,15 +120,65 @@ def test_spectral_data_p3(p3, p3_spectral):
     assert np.isclose(sd.max_eig_metric, P3_METRIC_MAX, atol=1e-10)
 
 
-@pytest.mark.parametrize("n,d", [(6, 2), (7, 4), (9, 4)])
-def test_regular_graph_closed_forms(n, d):
-    # for d-regular graphs with the Laplacian: smallest nonzero Gram
-    # eigenvalue is a(G)^2/(d+1) and the metric maximum is d(d+1)
-    g = generate_graph("circulant", n, d=d)
+@pytest.mark.parametrize(
+    "kind,n,d",
+    [
+        ("circulant", 6, 2),
+        ("circulant", 7, 4),
+        ("circulant", 9, 4),
+        ("circulant", 200, 20),
+        ("circulant", 800, 20),
+        ("cycle", 300, 2),
+        ("complete", 50, 49),
+    ],
+    ids=["6-2", "7-4", "9-4", "200-20", "800-20", "cycle-300", "complete-50"],
+)
+def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
+    # for d-regular graphs with the Laplacian: W = L^2/(d+1), so the smallest
+    # nonzero Gram eigenvalue is a(G)^2/(d+1) and the metric maximum is d(d+1);
+    # all three matrices are circulant and no eigensolver runs
+    calls = count_eigvalsh(monkeypatch)
+    g = generate_graph(kind, n, d=d if kind == "circulant" else None)
     sd = compute_spectral_data(laplacian(g), g)
+    lap = sym_eig(laplacian(g).P).eigenvalues
     a = sd.algebraic_connectivity
-    assert np.isclose(sd.min_pos_eig_gram, a * a / (d + 1), rtol=1e-10)
-    assert np.isclose(sd.max_eig_metric, d * (d + 1), rtol=1e-10)
+    assert calls == []
+    tol = 8 * n * EPS * sd.eig_gram.max
+    np.testing.assert_allclose(lap, laplacian_closed_form(kind, n, d), rtol=0, atol=8 * n * EPS * lap[-1])
+    np.testing.assert_allclose(sd.eig_gram.eigenvalues, np.sort(lap * lap / (d + 1)), rtol=0, atol=tol)
+    assert sd.min_pos_eig_gram == pytest.approx(a * a / (d + 1), rel=1e-10, abs=tol)
+    assert sd.max_eig_metric == pytest.approx(d * (d + 1), rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 64), st.integers(0, 10_000), st.booleans())
+def test_circulant_spectrum_matches_eigvalsh(n, seed, sparse):
+    rng = np.random.default_rng(seed)
+    half = rng.normal(size=n // 2 + 1)  # r_j = r_(n-j): half[min(j, n - j)]
+    if sparse:
+        half[rng.random(half.size) < 0.8] = 0.0
+    S = circulant(half[np.minimum(np.arange(n), n - np.arange(n))])
+    want = np.linalg.eigvalsh(S)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solver:
+        lam = sym_eig(S).eigenvalues
+    assert solver.call_count == 0
+    np.testing.assert_allclose(lam, want, rtol=0, atol=8 * n * EPS * max(float(np.max(np.abs(want))), 1e-300))
+
+
+@pytest.mark.parametrize("factor,circulant_path", [(1e3, False), (0.1, True)])
+def test_circulant_tolerance_and_fallback(monkeypatch, factor, circulant_path):
+    # one symmetric pair off the first two rows, moved by factor * n eps |S|_F:
+    # well beyond the tolerance it goes to eigvalsh, within it keeps the cosine sums
+    S = laplacian(generate_graph("circulant", 40, d=6)).P.copy()
+    n = S.shape[0]
+    delta = factor * n * EPS * float(np.linalg.norm(S))
+    S[5, 9] += delta
+    S[9, 5] += delta
+    want = np.linalg.eigvalsh(S)
+    calls = count_eigvalsh(monkeypatch)
+    lam = sym_eig(S).eigenvalues
+    assert calls == ([] if circulant_path else [(n, n)])
+    np.testing.assert_allclose(lam, want, rtol=0, atol=8 * n * EPS * float(want[-1]))
 
 
 def test_one_eigendecomposition(monkeypatch):
@@ -150,11 +227,16 @@ def test_psd_certificates_p3(p3_spectral):
     assert report.ok
 
 
-def test_psd_certificates_detect_violation(k3_spectral):
-    bad_block = np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    doctored = replace(k3_spectral, metric_block=bad_block, eig_metric=sym_eig(bad_block))
-    with pytest.raises(CertificateFailedError):
-        psd_certificates(doctored)
+def test_psd_certificates_detect_violation(monkeypatch, k3_spectral):
+    # the second block, circ(1, -2, -2) with eigenvalues -3, 3, 3, is read by the cosine sums
+    calls = count_eigvalsh(monkeypatch)
+    blocks = (np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), circulant([1.0, -2.0, -2.0]))
+    for bad_block in blocks:
+        doctored = replace(k3_spectral, metric_block=bad_block, eig_metric=sym_eig(bad_block))
+        with pytest.raises(CertificateFailedError, match="metric_block"):
+            psd_certificates(doctored)
+    assert calls == [(3, 3)]
+    np.testing.assert_allclose(doctored.eig_metric.eigenvalues, [-3.0, 3.0, 3.0], rtol=0, atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
