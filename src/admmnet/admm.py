@@ -274,6 +274,12 @@ def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) ->
     x(t+1) = -(1/c) M^-1 h(x(t+1)) + (I - M^-1 W) x(t) - M^-1 W sum_{s<=t} x(s)
     with M = diag(col_norms_sq) and W the weighted Gram matrix. The
     returned vector holds the residual of that identity for t = 0..T-1.
+
+    What it can see: h is recovered from x(t+1) by ``implicit_subgradients``,
+    so x(t+1) cancels and the residual is
+    M^-1 P' (p(t) + c y(t)) / c - M^-1 W (x(t) + sum_{s<=t} x(s)).
+    It checks the y and p recursions against the running sums of x, not
+    the x-update: a wrong prox leaves it at rounding level.
     """
     # evaluated in place, in the order of
     # pred = -(1/c) M^-1 h + x(t) - M^-1 W (x(t) + sum_{s<=t} x(s))

@@ -35,11 +35,10 @@ from .errors import (
     InvalidBetaError,
     InvalidCError,
     MissingCurvatureMetadataError,
-    NotLaplacianError,
     OptimizationBracketFailureError,
 )
 from .admm import AdmmTrace
-from .graph import CommunicationMatrix, Graph, laplacian
+from .graph import Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data, stack_apply
 
@@ -477,17 +476,8 @@ class LaplacianBounds:
         return not self.violated
 
 
-def laplacian_network_bounds(
-    g: Graph,
-    comm: CommunicationMatrix | None = None,
-    nu: float | None = None,
-    lipschitz: float | None = None,
-) -> LaplacianBounds:
-    if comm is None:
-        comm = laplacian(g)
-    if comm.source != "laplacian":
-        raise NotLaplacianError("degree/connectivity bounds hold for the graph Laplacian only")
-    sd = compute_spectral_data(comm, g)
+def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float | None = None) -> LaplacianBounds:
+    sd = compute_spectral_data(laplacian(g), g)
     a = sd.algebraic_connectivity
     dmax, dmin = g.d_max, g.d_min
     lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric

@@ -202,8 +202,8 @@ def build_graph_from_spec(spec: GraphSpec) -> Graph:
     return generate_graph(spec.kind, spec.n, d=spec.d, p=spec.p, seed=spec.seed)
 
 
-def build_problem(cfg: ExperimentConfig, graph: Graph | None = None) -> NetworkProblem:
-    g = graph if graph is not None else build_graph_from_spec(cfg.graph)
+def build_problem(cfg: ExperimentConfig) -> NetworkProblem:
+    g = build_graph_from_spec(cfg.graph)
     spec = cfg.objective
     if spec.preset == "estimation":
         objectives = estimation_objectives(g.n, spec.dimension)

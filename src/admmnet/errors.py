@@ -159,10 +159,6 @@ class OptimizationBracketFailureError(AnalysisError):
     pass
 
 
-class NotLaplacianError(AnalysisError):
-    pass
-
-
 class ContractionViolatedError(AnalysisError):
     def __init__(self, t: int, ratio: float, bound: float):
         super().__init__(f"contraction violated at t={t}: ratio {ratio:.12g} > bound {bound:.12g}")

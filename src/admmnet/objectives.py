@@ -11,10 +11,11 @@ optimum used as ground truth by every certificate check.
 :class:`L1Quadratic` is the same class as ``Quadratic``; its ``kind`` reads
 ``"l1_quadratic"`` when tau > 0 and ``"quadratic"`` otherwise.
 
-A problem evaluates its objectives on whole (n, d) iterates: values and
-proximal maps of every node come from the per-class stacked parameters of
-:meth:`LocalObjective.stacked`, in closed form for ``Quadratic``;
-``CustomSmooth`` nodes are visited one at a time.
+A problem evaluates its objectives on whole (n, d) iterates: values,
+proximal maps and the oracle's smooth gradients of every node come from
+the per-class stacked parameters of :meth:`LocalObjective.stacked`, in
+closed form for ``Quadratic``; ``CustomSmooth`` nodes are visited one at
+a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .graph import CommunicationMatrix, Graph, laplacian
 
 PROX_RTOL = 1e-10  # optimality residual <= PROX_RTOL * rho * (1 + |v|)
 ORACLE_TOL = 1e-12
-ORACLE_ROUNDING = 4.0 * np.finfo(float).eps  # residual floor per unit of |sum_i |grad f_i||
+ORACLE_ROUNDING = 4.0 * np.finfo(float).eps  # residual floor per unit of |sum_i |grad f_i| + L |x||
 ORACLE_MAX_ITERS = 500_000
 
 
@@ -100,6 +101,11 @@ class _EachRow:
         vals = [[f.value(x) for f, x in zip(self.objectives, row)] for row in rows]
         return np.array(vals).reshape(X.shape[:-1])
 
+    def smooth_gradients(self, X: np.ndarray) -> np.ndarray:
+        """Row gradients of the smooth parts at the (k, d) rows X."""
+        # reshaped so that a d = 1 grad_fn returning a scalar still fills the rows
+        return np.array([f.smooth_gradient(x) for f, x in zip(self.objectives, X)], dtype=float).reshape(X.shape)
+
     def bind(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Per-node prox at the fixed row weights ``rho`` (first column read)."""
         rhos = [float(r) for r in rho[:, 0]]
@@ -135,6 +141,10 @@ class _QuadraticRows:
             np.abs(X, out=diff)
             vals += self.tau[:, 0] * diff.sum(axis=-1)
         return vals
+
+    def smooth_gradients(self, X: np.ndarray) -> np.ndarray:
+        """Row gradients w (x - a) of the quadratic parts at the (k, d) rows X."""
+        return self.weight * (X - self.target)
 
     def bind(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """Closed-form prox at the fixed row weights ``rho``, (k, 1) or (k, d).
@@ -363,6 +373,13 @@ class NetworkProblem:
         total = sum(rows.values(X[..., idx, :]).sum(axis=-1) for idx, rows in self._kinds)
         return float(total) if X.ndim == 2 else total
 
+    def smooth_gradients(self, X: np.ndarray) -> np.ndarray:
+        """(n, d) gradients of the smooth parts of the local objectives at the rows of X."""
+        G = np.empty((self.n, self.dimension))
+        for idx, rows in self._kinds:
+            G[idx] = rows.smooth_gradients(X[idx])
+        return G
+
     def bind_prox(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The prox at fixed weights, as a kernel ``(V, out) -> out`` built once per run.
 
@@ -449,55 +466,45 @@ def require_curvature(problem: NetworkProblem) -> tuple[float, float]:
 def central_solve(problem: NetworkProblem) -> OptimalPoint:
     """Solve min_x sum_i f_i(x) on R^d and stack the result.
 
-    Quadratics without an l1 term use the exact weighted-mean closed form;
-    any mix with l1 terms or custom smooth objectives runs proximal-gradient
-    iterations with step 1/(sum of smooth Lipschitz constants) down to a
-    residual of ORACLE_TOL, or to the rounding floor of the node-sum,
-    ORACLE_ROUNDING |sum_i |g_i||, when that is larger. The per-node
-    subgradients g_i recorded in the result share a single l1 sign vector,
-    so their node-sum equals the reported residual.
+    Proximal-gradient iterations on sum_i f_i, with step 1/(sum of smooth
+    Lipschitz constants) and the l1 weights summed into one soft threshold,
+    run from x = 0 down to a residual of ORACLE_TOL, or to the rounding floor
+    ORACLE_ROUNDING |sum_i |g_i| + L |x||, when that is larger: the node-sum
+    rounds at the size of its terms, and x itself at ulp(x), which moves the
+    sum of gradients by up to L ulp(x), L the summed Lipschitz constant. The
+    node gradients of each step come from the stacked rows of
+    :meth:`NetworkProblem.smooth_gradients`. For ``Quadratic`` nodes the
+    smooth part is isotropic with curvature exactly sum_i w_i, so the first
+    step lands on soft(sum_i w_i a_i / sum_i w_i, sum_i tau_i / sum_i w_i).
+    The per-node subgradients g_i recorded in the result share a single l1
+    sign vector, so their node-sum equals the reported residual.
     """
     objs = problem.objectives
-    d = problem.dimension
-
-    if all(isinstance(o, Quadratic) and o.tau == 0 for o in objs):
-        wsum = sum(o.weight for o in objs)
-        if wsum > 0:
-            xbar = sum(o.weight * o.target for o in objs) / wsum
-        else:
-            xbar = np.zeros(d)
-        subgrad = np.stack([o.weight * (xbar - o.target) for o in objs])
-        residual = float(np.linalg.norm(subgrad.sum(axis=0)))
-        return _stacked(problem, xbar, subgrad, residual)
-
     lip_total = sum(o.smooth_lipschitz for o in objs)
     tau_total = sum(o.l1_weight for o in objs)
-    x = np.zeros(d)
-    xi = np.zeros(d)
-    if lip_total == 0.0:
-        # no smooth curvature at all: the l1 sum is minimized at 0
-        subgrad = np.stack([o.smooth_gradient(x) + o.l1_weight * xi for o in objs])
-        return _stacked(problem, x, subgrad, float(np.linalg.norm(subgrad.sum(axis=0))))
+    x = np.zeros(problem.dimension)
+    xi = np.zeros_like(x)  # shared sign vector of the l1 terms
+    G = problem.smooth_gradients(np.zeros((problem.n, x.size)))
+    gs = G.sum(axis=0)
+    residual = float(np.linalg.norm(gs))
+    if lip_total > 0.0:  # else no smooth curvature at all: the l1 sum is minimized at 0
+        eta = 1.0 / lip_total
+        for _ in range(ORACLE_MAX_ITERS):
+            u = x - eta * gs
+            x = soft_threshold(u, eta * tau_total) if tau_total > 0 else u
+            if tau_total > 0:
+                xi = (u - x) / (eta * tau_total)
+            G = problem.smooth_gradients(np.broadcast_to(x, G.shape))
+            gs = G.sum(axis=0)
+            residual = float(np.linalg.norm(gs + tau_total * xi))
+            if residual <= ORACLE_TOL or residual <= ORACLE_ROUNDING * float(
+                np.linalg.norm(np.abs(G).sum(axis=0) + tau_total * np.abs(xi) + lip_total * np.abs(x))
+            ) < np.inf:  # an overflowed iterate has an infinite floor and must not stop
+                break
+        else:
+            raise OracleNoConvergenceError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")
 
-    eta = 1.0 / lip_total
-    residual = np.inf
-    gs = sum(o.smooth_gradient(x) for o in objs)
-    for _ in range(ORACLE_MAX_ITERS):
-        u = x - eta * gs
-        x = soft_threshold(u, eta * tau_total) if tau_total > 0 else u
-        if tau_total > 0:
-            xi = (u - x) / (eta * tau_total)
-        grads = [o.smooth_gradient(x) for o in objs]
-        gs = sum(grads)
-        residual = float(np.linalg.norm(gs + tau_total * xi))
-        if residual <= ORACLE_TOL or residual <= ORACLE_ROUNDING * float(
-            np.linalg.norm(sum(np.abs(g) for g in grads) + tau_total * np.abs(xi))
-        ) < np.inf:  # an overflowed iterate has an infinite floor and must not stop
-            break
-    else:
-        raise OracleNoConvergenceError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")
-
-    subgrad = np.stack([o.smooth_gradient(x) + o.l1_weight * xi for o in objs])
+    subgrad = G + _column([o.l1_weight for o in objs]) * xi
     return _stacked(problem, x, subgrad, residual)
 
 

@@ -14,7 +14,6 @@ from admmnet.errors import (
     InvalidBetaError,
     InvalidCError,
     MissingCurvatureMetadataError,
-    NotLaplacianError,
 )
 from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import (
@@ -348,12 +347,6 @@ def test_laplacian_bounds_p3(p3):
     assert rep.sandwich_high == pytest.approx(0.5)
     assert rep.min_pos_eig_gram == pytest.approx(0.5, abs=1e-12)
     assert rep.ok
-
-
-def test_laplacian_bounds_rejects_custom(k3):
-    comm = custom_comm_matrix(2.0 * np.array(laplacian(k3).P), k3)
-    with pytest.raises(NotLaplacianError):
-        analysis.laplacian_network_bounds(k3, comm=comm)
 
 
 def test_laplacian_bounds_random_graphs():

@@ -1,8 +1,12 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from admmnet import objectives
+from admmnet.config import build_problem, parse_experiment_config
 from admmnet.errors import (
     DimensionMismatchError,
     InnerSolverNoConvergenceError,
@@ -192,8 +196,7 @@ def test_central_solve_l1_hand_case(p3):
 
 
 def test_central_solve_iterative_matches_closed_form(k3):
-    # an l1 objective with tau=0 forces the proximal-gradient path, which
-    # must land on the pure-quadratic weighted mean
+    # the proximal-gradient iteration must land on the pure-quadratic weighted mean
     objs = (quad(1.0, 2.0), quad(5.0, 1.0), l1quad(-2.0, w=3.0, tau=0.0))
     prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
     opt = central_solve(prob)
@@ -350,7 +353,7 @@ def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
     ((idx, rows),) = mixed._kinds
     assert idx == slice(None) and rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
-    # every tau is 0: the exact weighted mean, not the iteration
+    # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
     assert central_solve(plain).x_star[0, 0] == 2.0
 
 
@@ -390,3 +393,81 @@ def test_oracle_still_raises_without_convergence(monkeypatch, factor):
     objs = (_curvature_misdeclared(np.array([1.0]), factor), _curvature_misdeclared(np.array([3.0]), factor))
     with np.errstate(all="ignore"), pytest.raises(OracleNoConvergenceError):
         central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_oracle_stops_on_offset_targets(monkeypatch, tau):
+    # targets near 1e4 with a small spread: the residual cannot fall below
+    # sum(w) ulp(x*), which the stop test must count even though every
+    # node gradient w (x - a_i) is small; the oracle used to give up here
+    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+    n = 20
+    targets = 1e4 + 0.1 + 0.37 * np.arange(n)[:, None]
+    g = generate_graph("path", n)
+    objs = tuple(Quadratic(target=a, weight=1.0, tau=tau) for a in targets)
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    want = soft_threshold(targets.mean(axis=0), tau)
+    assert np.allclose(opt.x_star, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert opt.residual <= 1e-10
+
+
+def test_oracle_takes_scalar_gradients_in_one_dimension():
+    # a d = 1 grad_fn may return a scalar; its rows still fill the (n, 1) gradients
+    def scalar_smooth(a):
+        return CustomSmooth(
+            value_fn=lambda x: 0.5 * float((x[0] - a) ** 2),
+            grad_fn=lambda x: float(x[0] - a),
+            dim=1,
+            nu=1.0,
+            lipschitz=1.0,
+        )
+
+    g = generate_graph("path", 3)
+    objs = tuple(scalar_smooth(a) for a in (1.0, 2.0, 6.0))
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    assert np.allclose(opt.x_star, 3.0, rtol=1e-12, atol=0.0)
+    assert opt.subgrad.shape == (3, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.sampled_from([1, 3]), st.sampled_from([0.0, 1e4, -1e6]), st.integers(0, 10_000))
+def test_oracle_on_quadratics_is_the_soft_thresholded_weighted_mean(n, d, offset, seed):
+    # the smooth part of an all-Quadratic problem is isotropic with curvature
+    # sum(w): x* = soft(sum(w a)/sum(w), sum(tau)/sum(w)), l1 terms or not;
+    # targets are a common offset plus noise
+    rng = np.random.default_rng(seed)
+    targets, weights = offset + rng.normal(scale=3.0, size=(n, d)), rng.uniform(0.1, 5.0, size=n)
+    taus = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n))
+    g = generate_graph("path", n)
+    objs = tuple(Quadratic(target=a, weight=w, tau=t) for a, w, t in zip(targets, weights, taus))
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    w_sum, tau_sum = math.fsum(weights), math.fsum(taus)
+    mean = np.array([math.fsum(weights * targets[:, j]) for j in range(d)]) / w_sum
+    eps = np.finfo(float).eps
+    ulp = eps * (weights @ np.abs(targets) + tau_sum) / w_sum  # eps times the summed term sizes, over sum(w)
+    assert np.all(opt.x_star == opt.x_star[0])
+    assert np.all(np.abs(opt.x_star[0] - soft_threshold(mean, tau_sum / w_sum)) <= 4.0 * ulp)
+    # the node-sum of the recorded subgradients is the reported residual
+    size = float(np.abs(opt.subgrad).sum()) + tau_sum
+    assert abs(float(np.linalg.norm(opt.subgrad.sum(axis=0))) - opt.residual) <= 4.0 * eps * size
+
+
+def test_oracle_makes_no_per_node_quadratic_calls(tmp_path, monkeypatch):
+    # the node gradients come from the stacked rows, not from Quadratic.smooth_gradient
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import config_text
+
+    cfg = tmp_path / "edge-l1.ini"
+    cfg.write_text(config_text("edge-l1", 1))
+    problem = build_problem(parse_experiment_config(cfg))
+    calls = []
+    smooth_gradient = Quadratic.smooth_gradient
+
+    def counted(self, x):
+        calls.append(self)
+        return smooth_gradient(self, x)
+
+    monkeypatch.setattr(Quadratic, "smooth_gradient", counted)
+    opt = central_solve(problem)
+    assert calls == []
+    assert opt.residual <= objectives.ORACLE_TOL
