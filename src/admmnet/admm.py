@@ -16,10 +16,13 @@ the run's weights, and only CustomSmooth nodes are solved one at a time.
 
 The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The
-slots are the n + 2|E| rows of (n + 2|E|, d) arrays, in row-major order
-(by i, then j; see ``edge_slots``), so a round costs O(|E| d). With the
-matched initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0)
-the two engines generate identical x sequences.
+slots are the n + 2|E| rows of two (n + 2|E|, d) buffers, in row-major
+order (by i, then j; see ``edge_slots``), updated in place, so a round
+costs O(|E| d) and the run stores no slot history. With the matched
+initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the
+two engines generate identical x sequences, and both return the same
+trace: the edge engine records p_i(t) = lambda_ii(t) each round and
+rebuilds y(t) = D^-1 P x(t) after the loop.
 
 P entries act as scalars on rows, so vector problems never materialize a
 Kronecker product, and P follows the graph's sparsity (see
@@ -79,18 +82,20 @@ class RunConfig:
 class AdmmTrace:
     """Per-iteration snapshots of a run (index 0 is the initial state).
 
-    Running sums and ergodic means are derived from ``xs`` on each access;
-    read them once per use, not once per round.
+    Both engines fill the same fields. Running sums and ergodic means are
+    derived from ``xs`` on each access; read them once per use, not once
+    per round.
     """
 
-    engine: str
     c: float
     xs: np.ndarray  # (T+1, n, d)
     ys: np.ndarray
     ps: np.ndarray
     accounting: RoundAccounting
-    zs: np.ndarray | None = None  # (T+1, n + 2|E|, d), rows as in edge_slots; edge engine only
-    lams: np.ndarray | None = None
+    # always None: no slot history is stored, but the benchmark's tracer
+    # (bench/spans.py, Tracer._observe_trace) still reads these two names
+    zs: None = None
+    lams: None = None
 
     @property
     def T(self) -> int:
@@ -184,10 +189,10 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     xs[0] = x0
 
     prox = problem.bind_prox(ws.rho)
+    ps = np.empty_like(xs)
 
     if config.engine == "node":
         ys = np.empty_like(xs)
-        ps = np.empty_like(xs)
         ys[0], ps[0] = y0, p0
         PT = ws.P.T
         q, v = np.empty((n, d)), np.empty((n, d))
@@ -204,7 +209,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
             ys[t] *= ws.inv_size
             np.multiply(c, ys[t], out=q)
             np.add(ps[t - 1], q, out=ps[t])
-        return AdmmTrace(engine="node", c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
+        return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
     rows, cols = edge_slots(problem.graph)
     S = rows.size
@@ -212,16 +217,16 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     starts = np.searchsorted(rows, np.arange(n))
     by_col = np.lexsort((rows, cols))
     P = np.repeat(ws.P[rows, cols][:, None], d, axis=1)  # P_ij per slot
-    zs = np.empty((T + 1, S, d))
-    lams = np.empty_like(zs)
-    zs[0] = P * x0[cols] - y0[rows]
-    lams[0] = p0[rows]
+    z = P * x0[cols] - y0[rows]
+    lam = p0[rows]
     # flat gathers: np.take of elements beats fancy indexing of rows
-    by_col_flat, cols_flat, rows_flat = (_flat_rows(idx, d) for idx in (by_col, cols, rows))
+    by_col_flat, cols_flat, rows_flat, diag_flat = (
+        _flat_rows(idx, d) for idx in (by_col, cols, rows, np.flatnonzero(rows == cols))
+    )
+    np.take(lam.reshape(-1), diag_flat, out=ps[0].reshape(-1))
     w, w_by_col, Px, u, r = (np.empty((S, d)) for _ in range(5))
     center, mu = np.empty((n, d)), np.empty((n, d))
     for t in range(1, T + 1):
-        z, lam = zs[t - 1], lams[t - 1]
         # stationarity of each x_j subproblem of the full augmented Lagrangian:
         # center sum_{i in N(j)} P_ij (c z_ij - lam_ij) / (c m_j)
         np.multiply(c, z, out=w)
@@ -241,18 +246,14 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         np.add.reduceat(u, starts, out=mu)
         mu *= ws.inv_size
         np.take(mu.reshape(-1), rows_flat, out=r.reshape(-1))
-        np.subtract(u, r, out=zs[t])
-        np.subtract(Px, zs[t], out=r)
+        np.subtract(u, r, out=z)
+        np.subtract(Px, z, out=r)
         r *= c
-        np.add(lam, r, out=lams[t])
-    # y and p reconstructed through the reduction identities, for reporting:
-    # y(t) = D^-1 P x(t) and p_i(t) = lambda_ii(t)
-    ys = stack_apply(ws.P, xs)
+        lam += r
+        np.take(lam.reshape(-1), diag_flat, out=ps[t].reshape(-1))  # p_i(t) = lambda_ii(t)
+    ys = stack_apply(ws.P, xs)  # y(t) = D^-1 P x(t)
     ys *= ws.inv_size
-    ps = lams[:, rows == cols]
-    return AdmmTrace(
-        engine="edge", c=c, xs=xs, ys=ys, ps=ps, accounting=acct, zs=zs, lams=lams,
-    )
+    return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
 
 def implicit_subgradients(trace: AdmmTrace, problem: NetworkProblem) -> np.ndarray:

@@ -3,12 +3,12 @@
 Subcommands:
 
 * ``run``      run an experiment from a config file or preset, write the
-               trace CSV and a report, optionally verify every certificate
+               trace CSV and a report, and verify every certificate
 * ``spectra``  print the spectral table for a graph
 * ``certify``  print the linear-rate certificate for a problem
 * ``check``    replay a trace CSV against its config and re-verify
 
-Exit codes: 0 on success and all requested checks passing, 1 when a check
+Exit codes: 0 on success and all checks passing, 1 when a check
 fails, 2 on usage or input errors (unwritable output paths included).
 """
 
@@ -81,7 +81,7 @@ class _Recorder:
         self.lines.append(f"check {name}: {'PASS' if passed else 'FAIL'} ({detail})")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, spectral, optimal, agg, c, trace, table, sublinear, rate = _run_config(cfg)
     g = problem.graph
@@ -103,29 +103,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path, check_all: bool = False
         f" storage_vectors={trace.accounting.storage_vectors}",
     ]
     record = _Recorder(lines)
-    checks = cfg.checks
     verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
-    if check_all or checks.psd:
-        try:
-            psd_certificates(spectral)
-            record("psd", True, f"min eigs {fmt(spectral.eig_gram.min)}, {fmt(spectral.eig_metric.min)}")
-        except CertificateFailedError as exc:
-            record("psd", False, str(exc))
-    if check_all or checks.sublinear:
-        obj, feas = verdicts["objective"], verdicts["feasibility"]
-        record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
-    if check_all or checks.contraction:
-        if rate is None:
-            lines.append("check contraction: SKIP (no curvature metadata)")
-        else:
-            v = verdicts["contraction"]
-            detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
-            if v.judged < trace.T:
-                detail += ", converged"
-            record("contraction", v.passed, detail)
-    if check_all or checks.recurrence:
-        worst = float(np.max(admm.recurrence_residuals(trace, spectral, problem)))
-        record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
+    try:
+        psd_certificates(spectral)
+        record("psd", True, f"min eigs {fmt(spectral.eig_gram.min)}, {fmt(spectral.eig_metric.min)}")
+    except CertificateFailedError as exc:
+        record("psd", False, str(exc))
+    obj, feas = verdicts["objective"], verdicts["feasibility"]
+    record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
+    if rate is None:
+        lines.append("check contraction: SKIP (no curvature metadata)")
+    else:
+        v = verdicts["contraction"]
+        detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
+        if v.judged < trace.T:
+            detail += ", converged"
+        record("contraction", v.passed, detail)
+    worst = float(np.max(admm.recurrence_residuals(trace, spectral, problem)))
+    record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
 
     report = "\n".join(lines) + "\n"
     (out_dir / "report.txt").write_text(report, encoding="ascii")
@@ -175,7 +170,7 @@ def _graph_for_table(args) -> Graph:
         return build_graph_from_spec(cfg.graph)
     if args.graph_file:
         return read_graph_file(args.graph_file)
-    return generate_graph("complete", args.n)
+    return generate_graph("complete", 3 if args.n is None else args.n)
 
 
 def cmd_spectra(args) -> int:
@@ -215,7 +210,7 @@ def cmd_certify(args) -> int:
         nu, lip = require_curvature(problem)
     else:
         g = _graph_for_table(args)
-        nu, lip = args.nu, args.lipschitz
+        nu, lip = (1.0 if v is None else v for v in (args.nu, args.lipschitz))
     net = analysis.laplacian_network_bounds(g, nu=nu, lipschitz=lip)
     cert = analysis.optimize_rate(nu, lip, net)  # net carries both spectral scalars
     eps = 1e-6
@@ -264,38 +259,36 @@ def cmd_run(args) -> int:
         cfg = ExperimentConfig()
         if args.n is not None:
             cfg = ExperimentConfig(graph=cfg.graph.__class__(kind="complete", n=args.n))
-        return run_experiment(cfg, out_dir, check_all=args.check_all)
+        return run_experiment(cfg, out_dir)
     if not args.config:
         raise ConfigParseError("run needs --config or --preset")
-    cfg = parse_experiment_config(args.config)
-    return run_experiment(cfg, out_dir, check_all=args.check_all)
+    return run_experiment(parse_experiment_config(args.config), out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="admmnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment and write trace + report")
-    p_run.add_argument("--config", help="experiment config file")
-    p_run.add_argument("--preset", choices=("estimation", "figure1"))
+    p_run = sub.add_parser("run", help="run an experiment, write trace + report and run every check")
+    source = p_run.add_mutually_exclusive_group()
+    source.add_argument("--config", help="experiment config file")
+    source.add_argument("--preset", choices=("estimation", "figure1"))
     p_run.add_argument("--out", default="admmnet-out", help="output directory")
-    p_run.add_argument("--check-all", action="store_true", help="run every certificate check")
-    p_run.add_argument("--n", type=int, default=None, help="node count for the estimation preset")
+    p_run.add_argument("--check-all", action="store_true", help="accepted and ignored: every check always runs")
+    p_run.add_argument("--n", type=int, help="node count for the estimation preset (default 3)")
     p_run.set_defaults(func=cmd_run)
 
     p_spec = sub.add_parser("spectra", help="print the spectral table for a graph")
-    p_spec.add_argument("--config")
-    p_spec.add_argument("--graph-file")
-    p_spec.add_argument("--n", type=int, default=3)
+    p_cert = sub.add_parser("certify", help="print the linear rate certificate")
+    for p in (p_spec, p_cert):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config")
+        source.add_argument("--graph-file")
+        p.add_argument("--n", type=int, help="complete graph size without --config or --graph-file (default 3)")
     p_spec.add_argument("--csv", help="also write the table as CSV")
     p_spec.set_defaults(func=cmd_spectra)
-
-    p_cert = sub.add_parser("certify", help="print the linear rate certificate")
-    p_cert.add_argument("--config")
-    p_cert.add_argument("--graph-file")
-    p_cert.add_argument("--n", type=int, default=3)
-    p_cert.add_argument("--nu", type=float, default=1.0)
-    p_cert.add_argument("--lipschitz", "--L", dest="lipschitz", type=float, default=1.0)
+    p_cert.add_argument("--nu", type=float, help="strong convexity, not with --config (default 1)")
+    p_cert.add_argument("--lipschitz", "--L", dest="lipschitz", type=float, help="smoothness, not with --config (default 1)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_check = sub.add_parser("check", help="replay and verify a trace CSV")
@@ -305,9 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_overridden(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 on --n, --nu or --L where another input of the command would override it."""
+    source = (
+        "--config" if getattr(args, "config", None)
+        else "--graph-file" if getattr(args, "graph_file", None)
+        else "--preset figure1" if getattr(args, "preset", None) == "figure1"
+        else None
+    )
+    if source is None:
+        return
+    given = {"--n": getattr(args, "n", None)}
+    if source == "--config":  # a graph file fixes the graph, not the curvature
+        given.update({"--nu": getattr(args, "nu", None), "--L": getattr(args, "lipschitz", None)})
+    for option, value in given.items():
+        if value is not None:
+            parser.error(f"argument {option}: not allowed with argument {source}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _refuse_overridden(parser, args)
     try:
         return args.func(args)
     except (AdmmNetError, OSError) as exc:  # OSError: an output path that cannot be written

@@ -1,6 +1,5 @@
-"""Experiment configuration: INI-style files with [graph], [objective],
-[admm] and optional [checks] sections; an unknown section or key is an
-error.
+"""Experiment configuration: INI-style files with [graph], [objective]
+and [admm] sections; an unknown section or key is an error.
 
 Example::
 
@@ -72,19 +71,10 @@ class AdmmSpec:
 
 
 @dataclass(frozen=True)
-class ChecksSpec:
-    sublinear: bool = True
-    contraction: bool = True
-    recurrence: bool = True
-    psd: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     graph: GraphSpec = field(default_factory=GraphSpec)
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     admm: AdmmSpec = field(default_factory=AdmmSpec)
-    checks: ChecksSpec = field(default_factory=ChecksSpec)
 
 
 def _floats(text: str) -> list[float]:
@@ -120,7 +110,6 @@ _SECTION_KEYS = {
     "graph": {"kind", "n", "d", "p", "seed", "path"},
     "objective": {"preset", "kind", "a", "w", "tau", "dimension"},
     "admm": {"c", "t", "engine", "init"},
-    "checks": {"sublinear", "contraction", "recurrence", "psd"},
 }
 
 
@@ -184,14 +173,7 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         raise ConfigParseError(f"config files support zero init only, got {admm.init!r}")
     if admm.T < 1:
         raise ConfigParseError(f"T must be >= 1, got {admm.T}")
-
-    csec = parser["checks"] if parser.has_section("checks") else {}
-
-    def _flag(key: str) -> bool:
-        return str(csec.get(key, "true")).strip().lower() in ("1", "true", "yes", "on")
-
-    checks = ChecksSpec(**{key: _flag(key) for key in _SECTION_KEYS["checks"]})
-    return ExperimentConfig(graph=graph, objective=objective, admm=admm, checks=checks)
+    return ExperimentConfig(graph=graph, objective=objective, admm=admm)
 
 
 def build_graph_from_spec(spec: GraphSpec) -> Graph:

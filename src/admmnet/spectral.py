@@ -204,15 +204,7 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     )
 
 
-@dataclass(frozen=True)
-class PsdReport:
-    """Smallest eigenvalues of gram and metric_block, both certified >= -1e-10."""
-
-    min_eig_gram: float
-    min_eig_metric: float
-
-
-def psd_certificates(sd: SpectralData) -> PsdReport:
+def psd_certificates(sd: SpectralData) -> None:
     """Certify that gram and metric_block are PSD.
 
     The smallest eigenvalue of each matrix must be >= -1e-10. Raises
@@ -221,4 +213,3 @@ def psd_certificates(sd: SpectralData) -> PsdReport:
     for name, val in (("gram", sd.eig_gram.min), ("metric_block", sd.eig_metric.min)):
         if val < -1e-10:
             raise CertificateFailedError(f"min eigenvalue of {name} is {val:.3e} < -1e-10")
-    return PsdReport(min_eig_gram=sd.eig_gram.min, min_eig_metric=sd.eig_metric.min)

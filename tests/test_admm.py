@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -88,38 +89,6 @@ def test_node_edge_equivalence_custom_init(p3_problem):
     node = admm.run(p3_problem, admm.RunConfig(c=0.8, T=50, init=init))
     edge = admm.run(p3_problem, admm.RunConfig(c=0.8, T=50, engine="edge", init=init))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
-
-
-def _slot_index(g):
-    """{(i, j): row of slot (i, j) in the edge engine's z and lambda arrays}."""
-    return {(int(i), int(j)): s for s, (i, j) in enumerate(zip(*admm.edge_slots(g)))}
-
-
-def test_reduction_identities(k3, k3_problem):
-    node = admm.run(k3_problem, admm.RunConfig(c=1.0, T=5))
-    edge = admm.run(k3_problem, admm.RunConfig(c=1.0, T=5, engine="edge"))
-    P = k3_problem.comm.P
-    slot = _slot_index(k3)
-    t = 5
-    worst_lam = 0.0
-    worst_z = 0.0
-    for (i, j), s in slot.items():
-        worst_lam = max(worst_lam, float(np.max(np.abs(edge.lams[t][s] - node.ps[t][i]))))
-        worst_z = max(
-            worst_z,
-            float(np.max(np.abs(edge.zs[t][s] - (P[i, j] * node.xs[t][j] - node.ys[t][i])))),
-        )
-    assert worst_lam <= 1e-10
-    assert worst_z <= 1e-10
-
-
-def test_edge_z_rows_sum_to_zero(p3, p3_problem):
-    edge = admm.run(p3_problem, admm.RunConfig(c=1.3, T=8, engine="edge"))
-    rows, _ = admm.edge_slots(p3)
-    for t in range(1, 9):
-        for i in range(3):
-            total = edge.zs[t][rows == i].sum(axis=0)  # over the slots (i, j), j in N(i)
-            assert np.max(np.abs(total)) <= 1e-12
 
 
 def test_recurrence_residuals_small(k3_problem, k3_spectral):
@@ -345,33 +314,69 @@ def test_rounds_bit_identical_to_reference(n, d, with_custom, seed):
     init = tuple(rng.normal(size=(n, d)) for _ in range(3))
     for engine in ("node", "edge"):
         trace = admm.run(prob, admm.RunConfig(c=c, T=15, engine=engine, init=init))
-        xs, ys, ps, zs, lams = _reference_run(prob, c, 15, init, engine)
+        xs, ys, ps, *_ = _reference_run(prob, c, 15, init, engine)
         assert np.array_equal(trace.xs, xs)
         assert np.array_equal(trace.ys, ys)
         assert np.array_equal(trace.ps, ps)
-        if engine == "edge":
-            assert np.array_equal(trace.zs, zs)
-            assert np.array_equal(trace.lams, lams)
+
+
+@st.composite
+def _mixed_runs(draw):
+    """(problem, c, init) of a random mixed problem with random initial state."""
+    n, d, seed = draw(st.integers(2, 9)), draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    prob = _mixed_problem(rng, n, d)
+    return prob, rng.uniform(0.3, 3.0), tuple(rng.normal(size=(n, d)) for _ in range(3))
+
+
+def _check_slot_identities(prob, c, T, init):
+    # the engine stores no slot history, so the identities are read off the
+    # reference, which it matches bit for bit
+    node = admm.run(prob, admm.RunConfig(c=c, T=T, init=init))
+    edge = admm.run(prob, admm.RunConfig(c=c, T=T, engine="edge", init=init))
+    xs, _, ps, zs, lams = _reference_run(prob, c, T, init, "edge")
+    assert np.array_equal(edge.xs, xs)
+    assert np.array_equal(edge.ps, ps)
+    assert edge.zs is None and edge.lams is None
+    rows, cols = admm.edge_slots(prob.graph)
+    assert zs.shape == lams.shape == (T + 1, prob.n + 2 * prob.graph.m, prob.dimension)
+    P = prob.comm.P[rows, cols][:, None]
+    assert np.max(np.abs(lams - node.ps[:, rows])) <= 1e-10  # lambda_ij = p_i
+    assert np.max(np.abs(zs - (P * node.xs[:, cols] - node.ys[:, rows]))) <= 1e-10  # z_ij = P_ij x_j - y_i
+    for i in range(prob.n):
+        assert np.max(np.abs(zs[1:, rows == i].sum(axis=1))) <= 1e-12  # sum_{j in N(i)} z_ij = 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 9), st.sampled_from([1, 2, 3]), st.integers(0, 10_000))
-def test_edge_slot_identities(n, d, seed):
+@given(_mixed_runs())
+def test_edge_slot_identities(case):
     # irregular graphs with an edge-weighted P tell a slot (i, j) from (j, i)
-    rng = np.random.default_rng(seed)
-    prob = _mixed_problem(rng, n, d)
-    c = rng.uniform(0.3, 3.0)
-    init = tuple(rng.normal(size=(n, d)) for _ in range(3))
-    T = 12
-    node = admm.run(prob, admm.RunConfig(c=c, T=T, init=init))
-    edge = admm.run(prob, admm.RunConfig(c=c, T=T, engine="edge", init=init))
-    rows, cols = admm.edge_slots(prob.graph)
-    assert edge.zs.shape == edge.lams.shape == (T + 1, n + 2 * prob.graph.m, d)
-    P = prob.comm.P[rows, cols][:, None]
-    assert np.max(np.abs(edge.lams - node.ps[:, rows])) <= 1e-9
-    assert np.max(np.abs(edge.zs - (P * node.xs[:, cols] - node.ys[:, rows]))) <= 1e-9
-    for i in range(n):
-        assert np.max(np.abs(edge.zs[1:, rows == i].sum(axis=1))) <= 1e-9
+    prob, c, init = case
+    _check_slot_identities(prob, c, 12, init)
+
+
+def test_reduction_identities(k3_problem):
+    _check_slot_identities(k3_problem, 1.0, 12, tuple(np.zeros((3, 1)) for _ in range(3)))
+
+
+def test_edge_z_rows_sum_to_zero(p3_problem):
+    _check_slot_identities(p3_problem, 1.3, 12, tuple(np.zeros((3, 1)) for _ in range(3)))
+
+
+def test_edge_run_stores_no_slot_history():
+    # one (T+1, n + 2|E|, d) stack of slot values is 3.39 MB here; z and lambda
+    # histories would cost two of them
+    g = generate_graph("circulant", 200, d=20)
+    prob = estimation_problem(g)
+    T = 100
+    stack_bytes = (T + 1) * (g.n + 2 * g.m) * 8  # d = 1
+    tracemalloc.start()
+    try:
+        admm.run(prob, admm.RunConfig(c=1.0, T=T, engine="edge"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def _forbid_per_node_calls(monkeypatch):

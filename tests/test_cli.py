@@ -484,8 +484,10 @@ def test_auto_penalty_needs_curvature(tmp_path, capsys):
     [
         ("engine = node", "engien = edge", "unknown key(s) in [admm]: engien"),
         ("[admm]", "[chekcs]\npsd = false\n\n[admm]", "unknown section [chekcs]"),
+        # every check always runs, so the section that switched them off is gone
+        ("[admm]", "[checks]\npsd = true\n\n[admm]", "unknown section [checks]"),
     ],
-    ids=["key", "section"],
+    ids=["key", "section", "checks"],
 )
 def test_config_rejects_unknown_keys(tmp_path, capsys, old, new, named):
     cfg = write_config(tmp_path, K3_CONFIG.replace(old, new))
@@ -523,3 +525,40 @@ def test_explicit_penalty_is_certified_before_the_rounds(tmp_path, capsys, monke
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--check-all"]) == 2
     assert "outside the search bracket" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,clash",
+    [
+        (["run", "--config", "{cfg}", "--preset", "estimation"], "--preset: not allowed with argument --config"),
+        (["run", "--config", "{cfg}", "--n", "9"], "--n: not allowed with argument --config"),
+        (["run", "--preset", "figure1", "--n", "9"], "--n: not allowed with argument --preset figure1"),
+        (["certify", "--config", "{cfg}", "--nu", "5", "--L", "9"], "--nu: not allowed with argument --config"),
+        (["certify", "--config", "{cfg}", "--L", "9"], "--L: not allowed with argument --config"),
+        (["certify", "--graph-file", "{graph}", "--n", "9"], "--n: not allowed with argument --graph-file"),
+        (["spectra", "--config", "{cfg}", "--graph-file", "/nonexistent"],
+         "--graph-file: not allowed with argument --config"),
+        (["spectra", "--config", "{cfg}", "--n", "9"], "--n: not allowed with argument --config"),
+    ],
+    ids=["run-config-preset", "run-config-n", "run-figure1-n", "certify-config-nu-L", "certify-config-L",
+         "certify-graph-file-n", "spectra-config-graph-file", "spectra-config-n"],
+)
+def test_overridden_inputs_exit_2(tmp_path, capsys, argv, clash):
+    # each of these inputs used to be dropped without a word
+    cfg, graph, out = write_config(tmp_path), tmp_path / "p4.txt", tmp_path / "out"
+    write_graph_file(generate_graph("path", 4), graph)
+    argv = [a.replace("{cfg}", str(cfg)).replace("{graph}", str(graph)) for a in argv]
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + (["--out", str(out)] if argv[0] == "run" else []))
+    assert info.value.code == 2
+    assert f"argument {clash}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inputs_that_set_n_nu_and_L(tmp_path, capsys):
+    assert cli.main(["run", "--preset", "estimation", "--n", "4", "--out", str(tmp_path / "out")]) == 0
+    assert "graph: kind=complete n=4 " in capsys.readouterr().out
+    path = tmp_path / "p4.txt"
+    write_graph_file(generate_graph("path", 4), path)
+    assert cli.main(["certify", "--graph-file", str(path), "--nu", "2", "--L", "3"]) == 0
+    assert capsys.readouterr().out.startswith("nu=2 L=3 kappa=1.5\n")

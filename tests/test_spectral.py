@@ -213,15 +213,15 @@ def test_consensus_direction_in_null_space(p3_spectral):
 
 
 def test_psd_certificates_k3(k3_spectral):
-    report = psd_certificates(k3_spectral)
+    psd_certificates(k3_spectral)
     # metric block is 3I + J
-    assert np.isclose(report.min_eig_metric, 3.0, atol=1e-10)
+    assert np.isclose(k3_spectral.eig_metric.min, 3.0, atol=1e-10)
 
 
 def test_psd_certificates_p3(p3_spectral):
     # diagonal dominance fails on the path graph's gram rows; the eigenvalue floor certifies
-    report = psd_certificates(p3_spectral)
-    assert report.min_eig_gram >= -1e-10
+    psd_certificates(p3_spectral)
+    assert p3_spectral.eig_gram.min >= -1e-10
 
 
 def test_psd_certificates_detect_violation(monkeypatch, k3_spectral):
