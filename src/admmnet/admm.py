@@ -9,10 +9,10 @@ expressions over all nodes at once:
 2. y <- D^-1 P x, with D = diag(|N(i)|) over closed neighborhoods N(i)
 3. p <- p + c y
 
-The prox is batched per objective class and bound once per run
-(``NetworkProblem.bind_prox``): the closed form of Quadratic (with or
-without an l1 term) acts in place on stacked parameters precomputed at
-the run's weights, and only CustomSmooth nodes are solved one at a time.
+The prox is bound once per run (``NetworkProblem.bind_prox``): when every
+node is exactly a Quadratic (with or without an l1 term), its closed form
+acts in place on stacked parameters precomputed at the run's weights;
+any other problem calls each node's own prox in turn.
 
 The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The

@@ -19,8 +19,9 @@ Example::
 Explicit objectives replace the preset line with ``kind`` plus per-node
 values: ``a`` (one entry per node, rows separated by ';' when the
 dimension exceeds 1), ``w`` (scalar or per-node) and ``tau`` for the
-l1-regularized kind. ``kind``, ``a``, ``w`` or ``tau`` next to a preset, and
-``tau > 0`` under ``kind = quadratic``, are errors, not ignored.
+l1-regularized kind. ``kind``, ``a``, ``w`` or ``tau`` next to a preset,
+``tau > 0`` under ``kind = quadratic``, and a ``[graph]`` key that the graph
+kind does not read are errors, not ignored.
 ``c = auto`` selects the certificate-optimal penalty, which requires
 curvature metadata on every node.
 """
@@ -111,6 +112,15 @@ _SECTION_KEYS = {
     "objective": {"preset", "kind", "a", "w", "tau", "dimension"},
     "admm": {"c", "t", "engine", "init"},
 }
+# the [graph] keys each kind reads, besides kind itself
+_GRAPH_KIND_KEYS = {
+    "path": {"n"},
+    "cycle": {"n"},
+    "complete": {"n"},
+    "circulant": {"n", "d"},
+    "erdos_renyi": {"n", "p", "seed"},
+    "file": {"path"},
+}
 
 
 def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -121,17 +131,25 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         if unknown:
             raise ConfigParseError(f"unknown key(s) in [{name}]: {', '.join(unknown)}")
     gsec = parser["graph"] if parser.has_section("graph") else {}
+    kind = gsec.get("kind", "complete")
+    # an unknown kind is refused when the graph is built
+    stray = sorted(set(gsec) - {"kind"} - _GRAPH_KIND_KEYS.get(kind, set(gsec)))
+    if stray:
+        raise ConfigParseError(f"[graph] {', '.join(stray)} cannot go with kind = {kind}")
     graph = GraphSpec(
-        kind=gsec.get("kind", "complete"),
+        kind=kind,
         n=int(gsec.get("n", 3)),
         d=int(gsec["d"]) if "d" in gsec else None,
         p=float(gsec["p"]) if "p" in gsec else None,
         seed=int(gsec["seed"]) if "seed" in gsec else None,
         path=gsec.get("path"),
     )
+    if graph.seed is not None:
+        _require("seed", (graph.seed,), lambda v: v >= 0, " and >= 0")
 
     osec = parser["objective"] if parser.has_section("objective") else {}
     dimension = int(osec.get("dimension", 1))
+    _require("dimension", (dimension,), lambda v: v >= 1, " and >= 1")
     preset = osec.get("preset")
     targets = weights = None
     tau = float(osec.get("tau", 0.0))

@@ -11,11 +11,10 @@ optimum used as ground truth by every certificate check.
 :class:`L1Quadratic` is the same class as ``Quadratic``; its ``kind`` reads
 ``"l1_quadratic"`` when tau > 0 and ``"quadratic"`` otherwise.
 
-A problem evaluates its objectives on whole (n, d) iterates: values,
-proximal maps and the oracle's smooth gradients of every node come from
-the per-class stacked parameters of :meth:`LocalObjective.stacked`, in
-closed form for ``Quadratic``; ``CustomSmooth`` nodes are visited one at
-a time.
+A problem evaluates its objectives on whole (n, d) iterates through one
+rows object: values, proximal maps and the oracle's smooth gradients of
+every node come in closed form from stacked parameters when every node is
+exactly a ``Quadratic``, and otherwise from one node at a time.
 """
 
 from __future__ import annotations
@@ -79,22 +78,12 @@ class LocalObjective:
     def smooth_gradient(self, x) -> np.ndarray:
         return self.gradient(x)
 
-    @classmethod
-    def stacked(cls, objectives: Sequence[LocalObjective], nodes: Sequence[int]):
-        """Rows object for ``objectives`` (all of this class) sitting at ``nodes``.
-
-        The default visits one node at a time; classes with a closed form
-        override it with stacked parameters.
-        """
-        return _EachRow(tuple(objectives), tuple(nodes))
-
 
 class _EachRow:
-    """Objectives without a closed-form prox, evaluated one row at a time."""
+    """Objectives evaluated one row at a time through their own methods; row i is node i."""
 
-    def __init__(self, objectives: tuple[LocalObjective, ...], nodes: tuple[int, ...]):
+    def __init__(self, objectives: tuple[LocalObjective, ...]):
         self.objectives = objectives
-        self.nodes = nodes
 
     def values(self, X: np.ndarray) -> np.ndarray:
         rows = X.reshape(-1, *X.shape[-2:])
@@ -111,11 +100,11 @@ class _EachRow:
         rhos = [float(r) for r in rho[:, 0]]
 
         def prox(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-            for k, (node, f, r) in enumerate(zip(self.nodes, self.objectives, rhos)):
+            for i, (f, r) in enumerate(zip(self.objectives, rhos)):
                 try:
-                    out[k] = f.prox(V[k], r)
+                    out[i] = f.prox(V[i], r)
                 except Exception as exc:
-                    raise ProxFailureError(node, exc) from exc
+                    raise ProxFailureError(i, exc) from exc
             return out
 
         return prox
@@ -131,6 +120,16 @@ class _QuadraticRows:
     weight: np.ndarray
     target: np.ndarray
     tau: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, objectives: Sequence[Quadratic]) -> _QuadraticRows:
+        """Stacked parameters of ``objectives``, one row each."""
+        taus = [o.tau for o in objectives]
+        return cls(
+            weight=_column([o.weight for o in objectives]),
+            target=np.stack([o.target for o in objectives]),
+            tau=_column(taus) if any(taus) else None,
+        )
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row values of a (..., k, d) stack, shape (..., k)."""
@@ -240,15 +239,6 @@ class Quadratic(LocalObjective):
         u = (self.weight * self.target + rho * v) / (self.weight + rho)
         return soft_threshold(u, self.tau / (self.weight + rho))
 
-    @classmethod
-    def stacked(cls, objectives, nodes):
-        taus = [o.tau for o in objectives]
-        return _QuadraticRows(
-            weight=_column([o.weight for o in objectives]),
-            target=np.stack([o.target for o in objectives]),
-            tau=_column(taus) if any(taus) else None,
-        )
-
 
 L1Quadratic = Quadratic
 
@@ -349,20 +339,15 @@ class NetworkProblem:
         return self.objectives[0].dimension
 
     @cached_property
-    def _kinds(self) -> tuple[tuple[np.ndarray | slice, object], ...]:
-        """(node indices, stacked objectives) per objective class, built once per problem.
+    def _rows(self) -> _QuadraticRows | _EachRow:
+        """The objectives as one rows object, built once per problem.
 
-        A class that holds every node is indexed by a slice, so its rows are
-        views, not copies, of the (..., n, d) arrays.
+        The closed form applies only when every objective's type is exactly
+        ``Quadratic``; a subclass keeps its own per-node methods.
         """
-        by_kind: dict[type, list[int]] = {}
-        for i, f in enumerate(self.objectives):
-            by_kind.setdefault(type(f), []).append(i)
-        whole = len(by_kind) == 1
-        return tuple(
-            (slice(None) if whole else np.array(idx), kind.stacked([self.objectives[i] for i in idx], idx))
-            for kind, idx in by_kind.items()
-        )
+        if all(type(f) is Quadratic for f in self.objectives):
+            return _QuadraticRows.of(self.objectives)
+        return _EachRow(self.objectives)
 
     def f_value(self, X: np.ndarray) -> float | np.ndarray:
         """Sum of local objective values over the rows of each (n, d) iterate.
@@ -370,41 +355,23 @@ class NetworkProblem:
         A single (n, d) iterate gives a float; a (..., n, d) stack gives one
         value per iterate, shape (...).
         """
-        total = sum(rows.values(X[..., idx, :]).sum(axis=-1) for idx, rows in self._kinds)
+        total = self._rows.values(X).sum(axis=-1)
         return float(total) if X.ndim == 2 else total
 
     def smooth_gradients(self, X: np.ndarray) -> np.ndarray:
         """(n, d) gradients of the smooth parts of the local objectives at the rows of X."""
-        G = np.empty((self.n, self.dimension))
-        for idx, rows in self._kinds:
-            G[idx] = rows.smooth_gradients(X[idx])
-        return G
+        return self._rows.smooth_gradients(X)
 
     def bind_prox(self, rho: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The prox at fixed weights, as a kernel ``(V, out) -> out`` built once per run.
 
         ``rho`` holds the row weights, (n, 1) or expanded to (n, d). The
         kernel writes row-wise argmin_x f_i(x) + (rho_i/2)|x - v_i|^2 of the
-        (n, d) centers V into ``out`` and leaves V unchanged; the closed-form
-        kinds allocate nothing per call. Raises ProxFailureError naming the
-        node when a per-node prox fails.
+        (n, d) centers V into ``out`` and leaves V unchanged; the closed form
+        allocates nothing per call. Raises ProxFailureError naming the node
+        when a per-node prox fails.
         """
-        if len(self._kinds) == 1:  # indexed by a slice: the rows are V and out
-            ((_, rows),) = self._kinds
-            return rows.bind(rho)
-        d = self.dimension
-        parts = [
-            (idx, rows.bind(rho[idx]), np.empty((idx.size, d)), np.empty((idx.size, d)))
-            for idx, rows in self._kinds
-        ]
-
-        def prox(V: np.ndarray, out: np.ndarray) -> np.ndarray:
-            for idx, kernel, v, x in parts:
-                np.take(V, idx, axis=0, out=v)
-                out[idx] = kernel(v, x)
-            return out
-
-        return prox
+        return self._rows.bind(rho)
 
 
 def estimation_objectives(n: int, dimension: int = 1) -> tuple[Quadratic, ...]:

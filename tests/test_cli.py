@@ -9,7 +9,7 @@ import pytest
 from admmnet import analysis, cli, reporting
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
-from admmnet.graph import generate_graph, write_graph_file
+from admmnet.graph import generate_graph, laplacian, write_graph_file
 from admmnet.spectral import compute_spectral_data
 
 K3_CONFIG = """
@@ -97,6 +97,23 @@ def test_spectra_csv(tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "# admmnet-spectra v1"
     assert lines[1].startswith("n,d_max,d_min,a_G")
+
+
+def test_figure1_rate_is_certified_at_the_penalty_in_use(tmp_path):
+    # figure1 runs at a quarter of the certificate-optimal penalty; each
+    # line's rate is the certificate at that line's c, not the optimum's rate
+    assert cli.run_figure1(tmp_path) == 0
+    lines = [ln for ln in (tmp_path / "figure1_report.txt").read_text().splitlines() if ln.startswith("d=")]
+    assert len(lines) == len(cli.FIGURE1_DEGREES)
+    rates = []
+    for line, d in zip(lines, cli.FIGURE1_DEGREES):
+        parts = dict(p.split("=", 1) for p in line.replace(":", "").split())
+        assert int(parts["d"]) == d
+        g = generate_graph("circulant", cli.FIGURE1_N, d=d)
+        cert = analysis.optimize_rate(1.0, 1.0, compute_spectral_data(laplacian(g), g), c=float(parts["c"]))
+        assert float(parts["rate"]) == cert.rate > cert.best_rate
+        rates.append(cert.rate)
+    assert rates == pytest.approx([0.99856, 0.98728, 0.97225], abs=5e-6)
 
 
 def test_spectra_graph_file(tmp_path, capsys):
@@ -354,8 +371,12 @@ T = 20
         ("c", "c = 1.0", "c = nan"),
         ("c", "c = 1.0", "c = inf"),
         ("a", "a = -1, 0, 2", "a = -1, nan, 2"),
+
+        ("dimension", "tau = 0.5", "tau = 0.5\ndimension = 0"),
+        ("dimension", "tau = 0.5", "tau = 0.5\ndimension = -2"),
+        ("seed", "kind = path", "kind = erdos_renyi\np = 0.9\nseed = -3"),
     ],
-    ids=["w=-1", "tau=-1", "tau=nan", "c=nan", "c=inf", "a=nan"],
+    ids=["w=-1", "tau=-1", "tau=nan", "c=nan", "c=inf", "a=nan", "dimension=0", "dimension=-2", "seed=-3"],
 )
 def test_invalid_config_values_exit_2(tmp_path, capsys, key, old, new):
     cfg = write_config(tmp_path, EXPLICIT_CONFIG.replace(old, new))
@@ -385,6 +406,28 @@ def test_objective_keys_that_would_be_ignored_exit_2(tmp_path, capsys, objective
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert re.match(rf"error: (\[objective\] )?{key} ", err), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "graph,keys",
+    [
+        ("kind = complete\nn = 5\nd = 4\np = 0.3\nseed = 9\npath = /nonexistent", "d, p, path, seed"),
+        ("kind = circulant\nn = 5\nd = 2\np = 0.9", "p"),
+        ("kind = file\npath = {graph_file}\nn = 99", "n"),
+        ("n = 5\nseed = 1", "seed"),
+    ],
+    ids=["complete-d-p-seed-path", "circulant-p", "file-n", "default-kind-seed"],
+)
+def test_graph_keys_that_would_be_ignored_exit_2(tmp_path, capsys, graph, keys):
+    # each of these used to run the graph without the key's effect and exit 0
+    graph_file = tmp_path / "k3.txt"
+    write_graph_file(generate_graph("complete", 3), graph_file)
+    text = f"[graph]\n{graph.format(graph_file=graph_file)}\n\n[objective]\npreset = estimation\n\n[admm]\nc = 1.0\nT = 20\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [graph] {keys} cannot go with kind = "), err
     assert not (tmp_path / "out").exists()
 
 

@@ -275,7 +275,7 @@ def _kernel_problem(rng, n, d, kinds):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("full_width", [False, True])
 def test_bound_prox_matches_objective_prox_bitwise(kinds, d, full_width):
-    # one kind is indexed by a slice, mixed kinds by node arrays
+    # Quadratic nodes with and without an l1 term share one stacked closed form
     rng = np.random.default_rng(7)
     prob = _kernel_problem(rng, 8, d, kinds)
     rho = rng.uniform(0.1, 10.0, size=(8, 1))
@@ -348,13 +348,35 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
 def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     g = generate_graph("path", 3)
     plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.0), quad(3.0)))
-    ((idx, rows),) = plain._kinds
-    assert idx == slice(None) and rows.tau is None
+    assert isinstance(plain._rows, objectives._QuadraticRows) and plain._rows.tau is None
     mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
-    ((idx, rows),) = mixed._kinds
-    assert idx == slice(None) and rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
+    assert mixed._rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
     # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
     assert central_solve(plain).x_star[0, 0] == 2.0
+    # one CustomSmooth node puts every node, Quadratic ones too, on per-node rows
+    custom = CustomSmooth(value_fn=lambda x: 0.5 * float(x @ x), grad_fn=lambda x: x, dim=1, nu=1.0, lipschitz=1.0)
+    with_custom = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), custom, l1quad(2.0)))
+    assert isinstance(with_custom._rows, objectives._EachRow)
+    assert with_custom._rows.objectives is with_custom.objectives
+
+
+def test_quadratic_subclass_keeps_its_own_methods():
+    # the stacked closed form is for Quadratic itself, not for a subclass that overrides it
+    class Shifted(Quadratic):
+        def value(self, x):
+            return super().value(x) + 1.0
+
+        def prox(self, v, rho):
+            return super().prox(v, rho) + 1.0
+
+    g = generate_graph("path", 3)
+    objs = tuple(Shifted(target=np.array([a]), weight=1.0) for a in (1.0, 2.0, 3.0))
+    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=objs)
+    assert isinstance(prob._rows, objectives._EachRow)
+    X = np.array([[1.0], [2.0], [3.0]])
+    assert prob.f_value(X) == 3.0
+    out = prob.bind_prox(np.ones((3, 1)))(X, np.empty_like(X))
+    assert out[:, 0].tolist() == [2.0, 3.0, 4.0]
 
 
 def test_oracle_stops_at_the_rounding_floor(monkeypatch):
