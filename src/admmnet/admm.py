@@ -195,10 +195,9 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         ys = np.empty_like(xs)
         ys[0], ps[0] = y0, p0
         PT = ws.P.T
-        q, v = np.empty((n, d)), np.empty((n, d))
+        q, v = np.multiply(c, ys[0]), np.empty((n, d))  # q = c y(t-1) on entry to round t
         for t in range(1, T + 1):
             # v = x - P'(p + c y) / (c m), then x <- prox(v)
-            np.multiply(c, ys[t - 1], out=q)
             np.add(ps[t - 1], q, out=q)
             np.matmul(PT, q, out=v)
             np.divide(v, ws.rho, out=v)

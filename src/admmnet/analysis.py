@@ -93,11 +93,17 @@ def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
 
 
 def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """s' W s + x' (metric block) x per entry of (..., n, d) stacks of one shape; overwrites s and x."""
+    """s' W s + x' (M - W) x per entry of (..., n, d) stacks of one shape; overwrites s and x.
+
+    M - W is not stored: x' (M - W) x = sum_i m_i |x_i|^2 - x' W x, one W
+    product of x and no further stack. x is not centered: M - W is PSD, so
+    the m-weighted sum dominates the form, and the rounding of x' W x on a
+    consensus part of x is small next to it.
+    """
     total = _gram_form(spectral, s)
-    mx = stack_apply(spectral.metric_block, x)
-    x *= mx
-    total += x.sum(axis=(-2, -1))
+    total -= np.einsum("...ij,...ij->...", stack_apply(spectral.gram, x), x)
+    x *= x
+    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.col_norms_sq, x.shape[-1])
     return total
 
 

@@ -2,18 +2,26 @@
 
 From a communication matrix P and its graph we form
 
-* ``col_norms_sq``  per-node squared column norms, sum_{j in N(i)} P_ji^2
+* ``col_norms_sq``  per-node squared column norms, sum_{j in N(i)} P_ji^2,
+  the diagonal of M
 * ``nbhd_sizes``    |N(i)| = degree + 1
 * ``gram``          W = P' diag(1/|N|) P, symmetric PSD, null space span{1}
-* ``metric_block``  diag(col_norms_sq) - gram, the weight of the x part of
-  the contraction metric
 
 plus the numbers the rate certificates read: the smallest nonzero
-eigenvalue of ``gram``, the largest eigenvalue of ``metric_block`` and the
-algebraic connectivity a(G) (computed on first read). Every spectrum is
-eigenvalues only. The paper's norms |Q v| with Q = W^(1/2) are evaluated as
-forms v' W v, and W^+ is applied by one linear solve (see
-``analysis._gram_pinv_apply``).
+eigenvalue of W, the largest eigenvalue of the metric block M - W and the
+algebraic connectivity a(G) (computed on first read). Only P and W are
+stored as dense n x n arrays. M - W is derived: it is built once, as 0 - W
+with the column norms added on its diagonal in place, for its eigenvalues,
+and then freed; its forms are x' (M - W) x = sum_i m_i |x_i|^2 - x' W x
+(see ``analysis._metric_sq``). When P is the graph Laplacian, a(G) is read
+from P itself. So a run holds at most four dense n x n float arrays at
+once: P and W plus two transients, which are D^(-1/2) P while W is formed,
+M - W and ``eigvalsh``'s copy of it, or W + 11'/n and the solve's copy of
+it (``analysis._gram_pinv_apply``).
+
+Every spectrum is eigenvalues only. The paper's norms |Q v| with
+Q = W^(1/2) are evaluated as forms v' W v, and W^+ is applied by one linear
+solve.
 
 Where the eigenvalues come from: ``sym_eig`` looks at the matrix itself.
 When S is within n eps |S|_F (Frobenius) of the circulant C built from its
@@ -64,15 +72,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralData:
+    """W and the spectra of W and M - W; M - W itself is not stored (see the module docstring)."""
+
     col_norms_sq: np.ndarray = field(repr=False)  # diagonal of M
     nbhd_sizes: np.ndarray = field(repr=False)  # diagonal of D
     gram: np.ndarray = field(repr=False)
-    metric_block: np.ndarray = field(repr=False)
     eig_gram: Spectrum = field(repr=False)
-    eig_metric: Spectrum = field(repr=False)
+    eig_metric: Spectrum = field(repr=False)  # of M - W
     min_pos_eig_gram: float
     max_eig_metric: float
     graph: Graph = field(repr=False)
+    comm: CommunicationMatrix = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -80,7 +90,10 @@ class SpectralData:
 
     @cached_property
     def algebraic_connectivity(self) -> float:
-        return algebraic_connectivity(self.graph)
+        """a(G), read from P itself when P is the Laplacian; any other P builds the Laplacian."""
+        if self.comm.source != "laplacian":
+            return algebraic_connectivity(self.graph)
+        return float(sym_eig(self.comm.P).eigenvalues[1])
 
 
 def sym_eig(S: np.ndarray) -> Spectrum:
@@ -95,6 +108,15 @@ def sym_eig(S: np.ndarray) -> Spectrum:
     certificate, the degeneracy test lam_2 > n eps lam_max, lam_2 as the
     smallest nonzero eigenvalue of W and the residual checks read the same
     either way.
+
+    Determinism: one matrix gives the same bits on every call, but
+    ``eigvalsh`` reads the sign of zero entries (LAPACK's Householder step
+    takes the sign of its pivot, and -0.0 is negative). Two matrices that
+    compare equal entry for entry can differ in the last digits: on
+    Erdos-Renyi n=1600, p=0.0125, lam_max of M - W was 1295.4907051261139
+    built as diag(m) - W and 1295.4907051261148 built as -W plus the
+    diagonal, which moved ``c = auto`` by one ulp and a replay by 2.98e-8.
+    Traces are compared across code changes at a fixed c.
     """
     S = np.asarray(S, dtype=float)
     scale = float(np.linalg.norm(S, ord="fro"))
@@ -175,7 +197,7 @@ def algebraic_connectivity(g: Graph) -> float:
 
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     P = comm.P
-    col_norms_sq = np.sum(P * P, axis=0)
+    col_norms_sq = np.einsum("ji,ji->i", P, P)
     nbhd_sizes = g.degrees + 1.0
     B = P * (1.0 / np.sqrt(nbhd_sizes))[:, None]  # D^(-1/2) P
     gram = B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
@@ -188,24 +210,27 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     if not min_pos > gram.shape[0] * np.finfo(float).eps * lam_max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    metric_block = np.diag(col_norms_sq) - gram
-    eig_metric = sym_eig(metric_block)
+    # M - W in place from 0 - W, bit for bit diag(m) - W: a zero entry must
+    # stay +0, since eigvalsh reads the sign of zeros (see ``sym_eig``)
+    metric = np.subtract(0.0, gram)
+    metric[np.diag_indices_from(metric)] += col_norms_sq
+    eig_metric = sym_eig(metric)
 
     return SpectralData(
         col_norms_sq=col_norms_sq,
         nbhd_sizes=nbhd_sizes,
         gram=gram,
-        metric_block=metric_block,
         eig_gram=eig_gram,
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
         max_eig_metric=eig_metric.max,
         graph=g,
+        comm=comm,
     )
 
 
 def psd_certificates(sd: SpectralData) -> None:
-    """Certify that gram and metric_block are PSD.
+    """Certify that gram and the metric block M - W are PSD.
 
     The smallest eigenvalue of each matrix must be >= -1e-10. Raises
     CertificateFailedError naming the offending eigenvalue otherwise.

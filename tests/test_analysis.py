@@ -390,6 +390,11 @@ def gram_sqrt(spectral):
     return (vecs * roots) @ vecs.T
 
 
+def metric_block(spectral):
+    """M - W as a dense matrix, built the plain way: SpectralData stores only W and diag(M)."""
+    return np.diag(spectral.col_norms_sq) - spectral.gram
+
+
 def table_by_rounds(trace, problem, spectral, optimal, aux):
     """The per-round table, one round at a time with scalar objective values."""
 
@@ -398,11 +403,12 @@ def table_by_rounds(trace, problem, spectral, optimal, aux):
 
     Q = gram_sqrt(spectral)
     q_ref = Q @ aux.dual_ref
+    G = metric_block(spectral)
 
     def metric_dist_sq(run_sum, x):
         r = run_sum - q_ref
         dx = x - optimal.x_star
-        return float(np.sum(r * r)) + float(np.sum(dx * (spectral.metric_block @ dx)))
+        return float(np.sum(r * r)) + float(np.sum(dx * (G @ dx)))
 
     x_sum = np.zeros_like(trace.xs[0])
     run_sum = Q @ trace.xs[0]
@@ -478,8 +484,10 @@ def test_recurrence_residuals_match_per_round_loop():
 def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
     """rhs - lhs of the one-step gap inequality, one round at a time."""
 
+    G = metric_block(spectral)
+
     def metric_sq(rv, x):
-        return float(np.sum(rv * rv)) + float(np.sum(x * (spectral.metric_block @ x)))
+        return float(np.sum(rv * rv)) + float(np.sum(x * (G @ x)))
 
     Q = gram_sqrt(spectral)
     r = Q @ r  # the dual reference of an x-space reference
@@ -539,7 +547,7 @@ def test_quadratic_forms_are_centered():
     Q = gram_sqrt(sd)
     r = np.cumsum(Q @ trace.xs, axis=0)[1:] - Q @ aux.dual_ref
     dx = trace.xs[1:] - opt.x_star
-    gnorm_sq = np.sum(r * r, axis=(1, 2)) + np.sum(dx * (sd.metric_block @ dx), axis=(1, 2))
+    gnorm_sq = np.sum(r * r, axis=(1, 2)) + np.sum(dx * (metric_block(sd) @ dx), axis=(1, 2))
     feasibility = np.linalg.norm(Q @ trace.ergodic[1:], axis=(1, 2))
     np.testing.assert_allclose(table["gnorm_sq"], gnorm_sq, rtol=analysis.REPLAY_RTOL, atol=0)
     np.testing.assert_allclose(table["feasibility"], feasibility, rtol=analysis.REPLAY_RTOL, atol=0)

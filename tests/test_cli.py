@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -505,6 +506,34 @@ def test_eigen_calls_per_command_path(tmp_path, monkeypatch):
     # off the circulant family each of those matrices gets one eigenvalue-only
     # decomposition, no eigenvectors
     assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 3), (0, 2)]
+
+
+def test_run_holds_at_most_three_traced_dense_arrays(tmp_path, capsys):
+    """Peak of the array bytes a run allocates, in units of one n x n float array.
+
+    numpy reports its array buffers to tracemalloc; the copies LAPACK makes
+    inside eigvalsh and solve are allocated outside numpy and do not show.
+    So the traced ceiling is P, W and one numpy transient (D^(-1/2) P, M - W
+    or W + 11'/n): three n x n arrays. The (T+1, n, 1) trace stacks and
+    everything else add about 0.35 more at n=400, T=20. A run that
+    stores M - W and builds a second Laplacian for a(G) reads 4.5.
+    """
+    n = 400
+    cfg = write_config(
+        tmp_path,
+        K3_CONFIG.replace("kind = complete\nn = 3", f"kind = erdos_renyi\nn = {n}\np = 0.05\nseed = 1")
+        .replace("c = 1.0", "c = auto")
+        .replace("T = 200", "T = 20"),
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().out
+    assert peak / (8 * n * n) <= 3.75
 
 
 @pytest.mark.parametrize("flag,value", [("--nu", "nan"), ("--L", "inf")])

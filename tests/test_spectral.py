@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from admmnet import spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, NotSymmetricError
 from admmnet.graph import CommunicationMatrix, generate_graph, laplacian
 from admmnet.spectral import (
@@ -200,6 +201,37 @@ def test_one_eigendecomposition(monkeypatch):
     assert calls == {"eigh": [], "eigvalsh": [(30, 30)] * 4}
 
 
+def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypatch):
+    # eigvalsh reads the sign of zero entries, so the transient M - W must
+    # carry +0.0 where diag(m) - W does, not the -0.0 of a negated W
+    seen = []
+    fn = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: seen.append(np.array(S)) or _fn(S))
+    g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
+    sd = compute_spectral_data(laplacian(g), g)
+    want = np.diag(sd.col_norms_sq) - sd.gram
+    got = seen[1]
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert not np.signbit(got[got == 0.0]).any()
+    assert np.array_equal(sd.eig_metric.eigenvalues, fn(want))
+
+
+@pytest.mark.parametrize("kind,n,kw", [("erdos_renyi", 30, {"p": 0.2, "seed": 1}), ("path", 12, {}), ("circulant", 20, {"d": 4})])
+def test_laplacian_problem_reads_a_from_its_own_p(monkeypatch, kind, n, kw):
+    # a(G) of a problem whose P is the Laplacian is that P's second
+    # eigenvalue: no second n x n Laplacian is built; a custom P still builds one
+    g = generate_graph(kind, n, **kw)
+    comm = laplacian(g)
+    want = algebraic_connectivity(g)
+    built = []
+    monkeypatch.setattr(spectral, "laplacian", lambda h: built.append(h) or laplacian(h))
+    assert compute_spectral_data(comm, g).algebraic_connectivity == want
+    assert built == []
+    scaled = CommunicationMatrix(P=2.0 * comm.P, source="custom")
+    assert compute_spectral_data(scaled, g).algebraic_connectivity == want
+    assert built == [g]
+
+
 def test_algebraic_connectivity_values(k3, p3):
     assert np.isclose(algebraic_connectivity(k3), 3.0, atol=1e-12)
     assert np.isclose(algebraic_connectivity(p3), 1.0, atol=1e-12)
@@ -229,7 +261,7 @@ def test_psd_certificates_detect_violation(monkeypatch, k3_spectral):
     calls = count_eigvalsh(monkeypatch)
     blocks = (np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), circulant([1.0, -2.0, -2.0]))
     for bad_block in blocks:
-        doctored = replace(k3_spectral, metric_block=bad_block, eig_metric=sym_eig(bad_block))
+        doctored = replace(k3_spectral, eig_metric=sym_eig(bad_block))
         with pytest.raises(CertificateFailedError, match="metric_block"):
             psd_certificates(doctored)
     assert calls == [(3, 3)]
