@@ -24,17 +24,18 @@ two engines generate identical x sequences, and both return the same
 trace: the edge engine records p_i(t) = lambda_ii(t) each round and
 rebuilds y(t) = D^-1 P x(t) after the loop.
 
-P entries act as scalars on rows, so vector problems never materialize a
-Kronecker product, and P follows the graph's sparsity (see
-``graph.CommunicationMatrix``). A round pays only for its arithmetic:
-everything constant within a run (the row and slot scalings at full
-(., d) width, the flat element indices of the edge engine's gathers, the
-bound prox) is built before the first round, and every round writes into
-preallocated buffers or straight into the trace arrays. Each expression
-keeps its operand order, so the traces are bit-identical to evaluating
-the round formulas above as plain array expressions (the tests hold a
-reference of each). Both engines raise NonFiniteIterateError after a
-round that leaves a non-finite estimate.
+P is reached only through a ``spectral.NetworkOperator`` (P x, P'v, P_ij at
+the slots, m); the engines never form W. P entries act as scalars on rows,
+so vector problems never materialize a Kronecker product, and P follows the
+graph's sparsity (see ``graph.CommunicationMatrix``). A round pays only for
+its arithmetic: everything constant within a run (the row and slot
+scalings at full (., d) width, the flat element indices of the edge
+engine's gathers, the bound prox) is built before the first round, and
+every round writes into preallocated buffers or straight into the trace
+arrays. Each expression keeps its operand order, so the traces are
+bit-identical to evaluating the round formulas above as plain array
+expressions (the tests hold a reference of each). Both engines raise
+NonFiniteIterateError after a round that leaves a non-finite estimate.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
 from .graph import Graph
 from .objectives import NetworkProblem
-from .spectral import stack_apply
+from .spectral import NetworkOperator
 
 
 @dataclass(frozen=True)
@@ -123,27 +124,16 @@ class AdmmTrace:
         return erg
 
 
-class _Workspace:
-    """Per-run arrays derived from the problem and the penalty c.
+def _prox_weights(op: NetworkOperator, c: float, d: int) -> np.ndarray:
+    """The prox weights c m_i at full (n, d) width.
 
-    Row scalings are stored at full (n, d) width: multiplying by an (n, 1)
-    column runs numpy's inner loop only d elements at a time.
+    Row scalings are stored at full width: multiplying by an (n, 1) column
+    runs numpy's inner loop only d elements at a time.
     """
-
-    def __init__(self, problem: NetworkProblem, c: float):
-        self.P = problem.comm.P
-        d = problem.dimension
-        size = problem.graph.degrees + 1.0
-        self.inv_size = np.repeat(1.0 / size[:, None], d, axis=1)  # D^-1
-        m = np.einsum("ji,ji->i", self.P, self.P)  # sum_{j in N(i)} P_ji^2
-        zero = np.flatnonzero(m <= 0.0)
-        if zero.size:
-            raise ZeroMWeightError(int(zero[0]))
-        self.rho = np.repeat(c * m[:, None], d, axis=1)  # prox weights c m_i
-
-    def prox_center(self, x: np.ndarray, y: np.ndarray, p: np.ndarray, c: float) -> np.ndarray:
-        """v = x - P'(p + c y) / (c m) over (T, n, d) stacks: the prox centers of rounds 1..T."""
-        return x - stack_apply(self.P.T, p + c * y) / self.rho
+    zero = np.flatnonzero(op.col_norms_sq <= 0.0)
+    if zero.size:
+        raise ZeroMWeightError(int(zero[0]))
+    return np.repeat(c * op.col_norms_sq[:, None], d, axis=1)
 
 
 def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +168,10 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         raise AdmmError(f"penalty c must be positive and finite, got {config.c}")
     if config.engine not in ("node", "edge"):
         raise AdmmError(f"unknown engine {config.engine!r}")
-    ws = _Workspace(problem, config.c)
+    op = NetworkOperator(problem.comm, problem.graph)
     n, d, T, c = problem.n, problem.dimension, config.T, config.c
+    rho = _prox_weights(op, c, d)
+    inv_size = np.repeat(1.0 / op.nbhd_sizes[:, None], d, axis=1)  # D^-1
     acct = account(problem.graph, d)
     if config.init is None:
         x0 = y0 = p0 = np.zeros((n, d))
@@ -188,24 +180,23 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     xs = np.empty((T + 1, n, d))
     xs[0] = x0
 
-    prox = problem.bind_prox(ws.rho)
+    prox = problem.bind_prox(rho)
     ps = np.empty_like(xs)
 
     if config.engine == "node":
         ys = np.empty_like(xs)
         ys[0], ps[0] = y0, p0
-        PT = ws.P.T
         q, v = np.multiply(c, ys[0]), np.empty((n, d))  # q = c y(t-1) on entry to round t
         for t in range(1, T + 1):
             # v = x - P'(p + c y) / (c m), then x <- prox(v)
             np.add(ps[t - 1], q, out=q)
-            np.matmul(PT, q, out=v)
-            np.divide(v, ws.rho, out=v)
+            op.pt(q, out=v)
+            np.divide(v, rho, out=v)
             np.subtract(xs[t - 1], v, out=v)
             prox(v, xs[t])
             _require_finite(xs[t], t)
-            np.matmul(ws.P, xs[t], out=ys[t])
-            ys[t] *= ws.inv_size
+            op.p(xs[t], out=ys[t])
+            ys[t] *= inv_size
             np.multiply(c, ys[t], out=q)
             np.add(ps[t - 1], q, out=ps[t])
         return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
@@ -215,7 +206,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     # N is symmetric, so the slots grouped by column have the row groups' offsets
     starts = np.searchsorted(rows, np.arange(n))
     by_col = np.lexsort((rows, cols))
-    P = np.repeat(ws.P[rows, cols][:, None], d, axis=1)  # P_ij per slot
+    P = np.repeat(op.entries(rows, cols)[:, None], d, axis=1)  # P_ij per slot
     z = P * x0[cols] - y0[rows]
     lam = p0[rows]
     # flat gathers: np.take of elements beats fancy indexing of rows
@@ -233,7 +224,7 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         w *= P
         np.take(w.reshape(-1), by_col_flat, out=w_by_col.reshape(-1))
         np.add.reduceat(w_by_col, starts, out=center)
-        center /= ws.rho
+        center /= rho
         prox(center, xs[t])
         _require_finite(xs[t], t)
         np.take(xs[t].reshape(-1), cols_flat, out=Px.reshape(-1))
@@ -243,36 +234,37 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         # minimize over z_i subject to sum_j z_ij = 0: project the
         # unconstrained minimizer by subtracting the neighborhood mean
         np.add.reduceat(u, starts, out=mu)
-        mu *= ws.inv_size
+        mu *= inv_size
         np.take(mu.reshape(-1), rows_flat, out=r.reshape(-1))
         np.subtract(u, r, out=z)
         np.subtract(Px, z, out=r)
         r *= c
         lam += r
         np.take(lam.reshape(-1), diag_flat, out=ps[t].reshape(-1))  # p_i(t) = lambda_ii(t)
-    ys = stack_apply(ws.P, xs)  # y(t) = D^-1 P x(t)
-    ys *= ws.inv_size
+    ys = op.p(xs)  # y(t) = D^-1 P x(t)
+    ys *= inv_size
     return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
 
-def implicit_subgradients(trace: AdmmTrace, problem: NetworkProblem) -> np.ndarray:
+def implicit_subgradients(trace: AdmmTrace, op: NetworkOperator) -> np.ndarray:
     """Subgradients h(x(t+1)) implied by prox optimality, shape (T, n, d).
 
     h = c m (v - x(t+1)) row-wise, where v is the prox center of round t+1.
     """
-    ws = _Workspace(problem, trace.c)
-    hs = ws.prox_center(trace.xs[:-1], trace.ys[:-1], trace.ps[:-1], trace.c)
+    c = trace.c
+    rho = _prox_weights(op, c, trace.dimension)
+    hs = trace.xs[:-1] - op.pt(trace.ps[:-1] + c * trace.ys[:-1]) / rho
     hs -= trace.xs[1:]
-    hs *= ws.rho
+    hs *= rho
     return hs
 
 
-def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) -> np.ndarray:
+def recurrence_residuals(trace: AdmmTrace, spectral) -> np.ndarray:
     """Inf-norm residual of the eliminated-variable recurrence, per round.
 
     After eliminating y and p, each round satisfies
     x(t+1) = -(1/c) M^-1 h(x(t+1)) + (I - M^-1 W) x(t) - M^-1 W sum_{s<=t} x(s)
-    with M = diag(col_norms_sq) and W the weighted Gram matrix. The
+    with M = diag(m) and W the weighted Gram matrix of ``spectral.op``. The
     returned vector holds the residual of that identity for t = 0..T-1.
 
     What it can see: h is recovered from x(t+1) by ``implicit_subgradients``,
@@ -283,14 +275,15 @@ def recurrence_residuals(trace: AdmmTrace, spectral, problem: NetworkProblem) ->
     """
     # evaluated in place, in the order of
     # pred = -(1/c) M^-1 h + x(t) - M^-1 W (x(t) + sum_{s<=t} x(s))
-    pred = implicit_subgradients(trace, problem)
-    Minv = 1.0 / spectral.col_norms_sq[:, None]
+    op = spectral.op
+    pred = implicit_subgradients(trace, op)
+    Minv = 1.0 / op.col_norms_sq[:, None]
     pred *= -(1.0 / trace.c) * Minv
     xs = trace.xs[:-1]
     pred += xs
     sums = trace.x_sums[:-1]  # a fresh array, derived on access
     sums += xs
-    term = stack_apply(spectral.gram, sums)
+    term = op.w(sums)
     term *= Minv
     pred -= term
     pred -= trace.xs[1:]

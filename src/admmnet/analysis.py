@@ -40,7 +40,7 @@ from .errors import (
 from .admm import AdmmTrace
 from .graph import Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
-from .spectral import SpectralData, compute_spectral_data, stack_apply
+from .spectral import SpectralData, compute_spectral_data
 
 # The tolerance policy shared by `run` and `check`.
 BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver and prox noise
@@ -69,17 +69,6 @@ class AuxSequences:
     span_residual: float = 0.0
 
 
-def _gram_pinv_apply(spectral: SpectralData, B: np.ndarray) -> np.ndarray:
-    """W^+ B for the Gram matrix W, by one linear solve.
-
-    null(W) = span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n;
-    removing the column means of its solve drops the 11'/n B part exactly
-    and leaves W^+ B, which is orthogonal to the consensus direction.
-    """
-    X = np.linalg.solve(spectral.gram + 1.0 / spectral.n, B)
-    return X - X.mean(axis=0)
-
-
 def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
     """|Q v|^2 = v' W v per entry of an (..., n, d) stack; centers v in place.
 
@@ -87,7 +76,7 @@ def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
     a large consensus part; on v minus its node mean it is exact.
     """
     v -= v.mean(axis=-2, keepdims=True)
-    wv = stack_apply(spectral.gram, v)
+    wv = spectral.op.w(v)
     wv *= v
     return np.maximum(wv.sum(axis=(-2, -1)), 0.0)
 
@@ -101,9 +90,9 @@ def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarr
     consensus part of x is small next to it.
     """
     total = _gram_form(spectral, s)
-    total -= np.einsum("...ij,...ij->...", stack_apply(spectral.gram, x), x)
+    total -= np.einsum("...ij,...ij->...", spectral.op.w(x), x)
     x *= x
-    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.col_norms_sq, x.shape[-1])
+    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.op.col_norms_sq, x.shape[-1])
     return total
 
 
@@ -116,12 +105,12 @@ def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_st
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
     """Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c)."""
-    dual_ref = -(1.0 / c) * _gram_pinv_apply(spectral, optimal.subgrad)
-    dual_resid = float(np.linalg.norm(spectral.gram @ dual_ref + (1.0 / c) * optimal.subgrad))
+    dual_ref = -(1.0 / c) * spectral.op.w_pinv(optimal.subgrad)
+    dual_resid = float(np.linalg.norm(spectral.op.w(dual_ref) + (1.0 / c) * optimal.subgrad))
     scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
-    span_resid = math.sqrt(spectral.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
+    span_resid = math.sqrt(spectral.op.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
     dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(
         dual_ref=dual_ref,
@@ -417,7 +406,7 @@ def gap_inequality_check(
     dist = _metric_path(trace, spectral, r, optimal.x_star)
     xs = trace.xs
     lhs = (2.0 / c) * (problem.f_value(xs[1:]) - optimal.f_star) + 2.0 * np.sum(
-        (spectral.gram @ r) * xs[1:], axis=(1, 2)
+        spectral.op.w(r) * xs[1:], axis=(1, 2)
     )
     # step(t): S(t) - S(t+1) = -x(t+1)
     rhs = dist[:-1] - dist[1:] - _metric_sq(spectral, xs[1:].copy(), xs[:-1] - xs[1:])

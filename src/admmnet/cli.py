@@ -119,7 +119,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         if v.judged < trace.T:
             detail += ", converged"
         record("contraction", v.passed, detail)
-    worst = float(np.max(admm.recurrence_residuals(trace, spectral, problem)))
+    worst = float(np.max(admm.recurrence_residuals(trace, spectral)))
     record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
 
     report = "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from .errors import (
 
 ROW_SUM_RTOL = 1e-12  # |P 1|_inf <= ROW_SUM_RTOL * max|P_ij|
 RANK_RTOL = 1e-9  # second-smallest singular value > RANK_RTOL * largest
+_ER_CHUNK = 1 << 16  # Erdos-Renyi pair draws held at once, so no (n(n-1)/2)-long array is built
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +210,11 @@ def generate_graph(kind: str, n: int, *, d: int | None = None, p: float | None =
         base_seed = 0 if seed is None else int(seed)
         for attempt in range(1000):
             rng = np.random.default_rng([base_seed, attempt])
-            keep = rng.random(num_pairs) < p  # one draw per pair, in row-major pair order
+            # one draw per pair, in row-major pair order, taken in chunks of the same stream
+            chunks = range(0, max(num_pairs, 1), _ER_CHUNK)
+            keep = [np.flatnonzero(rng.random(min(_ER_CHUNK, num_pairs - lo)) < p) + lo for lo in chunks]
             try:
-                return build_graph(n, _upper_pairs(n, np.flatnonzero(keep)))
+                return build_graph(n, _upper_pairs(n, np.concatenate(keep)))
             except DisconnectedError:
                 continue
         raise ConnectivityRetryExhaustedError(

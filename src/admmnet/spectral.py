@@ -1,23 +1,24 @@
 """Spectral quantities driving every convergence certificate.
 
-From a communication matrix P and its graph we form
+A :class:`NetworkOperator` is the only code outside ``graph`` that knows a
+communication matrix P and its Gram matrix W = P' D^-1 P, D = diag(|N(i)|),
+are dense n x n arrays. Engines and analysis reach them through its products
+P x, P'v, W x and W^+ B, the entries P_ij at given slots, the column norms
+m_i = sum_{j in N(i)} P_ji^2 (``col_norms_sq``, the diagonal of M) and
+|N(i)| = degree + 1 (``nbhd_sizes``). W is formed on first read, as one
+syrk, so the engines never form it.
 
-* ``col_norms_sq``  per-node squared column norms, sum_{j in N(i)} P_ji^2,
-  the diagonal of M
-* ``nbhd_sizes``    |N(i)| = degree + 1
-* ``gram``          W = P' diag(1/|N|) P, symmetric PSD, null space span{1}
-
-plus the numbers the rate certificates read: the smallest nonzero
-eigenvalue of W, the largest eigenvalue of the metric block M - W and the
-algebraic connectivity a(G) (computed on first read). Only P and W are
-stored as dense n x n arrays. M - W is derived: it is built once, as 0 - W
-with the column norms added on its diagonal in place, for its eigenvalues,
-and then freed; its forms are x' (M - W) x = sum_i m_i |x_i|^2 - x' W x
-(see ``analysis._metric_sq``). When P is the graph Laplacian, a(G) is read
-from P itself. So a run holds at most four dense n x n float arrays at
-once: P and W plus two transients, which are D^(-1/2) P while W is formed,
-M - W and ``eigvalsh``'s copy of it, or W + 11'/n and the solve's copy of
-it (``analysis._gram_pinv_apply``).
+``SpectralData`` adds the numbers the rate certificates read: the smallest
+nonzero eigenvalue of W, the largest eigenvalue of the metric block M - W
+and the algebraic connectivity a(G) (computed on first read). Only P and W
+are stored as dense n x n arrays. M - W is derived: it is built once, as
+0 - W with the column norms added on its diagonal in place, for its
+eigenvalues, and then freed; its forms are x' (M - W) x =
+sum_i m_i |x_i|^2 - x' W x (see ``analysis._metric_sq``). When P is the
+graph Laplacian, a(G) is read from P itself. So a run holds at most four
+dense n x n float arrays at once: P and W plus two transients, which are
+D^(-1/2) P while W is formed, M - W and ``eigvalsh``'s copy of it, or
+W + 11'/n and the solve's copy of it (``NetworkOperator.w_pinv``).
 
 Every spectrum is eigenvalues only. The paper's norms |Q v| with
 Q = W^(1/2) are evaluated as forms v' W v, and W^+ is applied by one linear
@@ -70,30 +71,66 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
+class NetworkOperator:
+    """P, W and the column norms m of one network, reached through products (see ``_apply``)."""
+
+    def __init__(self, comm: CommunicationMatrix, g: Graph):
+        self.comm = comm
+        self.graph = g
+        self.n = comm.n
+        self.col_norms_sq = np.einsum("ji,ji->i", comm.P, comm.P)  # diagonal of M
+        self.nbhd_sizes = g.degrees + 1.0  # diagonal of D
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        B = self.comm.P * (1.0 / np.sqrt(self.nbhd_sizes))[:, None]  # D^(-1/2) P
+        return B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
+
+    def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _apply(self.comm.P, x, out)
+
+    def pt(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _apply(self.comm.P.T, v, out)
+
+    def w(self, x: np.ndarray) -> np.ndarray:
+        return _apply(self.W, x)
+
+    def w_pinv(self, B: np.ndarray) -> np.ndarray:
+        """W^+ B by one linear solve.
+
+        null(W) = span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n;
+        removing the column means of its solve drops the 11'/n B part exactly
+        and leaves W^+ B, which is orthogonal to the consensus direction.
+        """
+        X = np.linalg.solve(self.W + 1.0 / self.n, B)
+        return X - X.mean(axis=0)
+
+    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """P_ij at the slots (rows[k], cols[k])."""
+        return self.comm.P[rows, cols]
+
+
+def _apply(A: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A v: ``np.matmul`` of an (n, d) operand, into ``out`` if given; ``stack_apply`` of an (..., n, d) stack."""
+    return np.matmul(A, v, out=out) if v.ndim == 2 else stack_apply(A, v)
+
+
 @dataclass(frozen=True)
 class SpectralData:
-    """W and the spectra of W and M - W; M - W itself is not stored (see the module docstring)."""
+    """The network operator and the spectra of W and M - W; M - W itself is not stored (see the module docstring)."""
 
-    col_norms_sq: np.ndarray = field(repr=False)  # diagonal of M
-    nbhd_sizes: np.ndarray = field(repr=False)  # diagonal of D
-    gram: np.ndarray = field(repr=False)
+    op: NetworkOperator = field(repr=False)
     eig_gram: Spectrum = field(repr=False)
     eig_metric: Spectrum = field(repr=False)  # of M - W
     min_pos_eig_gram: float
     max_eig_metric: float
-    graph: Graph = field(repr=False)
-    comm: CommunicationMatrix = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.gram.shape[0]
 
     @cached_property
     def algebraic_connectivity(self) -> float:
         """a(G), read from P itself when P is the Laplacian; any other P builds the Laplacian."""
-        if self.comm.source != "laplacian":
-            return algebraic_connectivity(self.graph)
-        return float(sym_eig(self.comm.P).eigenvalues[1])
+        if self.op.comm.source != "laplacian":
+            return algebraic_connectivity(self.op.graph)
+        return float(sym_eig(self.op.comm.P).eigenvalues[1])
 
 
 def sym_eig(S: np.ndarray) -> Spectrum:
@@ -196,36 +233,28 @@ def algebraic_connectivity(g: Graph) -> float:
 
 
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
-    P = comm.P
-    col_norms_sq = np.einsum("ji,ji->i", P, P)
-    nbhd_sizes = g.degrees + 1.0
-    B = P * (1.0 / np.sqrt(nbhd_sizes))[:, None]  # D^(-1/2) P
-    gram = B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
-    del B
+    op = NetworkOperator(comm, g)
+    W = op.W
 
-    eig_gram = sym_eig(gram)
+    eig_gram = sym_eig(W)
     # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
     # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
     lam_max, min_pos = eig_gram.max, float(eig_gram.eigenvalues[1])
-    if not min_pos > gram.shape[0] * np.finfo(float).eps * lam_max:  # nan included
+    if not min_pos > op.n * np.finfo(float).eps * lam_max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
     # M - W in place from 0 - W, bit for bit diag(m) - W: a zero entry must
     # stay +0, since eigvalsh reads the sign of zeros (see ``sym_eig``)
-    metric = np.subtract(0.0, gram)
-    metric[np.diag_indices_from(metric)] += col_norms_sq
+    metric = np.subtract(0.0, W)
+    metric[np.diag_indices_from(metric)] += op.col_norms_sq
     eig_metric = sym_eig(metric)
 
     return SpectralData(
-        col_norms_sq=col_norms_sq,
-        nbhd_sizes=nbhd_sizes,
-        gram=gram,
+        op=op,
         eig_gram=eig_gram,
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
         max_eig_metric=eig_metric.max,
-        graph=g,
-        comm=comm,
     )
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from admmnet.graph import build_graph, generate_graph, laplacian
+from admmnet.graph import build_graph, custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
 
@@ -18,6 +18,16 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     return build_graph(n, sorted(edges))
+
+
+def edge_weighted_laplacian(rng: np.random.Generator, g):
+    """A Laplacian with edge weights drawn from [0.5, 2): a custom P with the graph's sparsity."""
+    P = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        w = rng.uniform(0.5, 2.0)
+        P[[i, j], [i, j]] += w
+        P[[i, j], [j, i]] -= w
+    return custom_comm_matrix(P, g)
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ def test_criterion_2_recurrence_identity():
         sd = compute_spectral_data(prob.comm, prob.graph)
         for c in (0.25, 1.0, 4.0):
             trace = admm.run(prob, admm.RunConfig(c=c, T=100))
-            worst = max(worst, float(np.max(admm.recurrence_residuals(trace, sd, prob))))
+            worst = max(worst, float(np.max(admm.recurrence_residuals(trace, sd))))
     report(2, "one-step recurrence identity", worst <= 1e-8, f"max residual {worst:.3e}")
 
 

@@ -93,7 +93,7 @@ def test_node_edge_equivalence_custom_init(p3_problem):
 
 def test_recurrence_residuals_small(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=30))
-    resid = admm.recurrence_residuals(trace, k3_spectral, k3_problem)
+    resid = admm.recurrence_residuals(trace, k3_spectral)
     assert float(np.max(resid)) <= 1e-10
 
 
@@ -102,13 +102,13 @@ def test_recurrence_detects_corruption(k3_problem, k3_spectral):
     # corrupt one node only; a constant shift would hide in the consensus
     # null space of the Gram matrix
     trace.xs[10:, 0, :] += 0.05
-    resid = admm.recurrence_residuals(trace, k3_spectral, k3_problem)
+    resid = admm.recurrence_residuals(trace, k3_spectral)
     assert float(np.max(resid)) > 1e-6
 
 
-def test_implicit_subgradients_match_quadratic_gradient(k3_problem):
+def test_implicit_subgradients_match_quadratic_gradient(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
-    hs = admm.implicit_subgradients(trace, k3_problem)
+    hs = admm.implicit_subgradients(trace, k3_spectral.op)
     for t in range(20):
         for i, f in enumerate(k3_problem.objectives):
             assert np.max(np.abs(hs[t, i] - f.gradient(trace.xs[t + 1][i]))) <= 1e-10
@@ -141,7 +141,7 @@ def test_vector_dimension_runs(k3):
     edge = admm.run(prob, admm.RunConfig(c=1.0, T=200, engine="edge"))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
     sd = compute_spectral_data(prob.comm, k3)
-    assert float(np.max(admm.recurrence_residuals(node, sd, prob))) <= 1e-10
+    assert float(np.max(admm.recurrence_residuals(node, sd))) <= 1e-10
     mean = np.mean(targets, axis=0)
     assert np.max(np.abs(node.xs[-1] - mean)) <= 1e-8
 
@@ -243,7 +243,7 @@ def test_vectorized_round_properties(n, d, seed):
     y0 = (prob.comm.P @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
     trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
     sd = compute_spectral_data(prob.comm, prob.graph)
-    assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8
+    assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
 
 
 def _reference_prox(problem, V, rho):
@@ -379,6 +379,25 @@ def test_edge_run_stores_no_slot_history():
     assert peak < stack_bytes
 
 
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_engines_never_form_w(engine):
+    """Peak traced bytes of a run, in units of one n x n float array, with P built beforehand.
+
+    The node engine reads about 0.03 and the edge engine about 0.28 (its slot
+    index arrays); forming W, or D^(-1/2) P on the way to it, adds at least 1.
+    """
+    n = 1200
+    g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
+    prob = estimation_problem(g)
+    tracemalloc.start()
+    try:
+        admm.run(prob, admm.RunConfig(c=1.0, T=5, engine=engine))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) < 0.5
+
+
 def _forbid_per_node_calls(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-node objective call on the round path")
@@ -403,4 +422,4 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
         aux = analysis.aux_sequences(trace, sd, optimal, 1.0)
         assert len(reporting.trace_rows(trace, prob, sd, optimal, aux)["t"]) == 20
-        assert float(np.max(admm.recurrence_residuals(trace, sd, prob))) <= 1e-8
+        assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8

@@ -15,7 +15,7 @@ from admmnet.errors import (
     InvalidCError,
     MissingCurvatureMetadataError,
 )
-from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
+from admmnet.graph import generate_graph, laplacian
 from admmnet.objectives import (
     CustomSmooth,
     L1Quadratic,
@@ -25,8 +25,8 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import compute_spectral_data
-from conftest import random_connected_graph
+from admmnet.spectral import NetworkOperator, compute_spectral_data
+from conftest import edge_weighted_laplacian, random_connected_graph
 
 # hand-derived constants for the complete triangle with unit weights
 K3_BEST_PENALTY = math.sqrt(1.0 / 15.0)
@@ -67,15 +67,6 @@ def eigh_pinv(W):
     return (vecs * inv) @ vecs.T
 
 
-def edge_weighted_laplacian(rng, g):
-    P = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w = rng.uniform(0.5, 2.0)
-        P[[i, j], [i, j]] += w
-        P[[i, j], [j, i]] -= w
-    return custom_comm_matrix(P, g)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
 def test_gram_pinv_apply_matches_eigh(n, seed, weighted, d):
@@ -84,18 +75,19 @@ def test_gram_pinv_apply_matches_eigh(n, seed, weighted, d):
     comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
     sd = compute_spectral_data(comm, g)
     B = rng.normal(size=(n, d))
-    want = eigh_pinv(sd.gram) @ B
-    got = analysis._gram_pinv_apply(sd, B)
+    want = eigh_pinv(sd.op.W) @ B
+    got = sd.op.w_pinv(B)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral, k3_optimal):
     # a Gram matrix that no longer annihilates exactly span{1}: W + 11'/n is
     # still invertible, but its solve is no longer W^+
-    W = k3_spectral.gram.copy()
-    W[0, 1] += 0.1
-    W[1, 0] += 0.1
-    doctored = replace(k3_spectral, gram=W)
+    op = NetworkOperator(k3_problem.comm, k3_problem.graph)
+    op.W = k3_spectral.op.W.copy()
+    op.W[0, 1] += 0.1
+    op.W[1, 0] += 0.1
+    doctored = replace(k3_spectral, op=op)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
         analysis.aux_sequences(trace, doctored, k3_optimal, 1.0)
@@ -384,15 +376,15 @@ def mixed_custom_problem():
 
 def gram_sqrt(spectral):
     """Q = W^(1/2) from eigh; the smallest eigenvalue, that of null(W) = span{1}, is zeroed exactly so that Q 1 = 0."""
-    vals, vecs = np.linalg.eigh(spectral.gram)
+    vals, vecs = np.linalg.eigh(spectral.op.W)
     roots = np.sqrt(np.clip(vals, 0.0, None))
     roots[0] = 0.0
     return (vecs * roots) @ vecs.T
 
 
 def metric_block(spectral):
-    """M - W as a dense matrix, built the plain way: SpectralData stores only W and diag(M)."""
-    return np.diag(spectral.col_norms_sq) - spectral.gram
+    """M - W as a dense matrix, built the plain way: the operator stores only W and diag(M)."""
+    return np.diag(spectral.op.col_norms_sq) - spectral.op.W
 
 
 def table_by_rounds(trace, problem, spectral, optimal, aux):
@@ -455,10 +447,10 @@ def test_trace_table_matches_per_round_loop(engine):
             np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
 
 
-def recurrence_by_rounds(trace, spectral, problem):
-    hs = admm.implicit_subgradients(trace, problem)
-    Minv = 1.0 / spectral.col_norms_sq[:, None]
-    W = spectral.gram
+def recurrence_by_rounds(trace, spectral):
+    hs = admm.implicit_subgradients(trace, spectral.op)
+    Minv = 1.0 / spectral.op.col_norms_sq[:, None]
+    W = spectral.op.W
     x_sum = np.zeros_like(trace.xs[0])
     out = []
     for t in range(trace.T):
@@ -473,12 +465,12 @@ def test_recurrence_residuals_match_per_round_loop():
     sd = compute_spectral_data(prob.comm, prob.graph)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
     scale = float(np.max(np.abs(trace.xs)))
-    clean = admm.recurrence_residuals(trace, sd, prob)
-    np.testing.assert_allclose(clean, recurrence_by_rounds(trace, sd, prob), rtol=0, atol=1e-12 * scale)
+    clean = admm.recurrence_residuals(trace, sd)
+    np.testing.assert_allclose(clean, recurrence_by_rounds(trace, sd), rtol=0, atol=1e-12 * scale)
     trace.xs[12:, 2, 1] += 0.05  # residuals of order 0.05 from round 11 on
-    corrupted = admm.recurrence_residuals(trace, sd, prob)
+    corrupted = admm.recurrence_residuals(trace, sd)
     assert float(np.max(corrupted)) > 1e-3
-    np.testing.assert_allclose(corrupted, recurrence_by_rounds(trace, sd, prob), rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(corrupted, recurrence_by_rounds(trace, sd), rtol=1e-12, atol=1e-12 * scale)
 
 
 def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -259,6 +260,46 @@ def test_erdos_renyi_matches_scalar_draws(n, p, seed, retried):
     want, attempt = erdos_renyi_by_scalar_draws(n, p, seed)
     assert (attempt > 0) == retried
     assert np.array_equal(generate_graph("erdos_renyi", n, p=p, seed=seed).edges, want.edges)
+
+
+def erdos_renyi_one_shot(n, p, seed):
+    """(graph, attempt): every pair draw of an attempt taken as one rng.random(n(n-1)/2) array."""
+    i, j = np.triu_indices(n, 1)  # row-major pair order
+    for attempt in range(1000):
+        keep = np.random.default_rng([seed, attempt]).random(i.size) < p
+        try:
+            return build_graph(n, np.column_stack((i[keep], j[keep]))), attempt
+        except DisconnectedError:
+            continue
+    raise AssertionError("no connected draw")
+
+
+@pytest.mark.parametrize(
+    ("n", "p", "seed", "retried"),
+    [(10, 0.25, 0, True), (363, 0.05, 2, False), (400, 0.013, 1, True), (400, 0.013, 4, True),
+     (800, 0.05, 1, False), (1200, 20 / 1200, 1, False)],
+)
+def test_erdos_renyi_chunked_draws_match_one_shot(n, p, seed, retried):
+    # 363 nodes give 65703 pairs, just past one chunk of draws; 1200 give 11 chunks
+    want, attempt = erdos_renyi_one_shot(n, p, seed)
+    assert (attempt > 0) == retried
+    assert np.array_equal(generate_graph("erdos_renyi", n, p=p, seed=seed).edges, want.edges)
+
+
+def test_erdos_renyi_draws_hold_no_pair_length_array():
+    """Peak traced bytes of generating ER n=1200, p=20/n, in units of one n x n float array.
+
+    One draw of all n(n-1)/2 pairs and its mask read 0.56 here; chunked
+    draws read about 0.2, most of it the edge arrays of build_graph.
+    """
+    n = 1200
+    tracemalloc.start()
+    try:
+        generate_graph("erdos_renyi", n, p=20 / n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) < 0.3
 
 
 def test_erdos_renyi_low_p_retry_exhausted():

@@ -10,13 +10,14 @@ from admmnet import spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, NotSymmetricError
 from admmnet.graph import CommunicationMatrix, generate_graph, laplacian
 from admmnet.spectral import (
+    NetworkOperator,
     algebraic_connectivity,
     compute_spectral_data,
     psd_certificates,
     stack_apply,
     sym_eig,
 )
-from conftest import random_connected_graph
+from conftest import edge_weighted_laplacian, random_connected_graph
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -107,10 +108,10 @@ def test_sym_eig_deterministic(k3):
 def test_spectral_data_k3(k3, k3_spectral):
     sd = k3_spectral
     P = laplacian(k3).P
-    assert np.allclose(sd.col_norms_sq, [6, 6, 6])
-    assert np.allclose(sd.nbhd_sizes, [3, 3, 3])
+    assert np.allclose(sd.op.col_norms_sq, [6, 6, 6])
+    assert np.allclose(sd.op.nbhd_sizes, [3, 3, 3])
     # P^2 = 3P on the complete triangle, so the Gram matrix is P itself
-    assert np.allclose(sd.gram, P, atol=1e-12)
+    assert np.allclose(sd.op.W, P, atol=1e-12)
     assert np.isclose(sd.min_pos_eig_gram, 3.0, atol=1e-12)
     assert np.isclose(sd.max_eig_metric, 6.0, atol=1e-12)
     assert np.isclose(sd.algebraic_connectivity, 3.0, atol=1e-12)
@@ -118,8 +119,8 @@ def test_spectral_data_k3(k3, k3_spectral):
 
 def test_spectral_data_p3(p3, p3_spectral):
     sd = p3_spectral
-    assert np.allclose(sd.col_norms_sq, [2, 6, 2])
-    assert np.allclose(sd.nbhd_sizes, [2, 3, 2])
+    assert np.allclose(sd.op.col_norms_sq, [2, 6, 2])
+    assert np.allclose(sd.op.nbhd_sizes, [2, 3, 2])
     assert np.allclose(sd.eig_gram.eigenvalues, P3_GRAM_EIGS, atol=1e-12)
     assert np.isclose(sd.min_pos_eig_gram, 0.5, atol=1e-12)
     assert np.isclose(sd.max_eig_metric, P3_METRIC_MAX, atol=1e-10)
@@ -209,7 +210,7 @@ def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypat
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: seen.append(np.array(S)) or _fn(S))
     g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
     sd = compute_spectral_data(laplacian(g), g)
-    want = np.diag(sd.col_norms_sq) - sd.gram
+    want = np.diag(sd.op.col_norms_sq) - sd.op.W
     got = seen[1]
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     assert not np.signbit(got[got == 0.0]).any()
@@ -241,7 +242,7 @@ def test_algebraic_connectivity_values(k3, p3):
 
 def test_consensus_direction_in_null_space(p3_spectral):
     ones = np.ones(3)
-    assert np.max(np.abs(p3_spectral.gram @ ones)) <= 1e-10
+    assert np.max(np.abs(p3_spectral.op.W @ ones)) <= 1e-10
 
 
 def test_psd_certificates_k3(k3_spectral):
@@ -318,3 +319,34 @@ def test_stack_apply_matches_matmul(d, symmetric):
     np.testing.assert_allclose(stack_apply(A, v[:, :, ::-1]), want[:, :, ::-1], rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(stack_apply(A, v[2]), A @ v[2], rtol=1e-13, atol=1e-13)
     assert stack_apply(A, v).shape == v.shape
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
+def test_operator_products_keep_their_bits(n, seed, weighted, d):
+    """W is D^(-1/2) P's syrk, and each product is bit for bit np.matmul on an (n, d) operand and stack_apply on a stack."""
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
+    comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
+    op = compute_spectral_data(comm, g).op
+    B = comm.P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
+    assert np.array_equal(op.W, B.T @ B)
+    x, stack = rng.normal(size=(n, d)), rng.normal(size=(4, n, d))
+    for got_of, A in ((op.p, comm.P), (op.pt, comm.P.T), (op.w, op.W)):
+        assert np.array_equal(got_of(x), np.matmul(A, x))
+        assert np.array_equal(got_of(stack), stack_apply(A, stack))
+    for got_of, A in ((op.p, comm.P), (op.pt, comm.P.T)):
+        out = np.empty((n, d))
+        assert got_of(x, out=out) is out
+        assert np.array_equal(out, np.matmul(A, x))
+    rows, cols = np.nonzero(comm.P)
+    assert np.array_equal(op.entries(rows, cols), comm.P[rows, cols])
+
+
+def test_operator_forms_w_on_first_read_only(p3, p3_problem):
+    op = NetworkOperator(p3_problem.comm, p3)
+    assert "W" not in vars(op)
+    op.p(np.ones((3, 1)))
+    op.pt(np.ones((2, 3, 1)))
+    assert "W" not in vars(op)
+    assert op.W is op.W
