@@ -16,25 +16,27 @@ any other problem calls each node's own prox in turn.
 
 The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The
-slots are the n + 2|E| rows of two (n + 2|E|, d) buffers, in row-major
-order (by i, then j; see ``edge_slots``), updated in place, so a round
-costs O(|E| d) and the run stores no slot history. With the matched
-initialization lambda_ij(0) = p_i(0), z_ij(0) = P_ij x_j(0) - y_i(0) the
-two engines generate identical x sequences, and both return the same
-trace: the edge engine records p_i(t) = lambda_ii(t) each round and
-rebuilds y(t) = D^-1 P x(t) after the loop.
+slots are the n + 2|E| rows of two (n + 2|E|, d) buffers, in the row-major
+order (by i, then j) in which ``problem.comm`` stores P_ij, updated in
+place, so a round costs O(|E| d) and the run stores no slot history. With
+the matched initialization lambda_ij(0) = p_i(0),
+z_ij(0) = P_ij x_j(0) - y_i(0) the two engines generate identical x
+sequences, and both return the same trace: the edge engine records
+p_i(t) = lambda_ii(t) each round and rebuilds y(t) = D^-1 P x(t) after the
+loop.
 
-P is reached only through a ``spectral.NetworkOperator`` (P x, P'v, P_ij at
-the slots, m); the engines never form W. P entries act as scalars on rows,
-so vector problems never materialize a Kronecker product, and P follows the
-graph's sparsity (see ``graph.CommunicationMatrix``). A round pays only for
-its arithmetic: everything constant within a run (the row and slot
-scalings at full (., d) width, the flat element indices of the edge
-engine's gathers, the bound prox) is built before the first round, and
-every round writes into preallocated buffers or straight into the trace
-arrays. Each expression keeps its operand order, so the traces are
-bit-identical to evaluating the round formulas above as plain array
-expressions (the tests hold a reference of each). Both engines raise
+The node engine reaches P only through a ``spectral.NetworkOperator``
+(P x, P'v, m), and the edge engine reads P_ij from the matrix's slots; the
+engines never form W. P entries act as scalars on rows, so vector problems
+never materialize a Kronecker product, and P follows the graph's sparsity
+(see ``graph.CommunicationMatrix``). A round pays only for its arithmetic:
+everything constant within a run (the row and slot scalings at full (., d)
+width, the flat element indices of the edge engine's gathers, the bound
+prox) is built before the first round, and every round writes into
+preallocated buffers or straight into the trace arrays. Each expression
+keeps its operand order, so the traces are bit-identical to evaluating the
+round formulas above as plain array expressions (the tests hold a
+reference of each). Both engines raise
 NonFiniteIterateError after a round that leaves a non-finite estimate.
 """
 
@@ -136,19 +138,6 @@ def _prox_weights(op: NetworkOperator, c: float, d: int) -> np.ndarray:
     return np.repeat(c * op.col_norms_sq[:, None], d, axis=1)
 
 
-def edge_slots(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the edge engine's slots (i, j), j in N(i), in row-major order.
-
-    There are n + 2|E| slots; those of row i are contiguous, |N(i)| long and
-    ascending in j, and include the diagonal slot (i, i).
-    """
-    diag = np.arange(g.n)
-    rows = np.concatenate((diag, g.edges[:, 0], g.edges[:, 1]))
-    cols = np.concatenate((diag, g.edges[:, 1], g.edges[:, 0]))
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order]
-
-
 def _flat_rows(idx: np.ndarray, d: int) -> np.ndarray:
     """Element indices of the rows ``idx`` of a flattened (k, d) array."""
     return (idx[:, None] * d + np.arange(d)).ravel()
@@ -201,12 +190,13 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
             np.add(ps[t - 1], q, out=ps[t])
         return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
-    rows, cols = edge_slots(problem.graph)
+    comm = problem.comm
+    rows, cols, starts = comm.rows, comm.cols, comm.starts
     S = rows.size
-    # N is symmetric, so the slots grouped by column have the row groups' offsets
-    starts = np.searchsorted(rows, np.arange(n))
-    by_col = np.lexsort((rows, cols))
-    P = np.repeat(op.entries(rows, cols)[:, None], d, axis=1)  # P_ij per slot
+    # N is symmetric, so the slots of column j, transpose[starts[j]:starts[j + 1]],
+    # have the row groups' offsets
+    by_col = comm.transpose
+    P = np.repeat(comm.values[:, None], d, axis=1)  # P_ij per slot
     z = P * x0[cols] - y0[rows]
     lam = p0[rows]
     # flat gathers: np.take of elements beats fancy indexing of rows

@@ -1,24 +1,29 @@
 """Spectral quantities driving every convergence certificate.
 
-A :class:`NetworkOperator` is the only code outside ``graph`` that knows a
-communication matrix P and its Gram matrix W = P' D^-1 P, D = diag(|N(i)|),
-are dense n x n arrays. Engines and analysis reach them through its products
-P x, P'v, W x and W^+ B, the entries P_ij at given slots, the column norms
-m_i = sum_{j in N(i)} P_ji^2 (``col_norms_sq``, the diagonal of M) and
-|N(i)| = degree + 1 (``nbhd_sizes``). W is formed on first read, as one
-syrk, so the engines never form it.
+A :class:`NetworkOperator` is the only code outside ``graph`` that reads a
+dense communication matrix P or its Gram matrix W = P' D^-1 P,
+D = diag(|N(i)|). Engines and analysis reach them through its products
+P x, P'v, W x and W^+ B, the column norms m_i = sum_{j in N(i)} P_ji^2
+(``col_norms_sq``, the diagonal of M, one ``bincount`` over P's slots) and
+|N(i)| = degree + 1 (``nbhd_sizes``). P x and P'v run over P's slots, or,
+below a crossover measured in ``dense_products_are_cheaper``, as dense GEMVs
+on a P kept once per matrix. W is formed on first read, as one syrk of
+D^(-1/2) P written straight from the slots, so the engines never form it.
 
 ``SpectralData`` adds the numbers the rate certificates read: the smallest
 nonzero eigenvalue of W, the largest eigenvalue of the metric block M - W
-and the algebraic connectivity a(G) (computed on first read). Only P and W
-are stored as dense n x n arrays. M - W is derived: it is built once, as
-0 - W with the column norms added on its diagonal in place, for its
-eigenvalues, and then freed; its forms are x' (M - W) x =
-sum_i m_i |x_i|^2 - x' W x (see ``analysis._metric_sq``). When P is the
-graph Laplacian, a(G) is read from P itself. So a run holds at most four
-dense n x n float arrays at once: P and W plus two transients, which are
-D^(-1/2) P while W is formed, M - W and ``eigvalsh``'s copy of it, or
-W + 11'/n and the solve's copy of it (``NetworkOperator.w_pinv``).
+and the algebraic connectivity a(G) (computed on first read). Only W is
+stored as a dense n x n array, and P too below the crossover. M - W is
+derived: it is built for its eigenvalues in W's own storage, as 0 - W with
+the column norms added on its diagonal, and W is restored after; its forms
+are x' (M - W) x = sum_i m_i |x_i|^2 - x' W x (see
+``analysis._metric_sq``). When P is the graph Laplacian, a(G) is read from
+P itself, built dense for its eigenvalues. So above the crossover a run
+holds at most three dense n x n float arrays at once: W plus at most two
+transients, which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy
+of W or of M - W, the Laplacian and ``eigvalsh``'s copy of it for a(G), or
+W + 11'/n and the solve's copy of it (``NetworkOperator.w_pinv``). Below
+the crossover the kept P adds one.
 
 Every spectrum is eigenvalues only. The paper's norms |Q v| with
 Q = W^(1/2) are evaluated as forms v' W v, and W^+ is applied by one linear
@@ -54,6 +59,9 @@ from .graph import CommunicationMatrix, Graph, laplacian
 
 SYMMETRY_RTOL = 1e-9
 _BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the circulant test and sums
+# Cost of a slot product in dense GEMV entries: per slot, and fixed per call
+# (see ``dense_products_are_cheaper``)
+SLOT_COST, SLOT_FIXED = 10, 40_000
 
 
 @dataclass(frozen=True)
@@ -72,25 +80,44 @@ class Spectrum:
 
 
 class NetworkOperator:
-    """P, W and the column norms m of one network, reached through products (see ``_apply``)."""
+    """P, W and the column norms m of one network, reached through products.
+
+    P x and P'v run on one of two backends, chosen once per matrix by
+    ``dense_products_are_cheaper``: the dense P that ``comm.kept_dense``
+    keeps with the matrix, through ``_apply``, or the slots themselves,
+    through ``_slot_apply``. W x uses the dense W either way.
+    """
 
     def __init__(self, comm: CommunicationMatrix, g: Graph):
         self.comm = comm
         self.graph = g
         self.n = comm.n
-        self.col_norms_sq = np.einsum("ji,ji->i", comm.P, comm.P)  # diagonal of M
+        self.col_norms_sq = np.bincount(comm.cols, weights=comm.values * comm.values, minlength=self.n)  # diagonal of M
         self.nbhd_sizes = g.degrees + 1.0  # diagonal of D
+        self.dense_products = dense_products_are_cheaper(comm)
+        self._gather = np.empty(0)  # slot products' gather buffer, grown on demand
 
     @cached_property
     def W(self) -> np.ndarray:
-        B = self.comm.P * (1.0 / np.sqrt(self.nbhd_sizes))[:, None]  # D^(-1/2) P
+        B = np.zeros((self.n, self.n))  # D^(-1/2) P, written straight from the slots
+        c = self.comm
+        B[c.rows, c.cols] = c.values * (1.0 / np.sqrt(self.nbhd_sizes))[c.rows]
         return B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
 
+    @cached_property
+    def _values_t(self) -> np.ndarray:
+        """P' on the slots: (P')_ij = P_ji sits at the slot of (j, i)."""
+        return self.comm.values[self.comm.transpose]
+
     def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _apply(self.comm.P, x, out)
+        if self.dense_products:
+            return _apply(self.comm.kept_dense, x, out)
+        return self._slot_apply(self.comm.values, x, out)
 
     def pt(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return _apply(self.comm.P.T, v, out)
+        if self.dense_products:
+            return _apply(self.comm.kept_dense.T, v, out)
+        return self._slot_apply(self._values_t, v, out)
 
     def w(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.W, x)
@@ -105,14 +132,59 @@ class NetworkOperator:
         X = np.linalg.solve(self.W + 1.0 / self.n, B)
         return X - X.mean(axis=0)
 
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """P_ij at the slots (rows[k], cols[k])."""
-        return self.comm.P[rows, cols]
+    def _slot_apply(self, values: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x for the matrix A with ``values`` on the slots (see ``_slot_sum``).
+
+        An (n, d) operand gathers into a buffer kept by the operator, and the
+        result goes into ``out`` if given. An (..., n, d) stack is laid out as
+        (n, R d) blocks of R of its entries, with R chosen so that the block's
+        gather buffer stays below a quarter of one n x n array.
+        """
+        S = self.comm.rows.size
+        if x.ndim == 2:
+            if self._gather.size < S * x.shape[1]:
+                self._gather = np.empty(S * x.shape[1])
+            return _slot_sum(self.comm, values, x, self._gather, out)
+        n, d = x.shape[-2:]
+        flat = x.reshape(-1, n, d)
+        res = np.empty(flat.shape)
+        step = max(1, n * n // (4 * S * d))
+        gather = np.empty(S * d * min(step, len(flat)))
+        for lo in range(0, len(flat), step):
+            block = np.ascontiguousarray(flat[lo : lo + step].transpose(1, 0, 2)).reshape(n, -1)  # (n, R d)
+            res[lo : lo + step] = _slot_sum(self.comm, values, block, gather).reshape(n, -1, d).transpose(1, 0, 2)
+        return res.reshape(x.shape)
+
+
+def _slot_sum(comm: CommunicationMatrix, values: np.ndarray, x: np.ndarray, gather: np.ndarray, out=None) -> np.ndarray:
+    """sum_{j in N(i)} values_ij x_j for every row i of an (n, k) operand.
+
+    x is gathered to one row per slot in the front of ``gather``, scaled by
+    the slot values and summed over each row's slots with ``np.add.reduceat``.
+    """
+    buf = gather[: comm.rows.size * x.shape[1]].reshape(-1, x.shape[1])
+    np.take(x, comm.cols, axis=0, out=buf, mode="clip")
+    buf *= values[:, None]
+    return np.add.reduceat(buf, comm.starts, axis=0, out=out)
 
 
 def _apply(A: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A v: ``np.matmul`` of an (n, d) operand, into ``out`` if given; ``stack_apply`` of an (..., n, d) stack."""
     return np.matmul(A, v, out=out) if v.ndim == 2 else stack_apply(A, v)
+
+
+def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:
+    """Whether P x costs less as a dense GEMV than over the n + 2|E| slots.
+
+    A dense GEMV costs n^2 entries of about 0.19 ns while P stays in cache.
+    A slot product costs about SLOT_COST entries per slot (its gather, scale
+    and sum) plus SLOT_FIXED per call (its three numpy calls, about 7 us).
+    Fitted to one-thread d = 1 timings; at n=80-200 the dense GEMV is 1.4-3x
+    faster, from n=600 on Erdos-Renyi p=0.05 the slots are 2.5x faster.
+    Near the crossover (n=300-400 at 5% fill) the two are within 1.5x, and
+    the slots win there because they keep no n x n array.
+    """
+    return comm.n * comm.n <= SLOT_COST * comm.rows.size + SLOT_FIXED
 
 
 @dataclass(frozen=True)
@@ -130,7 +202,8 @@ class SpectralData:
         """a(G), read from P itself when P is the Laplacian; any other P builds the Laplacian."""
         if self.op.comm.source != "laplacian":
             return algebraic_connectivity(self.op.graph)
-        return float(sym_eig(self.op.comm.P).eigenvalues[1])
+        P = self.op.comm.kept_dense if self.op.dense_products else self.op.comm.dense()
+        return float(sym_eig(P).eigenvalues[1])
 
 
 def sym_eig(S: np.ndarray) -> Spectrum:
@@ -229,7 +302,7 @@ def stack_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest eigenvalue of the graph Laplacian (positive when connected)."""
-    return float(sym_eig(laplacian(g).P).eigenvalues[1])
+    return float(sym_eig(laplacian(g).dense()).eigenvalues[1])
 
 
 def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
@@ -243,11 +316,19 @@ def compute_spectral_data(comm: CommunicationMatrix, g: Graph) -> SpectralData:
     if not min_pos > op.n * np.finfo(float).eps * lam_max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    # M - W in place from 0 - W, bit for bit diag(m) - W: a zero entry must
-    # stay +0, since eigvalsh reads the sign of zeros (see ``sym_eig``)
-    metric = np.subtract(0.0, W)
-    metric[np.diag_indices_from(metric)] += op.col_norms_sq
-    eig_metric = sym_eig(metric)
+    # M - W in W's own storage, as 0 - W plus m on the diagonal: bit for bit
+    # diag(m) - W, where a zero entry stays +0, since eigvalsh reads the sign
+    # of zeros (see ``sym_eig``). W comes back as 0 - (0 - W), exact off the
+    # diagonal, with its saved diagonal written back.
+    diag = np.diag_indices_from(W)
+    w_diag = W[diag]
+    np.subtract(0.0, W, out=W)
+    try:
+        W[diag] += op.col_norms_sq
+        eig_metric = sym_eig(W)
+    finally:
+        np.subtract(0.0, W, out=W)
+        W[diag] = w_diag
 
     return SpectralData(
         op=op,

@@ -30,6 +30,13 @@ def edge_weighted_laplacian(rng: np.random.Generator, g):
     return custom_comm_matrix(P, g)
 
 
+def row_scaled_laplacian(rng: np.random.Generator, g):
+    """An edge-weighted Laplacian with its rows scaled apart: a custom P that is not symmetric."""
+    P = rng.uniform(0.5, 2.0, size=(g.n, 1)) * edge_weighted_laplacian(rng, g).dense()
+    P[P == 0.0] = 0.0  # no -0.0 off the slots
+    return custom_comm_matrix(P, g)
+
+
 @pytest.fixture(scope="session")
 def k3():
     return generate_graph("complete", 3)

@@ -56,7 +56,7 @@ def test_p3_converges_to_mean(p3):
 
 def test_stacked_identities(p3_problem):
     trace = admm.run(p3_problem, admm.RunConfig(c=0.7, T=60))
-    P = p3_problem.comm.P
+    P = p3_problem.comm.dense()
     Dinv = np.diag(1.0 / np.array([2.0, 3.0, 2.0]))
     for t in range(1, trace.T + 1):
         assert np.max(np.abs(trace.ys[t] - Dinv @ P @ trace.xs[t])) <= 1e-12
@@ -165,7 +165,7 @@ def test_zero_column_raises_zero_weight(p3):
     P[:, 0] = 0.0
     from admmnet.graph import CommunicationMatrix
 
-    comm = CommunicationMatrix(P=P, source="custom")
+    comm = CommunicationMatrix.on_slots(P, p3)
     prob = NetworkProblem(graph=p3, comm=comm, objectives=tuple(Quadratic(target=np.array([float(i)])) for i in range(3)))
     with pytest.raises(ZeroMWeightError):
         admm.run(prob, admm.RunConfig(c=1.0, T=1))
@@ -240,7 +240,7 @@ def test_vectorized_round_properties(n, d, seed):
 
     # the recurrence eliminates p = c * sum_s D^-1 P x(s), so start on it
     x0 = init[0]
-    y0 = (prob.comm.P @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
+    y0 = (prob.comm.dense() @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
     trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
     sd = compute_spectral_data(prob.comm, prob.graph)
     assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
@@ -250,13 +250,20 @@ def _reference_prox(problem, V, rho):
     return np.array([f.prox(v, float(r)) for f, v, r in zip(problem.objectives, V, rho[:, 0])])
 
 
+def closed_neighborhood_slots(g):
+    """(rows, cols) of the slots (i, j), j in N(i), in row-major order, read off an n x n pattern."""
+    pattern = np.eye(g.n, dtype=bool)
+    pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
+    return np.nonzero(pattern)
+
+
 def _reference_run(problem, c, T, init, engine):
     """Both engines' rounds as plain array expressions, one node prox at a time.
 
     ``admm.run`` evaluates the same expressions in the same operand order on
     preallocated buffers, so its trace must agree bit for bit.
     """
-    P, n, d = problem.comm.P, problem.n, problem.dimension
+    P, n, d = problem.comm.dense(), problem.n, problem.dimension
     inv_size = 1.0 / (np.array(problem.graph.degrees, dtype=float) + 1.0)[:, None]
     rho = c * np.einsum("ji,ji->i", P, P)[:, None]
     x0, y0, p0 = init
@@ -271,7 +278,7 @@ def _reference_run(problem, c, T, init, engine):
             ys[t] = (P @ xs[t]) * inv_size
             ps[t] = ps[t - 1] + c * ys[t]
         return xs, ys, ps, None, None
-    rows, cols = admm.edge_slots(problem.graph)
+    rows, cols = closed_neighborhood_slots(problem.graph)
     starts = np.searchsorted(rows, np.arange(n))
     by_col = np.lexsort((rows, cols))
     Pij = P[rows, cols][:, None]
@@ -338,9 +345,9 @@ def _check_slot_identities(prob, c, T, init):
     assert np.array_equal(edge.xs, xs)
     assert np.array_equal(edge.ps, ps)
     assert edge.zs is None and edge.lams is None
-    rows, cols = admm.edge_slots(prob.graph)
+    rows, cols = closed_neighborhood_slots(prob.graph)
     assert zs.shape == lams.shape == (T + 1, prob.n + 2 * prob.graph.m, prob.dimension)
-    P = prob.comm.P[rows, cols][:, None]
+    P = prob.comm.dense()[rows, cols][:, None]
     assert np.max(np.abs(lams - node.ps[:, rows])) <= 1e-10  # lambda_ij = p_i
     assert np.max(np.abs(zs - (P * node.xs[:, cols] - node.ys[:, rows]))) <= 1e-10  # z_ij = P_ij x_j - y_i
     for i in range(prob.n):
@@ -381,10 +388,11 @@ def test_edge_run_stores_no_slot_history():
 
 @pytest.mark.parametrize("engine", ["node", "edge"])
 def test_engines_never_form_w(engine):
-    """Peak traced bytes of a run, in units of one n x n float array, with P built beforehand.
+    """Peak traced bytes of a run, in units of one n x n float array, with the problem built beforehand.
 
-    The node engine reads about 0.03 and the edge engine about 0.28 (its slot
-    index arrays); forming W, or D^(-1/2) P on the way to it, adds at least 1.
+    The node engine reads about 0.08 (its slot products' buffers) and the edge
+    engine about 0.35 (its slot buffers and flat index arrays); forming W, or
+    D^(-1/2) P on the way to it, adds at least 1.
     """
     n = 1200
     g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)

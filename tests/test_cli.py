@@ -508,15 +508,13 @@ def test_eigen_calls_per_command_path(tmp_path, monkeypatch):
     assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 3), (0, 2)]
 
 
-def test_run_holds_at_most_three_traced_dense_arrays(tmp_path, capsys):
-    """Peak of the array bytes a run allocates, in units of one n x n float array.
+def traced_peak_in_dense_arrays(tmp_path, command: str) -> float:
+    """Peak of the array bytes one command allocates, in units of one n x n float array.
 
-    numpy reports its array buffers to tracemalloc; the copies LAPACK makes
-    inside eigvalsh and solve are allocated outside numpy and do not show.
-    So the traced ceiling is P, W and one numpy transient (D^(-1/2) P, M - W
-    or W + 11'/n): three n x n arrays. The (T+1, n, 1) trace stacks and
-    everything else add about 0.35 more at n=400, T=20. A run that
-    stores M - W and builds a second Laplacian for a(G) reads 4.5.
+    The command runs on Erdos-Renyi n=400, p=0.05 (past the slot crossover),
+    c=auto, T=20. numpy reports its array buffers to tracemalloc; the copies
+    LAPACK makes inside eigvalsh and solve are allocated outside numpy and do
+    not show.
     """
     n = 400
     cfg = write_config(
@@ -525,15 +523,35 @@ def test_run_holds_at_most_three_traced_dense_arrays(tmp_path, capsys):
         .replace("c = 1.0", "c = auto")
         .replace("T = 200", "T = 20"),
     )
+    out = tmp_path / "out"
+    if command == "check":
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    argv = {"run": ["run", "--out", str(out)], "check": ["check", "--trace", str(out / "trace.csv")]}[command]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        rc = cli.main([argv[0], "--config", str(cfg), *argv[1:]])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert rc == 0, capsys.readouterr().out
-    assert peak / (8 * n * n) <= 3.75
+    assert rc == 0
+    return peak / (8 * n * n)
+
+
+def test_run_holds_at_most_two_traced_dense_arrays(tmp_path, capsys):
+    """The traced ceiling is W and one numpy transient (D^(-1/2) P while W is
+    formed, the Laplacian for a(G), or W + 11'/n): two n x n arrays. P is kept
+    as slots and M - W is built in W's storage. The (T+1, n, 1) trace stacks
+    and everything else add about 0.35 more. A run that keeps a dense P reads
+    3.33, and one that also stores M - W and builds a second Laplacian for
+    a(G) reads 4.5.
+    """
+    assert traced_peak_in_dense_arrays(tmp_path, "run") <= 2.75, capsys.readouterr().out
+
+
+def test_check_holds_at_most_two_traced_dense_arrays(tmp_path, capsys):
+    """The same ceiling as ``run``: W and one transient (D^(-1/2) P or W + 11'/n)."""
+    assert traced_peak_in_dense_arrays(tmp_path, "check") <= 2.75, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value", [("--nu", "nan"), ("--L", "inf")])

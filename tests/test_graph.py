@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet.admm import edge_slots
 from admmnet.errors import (
     ConnectivityRetryExhaustedError,
     DisconnectedError,
@@ -17,21 +16,23 @@ from admmnet.errors import (
     SelfLoopError,
 )
 from admmnet.graph import (
+    CommunicationMatrix,
     _upper_pairs,
     build_graph,
     custom_comm_matrix,
     generate_graph,
     laplacian,
+    neighborhood_slots,
     read_graph_file,
     validate_comm_matrix,
     write_graph_file,
 )
-from conftest import random_connected_graph
+from conftest import random_connected_graph, row_scaled_laplacian
 
 
 def closed_neighborhoods(g):
-    """[N(0), ..., N(n-1)] as ascending lists, read from the edge engine's slots."""
-    rows, cols = edge_slots(g)
+    """[N(0), ..., N(n-1)] as ascending lists, read from the communication matrix's slots."""
+    rows, cols, _ = neighborhood_slots(g)
     return [cols[rows == i].tolist() for i in range(g.n)]
 
 
@@ -308,18 +309,18 @@ def test_erdos_renyi_low_p_retry_exhausted():
 
 
 def test_laplacian_k3(k3):
-    P = laplacian(k3).P
+    P = laplacian(k3).dense()
     assert np.array_equal(P, np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=float))
 
 
 def test_laplacian_p3(p3):
-    P = laplacian(p3).P
+    P = laplacian(p3).dense()
     assert np.array_equal(P, np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float))
 
 
 def test_laplacian_c4():
     g = generate_graph("cycle", 4)
-    P = laplacian(g).P
+    P = laplacian(g).dense()
     assert np.array_equal(np.diag(P), np.full(4, 2.0))
     assert P[0, 1] == P[1, 2] == P[2, 3] == P[0, 3] == -1.0
     assert P[0, 2] == P[1, 3] == 0.0
@@ -343,8 +344,10 @@ def laplacian_by_edges(g):
 def test_laplacian_matches_edge_loop(kind, kwargs):
     g = generate_graph(kind, 120, **kwargs)
     comm = laplacian(g)
-    assert np.array_equal(comm.P, laplacian_by_edges(g))
-    assert comm.P.dtype == np.float64 and not comm.P.flags.writeable
+    assert np.array_equal(comm.dense(), laplacian_by_edges(g))
+    assert np.array_equal(comm.kept_dense, laplacian_by_edges(g))
+    assert comm.values.dtype == np.float64 and not comm.values.flags.writeable
+    assert not comm.kept_dense.flags.writeable
 
 
 def test_validate_laplacian_ok(k3):
@@ -361,7 +364,7 @@ def test_validate_zero_matrix(p3):
 
 
 def test_validate_tampered_laplacian(k3):
-    P = np.array(laplacian(k3).P)
+    P = laplacian(k3).dense()
     P[0, 2] = 0.0
     report = validate_comm_matrix(P, k3)
     assert not report.ok
@@ -369,7 +372,7 @@ def test_validate_tampered_laplacian(k3):
 
 
 def test_validate_sparsity(p3):
-    P = np.array(laplacian(p3).P)
+    P = laplacian(p3).dense()
     P[0, 2] = 1.0
     P[0, 0] -= 1.0  # keep the row sum at zero so only sparsity trips
     report = validate_comm_matrix(P, p3)
@@ -382,8 +385,77 @@ def test_validate_zero_column(p3):
     assert any(v.kind == "ZeroColumn" and v.index == (2,) for v in report.violations)
 
 
+def sparsity_violations_by_mask(P, g):
+    """(index, message) of the first 10 off-neighborhood nonzeros, from an n x n mask of N(i)."""
+    allowed = np.eye(g.n, dtype=bool)
+    allowed[g.edges[:, 0], g.edges[:, 1]] = allowed[g.edges[:, 1], g.edges[:, 0]] = True
+    bad = np.argwhere(~allowed & (P != 0.0))[:10]
+    return [((int(i), int(j)), f"P[{i},{j}] nonzero but {j} not in N({i})") for i, j in bad]
+
+
+def test_validate_off_neighborhood_entry(p3):
+    P = laplacian(p3).dense()
+    P[2, 0] = -0.5
+    P[2, 2] += 0.5
+    report = validate_comm_matrix(P, p3)
+    sparsity = [v for v in report.violations if v.kind == "SparsityViolation"]
+    assert [(v.index, v.message) for v in sparsity] == [((2, 0), "P[2,0] nonzero but 0 not in N(2)")]
+    assert report.violations[0] is sparsity[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 30), st.integers(0, 10_000), st.integers(0, 40))
+def test_validate_sparsity_matches_the_mask_rule(n, seed, extra):
+    # the same indices, messages, order and cap of 10 as an n x n mask of the neighborhoods
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, float(rng.uniform(0.0, 0.5)))
+    P = laplacian(g).dense()
+    P.flat[rng.integers(0, n * n, size=extra)] = rng.normal(size=extra)
+    got = [(v.index, v.message) for v in validate_comm_matrix(P, g).violations if v.kind == "SparsityViolation"]
+    assert got == sparsity_violations_by_mask(P, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000))
+def test_neighborhood_slots_are_the_closed_neighborhoods_in_row_major_order(n, seed):
+    g = random_connected_graph(np.random.default_rng(seed), n, 0.3)
+    pattern = np.eye(n, dtype=bool)
+    pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
+    rows, cols, transpose = neighborhood_slots(g)
+    want_rows, want_cols = np.nonzero(pattern)
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    assert np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)
+    assert np.array_equal(transpose, np.lexsort((rows, cols)))  # the slots grouped by column
+    comm = laplacian(g)
+    assert np.array_equal(comm.starts, np.searchsorted(rows, np.arange(n)))
+
+
+def test_custom_p_survives_dense_slots_dense_bit_for_bit():
+    rng = np.random.default_rng(3)
+    g = random_connected_graph(rng, 25, 0.3)
+    P = row_scaled_laplacian(rng, g).dense()  # not symmetric, and no -0.0, which would read back as +0.0
+    comm = custom_comm_matrix(P, g)
+    assert comm.source == "custom"
+    assert np.array_equal(comm.dense().view(np.int64), P.view(np.int64))
+    assert np.array_equal(CommunicationMatrix.on_slots(comm.dense(), g).values.view(np.int64), comm.values.view(np.int64))
+
+
+def test_laplacian_writes_no_dense_array():
+    # the slot arrays and their construction take about 0.1 n x n here; a dense Laplacian alone is 1
+    n = 1200
+    g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
+    tracemalloc.start()
+    try:
+        comm = laplacian(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) < 0.25
+    assert comm.values.size == n + 2 * g.m
+
+
 def test_custom_comm_matrix_accepts_scaled_laplacian(k3):
-    comm = custom_comm_matrix(2.0 * np.array(laplacian(k3).P), k3)
+    comm = custom_comm_matrix(2.0 * laplacian(k3).dense(), k3)
     assert comm.source == "custom"
 
 
@@ -391,7 +463,7 @@ def test_custom_comm_matrix_accepts_scaled_laplacian(k3):
 @given(st.integers(2, 25), st.integers(0, 10_000), st.floats(0.0, 0.8))
 def test_laplacian_validates_on_random_graphs(n, seed, extra_p):
     g = random_connected_graph(np.random.default_rng(seed), n, extra_p)
-    P = laplacian(g).P
+    P = laplacian(g).dense()
     assert np.array_equal(P, P.T)
     assert np.array_equal(np.diag(P), np.array(g.degrees, dtype=float))
     assert np.all(P @ np.ones(g.n) == 0.0)

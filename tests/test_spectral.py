@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -7,17 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admmnet import spectral
-from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, NotSymmetricError
+from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError, NotSymmetricError
 from admmnet.graph import CommunicationMatrix, generate_graph, laplacian
 from admmnet.spectral import (
     NetworkOperator,
     algebraic_connectivity,
     compute_spectral_data,
+    dense_products_are_cheaper,
     psd_certificates,
     stack_apply,
     sym_eig,
 )
-from conftest import edge_weighted_laplacian, random_connected_graph
+from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -57,12 +59,12 @@ def test_sym_eig_identity():
 
 
 def test_sym_eig_p3(p3):
-    dec = sym_eig(laplacian(p3).P)
+    dec = sym_eig(laplacian(p3).dense())
     assert np.allclose(dec.eigenvalues, P3_EIGS, atol=1e-12)
 
 
 def test_sym_eig_k3(k3):
-    dec = sym_eig(laplacian(k3).P)
+    dec = sym_eig(laplacian(k3).dense())
     assert np.allclose(dec.eigenvalues, K3_EIGS, atol=1e-12)
 
 
@@ -71,7 +73,7 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotSymmetricError):  # circulant, so the symmetry check must come first
         sym_eig(circulant([0.0, 1.0, 0.0, 0.0]))
-    S = np.array(laplacian(generate_graph("path", 300)).P)
+    S = laplacian(generate_graph("path", 300)).dense()
     S[-1, -2] += 1e-6  # one asymmetric pair, in the last row block of the blockwise check
     with pytest.raises(NotSymmetricError, match="symmetry defect 1.000e-06"):
         sym_eig(S)
@@ -99,7 +101,7 @@ def test_sym_eig_invariants(n, seed, blocks):
 
 
 def test_sym_eig_deterministic(k3):
-    P = laplacian(k3).P
+    P = laplacian(k3).dense()
     a, b = sym_eig(P), sym_eig(P)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert (a.min, a.max) == (float(a.eigenvalues[0]), float(a.eigenvalues[-1]))
@@ -107,7 +109,7 @@ def test_sym_eig_deterministic(k3):
 
 def test_spectral_data_k3(k3, k3_spectral):
     sd = k3_spectral
-    P = laplacian(k3).P
+    P = laplacian(k3).dense()
     assert np.allclose(sd.op.col_norms_sq, [6, 6, 6])
     assert np.allclose(sd.op.nbhd_sizes, [3, 3, 3])
     # P^2 = 3P on the complete triangle, so the Gram matrix is P itself
@@ -146,7 +148,7 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
     calls = count_eigvalsh(monkeypatch)
     g = generate_graph(kind, n, d=d if kind == "circulant" else None)
     sd = compute_spectral_data(laplacian(g), g)
-    lap = sym_eig(laplacian(g).P).eigenvalues
+    lap = sym_eig(laplacian(g).dense()).eigenvalues
     a = sd.algebraic_connectivity
     assert calls == []
     tol = 8 * n * EPS * sd.eig_gram.max
@@ -175,7 +177,7 @@ def test_circulant_spectrum_matches_eigvalsh(n, seed, sparse):
 def test_circulant_tolerance_and_fallback(monkeypatch, factor, circulant_path):
     # one symmetric pair off the first two rows, moved by factor * n eps |S|_F:
     # well beyond the tolerance it goes to eigvalsh, within it keeps the cosine sums
-    S = laplacian(generate_graph("circulant", 40, d=6)).P.copy()
+    S = laplacian(generate_graph("circulant", 40, d=6)).dense()
     n = S.shape[0]
     delta = factor * n * EPS * float(np.linalg.norm(S))
     S[5, 9] += delta
@@ -228,7 +230,7 @@ def test_laplacian_problem_reads_a_from_its_own_p(monkeypatch, kind, n, kw):
     monkeypatch.setattr(spectral, "laplacian", lambda h: built.append(h) or laplacian(h))
     assert compute_spectral_data(comm, g).algebraic_connectivity == want
     assert built == []
-    scaled = CommunicationMatrix(P=2.0 * comm.P, source="custom")
+    scaled = CommunicationMatrix.on_slots(2.0 * comm.dense(), g)
     assert compute_spectral_data(scaled, g).algebraic_connectivity == want
     assert built == [g]
 
@@ -297,12 +299,12 @@ def test_long_path_min_eig_in_sandwich(n):
 
 
 def test_second_null_direction_is_degenerate():
-    # two disjoint triangles: W has a two-dimensional null space
+    # two disjoint paths inside a 6-cycle: W has a two-dimensional null space
     g = generate_graph("cycle", 6)
     P = np.zeros((6, 6))
-    P[:3, :3] = P[3:, 3:] = laplacian(generate_graph("complete", 3)).P
+    P[:3, :3] = P[3:, 3:] = laplacian(generate_graph("path", 3)).dense()
     with pytest.raises(DegenerateSpectrumError):
-        compute_spectral_data(CommunicationMatrix(P=P, source="custom"), g)
+        compute_spectral_data(CommunicationMatrix.on_slots(P, g), g)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -329,18 +331,19 @@ def test_operator_products_keep_their_bits(n, seed, weighted, d):
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
     op = compute_spectral_data(comm, g).op
-    B = comm.P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
+    assert op.dense_products  # below the crossover at n <= 30
+    P = comm.dense()
+    B = P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
     assert np.array_equal(op.W, B.T @ B)
+    assert np.array_equal(op.col_norms_sq, np.einsum("ji,ji->i", P, P))
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(4, n, d))
-    for got_of, A in ((op.p, comm.P), (op.pt, comm.P.T), (op.w, op.W)):
+    for got_of, A in ((op.p, P), (op.pt, P.T), (op.w, op.W)):
         assert np.array_equal(got_of(x), np.matmul(A, x))
         assert np.array_equal(got_of(stack), stack_apply(A, stack))
-    for got_of, A in ((op.p, comm.P), (op.pt, comm.P.T)):
+    for got_of, A in ((op.p, P), (op.pt, P.T)):
         out = np.empty((n, d))
         assert got_of(x, out=out) is out
         assert np.array_equal(out, np.matmul(A, x))
-    rows, cols = np.nonzero(comm.P)
-    assert np.array_equal(op.entries(rows, cols), comm.P[rows, cols])
 
 
 def test_operator_forms_w_on_first_read_only(p3, p3_problem):
@@ -350,3 +353,98 @@ def test_operator_forms_w_on_first_read_only(p3, p3_problem):
     op.pt(np.ones((2, 3, 1)))
     assert "W" not in vars(op)
     assert op.W is op.W
+
+
+def slot_operator(comm, g) -> NetworkOperator:
+    """An operator whose P products run over the slots whatever the crossover says."""
+    with mock.patch.object(spectral, "dense_products_are_cheaper", return_value=False):
+        return NetworkOperator(comm, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
+def test_slot_products_match_dense_products(n, seed, weighted, d):
+    # the weighted P is not symmetric, so P'v must read the transposed slots
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
+    comm = row_scaled_laplacian(rng, g) if weighted else laplacian(g)
+    op, P = slot_operator(comm, g), comm.dense()
+    assert not op.dense_products
+    x, stack = rng.normal(size=(n, d)), rng.normal(size=(7, n, d))
+    tol = dict(rtol=1e-12, atol=1e-12 * float(np.abs(P).max()) * n)
+    for got_of, A in ((op.p, P), (op.pt, P.T)):
+        np.testing.assert_allclose(got_of(x), A @ x, **tol)
+        out = np.empty((n, d))
+        assert got_of(x, out=out) is out
+        np.testing.assert_allclose(out, A @ x, **tol)
+        for v in (stack, stack[::2], stack[3], stack.reshape(7, 1, n, d)):
+            got = got_of(v)
+            assert got.shape == v.shape
+            np.testing.assert_allclose(got, np.matmul(A, v), **tol)
+
+
+def test_stack_products_allocate_at_most_one_dense_array():
+    """Peak traced bytes of P and P' on a (T+1, n, 1) stack, in units of one n x n float array.
+
+    The result is 0.25 of one here and the gather buffer of a block of rounds
+    at most another 0.25; gathering all 301 rounds at once would take 6.
+    """
+    n, T = 1200, 300
+    g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
+    op = NetworkOperator(laplacian(g), g)
+    assert not op.dense_products
+    stack = np.random.default_rng(0).normal(size=(T + 1, n, 1))
+    for product in (op.p, op.pt):
+        tracemalloc.start()
+        try:
+            product(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n * n) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "kind,n,kw,dense",
+    [
+        ("circulant", 200, {"d": 20}, True),  # circulant-long's graph
+        ("erdos_renyi", 80, {"p": 0.15, "seed": 0}, True),  # edge-l1's graph
+        ("erdos_renyi", 800, {"p": 0.05, "seed": 1}, False),  # dense-spectral's graph
+        ("erdos_renyi", 400, {"p": 0.05, "seed": 1}, False),
+        ("erdos_renyi", 1600, {"p": 0.0125, "seed": 1}, False),
+    ],
+)
+def test_crossover_by_graph_size_and_fill(kind, n, kw, dense):
+    g = generate_graph(kind, n, **kw)
+    comm = laplacian(g)
+    assert dense_products_are_cheaper(comm) is dense
+    assert NetworkOperator(comm, g).dense_products is dense
+
+
+def gram_of(comm, g) -> np.ndarray:
+    B = comm.dense() * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
+    return B.T @ B
+
+
+@pytest.mark.parametrize("kind,n,kw", [("erdos_renyi", 40, {"p": 0.2, "seed": 2}), ("circulant", 30, {"d": 6}), ("path", 9, {})])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighted):
+    # M - W is built in W's own storage and W is restored, also when its spectrum raises
+    g = generate_graph(kind, n, **kw)
+    comm = edge_weighted_laplacian(np.random.default_rng(n), g) if weighted else laplacian(g)
+    want = gram_of(comm, g).tobytes()
+    assert compute_spectral_data(comm, g).op.W.tobytes() == want
+
+    seen = []
+
+    def second_call_raises(S, _fn=spectral.sym_eig):
+        seen.append(S)
+        if len(seen) == 2:
+            raise EigNoConvergenceError("refused")
+        return _fn(S)
+
+    monkeypatch.setattr(spectral, "sym_eig", second_call_raises)
+    with pytest.raises(EigNoConvergenceError):
+        compute_spectral_data(comm, g)
+    assert seen[0] is seen[1]  # the metric block lives in W's storage
+    assert seen[0].tobytes() == want
