@@ -69,32 +69,43 @@ class Graph:
 class CommunicationMatrix:
     """P on the closed-neighborhood slots of its graph, with a provenance tag.
 
-    ``rows``, ``cols`` and ``values`` are read-only (n + 2|E|,) arrays: slot k
-    holds P[rows[k], cols[k]], in the row-major order of
-    ``neighborhood_slots``. Every entry of P off the slots is zero.
-    ``starts[i]`` is the first slot of row i and ``transpose[k]`` the slot
-    (j, i) of slot k = (i, j); the slots of column j, ascending in i, are
-    ``transpose[starts[j] : starts[j + 1]]``.
+    ``cols`` and ``values`` are read-only (n + 2|E|,) arrays: slot k holds
+    P[rows[k], cols[k]], in the row-major order of ``neighborhood_slots``,
+    and ``starts[i]`` is the first slot of row i. Every entry of P off the
+    slots is zero. ``rows`` is derived from ``starts`` on each read, and
+    ``transpose`` on first read.
     """
 
     n: int
-    rows: np.ndarray = field(repr=False)
     cols: np.ndarray = field(repr=False)
-    transpose: np.ndarray = field(repr=False)
+    starts: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     source: str  # "laplacian" | "custom"
 
     @classmethod
-    def on_slots(cls, P, g: Graph, source: str = "custom") -> CommunicationMatrix:
-        """The entries of a dense P on g's slots; entries off the slots are dropped unchecked."""
-        rows, cols, transpose = neighborhood_slots(g)
-        values = np.array(np.asarray(P, dtype=float)[rows, cols])
+    def on_slots(cls, P, g: Graph) -> CommunicationMatrix:
+        """The entries of a dense P on g's slots, tagged custom; entries off the slots are dropped unchecked."""
+        rows, cols, starts = neighborhood_slots(g)
+        values = np.asarray(P, dtype=float)[rows, cols]
         values.flags.writeable = False
-        return cls(n=g.n, rows=rows, cols=cols, transpose=transpose, values=values, source=source)
+        return cls(n=g.n, cols=cols, starts=starts, values=values, source="custom")
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n), np.diff(self.starts, append=self.cols.size))
 
     @cached_property
-    def starts(self) -> np.ndarray:
-        return np.searchsorted(self.rows, np.arange(self.n))
+    def transpose(self) -> np.ndarray:
+        """transpose[k] is the slot (j, i) of slot k = (i, j).
+
+        Row j's slots (j, i) are ascending in i, and so are the slots (i, j)
+        of column j in row-major order, so a stable sort by column lists
+        them in row j's places. Only the edge engine and P' of a custom P
+        over the slots read it.
+        """
+        transpose = np.argsort(self.cols, kind="stable")
+        transpose.flags.writeable = False
+        return transpose
 
     def dense(self) -> np.ndarray:
         """P as a new writable n x n array: zeros with the slot values written in."""
@@ -270,44 +281,42 @@ def generate_graph(kind: str, n: int, *, d: int | None = None, p: float | None =
 
 
 def neighborhood_slots(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, transpose) of the slots (i, j), j in N(i), in row-major order.
+    """(rows, cols, starts) of the slots (i, j), j in N(i), in row-major order.
 
-    There are n + 2|E| slots; those of row i are contiguous, |N(i)| long and
-    ascending in j, and include the diagonal slot (i, i). ``transpose[k]`` is
-    the position of slot (j, i) when slot k is (i, j). Row i holds, in order,
-    its edges (j, i) with j < i, then (i, i), then its edges (i, j) with
-    j > i. Each slot's position is computed from degree counts, so no array
-    of n + 2|E| keys is sorted: only the m edges, by (j, edge position).
-    Each array is read-only.
+    There are n + 2|E| slots; those of row i are contiguous from
+    ``starts[i]``, |N(i)| long and ascending in j, and include the diagonal
+    slot (i, i). Row i holds, in order, its edges (j, i) with j < i, then
+    (i, i), then its edges (i, j) with j > i. Each slot's position is
+    computed from degree counts, so no array of n + 2|E| keys is sorted:
+    only the m edges, by (j, edge position). Each array is read-only.
     """
     n, m = g.n, g.m
     node, edge = np.arange(n), np.arange(m)
     lo, hi = g.edges[:, 0], g.edges[:, 1]
     below = np.bincount(hi, minlength=n)  # neighbors j < i of each node i
     above = g.degrees - below
-    row_start = np.cumsum(g.degrees + 1) - (g.degrees + 1)
-    diag = row_start + below
+    starts = np.cumsum(g.degrees + 1) - (g.degrees + 1)
+    diag = starts + below
     # g.edges is sorted by (i, j): the edges (i, .) are a run starting at cumsum(above) - above
     upper = diag[lo] + 1 + edge - (np.cumsum(above) - above)[lo]  # slot (i, j) of edge (i, j)
     # sorted by (j, edge position), the edges (., j) are a run starting at cumsum(below) - below
     by_hi = np.argsort(hi * m + edge)
     lower = np.empty(m, dtype=np.intp)  # slot (j, i) of edge (i, j)
-    lower[by_hi] = row_start[hi[by_hi]] + edge - (np.cumsum(below) - below)[hi[by_hi]]
-    rows, cols, transpose = (np.empty(n + 2 * m, dtype=np.intp) for _ in range(3))
+    lower[by_hi] = starts[hi[by_hi]] + edge - (np.cumsum(below) - below)[hi[by_hi]]
+    rows, cols = np.empty(n + 2 * m, dtype=np.intp), np.empty(n + 2 * m, dtype=np.intp)
     rows[diag], rows[upper], rows[lower] = node, lo, hi
     cols[diag], cols[upper], cols[lower] = node, hi, lo
-    transpose[diag], transpose[upper], transpose[lower] = diag, lower, upper
-    for a in (rows, cols, transpose):
+    for a in (rows, cols, starts):
         a.flags.writeable = False
-    return rows, cols, transpose
+    return rows, cols, starts
 
 
 def laplacian(g: Graph) -> CommunicationMatrix:
     """Graph Laplacian: diagonal = degrees, -1 on edges, 0 elsewhere."""
-    rows, cols, transpose = neighborhood_slots(g)
+    rows, cols, starts = neighborhood_slots(g)
     values = np.where(rows == cols, g.degrees[rows], -1.0)
     values.flags.writeable = False
-    return CommunicationMatrix(n=g.n, rows=rows, cols=cols, transpose=transpose, values=values, source="laplacian")
+    return CommunicationMatrix(n=g.n, cols=cols, starts=starts, values=values, source="laplacian")
 
 
 def validate_comm_matrix(P, g: Graph) -> ValidationReport:
@@ -318,16 +327,29 @@ def validate_comm_matrix(P, g: Graph) -> ValidationReport:
     exceeds 1e-9 times the largest (null space is one-dimensional), and no
     column is identically zero.
     """
+    return _validated(P, g)[0]
+
+
+def custom_comm_matrix(P, g: Graph) -> CommunicationMatrix:
+    """Wrap a user-supplied P, raising CommMatrixError if validation fails."""
+    report, comm = _validated(P, g)
+    if not report.ok:
+        raise CommMatrixError(report)
+    return comm
+
+
+def _validated(P, g: Graph) -> tuple[ValidationReport, CommunicationMatrix]:
+    """The report of ``validate_comm_matrix`` and P on g's slots, from one slot build."""
     if isinstance(P, CommunicationMatrix):
         P = P.dense()
     P = np.asarray(P, dtype=float)
     if P.shape != (g.n, g.n):
         raise InfeasibleParamsError(f"P has shape {P.shape}, expected ({g.n},{g.n})")
+    comm = CommunicationMatrix.on_slots(P, g)
     violations: list[Violation] = []
 
     # nonzeros in row-major order, tested against the slots' ascending keys i n + j
-    rows, cols, _ = neighborhood_slots(g)
-    keys = rows * g.n + cols
+    keys = comm.rows * g.n + comm.cols
     nonzero = np.flatnonzero(P)
     at = np.minimum(np.searchsorted(keys, nonzero), keys.size - 1)
     for i, j in zip(*np.divmod(nonzero[keys[at] != nonzero][:10], g.n)):
@@ -361,15 +383,7 @@ def validate_comm_matrix(P, g: Graph) -> ValidationReport:
     for j in np.nonzero(col_mags == 0.0)[0]:
         violations.append(Violation("ZeroColumn", (int(j),), f"column {j} is all zeros"))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def custom_comm_matrix(P, g: Graph) -> CommunicationMatrix:
-    """Wrap a user-supplied P, raising CommMatrixError if validation fails."""
-    report = validate_comm_matrix(P, g)
-    if not report.ok:
-        raise CommMatrixError(report)
-    return CommunicationMatrix.on_slots(P, g)
+    return ValidationReport(ok=not violations, violations=tuple(violations)), comm
 
 
 def write_graph_file(g: Graph, path) -> None:

@@ -100,13 +100,15 @@ class NetworkOperator:
     @cached_property
     def W(self) -> np.ndarray:
         B = np.zeros((self.n, self.n))  # D^(-1/2) P, written straight from the slots
-        c = self.comm
-        B[c.rows, c.cols] = c.values * (1.0 / np.sqrt(self.nbhd_sizes))[c.rows]
+        rows = self.comm.rows
+        B[rows, self.comm.cols] = self.comm.values * (1.0 / np.sqrt(self.nbhd_sizes))[rows]
         return B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
 
     @cached_property
     def _values_t(self) -> np.ndarray:
-        """P' on the slots: (P')_ij = P_ji sits at the slot of (j, i)."""
+        """P' on the slots: (P')_ij = P_ji sits at the slot of (j, i); the Laplacian is symmetric."""
+        if self.comm.source == "laplacian":
+            return self.comm.values
         return self.comm.values[self.comm.transpose]
 
     def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -140,7 +142,7 @@ class NetworkOperator:
         (n, R d) blocks of R of its entries, with R chosen so that the block's
         gather buffer stays below a quarter of one n x n array.
         """
-        S = self.comm.rows.size
+        S = self.comm.cols.size
         if x.ndim == 2:
             if self._gather.size < S * x.shape[1]:
                 self._gather = np.empty(S * x.shape[1])
@@ -162,7 +164,7 @@ def _slot_sum(comm: CommunicationMatrix, values: np.ndarray, x: np.ndarray, gath
     x is gathered to one row per slot in the front of ``gather``, scaled by
     the slot values and summed over each row's slots with ``np.add.reduceat``.
     """
-    buf = gather[: comm.rows.size * x.shape[1]].reshape(-1, x.shape[1])
+    buf = gather[: comm.cols.size * x.shape[1]].reshape(-1, x.shape[1])
     np.take(x, comm.cols, axis=0, out=buf, mode="clip")
     buf *= values[:, None]
     return np.add.reduceat(buf, comm.starts, axis=0, out=out)
@@ -184,7 +186,7 @@ def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:
     Near the crossover (n=300-400 at 5% fill) the two are within 1.5x, and
     the slots win there because they keep no n x n array.
     """
-    return comm.n * comm.n <= SLOT_COST * comm.rows.size + SLOT_FIXED
+    return comm.n * comm.n <= SLOT_COST * comm.cols.size + SLOT_FIXED
 
 
 @dataclass(frozen=True)

@@ -421,13 +421,16 @@ def test_neighborhood_slots_are_the_closed_neighborhoods_in_row_major_order(n, s
     g = random_connected_graph(np.random.default_rng(seed), n, 0.3)
     pattern = np.eye(n, dtype=bool)
     pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
-    rows, cols, transpose = neighborhood_slots(g)
+    rows, cols, starts = neighborhood_slots(g)
     want_rows, want_cols = np.nonzero(pattern)
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-    assert np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)
-    assert np.array_equal(transpose, np.lexsort((rows, cols)))  # the slots grouped by column
-    comm = laplacian(g)
-    assert np.array_equal(comm.starts, np.searchsorted(rows, np.arange(n)))
+    assert np.array_equal(starts, np.searchsorted(rows, np.arange(n)))
+    for comm in (laplacian(g), row_scaled_laplacian(np.random.default_rng(seed), g)):
+        assert np.array_equal(comm.rows, rows) and np.array_equal(comm.cols, cols)
+        transpose = comm.transpose
+        assert np.array_equal(rows[transpose], cols) and np.array_equal(cols[transpose], rows)
+        assert np.array_equal(transpose, np.lexsort((rows, cols)))  # the slots grouped by column
+        assert not transpose.flags.writeable
 
 
 def test_custom_p_survives_dense_slots_dense_bit_for_bit():
