@@ -25,11 +25,12 @@ sequences, and both return the same trace: the edge engine records
 p_i(t) = lambda_ii(t) each round and rebuilds y(t) = D^-1 P x(t) after the
 loop.
 
-The node engine reaches P only through a ``spectral.NetworkOperator``
-(P x, P'v, m), and the edge engine reads P_ij from the matrix's slots; the
-engines never form W. P entries act as scalars on rows, so vector problems
-never materialize a Kronecker product, and P follows the graph's sparsity
-(see ``graph.CommunicationMatrix``). A round pays only for its arithmetic:
+Both engines read P from ``problem.comm``, the same
+``graph.CommunicationMatrix`` the analysis reads, so m, |N(i)| and P' are
+made once per matrix: the node engine uses its products (P x, P'v), the
+edge engine its slot values P_ij, and neither forms W. P entries act as
+scalars on rows, so vector problems never materialize a Kronecker product,
+and P follows the graph's sparsity. A round pays only for its arithmetic:
 everything constant within a run (the row and slot scalings at full (., d)
 width, the flat element indices of the edge engine's gathers, the bound
 prox) is built before the first round, and every round writes into
@@ -47,9 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
-from .graph import Graph
+from .graph import CommunicationMatrix, Graph
 from .objectives import NetworkProblem
-from .spectral import NetworkOperator
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,16 @@ class AdmmTrace:
         return erg
 
 
-def _prox_weights(op: NetworkOperator, c: float, d: int) -> np.ndarray:
+def _prox_weights(comm: CommunicationMatrix, c: float, d: int) -> np.ndarray:
     """The prox weights c m_i at full (n, d) width.
 
     Row scalings are stored at full width: multiplying by an (n, 1) column
     runs numpy's inner loop only d elements at a time.
     """
-    zero = np.flatnonzero(op.col_norms_sq <= 0.0)
+    zero = np.flatnonzero(comm.col_norms_sq <= 0.0)
     if zero.size:
         raise ZeroMWeightError(int(zero[0]))
-    return np.repeat(c * op.col_norms_sq[:, None], d, axis=1)
+    return np.repeat(c * comm.col_norms_sq[:, None], d, axis=1)
 
 
 def _flat_rows(idx: np.ndarray, d: int) -> np.ndarray:
@@ -157,10 +157,10 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         raise AdmmError(f"penalty c must be positive and finite, got {config.c}")
     if config.engine not in ("node", "edge"):
         raise AdmmError(f"unknown engine {config.engine!r}")
-    op = NetworkOperator(problem.comm, problem.graph)
+    comm = problem.comm
     n, d, T, c = problem.n, problem.dimension, config.T, config.c
-    rho = _prox_weights(op, c, d)
-    inv_size = np.repeat(1.0 / op.nbhd_sizes[:, None], d, axis=1)  # D^-1
+    rho = _prox_weights(comm, c, d)
+    inv_size = np.repeat(1.0 / comm.nbhd_sizes[:, None], d, axis=1)  # D^-1
     acct = account(problem.graph, d)
     if config.init is None:
         x0 = y0 = p0 = np.zeros((n, d))
@@ -179,18 +179,17 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         for t in range(1, T + 1):
             # v = x - P'(p + c y) / (c m), then x <- prox(v)
             np.add(ps[t - 1], q, out=q)
-            op.pt(q, out=v)
+            comm.pt(q, out=v)
             np.divide(v, rho, out=v)
             np.subtract(xs[t - 1], v, out=v)
             prox(v, xs[t])
             _require_finite(xs[t], t)
-            op.p(xs[t], out=ys[t])
+            comm.p(xs[t], out=ys[t])
             ys[t] *= inv_size
             np.multiply(c, ys[t], out=q)
             np.add(ps[t - 1], q, out=ps[t])
         return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
-    comm = problem.comm
     rows, cols, starts = comm.rows, comm.cols, comm.starts
     S = rows.size
     # N is symmetric, so the slots of column j, transpose[starts[j]:starts[j + 1]],
@@ -231,19 +230,19 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
         r *= c
         lam += r
         np.take(lam.reshape(-1), diag_flat, out=ps[t].reshape(-1))  # p_i(t) = lambda_ii(t)
-    ys = op.p(xs)  # y(t) = D^-1 P x(t)
+    ys = comm.p(xs)  # y(t) = D^-1 P x(t)
     ys *= inv_size
     return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
 
-def implicit_subgradients(trace: AdmmTrace, op: NetworkOperator) -> np.ndarray:
+def implicit_subgradients(trace: AdmmTrace, comm: CommunicationMatrix) -> np.ndarray:
     """Subgradients h(x(t+1)) implied by prox optimality, shape (T, n, d).
 
     h = c m (v - x(t+1)) row-wise, where v is the prox center of round t+1.
     """
     c = trace.c
-    rho = _prox_weights(op, c, trace.dimension)
-    hs = trace.xs[:-1] - op.pt(trace.ps[:-1] + c * trace.ys[:-1]) / rho
+    rho = _prox_weights(comm, c, trace.dimension)
+    hs = trace.xs[:-1] - comm.pt(trace.ps[:-1] + c * trace.ys[:-1]) / rho
     hs -= trace.xs[1:]
     hs *= rho
     return hs
@@ -254,7 +253,7 @@ def recurrence_residuals(trace: AdmmTrace, spectral) -> np.ndarray:
 
     After eliminating y and p, each round satisfies
     x(t+1) = -(1/c) M^-1 h(x(t+1)) + (I - M^-1 W) x(t) - M^-1 W sum_{s<=t} x(s)
-    with M = diag(m) and W the weighted Gram matrix of ``spectral.op``. The
+    with M = diag(m) and W the weighted Gram matrix of ``spectral.comm``. The
     returned vector holds the residual of that identity for t = 0..T-1.
 
     What it can see: h is recovered from x(t+1) by ``implicit_subgradients``,
@@ -265,15 +264,15 @@ def recurrence_residuals(trace: AdmmTrace, spectral) -> np.ndarray:
     """
     # evaluated in place, in the order of
     # pred = -(1/c) M^-1 h + x(t) - M^-1 W (x(t) + sum_{s<=t} x(s))
-    op = spectral.op
-    pred = implicit_subgradients(trace, op)
-    Minv = 1.0 / op.col_norms_sq[:, None]
+    comm = spectral.comm
+    pred = implicit_subgradients(trace, comm)
+    Minv = 1.0 / comm.col_norms_sq[:, None]
     pred *= -(1.0 / trace.c) * Minv
     xs = trace.xs[:-1]
     pred += xs
     sums = trace.x_sums[:-1]  # a fresh array, derived on access
     sums += xs
-    term = op.w(sums)
+    term = comm.w(sums)
     term *= Minv
     pred -= term
     pred -= trace.xs[1:]

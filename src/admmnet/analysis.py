@@ -76,7 +76,7 @@ def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
     a large consensus part; on v minus its node mean it is exact.
     """
     v -= v.mean(axis=-2, keepdims=True)
-    wv = spectral.op.w(v)
+    wv = spectral.comm.w(v)
     wv *= v
     return np.maximum(wv.sum(axis=(-2, -1)), 0.0)
 
@@ -90,9 +90,9 @@ def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarr
     consensus part of x is small next to it.
     """
     total = _gram_form(spectral, s)
-    total -= np.einsum("...ij,...ij->...", spectral.op.w(x), x)
+    total -= np.einsum("...ij,...ij->...", spectral.comm.w(x), x)
     x *= x
-    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.op.col_norms_sq, x.shape[-1])
+    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.comm.col_norms_sq, x.shape[-1])
     return total
 
 
@@ -105,12 +105,12 @@ def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_st
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
     """Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c)."""
-    dual_ref = -(1.0 / c) * spectral.op.w_pinv(optimal.subgrad)
-    dual_resid = float(np.linalg.norm(spectral.op.w(dual_ref) + (1.0 / c) * optimal.subgrad))
+    dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad)
+    dual_resid = float(np.linalg.norm(spectral.comm.w(dual_ref) + (1.0 / c) * optimal.subgrad))
     scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
-    span_resid = math.sqrt(spectral.op.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
+    span_resid = math.sqrt(spectral.comm.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
     dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
     return AuxSequences(
         dual_ref=dual_ref,
@@ -163,7 +163,10 @@ def balance_star(nu: float, lipschitz: float, c: float, spectral) -> float:
         raise InvalidCError(f"penalty must be positive, got {c}")
     lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
     a = c * c * lam_max * (2.0 + lam_min)
-    return a / (2.0 * nu * lipschitz + a)
+    balance = a / (2.0 * nu * lipschitz + a)
+    if not 0.0 < balance < 1.0:  # c^2 underflowed to 0 or overflowed to inf
+        raise InvalidCError(f"penalty {c:g} is too extreme for the rate certificate")
+    return balance
 
 
 def _gain_at(nu: float, lipschitz: float, c: float, spectral) -> float:
@@ -315,8 +318,8 @@ def judge_table(
     judged against its envelopes at each row's t ("objective",
     "feasibility"); with ``contraction_bound`` the contraction_ratio column
     is judged against it ("contraction"), skipping nan ratios, whose
-    previous distance fell below RATIO_FLOOR. Only the columns judged and
-    ``t`` need to be present.
+    previous distance fell below RATIO_FLOOR (``contraction_ratios``). Only
+    the columns judged and ``t`` need to be present.
     """
     ts = table["t"]
     verdicts = {}
@@ -340,10 +343,17 @@ def ergodic_errors(
 
 
 def contraction_ratios(dist: np.ndarray, floor: float = RATIO_FLOOR) -> np.ndarray:
-    """One-step ratios dist[t] / dist[t-1] for t = 1..T; nan where dist[t-1] < floor."""
+    """One-step ratios dist[t] / dist[t-1] for t = 1..T.
+
+    nan (not judged) where dist[t-1] is finite and below ``floor``; inf
+    (judged, so failing) wherever else a distance makes the ratio non-finite.
+    """
     prev = dist[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(prev >= floor, dist[1:] / prev, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = dist[1:] / prev
+    ratios[~np.isfinite(ratios)] = np.inf
+    ratios[np.isfinite(prev) & (prev < floor)] = np.nan
+    return ratios
 
 
 @dataclass(frozen=True)
@@ -406,7 +416,7 @@ def gap_inequality_check(
     dist = _metric_path(trace, spectral, r, optimal.x_star)
     xs = trace.xs
     lhs = (2.0 / c) * (problem.f_value(xs[1:]) - optimal.f_star) + 2.0 * np.sum(
-        spectral.op.w(r) * xs[1:], axis=(1, 2)
+        spectral.comm.w(r) * xs[1:], axis=(1, 2)
     )
     # step(t): S(t) - S(t+1) = -x(t+1)
     rhs = dist[:-1] - dist[1:] - _metric_sq(spectral, xs[1:].copy(), xs[:-1] - xs[1:])
@@ -472,7 +482,7 @@ class LaplacianBounds:
 
 
 def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float | None = None) -> LaplacianBounds:
-    sd = compute_spectral_data(laplacian(g), g)
+    sd = compute_spectral_data(laplacian(g))
     a = sd.algebraic_connectivity
     dmax, dmin = g.d_max, g.d_min
     lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric

@@ -9,7 +9,8 @@ Subcommands:
 * ``check``    replay a trace CSV against its config and re-verify
 
 Exit codes: 0 on success and all checks passing, 1 when a check
-fails, 2 on usage or input errors (unwritable output paths included).
+fails, 2 on usage or input errors (unwritable output paths and runs
+too large to allocate included).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _run_config(cfg: ExperimentConfig):
     """(problem, spectral data, optimum, aggregate info, penalty, trace, per-round table,
     sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``."""
     problem = build_problem(cfg)
-    spectral = compute_spectral_data(problem.comm, problem.graph)
+    spectral = compute_spectral_data(problem.comm)
     optimal = central_solve(problem)
     agg = aggregate(problem, optimal)
     auto = cfg.admm.c == "auto"
@@ -137,7 +138,7 @@ def run_figure1(out_dir: Path) -> int:
     for d in FIGURE1_DEGREES:
         g = generate_graph("circulant", FIGURE1_N, d=d)
         problem = estimation_problem(g)
-        spectral = compute_spectral_data(problem.comm, g)
+        spectral = compute_spectral_data(problem.comm)
         optimal = central_solve(problem)
         cert = analysis.optimize_rate(1.0, 1.0, spectral)
         # quarter of the certificate-optimal penalty: at the optimum the
@@ -176,7 +177,7 @@ def _graph_for_table(args) -> Graph:
 
 def cmd_spectra(args) -> int:
     g = _graph_for_table(args)
-    spectral = compute_spectral_data(laplacian(g), g)
+    spectral = compute_spectral_data(laplacian(g))
     try:
         psd_certificates(spectral)
         psd = "ok"
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     _refuse_overridden(parser, args)
     try:
         return args.func(args)
-    except (AdmmNetError, OSError) as exc:  # OSError: an output path that cannot be written
+    except (AdmmNetError, OSError, MemoryError) as exc:  # an unwritable output path, arrays too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

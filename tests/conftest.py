@@ -59,12 +59,12 @@ def p3_problem(p3):
 
 @pytest.fixture(scope="session")
 def k3_spectral(k3, k3_problem):
-    return compute_spectral_data(k3_problem.comm, k3)
+    return compute_spectral_data(k3_problem.comm)
 
 
 @pytest.fixture(scope="session")
 def p3_spectral(p3, p3_problem):
-    return compute_spectral_data(p3_problem.comm, p3)
+    return compute_spectral_data(p3_problem.comm)
 
 
 @pytest.fixture(scope="session")

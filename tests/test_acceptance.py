@@ -46,7 +46,7 @@ def test_criterion_2_recurrence_identity():
     worst = 0.0
     for kind in ("complete", "path"):
         prob = estimation_on(kind)
-        sd = compute_spectral_data(prob.comm, prob.graph)
+        sd = compute_spectral_data(prob.comm)
         for c in (0.25, 1.0, 4.0):
             trace = admm.run(prob, admm.RunConfig(c=c, T=100))
             worst = max(worst, float(np.max(admm.recurrence_residuals(trace, sd))))
@@ -68,7 +68,7 @@ def test_criterion_3_first_iterate():
 
 def test_criterion_4_sublinear_bounds():
     prob = estimation_on("complete")
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
@@ -91,7 +91,7 @@ def test_criterion_4_sublinear_bounds():
 
 def test_criterion_5_linear_rate():
     prob = estimation_on("complete")
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     cert = analysis.optimize_rate(1.0, 1.0, sd)
     c = cert.best_penalty
@@ -120,7 +120,7 @@ def test_criterion_6_certificate_consistency():
     worst_eq = 0.0
     for _ in range(50):
         g = random_connected_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.6)))
-        sd = compute_spectral_data(laplacian(g), g)
+        sd = compute_spectral_data(laplacian(g))
         nu = float(rng.uniform(0.05, 8.0))
         lip = nu * float(rng.uniform(1.0, 80.0))
         cert = analysis.optimize_rate(nu, lip, sd)
@@ -144,7 +144,7 @@ def test_criterion_7_spectral_inequalities():
     while count < 20:
         n = int(rng.integers(4, 41))
         g = random_connected_graph(rng, n, float(rng.uniform(0.05, 0.6)))
-        sd = compute_spectral_data(laplacian(g), g)
+        sd = compute_spectral_data(laplacian(g))
         a, dmax, dmin = sd.algebraic_connectivity, g.d_max, g.d_min
         lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric
         checks = [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet import admm, analysis, reporting
+from admmnet import admm, analysis, graph, reporting
 from admmnet.errors import (
     AdmmError,
     InnerSolverNoConvergenceError,
@@ -14,7 +14,7 @@ from admmnet.errors import (
     ProxFailureError,
     ZeroMWeightError,
 )
-from admmnet.graph import custom_comm_matrix, generate_graph, laplacian
+from admmnet.graph import custom_comm_matrix, generate_graph, laplacian, stack_apply
 from admmnet.objectives import (
     CustomSmooth,
     L1Quadratic,
@@ -23,8 +23,8 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import compute_spectral_data, stack_apply
-from conftest import random_connected_graph
+from admmnet.spectral import compute_spectral_data
+from conftest import random_connected_graph, row_scaled_laplacian
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
 FIRST_Y = np.array([-1.0 / 7.0, 0.0, 1.0 / 7.0])
@@ -108,7 +108,7 @@ def test_recurrence_detects_corruption(k3_problem, k3_spectral):
 
 def test_implicit_subgradients_match_quadratic_gradient(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
-    hs = admm.implicit_subgradients(trace, k3_spectral.op)
+    hs = admm.implicit_subgradients(trace, k3_spectral.comm)
     for t in range(20):
         for i, f in enumerate(k3_problem.objectives):
             assert np.max(np.abs(hs[t, i] - f.gradient(trace.xs[t + 1][i]))) <= 1e-10
@@ -140,7 +140,7 @@ def test_vector_dimension_runs(k3):
     node = admm.run(prob, admm.RunConfig(c=1.0, T=200))
     edge = admm.run(prob, admm.RunConfig(c=1.0, T=200, engine="edge"))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
-    sd = compute_spectral_data(prob.comm, k3)
+    sd = compute_spectral_data(prob.comm)
     assert float(np.max(admm.recurrence_residuals(node, sd))) <= 1e-10
     mean = np.mean(targets, axis=0)
     assert np.max(np.abs(node.xs[-1] - mean)) <= 1e-8
@@ -242,7 +242,7 @@ def test_vectorized_round_properties(n, d, seed):
     x0 = init[0]
     y0 = (prob.comm.dense() @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
     trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
 
 
@@ -406,6 +406,29 @@ def test_engines_never_form_w(engine):
     assert peak / (8 * n * n) < 0.5
 
 
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_run_reuses_the_column_norms_of_the_spectral_data(monkeypatch, engine):
+    # m and the crossover belong to the matrix: a run after
+    # compute_spectral_data on the same problem makes neither again
+    rng = np.random.default_rng(3)
+    g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
+    prob = NetworkProblem(graph=g, comm=row_scaled_laplacian(rng, g), objectives=estimation_problem(g).objectives)
+    made = []
+    for owner, name in ((np, "bincount"), (graph, "dense_products_are_cheaper")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k: made.append(_name) or _fn(*a, **k))
+    read = []
+    prox_weights = admm._prox_weights
+    monkeypatch.setattr(admm, "_prox_weights", lambda comm, *a: read.append(comm.col_norms_sq) or prox_weights(comm, *a))
+    sd = compute_spectral_data(prob.comm)
+    assert made == ["bincount"]  # m, for the diagonal of M - W
+    for _ in range(2):
+        trace = admm.run(prob, admm.RunConfig(c=1.0, T=3, engine=engine))
+        assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
+    assert made == ["bincount", "dense_products_are_cheaper"]
+    assert len(read) == 4 and all(m is sd.comm.col_norms_sq for m in read)  # each run, then its recurrence check
+
+
 def _forbid_per_node_calls(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-node objective call on the round path")
@@ -423,7 +446,7 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     else:
         objs = tuple(L1Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
         prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=objs)
-    sd = compute_spectral_data(prob.comm, g)
+    sd = compute_spectral_data(prob.comm)
     _forbid_per_node_calls(monkeypatch)
     optimal = central_solve(prob)
     for engine in ("node", "edge"):

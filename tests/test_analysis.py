@@ -25,7 +25,7 @@ from admmnet.objectives import (
     central_solve,
     estimation_problem,
 )
-from admmnet.spectral import NetworkOperator, compute_spectral_data
+from admmnet.spectral import compute_spectral_data
 from conftest import edge_weighted_laplacian, random_connected_graph
 
 # hand-derived constants for the complete triangle with unit weights
@@ -52,7 +52,7 @@ def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
 def test_aux_dual_ref_zero_for_agreeing_targets(k3):
     objs = tuple(Quadratic(target=np.array([2.5])) for _ in range(3))
     prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
-    sd = compute_spectral_data(prob.comm, k3)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=3))
     aux = analysis.aux_sequences(trace, sd, opt, 1.0)
@@ -73,21 +73,21 @@ def test_gram_pinv_apply_matches_eigh(n, seed, weighted, d):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
-    sd = compute_spectral_data(comm, g)
+    sd = compute_spectral_data(comm)
     B = rng.normal(size=(n, d))
-    want = eigh_pinv(sd.op.W) @ B
-    got = sd.op.w_pinv(B)
+    want = eigh_pinv(sd.comm.W) @ B
+    got = sd.comm.w_pinv(B)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral, k3_optimal):
     # a Gram matrix that no longer annihilates exactly span{1}: W + 11'/n is
     # still invertible, but its solve is no longer W^+
-    op = NetworkOperator(k3_problem.comm, k3_problem.graph)
-    op.W = k3_spectral.op.W.copy()
-    op.W[0, 1] += 0.1
-    op.W[1, 0] += 0.1
-    doctored = replace(k3_spectral, op=op)
+    comm = replace(k3_problem.comm)  # the same slots, with nothing derived yet
+    W = vars(comm)["W"] = k3_spectral.comm.W.copy()  # where the cached W would sit
+    W[0, 1] += 0.1
+    W[1, 0] += 0.1
+    doctored = replace(k3_spectral, comm=comm)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
         analysis.aux_sequences(trace, doctored, k3_optimal, 1.0)
@@ -176,7 +176,7 @@ def test_numeric_optimizer_matches_closed_form_random():
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(4, 20)), float(rng.uniform(0.1, 0.6)))
-        sd = compute_spectral_data(laplacian(g), g)
+        sd = compute_spectral_data(laplacian(g))
         nu = float(rng.uniform(0.05, 5.0))
         lip = nu * float(rng.uniform(1.0, 50.0))
         cert = analysis.optimize_rate(nu, lip, sd)  # raises if numeric/closed form disagree
@@ -214,7 +214,7 @@ def test_sublinear_check_l1_instance(p3):
         L1Quadratic(target=np.array([2.0]), weight=1.0, tau=0.5),
     )
     prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=objs)
-    sd = compute_spectral_data(prob.comm, p3)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=400))
@@ -266,6 +266,18 @@ def test_gap_inequality_both_references(k3_problem, k3_spectral, k3_optimal):
     )
     assert np.all(m0 >= -1e-9)
     assert np.all(mref >= -1e-9)
+
+
+def test_contraction_ratios_judge_every_non_finite_distance():
+    # nan only after a finite distance below the floor; a nan or infinite
+    # distance on either side of a ratio makes it inf, which is judged and fails
+    got = analysis.contraction_ratios(np.array([4.0, 2.0, math.nan, 1.0, math.inf, 0.5]))
+    np.testing.assert_array_equal(got, [0.5, math.inf, math.inf, math.inf, 0.0])
+    got = analysis.contraction_ratios(np.array([1.0, 1e-30, 0.5, -0.0, math.nan]))
+    np.testing.assert_array_equal(got, [1e-30, math.nan, 0.0, math.nan])
+    table = {"t": np.arange(1, 6), "contraction_ratio": analysis.contraction_ratios(np.array([1.0, 0.5, math.nan, 1.0, 0.5, 0.2]))}
+    v = analysis.judge_table(table, contraction_bound=0.9)["contraction"]
+    assert (v.passed, v.judged, v.worst_t, v.value) == (False, 5, 2, math.inf)
 
 
 def test_contraction_check_certified_rates(k3_problem, k3_spectral, k3_optimal):
@@ -376,15 +388,15 @@ def mixed_custom_problem():
 
 def gram_sqrt(spectral):
     """Q = W^(1/2) from eigh; the smallest eigenvalue, that of null(W) = span{1}, is zeroed exactly so that Q 1 = 0."""
-    vals, vecs = np.linalg.eigh(spectral.op.W)
+    vals, vecs = np.linalg.eigh(spectral.comm.W)
     roots = np.sqrt(np.clip(vals, 0.0, None))
     roots[0] = 0.0
     return (vecs * roots) @ vecs.T
 
 
 def metric_block(spectral):
-    """M - W as a dense matrix, built the plain way: the operator stores only W and diag(M)."""
-    return np.diag(spectral.op.col_norms_sq) - spectral.op.W
+    """M - W as a dense matrix, built the plain way: the matrix stores only W and diag(M)."""
+    return np.diag(spectral.comm.col_norms_sq) - spectral.comm.W
 
 
 def table_by_rounds(trace, problem, spectral, optimal, aux):
@@ -431,7 +443,7 @@ def table_by_rounds(trace, problem, spectral, optimal, aux):
 @pytest.mark.parametrize("engine", ["node", "edge"])
 def test_trace_table_matches_per_round_loop(engine):
     prob = mixed_custom_problem()
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30, engine=engine))
     aux = analysis.aux_sequences(trace, sd, opt, 0.7)
@@ -448,9 +460,9 @@ def test_trace_table_matches_per_round_loop(engine):
 
 
 def recurrence_by_rounds(trace, spectral):
-    hs = admm.implicit_subgradients(trace, spectral.op)
-    Minv = 1.0 / spectral.op.col_norms_sq[:, None]
-    W = spectral.op.W
+    hs = admm.implicit_subgradients(trace, spectral.comm)
+    Minv = 1.0 / spectral.comm.col_norms_sq[:, None]
+    W = spectral.comm.W
     x_sum = np.zeros_like(trace.xs[0])
     out = []
     for t in range(trace.T):
@@ -462,7 +474,7 @@ def recurrence_by_rounds(trace, spectral):
 
 def test_recurrence_residuals_match_per_round_loop():
     prob = mixed_custom_problem()
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
     scale = float(np.max(np.abs(trace.xs)))
     clean = admm.recurrence_residuals(trace, sd)
@@ -500,7 +512,7 @@ def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
 
 def test_gap_inequality_matches_per_round_loop():
     prob = mixed_custom_problem()
-    sd = compute_spectral_data(prob.comm, prob.graph)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
     aux = analysis.aux_sequences(trace, sd, opt, 0.7)
@@ -531,7 +543,7 @@ def test_quadratic_forms_are_centered():
     """
     g = generate_graph("erdos_renyi", 200, p=0.05, seed=3)
     prob = estimation_problem(g)
-    sd = compute_spectral_data(prob.comm, g)
+    sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
     aux = analysis.aux_sequences(trace, sd, opt, 1.0)

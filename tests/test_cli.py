@@ -111,7 +111,7 @@ def test_figure1_rate_is_certified_at_the_penalty_in_use(tmp_path):
         parts = dict(p.split("=", 1) for p in line.replace(":", "").split())
         assert int(parts["d"]) == d
         g = generate_graph("circulant", cli.FIGURE1_N, d=d)
-        cert = analysis.optimize_rate(1.0, 1.0, compute_spectral_data(laplacian(g), g), c=float(parts["c"]))
+        cert = analysis.optimize_rate(1.0, 1.0, compute_spectral_data(laplacian(g)), c=float(parts["c"]))
         assert float(parts["rate"]) == cert.rate > cert.best_rate
         rates.append(cert.rate)
     assert rates == pytest.approx([0.99856, 0.98728, 0.97225], abs=5e-6)
@@ -652,3 +652,39 @@ def test_inputs_that_set_n_nu_and_L(tmp_path, capsys):
     write_graph_file(generate_graph("path", 4), path)
     assert cli.main(["certify", "--graph-file", str(path), "--nu", "2", "--L", "3"]) == 0
     assert capsys.readouterr().out.startswith("nu=2 L=3 kappa=1.5\n")
+
+
+OVERFLOW_CONFIG = K3_CONFIG.replace("preset = estimation", "kind = quadratic\na = 1e300 2 3").replace("T = 200", "T = 5")
+
+
+def test_non_finite_distances_fail_contraction_in_run_and_check(tmp_path, capsys):
+    # x* = 3.3e299 overflows every squared metric distance to nan: each
+    # ratio is judged as inf and fails, instead of reading as converged
+    cfg = write_config(tmp_path, OVERFLOW_CONFIG)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        run_out = capsys.readouterr().out
+        assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 1
+        check_out = capsys.readouterr().out
+    assert "check contraction: FAIL (bound 0.84210526315789469, checked 5, worst margin inf at t=1)" in run_out
+    assert "check replay: PASS" in check_out
+    assert "check contraction: FAIL (bound 0.84210526315789469, worst margin inf at t=1)" in check_out
+    assert np.all(reporting.read_trace_csv(out / "trace.csv")["contraction_ratio"] == np.inf)
+
+
+@pytest.mark.parametrize("c", ["1e-300", "1e300"])
+def test_extreme_penalty_exits_2_naming_the_penalty(tmp_path, capsys, c):
+    # c^2 underflows to 0 or overflows to inf in the certificate's balance
+    cfg = write_config(tmp_path, K3_CONFIG.replace("c = 1.0", f"c = {c}"))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: penalty {float(c):g} is too extreme for the rate certificate\n"
+
+
+def test_unallocatable_run_exits_2(tmp_path, capsys):
+    # (T+1, n, 1) trace stacks of 24 PB: more than any address space holds
+    cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 1000000000000000"))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err

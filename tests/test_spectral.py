@@ -7,18 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet import spectral
+from admmnet import graph, spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError, NotSymmetricError
-from admmnet.graph import CommunicationMatrix, generate_graph, laplacian
-from admmnet.spectral import (
-    NetworkOperator,
-    algebraic_connectivity,
-    compute_spectral_data,
-    dense_products_are_cheaper,
-    psd_certificates,
-    stack_apply,
-    sym_eig,
-)
+from admmnet.graph import CommunicationMatrix, dense_products_are_cheaper, generate_graph, laplacian, stack_apply
+from admmnet.spectral import compute_spectral_data, psd_certificates, sym_eig
 from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
@@ -42,6 +34,11 @@ def count_eigvalsh(monkeypatch) -> list:
     fn = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: calls.append(S.shape) or _fn(S))
     return calls
+
+
+def algebraic_connectivity(g) -> float:
+    """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense."""
+    return float(sym_eig(laplacian(g).dense()).eigenvalues[1])
 
 
 def laplacian_closed_form(kind: str, n: int, d: int) -> np.ndarray:
@@ -110,10 +107,10 @@ def test_sym_eig_deterministic(k3):
 def test_spectral_data_k3(k3, k3_spectral):
     sd = k3_spectral
     P = laplacian(k3).dense()
-    assert np.allclose(sd.op.col_norms_sq, [6, 6, 6])
-    assert np.allclose(sd.op.nbhd_sizes, [3, 3, 3])
+    assert np.allclose(sd.comm.col_norms_sq, [6, 6, 6])
+    assert np.allclose(sd.comm.nbhd_sizes, [3, 3, 3])
     # P^2 = 3P on the complete triangle, so the Gram matrix is P itself
-    assert np.allclose(sd.op.W, P, atol=1e-12)
+    assert np.allclose(sd.comm.W, P, atol=1e-12)
     assert np.isclose(sd.min_pos_eig_gram, 3.0, atol=1e-12)
     assert np.isclose(sd.max_eig_metric, 6.0, atol=1e-12)
     assert np.isclose(sd.algebraic_connectivity, 3.0, atol=1e-12)
@@ -121,8 +118,8 @@ def test_spectral_data_k3(k3, k3_spectral):
 
 def test_spectral_data_p3(p3, p3_spectral):
     sd = p3_spectral
-    assert np.allclose(sd.op.col_norms_sq, [2, 6, 2])
-    assert np.allclose(sd.op.nbhd_sizes, [2, 3, 2])
+    assert np.allclose(sd.comm.col_norms_sq, [2, 6, 2])
+    assert np.allclose(sd.comm.nbhd_sizes, [2, 3, 2])
     assert np.allclose(sd.eig_gram.eigenvalues, P3_GRAM_EIGS, atol=1e-12)
     assert np.isclose(sd.min_pos_eig_gram, 0.5, atol=1e-12)
     assert np.isclose(sd.max_eig_metric, P3_METRIC_MAX, atol=1e-10)
@@ -147,7 +144,7 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
     # all three matrices are circulant and no eigensolver runs
     calls = count_eigvalsh(monkeypatch)
     g = generate_graph(kind, n, d=d if kind == "circulant" else None)
-    sd = compute_spectral_data(laplacian(g), g)
+    sd = compute_spectral_data(laplacian(g))
     lap = sym_eig(laplacian(g).dense()).eigenvalues
     a = sd.algebraic_connectivity
     assert calls == []
@@ -197,7 +194,7 @@ def test_one_eigendecomposition(monkeypatch):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda S, _fn=fn, _log=calls[name]: _log.append(S.shape) or _fn(S))
     g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
-    sd = compute_spectral_data(laplacian(g), g)
+    sd = compute_spectral_data(laplacian(g))
     assert calls == {"eigh": [], "eigvalsh": [(30, 30), (30, 30)]}
     a = sd.algebraic_connectivity
     assert sd.algebraic_connectivity == a == algebraic_connectivity(g)
@@ -211,8 +208,8 @@ def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypat
     fn = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: seen.append(np.array(S)) or _fn(S))
     g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
-    sd = compute_spectral_data(laplacian(g), g)
-    want = np.diag(sd.op.col_norms_sq) - sd.op.W
+    sd = compute_spectral_data(laplacian(g))
+    want = np.diag(sd.comm.col_norms_sq) - sd.comm.W
     got = seen[1]
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
     assert not np.signbit(got[got == 0.0]).any()
@@ -227,24 +224,43 @@ def test_laplacian_problem_reads_a_from_its_own_p(monkeypatch, kind, n, kw):
     comm = laplacian(g)
     want = algebraic_connectivity(g)
     built = []
-    monkeypatch.setattr(spectral, "laplacian", lambda h: built.append(h) or laplacian(h))
-    assert compute_spectral_data(comm, g).algebraic_connectivity == want
+    fn = graph._laplacian_on_slots
+    monkeypatch.setattr(graph, "_laplacian_on_slots", lambda *a: built.append(a[0]) or fn(*a))
+    assert compute_spectral_data(comm).algebraic_connectivity == want
     assert built == []
     scaled = CommunicationMatrix.on_slots(2.0 * comm.dense(), g)
-    assert compute_spectral_data(scaled, g).algebraic_connectivity == want
-    assert built == [g]
+    assert compute_spectral_data(scaled).algebraic_connectivity == want
+    assert built == [g.n]
+
+
+@pytest.mark.parametrize(
+    "kind,n,kw",
+    [("erdos_renyi", 30, {"p": 0.2, "seed": 1}), ("path", 12, {}), ("circulant", 20, {"d": 4}), ("erdos_renyi", 400, {"p": 0.05, "seed": 1})],
+)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_custom_p_reads_a_from_the_laplacian_on_its_slots(kind, n, kw, weighted):
+    # the slots of a custom P are its graph's closed neighborhoods, so a(G)
+    # needs no Graph: it is the graph Laplacian's lam_2, bit for bit
+    g = generate_graph(kind, n, **kw)
+    rng = np.random.default_rng(n)
+    comm = row_scaled_laplacian(rng, g) if weighted else edge_weighted_laplacian(rng, g)
+    assert comm.source == "custom"
+    assert compute_spectral_data(comm).algebraic_connectivity == algebraic_connectivity(g)
 
 
 def test_algebraic_connectivity_values(k3, p3):
-    assert np.isclose(algebraic_connectivity(k3), 3.0, atol=1e-12)
-    assert np.isclose(algebraic_connectivity(p3), 1.0, atol=1e-12)
+    def a_of(g):
+        return compute_spectral_data(laplacian(g)).algebraic_connectivity
+
+    assert np.isclose(a_of(k3), 3.0, atol=1e-12)
+    assert np.isclose(a_of(p3), 1.0, atol=1e-12)
     k5 = generate_graph("complete", 5)
-    assert np.isclose(algebraic_connectivity(k5), 5.0, atol=1e-12)
+    assert np.isclose(a_of(k5), 5.0, atol=1e-12)
 
 
 def test_consensus_direction_in_null_space(p3_spectral):
     ones = np.ones(3)
-    assert np.max(np.abs(p3_spectral.op.W @ ones)) <= 1e-10
+    assert np.max(np.abs(p3_spectral.comm.W @ ones)) <= 1e-10
 
 
 def test_psd_certificates_k3(k3_spectral):
@@ -276,7 +292,7 @@ def test_psd_certificates_detect_violation(monkeypatch, k3_spectral):
 def test_spectral_inequalities_random_graphs(n, seed):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
-    sd = compute_spectral_data(laplacian(g), g)
+    sd = compute_spectral_data(laplacian(g))
     a = sd.algebraic_connectivity
     low = a * a / (g.d_max + 1)
     high = a * a / (g.d_min + 1)
@@ -292,7 +308,7 @@ def test_long_path_min_eig_in_sandwich(n):
     # lam_2(W) falls below 1e-9 lam_max on these paths; it is still the
     # smallest nonzero eigenvalue and must sit in a^2/(d_max+1) .. a^2/(d_min+1)
     g = generate_graph("path", n)
-    sd = compute_spectral_data(laplacian(g), g)
+    sd = compute_spectral_data(laplacian(g))
     a = sd.algebraic_connectivity
     assert sd.min_pos_eig_gram < 1e-9 * sd.max_eig_metric
     assert a * a / 3.0 * (1 - 1e-9) <= sd.min_pos_eig_gram <= a * a / 2.0 * (1 + 1e-9)
@@ -304,7 +320,7 @@ def test_second_null_direction_is_degenerate():
     P = np.zeros((6, 6))
     P[:3, :3] = P[3:, 3:] = laplacian(generate_graph("path", 3)).dense()
     with pytest.raises(DegenerateSpectrumError):
-        compute_spectral_data(CommunicationMatrix.on_slots(P, g), g)
+        compute_spectral_data(CommunicationMatrix.on_slots(P, g))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -330,35 +346,36 @@ def test_operator_products_keep_their_bits(n, seed, weighted, d):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
-    op = compute_spectral_data(comm, g).op
-    assert op.dense_products  # below the crossover at n <= 30
+    assert compute_spectral_data(comm).comm is comm
+    assert comm.dense_products  # below the crossover at n <= 30
     P = comm.dense()
     B = P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
-    assert np.array_equal(op.W, B.T @ B)
-    assert np.array_equal(op.col_norms_sq, np.einsum("ji,ji->i", P, P))
+    assert np.array_equal(comm.W, B.T @ B)
+    assert np.array_equal(comm.col_norms_sq, np.einsum("ji,ji->i", P, P))
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(4, n, d))
-    for got_of, A in ((op.p, P), (op.pt, P.T), (op.w, op.W)):
+    for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w, comm.W)):
         assert np.array_equal(got_of(x), np.matmul(A, x))
         assert np.array_equal(got_of(stack), stack_apply(A, stack))
-    for got_of, A in ((op.p, P), (op.pt, P.T)):
+    for got_of, A in ((comm.p, P), (comm.pt, P.T)):
         out = np.empty((n, d))
         assert got_of(x, out=out) is out
         assert np.array_equal(out, np.matmul(A, x))
 
 
-def test_operator_forms_w_on_first_read_only(p3, p3_problem):
-    op = NetworkOperator(p3_problem.comm, p3)
-    assert "W" not in vars(op)
-    op.p(np.ones((3, 1)))
-    op.pt(np.ones((2, 3, 1)))
-    assert "W" not in vars(op)
-    assert op.W is op.W
+def test_operator_forms_w_on_first_read_only(p3):
+    mat = laplacian(p3)
+    assert "W" not in vars(mat)
+    mat.p(np.ones((3, 1)))
+    mat.pt(np.ones((2, 3, 1)))
+    assert "W" not in vars(mat)
+    assert mat.W is mat.W
 
 
-def slot_operator(comm, g) -> NetworkOperator:
-    """An operator whose P products run over the slots whatever the crossover says."""
-    with mock.patch.object(spectral, "dense_products_are_cheaper", return_value=False):
-        return NetworkOperator(comm, g)
+def with_slot_products(comm) -> CommunicationMatrix:
+    """The matrix, with its P products set to run over the slots whatever the crossover says."""
+    with mock.patch.object(graph, "dense_products_are_cheaper", return_value=False):
+        comm.dense_products  # chosen on first read and kept
+    return comm
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,11 +385,11 @@ def test_slot_products_match_dense_products(n, seed, weighted, d):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = row_scaled_laplacian(rng, g) if weighted else laplacian(g)
-    op, P = slot_operator(comm, g), comm.dense()
-    assert not op.dense_products
+    mat, P = with_slot_products(comm), comm.dense()
+    assert not mat.dense_products
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(7, n, d))
     tol = dict(rtol=1e-12, atol=1e-12 * float(np.abs(P).max()) * n)
-    for got_of, A in ((op.p, P), (op.pt, P.T)):
+    for got_of, A in ((mat.p, P), (mat.pt, P.T)):
         np.testing.assert_allclose(got_of(x), A @ x, **tol)
         out = np.empty((n, d))
         assert got_of(x, out=out) is out
@@ -391,10 +408,10 @@ def test_stack_products_allocate_at_most_one_dense_array():
     """
     n, T = 1200, 300
     g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
-    op = NetworkOperator(laplacian(g), g)
-    assert not op.dense_products
+    mat = laplacian(g)
+    assert not mat.dense_products
     stack = np.random.default_rng(0).normal(size=(T + 1, n, 1))
-    for product in (op.p, op.pt):
+    for product in (mat.p, mat.pt):
         tracemalloc.start()
         try:
             product(stack)
@@ -418,7 +435,7 @@ def test_crossover_by_graph_size_and_fill(kind, n, kw, dense):
     g = generate_graph(kind, n, **kw)
     comm = laplacian(g)
     assert dense_products_are_cheaper(comm) is dense
-    assert NetworkOperator(comm, g).dense_products is dense
+    assert comm.dense_products is dense
 
 
 def gram_of(comm, g) -> np.ndarray:
@@ -433,7 +450,7 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighte
     g = generate_graph(kind, n, **kw)
     comm = edge_weighted_laplacian(np.random.default_rng(n), g) if weighted else laplacian(g)
     want = gram_of(comm, g).tobytes()
-    assert compute_spectral_data(comm, g).op.W.tobytes() == want
+    assert compute_spectral_data(comm).comm.W.tobytes() == want
 
     seen = []
 
@@ -445,6 +462,6 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighte
 
     monkeypatch.setattr(spectral, "sym_eig", second_call_raises)
     with pytest.raises(EigNoConvergenceError):
-        compute_spectral_data(comm, g)
+        compute_spectral_data(comm)
     assert seen[0] is seen[1]  # the metric block lives in W's storage
     assert seen[0].tobytes() == want
