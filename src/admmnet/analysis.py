@@ -23,6 +23,7 @@ metric block:
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -139,9 +140,18 @@ class RateCertificate:
 
 
 def _check_curvature(nu: float, lipschitz: float) -> None:
-    """Raise MissingCurvatureMetadataError unless 0 < nu <= L < inf (nan fails)."""
+    """Raise MissingCurvatureMetadataError unless 0 < nu <= L < inf (nan fails) and the certificate's forms are representable.
+
+    Its closed forms and its search bracket read nu L, 2 nu L and L / nu:
+    each must be a finite normal float, or sqrt(nu L) underflows to 0 and
+    the bracket's log fails, or the best penalty overflows to inf.
+    """
     if not 0.0 < nu <= lipschitz < math.inf:
         raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
+    if not (sys.float_info.min <= nu * lipschitz and 2.0 * nu * lipschitz < math.inf and lipschitz / nu < math.inf):
+        raise MissingCurvatureMetadataError(
+            f"nu={nu} and L={lipschitz} are too extreme: nu L, 2 nu L and L / nu must be finite normal floats"
+        )
 
 
 def contraction_gain(nu: float, lipschitz: float, c: float, balance: float, spectral) -> float:

@@ -33,7 +33,7 @@ from .errors import AdmmNetError, CertificateFailedError, ConfigParseError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
 from .objectives import aggregate, central_solve, estimation_problem, require_curvature
 from .reporting import fmt
-from .spectral import compute_spectral_data, psd_certificates
+from .spectral import CERTIFIED, compute_spectral_data, psd_certificates
 
 FIGURE1_DEGREES = (10, 20, 30)
 FIGURE1_N = 50
@@ -43,6 +43,11 @@ FIGURE1_T = 150
 def _fmt12(x: float) -> str:
     # display precision for tables; hides one-ulp eigensolver noise
     return format(float(x), ".12g")
+
+
+def _is(kind: str, bound: str) -> str:
+    """How a spectral value relates to the true one: '=' when exact or closed form, ``bound`` ('>=' or '<=') when certified."""
+    return bound if kind == CERTIFIED else "="
 
 
 def _worst(v: analysis.Verdict) -> str:
@@ -91,9 +96,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines = [
         "# admmnet report v1",
         f"graph: kind={cfg.graph.kind} n={g.n} d_max={g.d_max} d_min={g.d_min}",
-        f"spectral: a(G)={fmt(spectral.algebraic_connectivity)}"
-        f" min_nonzero_eig={fmt(spectral.min_pos_eig_gram)}"
-        f" max_metric_eig={fmt(spectral.max_eig_metric)}",
+        f"spectral: a(G){_is(spectral.connectivity[1], '>=')}{fmt(spectral.algebraic_connectivity)}"
+        f" min_nonzero_eig{_is(spectral.eig_gram.kind, '>=')}{fmt(spectral.min_pos_eig_gram)}"
+        f" max_metric_eig{_is(spectral.eig_metric.kind, '<=')}{fmt(spectral.max_eig_metric)}",
         f"objective: preset={cfg.objective.preset or cfg.objective.kind}"
         f" nu={agg.strong_convexity} L={agg.lipschitz} kappa={agg.condition_number}"
         f" U={fmt(agg.subgrad_bound)}",
@@ -107,7 +112,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
     try:
         psd_certificates(spectral)
-        record("psd", True, f"min eigs {fmt(spectral.eig_gram.min)}, {fmt(spectral.eig_metric.min)}")
+        lows = ((">=" if s.kind == CERTIFIED else "") + fmt(s.min) for s in (spectral.eig_gram, spectral.eig_metric))
+        record("psd", True, f"min eigs {', '.join(lows)}")
     except CertificateFailedError as exc:
         record("psd", False, str(exc))
     obj, feas = verdicts["objective"], verdicts["feasibility"]
@@ -231,8 +237,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = parse_experiment_config(args.config)
-    table = reporting.read_trace_csv(args.trace)
+    return check_experiment(parse_experiment_config(args.config), args.trace)
+
+
+def check_experiment(cfg: ExperimentConfig, trace_path) -> int:
+    table = reporting.read_trace_csv(trace_path)
     lines: list[str] = []
     record = _Recorder(lines)
     if len(table["t"]) != cfg.admm.T:

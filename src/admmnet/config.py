@@ -167,6 +167,10 @@ def _build_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         weights = tuple(_floats(osec.get("w", "1")))
         _require("a", (v for row in targets for v in row))
         _require("w", weights, lambda v: v >= 0.0, " and >= 0")
+        # max(1, w) |a|^2 / 2 bounds the objective at x = 0 and the squared
+        # distances to the targets; past a float, inf runs through every column
+        if not math.isfinite(math.fsum(v * v for row in targets for v in row) * max(1.0, *weights)):
+            raise ConfigParseError("a is too large: the objective sum_i w_i |x - a_i|^2 / 2 overflows at x = 0")
     elif preset is None:
         preset = "estimation"
     _require("tau", (tau,), lambda v: v >= 0.0, " and >= 0")

@@ -3,27 +3,48 @@
 The certificates depend on the network only through the communication
 matrix P, a ``graph.CommunicationMatrix``, which forms W = P' D^-1 P and
 the column norms m and owns every product with P and W. This module reads
-W and P only for their eigenvalues.
+W and P only for their spectra.
 
 ``SpectralData`` holds the matrix and the numbers the rate certificates
 read: the smallest nonzero eigenvalue of W, the largest eigenvalue of the
 metric block M - W and the algebraic connectivity a(G), the second
 eigenvalue of the Laplacian on P's slots (on first read, from P itself
-when P is the Laplacian). M - W is not stored: it is built for its
-eigenvalues in W's own storage, as 0 - W with m added on its diagonal,
-and W is restored after; its forms are sum_i m_i |x_i|^2 - x' W x (see
-``analysis._metric_sq``). So above the product crossover a run holds at
-most three dense n x n float arrays at once: W plus at most two
-transients, which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy
-of W or of M - W, the Laplacian and ``eigvalsh``'s copy of it for a(G), or
-W + 11'/n and the solve's copy of it (``CommunicationMatrix.w_pinv``).
-Below the crossover the kept P adds one.
+when P is the Laplacian). Each is known in one of three ways, its ``kind``:
 
-``sym_eig`` reads a symmetric circulant matrix (W, M - W and the Laplacian
-of every circulant, cycle and complete graph, and any circulant custom P)
-as cosine sums over the nonzeros of its first row, and any other matrix
-(path, Erdos-Renyi and file graphs) with dense ``eigvalsh``; its docstring
-says why every check that reads a spectrum keeps its meaning.
+* CLOSED_FORM: the matrix is circulant (W, M - W and the Laplacian of every
+  circulant, cycle and complete graph, and any circulant custom P), and
+  ``sym_eig`` reads its eigenvalues as cosine sums over its first row;
+* EXACT: below ``certified_spectra_are_cheaper``'s size crossover, or where
+  the certified path gives up, dense ``eigvalsh``;
+* CERTIFIED: above the crossover, a bound on the safe side, which is all
+  the certificates need: the contraction gain grows with lam_2(W) and
+  shrinks with lam_max(M - W), and both sublinear envelopes grow as lam_2
+  falls or lam_max rises. Lanczos with full reorthogonalization estimates
+  the scalar from products with P and P' alone (``_ritz_ends``); one
+  Cholesky factorization then proves the bound by Sylvester's law of
+  inertia (``_certified_second``, ``_certified_metric``), rounding
+  included (``_allowance``). The bound lies 1e-10 of the Ritz value plus
+  that allowance from the eigenvalue: 1.0-1.2e-10 relative at Erdos-Renyi
+  n=800, p=0.05, and 1.0-2.1e-10 at n=1600, p=0.0125. The PSD floors need
+  no further factorization: Kato-Temple for W, Gershgorin discs for M - W.
+  A matrix falls back to ``eigvalsh`` when Lanczos has not converged
+  within LANCZOS_STEPS (long paths: lam_2(W) of path n=300 is 4e-9), when
+  neither back-off factors, when the bound would lie further than
+  BOUND_RTOL from the Ritz value (small lam_2 next to a large trace, as on
+  sparse regular graphs), or, for M - W, when the discs reach below the
+  PSD floor.
+
+M - W is not stored: it is built for its eigenvalues in W's own storage,
+as 0 - W with m added on its diagonal, and W is restored after; its forms
+are sum_i m_i |x_i|^2 - x' W x (see ``analysis._metric_sq``). Each
+certificate's matrix is written into W's lower triangle, which is all
+``np.linalg.cholesky`` reads, and W is restored from its upper triangle.
+So above the product crossover a run holds at most three dense n x n
+float arrays at once: W plus at most two transients, which are
+D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W or of M - W, the
+Laplacian and ``eigvalsh``'s copy of it for an exact a(G), Cholesky's copy
+and factor of a certificate, or W + 11'/n and the solve's copy of it
+(``CommunicationMatrix.w_pinv``). Below the crossover the kept P adds one.
 """
 
 from __future__ import annotations
@@ -43,27 +64,47 @@ from .errors import (
 from .graph import CommunicationMatrix
 
 SYMMETRY_RTOL = 1e-9
+PSD_FLOOR = -1e-10  # smallest eigenvalue the PSD certificates admit
 _BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the circulant test and sums
+_MASK_ENTRIES = 1 << 16  # entries per boolean mask of a block of W's lower triangle
+_U = np.finfo(float).eps / 2.0  # unit roundoff
+
+EXACT, CLOSED_FORM, CERTIFIED = "exact", "closed form", "certified bound"
+CERTIFY_MIN_N = 600  # the size crossover of ``certified_spectra_are_cheaper``
+BACKOFFS = (1e-10, 3e-10)  # relative back-off of the shift from the Ritz value: first try, retry
+BOUND_RTOL = 5e-10  # a certified bound lies this close to its Ritz value, or the eigenvalue is computed instead
+LANCZOS_STEPS = 200  # step cap; the basis is LANCZOS_STEPS x n, a quarter of W at n=800
+LANCZOS_RTOL = 1e-12  # converged when the Ritz value's error estimate is below this, relative
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues of a symmetric matrix."""
+    """The ends of a symmetric matrix's spectrum, and how they are known.
 
-    eigenvalues: np.ndarray = field(repr=False)
+    EXACT and CLOSED_FORM carry every eigenvalue, ascending, in
+    ``eigenvalues``. CERTIFIED carries none: ``min`` is a proven lower bound
+    on the smallest eigenvalue, and ``max`` is a proven upper bound on the
+    largest for M - W and the largest Ritz value for W, where it only scales
+    a residual test (see ``analysis.aux_sequences``).
+    """
 
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
+    min: float
+    max: float
+    kind: str
+    eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def max(self) -> float:
-        return float(self.eigenvalues[-1])
+    @classmethod
+    def of(cls, eigenvalues: np.ndarray, kind: str) -> Spectrum:
+        return cls(min=float(eigenvalues[0]), max=float(eigenvalues[-1]), kind=kind, eigenvalues=eigenvalues)
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """The communication matrix and the spectra of W and M - W; M - W itself is not stored (see the module docstring)."""
+    """The communication matrix and the spectra of W and M - W; M - W itself is not stored (see the module docstring).
+
+    ``min_pos_eig_gram`` has ``eig_gram.kind`` and ``max_eig_metric`` has
+    ``eig_metric.kind``; a CERTIFIED one is a lower and an upper bound.
+    """
 
     comm: CommunicationMatrix = field(repr=False)
     eig_gram: Spectrum = field(repr=False)
@@ -72,11 +113,41 @@ class SpectralData:
     max_eig_metric: float
 
     @cached_property
-    def algebraic_connectivity(self) -> float:
-        """a(G), the second eigenvalue of the Laplacian on P's slots: P itself, kept dense below the crossover, when P is it."""
+    def connectivity(self) -> tuple[float, str]:
+        """(a(G), its kind): the second eigenvalue of the Laplacian on P's slots, a lower bound on it when CERTIFIED.
+
+        An exact a(G) reads P itself, kept dense below the product
+        crossover, when P is the Laplacian.
+        """
         comm = self.comm
-        L = comm.kept_dense if comm.source == "laplacian" and comm.dense_products else comm.graph_laplacian().dense()
-        return float(sym_eig(L).eigenvalues[1])
+        lap = comm.graph_laplacian()
+        if certified_spectra_are_cheaper(comm.n) and not _circulant_pattern(lap):
+            diag = lap.values[lap.rows == lap.cols]
+            found = _certified_second(lambda v: lap.p(v[:, None])[:, 0], comm.W, diag, lap)
+            if found is not None:
+                return found[0], CERTIFIED
+        L = comm.kept_dense if comm.source == "laplacian" and comm.dense_products else lap.dense()
+        spectrum = sym_eig(L)
+        return float(spectrum.eigenvalues[1]), spectrum.kind
+
+    @property
+    def algebraic_connectivity(self) -> float:
+        return self.connectivity[0]
+
+
+def certified_spectra_are_cheaper(n: int) -> bool:
+    """Whether Lanczos and one Cholesky per scalar cost less than a full ``eigvalsh``: n >= CERTIFY_MIN_N.
+
+    ``eigvalsh`` costs about 1e-10 n^3 s and a Cholesky about a quarter of
+    that, while Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
+    reorthogonalization, which does not shrink with n. Fitted to one-thread
+    timings of all three scalars, certified against ``eigvalsh``, on
+    Erdos-Renyi p=0.05 (best of 5): 38 against 30 ms at n=400, 45 against
+    45 ms at n=500, 58 against 66 ms at n=600, 79 against 169 ms at n=800;
+    at n=1600, p=0.0125, 370 against 1313 ms. The crossover sits above the
+    break-even, as Lanczos needs more steps on some graphs.
+    """
+    return n >= CERTIFY_MIN_N
 
 
 def sym_eig(S: np.ndarray) -> Spectrum:
@@ -108,9 +179,9 @@ def sym_eig(S: np.ndarray) -> Spectrum:
         raise NotSymmetricError(f"symmetry defect {defect:.3e} exceeds {SYMMETRY_RTOL:.1e} * |S|")
     n = S.shape[0] if S.ndim == 2 else 0
     if n and S.shape == (n, n) and _is_circulant(S, n * np.finfo(float).eps * scale):
-        return Spectrum(eigenvalues=_circulant_eigenvalues(S[0]))
+        return Spectrum.of(_circulant_eigenvalues(S[0]), CLOSED_FORM)
     try:
-        return Spectrum(eigenvalues=np.linalg.eigvalsh(S))
+        return Spectrum.of(np.linalg.eigvalsh(S), EXACT)
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
 
@@ -142,6 +213,16 @@ def _is_circulant(S: np.ndarray, tol: float) -> bool:
     return True
 
 
+def _circulant_pattern(comm: CommunicationMatrix) -> bool:
+    """Whether every row of the slots holds row 0's offsets (j - i) mod n, so that a Laplacian on them is circulant."""
+    n = comm.n
+    sizes = np.diff(comm.starts, append=comm.cols.size)
+    if np.any(sizes != sizes[0]):
+        return False
+    offsets = np.sort(((comm.cols - comm.rows) % n).reshape(n, sizes[0]), axis=1)
+    return bool(np.all(offsets == offsets[0]))
+
+
 def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
     """Ascending lam_k = sum_j r_j cos(2 pi j k / n) of the symmetric circulant with first row r.
 
@@ -164,16 +245,225 @@ def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((lam, lam[1 : (n + 1) // 2])))
 
 
-def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
-    W = comm.W
+# --- certified scalars ---------------------------------------------------------
 
-    eig_gram = sym_eig(W)
-    # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
-    # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
-    lam_max, min_pos = eig_gram.max, float(eig_gram.eigenvalues[1])
-    if not min_pos > comm.n * np.finfo(float).eps * lam_max:  # nan included
-        raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
+def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float] | None:
+    """(smallest, largest) Ritz value of Lanczos on ``apply``, once the wanted end has converged; None if it has not.
+
+    Every new vector is reorthogonalized against the whole basis, twice, and
+    with ``deflate`` kept orthogonal to 1, so the run sees the matrix on 1's
+    complement. The start vector is seeded, so a matrix gives the same
+    values on every run. Every tenth step the tridiagonal T gives the wanted
+    Ritz value theta and the gap g to its neighbor, and one step of inverse
+    iteration with T the last entry of theta's eigenvector, hence its
+    residual r; theta has converged when r min(1, r / g), the usual bound on
+    |theta - lam|, is below LANCZOS_RTOL |theta|.
+    """
+    steps = min(LANCZOS_STEPS, n - 1 if deflate else n)
+    V = np.empty((steps, n))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    w = np.random.default_rng(0).standard_normal(n)
+    for k in range(steps):
+        if deflate:
+            w -= w.mean()
+        V[k] = w / np.linalg.norm(w)
+        w = apply(V[k])
+        alpha[k] = V[k] @ w
+        basis = V[: k + 1]
+        for _ in range(2):
+            w -= (basis @ w) @ basis
+        if deflate:
+            w -= w.mean()
+        beta[k] = np.linalg.norm(w)
+        exhausted = beta[k] <= n * _U * abs(alpha[k]) or k + 1 == steps
+        if (k + 1) % 10 and not exhausted:
+            continue
+        T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+        theta = np.linalg.eigvalsh(T)
+        end, near = (0, 1) if lowest else (-1, -2)
+        # the wanted Ritz vector by one step of inverse iteration just past
+        # theta: `eigh` would page in LAPACK code (1.2 MB resident) that no
+        # other path runs, while `eigvalsh` and `solve` serve the exact path too
+        shift = theta[end] - (1 if lowest else -1) * 1e-13 * (abs(theta[0]) + abs(theta[-1]))
+        s = np.linalg.solve(T - shift * np.eye(k + 1), np.ones(k + 1))
+        r = float(beta[k] * abs(s[-1]) / np.linalg.norm(s))
+        gap = float(abs(theta[near] - theta[end])) if k else 0.0
+        if (r if gap <= r else r * r / gap) <= LANCZOS_RTOL * abs(theta[end]):
+            return float(theta[0]), float(theta[-1])
+        if exhausted:
+            return None
+    return None
+
+
+def _lower_blocks(n: int):
+    """(rows, mask) per block of rows: ``mask`` marks the strict lower triangle within ``W[rows, :rows.stop]``."""
+    step = max(1, _MASK_ENTRIES // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield slice(lo, hi), np.tri(hi - lo, hi, k=lo - 1, dtype=bool)
+
+
+def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None) -> float | None:
+    """|R|_1 |R|_inf of the Cholesky factor R of the symmetric matrix A written into W's lower triangle; None if A does not factor.
+
+    A has ``diag`` on its diagonal and, below it, W's entries plus p, or
+    with ``lap`` the Laplacian's entries plus p. ``np.linalg.cholesky`` reads
+    only the lower triangle, so W's strict upper triangle stays intact while
+    it runs, and W comes back bit for bit after: its strict lower triangle
+    copied from the upper one (W is a syrk, exactly symmetric) and its
+    diagonal from a saved copy. Cholesky holds its copy of A and the factor,
+    two n x n arrays, next to W; the norms are summed over blocks of rows of
+    the factor once W is back. A non-finite factor does not count.
+    """
+    n = W.shape[0]
+    saved = W.diagonal().copy()
+    try:
+        for rows, below in _lower_blocks(n):
+            block = W[rows, : rows.stop]
+            if lap is not None:
+                np.copyto(block, p, where=below)
+            elif p:
+                np.add(block, p, out=block, where=below)
+        if lap is not None:
+            strict = lap.rows > lap.cols
+            W[lap.rows[strict], lap.cols[strict]] += lap.values[strict]
+        np.fill_diagonal(W, diag)
+        try:
+            F = np.linalg.cholesky(W)  # lower, F = R'
+        except np.linalg.LinAlgError:
+            return None
+    finally:
+        for rows, below in _lower_blocks(n):
+            np.copyto(W[rows, : rows.stop], W[: rows.stop, rows].T, where=below)
+        np.fill_diagonal(W, saved)
+    row_sums, col_sums = np.empty(n), np.zeros(n)
+    step = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, n, step):
+        block = np.abs(F[lo : lo + step])
+        row_sums[lo : lo + step] = block.sum(axis=1)
+        col_sums += block.sum(axis=0)
+    norm = float(row_sums.max()) * float(col_sums.max())
+    return norm if math.isfinite(norm) else None
+
+
+def _allowance(norm: float, diag: np.ndarray, q) -> float:
+    """rho such that A's factoring proves A + rho I >= 0 for A = H + p 11' + diag(q), which was formed as ``diag`` and the rest.
+
+    ``norm`` is |R|_1 |R|_inf of the computed factor R. It satisfies
+    R'R = A' + E for the formed A', with |E| <= gamma_(n+1) |R'||R|
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, Thm 10.3, for
+    any order of the inner products; Rump, "Verification of positive
+    definiteness", BIT 46, 2006, makes the same argument with tr(A) in place
+    of |R|_1 |R|_inf, 4-20 times larger here). So
+    |E|_2 <= gamma_(n+1) |R|_2^2 <= gamma_(n+1) |R|_1 |R|_inf, with room for
+    the rounding of the sums behind the norms. Forming A' rounds each entry
+    once and the diagonal's q once more: |A' - A|_2 <= u |A'|_F + u max |q|,
+    with |A'|_F <= (1 + 2 gamma) tr(A') since A' + E is PSD.
+    """
+    n1 = (diag.size + 1) * _U
+    gamma = n1 / (1.0 - n1)
+    return gamma * (1.0 + 2.0 * gamma) * norm + 2.0 * _U * (math.fsum(diag.tolist()) + float(np.max(np.abs(q))))
+
+
+def _certified_second(apply, W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None = None):
+    """(sigma, top): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and H's largest Ritz value.
+
+    H is W or, with ``lap``, that Laplacian; ``apply`` is its product and
+    ``diag`` its diagonal. Lanczos on 1's complement gives theta >= lam_2
+    and top; s = theta (1 - back-off). If H + p 11' - s I with p = top / n
+    factors, H + p 11' - sigma I >= 0 for sigma = s - rho (``_allowance``),
+    and for every x orthogonal to 1, x' H x >= sigma |x|^2, so
+    lam_2(H) >= sigma by Courant-Fischer. None if Lanczos has not converged,
+    no back-off factors, or sigma lies below theta (1 - BOUND_RTOL).
+    """
+    n = W.shape[0]
+    ends = _ritz_ends(apply, n, lowest=True, deflate=True)
+    if ends is None:
+        return None
+    theta, top = ends
+    p = top / n
+    for backoff in BACKOFFS:
+        s = theta * (1.0 - backoff)
+        q = p - s
+        shifted = diag + q
+        norm = _factor_norm(W, shifted, p, lap)
+        if norm is not None:
+            sigma = float(np.nextafter(s - _allowance(norm, shifted, q), -np.inf))
+            return (sigma, top) if sigma >= theta * (1.0 - BOUND_RTOL) else None
+    return None
+
+
+def _gram_product(comm: CommunicationMatrix, v: np.ndarray) -> np.ndarray:
+    """W v = P' D^-1 P v of an (n,) vector, by the matrix's P products."""
+    return comm.pt(comm.p(v[:, None]) / comm.nbhd_sizes[:, None])[:, 0]
+
+
+def _gershgorin_floor(comm: CommunicationMatrix) -> float:
+    """A lower bound on every eigenvalue of M - W from its Gershgorin discs, with no dense array.
+
+    Row i's disc reaches down to m_i - W_ii - sum_(j != i) |W_ij| >= m_i - R_i,
+    where R = |P|' D^-1 |P| 1 >= |W| 1 entrywise and W_ii >= 0. The sums
+    behind m and R have at most 2 |N| + 2 terms, and W is a syrk of at most
+    n terms per entry, so (n + 2 max |N| + 4) u (m + R) covers their rounding.
+    """
+    a = np.abs(comm.values)
+    y = np.add.reduceat(a, comm.starts) / comm.nbhd_sizes
+    R = np.bincount(comm.cols, weights=a * y[comm.rows], minlength=comm.n)
+    m = comm.col_norms_sq
+    slack = (comm.n + 2.0 * float(comm.nbhd_sizes.max()) + 4.0) * _U
+    return float(np.min(m - R - slack * (m + R)))
+
+
+def _certified_gram(comm: CommunicationMatrix, W: np.ndarray) -> tuple[Spectrum, float] | None:
+    """(W's ends, sigma <= lam_2(W)) by ``_certified_second``; None if not proven.
+
+    lam_min(W) needs no factorization: with u = 1/sqrt(n), rho = u'Wu and
+    e = |Wu - rho u|, and no eigenvalue but lam_min below sigma, the
+    Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
+    in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
+    """
+    found = _certified_second(lambda v: _gram_product(comm, v), W, W.diagonal().copy())
+    if found is None:
+        return None
+    sigma, top = found
+    y = _gram_product(comm, np.ones(comm.n))  # sqrt(n) W u
+    rho = float(np.mean(y))
+    e_sq = float(np.mean((y - rho) ** 2))
+    floor = rho - e_sq / (sigma - rho) if sigma > rho else -math.inf
+    return Spectrum(min=floor, max=top, kind=CERTIFIED), sigma
+
+
+def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | None:
+    """M - W's ends: the Gershgorin floor, and a proven upper bound tau on lam_max; None if not proven.
+
+    Lanczos gives theta <= lam_max; s = theta (1 + back-off). If
+    s I - (M - W) = W + diag(s - m), written in place, factors, tau = s + rho
+    (``_allowance``). None if the floor lies below PSD_FLOOR (only a full
+    spectrum can tell), Lanczos has not converged, no back-off factors, or
+    tau lies above theta (1 + BOUND_RTOL).
+    """
+    floor = _gershgorin_floor(comm)
+    if floor < PSD_FLOOR:
+        return None
+    m = comm.col_norms_sq
+    ends = _ritz_ends(lambda v: m * v - _gram_product(comm, v), comm.n, lowest=False, deflate=False)
+    if ends is None:
+        return None
+    theta = ends[1]
+    w_diag = W.diagonal().copy()
+    for backoff in BACKOFFS:
+        s = theta * (1.0 + backoff)
+        q = s - m
+        shifted = w_diag + q
+        norm = _factor_norm(W, shifted, 0.0)
+        if norm is not None:
+            tau = float(np.nextafter(s + _allowance(norm, shifted, q), np.inf))
+            return Spectrum(min=floor, max=tau, kind=CERTIFIED) if tau <= theta * (1.0 + BOUND_RTOL) else None
+    return None
+
+
+def _metric_spectrum(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum:
     # M - W in W's own storage, as 0 - W plus m on the diagonal: bit for bit
     # diag(m) - W, where a zero entry stays +0, since eigvalsh reads the sign
     # of zeros (see ``sym_eig``). W comes back as 0 - (0 - W), exact off the
@@ -183,11 +473,29 @@ def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
     np.subtract(0.0, W, out=W)
     try:
         W[diag] += comm.col_norms_sq
-        eig_metric = sym_eig(W)
+        return sym_eig(W)
     finally:
         np.subtract(0.0, W, out=W)
         W[diag] = w_diag
 
+
+def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
+    W = comm.W
+    certify = certified_spectra_are_cheaper(comm.n) and not _is_circulant(
+        W, comm.n * np.finfo(float).eps * float(np.linalg.norm(W, ord="fro"))
+    )
+
+    gram = _certified_gram(comm, W) if certify else None
+    if gram is None:
+        eig_gram = sym_eig(W)
+        # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
+        # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
+        gram = eig_gram, float(eig_gram.eigenvalues[1])
+    eig_gram, min_pos = gram
+    if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
+        raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
+
+    eig_metric = (_certified_metric(comm, W) if certify else None) or _metric_spectrum(comm, W)
     return SpectralData(
         comm=comm,
         eig_gram=eig_gram,
@@ -200,9 +508,11 @@ def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
 def psd_certificates(sd: SpectralData) -> None:
     """Certify that gram and the metric block M - W are PSD.
 
-    The smallest eigenvalue of each matrix must be >= -1e-10. Raises
-    CertificateFailedError naming the offending eigenvalue otherwise.
+    The smallest eigenvalue of each matrix, or its certified lower bound,
+    must be >= PSD_FLOOR = -1e-10. Raises CertificateFailedError naming the
+    offending value otherwise.
     """
-    for name, val in (("gram", sd.eig_gram.min), ("metric_block", sd.eig_metric.min)):
-        if val < -1e-10:
-            raise CertificateFailedError(f"min eigenvalue of {name} is {val:.3e} < -1e-10")
+    for name, spectrum in (("gram", sd.eig_gram), ("metric_block", sd.eig_metric)):
+        if spectrum.min < PSD_FLOOR:
+            bound = " (a certified lower bound)" if spectrum.kind == CERTIFIED else ""
+            raise CertificateFailedError(f"min eigenvalue of {name} is {spectrum.min:.3e}{bound} < -1e-10")

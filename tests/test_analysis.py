@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet import admm, analysis, reporting
+from admmnet import admm, analysis, reporting, spectral
 from admmnet.errors import (
     BoundViolatedError,
     ContractionViolatedError,
@@ -15,7 +15,7 @@ from admmnet.errors import (
     InvalidCError,
     MissingCurvatureMetadataError,
 )
-from admmnet.graph import generate_graph, laplacian
+from admmnet.graph import build_graph, generate_graph, laplacian
 from admmnet.objectives import (
     CustomSmooth,
     L1Quadratic,
@@ -343,6 +343,21 @@ def test_laplacian_bounds_name_the_failing_relation(kind, n, d):
     rep = analysis.laplacian_network_bounds(generate_graph(kind, n, d=d))
     assert rep.violated == ("complexity",) and not rep.ok
     assert rep.complexity_lhs > rep.complexity_coeff
+
+
+@pytest.mark.parametrize("d", [20, 100, 300])
+def test_relabeled_circulant_keeps_the_network_verdicts(d):
+    # a d-regular graph makes both sandwich relations equalities; relabeled,
+    # the circulant's spectra are no longer closed forms but bounds (or, where
+    # a bound would be looser than BOUND_RTOL, eigvalsh), and no relation flips
+    g = generate_graph("circulant", 600, d=d)
+    h = build_graph(600, np.random.default_rng(d).permutation(600)[g.edges])
+    assert compute_spectral_data(laplacian(g)).eig_gram.kind == spectral.CLOSED_FORM
+    relabeled = compute_spectral_data(laplacian(h))
+    assert spectral.CLOSED_FORM not in (relabeled.eig_gram.kind, relabeled.eig_metric.kind, relabeled.connectivity[1])
+    if d == 300:
+        assert relabeled.eig_gram.kind == relabeled.connectivity[1] == spectral.CERTIFIED
+    assert analysis.laplacian_network_bounds(h).violated == analysis.laplacian_network_bounds(g).violated
 
 
 def test_laplacian_bounds_p3(p3):

@@ -2,12 +2,14 @@ import csv
 import math
 import re
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from admmnet import analysis, cli, reporting
+from admmnet import analysis, cli, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
 from admmnet.graph import generate_graph, laplacian, write_graph_file
@@ -508,6 +510,25 @@ def test_eigen_calls_per_command_path(tmp_path, monkeypatch):
     assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 3), (0, 2)]
 
 
+def test_certified_spectra_need_no_full_eigendecomposition(tmp_path, monkeypatch, capsys):
+    # Erdos-Renyi n=800 lies above the size crossover: Lanczos and Cholesky
+    # bound every scalar, so no n x n matrix reaches an eigensolver (only
+    # Lanczos's small tridiagonals do), and the report says which values are bounds
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda S, _fn=fn: shapes.append(np.shape(S)) or _fn(S))
+    graph = "kind = erdos_renyi\nn = 800\np = 0.05\nseed = 1"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("c = 1.0", "c = auto").replace("T = 200", "T = 5"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
+    report = capsys.readouterr().out
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert shapes and all(shape[0] <= spectral.LANCZOS_STEPS for shape in shapes)
+    assert re.search(r"^spectral: a\(G\)>=\S+ min_nonzero_eig>=\S+ max_metric_eig<=\S+$", report, re.M)
+    assert re.search(r"^check psd: PASS \(min eigs >=\S+, >=\S+\)$", report, re.M)
+
+
 def traced_peak_in_dense_arrays(tmp_path, command: str) -> float:
     """Peak of the array bytes one command allocates, in units of one n x n float array.
 
@@ -659,18 +680,42 @@ OVERFLOW_CONFIG = K3_CONFIG.replace("preset = estimation", "kind = quadratic\na 
 
 def test_non_finite_distances_fail_contraction_in_run_and_check(tmp_path, capsys):
     # x* = 3.3e299 overflows every squared metric distance to nan: each
-    # ratio is judged as inf and fails, instead of reading as converged
-    cfg = write_config(tmp_path, OVERFLOW_CONFIG)
+    # ratio is judged as inf and fails, instead of reading as converged.
+    # The parser refuses these targets, so the config is built past it.
+    cfg = replace(
+        parse_experiment_config(write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 5"))),
+        objective=ObjectiveSpec(preset=None, targets=((1e300,), (2.0,), (3.0,)), weights=(1.0,)),
+    )
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert cli.run_experiment(cfg, out) == 1
         run_out = capsys.readouterr().out
-        assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 1
+        assert cli.check_experiment(cfg, out / "trace.csv") == 1
         check_out = capsys.readouterr().out
     assert "check contraction: FAIL (bound 0.84210526315789469, checked 5, worst margin inf at t=1)" in run_out
     assert "check replay: PASS" in check_out
     assert "check contraction: FAIL (bound 0.84210526315789469, worst margin inf at t=1)" in check_out
     assert np.all(reporting.read_trace_csv(out / "trace.csv")["contraction_ratio"] == np.inf)
+
+
+def test_overflowing_targets_exit_2_naming_a(tmp_path, capsys):
+    # a_1^2 = 1e600 is not a float: the config is refused before any array is built
+    cfg = write_config(tmp_path, OVERFLOW_CONFIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: a is too large: the objective sum_i w_i |x - a_i|^2 / 2 overflows at x = 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["1e-200", "1e200"])
+def test_extreme_curvature_exits_2_naming_nu_and_l(capsys, value):
+    # nu L underflows to 0 or overflows to inf: the certificate's bracket and penalty cannot be formed
+    assert cli.main(["certify", "--n", "5", "--nu", value, "--L", value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: nu={float(value)} and L={float(value)} are too extreme")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("c", ["1e-300", "1e300"])

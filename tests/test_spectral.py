@@ -465,3 +465,96 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighte
         compute_spectral_data(comm)
     assert seen[0] is seen[1]  # the metric block lives in W's storage
     assert seen[0].tobytes() == want
+
+
+# --- certified scalars above the size crossover ---------------------------------
+
+
+def test_cholesky_reads_only_the_lower_triangle():
+    # each certificate's matrix is written into W's lower triangle while its
+    # upper triangle keeps W, which is restored from it
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(60, 60))
+    A = B @ B.T + 60.0 * np.eye(60)
+    upper_nan = A.copy()
+    upper_nan[np.triu_indices(60, 1)] = np.nan
+    assert np.array_equal(np.linalg.cholesky(upper_nan), np.linalg.cholesky(A))
+
+
+@pytest.mark.parametrize("n", [600, 800])
+@pytest.mark.parametrize("custom", [False, True], ids=["laplacian", "row-scaled"])
+def test_certified_scalars_bound_the_eigenvalues(n, custom):
+    g = generate_graph("erdos_renyi", n, p=0.05, seed=1)
+    comm = row_scaled_laplacian(np.random.default_rng(n), g) if custom else laplacian(g)
+    W = comm.W.copy()
+    sd = compute_spectral_data(comm)
+    sigma, tau, sigma_a = sd.min_pos_eig_gram, sd.max_eig_metric, sd.algebraic_connectivity
+    assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (spectral.CERTIFIED,) * 3
+    assert sd.eig_gram.eigenvalues is None and sd.eig_metric.eigenvalues is None
+    assert comm.W.tobytes() == W.tobytes()  # every certificate leaves W bit for bit
+    lam = np.linalg.eigvalsh(W)
+    metric = np.linalg.eigvalsh(np.diag(comm.col_norms_sq) - W)
+    a = np.linalg.eigvalsh(comm.graph_laplacian().dense())[1]
+    assert sigma <= lam[1] <= sigma * (1 + 1e-9)
+    assert tau * (1 - 1e-9) <= metric[-1] <= tau
+    assert sigma_a <= a <= sigma_a * (1 + 1e-9)
+    assert sd.eig_metric.min <= metric[0]  # Gershgorin
+    assert sd.eig_gram.max == pytest.approx(lam[-1], rel=1e-10)  # the top Ritz value
+    psd_certificates(sd)
+
+
+def test_long_path_falls_back_to_eigvalsh(monkeypatch):
+    # lam_2 of path n=600 is far below 1e-9 lam_max: Lanczos has not converged
+    # within its step cap, and every scalar is eigvalsh's, bit for bit
+    g = generate_graph("path", 600)
+    comm = laplacian(g)
+    fn = np.linalg.eigvalsh
+    calls = count_eigvalsh(monkeypatch)
+    sd = compute_spectral_data(comm)
+    a = sd.algebraic_connectivity
+    assert [shape for shape in calls if shape == (600, 600)] == [(600, 600)] * 3
+    assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (spectral.EXACT,) * 3
+    assert np.array_equal(sd.eig_gram.eigenvalues, fn(comm.W))
+    assert np.array_equal(sd.eig_metric.eigenvalues, fn(np.diag(comm.col_norms_sq) - comm.W))
+    assert a == algebraic_connectivity(g)
+
+
+def test_failing_cholesky_falls_back_to_eigvalsh(monkeypatch):
+    g = generate_graph("erdos_renyi", 600, p=0.05, seed=1)
+    with mock.patch.object(spectral, "CERTIFY_MIN_N", 10**9):
+        exact = compute_spectral_data(laplacian(g))
+        want = (exact.eig_gram.eigenvalues, exact.eig_metric.eigenvalues, exact.algebraic_connectivity)
+
+    def refuse(A):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    comm = laplacian(g)
+    W = comm.W.copy()
+    sd = compute_spectral_data(comm)
+    assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (spectral.EXACT,) * 3
+    assert np.array_equal(sd.eig_gram.eigenvalues, want[0])
+    assert np.array_equal(sd.eig_metric.eigenvalues, want[1])
+    assert sd.algebraic_connectivity == want[2]
+    assert comm.W.tobytes() == W.tobytes()
+
+
+def test_certified_spectra_hold_one_factor_next_to_w():
+    """Traced peak of the certified scalars, W already formed, in units of one n x n float array.
+
+    Cholesky's factor is one array; its copy of the matrix is allocated
+    outside numpy and does not show. The Lanczos basis adds at most a
+    quarter of one.
+    """
+    n = 800
+    comm = laplacian(generate_graph("erdos_renyi", n, p=0.05, seed=1))
+    comm.W
+    tracemalloc.start()
+    try:
+        sd = compute_spectral_data(comm)
+        assert sd.algebraic_connectivity > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.eig_gram.kind == spectral.CERTIFIED
+    assert peak / (8 * n * n) <= 1.5
