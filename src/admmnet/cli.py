@@ -45,9 +45,9 @@ def _fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _is(kind: str, bound: str) -> str:
-    """How a spectral value relates to the true one: '=' when exact or closed form, ``bound`` ('>=' or '<=') when certified."""
-    return bound if kind == CERTIFIED else "="
+def _is(kind: str, bound: str, known: str = "=") -> str:
+    """How a spectral value relates to the true one: ``known`` when exact or closed form, ``bound`` ('>=' or '<=') when certified."""
+    return bound if kind == CERTIFIED else known
 
 
 def _worst(v: analysis.Verdict) -> str:
@@ -112,7 +112,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
     try:
         psd_certificates(spectral)
-        lows = ((">=" if s.kind == CERTIFIED else "") + fmt(s.min) for s in (spectral.eig_gram, spectral.eig_metric))
+        lows = (_is(s.kind, ">=", "") + fmt(s.min) for s in (spectral.eig_gram, spectral.eig_metric))
         record("psd", True, f"min eigs {', '.join(lows)}")
     except CertificateFailedError as exc:
         record("psd", False, str(exc))
@@ -189,24 +189,27 @@ def cmd_spectra(args) -> int:
         psd = "ok"
     except CertificateFailedError as exc:
         psd = f"failed: {exc}"
-    header = ("n", "d_max", "d_min", "a(G)", "min_nonzero_eig", "max_metric_eig", "psd")
-    values = (
-        str(g.n),
-        str(g.d_max),
-        str(g.d_min),
-        _fmt12(spectral.algebraic_connectivity),
-        _fmt12(spectral.min_pos_eig_gram),
-        _fmt12(spectral.max_eig_metric),
-        psd,
+    graph_cells = (str(g.n), str(g.d_max), str(g.d_min))
+    scalars = (  # value, kind, and the side a certified value bounds the true one from
+        (spectral.algebraic_connectivity, spectral.connectivity[1], ">="),
+        (spectral.min_pos_eig_gram, spectral.eig_gram.kind, ">="),
+        (spectral.max_eig_metric, spectral.eig_metric.kind, "<="),
     )
+    header = ("n", "d_max", "d_min", "a(G)", "min_nonzero_eig", "max_metric_eig", "psd")
+    values = (*graph_cells, *(_is(kind, bound, "") + _fmt12(x) for x, kind, bound in scalars), psd)
     widths = [max(len(h), len(v)) for h, v in zip(header, values)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join(v.ljust(w) for v, w in zip(values, widths)))
     if args.csv:
+        cells = [*graph_cells]
+        for x, kind, _ in scalars:
+            cells += [_fmt12(x), kind]
         with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write("# admmnet-spectra v1\n")
-            fh.write(",".join(("n", "d_max", "d_min", "a_G", "min_nonzero_eig", "max_metric_eig", "psd")) + "\n")
-            fh.write(",".join(values[:-1] + ("ok" if psd == "ok" else "failed",)) + "\n")
+            fh.write("# admmnet-spectra v2\n")
+            fh.write(
+                "n,d_max,d_min,a_G,a_G_kind,min_nonzero_eig,min_nonzero_eig_kind,max_metric_eig,max_metric_eig_kind,psd\n"
+            )
+            fh.write(",".join([*cells, "ok" if psd == "ok" else "failed"]) + "\n")
     return 0 if psd == "ok" else 1
 
 

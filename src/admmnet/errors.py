@@ -73,10 +73,6 @@ class SpectralError(AdmmNetError):
     pass
 
 
-class NotSymmetricError(SpectralError):
-    pass
-
-
 class EigNoConvergenceError(SpectralError):
     pass
 

@@ -12,8 +12,9 @@ the neighborhoods and whose null space is exactly span{1}. The canonical
 instance is the graph Laplacian. It is stored as its values on the n + 2|E|
 slots (i, j), j in N(i), in the row-major order of ``neighborhood_slots``,
 and holds everything derived from them, each made at most once: the column
-norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), P' on the slots, the
-Gram matrix W = P' D^-1 P and the products P x, P'v, W x and W^+ B.
+norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), whether P is
+circulant (``circulant``), P' on the slots, the Gram matrix W = P' D^-1 P
+and the products P x, P'v, W x and W^+ B.
 Outside this module only ``spectral`` reads a dense P or W, for their
 eigenvalues.
 """
@@ -150,6 +151,22 @@ class CommunicationMatrix:
     def nbhd_sizes(self) -> np.ndarray:
         """|N(i)|, the number of row i's slots: the diagonal of D."""
         return np.diff(self.starts, append=self.cols.size).astype(float)
+
+    @cached_property
+    def circulant(self) -> bool:
+        """Whether P is circulant: every row holds row 0's offsets (j - i) mod n, with row 0's values on them.
+
+        Then every row has |N(0)| slots, so D is a multiple of I, and W,
+        M - W and the Laplacian on the slots are circulant too. The values
+        must be equal exactly. A row's offsets are distinct, so a row of
+        |N(0)| slots whose every offset is one of row 0's holds all of them.
+        """
+        if np.any(self.nbhd_sizes != self.nbhd_sizes[0]):
+            return False
+        offsets = (self.cols - self.rows) % self.n
+        first = np.full(self.n, np.nan)  # row 0 by offset; nan off its slots, equal to no value
+        first[offsets[: self.starts[1]]] = self.values[: self.starts[1]]
+        return bool(np.all(first[offsets] == self.values))
 
     @cached_property
     def dense_products(self) -> bool:

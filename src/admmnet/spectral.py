@@ -9,13 +9,21 @@ W and P only for their spectra.
 read: the smallest nonzero eigenvalue of W, the largest eigenvalue of the
 metric block M - W and the algebraic connectivity a(G), the second
 eigenvalue of the Laplacian on P's slots (on first read, from P itself
-when P is the Laplacian). Each is known in one of three ways, its ``kind``:
+when P is the Laplacian). Each is known in one of three ways, its ``kind``,
+and each matrix takes one route, decided once:
 
-* CLOSED_FORM: the matrix is circulant (W, M - W and the Laplacian of every
-  circulant, cycle and complete graph, and any circulant custom P), and
-  ``sym_eig`` reads its eigenvalues as cosine sums over its first row;
+* CLOSED_FORM: P is circulant (``CommunicationMatrix.circulant``, read
+  from its slots: the Laplacian of every circulant, cycle and complete
+  graph, and any circulant custom P). Then D is a multiple of I, so W and
+  M - W are circulant too, and ``_circulant_eigenvalues`` reads their
+  eigenvalues as cosine sums over the first row of W and of 0 - W with m_0
+  added at [0]. W, a syrk, matches circ(W[0]) to its own rounding, so by
+  Weyl's inequality the sums lie within ``eigvalsh``'s backward error of
+  its eigenvalues. a(G) is closed form whenever the Laplacian on P's slots
+  is circulant, from its first row on the slots, even when P's values are
+  not;
 * EXACT: below ``certified_spectra_are_cheaper``'s size crossover, or where
-  the certified path gives up, dense ``eigvalsh``;
+  the certified path gives up, ``eigvalsh``;
 * CERTIFIED: above the crossover, a bound on the safe side, which is all
   the certificates need: the contraction gain grows with lam_2(W) and
   shrinks with lam_max(M - W), and both sublinear envelopes grow as lam_2
@@ -34,15 +42,17 @@ when P is the Laplacian). Each is known in one of three ways, its ``kind``:
   sparse regular graphs), or, for M - W, when the discs reach below the
   PSD floor.
 
-M - W is not stored: it is built for its eigenvalues in W's own storage,
-as 0 - W with m added on its diagonal, and W is restored after; its forms
-are sum_i m_i |x_i|^2 - x' W x (see ``analysis._metric_sq``). Each
-certificate's matrix is written into W's lower triangle, which is all
-``np.linalg.cholesky`` reads, and W is restored from its upper triangle.
-So above the product crossover a run holds at most three dense n x n
-float arrays at once: W plus at most two transients, which are
-D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W or of M - W, the
-Laplacian and ``eigvalsh``'s copy of it for an exact a(G), Cholesky's copy
+W is the only dense matrix this module reads. Every other matrix that
+needs eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``,
+and the three certificate matrices for ``np.linalg.cholesky``) is written
+into W's lower triangle by ``_written_below``, as W plus p, as 0 - W, or
+as the Laplacian plus p, each with its own diagonal. Both solvers read
+only that triangle, and W is restored from its upper triangle after. So
+M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x, see
+``analysis._metric_sq``), and no n x n Laplacian is built. Above the
+product crossover a run holds at most three dense n x n float arrays at
+once: W plus at most two transients, which are D^(-1/2) P while W is
+formed, ``eigvalsh``'s copy of W, M - W or the Laplacian, Cholesky's copy
 and factor of a certificate, or W + 11'/n and the solve's copy of it
 (``CommunicationMatrix.w_pinv``). Below the crossover the kept P adds one.
 """
@@ -50,22 +60,17 @@ and factor of a certificate, or W + 11'/n and the solve's copy of it
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    CertificateFailedError,
-    DegenerateSpectrumError,
-    EigNoConvergenceError,
-    NotSymmetricError,
-)
+from .errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
 from .graph import CommunicationMatrix
 
-SYMMETRY_RTOL = 1e-9
 PSD_FLOOR = -1e-10  # smallest eigenvalue the PSD certificates admit
-_BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the circulant test and sums
+_BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the cosine sums and the factor's norms
 _MASK_ENTRIES = 1 << 16  # entries per boolean mask of a block of W's lower triangle
 _U = np.finfo(float).eps / 2.0  # unit roundoff
 
@@ -116,19 +121,21 @@ class SpectralData:
     def connectivity(self) -> tuple[float, str]:
         """(a(G), its kind): the second eigenvalue of the Laplacian on P's slots, a lower bound on it when CERTIFIED.
 
-        An exact a(G) reads P itself, kept dense below the product
-        crossover, when P is the Laplacian.
+        A circulant Laplacian gets the cosine sums of its first row, read
+        from its slots; any other is written into W's lower triangle for its
+        certificate or ``eigvalsh``, so no n x n Laplacian is built.
         """
         comm = self.comm
         lap = comm.graph_laplacian()
-        if certified_spectra_are_cheaper(comm.n) and not _circulant_pattern(lap):
-            diag = lap.values[lap.rows == lap.cols]
+        if lap.circulant:
+            return float(_circulant_eigenvalues(_first_row(lap))[1]), CLOSED_FORM
+        diag = lap.values[lap.rows == lap.cols]
+        if certified_spectra_are_cheaper(comm.n):
             found = _certified_second(lambda v: lap.p(v[:, None])[:, 0], comm.W, diag, lap)
             if found is not None:
                 return found[0], CERTIFIED
-        L = comm.kept_dense if comm.source == "laplacian" and comm.dense_products else lap.dense()
-        spectrum = sym_eig(L)
-        return float(spectrum.eigenvalues[1]), spectrum.kind
+        with _written_below(comm.W, diag, lap=lap) as A:
+            return float(_eigvalsh(A)[1]), EXACT
 
     @property
     def algebraic_connectivity(self) -> float:
@@ -150,18 +157,8 @@ def certified_spectra_are_cheaper(n: int) -> bool:
     return n >= CERTIFY_MIN_N
 
 
-def sym_eig(S: np.ndarray) -> Spectrum:
-    """Ascending eigenvalues of a matrix that must be symmetric to SYMMETRY_RTOL.
-
-    A symmetric circulant S, C = circ(S[0]) with |S - C|_F <= n eps |S|_F,
-    gets the cosine sums of ``_circulant_eigenvalues``; any other S gets
-    ``eigvalsh``. The tolerance admits the one-ulp defect of a syrk Gram
-    matrix (3.6e-15 on circulant n=200). By Weyl's inequality each
-    eigenvalue of S is within |S - C|_2 <= |S - C|_F <= n eps |S|_F of one
-    of C, the size of ``eigvalsh``'s own backward error. So the PSD
-    certificate, the degeneracy test lam_2 > n eps lam_max, lam_2 as the
-    smallest nonzero eigenvalue of W and the residual checks read the same
-    either way.
+def _eigvalsh(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix in S's lower triangle, by ``np.linalg.eigvalsh``.
 
     Determinism: one matrix gives the same bits on every call, but
     ``eigvalsh`` reads the sign of zero entries (LAPACK's Householder step
@@ -172,55 +169,17 @@ def sym_eig(S: np.ndarray) -> Spectrum:
     diagonal, which moved ``c = auto`` by one ulp and a replay by 2.98e-8.
     Traces are compared across code changes at a fixed c.
     """
-    S = np.asarray(S, dtype=float)
-    scale = float(np.linalg.norm(S, ord="fro"))
-    defect = _symmetry_defect(S)
-    if defect > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise NotSymmetricError(f"symmetry defect {defect:.3e} exceeds {SYMMETRY_RTOL:.1e} * |S|")
-    n = S.shape[0] if S.ndim == 2 else 0
-    if n and S.shape == (n, n) and _is_circulant(S, n * np.finfo(float).eps * scale):
-        return Spectrum.of(_circulant_eigenvalues(S[0]), CLOSED_FORM)
     try:
-        return Spectrum.of(np.linalg.eigvalsh(S), EXACT)
+        return np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
 
 
-def _symmetry_defect(S: np.ndarray) -> float:
-    """max |S_ij - S_ji|, compared over row blocks of the upper triangle with no n x n temporary."""
-    n = S.shape[0]
-    step = max(1, _BLOCK_ENTRIES // max(1, n))
-    return max(
-        (float(np.max(np.abs(S[lo : lo + step, lo:] - S[lo:, lo : lo + step].T))) for lo in range(0, n, step)),
-        default=0.0,
-    )
-
-
-def _is_circulant(S: np.ndarray, tol: float) -> bool:
-    """Whether |S - circ(S[0])|_F <= tol; a nan or inf entry never passes."""
-    n = S.shape[0]
-    r = S[0]
-    # row i of circ(r) is rr[n - i : 2n - i]: the windows of the doubled row, read in reverse
-    C = np.lib.stride_tricks.sliding_window_view(np.concatenate((r, r)), n)[n:0:-1]
-    step = max(1, _BLOCK_ENTRIES // n)
-    budget, spent = tol * tol, 0.0
-    # row 1 alone first, an O(n) reject of most non-circulant matrices
-    for lo, hi in [(1, 2), *((i, i + step) for i in range(2, n, step))]:
-        block = S[lo:hi] - C[lo:hi]
-        spent += float(np.einsum("ij,ij->", block, block))
-        if not spent <= budget:
-            return False
-    return True
-
-
-def _circulant_pattern(comm: CommunicationMatrix) -> bool:
-    """Whether every row of the slots holds row 0's offsets (j - i) mod n, so that a Laplacian on them is circulant."""
-    n = comm.n
-    sizes = np.diff(comm.starts, append=comm.cols.size)
-    if np.any(sizes != sizes[0]):
-        return False
-    offsets = np.sort(((comm.cols - comm.rows) % n).reshape(n, sizes[0]), axis=1)
-    return bool(np.all(offsets == offsets[0]))
+def _first_row(comm: CommunicationMatrix) -> np.ndarray:
+    """Row 0 of the matrix, dense, from its slots."""
+    row = np.zeros(comm.n)
+    row[comm.cols[: comm.starts[1]]] = comm.values[: comm.starts[1]]
+    return row
 
 
 def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
@@ -243,6 +202,51 @@ def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
         lam[k0 : k0 + step] = rj @ np.sin(np.outer(j, k[k0 : k0 + step]) % n * (np.pi / n)) ** 2
     lam = math.fsum(rj.tolist()) - 2.0 * lam
     return np.sort(np.concatenate((lam, lam[1 : (n + 1) // 2])))
+
+
+def _lower_blocks(n: int):
+    """(rows, mask) per block of rows: ``mask`` marks the strict lower triangle within ``W[rows, :rows.stop]``."""
+    step = max(1, _MASK_ENTRIES // n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield slice(lo, hi), np.tri(hi - lo, hi, k=lo - 1, dtype=bool)
+
+
+@contextmanager
+def _written_below(
+    W: np.ndarray, diag: np.ndarray, p: float = 0.0, *, negate: bool = False, lap: CommunicationMatrix | None = None
+):
+    """W, whose lower triangle holds a symmetric matrix A while the block runs; W comes back bit for bit after.
+
+    A has ``diag`` on its diagonal and, below it, W's entries plus p; with
+    ``negate``, 0 - W's entries, so that a zero entry stays +0, whose sign
+    ``eigvalsh`` reads; with ``lap``, that Laplacian's entries plus p.
+    ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` read only the lower
+    triangle, so W's strict upper triangle stays intact while they run. W is
+    then restored: its strict lower triangle copied from the upper one (W is
+    a syrk, exactly symmetric) and its diagonal from a saved copy.
+    """
+    n = W.shape[0]
+    saved = W.diagonal().copy()
+    try:
+        for rows, below in _lower_blocks(n):
+            block = W[rows, : rows.stop]
+            if lap is not None:
+                np.copyto(block, p, where=below)
+            elif negate:
+                np.subtract(0.0, block, out=block, where=below)
+            elif p:
+                np.add(block, p, out=block, where=below)
+        if lap is not None:
+            rows, cols = lap.rows, lap.cols
+            strict = rows > cols
+            W[rows[strict], cols[strict]] += lap.values[strict]
+        np.fill_diagonal(W, diag)
+        yield W
+    finally:
+        for rows, below in _lower_blocks(n):
+            np.copyto(W[rows, : rows.stop], W[: rows.stop, rows].T, where=below)
+        np.fill_diagonal(W, saved)
 
 
 # --- certified scalars ---------------------------------------------------------
@@ -296,47 +300,19 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float
     return None
 
 
-def _lower_blocks(n: int):
-    """(rows, mask) per block of rows: ``mask`` marks the strict lower triangle within ``W[rows, :rows.stop]``."""
-    step = max(1, _MASK_ENTRIES // n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        yield slice(lo, hi), np.tri(hi - lo, hi, k=lo - 1, dtype=bool)
-
-
 def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None) -> float | None:
-    """|R|_1 |R|_inf of the Cholesky factor R of the symmetric matrix A written into W's lower triangle; None if A does not factor.
+    """|R|_1 |R|_inf of the Cholesky factor R of the matrix ``_written_below`` writes into W; None if it does not factor.
 
-    A has ``diag`` on its diagonal and, below it, W's entries plus p, or
-    with ``lap`` the Laplacian's entries plus p. ``np.linalg.cholesky`` reads
-    only the lower triangle, so W's strict upper triangle stays intact while
-    it runs, and W comes back bit for bit after: its strict lower triangle
-    copied from the upper one (W is a syrk, exactly symmetric) and its
-    diagonal from a saved copy. Cholesky holds its copy of A and the factor,
-    two n x n arrays, next to W; the norms are summed over blocks of rows of
-    the factor once W is back. A non-finite factor does not count.
+    Cholesky holds its copy of the matrix and the factor, two n x n arrays,
+    next to W; the norms are summed over blocks of rows of the factor once W
+    is back. A non-finite factor does not count.
     """
-    n = W.shape[0]
-    saved = W.diagonal().copy()
-    try:
-        for rows, below in _lower_blocks(n):
-            block = W[rows, : rows.stop]
-            if lap is not None:
-                np.copyto(block, p, where=below)
-            elif p:
-                np.add(block, p, out=block, where=below)
-        if lap is not None:
-            strict = lap.rows > lap.cols
-            W[lap.rows[strict], lap.cols[strict]] += lap.values[strict]
-        np.fill_diagonal(W, diag)
+    with _written_below(W, diag, p, lap=lap) as A:
         try:
-            F = np.linalg.cholesky(W)  # lower, F = R'
+            F = np.linalg.cholesky(A)  # lower, F = R'
         except np.linalg.LinAlgError:
             return None
-    finally:
-        for rows, below in _lower_blocks(n):
-            np.copyto(W[rows, : rows.stop], W[: rows.stop, rows].T, where=below)
-        np.fill_diagonal(W, saved)
+    n = W.shape[0]
     row_sums, col_sums = np.empty(n), np.zeros(n)
     step = max(1, _BLOCK_ENTRIES // n)
     for lo in range(0, n, step):
@@ -464,30 +440,26 @@ def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | No
 
 
 def _metric_spectrum(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum:
-    # M - W in W's own storage, as 0 - W plus m on the diagonal: bit for bit
-    # diag(m) - W, where a zero entry stays +0, since eigvalsh reads the sign
-    # of zeros (see ``sym_eig``). W comes back as 0 - (0 - W), exact off the
-    # diagonal, with its saved diagonal written back.
-    diag = np.diag_indices_from(W)
-    w_diag = W[diag]
-    np.subtract(0.0, W, out=W)
-    try:
-        W[diag] += comm.col_norms_sq
-        return sym_eig(W)
-    finally:
-        np.subtract(0.0, W, out=W)
-        W[diag] = w_diag
+    """M - W's spectrum: cosine sums when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's lower triangle."""
+    m = comm.col_norms_sq
+    if comm.circulant:
+        row = 0.0 - W[0]
+        row[0] += m[0]
+        return Spectrum.of(_circulant_eigenvalues(row), CLOSED_FORM)
+    with _written_below(W, (0.0 - W.diagonal()) + m, negate=True) as A:
+        return Spectrum.of(_eigvalsh(A), EXACT)
 
 
 def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
     W = comm.W
-    certify = certified_spectra_are_cheaper(comm.n) and not _is_circulant(
-        W, comm.n * np.finfo(float).eps * float(np.linalg.norm(W, ord="fro"))
-    )
+    certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
 
     gram = _certified_gram(comm, W) if certify else None
     if gram is None:
-        eig_gram = sym_eig(W)
+        if comm.circulant:  # D = |N(0)| I, so W is circulant too
+            eig_gram = Spectrum.of(_circulant_eigenvalues(W[0]), CLOSED_FORM)
+        else:
+            eig_gram = Spectrum.of(_eigvalsh(W), EXACT)
         # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
         # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
         gram = eig_gram, float(eig_gram.eigenvalues[1])

@@ -98,8 +98,41 @@ def test_spectra_csv(tmp_path):
     rc = cli.main(["spectra", "--n", "4", "--csv", str(out_csv)])
     assert rc == 0
     lines = out_csv.read_text().splitlines()
-    assert lines[0] == "# admmnet-spectra v1"
+    assert lines[0] == "# admmnet-spectra v2"
     assert lines[1].startswith("n,d_max,d_min,a_G")
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert (row["a_G"], row["min_nonzero_eig"], row["max_metric_eig"]) == ("4", "4", "12")
+    kinds = (row["a_G_kind"], row["min_nonzero_eig_kind"], row["max_metric_eig_kind"])
+    assert kinds == (spectral.CLOSED_FORM,) * 3
+
+
+def test_spectra_marks_certified_bounds(tmp_path, capsys):
+    # above the size crossover the table marks each bound's side, as the
+    # run report's spectral: line does, and the CSV names each kind
+    cfg = write_config(tmp_path, "[graph]\nkind = erdos_renyi\nn = 600\np = 0.05\nseed = 1\n")
+    out_csv = tmp_path / "spectra.csv"
+    assert cli.main(["spectra", "--config", str(cfg), "--csv", str(out_csv)]) == 0
+    values = capsys.readouterr().out.strip().splitlines()[1].split()
+    assert [v[:2] for v in values[3:6]] == [">=", ">=", "<="]
+    lines = out_csv.read_text().splitlines()
+    assert lines[1] == (
+        "n,d_max,d_min,a_G,a_G_kind,min_nonzero_eig,min_nonzero_eig_kind,max_metric_eig,max_metric_eig_kind,psd"
+    )
+    row = lines[2].split(",")
+    assert row[3:9:2] == [v[2:] for v in values[3:6]]
+    assert row[4:10:2] == [spectral.CERTIFIED] * 3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at c = auto the one-step contraction ratio on complete n=50 exceeds the certified rate "
+    "(bound 0.90987372600773708, worst margin 0.051 at t=50), far above the rounding floor",
+)
+def test_contraction_holds_on_complete_50_at_auto_penalty(tmp_path, capsys):
+    text = "[graph]\nkind = complete\nn = 50\n\n[objective]\npreset = estimation\n\n[admm]\nc = auto\nT = 50\n"
+    rc = cli.main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")])
+    assert "check contraction: PASS" in capsys.readouterr().out
+    assert rc == 0
 
 
 def test_figure1_rate_is_certified_at_the_penalty_in_use(tmp_path):

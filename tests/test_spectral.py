@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from admmnet import graph, spectral
-from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError, NotSymmetricError
+from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
 from admmnet.graph import CommunicationMatrix, dense_products_are_cheaper, generate_graph, laplacian, stack_apply
-from admmnet.spectral import compute_spectral_data, psd_certificates, sym_eig
+from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, compute_spectral_data, psd_certificates
 from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
@@ -37,8 +37,10 @@ def count_eigvalsh(monkeypatch) -> list:
 
 
 def algebraic_connectivity(g) -> float:
-    """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense."""
-    return float(sym_eig(laplacian(g).dense()).eigenvalues[1])
+    """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense, by cosine sums if it is circulant."""
+    L = laplacian(g).dense()
+    lam = spectral._circulant_eigenvalues(L[0]) if np.array_equal(L, circulant(L[0])) else np.linalg.eigvalsh(L)
+    return float(lam[1])
 
 
 def laplacian_closed_form(kind: str, n: int, d: int) -> np.ndarray:
@@ -50,30 +52,25 @@ def laplacian_closed_form(kind: str, n: int, d: int) -> np.ndarray:
     return np.sort(d - 2.0 * np.cos(2.0 * np.pi * k * s / n).sum(axis=1))
 
 
-def test_sym_eig_identity():
-    dec = sym_eig(np.eye(3))
-    assert np.allclose(dec.eigenvalues, [1, 1, 1])
+def test_sym_eig_identity(monkeypatch):
+    assert np.allclose(spectral._eigvalsh(np.eye(3)), [1, 1, 1])
+
+    def refuse(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    with pytest.raises(EigNoConvergenceError, match="did not converge"):
+        spectral._eigvalsh(np.eye(3))
 
 
 def test_sym_eig_p3(p3):
-    dec = sym_eig(laplacian(p3).dense())
-    assert np.allclose(dec.eigenvalues, P3_EIGS, atol=1e-12)
+    assert np.allclose(spectral._eigvalsh(laplacian(p3).dense()), P3_EIGS, atol=1e-12)
 
 
 def test_sym_eig_k3(k3):
-    dec = sym_eig(laplacian(k3).dense())
-    assert np.allclose(dec.eigenvalues, K3_EIGS, atol=1e-12)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotSymmetricError):  # circulant, so the symmetry check must come first
-        sym_eig(circulant([0.0, 1.0, 0.0, 0.0]))
-    S = laplacian(generate_graph("path", 300)).dense()
-    S[-1, -2] += 1e-6  # one asymmetric pair, in the last row block of the blockwise check
-    with pytest.raises(NotSymmetricError, match="symmetry defect 1.000e-06"):
-        sym_eig(S)
+    # K3's Laplacian is circulant: its cosine sums, from the first row of its slots
+    lam = spectral._circulant_eigenvalues(spectral._first_row(laplacian(k3)))
+    assert np.allclose(lam, K3_EIGS, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -85,7 +82,7 @@ def test_sym_eig_invariants(n, seed, blocks):
         A[: n // 2, n // 2 :] = 0.0
         A[n // 2 :, : n // 2] = 0.0
     S = (A + A.T) / 2.0
-    lam = sym_eig(S).eigenvalues
+    lam = spectral._eigvalsh(S)
     norm = float(np.max(np.abs(lam)))
     assert lam.shape == (n,)
     assert np.all(np.diff(lam) >= 0.0)
@@ -93,13 +90,13 @@ def test_sym_eig_invariants(n, seed, blocks):
     assert abs(lam.sum() - np.trace(S)) <= 1e-10 * (1.0 + norm) * n
     assert abs(np.sum(lam * lam) - np.sum(S * S)) <= 1e-10 * (1.0 + norm) ** 2 * n
     if blocks:
-        halves = np.concatenate([sym_eig(S[: n // 2, : n // 2]).eigenvalues, sym_eig(S[n // 2 :, n // 2 :]).eigenvalues])
+        halves = np.concatenate([spectral._eigvalsh(S[: n // 2, : n // 2]), spectral._eigvalsh(S[n // 2 :, n // 2 :])])
         np.testing.assert_allclose(lam, np.sort(halves), rtol=0, atol=1e-12 * (1.0 + norm))
 
 
 def test_sym_eig_deterministic(k3):
     P = laplacian(k3).dense()
-    a, b = sym_eig(P), sym_eig(P)
+    a, b = (Spectrum.of(spectral._eigvalsh(P), EXACT) for _ in range(2))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert (a.min, a.max) == (float(a.eigenvalues[0]), float(a.eigenvalues[-1]))
 
@@ -145,9 +142,10 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
     calls = count_eigvalsh(monkeypatch)
     g = generate_graph(kind, n, d=d if kind == "circulant" else None)
     sd = compute_spectral_data(laplacian(g))
-    lap = sym_eig(laplacian(g).dense()).eigenvalues
+    lap = spectral._circulant_eigenvalues(spectral._first_row(laplacian(g)))
     a = sd.algebraic_connectivity
     assert calls == []
+    assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (CLOSED_FORM,) * 3
     tol = 8 * n * EPS * sd.eig_gram.max
     np.testing.assert_allclose(lap, laplacian_closed_form(kind, n, d), rtol=0, atol=8 * n * EPS * lap[-1])
     np.testing.assert_allclose(sd.eig_gram.eigenvalues, np.sort(lap * lap / (d + 1)), rtol=0, atol=tol)
@@ -164,26 +162,8 @@ def test_circulant_spectrum_matches_eigvalsh(n, seed, sparse):
         half[rng.random(half.size) < 0.8] = 0.0
     S = circulant(half[np.minimum(np.arange(n), n - np.arange(n))])
     want = np.linalg.eigvalsh(S)
-    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as solver:
-        lam = sym_eig(S).eigenvalues
-    assert solver.call_count == 0
+    lam = spectral._circulant_eigenvalues(S[0])
     np.testing.assert_allclose(lam, want, rtol=0, atol=8 * n * EPS * max(float(np.max(np.abs(want))), 1e-300))
-
-
-@pytest.mark.parametrize("factor,circulant_path", [(1e3, False), (0.1, True)])
-def test_circulant_tolerance_and_fallback(monkeypatch, factor, circulant_path):
-    # one symmetric pair off the first two rows, moved by factor * n eps |S|_F:
-    # well beyond the tolerance it goes to eigvalsh, within it keeps the cosine sums
-    S = laplacian(generate_graph("circulant", 40, d=6)).dense()
-    n = S.shape[0]
-    delta = factor * n * EPS * float(np.linalg.norm(S))
-    S[5, 9] += delta
-    S[9, 5] += delta
-    want = np.linalg.eigvalsh(S)
-    calls = count_eigvalsh(monkeypatch)
-    lam = sym_eig(S).eigenvalues
-    assert calls == ([] if circulant_path else [(n, n)])
-    np.testing.assert_allclose(lam, want, rtol=0, atol=8 * n * EPS * float(want[-1]))
 
 
 def test_one_eigendecomposition(monkeypatch):
@@ -202,16 +182,18 @@ def test_one_eigendecomposition(monkeypatch):
 
 
 def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypatch):
-    # eigvalsh reads the sign of zero entries, so the transient M - W must
-    # carry +0.0 where diag(m) - W does, not the -0.0 of a negated W
+    # eigvalsh reads the sign of zero entries, so the transient M - W in W's
+    # lower triangle, all that eigvalsh reads, must carry +0.0 where
+    # diag(m) - W does, not the -0.0 of a negated W
     seen = []
     fn = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: seen.append(np.array(S)) or _fn(S))
     g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
     sd = compute_spectral_data(laplacian(g))
     want = np.diag(sd.comm.col_norms_sq) - sd.comm.W
-    got = seen[1]
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    lower = np.tril_indices(g.n)
+    got, want_lower = seen[1][lower], want[lower]
+    assert np.array_equal(got, want_lower) and np.array_equal(np.signbit(got), np.signbit(want_lower))
     assert not np.signbit(got[got == 0.0]).any()
     assert np.array_equal(sd.eig_metric.eigenvalues, fn(want))
 
@@ -275,15 +257,16 @@ def test_psd_certificates_p3(p3_spectral):
     assert p3_spectral.eig_gram.min >= -1e-10
 
 
-def test_psd_certificates_detect_violation(monkeypatch, k3_spectral):
+def test_psd_certificates_detect_violation(k3_spectral):
     # the second block, circ(1, -2, -2) with eigenvalues -3, 3, 3, is read by the cosine sums
-    calls = count_eigvalsh(monkeypatch)
-    blocks = (np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), circulant([1.0, -2.0, -2.0]))
-    for bad_block in blocks:
-        doctored = replace(k3_spectral, eig_metric=sym_eig(bad_block))
+    bad_blocks = (
+        Spectrum.of(spectral._eigvalsh(np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), EXACT),
+        Spectrum.of(spectral._circulant_eigenvalues(np.array([1.0, -2.0, -2.0])), CLOSED_FORM),
+    )
+    for bad_block in bad_blocks:
+        doctored = replace(k3_spectral, eig_metric=bad_block)
         with pytest.raises(CertificateFailedError, match="metric_block"):
             psd_certificates(doctored)
-    assert calls == [(3, 3)]
     np.testing.assert_allclose(doctored.eig_metric.eigenvalues, [-3.0, 3.0, 3.0], rtol=0, atol=1e-14)
 
 
@@ -446,39 +429,48 @@ def gram_of(comm, g) -> np.ndarray:
 @pytest.mark.parametrize("kind,n,kw", [("erdos_renyi", 40, {"p": 0.2, "seed": 2}), ("circulant", 30, {"d": 6}), ("path", 9, {})])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighted):
-    # M - W is built in W's own storage and W is restored, also when its spectrum raises
+    # M - W and the Laplacian are built in W's own storage and W is
+    # restored, also when a spectrum raises; a circulant P writes neither
     g = generate_graph(kind, n, **kw)
     comm = edge_weighted_laplacian(np.random.default_rng(n), g) if weighted else laplacian(g)
     want = gram_of(comm, g).tobytes()
-    assert compute_spectral_data(comm).comm.W.tobytes() == want
+    sd = compute_spectral_data(comm)
+    assert sd.algebraic_connectivity > 0
+    assert sd.comm.W.tobytes() == want
 
     seen = []
 
-    def second_call_raises(S, _fn=spectral.sym_eig):
+    def second_call_raises(S, _fn=spectral._eigvalsh):
         seen.append(S)
         if len(seen) == 2:
             raise EigNoConvergenceError("refused")
         return _fn(S)
 
-    monkeypatch.setattr(spectral, "sym_eig", second_call_raises)
-    with pytest.raises(EigNoConvergenceError):
+    monkeypatch.setattr(spectral, "_eigvalsh", second_call_raises)
+    if comm.circulant:
         compute_spectral_data(comm)
-    assert seen[0] is seen[1]  # the metric block lives in W's storage
-    assert seen[0].tobytes() == want
+        assert seen == []
+    else:
+        with pytest.raises(EigNoConvergenceError):
+            compute_spectral_data(comm)
+        assert seen[0] is seen[1]  # the metric block lives in W's storage
+    assert comm.W.tobytes() == want
 
 
 # --- certified scalars above the size crossover ---------------------------------
 
 
 def test_cholesky_reads_only_the_lower_triangle():
-    # each certificate's matrix is written into W's lower triangle while its
-    # upper triangle keeps W, which is restored from it
+    # each certificate's matrix, and M - W and the Laplacian for eigvalsh, is
+    # written into W's lower triangle while its upper triangle keeps W, which
+    # is restored from it
     rng = np.random.default_rng(0)
     B = rng.normal(size=(60, 60))
     A = B @ B.T + 60.0 * np.eye(60)
     upper_nan = A.copy()
     upper_nan[np.triu_indices(60, 1)] = np.nan
     assert np.array_equal(np.linalg.cholesky(upper_nan), np.linalg.cholesky(A))
+    assert np.array_equal(np.linalg.eigvalsh(upper_nan).view(np.int64), np.linalg.eigvalsh(A).view(np.int64))
 
 
 @pytest.mark.parametrize("n", [600, 800])
@@ -558,3 +550,93 @@ def test_certified_spectra_hold_one_factor_next_to_w():
         tracemalloc.stop()
     assert sd.eig_gram.kind == spectral.CERTIFIED
     assert peak / (8 * n * n) <= 1.5
+
+
+# --- circulance, read from the slots ---------------------------------------------
+
+
+def circulant_custom_p(n: int) -> CommunicationMatrix:
+    """A custom P, not symmetric, on circulant(n, 4): offset k of every row holds r[k], and the row sums to 0."""
+    g = generate_graph("circulant", n, d=4)
+    r = np.zeros(n)
+    r[[1, 2, n - 1, n - 2]] = -0.5, -1.0, -1.5, -0.25
+    r[0] = -r.sum()
+    return graph.custom_comm_matrix(circulant(r), g)
+
+
+def relabeled_circulant(n: int, d: int):
+    g = generate_graph("circulant", n, d=d)
+    return graph.build_graph(n, np.random.default_rng(n).permutation(n)[g.edges])
+
+
+@pytest.mark.parametrize(
+    "make,want",
+    [
+        (lambda: laplacian(generate_graph("circulant", 40, d=6)), True),
+        (lambda: laplacian(generate_graph("cycle", 25)), True),
+        (lambda: laplacian(generate_graph("complete", 12)), True),
+        (lambda: circulant_custom_p(30), True),
+        (lambda: laplacian(generate_graph("path", 30)), False),
+        (lambda: laplacian(generate_graph("erdos_renyi", 40, p=0.2, seed=1)), False),
+        (lambda: laplacian(relabeled_circulant(40, 6)), False),
+        (lambda: row_scaled_laplacian(np.random.default_rng(0), generate_graph("circulant", 40, d=6)), False),
+    ],
+    ids=["circulant", "cycle", "complete", "custom-circulant", "path", "erdos-renyi", "relabeled", "row-scaled"],
+)
+def test_circulance_is_read_from_the_slots(monkeypatch, make, want):
+    # a circulant P gets every spectrum as cosine sums, with no eigvalsh;
+    # any other P sends W and M - W to eigvalsh, one call each, and a(G)
+    # stays closed form exactly when the Laplacian on its slots is circulant
+    comm = make()
+    n = comm.n
+    assert comm.circulant is want
+    calls = count_eigvalsh(monkeypatch)
+    sd = compute_spectral_data(comm)
+    assert calls == ([] if want else [(n, n), (n, n)])
+    lap_circulant = comm.graph_laplacian().circulant
+    a = sd.algebraic_connectivity
+    assert len(calls) == (0 if want else 2) + (0 if lap_circulant else 1)
+    kind = CLOSED_FORM if want else EXACT
+    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (kind, kind)
+    assert sd.connectivity[1] == (CLOSED_FORM if lap_circulant else EXACT)
+    W = comm.W
+    for got, A in ((sd.eig_gram.eigenvalues, W), (sd.eig_metric.eigenvalues, np.diag(comm.col_norms_sq) - W)):
+        lam = np.linalg.eigvalsh(A)
+        np.testing.assert_allclose(got, lam, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(lam))))
+    L = comm.graph_laplacian().dense()
+    if lap_circulant:
+        assert a == spectral._circulant_eigenvalues(L[0])[1]
+    lam = np.linalg.eigvalsh(L)
+    assert a == pytest.approx(lam[1], rel=0, abs=8 * n * EPS * lam[-1])
+
+
+def test_relabeled_circulant_connectivity_matches_the_closed_form():
+    n, d = 40, 6
+    sd = compute_spectral_data(laplacian(relabeled_circulant(n, d)))
+    a, kind = sd.connectivity
+    want = laplacian_closed_form("circulant", n, d)
+    assert kind == EXACT
+    assert a == pytest.approx(want[1], rel=0, abs=8 * n * EPS * want[-1])
+
+
+@pytest.mark.parametrize("kind,kw", [("erdos_renyi", {"p": 0.05, "seed": 1}), ("path", {})])
+def test_exact_connectivity_builds_no_dense_laplacian(kind, kw):
+    """Traced numpy peak of the first read of a(G), in units of one n x n float array.
+
+    The Laplacian is written into W's lower triangle, and eigvalsh's copy of
+    it is allocated outside numpy; what shows is the row-block masks and the
+    slot indices. A dense Laplacian would be one whole array.
+    """
+    n = 400
+    comm = laplacian(generate_graph(kind, n, **kw))
+    sd = compute_spectral_data(comm)
+    W = comm.W.copy()
+    tracemalloc.start()
+    try:
+        a, how = sd.connectivity
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert how == EXACT and a > 0
+    assert comm.W.tobytes() == W.tobytes()
+    assert peak / (8 * n * n) <= 0.5
