@@ -106,7 +106,8 @@ def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_st
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
     """Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c)."""
-    dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad)
+    kappa = spectral.eig_gram.max / spectral.min_pos_eig_gram  # W's condition number on 1's complement
+    dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad, kappa)
     dual_resid = float(np.linalg.norm(spectral.comm.w(dual_ref) + (1.0 / c) * optimal.subgrad))
     scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
     if not dual_resid <= RECON_RTOL * scale:
@@ -474,6 +475,7 @@ class LaplacianBounds:
     d_max: int
     d_min: int
     algebraic_connectivity: float
+    connectivity_kind: str  # how a(G) is known: a ``spectral`` kind
     min_pos_eig_gram: float
     max_eig_metric: float
     sandwich_low: float  # a(G)^2 / (d_max + 1) <= lam_min
@@ -493,7 +495,7 @@ class LaplacianBounds:
 
 def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float | None = None) -> LaplacianBounds:
     sd = compute_spectral_data(laplacian(g))
-    a = sd.algebraic_connectivity
+    a, a_kind = sd.connectivity
     dmax, dmin = g.d_max, g.d_min
     lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric
 
@@ -521,6 +523,7 @@ def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float
         d_max=dmax,
         d_min=dmin,
         algebraic_connectivity=a,
+        connectivity_kind=a_kind,
         min_pos_eig_gram=lam_min,
         max_eig_metric=lam_max,
         sandwich_low=low,

@@ -14,13 +14,15 @@ slots (i, j), j in N(i), in the row-major order of ``neighborhood_slots``,
 and holds everything derived from them, each made at most once: the column
 norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), whether P is
 circulant (``circulant``), P' on the slots, the Gram matrix W = P' D^-1 P
-and the products P x, P'v, W x and W^+ B.
+and the products P x, P'v, W x and W^+ B, the last by conjugate gradients
+over the slots where they cost less than a dense solve.
 Outside this module only ``spectral`` reads a dense P or W, for their
 eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,6 +46,8 @@ _ER_CHUNK = 1 << 16  # Erdos-Renyi pair draws held at once, so no (n(n-1)/2)-lon
 # Cost of a slot product in dense GEMV entries: per slot, and fixed per call
 # (see ``dense_products_are_cheaper``)
 SLOT_COST, SLOT_FIXED = 10, 40_000
+SOLVE_DIV = 8  # the dense solve for W^+ costs about n^3 / SOLVE_DIV of those entries (see ``conjugate_gradients_are_cheaper``)
+CG_RTOL = 1e-14  # conjugate gradients for W^+ B stop at this residual, relative to the centered right-hand side
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,15 +201,62 @@ class CommunicationMatrix:
     def w(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.W, x)
 
-    def w_pinv(self, B: np.ndarray) -> np.ndarray:
-        """W^+ B by one linear solve.
+    def w_pinv(self, B: np.ndarray, kappa: float) -> np.ndarray:
+        """W^+ B, by conjugate gradients over the slots where they cost less, else by one dense solve.
 
-        null(W) = span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n;
-        removing the column means of its solve drops the 11'/n B part exactly
-        and leaves W^+ B, which is orthogonal to the consensus direction.
+        ``kappa`` is W's condition number on 1's complement, lam_max / lam_2
+        from the spectra, which bounds the conjugate-gradient steps
+        (``cg_step_bound``; inf sends B to the dense solve). Above
+        the product crossover, where ``conjugate_gradients_are_cheaper`` says
+        so, ``_cg_pinv`` solves with no n x n array; if it misses CG_RTOL
+        within the bound, the dense solve runs instead. That solve: null(W) =
+        span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n; removing
+        the column means of its solve drops the 11'/n B part exactly and
+        leaves W^+ B, which is orthogonal to the consensus direction.
         """
+        steps = cg_step_bound(kappa)
+        if not self.dense_products and conjugate_gradients_are_cheaper(self, steps):
+            X = self._cg_pinv(B, steps)
+            if X is not None:
+                return X
         X = np.linalg.solve(self.W + 1.0 / self.n, B)
         return X - X.mean(axis=0)
+
+    def _cg_pinv(self, B: np.ndarray, steps: int) -> np.ndarray | None:
+        """W^+ B by conjugate gradients on 1's complement, one run per column of B, all in step; None if one misses CG_RTOL.
+
+        Each step takes W q = P'(D^-1 (P q)) over the slots. The residual is
+        centered after each update: rounding leaves a consensus part in it,
+        which W^+ drops and no step can remove, and which on a two-node graph
+        can exceed CG_RTOL on its own. A column stops once its residual is within
+        CG_RTOL of its centered right-hand side; the run ends when every
+        column has stopped, or gives up after ``steps`` or on a direction
+        with no positive curvature.
+        """
+        inv_d = (1.0 / self.nbhd_sizes)[:, None]
+        r = B - B.mean(axis=0)
+        X = np.zeros_like(r)
+        q = r.copy()  # the search directions
+        rr = np.einsum("ij,ij->j", r, r)
+        goal = CG_RTOL * CG_RTOL * rr
+        active = rr > goal
+        for _ in range(steps):
+            if not active.any():
+                break
+            wq = self.pt(self.p(q) * inv_d)
+            curvature = np.einsum("ij,ij->j", q, wq)
+            if not np.all(curvature[active] > 0.0):
+                return None
+            step = np.divide(rr, curvature, out=np.zeros_like(rr), where=active)
+            X += step * q
+            r -= step * wq
+            r -= r.mean(axis=0)
+            rr_next = np.einsum("ij,ij->j", r, r)
+            q *= np.divide(rr_next, rr, out=np.zeros_like(rr), where=active)
+            q += r
+            rr = rr_next
+            active = rr > goal
+        return None if active.any() else X - X.mean(axis=0)
 
     def _slot_apply(self, values: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x for the matrix A with ``values`` on the slots (see ``_slot_sum``).
@@ -253,6 +304,35 @@ def stack_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     rows = np.swapaxes(v, -1, -2)  # (..., d, n)
     return np.swapaxes((rows.reshape(-1, v.shape[-2]) @ A.T).reshape(rows.shape), -1, -2)
+
+
+def cg_step_bound(kappa: float) -> float:
+    """Conjugate-gradient steps that bring a residual within CG_RTOL of the right-hand side: inf unless 1 <= kappa < inf.
+
+    After k steps on a matrix of condition number kappa the energy-norm error
+    falls by 2 ((sqrt kappa - 1) / (sqrt kappa + 1))^k <= 2 exp(-2k / sqrt kappa)
+    (Hestenes & Stiefel 1952), and the residual by at most sqrt kappa times
+    that, so k = (1/2) sqrt(kappa) ln(2 / eps) with eps = CG_RTOL / sqrt(kappa)
+    steps suffice in exact arithmetic.
+    """
+    if not 1.0 <= kappa < math.inf:
+        return math.inf
+    root = math.sqrt(kappa)
+    return math.ceil(0.5 * root * math.log(2.0 * root / CG_RTOL))
+
+
+def conjugate_gradients_are_cheaper(comm: CommunicationMatrix, steps: float) -> bool:
+    """Whether ``steps`` conjugate-gradient steps, two slot products each, cost less than the dense solve for W^+.
+
+    The dense solve forms W + 11'/n and LU-factors it: about n^3 / SOLVE_DIV
+    dense GEMV entries. Where the two routes cross, at Erdos-Renyi n=400-800
+    and p=0.05 (one thread), it took 0.043-0.066 ns per n^3 and a slot entry
+    0.28-0.32 ns, so n^3 / 6.7 to n^3 / 4.3 entries; SOLVE_DIV = 8 leaves the
+    dense solve a margin. Larger n runs the LU faster per n^3 (n^3 / 12 at
+    n=1600), but conjugate gradients were 10x faster there. The vector
+    updates of a step cost O(n d), little next to its two products.
+    """
+    return 2.0 * steps * (SLOT_COST * comm.cols.size + SLOT_FIXED) < comm.n**3 / SOLVE_DIV
 
 
 def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:

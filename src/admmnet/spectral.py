@@ -6,11 +6,12 @@ the column norms m and owns every product with P and W. This module reads
 W and P only for their spectra.
 
 ``SpectralData`` holds the matrix and the numbers the rate certificates
-read: the smallest nonzero eigenvalue of W, the largest eigenvalue of the
-metric block M - W and the algebraic connectivity a(G), the second
-eigenvalue of the Laplacian on P's slots (on first read, from P itself
-when P is the Laplacian). Each is known in one of three ways, its ``kind``,
-and each matrix takes one route, decided once:
+read, the smallest nonzero eigenvalue of W and the largest eigenvalue of
+the metric block M - W, and, on first read, the algebraic connectivity
+a(G) that only the degree/connectivity relations read: the second
+eigenvalue of the Laplacian on P's slots (from P itself when P is the
+Laplacian). Each is known in one of three ways, its ``kind``, and each
+matrix takes one route, decided once:
 
 * CLOSED_FORM: P is circulant (``CommunicationMatrix.circulant``, read
   from its slots: the Laplacian of every circulant, cycle and complete
@@ -36,11 +37,11 @@ and each matrix takes one route, decided once:
   n=800, p=0.05, and 1.0-2.1e-10 at n=1600, p=0.0125. The PSD floors need
   no further factorization: Kato-Temple for W, Gershgorin discs for M - W.
   A matrix falls back to ``eigvalsh`` when Lanczos has not converged
-  within LANCZOS_STEPS (long paths: lam_2(W) of path n=300 is 4e-9), when
-  neither back-off factors, when the bound would lie further than
-  BOUND_RTOL from the Ritz value (small lam_2 next to a large trace, as on
-  sparse regular graphs), or, for M - W, when the discs reach below the
-  PSD floor.
+  within LANCZOS_STEPS, when neither back-off factors, when the bound would
+  lie further than BOUND_RTOL from the Ritz value (small lam_2 next to a
+  large trace, as on long paths and sparse regular graphs: lam_2(W) of
+  path n=300 is 4e-9; Lanczos stops as soon as the trace alone rules the
+  bound out), or, for M - W, when the discs reach below the PSD floor.
 
 W is the only dense matrix this module reads. Every other matrix that
 needs eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``,
@@ -53,8 +54,12 @@ M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x, see
 product crossover a run holds at most three dense n x n float arrays at
 once: W plus at most two transients, which are D^(-1/2) P while W is
 formed, ``eigvalsh``'s copy of W, M - W or the Laplacian, Cholesky's copy
-and factor of a certificate, or W + 11'/n and the solve's copy of it
-(``CommunicationMatrix.w_pinv``). Below the crossover the kept P adds one.
+and factor of a certificate, or, where ``CommunicationMatrix.w_pinv``
+takes the dense solve, W + 11'/n and the solve's copy of it. Where it
+takes conjugate gradients over P's slots, W alone outlives the spectra.
+Below the crossover the kept P adds one. ``run`` and ``check`` never read
+a(G), so the Laplacian is written into W only for ``spectra`` and
+``certify``.
 """
 
 from __future__ import annotations
@@ -252,7 +257,7 @@ def _written_below(
 # --- certified scalars ---------------------------------------------------------
 
 
-def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float] | None:
+def _ritz_ends(apply, n: int, lowest: bool, deflate: bool, trace: float | None = None) -> tuple[float, float] | None:
     """(smallest, largest) Ritz value of Lanczos on ``apply``, once the wanted end has converged; None if it has not.
 
     Every new vector is reorthogonalized against the whole basis, twice, and
@@ -263,6 +268,13 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float
     iteration with T the last entry of theta's eigenvector, hence its
     residual r; theta has converged when r min(1, r / g), the usual bound on
     |theta - lam|, is below LANCZOS_RTOL |theta|.
+
+    With the matrix's ``trace``, the lowest end gives up as soon as
+    ``_certified_second`` could no longer prove a bound from it: its
+    allowance holds the term 2u (trace + top - n theta), which needs no
+    factor, and the bound must lie within BOUND_RTOL theta. As the run goes
+    on theta only falls and top only rises (Cauchy interlacing), so once
+    that term exceeds BOUND_RTOL theta it does for good.
     """
     steps = min(LANCZOS_STEPS, n - 1 if deflate else n)
     V = np.empty((steps, n))
@@ -285,12 +297,14 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float
             continue
         T = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
         theta = np.linalg.eigvalsh(T)
+        if trace is not None and 2.0 * _U * (trace + theta[-1] - n * theta[0]) > BOUND_RTOL * theta[0]:
+            return None
         end, near = (0, 1) if lowest else (-1, -2)
         # the wanted Ritz vector by one step of inverse iteration just past
         # theta: `eigh` would page in LAPACK code (1.2 MB resident) that no
-        # other path runs, while `eigvalsh` and `solve` serve the exact path too
+        # other path runs, while `eigvalsh` serves the exact path too
         shift = theta[end] - (1 if lowest else -1) * 1e-13 * (abs(theta[0]) + abs(theta[-1]))
-        s = np.linalg.solve(T - shift * np.eye(k + 1), np.ones(k + 1))
+        s = _shifted_ones_solve(alpha[: k + 1], beta[:k], shift)
         r = float(beta[k] * abs(s[-1]) / np.linalg.norm(s))
         gap = float(abs(theta[near] - theta[end])) if k else 0.0
         if (r if gap <= r else r * r / gap) <= LANCZOS_RTOL * abs(theta[end]):
@@ -298,6 +312,26 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool) -> tuple[float, float
         if exhausted:
             return None
     return None
+
+
+def _shifted_ones_solve(diag: np.ndarray, off: np.ndarray, shift: float) -> np.ndarray:
+    """s with (T - shift I) s = 1, for the symmetric tridiagonal T with ``diag`` and ``off``, by the LDL' recurrence.
+
+    The shift lies just outside T's spectrum, so T - shift I is definite and
+    its LDL' factorization needs no pivoting: every pivot d_i has the sign
+    of its definiteness. L z = 1 runs forward and D L' s = z backward.
+    """
+    a, b = (diag - shift).tolist(), off.tolist()
+    d, z = [a[0]], [1.0]
+    for i, bi in enumerate(b):
+        li = bi / d[i]
+        d.append(a[i + 1] - li * bi)
+        z.append(1.0 - li * z[i])
+    s = [0.0] * len(a)
+    s[-1] = z[-1] / d[-1]
+    for i in range(len(b) - 1, -1, -1):
+        s[i] = (z[i] - b[i] * s[i + 1]) / d[i]
+    return np.array(s)
 
 
 def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None) -> float | None:
@@ -350,11 +384,12 @@ def _certified_second(apply, W: np.ndarray, diag: np.ndarray, lap: Communication
     and top; s = theta (1 - back-off). If H + p 11' - s I with p = top / n
     factors, H + p 11' - sigma I >= 0 for sigma = s - rho (``_allowance``),
     and for every x orthogonal to 1, x' H x >= sigma |x|^2, so
-    lam_2(H) >= sigma by Courant-Fischer. None if Lanczos has not converged,
-    no back-off factors, or sigma lies below theta (1 - BOUND_RTOL).
+    lam_2(H) >= sigma by Courant-Fischer. None if Lanczos has not converged
+    or gave up on the trace term, no back-off factors, or sigma lies below
+    theta (1 - BOUND_RTOL).
     """
     n = W.shape[0]
-    ends = _ritz_ends(apply, n, lowest=True, deflate=True)
+    ends = _ritz_ends(apply, n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
     if ends is None:
         return None
     theta, top = ends

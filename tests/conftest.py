@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from admmnet import graph
 from admmnet.graph import build_graph, custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
@@ -35,6 +38,13 @@ def row_scaled_laplacian(rng: np.random.Generator, g):
     P = rng.uniform(0.5, 2.0, size=(g.n, 1)) * edge_weighted_laplacian(rng, g).dense()
     P[P == 0.0] = 0.0  # no -0.0 off the slots
     return custom_comm_matrix(P, g)
+
+
+def with_slot_products(comm):
+    """The matrix, with its P products set to run over the slots whatever the crossover says."""
+    with mock.patch.object(graph, "dense_products_are_cheaper", return_value=False):
+        comm.dense_products  # chosen on first read and kept
+    return comm
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,14 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from admmnet import admm, analysis, reporting, spectral
+from admmnet import admm, analysis, graph, reporting, spectral
 from admmnet.errors import (
     BoundViolatedError,
     ContractionViolatedError,
@@ -26,7 +28,7 @@ from admmnet.objectives import (
     estimation_problem,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import edge_weighted_laplacian, random_connected_graph
+from conftest import edge_weighted_laplacian, random_connected_graph, with_slot_products
 
 # hand-derived constants for the complete triangle with unit weights
 K3_BEST_PENALTY = math.sqrt(1.0 / 15.0)
@@ -76,8 +78,33 @@ def test_gram_pinv_apply_matches_eigh(n, seed, weighted, d):
     sd = compute_spectral_data(comm)
     B = rng.normal(size=(n, d))
     want = eigh_pinv(sd.comm.W) @ B
-    got = sd.comm.w_pinv(B)
+    got = sd.comm.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@contextmanager
+def cg_route():
+    """Conjugate gradients for W^+ whatever their cost, and no dense solve to fall back on."""
+    refuse = AssertionError("dense solve")
+    with mock.patch.object(graph, "conjugate_gradients_are_cheaper", return_value=True):
+        with mock.patch.object(np.linalg, "solve", side_effect=refuse):
+            yield
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
+@example(n=2, seed=334, weighted=False, d=3)  # rounding leaves a consensus part in the residual
+def test_cg_pinv_on_slot_products_matches_eigh(n, seed, weighted, d):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
+    comm = with_slot_products(edge_weighted_laplacian(rng, g) if weighted else laplacian(g))
+    sd = compute_spectral_data(comm)
+    B = rng.normal(size=(n, d))
+    want = eigh_pinv(comm.W) @ B
+    with cg_route():
+        got = comm.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.all(np.abs(got.sum(axis=0)) <= 1e-13 * np.linalg.norm(got, axis=0))  # orthogonal to 1
 
 
 def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral, k3_optimal):
@@ -91,6 +118,12 @@ def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
         analysis.aux_sequences(trace, doctored, k3_optimal, 1.0)
+    # on the conjugate-gradient route the solve runs on P's slots, which the
+    # doctoring does not reach, and the residual is taken with the dense W
+    comm = with_slot_products(replace(k3_problem.comm))
+    vars(comm)["W"] = W
+    with cg_route(), pytest.raises(DegenerateSpectrumError):
+        analysis.aux_sequences(trace, replace(k3_spectral, comm=comm), k3_optimal, 1.0)
     aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
     assert aux.dual_ref_residual <= analysis.RECON_RTOL * k3_spectral.eig_gram.max * np.linalg.norm(aux.dual_ref)
 

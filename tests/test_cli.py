@@ -106,6 +106,42 @@ def test_spectra_csv(tmp_path):
     assert kinds == (spectral.CLOSED_FORM,) * 3
 
 
+def test_run_writes_report_v2_and_reads_no_connectivity(tmp_path, monkeypatch, capsys):
+    # a(G) enters only the degree/connectivity relations of spectra and
+    # certify: the rate and every check of run and check read lam_2(W) and
+    # lam_max(M - W), so the v2 report drops it and neither command reads it
+    def refuse(self):
+        raise AssertionError("a(G) read")
+
+    monkeypatch.setattr(spectral.SpectralData, "connectivity", property(refuse))
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", "kind = path\nn = 5").replace("T = 200", "T = 20"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert lines[0] == "# admmnet report v2"
+    assert re.fullmatch(r"spectral: min_nonzero_eig=\S+ max_metric_eig=\S+", lines[2])
+    assert "a(G)" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "graph,kind",
+    [("kind = complete\nn = 3", "="), ("kind = erdos_renyi\nn = 600\np = 0.05\nseed = 1", ">=")],
+    ids=["closed-form", "certified"],
+)
+def test_spectra_and_certify_print_connectivity_with_kind(tmp_path, capsys, graph, kind):
+    cfg = write_config(tmp_path, f"[graph]\n{graph}\n")
+    assert cli.main(["spectra", "--config", str(cfg)]) == 0
+    header, values = (line.split() for line in capsys.readouterr().out.strip().splitlines())
+    a = values[header.index("a(G)")]
+    assert cli.main(["certify", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = (line for line in lines if line.startswith("a(G)"))
+    assert re.fullmatch(r"a\(G\)" + kind + r"\d\S*", line)
+    assert float(line[len("a(G)") + len(kind) :]) == pytest.approx(float(a.removeprefix(">=")), rel=1e-11)
+    assert a.startswith(">=") == (kind == ">=")
+
+
 def test_spectra_marks_certified_bounds(tmp_path, capsys):
     # above the size crossover the table marks each bound's side, as the
     # run report's spectral: line does, and the CSV names each kind
@@ -532,15 +568,15 @@ def eigen_calls_per_command(tmp_path, monkeypatch, graph: str) -> list:
 
 
 def test_eigen_calls_per_command(tmp_path, monkeypatch):
-    # W, the metric block and (run only, for the report's a(G)) the Laplacian
-    # are circulant on K3: cosine sums, no eigensolver at all
+    # W and the metric block are circulant on K3: cosine sums, no eigensolver at all
     assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = complete\nn = 3") == [(0, 0), (0, 0)]
 
 
 def test_eigen_calls_per_command_path(tmp_path, monkeypatch):
     # off the circulant family each of those matrices gets one eigenvalue-only
-    # decomposition, no eigenvectors
-    assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 3), (0, 2)]
+    # decomposition, no eigenvectors; neither command reads a(G), so the
+    # Laplacian gets none
+    assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = path\nn = 5") == [(0, 2), (0, 2)]
 
 
 def test_certified_spectra_need_no_full_eigendecomposition(tmp_path, monkeypatch, capsys):
@@ -558,7 +594,7 @@ def test_certified_spectra_need_no_full_eigendecomposition(tmp_path, monkeypatch
     report = capsys.readouterr().out
     assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
     assert shapes and all(shape[0] <= spectral.LANCZOS_STEPS for shape in shapes)
-    assert re.search(r"^spectral: a\(G\)>=\S+ min_nonzero_eig>=\S+ max_metric_eig<=\S+$", report, re.M)
+    assert re.search(r"^spectral: min_nonzero_eig>=\S+ max_metric_eig<=\S+$", report, re.M)
     assert re.search(r"^check psd: PASS \(min eigs >=\S+, >=\S+\)$", report, re.M)
 
 
@@ -594,9 +630,10 @@ def traced_peak_in_dense_arrays(tmp_path, command: str) -> float:
 
 def test_run_holds_at_most_two_traced_dense_arrays(tmp_path, capsys):
     """The traced ceiling is W and one numpy transient (D^(-1/2) P while W is
-    formed, the Laplacian for a(G), or W + 11'/n): two n x n arrays. P is kept
-    as slots and M - W is built in W's storage. The (T+1, n, 1) trace stacks
-    and everything else add about 0.35 more. A run that keeps a dense P reads
+    formed, or W + 11'/n, since conjugate gradients cost more than the dense
+    solve at this size): two n x n arrays. P is kept as slots, M - W is built
+    in W's storage, and a(G) is not read. The (T+1, n, 1) trace stacks and
+    everything else add about 0.35 more. A run that keeps a dense P reads
     3.33, and one that also stores M - W and builds a second Laplacian for
     a(G) reads 4.5.
     """

@@ -11,7 +11,7 @@ from admmnet import graph, spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
 from admmnet.graph import CommunicationMatrix, dense_products_are_cheaper, generate_graph, laplacian, stack_apply
 from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, compute_spectral_data, psd_certificates
-from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian
+from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian, with_slot_products
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -354,13 +354,6 @@ def test_operator_forms_w_on_first_read_only(p3):
     assert mat.W is mat.W
 
 
-def with_slot_products(comm) -> CommunicationMatrix:
-    """The matrix, with its P products set to run over the slots whatever the crossover says."""
-    with mock.patch.object(graph, "dense_products_are_cheaper", return_value=False):
-        comm.dense_products  # chosen on first read and kept
-    return comm
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
 def test_slot_products_match_dense_products(n, seed, weighted, d):
@@ -419,6 +412,65 @@ def test_crossover_by_graph_size_and_fill(kind, n, kw, dense):
     comm = laplacian(g)
     assert dense_products_are_cheaper(comm) is dense
     assert comm.dense_products is dense
+
+
+def condition_number(sd) -> float:
+    return sd.eig_gram.max / sd.min_pos_eig_gram
+
+
+def dense_pinv(comm, B) -> np.ndarray:
+    """W^+ B as the dense solve takes it, from W + 11'/n."""
+    X = np.linalg.solve(comm.W + 1.0 / comm.n, B)
+    return X - X.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "kind,n,kw", [("path", 600, {}), ("circulant", 1600, {"d": 20})], ids=["path-600", "circulant-1600"]
+)
+def test_ill_conditioned_w_pinv_takes_the_dense_solve(kind, n, kw):
+    # above the product crossover, but kappa (2e10 and 2e7) puts the
+    # conjugate-gradient bound far past the cost of one dense solve
+    comm = laplacian(generate_graph(kind, n, **kw))
+    sd = compute_spectral_data(comm)
+    assert not comm.dense_products
+    assert not graph.conjugate_gradients_are_cheaper(comm, graph.cg_step_bound(condition_number(sd)))
+    B = np.random.default_rng(n).normal(size=(n, 1))
+    with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
+        got = comm.w_pinv(B, condition_number(sd))
+    assert np.array_equal(got, dense_pinv(comm, B))
+
+
+def test_well_conditioned_w_pinv_takes_conjugate_gradients_with_no_dense_array():
+    """dense-spectral's graph, kappa 4.35: W^+ B over the slots, no n x n array.
+
+    The traced peak is set by the slot products' gather buffers, S d floats
+    each for S slots; the dense solve would hold W + 11'/n, one n x n array.
+    """
+    n, d = 800, 3
+    comm = laplacian(generate_graph("erdos_renyi", n, p=0.05, seed=1))
+    sd = compute_spectral_data(comm)
+    B = np.random.default_rng(0).normal(size=(n, d))
+    with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("dense solve")):
+        tracemalloc.start()
+        try:
+            got = comm.w_pinv(B, condition_number(sd))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * 8 * comm.cols.size * d
+    assert peak / (8 * n * n) <= 0.5
+    want = dense_pinv(comm, B)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_w_pinv_falls_back_to_the_dense_solve_when_cg_misses():
+    comm = laplacian(generate_graph("erdos_renyi", 800, p=0.05, seed=1))
+    sd = compute_spectral_data(comm)
+    B = np.random.default_rng(0).normal(size=(800, 1))
+    with mock.patch.object(graph, "cg_step_bound", return_value=3):  # CG_RTOL is out of reach in 3 steps
+        assert comm._cg_pinv(B, 3) is None
+        got = comm.w_pinv(B, condition_number(sd))
+    assert np.array_equal(got, dense_pinv(comm, B))
 
 
 def gram_of(comm, g) -> np.ndarray:
@@ -496,8 +548,8 @@ def test_certified_scalars_bound_the_eigenvalues(n, custom):
 
 
 def test_long_path_falls_back_to_eigvalsh(monkeypatch):
-    # lam_2 of path n=600 is far below 1e-9 lam_max: Lanczos has not converged
-    # within its step cap, and every scalar is eigvalsh's, bit for bit
+    # lam_2 of path n=600 is far below 1e-9 lam_max: no bound within
+    # BOUND_RTOL of it can be proven, and every scalar is eigvalsh's, bit for bit
     g = generate_graph("path", 600)
     comm = laplacian(g)
     fn = np.linalg.eigvalsh
@@ -509,6 +561,66 @@ def test_long_path_falls_back_to_eigvalsh(monkeypatch):
     assert np.array_equal(sd.eig_gram.eigenvalues, fn(comm.W))
     assert np.array_equal(sd.eig_metric.eigenvalues, fn(np.diag(comm.col_norms_sq) - comm.W))
     assert a == algebraic_connectivity(g)
+
+
+def lanczos_steps(monkeypatch) -> list:
+    """[(steps, found)] of each Lanczos run: its products, and whether it returned Ritz values."""
+    runs = []
+    fn = spectral._ritz_ends
+
+    def counting(apply, *args, **kwargs):
+        steps = [0]
+
+        def counted(v):
+            steps[0] += 1
+            return apply(v)
+
+        ends = fn(counted, *args, **kwargs)
+        runs.append((steps[0], ends is not None))
+        return ends
+
+    monkeypatch.setattr(spectral, "_ritz_ends", counting)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "n,p,steps",
+    [(800, 0.05, [80, 30, 40]), (1600, 0.0125, [140, 20, 60])],
+    ids=["er-800", "er-1600"],
+)
+def test_certified_graphs_keep_their_lanczos_steps(monkeypatch, n, p, steps):
+    # lam_2(W), lam_max(M - W), then a(G): the trace test never gives up on
+    # a matrix that certifies, so each run stops where its Ritz value converges
+    runs = lanczos_steps(monkeypatch)
+    sd = compute_spectral_data(laplacian(generate_graph("erdos_renyi", n, p=p, seed=1)))
+    assert sd.connectivity[1] == spectral.CERTIFIED
+    assert runs == [(k, True) for k in steps]
+
+
+def test_long_path_lanczos_gives_up_on_the_trace_term(monkeypatch):
+    # lam_2(W) and a(G) of path n=600 lie below 2u tr / BOUND_RTOL, so both
+    # lowest-end runs stop once theta falls below it instead of running all
+    # LANCZOS_STEPS (M - W's Gershgorin floor sends it to eigvalsh unrun)
+    runs = lanczos_steps(monkeypatch)
+    sd = compute_spectral_data(laplacian(generate_graph("path", 600)))
+    assert sd.connectivity[1] == spectral.EXACT
+    assert len(runs) == 2
+    assert all(steps < spectral.LANCZOS_STEPS and not found for steps, found in runs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 10_000), st.booleans())
+def test_shifted_ones_solve_matches_a_dense_solve(k, seed, lowest):
+    # the inverse-iteration solve of _ritz_ends, with the shift just outside
+    # the tridiagonal's spectrum on either side, as Lanczos places it
+    rng = np.random.default_rng(seed)
+    diag, off = rng.uniform(-2.0, 5.0, size=k), rng.uniform(0.1, 2.0, size=k - 1)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    theta = np.linalg.eigvalsh(T)
+    shift = theta[0] - 1e-3 if lowest else theta[-1] + 1e-3
+    want = np.linalg.solve(T - shift * np.eye(k), np.ones(k))
+    got = spectral._shifted_ones_solve(diag, off, shift)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_failing_cholesky_falls_back_to_eigvalsh(monkeypatch):
