@@ -201,6 +201,11 @@ class CommunicationMatrix:
     def w(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.W, x)
 
+    def w_by_products(self, x: np.ndarray) -> np.ndarray:
+        """W x = P'(D^-1 (P x)) of an (n,) or (n, d) operand, by two P products and no W."""
+        X = x.reshape(self.n, -1)
+        return self.pt(self.p(X) / self.nbhd_sizes[:, None]).reshape(x.shape)
+
     def w_pinv(self, B: np.ndarray, kappa: float) -> np.ndarray:
         """W^+ B, by conjugate gradients over the slots where they cost less, else by one dense solve.
 
@@ -208,14 +213,15 @@ class CommunicationMatrix:
         from the spectra, which bounds the conjugate-gradient steps
         (``cg_step_bound``; inf sends B to the dense solve). Above
         the product crossover, where ``conjugate_gradients_are_cheaper`` says
-        so, ``_cg_pinv`` solves with no n x n array; if it misses CG_RTOL
-        within the bound, the dense solve runs instead. That solve: null(W) =
-        span{1}, so W + 11'/n is invertible with inverse W^+ + 11'/n; removing
-        the column means of its solve drops the 11'/n B part exactly and
-        leaves W^+ B, which is orthogonal to the consensus direction.
+        so for B's d columns, ``_cg_pinv`` solves with no n x n array; if it
+        misses CG_RTOL within the bound, the dense solve runs instead. That
+        solve: null(W) = span{1}, so W + 11'/n is invertible with inverse
+        W^+ + 11'/n; removing the column means of its solve drops the 11'/n B
+        part exactly and leaves W^+ B, which is orthogonal to the consensus
+        direction.
         """
         steps = cg_step_bound(kappa)
-        if not self.dense_products and conjugate_gradients_are_cheaper(self, steps):
+        if not self.dense_products and conjugate_gradients_are_cheaper(self, steps, B.shape[1]):
             X = self._cg_pinv(B, steps)
             if X is not None:
                 return X
@@ -223,40 +229,41 @@ class CommunicationMatrix:
         return X - X.mean(axis=0)
 
     def _cg_pinv(self, B: np.ndarray, steps: int) -> np.ndarray | None:
-        """W^+ B by conjugate gradients on 1's complement, one run per column of B, all in step; None if one misses CG_RTOL.
+        """W^+ B by conjugate gradients on 1's complement, one column of B at a time; None if a column misses CG_RTOL.
 
-        Each step takes W q = P'(D^-1 (P q)) over the slots. The residual is
-        centered after each update: rounding leaves a consensus part in it,
-        which W^+ drops and no step can remove, and which on a two-node graph
-        can exceed CG_RTOL on its own. A column stops once its residual is within
-        CG_RTOL of its centered right-hand side; the run ends when every
-        column has stopped, or gives up after ``steps`` or on a direction
-        with no positive curvature.
+        Each step takes W q by ``w_by_products``. The residual is centered
+        after each update: rounding leaves a consensus part in it, which W^+
+        drops and no step can remove, and which on a two-node graph can exceed
+        CG_RTOL on its own. A column is done once its residual is within
+        CG_RTOL of its centered right-hand side; it gives up after ``steps``
+        or on a direction with no positive curvature.
         """
-        inv_d = (1.0 / self.nbhd_sizes)[:, None]
-        r = B - B.mean(axis=0)
-        X = np.zeros_like(r)
-        q = r.copy()  # the search directions
-        rr = np.einsum("ij,ij->j", r, r)
-        goal = CG_RTOL * CG_RTOL * rr
-        active = rr > goal
-        for _ in range(steps):
-            if not active.any():
-                break
-            wq = self.pt(self.p(q) * inv_d)
-            curvature = np.einsum("ij,ij->j", q, wq)
-            if not np.all(curvature[active] > 0.0):
+        X = np.empty(B.shape)
+        for j in range(B.shape[1]):
+            r = B[:, j] - B[:, j].mean()
+            x = np.zeros(self.n)
+            q = r.copy()  # the search direction
+            rr = r @ r
+            goal = CG_RTOL * CG_RTOL * rr
+            for _ in range(steps):
+                if rr <= goal:
+                    break
+                wq = self.w_by_products(q)
+                curvature = q @ wq
+                if not curvature > 0.0:
+                    return None
+                step = rr / curvature
+                x += step * q
+                r -= step * wq
+                r -= r.mean()
+                rr_next = r @ r
+                q *= rr_next / rr
+                q += r
+                rr = rr_next
+            if rr > goal:
                 return None
-            step = np.divide(rr, curvature, out=np.zeros_like(rr), where=active)
-            X += step * q
-            r -= step * wq
-            r -= r.mean(axis=0)
-            rr_next = np.einsum("ij,ij->j", r, r)
-            q *= np.divide(rr_next, rr, out=np.zeros_like(rr), where=active)
-            q += r
-            rr = rr_next
-            active = rr > goal
-        return None if active.any() else X - X.mean(axis=0)
+            X[:, j] = x - x.mean()
+        return X
 
     def _slot_apply(self, values: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x for the matrix A with ``values`` on the slots (see ``_slot_sum``).
@@ -321,18 +328,22 @@ def cg_step_bound(kappa: float) -> float:
     return math.ceil(0.5 * root * math.log(2.0 * root / CG_RTOL))
 
 
-def conjugate_gradients_are_cheaper(comm: CommunicationMatrix, steps: float) -> bool:
-    """Whether ``steps`` conjugate-gradient steps, two slot products each, cost less than the dense solve for W^+.
+def conjugate_gradients_are_cheaper(comm: CommunicationMatrix, steps: float, d: int) -> bool:
+    """Whether ``steps`` conjugate-gradient steps on each of d columns, two slot products each, cost less than the dense solve for W^+.
 
     The dense solve forms W + 11'/n and LU-factors it: about n^3 / SOLVE_DIV
-    dense GEMV entries. Where the two routes cross, at Erdos-Renyi n=400-800
+    dense GEMV entries, whatever d (its d triangular solves add 2 n^2 d).
+    Where the two routes cross, at Erdos-Renyi n=400-800
     and p=0.05 (one thread), it took 0.043-0.066 ns per n^3 and a slot entry
     0.28-0.32 ns, so n^3 / 6.7 to n^3 / 4.3 entries; SOLVE_DIV = 8 leaves the
     dense solve a margin. Larger n runs the LU faster per n^3 (n^3 / 12 at
-    n=1600), but conjugate gradients were 10x faster there. The vector
-    updates of a step cost O(n d), little next to its two products.
+    n=1600). ``_cg_pinv`` takes one column at a time, so d columns cost d
+    times one. Timed on Erdos-Renyi n=800-1600 with d = 1, 3 and 10 (one
+    thread), this rule took the faster route in 11 of 12 cases; in the
+    twelfth (n=1600, p=0.0125, d=10) the two were within 6%. The vector
+    updates of a step cost O(n), little next to its two products.
     """
-    return 2.0 * steps * (SLOT_COST * comm.cols.size + SLOT_FIXED) < comm.n**3 / SOLVE_DIV
+    return 2.0 * steps * d * (SLOT_COST * comm.cols.size + SLOT_FIXED) < comm.n**3 / SOLVE_DIV
 
 
 def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:

