@@ -477,7 +477,9 @@ class LaplacianBounds:
     algebraic_connectivity: float
     connectivity_kind: str  # how a(G) is known: a ``spectral`` kind
     min_pos_eig_gram: float
+    gram_kind: str  # how min_pos_eig_gram is known; CERTIFIED: a lower bound
     max_eig_metric: float
+    metric_kind: str  # how max_eig_metric is known; CERTIFIED: an upper bound
     sandwich_low: float  # a(G)^2 / (d_max + 1) <= lam_min
     sandwich_high: float  # lam_min <= a(G)^2 / (d_min + 1)
     metric_eig_bound: float  # lam_max <= d_max (d_max + 1) + 4 d_max^2/(d_min + 1)
@@ -525,7 +527,9 @@ def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float
         algebraic_connectivity=a,
         connectivity_kind=a_kind,
         min_pos_eig_gram=lam_min,
+        gram_kind=sd.eig_gram.kind,
         max_eig_metric=lam_max,
+        metric_kind=sd.eig_metric.kind,
         sandwich_low=low,
         sandwich_high=high,
         metric_eig_bound=metric_bound,

@@ -226,7 +226,10 @@ def cmd_certify(args) -> int:
     eps = 1e-6
     iters = math.ceil(math.log(1.0 / eps) / math.log(1.0 / cert.best_rate))
     print(f"nu={fmt(nu)} L={fmt(lip)} kappa={fmt(cert.condition_number)}")
-    print(f"min_nonzero_eig={fmt(cert.min_pos_eig_gram)} max_metric_eig={fmt(cert.max_eig_metric)}")
+    print(
+        f"min_nonzero_eig{_is(net.gram_kind, '>=')}{fmt(cert.min_pos_eig_gram)}"
+        f" max_metric_eig{_is(net.metric_kind, '<=')}{fmt(cert.max_eig_metric)}"
+    )
     print(f"penalty_star={fmt(cert.best_penalty)}")
     print(f"balance_star={fmt(cert.best_balance)}")
     print(f"gain_star={fmt(cert.best_gain)}")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigParseError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
-from .objectives import NetworkProblem, Quadratic, estimation_objectives
+from .objectives import NetworkProblem, estimation_rows, quadratic_rows
 
 
 @dataclass(frozen=True)
@@ -207,29 +207,24 @@ def build_graph_from_spec(spec: GraphSpec) -> Graph:
 
 
 def build_problem(cfg: ExperimentConfig) -> NetworkProblem:
+    """The graph, its Laplacian and the objective's stacked rows; no per-node objective is built."""
     g = build_graph_from_spec(cfg.graph)
     spec = cfg.objective
     if spec.preset == "estimation":
-        objectives = estimation_objectives(g.n, spec.dimension)
+        rows = estimation_rows(g.n, spec.dimension)
     elif spec.preset is not None:
         raise ConfigParseError(f"unknown objective preset {spec.preset!r}")
     else:
         if spec.targets is None or len(spec.targets) != g.n:
             raise ConfigParseError(f"need one target per node ({g.n}), got {spec.targets}")
-        weights = spec.weights or (1.0,) * g.n
-        if len(weights) == 1:
-            weights = weights * g.n
-        if len(weights) != g.n:
+        weights = spec.weights or (1.0,)
+        if len(weights) not in (1, g.n):
             raise ConfigParseError(f"need one weight per node ({g.n}), got {len(weights)}")
-        objectives = []
-        for a, w in zip(spec.targets, weights):
-            target = np.asarray(a, dtype=float)
-            if target.shape != (spec.dimension,):
-                raise ConfigParseError(
-                    f"target {a} does not match dimension {spec.dimension}"
-                )
-            if spec.kind not in ("quadratic", "l1_quadratic"):
-                raise ConfigParseError(f"unknown objective kind {spec.kind!r}")
-            objectives.append(Quadratic(target=target, weight=w, tau=spec.tau))
-        objectives = tuple(objectives)
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objectives))
+        if spec.kind not in ("quadratic", "l1_quadratic"):
+            raise ConfigParseError(f"unknown objective kind {spec.kind!r}")
+        lengths = np.fromiter(map(len, spec.targets), dtype=np.intp, count=g.n)
+        wrong = np.flatnonzero(lengths != spec.dimension)
+        if wrong.size:
+            raise ConfigParseError(f"target {spec.targets[wrong[0]]} does not match dimension {spec.dimension}")
+        rows = quadratic_rows(spec.targets, weights, spec.tau)
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows)

@@ -14,14 +14,22 @@ optimum used as ground truth by every certificate check.
 A problem evaluates its objectives on whole (n, d) iterates through one
 rows object: values, proximal maps and the oracle's smooth gradients of
 every node come in closed form from stacked parameters when every node is
-exactly a ``Quadratic``, and otherwise from one node at a time.
+exactly a ``Quadratic``, and otherwise from one node at a time. The stacked
+parameters are a :class:`QuadraticRows`: (n, 1) weights, (n, d) targets and
+(n, 1) l1 weights. The CLI's kinds (the estimation preset, ``quadratic`` and
+``l1_quadratic``) build them directly (``estimation_rows``,
+``quadratic_rows``) and hand them to the problem in place of its per-node
+objectives, so the problem, ``aggregate`` and ``central_solve`` build no
+per-node object and loop over no nodes; per-node ``Quadratic`` objectives
+are stacked once, on first use.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -84,6 +92,20 @@ class _EachRow:
 
     def __init__(self, objectives: tuple[LocalObjective, ...]):
         self.objectives = objectives
+        self.dimension = objectives[0].dimension
+
+    def curvature(self) -> tuple[float | None, float | None]:
+        """(min_i nu_i, max_i L_i), each None if some node lacks it."""
+        nus = [o.strong_convexity for o in self.objectives]
+        lips = [o.gradient_lipschitz for o in self.objectives]
+        nu = None if any(v is None for v in nus) else float(min(nus))
+        lip = None if any(v is None for v in lips) else float(max(lips))
+        return nu, lip
+
+    def oracle_terms(self) -> tuple[float, float, np.ndarray]:
+        """(sum_i L_i of the smooth parts, sum_i tau_i, the (k, 1) column of tau_i), summed in row order."""
+        taus = [o.l1_weight for o in self.objectives]
+        return sum(o.smooth_lipschitz for o in self.objectives), sum(taus), _column(taus)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         rows = X.reshape(-1, *X.shape[-2:])
@@ -110,19 +132,26 @@ class _EachRow:
         return prox
 
 
-@dataclass(frozen=True)
-class _QuadraticRows:
+@dataclass(frozen=True, eq=False)
+class QuadraticRows(Sequence):
     """(w/2)|x - a|^2 + tau |x|_1 on every row: (k, 1) weights, (k, d) targets.
 
     ``tau`` is None when every row's tau is 0, so no l1 term is evaluated.
+    A ``NetworkProblem`` takes the rows in place of k per-node objectives:
+    they are also a sequence, whose item i is row i's ``Quadratic``, built
+    only when read.
     """
 
     weight: np.ndarray
     target: np.ndarray
     tau: np.ndarray | None = None
 
+    def __post_init__(self):
+        if np.any(self.weight < 0) or (self.tau is not None and np.any(self.tau < 0)):
+            raise ValueError("weight and tau must be nonnegative")
+
     @classmethod
-    def of(cls, objectives: Sequence[Quadratic]) -> _QuadraticRows:
+    def of(cls, objectives: Sequence[Quadratic]) -> QuadraticRows:
         """Stacked parameters of ``objectives``, one row each."""
         taus = [o.tau for o in objectives]
         return cls(
@@ -130,6 +159,30 @@ class _QuadraticRows:
             target=np.stack([o.target for o in objectives]),
             tau=_column(taus) if any(taus) else None,
         )
+
+    def __len__(self) -> int:
+        return self.target.shape[0]
+
+    def __getitem__(self, i: int) -> Quadratic:
+        tau = 0.0 if self.tau is None else float(self.tau[i, 0])
+        return Quadratic(target=self.target[i].copy(), weight=float(self.weight[i, 0]), tau=tau)
+
+    @property
+    def dimension(self) -> int:
+        return self.target.shape[1]
+
+    def curvature(self) -> tuple[float | None, float | None]:
+        """(min_i w_i, max_i w_i), as the rows' ``Quadratic``s declare them: None if some w_i is 0, or some tau_i > 0."""
+        w = self.weight[:, 0]
+        nu = float(w.min()) if np.all(w > 0) else None
+        lip = float(w.max()) if self.tau is None or not np.any(self.tau) else None
+        return nu, lip
+
+    def oracle_terms(self) -> tuple[float, float, np.ndarray]:
+        """(sum_i w_i, sum_i tau_i, the (k, 1) column of tau_i), summed in row order by ``sum`` as over per-node objectives."""
+        if self.tau is None:
+            return sum(self.weight[:, 0].tolist()), 0.0, np.zeros_like(self.weight)
+        return sum(self.weight[:, 0].tolist()), sum(self.tau[:, 0].tolist()), self.tau
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Row values of a (..., k, d) stack, shape (..., k)."""
@@ -316,18 +369,20 @@ class NetworkProblem:
 
     graph: Graph
     comm: CommunicationMatrix
-    objectives: tuple[LocalObjective, ...]
+    objectives: Sequence[LocalObjective]  # a tuple, or QuadraticRows
 
     def __post_init__(self):
-        object.__setattr__(self, "objectives", tuple(self.objectives))
+        stacked = isinstance(self.objectives, QuadraticRows)  # one (n, d) target array: one dimension
+        if not stacked:
+            object.__setattr__(self, "objectives", tuple(self.objectives))
         if len(self.objectives) != self.graph.n:
             raise DimensionMismatchError(
                 f"{len(self.objectives)} objectives for {self.graph.n} nodes"
             )
         if self.comm.n != self.graph.n:
             raise DimensionMismatchError("communication matrix size does not match graph")
-        dims = {o.dimension for o in self.objectives}
-        if len(dims) != 1:
+        dims = set() if stacked else {o.dimension for o in self.objectives}
+        if len(dims) > 1:
             raise DimensionMismatchError(f"mixed objective dimensions {sorted(dims)}")
 
     @property
@@ -336,18 +391,21 @@ class NetworkProblem:
 
     @property
     def dimension(self) -> int:
-        return self.objectives[0].dimension
+        return self._rows.dimension
 
     @cached_property
-    def _rows(self) -> _QuadraticRows | _EachRow:
-        """The objectives as one rows object, built once per problem.
+    def _rows(self) -> QuadraticRows | _EachRow:
+        """The objectives as one rows object, built once per problem: the given ``QuadraticRows`` themselves.
 
         The closed form applies only when every objective's type is exactly
         ``Quadratic``; a subclass keeps its own per-node methods.
         """
-        if all(type(f) is Quadratic for f in self.objectives):
-            return _QuadraticRows.of(self.objectives)
-        return _EachRow(self.objectives)
+        objs = self.objectives
+        if isinstance(objs, QuadraticRows):
+            return objs
+        if all(type(f) is Quadratic for f in objs):
+            return QuadraticRows.of(objs)
+        return _EachRow(objs)
 
     def f_value(self, X: np.ndarray) -> float | np.ndarray:
         """Sum of local objective values over the rows of each (n, d) iterate.
@@ -374,13 +432,21 @@ class NetworkProblem:
         return self._rows.bind(rho)
 
 
-def estimation_objectives(n: int, dimension: int = 1) -> tuple[Quadratic, ...]:
-    """Scalar-estimation preset: node i holds (1/2)|x - (i+1)|^2."""
-    return tuple(Quadratic(target=np.full(dimension, float(i + 1)), weight=1.0) for i in range(n))
+def quadratic_rows(target, weight=1.0, tau: float = 0.0) -> QuadraticRows:
+    """Rows (w_i/2)|x - a_i|^2 + tau |x|_1 of an (n, d) ``target``, with one weight or one per row, and one tau."""
+    target = np.asarray(target, dtype=float)
+    n = target.shape[0]
+    weight = np.broadcast_to(np.asarray(weight, dtype=float).reshape(-1, 1), (n, 1)).copy()
+    return QuadraticRows(weight=weight, target=target, tau=np.full((n, 1), float(tau)) if tau else None)
+
+
+def estimation_rows(n: int, dimension: int = 1) -> QuadraticRows:
+    """Scalar-estimation preset: row i holds (1/2)|x - (i+1)|^2."""
+    return quadratic_rows(np.repeat(np.arange(1.0, n + 1.0)[:, None], dimension, axis=1))
 
 
 def estimation_problem(g: Graph, dimension: int = 1) -> NetworkProblem:
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=estimation_objectives(g.n, dimension))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=estimation_rows(g.n, dimension))
 
 
 @dataclass(frozen=True)
@@ -416,10 +482,7 @@ class OptimalPoint:
 
 
 def aggregate(problem: NetworkProblem, optimal: OptimalPoint | None = None) -> AggregateInfo:
-    nus = [o.strong_convexity for o in problem.objectives]
-    lips = [o.gradient_lipschitz for o in problem.objectives]
-    nu = None if any(v is None for v in nus) else float(min(nus))
-    lip = None if any(v is None for v in lips) else float(max(lips))
+    nu, lip = problem._rows.curvature()
     kappa = None if (nu is None or lip is None or nu <= 0) else lip / nu
     bound = None if optimal is None else float(np.linalg.norm(optimal.subgrad))
     return AggregateInfo(strong_convexity=nu, lipschitz=lip, condition_number=kappa, subgrad_bound=bound)
@@ -446,9 +509,7 @@ def central_solve(problem: NetworkProblem) -> OptimalPoint:
     The per-node subgradients g_i recorded in the result share a single l1
     sign vector, so their node-sum equals the reported residual.
     """
-    objs = problem.objectives
-    lip_total = sum(o.smooth_lipschitz for o in objs)
-    tau_total = sum(o.l1_weight for o in objs)
+    lip_total, tau_total, taus = problem._rows.oracle_terms()
     x = np.zeros(problem.dimension)
     xi = np.zeros_like(x)  # shared sign vector of the l1 terms
     G = problem.smooth_gradients(np.zeros((problem.n, x.size)))
@@ -471,7 +532,7 @@ def central_solve(problem: NetworkProblem) -> OptimalPoint:
         else:
             raise OracleNoConvergenceError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")
 
-    subgrad = G + _column([o.l1_weight for o in objs]) * xi
+    subgrad = G + taus * xi
     return _stacked(problem, x, subgrad, residual)
 
 

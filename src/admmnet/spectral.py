@@ -46,18 +46,21 @@ matrix takes one route, decided once:
 W is the only dense matrix this module reads. Every other matrix that
 needs eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``,
 and the three certificate matrices for ``np.linalg.cholesky``) is written
-into W's lower triangle by ``_written_below``, as W plus p, as 0 - W, or
+into W's upper triangle by ``_written_below``, as W plus p, as 0 - W, or
 as the Laplacian plus p, each with its own diagonal. Both solvers read
-only that triangle, and W is restored from its upper triangle after. So
-M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x, see
-``analysis._metric_sq``), and no n x n Laplacian is built. Above the
-product crossover a run holds at most three dense n x n float arrays at
-once: W plus at most two transients, which are D^(-1/2) P while W is
-formed, ``eigvalsh``'s copy of W, M - W or the Laplacian, Cholesky's copy
-and factor of a certificate, or, where ``CommunicationMatrix.w_pinv``
-takes the dense solve, W + 11'/n and the solve's copy of it. Where it
-takes conjugate gradients over P's slots, W alone outlives the spectra.
-Below the crossover the kept P adds one. ``run`` and ``check`` never read
+it as the lower triangle of the F-contiguous W.T, which is all they read,
+and W's upper triangle is restored from its lower one after; the M - W
+certificate, W plus a diagonal, writes and restores only the diagonal.
+Each certificate pays for its Cholesky and one pass over the factor, made
+absolute in place for its norms. So M - W is never stored (its forms are
+sum_i m_i |x_i|^2 - x' W x, see ``analysis._metric_sq``), and no n x n
+Laplacian is built. Above the product crossover a run holds at most
+three dense n x n float arrays at once: W plus at most two transients,
+which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W, M - W or
+the Laplacian, Cholesky's copy and factor of a certificate, or, where
+``CommunicationMatrix.w_pinv`` takes the dense solve, W + 11'/n and the
+solve's copy of it. Where it takes conjugate gradients over P's slots, W
+alone outlives the spectra. Below the crossover the kept P adds one. ``run`` and ``check`` never read
 a(G), so the Laplacian is written into W only for ``spectra`` and
 ``certify``.
 """
@@ -75,8 +78,8 @@ from .errors import CertificateFailedError, DegenerateSpectrumError, EigNoConver
 from .graph import CommunicationMatrix
 
 PSD_FLOOR = -1e-10  # smallest eigenvalue the PSD certificates admit
-_BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the cosine sums and the factor's norms
-_MASK_ENTRIES = 1 << 16  # entries per boolean mask of a block of W's lower triangle
+_BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the cosine sums
+_SQUARE_ROWS = 64  # rows per block of W's upper triangle written or restored; only its diagonal square is masked
 _U = np.finfo(float).eps / 2.0  # unit roundoff
 
 EXACT, CLOSED_FORM, CERTIFIED = "exact", "closed form", "certified bound"
@@ -127,7 +130,7 @@ class SpectralData:
         """(a(G), its kind): the second eigenvalue of the Laplacian on P's slots, a lower bound on it when CERTIFIED.
 
         A circulant Laplacian gets the cosine sums of its first row, read
-        from its slots; any other is written into W's lower triangle for its
+        from its slots; any other is written into W's upper triangle for its
         certificate or ``eigvalsh``, so no n x n Laplacian is built.
         """
         comm = self.comm
@@ -136,7 +139,7 @@ class SpectralData:
             return float(_circulant_eigenvalues(_first_row(lap))[1]), CLOSED_FORM
         diag = lap.values[lap.rows == lap.cols]
         if certified_spectra_are_cheaper(comm.n):
-            found = _certified_second(lambda v: lap.p(v[:, None])[:, 0], comm.W, diag, lap)
+            found = _certified_second(lap.p, comm.W, diag, lap)
             if found is not None:
                 return found[0], CERTIFIED
         with _written_below(comm.W, diag, lap=lap) as A:
@@ -209,48 +212,66 @@ def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((lam, lam[1 : (n + 1) // 2])))
 
 
-def _lower_blocks(n: int):
-    """(rows, mask) per block of rows: ``mask`` marks the strict lower triangle within ``W[rows, :rows.stop]``."""
-    step = max(1, _MASK_ENTRIES // n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        yield slice(lo, hi), np.tri(hi - lo, hi, k=lo - 1, dtype=bool)
+def _each_above(W: np.ndarray, fn) -> None:
+    """fn(rows, cols, where) over W's strict upper triangle, by blocks of _SQUARE_ROWS rows.
+
+    Each block's square on the diagonal goes with a mask of its strict upper
+    triangle; the rest of the block's rows lies wholly above the diagonal and
+    goes whole (where=True), so numpy's unmasked loops cover all but a sliver.
+    """
+    n = W.shape[0]
+    above = ~np.tri(_SQUARE_ROWS, dtype=bool)
+    for lo in range(0, n, _SQUARE_ROWS):
+        hi = min(n, lo + _SQUARE_ROWS)
+        fn(slice(lo, hi), slice(lo, hi), above[: hi - lo, : hi - lo])
+        fn(slice(lo, hi), slice(hi, n), True)
 
 
 @contextmanager
 def _written_below(
     W: np.ndarray, diag: np.ndarray, p: float = 0.0, *, negate: bool = False, lap: CommunicationMatrix | None = None
 ):
-    """W, whose lower triangle holds a symmetric matrix A while the block runs; W comes back bit for bit after.
+    """W.T, whose lower triangle holds a symmetric matrix A while the block runs; W comes back bit for bit after.
 
     A has ``diag`` on its diagonal and, below it, W's entries plus p; with
     ``negate``, 0 - W's entries, so that a zero entry stays +0, whose sign
-    ``eigvalsh`` reads; with ``lap``, that Laplacian's entries plus p.
-    ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` read only the lower
-    triangle, so W's strict upper triangle stays intact while they run. W is
-    then restored: its strict lower triangle copied from the upper one (W is
-    a syrk, exactly symmetric) and its diagonal from a saved copy.
+    ``eigvalsh`` reads; with ``lap``, that Laplacian's entries plus p. They
+    are written into W's upper triangle, the lower one of W.T, which is
+    F-contiguous: ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` copy it
+    into LAPACK's column-major order column by column (a C-ordered matrix
+    costs a strided copy, 3 ms of a 14 ms Cholesky at n=800), and they read
+    only that triangle, so W's strict lower triangle stays intact while they
+    run. W is then restored: its diagonal from a saved copy and, if anything
+    off the diagonal was written, its strict upper triangle from the lower
+    one (W is a syrk, exactly symmetric).
     """
-    n = W.shape[0]
     saved = W.diagonal().copy()
+    off_diagonal = lap is not None or negate or p != 0.0
+
+    def write(rows, cols, where):
+        block = W[rows, cols]
+        if lap is not None:
+            np.copyto(block, p, where=where)
+        elif negate:
+            np.subtract(0.0, block, out=block, where=where)
+        else:
+            np.add(block, p, out=block, where=where)
+
+    def restore(rows, cols, where):
+        np.copyto(W[rows, cols], W[cols, rows].T, where=where)
+
     try:
-        for rows, below in _lower_blocks(n):
-            block = W[rows, : rows.stop]
-            if lap is not None:
-                np.copyto(block, p, where=below)
-            elif negate:
-                np.subtract(0.0, block, out=block, where=below)
-            elif p:
-                np.add(block, p, out=block, where=below)
+        if off_diagonal:
+            _each_above(W, write)
         if lap is not None:
             rows, cols = lap.rows, lap.cols
-            strict = rows > cols
+            strict = rows < cols
             W[rows[strict], cols[strict]] += lap.values[strict]
         np.fill_diagonal(W, diag)
-        yield W
+        yield W.T
     finally:
-        for rows, below in _lower_blocks(n):
-            np.copyto(W[rows, : rows.stop], W[: rows.stop, rows].T, where=below)
+        if off_diagonal:
+            _each_above(W, restore)
         np.fill_diagonal(W, saved)
 
 
@@ -342,22 +363,16 @@ def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMa
     """|R|_1 |R|_inf of the Cholesky factor R of the matrix ``_written_below`` writes into W; None if it does not factor.
 
     Cholesky holds its copy of the matrix and the factor, two n x n arrays,
-    next to W; the norms are summed over blocks of rows of the factor once W
-    is back. A non-finite factor does not count.
+    next to W; the factor's entries are made absolute in place, and its row
+    and column sums are the two norms. A non-finite factor does not count.
     """
     with _written_below(W, diag, p, lap=lap) as A:
         try:
             F = np.linalg.cholesky(A)  # lower, F = R'
         except np.linalg.LinAlgError:
             return None
-    n = W.shape[0]
-    row_sums, col_sums = np.empty(n), np.zeros(n)
-    step = max(1, _BLOCK_ENTRIES // n)
-    for lo in range(0, n, step):
-        block = np.abs(F[lo : lo + step])
-        row_sums[lo : lo + step] = block.sum(axis=1)
-        col_sums += block.sum(axis=0)
-    norm = float(row_sums.max()) * float(col_sums.max())
+    np.abs(F, out=F)
+    norm = float(F.sum(axis=1).max()) * float(F.sum(axis=0).max())
     return norm if math.isfinite(norm) else None
 
 
@@ -474,7 +489,7 @@ def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | No
 
 
 def _metric_spectrum(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum:
-    """M - W's spectrum: cosine sums when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's lower triangle."""
+    """M - W's spectrum: cosine sums when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's upper triangle."""
     m = comm.col_norms_sq
     if comm.circulant:
         row = 0.0 - W[0]

@@ -159,6 +159,27 @@ def test_spectra_marks_certified_bounds(tmp_path, capsys):
     assert row[4:10:2] == [spectral.CERTIFIED] * 3
 
 
+@pytest.mark.parametrize(
+    "graph,marks,kind",
+    [
+        ("kind = erdos_renyi\nn = 600\np = 0.05\nseed = 1", (">=", "<="), spectral.CERTIFIED),
+        ("kind = complete\nn = 5", ("=", "="), spectral.CLOSED_FORM),
+    ],
+    ids=["certified", "exact"],
+)
+def test_certify_marks_certified_scalars(tmp_path, capsys, graph, marks, kind):
+    # certify marks each spectral scalar with the side of its bound, as the
+    # run report and spectra do, and prints = where it is known exactly
+    cfg = write_config(tmp_path, f"[graph]\n{graph}\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 0
+    (line,) = (ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("min_nonzero_eig"))
+    found = re.fullmatch(r"min_nonzero_eig(>=|=)(\S+) max_metric_eig(<=|=)(\S+)", line)
+    assert found and found.group(1, 3) == marks
+    sd = compute_spectral_data(build_problem(parse_experiment_config(cfg)).comm)
+    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (kind, kind)
+    assert (float(found[2]), float(found[4])) == (sd.min_pos_eig_gram, sd.max_eig_metric)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="at c = auto the one-step contraction ratio on complete n=50 exceeds the certified rate "

@@ -22,7 +22,8 @@ from admmnet.objectives import (
     Quadratic,
     aggregate,
     central_solve,
-    estimation_objectives,
+    estimation_rows,
+    quadratic_rows,
     require_curvature,
     soft_threshold,
 )
@@ -253,9 +254,11 @@ def test_soft_threshold_basics():
 
 
 def test_estimation_objectives_targets():
-    objs = estimation_objectives(3)
-    assert [o.target[0] for o in objs] == [1.0, 2.0, 3.0]
-    assert all(o.weight == 1.0 for o in objs)
+    rows = estimation_rows(3, dimension=2)
+    assert rows.target.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]] and rows.tau is None
+    objs = tuple(rows)  # node i's Quadratic, built on read
+    assert [o.target.tolist() for o in objs] == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+    assert all(type(o) is Quadratic and o.weight == 1.0 and o.tau == 0.0 for o in objs)
 
 
 def _kernel_problem(rng, n, d, kinds):
@@ -348,7 +351,7 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
 def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     g = generate_graph("path", 3)
     plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.0), quad(3.0)))
-    assert isinstance(plain._rows, objectives._QuadraticRows) and plain._rows.tau is None
+    assert isinstance(plain._rows, objectives.QuadraticRows) and plain._rows.tau is None
     mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
     assert mixed._rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
     # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
@@ -358,6 +361,29 @@ def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     with_custom = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), custom, l1quad(2.0)))
     assert isinstance(with_custom._rows, objectives._EachRow)
     assert with_custom._rows.objectives is with_custom.objectives
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_stacked_rows_match_per_node_objectives_bit_for_bit(tau):
+    # the CLI's kinds hand stacked rows to the problem; its curvature and the
+    # oracle's sums read them in the order per-node objectives are read
+    rng = np.random.default_rng(7)
+    g = generate_graph("erdos_renyi", 40, p=0.2, seed=7)
+    targets, weights = rng.normal(scale=3.0, size=(40, 3)), rng.uniform(0.5, 2.0, size=40)
+    rows = quadratic_rows(targets, weights, tau)
+    per_node = tuple(Quadratic(target=a, weight=float(w), tau=tau) for a, w in zip(targets, weights))
+    each = objectives._EachRow(per_node)
+    assert rows.curvature() == each.curvature()
+    (lip, tau_sum, taus), (lip_each, tau_sum_each, taus_each) = rows.oracle_terms(), each.oracle_terms()
+    assert (lip, tau_sum) == (lip_each, tau_sum_each) and taus.tobytes() == taus_each.tobytes()
+    stacked, from_nodes = (NetworkProblem(graph=g, comm=laplacian(g), objectives=o) for o in (rows, per_node))
+    assert stacked._rows is rows and aggregate(stacked) == aggregate(from_nodes)
+    a, b = central_solve(stacked), central_solve(from_nodes)
+    assert a.x_star.tobytes() == b.x_star.tobytes() and a.subgrad.tobytes() == b.subgrad.tobytes()
+    assert (a.f_star, a.residual) == (b.f_star, b.residual)
+    assert [(o.kind, o.weight, o.target.tolist()) for o in stacked.objectives] == [
+        (o.kind, o.weight, o.target.tolist()) for o in per_node
+    ]
 
 
 def test_quadratic_subclass_keeps_its_own_methods():

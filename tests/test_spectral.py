@@ -183,8 +183,8 @@ def test_one_eigendecomposition(monkeypatch):
 
 def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypatch):
     # eigvalsh reads the sign of zero entries, so the transient M - W in W's
-    # lower triangle, all that eigvalsh reads, must carry +0.0 where
-    # diag(m) - W does, not the -0.0 of a negated W
+    # upper triangle, the lower one of the W.T that eigvalsh reads and all it
+    # reads, must carry +0.0 where diag(m) - W does, not the -0.0 of a negated W
     seen = []
     fn = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda S, _fn=fn: seen.append(np.array(S)) or _fn(S))
@@ -376,11 +376,35 @@ def test_slot_products_match_dense_products(n, seed, weighted, d):
             np.testing.assert_allclose(got, np.matmul(A, v), **tol)
 
 
+@settings(max_examples=10, deadline=None)
+@given(st.integers(300, 400), st.integers(0, 10_000), st.booleans())
+def test_vector_slot_products_match_the_column_path(n, seed, weighted):
+    # above the product crossover an (n,) operand of P, P' and W runs one
+    # gather, scale and reduceat: bit for bit the (n, 1) operand's column,
+    # which, like every column of (n, d), sums as one (S, d) reduceat would
+    rng = np.random.default_rng(seed)
+    g = generate_graph("erdos_renyi", n, p=float(rng.uniform(0.02, 0.045)), seed=seed)
+    comm = row_scaled_laplacian(rng, g) if weighted else laplacian(g)
+    assert not comm.dense_products
+    P = comm.dense()
+    x = rng.normal(size=n)
+    for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w_by_products, comm.W)):
+        got = got_of(x)
+        assert got.shape == (n,)
+        assert np.array_equal(got.view(np.int64), got_of(x[:, None])[:, 0].view(np.int64))
+        np.testing.assert_allclose(got, A @ x, rtol=1e-12, atol=1e-12 * float(np.abs(A).max()) * n)
+    X = rng.normal(size=(n, 3))
+    rows_at_once = np.add.reduceat(X[comm.cols] * comm.values[:, None], comm.starts, axis=0)
+    assert np.array_equal(comm.p(X).view(np.int64), rows_at_once.view(np.int64))
+    ints = rng.integers(-5, 5, size=n)
+    assert np.array_equal(comm.p(ints), comm.p(ints.astype(float)))
+
+
 def test_stack_products_allocate_at_most_one_dense_array():
     """Peak traced bytes of P and P' on a (T+1, n, 1) stack, in units of one n x n float array.
 
-    The result is 0.25 of one here and the gather buffer of a block of rounds
-    at most another 0.25; gathering all 301 rounds at once would take 6.
+    The result is 0.25 of one here; each column gathers into n + 2|E|
+    entries, 0.02 of one; gathering all 301 rounds at once would take 6.
     """
     n, T = 1200, 300
     g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
@@ -394,7 +418,7 @@ def test_stack_products_allocate_at_most_one_dense_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (8 * n * n) <= 1.0
+        assert peak / (8 * n * n) <= 0.5
 
 
 @pytest.mark.parametrize(
@@ -523,7 +547,7 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighte
     else:
         with pytest.raises(EigNoConvergenceError):
             compute_spectral_data(comm)
-        assert seen[0] is seen[1]  # the metric block lives in W's storage
+        assert seen[0] is comm.W and seen[1].base is comm.W  # the metric block lives in W's storage
     assert comm.W.tobytes() == want
 
 
@@ -532,8 +556,9 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighte
 
 def test_cholesky_reads_only_the_lower_triangle():
     # each certificate's matrix, and M - W and the Laplacian for eigvalsh, is
-    # written into W's lower triangle while its upper triangle keeps W, which
-    # is restored from it
+    # written into W's upper triangle, the lower one of the F-contiguous W.T
+    # that both solvers read, while W's lower triangle keeps W, from which
+    # the upper one is restored
     rng = np.random.default_rng(0)
     B = rng.normal(size=(60, 60))
     A = B @ B.T + 60.0 * np.eye(60)
@@ -541,6 +566,55 @@ def test_cholesky_reads_only_the_lower_triangle():
     upper_nan[np.triu_indices(60, 1)] = np.nan
     assert np.array_equal(np.linalg.cholesky(upper_nan), np.linalg.cholesky(A))
     assert np.array_equal(np.linalg.eigvalsh(upper_nan).view(np.int64), np.linalg.eigvalsh(A).view(np.int64))
+    storage = A.copy()
+    storage[np.tril_indices(60, -1)] = np.nan  # W's lower triangle, not A's
+    view = storage.T
+    assert view.flags.f_contiguous and np.isnan(view[np.triu_indices(60, 1)]).all()
+    assert np.array_equal(np.linalg.cholesky(view), np.linalg.cholesky(A))
+    assert np.array_equal(np.linalg.eigvalsh(view).view(np.int64), np.linalg.eigvalsh(A).view(np.int64))
+
+
+@pytest.mark.parametrize("mode", ["diagonal", "plus-p", "negate", "laplacian"])
+@pytest.mark.parametrize("raises", [False, True])
+def test_written_below_restores_w_bit_for_bit(monkeypatch, mode, raises):
+    # every mode yields W.T with the matrix in its lower triangle and gives W
+    # back bit for bit, also when the block raises; the diagonal-only mode
+    # (the M - W certificate) writes and restores only the diagonal
+    n = 90
+    g = generate_graph("erdos_renyi", n, p=0.1, seed=4)
+    comm = row_scaled_laplacian(np.random.default_rng(4), g)
+    W = comm.W
+    want = W.copy()
+    diag = np.random.default_rng(5).normal(size=n)
+    kwargs = {
+        "diagonal": {},
+        "plus-p": {"p": 0.3},
+        "negate": {"negate": True},
+        "laplacian": {"p": 0.3, "lap": comm.graph_laplacian()},
+    }[mode]
+    below = {
+        "diagonal": want,
+        "plus-p": want + 0.3,
+        "negate": 0.0 - want,
+        "laplacian": comm.graph_laplacian().dense() + 0.3,
+    }[mode]
+    passes = []
+    fn = spectral._each_above
+    monkeypatch.setattr(spectral, "_each_above", lambda W, op: passes.append(op.__name__) or fn(W, op))
+    strict = np.tril_indices(n, -1)
+    try:
+        with spectral._written_below(W, diag, **kwargs) as A:
+            assert A.base is W and A.flags.f_contiguous
+            assert np.array_equal(A[strict], below[strict])
+            assert not np.signbit(A[strict][A[strict] == 0.0]).any()
+            assert np.array_equal(np.diagonal(A), diag)
+            assert np.array_equal(W[strict], want[strict])  # W's lower triangle is left alone
+            if raises:
+                raise EigNoConvergenceError("refused")
+    except EigNoConvergenceError:
+        assert raises
+    assert W.tobytes() == want.tobytes()
+    assert passes == ([] if mode == "diagonal" else ["write", "restore"])
 
 
 @pytest.mark.parametrize("n", [600, 800])
@@ -753,7 +827,7 @@ def test_relabeled_circulant_connectivity_matches_the_closed_form():
 def test_exact_connectivity_builds_no_dense_laplacian(kind, kw):
     """Traced numpy peak of the first read of a(G), in units of one n x n float array.
 
-    The Laplacian is written into W's lower triangle, and eigvalsh's copy of
+    The Laplacian is written into W's upper triangle, and eigvalsh's copy of
     it is allocated outside numpy; what shows is the row-block masks and the
     slot indices. A dense Laplacian would be one whole array.
     """
