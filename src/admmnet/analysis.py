@@ -18,6 +18,10 @@ metric block:
     best gain    = (1/2) sqrt(2 lam_min^2 / (lam_max (2 + lam_min)) / kappa)
 * degree/connectivity relaxations of the spectral quantities when the
   communication matrix is the graph Laplacian.
+
+`run` and `check` judge the per-round table with one function per
+certificate: ``sublinear_check`` for the two ergodic bounds and
+``contraction_check`` for the contraction.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 
 from .errors import (
     BoundViolatedError,
-    ContractionViolatedError,
     DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
@@ -318,30 +321,29 @@ def _verdict(ts: np.ndarray, values: np.ndarray, bounds) -> Verdict:
     )
 
 
-def judge_table(
-    table: Mapping[str, np.ndarray],
-    sublinear: SublinearBound | None = None,
-    contraction_bound: float | None = None,
-) -> dict[str, Verdict]:
-    """Judge the per-round table (trace CSV columns) against the certificates.
+def sublinear_check(table: Mapping[str, np.ndarray], bounds: SublinearBound) -> tuple[Verdict, Verdict]:
+    """Objective and feasibility verdicts of the per-round table (trace CSV columns).
 
-    With ``sublinear`` the |ergodic_obj_gap| and feasibility columns are
-    judged against its envelopes at each row's t ("objective",
-    "feasibility"); with ``contraction_bound`` the contraction_ratio column
-    is judged against it ("contraction"), skipping nan ratios, whose
-    previous distance fell below RATIO_FLOOR (``contraction_ratios``). Only
-    the columns judged and ``t`` need to be present.
+    The |ergodic_obj_gap| and feasibility columns are judged against the
+    envelopes of ``bounds`` at each row's t; only those columns and ``t``
+    need to be present.
     """
     ts = table["t"]
-    verdicts = {}
-    if sublinear is not None:
-        verdicts["objective"] = _verdict(ts, np.abs(table["ergodic_obj_gap"]), sublinear.objective_bound(ts))
-        verdicts["feasibility"] = _verdict(ts, table["feasibility"], sublinear.feasibility_bound(ts))
-    if contraction_bound is not None:
-        ratios = table["contraction_ratio"]
-        live = ~np.isnan(ratios)
-        verdicts["contraction"] = _verdict(ts[live], ratios[live], contraction_bound)
-    return verdicts
+    return (
+        _verdict(ts, np.abs(table["ergodic_obj_gap"]), bounds.objective_bound(ts)),
+        _verdict(ts, table["feasibility"], bounds.feasibility_bound(ts)),
+    )
+
+
+def contraction_check(table: Mapping[str, np.ndarray], rate: float) -> Verdict:
+    """Verdict of the table's contraction_ratio column against the certified ``rate``.
+
+    nan ratios, whose previous distance fell below RATIO_FLOOR
+    (``contraction_ratios``), are not judged.
+    """
+    ratios = table["contraction_ratio"]
+    live = ~np.isnan(ratios)
+    return _verdict(table["t"][live], ratios[live], rate)
 
 
 def ergodic_errors(
@@ -353,53 +355,18 @@ def ergodic_errors(
     return gaps, np.sqrt(_gram_form(spectral, erg))
 
 
-def contraction_ratios(dist: np.ndarray, floor: float = RATIO_FLOOR) -> np.ndarray:
+def contraction_ratios(dist: np.ndarray) -> np.ndarray:
     """One-step ratios dist[t] / dist[t-1] for t = 1..T.
 
-    nan (not judged) where dist[t-1] is finite and below ``floor``; inf
+    nan (not judged) where dist[t-1] is finite and below RATIO_FLOOR; inf
     (judged, so failing) wherever else a distance makes the ratio non-finite.
     """
     prev = dist[:-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = dist[1:] / prev
     ratios[~np.isfinite(ratios)] = np.inf
-    ratios[np.isfinite(prev) & (prev < floor)] = np.nan
+    ratios[np.isfinite(prev) & (prev < RATIO_FLOOR)] = np.nan
     return ratios
-
-
-@dataclass(frozen=True)
-class SublinearReport:
-    obj_gap: np.ndarray = field(repr=False)  # |F(xhat(T)) - F*| for T = 1..T
-    obj_bound: np.ndarray = field(repr=False)
-    feasibility: np.ndarray = field(repr=False)  # |Q xhat(T)|
-    feas_bound: np.ndarray = field(repr=False)
-    ok: bool = True
-
-
-def sublinear_check(
-    trace: AdmmTrace,
-    bounds: SublinearBound,
-    optimal: OptimalPoint,
-    spectral: SpectralData,
-    problem: NetworkProblem,
-) -> SublinearReport:
-    """Verify both ergodic envelopes at every T of a zero-initialized run.
-
-    Raises BoundViolatedError at the worst violating round.
-    """
-    ts = np.arange(1, trace.T + 1)
-    gaps, feas = ergodic_errors(trace, problem, spectral, optimal)
-    report = SublinearReport(
-        obj_gap=np.abs(gaps),
-        obj_bound=bounds.objective_bound(ts),
-        feasibility=feas,
-        feas_bound=bounds.feasibility_bound(ts),
-    )
-    table = {"t": ts, "ergodic_obj_gap": gaps, "feasibility": feas}
-    for what, v in judge_table(table, sublinear=bounds).items():
-        if not v.passed:
-            raise BoundViolatedError(v.worst_t, v.value, v.bound, what=f"{what} bound")
-    return report
 
 
 def gap_inequality_check(
@@ -437,32 +404,6 @@ def gap_inequality_check(
         t = int(bad[0])
         raise BoundViolatedError(t + 1, float(lhs[t]), float(rhs[t]), what="one-step gap inequality")
     return margins
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    ratios: np.ndarray = field(repr=False)  # nan where the denominator vanished
-    bound: float = 1.0
-    checked: int = 0
-    converged: bool = False
-
-
-def contraction_check(
-    trace: AdmmTrace,
-    aux: AuxSequences,
-    cert: RateCertificate,
-    denom_floor: float = RATIO_FLOOR,
-) -> ContractionReport:
-    """Assert the per-iteration metric contraction at the certificate rate.
-
-    Raises ContractionViolatedError at the worst violating round.
-    """
-    ratios = contraction_ratios(aux.metric_dist_sq, denom_floor)
-    table = {"t": np.arange(1, trace.T + 1), "contraction_ratio": ratios}
-    v = judge_table(table, contraction_bound=cert.rate)["contraction"]
-    if not v.passed:
-        raise ContractionViolatedError(v.worst_t, v.value, v.bound)
-    return ContractionReport(ratios=ratios, bound=cert.rate, checked=v.judged, converged=v.judged < trace.T)
 
 
 # --- Laplacian network bounds ------------------------------------------------

@@ -108,19 +108,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         f" storage_vectors={trace.accounting.storage_vectors}",
     ]
     record = _Recorder(lines)
-    verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
     try:
         psd_certificates(spectral)
         lows = (_is(s.kind, ">=", "") + fmt(s.min) for s in (spectral.eig_gram, spectral.eig_metric))
         record("psd", True, f"min eigs {', '.join(lows)}")
     except CertificateFailedError as exc:
         record("psd", False, str(exc))
-    obj, feas = verdicts["objective"], verdicts["feasibility"]
+    obj, feas = analysis.sublinear_check(table, sublinear)
     record("sublinear", obj.passed and feas.passed, f"objective {_worst(obj)}, feasibility {_worst(feas)}")
     if rate is None:
         lines.append("check contraction: SKIP (no curvature metadata)")
     else:
-        v = verdicts["contraction"]
+        v = analysis.contraction_check(table, rate)
         detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
         if v.judged < trace.T:
             detail += ", converged"
@@ -256,13 +255,12 @@ def check_experiment(cfg: ExperimentConfig, trace_path) -> int:
         *_, expected, sublinear, rate = _run_config(cfg)
         worst = reporting.replay_deviation(table, expected)
         record("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
-        verdicts = analysis.judge_table(table, sublinear=sublinear, contraction_bound=rate)
-        for name in ("objective", "feasibility"):
-            record(f"sublinear_{name}", verdicts[name].passed, _worst(verdicts[name]))
+        for name, v in zip(("objective", "feasibility"), analysis.sublinear_check(table, sublinear)):
+            record(f"sublinear_{name}", v.passed, _worst(v))
         if rate is None:
             lines.append("check contraction: SKIP (no curvature metadata)")
         else:
-            v = verdicts["contraction"]
+            v = analysis.contraction_check(table, rate)
             record("contraction", v.passed, f"bound {fmt(rate)}, {_worst(v)}")
     sys.stdout.write("".join(line + "\n" for line in lines))
     return 1 if record.failures else 0

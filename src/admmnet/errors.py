@@ -155,14 +155,6 @@ class OptimizationBracketFailureError(AnalysisError):
     pass
 
 
-class ContractionViolatedError(AnalysisError):
-    def __init__(self, t: int, ratio: float, bound: float):
-        super().__init__(f"contraction violated at t={t}: ratio {ratio:.12g} > bound {bound:.12g}")
-        self.t = t
-        self.ratio = ratio
-        self.bound = bound
-
-
 class BoundViolatedError(AnalysisError):
     def __init__(self, T: int, lhs: float, rhs: float, what: str = "bound"):
         super().__init__(f"{what} violated at T={T}: {lhs:.12g} > {rhs:.12g}")

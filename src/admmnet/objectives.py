@@ -26,6 +26,7 @@ are stacked once, on first use.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -493,6 +494,18 @@ def require_curvature(problem: NetworkProblem) -> tuple[float, float]:
     return aggregate(problem).curvature()
 
 
+def _node_sum(G: np.ndarray) -> np.ndarray:
+    """Sum over the nodes (rows) of G, each column rounded once by ``math.fsum``.
+
+    A float sum rounds at every step, with an error that grows with n. Where
+    the exact sum is not finite (an overflowing iterate) it is numpy's.
+    """
+    try:
+        return np.array([math.fsum(G[:, j]) for j in range(G.shape[1])])
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        return G.sum(axis=0)
+
+
 def central_solve(problem: NetworkProblem) -> OptimalPoint:
     """Solve min_x sum_i f_i(x) on R^d and stack the result.
 
@@ -507,13 +520,14 @@ def central_solve(problem: NetworkProblem) -> OptimalPoint:
     smooth part is isotropic with curvature exactly sum_i w_i, so the first
     step lands on soft(sum_i w_i a_i / sum_i w_i, sum_i tau_i / sum_i w_i).
     The per-node subgradients g_i recorded in the result share a single l1
-    sign vector, so their node-sum equals the reported residual.
+    sign vector, so their node-sum equals the reported residual. Both
+    node-sums are exact up to one final rounding (``_node_sum``).
     """
     lip_total, tau_total, taus = problem._rows.oracle_terms()
     x = np.zeros(problem.dimension)
     xi = np.zeros_like(x)  # shared sign vector of the l1 terms
     G = problem.smooth_gradients(np.zeros((problem.n, x.size)))
-    gs = G.sum(axis=0)
+    gs = _node_sum(G)
     residual = float(np.linalg.norm(gs))
     if lip_total > 0.0:  # else no smooth curvature at all: the l1 sum is minimized at 0
         eta = 1.0 / lip_total
@@ -523,7 +537,7 @@ def central_solve(problem: NetworkProblem) -> OptimalPoint:
             if tau_total > 0:
                 xi = (u - x) / (eta * tau_total)
             G = problem.smooth_gradients(np.broadcast_to(x, G.shape))
-            gs = G.sum(axis=0)
+            gs = _node_sum(G)
             residual = float(np.linalg.norm(gs + tau_total * xi))
             if residual <= ORACLE_TOL or residual <= ORACLE_ROUNDING * float(
                 np.linalg.norm(np.abs(G).sum(axis=0) + tau_total * np.abs(xi) + lip_total * np.abs(x))

@@ -325,7 +325,7 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool, trace: float | None =
         # theta: `eigh` would page in LAPACK code (1.2 MB resident) that no
         # other path runs, while `eigvalsh` serves the exact path too
         shift = theta[end] - (1 if lowest else -1) * 1e-13 * (abs(theta[0]) + abs(theta[-1]))
-        s = _shifted_ones_solve(alpha[: k + 1], beta[:k], shift)
+        s = np.linalg.solve(T - shift * np.eye(k + 1), np.ones(k + 1))
         r = float(beta[k] * abs(s[-1]) / np.linalg.norm(s))
         gap = float(abs(theta[near] - theta[end])) if k else 0.0
         if (r if gap <= r else r * r / gap) <= LANCZOS_RTOL * abs(theta[end]):
@@ -333,30 +333,6 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool, trace: float | None =
         if exhausted:
             return None
     return None
-
-
-def _shifted_ones_solve(diag: np.ndarray, off: np.ndarray, shift: float) -> np.ndarray:
-    """s with (T - shift I) s = 1, for the symmetric tridiagonal T with ``diag`` and ``off``, by the LDL' recurrence.
-
-    The shift lies just outside T's spectrum, so T - shift I is definite and
-    its LDL' factorization needs no pivoting: every pivot d_i has the sign
-    of its definiteness. L z = 1 runs forward and D L' s = z backward.
-    It stands in for one call of numpy's dense solve on T - shift I only
-    because the CI step that keeps products and solves with P or W out of
-    this module greps for that call by name, whatever the matrix; T is at most
-    (LANCZOS_STEPS + 1)-square, so the loop costs little.
-    """
-    a, b = (diag - shift).tolist(), off.tolist()
-    d, z = [a[0]], [1.0]
-    for i, bi in enumerate(b):
-        li = bi / d[i]
-        d.append(a[i + 1] - li * bi)
-        z.append(1.0 - li * z[i])
-    s = [0.0] * len(a)
-    s[-1] = z[-1] / d[-1]
-    for i in range(len(b) - 1, -1, -1):
-        s[i] = (z[i] - b[i] * s[i + 1]) / d[i]
-    return np.array(s)
 
 
 def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None) -> float | None:

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from admmnet import graph
+from admmnet import analysis, graph, reporting
 from admmnet.graph import build_graph, custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
@@ -21,6 +21,11 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.
             if (i, j) not in edges and rng.random() < extra_p:
                 edges.add((i, j))
     return build_graph(n, sorted(edges))
+
+
+def trace_table(trace, problem, sd, opt, c: float) -> dict:
+    """The per-round table that `run` writes and judges, for a run at penalty c."""
+    return reporting.trace_rows(trace, problem, sd, opt, analysis.aux_sequences(trace, sd, opt, c))
 
 
 def edge_weighted_laplacian(rng: np.random.Generator, g):

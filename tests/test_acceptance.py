@@ -18,7 +18,7 @@ from admmnet.objectives import (
     estimation_problem,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import random_connected_graph
+from conftest import random_connected_graph, trace_table
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -73,15 +73,9 @@ def test_criterion_4_sublinear_bounds():
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, sd, opt.x_star, 1.0)
-    ok = True
-    detail = ""
-    try:
-        rep = analysis.sublinear_check(trace, bounds, opt, sd, prob)
-        worst_obj = float(np.max(rep.obj_gap - rep.obj_bound))
-        worst_feas = float(np.max(rep.feasibility - rep.feas_bound))
-        detail = f"worst margins obj {worst_obj:.3e}, feas {worst_feas:.3e}"
-    except analysis.BoundViolatedError as exc:  # pragma: no cover
-        ok, detail = False, str(exc)
+    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt, 1.0), bounds)
+    ok = obj.passed and feas.passed
+    detail = f"worst margins obj {obj.worst_margin:.3e} (t={obj.worst_t}), feas {feas.worst_margin:.3e} (t={feas.worst_t})"
     for T in range(1, 1001):
         if bounds.objective_bound(T) > 37.34 / T:
             ok, detail = False, f"objective bound exceeds 37.34/T at T={T}"
@@ -97,14 +91,11 @@ def test_criterion_5_linear_rate():
     c = cert.best_penalty
     trace = admm.run(prob, admm.RunConfig(c=c, T=250))
     aux = analysis.aux_sequences(trace, sd, opt, c)
-    ok = True
-    detail = f"bound {cert.best_rate:.6f}"
-    try:
-        rep = analysis.contraction_check(trace, aux, cert, denom_floor=1e-20)
-        valid = rep.ratios[~np.isnan(rep.ratios)]
-        detail += f", max ratio {float(np.max(valid)):.6f}, checked {rep.checked}"
-    except analysis.ContractionViolatedError as exc:  # pragma: no cover
-        ok, detail = False, str(exc)
+    table = reporting.trace_rows(trace, prob, sd, opt, aux)
+    v = analysis.contraction_check(table, cert.rate)
+    ratios = table["contraction_ratio"]
+    ok = v.passed and v.judged > 0
+    detail = f"bound {cert.best_rate:.6f}, max ratio {float(np.max(ratios[~np.isnan(ratios)])):.6f}, checked {v.judged}"
     q0 = aux.metric_dist_sq[0]
     dist = np.sum((trace.xs - opt.x_star) ** 2, axis=(1, 2))
     for t in range(trace.T + 1):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from admmnet import admm, analysis, graph, reporting, spectral
 from admmnet.errors import (
     BoundViolatedError,
-    ContractionViolatedError,
     DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
@@ -28,7 +27,7 @@ from admmnet.objectives import (
     estimation_problem,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import edge_weighted_laplacian, random_connected_graph, with_slot_products
+from conftest import edge_weighted_laplacian, random_connected_graph, trace_table, with_slot_products
 
 # hand-derived constants for the complete triangle with unit weights
 K3_BEST_PENALTY = math.sqrt(1.0 / 15.0)
@@ -233,11 +232,13 @@ def test_sublinear_bounds_zero_subgradient(k3_spectral, k3_optimal):
 def test_sublinear_check_k3(k3_problem, k3_spectral, k3_optimal):
     agg = aggregate(k3_problem, k3_optimal)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=300))
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0)
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, k3_spectral, k3_optimal.x_star, 1.0)
-    report = analysis.sublinear_check(trace, bounds, k3_optimal, k3_spectral, k3_problem)
-    assert report.ok
-    assert np.all(report.obj_gap <= report.obj_bound + 1e-9)
-    assert np.all(report.feasibility <= report.feas_bound + 1e-9)
+    obj, feas = analysis.sublinear_check(table, bounds)
+    assert obj.passed and feas.passed and obj.judged == feas.judged == 300
+    ts = table["t"]
+    assert np.all(np.abs(table["ergodic_obj_gap"]) <= bounds.objective_bound(ts) + 1e-9)
+    assert np.all(table["feasibility"] <= bounds.feasibility_bound(ts) + 1e-9)
 
 
 def test_sublinear_check_l1_instance(p3):
@@ -252,8 +253,8 @@ def test_sublinear_check_l1_instance(p3):
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=400))
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, sd, opt.x_star, 1.0)
-    report = analysis.sublinear_check(trace, bounds, opt, sd, prob)
-    assert report.ok
+    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt, 1.0), bounds)
+    assert obj.passed and feas.passed
 
 
 def test_sublinear_check_detects_violation(k3_problem, k3_spectral, k3_optimal):
@@ -265,11 +266,12 @@ def test_sublinear_check_detects_violation(k3_problem, k3_spectral, k3_optimal):
         x_star_norm_sq=1e-6,
         penalty=1.0,
     )
-    with pytest.raises(BoundViolatedError):
-        analysis.sublinear_check(trace, shrunk, k3_optimal, k3_spectral, k3_problem)
+    obj, _ = analysis.sublinear_check(trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0), shrunk)
+    # the worst round is the first, whose ergodic gap is F(x(1)) - F* = 29/7
+    assert not obj.passed and obj.worst_t == 1 and obj.value == pytest.approx(29.0 / 7.0, rel=1e-12)
 
 
-def test_judge_table_reports_worst_rounds(k3_spectral, k3_optimal):
+def test_checks_report_worst_rounds(k3_spectral, k3_optimal):
     # K3 envelopes at U = sqrt(2), c = 1: 112/(3t) and 113/(3t)
     bounds = analysis.sublinear_bounds(math.sqrt(2.0), k3_spectral, k3_optimal.x_star, 1.0)
     table = {
@@ -278,15 +280,15 @@ def test_judge_table_reports_worst_rounds(k3_spectral, k3_optimal):
         "feasibility": np.ones(4),
         "contraction_ratio": np.array([0.5, math.nan, 0.9, 0.7]),
     }
-    verdicts = analysis.judge_table(table, bounds, contraction_bound=0.8)
-    obj, feas, con = verdicts["objective"], verdicts["feasibility"], verdicts["contraction"]
+    obj, feas = analysis.sublinear_check(table, bounds)
+    con = analysis.contraction_check(table, 0.8)
     assert not obj.passed and obj.worst_t == 4 and obj.value == 20.0
     assert obj.bound == bounds.objective_bound(4)
     assert feas.passed and feas.worst_t == 4 and feas.worst_margin < 0.0
     # the nan ratio is not judged; t=3 exceeds the bound
     assert not con.passed and con.worst_t == 3 and con.judged == 3
     table["feasibility"][1] = math.nan
-    nan_feas = analysis.judge_table(table, bounds)["feasibility"]
+    _, nan_feas = analysis.sublinear_check(table, bounds)
     assert not nan_feas.passed and nan_feas.worst_t == 2
 
 
@@ -309,7 +311,7 @@ def test_contraction_ratios_judge_every_non_finite_distance():
     got = analysis.contraction_ratios(np.array([1.0, 1e-30, 0.5, -0.0, math.nan]))
     np.testing.assert_array_equal(got, [1e-30, math.nan, 0.0, math.nan])
     table = {"t": np.arange(1, 6), "contraction_ratio": analysis.contraction_ratios(np.array([1.0, 0.5, math.nan, 1.0, 0.5, 0.2]))}
-    v = analysis.judge_table(table, contraction_bound=0.9)["contraction"]
+    v = analysis.contraction_check(table, 0.9)
     assert (v.passed, v.judged, v.worst_t, v.value) == (False, 5, 2, math.inf)
 
 
@@ -318,10 +320,10 @@ def test_contraction_check_certified_rates(k3_problem, k3_spectral, k3_optimal):
         cert = analysis.optimize_rate(1.0, 1.0, k3_spectral, c=c)
         assert cert.gain == pytest.approx(gain, rel=1e-9)
         trace = admm.run(k3_problem, admm.RunConfig(c=c, T=150))
-        aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, c)
-        report = analysis.contraction_check(trace, aux, cert)
-        valid = report.ratios[~np.isnan(report.ratios)]
-        assert np.all(valid <= report.bound + 1e-9)
+        table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, c)
+        assert analysis.contraction_check(table, cert.rate).passed
+        ratios = table["contraction_ratio"]
+        assert np.all(ratios[~np.isnan(ratios)] <= cert.rate + 1e-9)
 
 
 def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
@@ -330,33 +332,19 @@ def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
     opt = central_solve(prob)
     init = (np.full((3, 1), 4.0), np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=10, init=init))
-    aux = analysis.aux_sequences(trace, k3_spectral, opt, 1.0)
+    table = trace_table(trace, prob, k3_spectral, opt, 1.0)
     cert = analysis.optimize_rate(1.0, 1.0, k3_spectral, c=1.0)
-    report = analysis.contraction_check(trace, aux, cert)
-    assert report.checked == 0
-    assert report.converged
-    assert np.all(np.isnan(report.ratios))
+    v = analysis.contraction_check(table, cert.rate)
+    assert v.passed and v.judged == 0 and v.worst_t == 0
+    assert np.all(np.isnan(table["contraction_ratio"]))
 
 
-def test_contraction_check_raises_on_absurd_gain(k3_problem, k3_spectral, k3_optimal):
+def test_contraction_check_fails_on_absurd_gain(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
-    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
-    cert = analysis.optimize_rate(1.0, 1.0, k3_spectral, c=1.0)
-    absurd = analysis.RateCertificate(
-        penalty=cert.penalty,
-        balance=cert.balance,
-        gain=1e6,
-        rate=1.0 / (1.0 + 1e6),
-        best_penalty=cert.best_penalty,
-        best_balance=cert.best_balance,
-        best_gain=cert.best_gain,
-        best_rate=cert.best_rate,
-        condition_number=cert.condition_number,
-        min_pos_eig_gram=cert.min_pos_eig_gram,
-        max_eig_metric=cert.max_eig_metric,
-    )
-    with pytest.raises(ContractionViolatedError):
-        analysis.contraction_check(trace, aux, absurd)
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0)
+    absurd = 1.0 / (1.0 + 1e6)
+    v = analysis.contraction_check(table, absurd)
+    assert not v.passed and v.bound == absurd and v.worst_margin > analysis.BOUND_SLACK
 
 
 def test_laplacian_bounds_k3(k3):
@@ -411,11 +399,11 @@ def test_laplacian_bounds_random_graphs():
 def test_empirical_rate_beats_certificate(k3_problem, k3_spectral, k3_optimal):
     cert = analysis.optimize_rate(1.0, 1.0, k3_spectral)
     trace = admm.run(k3_problem, admm.RunConfig(c=cert.best_penalty, T=120))
-    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, cert.best_penalty)
-    report = analysis.contraction_check(trace, aux, cert)
-    valid = report.ratios[~np.isnan(report.ratios)]
-    fitted = float(np.exp(np.mean(np.log(valid))))
-    assert fitted <= report.bound + 1e-9
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, cert.best_penalty)
+    assert analysis.contraction_check(table, cert.rate).passed
+    ratios = table["contraction_ratio"]
+    fitted = float(np.exp(np.mean(np.log(ratios[~np.isnan(ratios)]))))
+    assert fitted <= cert.rate + 1e-9
 
 
 # --- the whole-trace pass against per-round loops --------------------------

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import re
 import tracemalloc
@@ -13,6 +14,7 @@ from admmnet import analysis, cli, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
 from admmnet.graph import generate_graph, laplacian, write_graph_file
+from admmnet.objectives import NetworkProblem
 from admmnet.spectral import compute_spectral_data
 
 K3_CONFIG = """
@@ -31,7 +33,24 @@ init = zero
 """
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+L1_CONFIG = """
+[graph]
+kind = path
+n = 3
+
+[objective]
+kind = l1_quadratic
+a = -1, 0, 2
+w = 1
+tau = 0.5
+
+[admm]
+c = 1.0
+T = 50
+"""
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def write_config(tmp_path, text=K3_CONFIG, name="exp.ini"):
@@ -345,6 +364,45 @@ def test_benchmark_tracer_follows_run_and_check(tmp_path, monkeypatch, engine):
     assert tracer.counts["admm.trace_bytes"] > 0
 
 
+def test_benchmark_span_targets_exist(monkeypatch):
+    # every (owner, attribute) the benchmark wraps by name is still there
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from spans import SPAN_TARGETS
+
+    def owner(name):
+        return NetworkProblem if name == "NetworkProblem" else importlib.import_module(f"admmnet.{name}")
+
+    assert [(o, attr) for o, attr, _ in SPAN_TARGETS if attr not in vars(owner(o))] == []
+
+
+@pytest.mark.parametrize("text,judged", [(K3_CONFIG, True), (L1_CONFIG, False)], ids=["curved", "no-curvature"])
+def test_run_and_check_judge_through_the_two_checks(tmp_path, monkeypatch, capsys, text, judged):
+    # each command takes every certificate's verdict from its one check:
+    # sublinear_check once, contraction_check once unless contraction reads SKIP
+    calls = []
+
+    def counting(name):
+        check = getattr(analysis, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return check(*args)
+
+        return wrapper
+
+    for name in ("sublinear_check", "contraction_check"):
+        monkeypatch.setattr(analysis, name, counting(name))
+    cfg = write_config(tmp_path, text.replace("T = 200", "T = 30"))
+    out = tmp_path / "out"
+    want = ["sublinear_check", "contraction_check"] if judged else ["sublinear_check"]
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == want
+    calls.clear()
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert calls == want
+    assert ("check contraction: SKIP" in capsys.readouterr().out) is not judged
+
+
 def test_invalid_graph_file_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3 1\n0 x\n")
@@ -392,22 +450,7 @@ def test_config_rejects_bad_engine(tmp_path):
 
 
 def test_config_explicit_objective(tmp_path):
-    text = """
-[graph]
-kind = path
-n = 3
-
-[objective]
-kind = l1_quadratic
-a = -1, 0, 2
-w = 1
-tau = 0.5
-
-[admm]
-c = 1.0
-T = 50
-"""
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, L1_CONFIG)
     parsed = parse_experiment_config(cfg)
     assert parsed.objective.preset is None
     assert parsed.objective.targets == ((-1.0,), (0.0,), (2.0,))

@@ -700,21 +700,6 @@ def test_long_path_lanczos_gives_up_on_the_trace_term(monkeypatch):
     assert all(steps < spectral.LANCZOS_STEPS and not found for steps, found in runs)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 60), st.integers(0, 10_000), st.booleans())
-def test_shifted_ones_solve_matches_a_dense_solve(k, seed, lowest):
-    # the inverse-iteration solve of _ritz_ends, with the shift just outside
-    # the tridiagonal's spectrum on either side, as Lanczos places it
-    rng = np.random.default_rng(seed)
-    diag, off = rng.uniform(-2.0, 5.0, size=k), rng.uniform(0.1, 2.0, size=k - 1)
-    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    theta = np.linalg.eigvalsh(T)
-    shift = theta[0] - 1e-3 if lowest else theta[-1] + 1e-3
-    want = np.linalg.solve(T - shift * np.eye(k), np.ones(k))
-    got = spectral._shifted_ones_solve(diag, off, shift)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-
-
 def test_failing_cholesky_falls_back_to_eigvalsh(monkeypatch):
     g = generate_graph("erdos_renyi", 600, p=0.05, seed=1)
     with mock.patch.object(spectral, "CERTIFY_MIN_N", 10**9):
