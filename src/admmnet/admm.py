@@ -39,6 +39,11 @@ keeps its operand order, so the traces are bit-identical to evaluating the
 round formulas above as plain array expressions (the tests hold a
 reference of each). Both engines raise
 NonFiniteIterateError after a round that leaves a non-finite estimate.
+
+The analysis reads a trace in blocks of SWEEP_ROUNDS rounds and carries
+sums across blocks with ``running_sums``. ``recurrence_residuals`` checks
+the recurrence in its reduced form M^-1 [P'(p + c y) / c - W (x + S)],
+with its W part from the sweep of ``analysis.aux_sequences``.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ import numpy as np
 from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
 from .graph import CommunicationMatrix, Graph
 from .objectives import NetworkProblem
+
+SWEEP_ROUNDS = 64  # rounds per block of the analysis
 
 
 @dataclass(frozen=True)
@@ -235,45 +242,54 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
 
-def implicit_subgradients(trace: AdmmTrace, comm: CommunicationMatrix) -> np.ndarray:
-    """Subgradients h(x(t+1)) implied by prox optimality, shape (T, n, d).
+def running_sums(block: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
+    """Turn a (k, n, d) block of rounds into its running sums in place, continued from ``carry``; returns the block.
 
-    h = c m (v - x(t+1)) row-wise, where v is the prox center of round t+1.
+    ``carry`` is the sum through the round before the block, None for the
+    first block. Row 0 becomes ``carry + block[0]``, each later row the row
+    before plus its round: the order of one ``np.cumsum`` over the stack,
+    so its bits. numpy's accumulate pays per (n, d) entry, a loop of row adds
+    per round: at 64 rounds (one thread) the accumulate took 0.8x the loop's
+    time at n d = 200 and 4-5x at n d = 1600, so wider rows take the loop.
     """
-    c = trace.c
-    rho = _prox_weights(comm, c, trace.dimension)
-    hs = trace.xs[:-1] - comm.pt(trace.ps[:-1] + c * trace.ys[:-1]) / rho
-    hs -= trace.xs[1:]
-    hs *= rho
-    return hs
+    rows = list(block)
+    if carry is not None:
+        np.add(carry, rows[0], out=rows[0])
+    if rows[0].size <= 4 * len(rows):
+        return np.cumsum(block, axis=0, out=block)
+    for prev, row in zip(rows, rows[1:]):
+        np.add(prev, row, out=row)
+    return block
 
 
-def recurrence_residuals(trace: AdmmTrace, spectral) -> np.ndarray:
+def recurrence_residuals(trace: AdmmTrace, spectral, recurrence_w: np.ndarray) -> np.ndarray:
     """Inf-norm residual of the eliminated-variable recurrence, per round.
 
     After eliminating y and p, each round satisfies
     x(t+1) = -(1/c) M^-1 h(x(t+1)) + (I - M^-1 W) x(t) - M^-1 W sum_{s<=t} x(s)
-    with M = diag(m) and W the weighted Gram matrix of ``spectral.comm``. The
-    returned vector holds the residual of that identity for t = 0..T-1.
+    with M = diag(m), W the weighted Gram matrix of ``spectral.comm`` and
+    h(x(t+1)) = c M (v - x(t+1)) the subgradient that prox optimality
+    implies at the center v = x(t) - M^-1 P'(p(t) + c y(t)) / c of round
+    t+1. The returned vector holds the residual of that identity for
+    t = 0..T-1, evaluated in its reduced form
+    M^-1 [P'(p(t) + c y(t)) / c - W (x(t) + sum_{s<=t} x(s))], with one P'
+    product per block of rounds. ``recurrence_w`` is its (T, n, d) W part,
+    ``AuxSequences.recurrence_w``, from the sweep that gives every W-form.
 
-    What it can see: h is recovered from x(t+1) by ``implicit_subgradients``,
-    so x(t+1) cancels and the residual is
-    M^-1 P' (p(t) + c y(t)) / c - M^-1 W (x(t) + sum_{s<=t} x(s)).
-    It checks the y and p recursions against the running sums of x, not
-    the x-update: a wrong prox leaves it at rounding level.
+    What it can see: x(t+1) cancels from the identity, so it checks the y
+    and p recursions against the running sums of x and stays blind to the
+    x-update: a wrong prox leaves it at rounding level, and only a separate
+    test of the prox's optimality at x(t+1) would see one.
     """
-    # evaluated in place, in the order of
-    # pred = -(1/c) M^-1 h + x(t) - M^-1 W (x(t) + sum_{s<=t} x(s))
     comm = spectral.comm
-    pred = implicit_subgradients(trace, comm)
-    Minv = 1.0 / comm.col_norms_sq[:, None]
-    pred *= -(1.0 / trace.c) * Minv
-    xs = trace.xs[:-1]
-    pred += xs
-    sums = trace.x_sums[:-1]  # a fresh array, derived on access
-    sums += xs
-    term = comm.w(sums)
-    term *= Minv
-    pred -= term
-    pred -= trace.xs[1:]
-    return np.abs(pred, out=pred).max(axis=(1, 2))
+    m_inv = np.repeat(1.0 / comm.col_norms_sq[:, None], trace.dimension, axis=1)  # full width, as in _prox_weights
+    out = np.empty(trace.T)
+    for lo in range(0, trace.T, SWEEP_ROUNDS):
+        rows = slice(lo, min(lo + SWEEP_ROUNDS, trace.T))
+        q = np.multiply(1.0 / trace.c, trace.ps[rows])
+        q += trace.ys[rows]
+        r = comm.pt(q)  # P'(p + c y) / c
+        r -= recurrence_w[rows]
+        r *= m_inv
+        out[rows] = np.abs(r, out=r).max(axis=(1, 2))
+    return out

@@ -19,6 +19,14 @@ metric block:
 * degree/connectivity relaxations of the spectral quantities when the
   communication matrix is the graph Laplacian.
 
+Every W-form is read off the (T+1)-deep iterate stack in one sweep over
+blocks of ``admm.SWEEP_ROUNDS`` rounds (``aux_sequences``): each block is
+centered once and takes one W product, and W of the running sums is carried
+as running sums of those products, since W is linear. The metric distance,
+the ergodic feasibility and the W part of the recurrence that
+``admm.recurrence_residuals`` checks all follow, so a command takes one W
+product per round and no temporary the size of the stack.
+
 `run` and `check` judge the per-round table with one function per
 certificate: ``sublinear_check`` for the two ergodic bounds and
 ``contraction_check`` for the contraction.
@@ -41,7 +49,7 @@ from .errors import (
     MissingCurvatureMetadataError,
     OptimizationBracketFailureError,
 )
-from .admm import AdmmTrace
+from .admm import SWEEP_ROUNDS, AdmmTrace, running_sums
 from .graph import Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
@@ -59,56 +67,105 @@ RECON_RTOL = 1e-10  # largest relative residual of the dual reference's solve wi
 
 @dataclass(frozen=True)
 class AuxSequences:
-    """Squared metric distances of the auxiliary state Q S(t), S(t) = sum_{s<=t} x(s).
+    """The W-forms of a run, from one sweep of its iterates.
 
     ``dual_ref`` is the x-space reference a = -(1/c) W^+ subgrad(x*), so
     ``metric_dist_sq[t]`` = (S(t) - a)' W (S(t) - a) + |x(t) - x*|^2 weighted
-    by the metric block; ``dual_ref_residual`` = |W a + subgrad(x*)/c|
-    (bounded, see ``aux_sequences``) and ``span_residual`` = |consensus part of a|.
+    by the metric block, S(t) = sum_{s<=t} x(s); ``feasibility[t-1]`` =
+    |Q xhat(t)| for the ergodic mean xhat(t); ``recurrence_w[t]`` =
+    W (x(t) + S(t)), centered, for ``admm.recurrence_residuals``;
+    ``dual_ref_residual`` = |W a + subgrad(x*)/c| (bounded, see
+    ``aux_sequences``) and ``span_residual`` = |consensus part of a|.
     """
 
     dual_ref: np.ndarray = field(repr=False)  # (n, d)
     metric_dist_sq: np.ndarray = field(repr=False)  # (T+1,)
+    feasibility: np.ndarray = field(repr=False)  # (T,)
+    recurrence_w: np.ndarray = field(repr=False)  # (T, n, d)
     dual_ref_residual: float = 0.0
     span_residual: float = 0.0
 
 
-def _gram_form(spectral: SpectralData, v: np.ndarray) -> np.ndarray:
-    """|Q v|^2 = v' W v per entry of an (..., n, d) stack; centers v in place.
+def _centered_sweep(xs: np.ndarray, comm):
+    """Yield ``(lo, xc, wxc)`` per block of SWEEP_ROUNDS rounds of a (k, n, d) stack, from row lo.
 
-    W 1 = 0 holds only up to rounding, so the form loses digits on a v with
-    a large consensus part; on v minus its node mean it is exact.
+    xc is each round minus its node mean and wxc = W xc, new arrays the
+    caller may overwrite. W 1 = 0 holds only up to rounding, so v' W v loses
+    digits on a v with a large consensus part, such as a running sum of
+    iterates near x*; every W-form reads centered operands. Blocks keep
+    temporaries small: glibc hands a freed stack-sized array back to the
+    kernel, so each command would fault its pages in again. Each block reads
+    W once, so much shorter blocks cost more per round.
     """
-    v -= v.mean(axis=-2, keepdims=True)
-    wv = spectral.comm.w(v)
-    wv *= v
-    return np.maximum(wv.sum(axis=(-2, -1)), 0.0)
+    means = np.full(xs.shape[1], 1.0 / xs.shape[1])
+    for lo in range(0, xs.shape[0], SWEEP_ROUNDS):
+        block = xs[lo : lo + SWEEP_ROUNDS]
+        # node means by one product per block: numpy's mean over the middle axis is slow for small d
+        xc = block - (means @ block)[:, None]
+        yield lo, xc, comm.w(xc)
+        del xc  # freed, with the caller's references, before the next block is made
 
 
-def _metric_sq(spectral: SpectralData, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """s' W s + x' (M - W) x per entry of (..., n, d) stacks of one shape; overwrites s and x.
+def _forms(s: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """s' W s per round of a (k, n, d) block s, given ws = W s."""
+    return np.einsum("kij,kij->k", s, ws)
 
-    M - W is not stored: x' (M - W) x = sum_i m_i |x_i|^2 - x' W x, one W
-    product of x and no further stack. x is not centered: M - W is PSD, so
-    the m-weighted sum dominates the form, and the rounding of x' W x on a
-    consensus part of x is small next to it.
+
+def _metric_form(m: np.ndarray, s: np.ndarray, ws: np.ndarray, e: np.ndarray, e_form: np.ndarray) -> np.ndarray:
+    """s' W s + e' (M - W) e per round of (k, n, d) blocks; overwrites e.
+
+    s is centered, ws = W s, and e_form holds ec' W ec for e's centered part
+    ec (see ``_centered_sweep``); m is M's diagonal repeated d times.
+    M - W is not stored: e' (M - W) e = sum_i m_i |e_i|^2 - ec' W ec, since
+    W 1 = 0, and no further product is taken.
     """
-    total = _gram_form(spectral, s)
-    total -= np.einsum("...ij,...ij->...", spectral.comm.w(x), x)
-    x *= x
-    total += x.reshape(*x.shape[:-2], -1) @ np.repeat(spectral.comm.col_norms_sq, x.shape[-1])
+    total = np.maximum(_forms(s, ws), 0.0)
+    total -= e_form
+    e *= e
+    total += e.reshape(e.shape[0], -1) @ m
     return total
 
 
-def _metric_path(trace: AdmmTrace, spectral: SpectralData, ref: np.ndarray, x_star: np.ndarray) -> np.ndarray:
-    """Squared metric distances of (running sum S(t), x(t)) to (ref, x*) for t = 0..T."""
-    s = trace.x_sums
-    s -= ref
-    return _metric_sq(spectral, s, trace.xs - x_star)
+def _metric_sweep(
+    xs: np.ndarray, comm, ref: np.ndarray, x_star: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric distances to (ref, x*) for t = 0..T, feasibilities for t = 1..T and W (x + S) for t = 0..T-1.
+
+    One ``_centered_sweep`` of x(1..T) gives x_c and W x_c, and their running
+    sums R(t) = sum_{1<=s<=t} x_c(s) and W R(t). Centered, S(t) - ref is
+    R(t) - (ref_c - x_c(0)), xhat(t) is R(t) / t, x(t) - x* is x_c(t) (x*
+    has identical rows) and x(t) + S(t) is x_c(t) + x_c(0) + R(t).
+    """
+    T = xs.shape[0] - 1
+    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
+    x0c, ref_c = (v - v.mean(axis=0) for v in (xs[0], ref))
+    wx0c = comm.w(x0c)
+    base, wbase = ref_c - x0c, comm.w(ref_c) - wx0c  # S_c(t) - ref_c = R(t) - base
+    dist, feas, recurrence_w = np.empty(T + 1), np.empty(T), np.empty((T, *xs.shape[1:]))
+    dist[:1] = _metric_form(m, base[None], wbase[None], (xs[0] - x_star)[None], _forms(x0c[None], wx0c[None]))
+    recurrence_w[0] = 2.0 * wx0c
+    carry = wcarry = None
+    for lo, xc, wxc in _centered_sweep(xs[1:], comm):
+        rows = slice(lo, lo + xc.shape[0])
+        x_form = _forms(xc, wxc)
+        w_next = recurrence_w[1 + lo : 1 + rows.stop]  # rounds lo + 1.. of the block, up to T - 1
+        np.add(wxc[: len(w_next)], wx0c, out=w_next)
+        sums, wsums = running_sums(xc, carry), running_sums(wxc, wcarry)
+        carry, wcarry = sums[-1].copy(), wsums[-1].copy()
+        w_next += wsums[: len(w_next)]
+        feas[rows] = np.sqrt(np.maximum(_forms(sums, wsums), 0.0)) / np.arange(lo + 1, rows.stop + 1)
+        sums -= base
+        wsums -= wbase
+        dist[1:][rows] = _metric_form(m, sums, wsums, xs[1:][rows] - x_star, x_form)
+        del xc, wxc, sums, wsums  # see _centered_sweep
+    return dist, feas, recurrence_w
 
 
 def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
-    """Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c)."""
+    """Every W-form of a run, with one W product per round.
+
+    Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
+    """
     kappa = spectral.eig_gram.max / spectral.min_pos_eig_gram  # W's condition number on 1's complement
     dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad, kappa)
     dual_resid = float(np.linalg.norm(spectral.comm.w(dual_ref) + (1.0 / c) * optimal.subgrad))
@@ -116,10 +173,12 @@ def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoin
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
     span_resid = math.sqrt(spectral.comm.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
-    dist = _metric_path(trace, spectral, dual_ref, optimal.x_star)
+    dist, feas, recurrence_w = _metric_sweep(trace.xs, spectral.comm, dual_ref, optimal.x_star)
     return AuxSequences(
         dual_ref=dual_ref,
         metric_dist_sq=dist,
+        feasibility=feas,
+        recurrence_w=recurrence_w,
         dual_ref_residual=dual_resid,
         span_residual=span_resid,
     )
@@ -346,15 +405,6 @@ def contraction_check(table: Mapping[str, np.ndarray], rate: float) -> Verdict:
     return _verdict(table["t"][live], ratios[live], rate)
 
 
-def ergodic_errors(
-    trace: AdmmTrace, problem: NetworkProblem, spectral: SpectralData, optimal: OptimalPoint
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed gaps F(xhat(t)) - F* and feasibilities |Q xhat(t)| for t = 1..T."""
-    erg = trace.ergodic[1:]
-    gaps = problem.f_value(erg) - optimal.f_star
-    return gaps, np.sqrt(_gram_form(spectral, erg))
-
-
 def contraction_ratios(dist: np.ndarray) -> np.ndarray:
     """One-step ratios dist[t] / dist[t-1] for t = 1..T.
 
@@ -391,13 +441,20 @@ def gap_inequality_check(
     """
     if r is None:
         r = np.zeros_like(optimal.x_star)
-    dist = _metric_path(trace, spectral, r, optimal.x_star)
-    xs = trace.xs
-    lhs = (2.0 / c) * (problem.f_value(xs[1:]) - optimal.f_star) + 2.0 * np.sum(
-        spectral.comm.w(r) * xs[1:], axis=(1, 2)
-    )
-    # step(t): S(t) - S(t+1) = -x(t+1)
-    rhs = dist[:-1] - dist[1:] - _metric_sq(spectral, xs[1:].copy(), xs[:-1] - xs[1:])
+    comm, xs = spectral.comm, trace.xs
+    dist = _metric_sweep(xs, comm, r, optimal.x_star)[0]
+    wr = comm.w(r)
+    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
+    lhs, step = np.empty(trace.T), np.empty(trace.T)
+    # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
+    for (lo, xc0, wxc0), (_, xc1, wxc1) in zip(_centered_sweep(xs[:-1], comm), _centered_sweep(xs[1:], comm)):
+        rows = slice(lo, lo + xc0.shape[0])
+        x1 = xs[1:][rows]
+        lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
+        xc0 -= xc1
+        wxc0 -= wxc1
+        step[rows] = _metric_form(m, xc1, wxc1, xs[:-1][rows] - x1, _forms(xc0, wxc0))
+    rhs = dist[:-1] - dist[1:] - step
     margins = rhs - lhs
     bad = np.flatnonzero(margins < -BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
     if bad.size:

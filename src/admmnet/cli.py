@@ -57,8 +57,8 @@ def _worst(v: analysis.Verdict) -> str:
 
 
 def _run_config(cfg: ExperimentConfig):
-    """(problem, spectral data, optimum, aggregate info, penalty, trace, per-round table,
-    sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``."""
+    """(problem, spectral data, optimum, aggregate info, penalty, trace, auxiliary sequences,
+    per-round table, sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``."""
     problem = build_problem(cfg)
     spectral = compute_spectral_data(problem.comm)
     optimal = central_solve(problem)
@@ -70,9 +70,9 @@ def _run_config(cfg: ExperimentConfig):
     c = float(cfg.admm.c) if cert is None else cert.penalty
     trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
     aux = analysis.aux_sequences(trace, spectral, optimal, c)
-    table = reporting.trace_rows(trace, problem, spectral, optimal, aux)
+    table = reporting.trace_rows(trace, problem, optimal, aux)
     sublinear = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-    return problem, spectral, optimal, agg, c, trace, table, sublinear, None if cert is None else cert.rate
+    return problem, spectral, optimal, agg, c, trace, aux, table, sublinear, None if cert is None else cert.rate
 
 
 class _Recorder:
@@ -89,7 +89,7 @@ class _Recorder:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, spectral, optimal, agg, c, trace, table, sublinear, rate = _run_config(cfg)
+    problem, spectral, optimal, agg, c, trace, aux, table, sublinear, rate = _run_config(cfg)
     g = problem.graph
     reporting.write_trace_csv(out_dir / "trace.csv", table)
 
@@ -124,7 +124,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         if v.judged < trace.T:
             detail += ", converged"
         record("contraction", v.passed, detail)
-    worst = float(np.max(admm.recurrence_residuals(trace, spectral)))
+    worst = float(np.max(admm.recurrence_residuals(trace, spectral, aux.recurrence_w)))
     record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
 
     report = "\n".join(lines) + "\n"
@@ -152,7 +152,7 @@ def run_figure1(out_dir: Path) -> int:
         rate = analysis.optimize_rate(1.0, 1.0, spectral, c=c).rate  # certified at the penalty in use
         trace = admm.run(problem, admm.RunConfig(c=c, T=FIGURE1_T))
         aux = analysis.aux_sequences(trace, spectral, optimal, c)
-        table = reporting.trace_rows(trace, problem, spectral, optimal, aux)
+        table = reporting.trace_rows(trace, problem, optimal, aux)
         reporting.write_trace_csv(out_dir / f"figure1_d{d}.csv", table)
         slope, r2 = reporting.fit_tail_slope(np.sqrt(table["dist_sq"]))
         slopes.append(slope)

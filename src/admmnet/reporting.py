@@ -13,6 +13,9 @@ dist_sq the squared distance of x(t) to the optimum, gnorm_sq the squared
 metric distance of the auxiliary state, contraction_ratio its one-step
 ratio (nan once converged) and messages the cumulative link messages
 through round t.
+
+``trace_rows`` takes the W-form columns from ``analysis.aux_sequences`` and
+evaluates the others block by block, with the bits of one whole-stack pass.
 """
 
 from __future__ import annotations
@@ -25,11 +28,10 @@ from itertools import chain
 
 import numpy as np
 
-from .admm import AdmmTrace
-from .analysis import AuxSequences, contraction_ratios, ergodic_errors
+from .admm import SWEEP_ROUNDS, AdmmTrace, running_sums
+from .analysis import AuxSequences, contraction_ratios
 from .errors import ConfigParseError
 from .objectives import NetworkProblem, OptimalPoint
-from .spectral import SpectralData
 
 TRACE_SCHEMA = "# admmnet-trace v1"
 TRACE_COLUMNS = (
@@ -53,22 +55,37 @@ def fmt(x: float) -> str:
 def trace_rows(
     trace: AdmmTrace,
     problem: NetworkProblem,
-    spectral: SpectralData,
     optimal: OptimalPoint,
     aux: AuxSequences,
 ) -> dict[str, np.ndarray]:
-    """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS."""
-    ts = np.arange(1, trace.T + 1)
-    erg_gaps, feas = ergodic_errors(trace, problem, spectral, optimal)
-    obj_gaps = problem.f_value(trace.xs[1:]) - optimal.f_star
-    dev = trace.xs[1:] - optimal.x_star
-    dev *= dev
+    """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS.
+
+    The W-form columns come from ``aux``; the others take blocks of
+    SWEEP_ROUNDS rounds. A round's objective value is independent of the
+    others, and the ergodic sums are carried in ``trace.ergodic``'s order.
+    """
+    T = trace.T
+    ts = np.arange(1, T + 1)
+    obj_gaps, erg_gaps, dist_sq = np.empty(T), np.empty(T), np.empty(T)
+    carry = None
+    for lo in range(0, T, SWEEP_ROUNDS):
+        x = trace.xs[1 + lo : 1 + lo + SWEEP_ROUNDS]
+        rows = slice(lo, lo + x.shape[0])
+        obj_gaps[rows] = problem.f_value(x) - optimal.f_star
+        erg = running_sums(x.copy(), carry)
+        carry = erg[-1].copy()
+        erg /= ts[rows, None, None]
+        erg_gaps[rows] = problem.f_value(erg) - optimal.f_star
+        dev = np.subtract(x, optimal.x_star, out=erg)
+        dev *= dev
+        dist_sq[rows] = dev.sum(axis=(1, 2))
+        del erg, dev  # freed before the next block is made
     return {
         "t": ts,
         "obj_gap": obj_gaps,
         "ergodic_obj_gap": erg_gaps,
-        "feasibility": feas,
-        "dist_sq": dev.sum(axis=(1, 2)),
+        "feasibility": aux.feasibility,
+        "dist_sq": dist_sq,
         "gnorm_sq": aux.metric_dist_sq[1:],
         "contraction_ratio": contraction_ratios(aux.metric_dist_sq),
         "messages": ts * trace.accounting.messages_per_round,

@@ -53,7 +53,7 @@ and W's upper triangle is restored from its lower one after; the M - W
 certificate, W plus a diagonal, writes and restores only the diagonal.
 Each certificate pays for its Cholesky and one pass over the factor, made
 absolute in place for its norms. So M - W is never stored (its forms are
-sum_i m_i |x_i|^2 - x' W x, see ``analysis._metric_sq``), and no n x n
+sum_i m_i |x_i|^2 - x' W x, see ``analysis._metric_form``), and no n x n
 Laplacian is built. Above the product crossover a run holds at most
 three dense n x n float arrays at once: W plus at most two transients,
 which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W, M - W or

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from admmnet import analysis, graph, reporting
+from admmnet import admm, analysis, graph, reporting
 from admmnet.graph import build_graph, custom_comm_matrix, generate_graph, laplacian
 from admmnet.objectives import central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
@@ -25,7 +25,24 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.
 
 def trace_table(trace, problem, sd, opt, c: float) -> dict:
     """The per-round table that `run` writes and judges, for a run at penalty c."""
-    return reporting.trace_rows(trace, problem, sd, opt, analysis.aux_sequences(trace, sd, opt, c))
+    return reporting.trace_rows(trace, problem, opt, analysis.aux_sequences(trace, sd, opt, c))
+
+
+def recurrence_residuals(trace, problem, sd):
+    """``admm.recurrence_residuals`` with its W part from the sweep of ``analysis.aux_sequences``, as `run` takes it."""
+    aux = analysis.aux_sequences(trace, sd, central_solve(problem), trace.c)
+    return admm.recurrence_residuals(trace, sd, aux.recurrence_w)
+
+
+def implicit_subgradients(trace, comm):
+    """Subgradients h(x(t+1)) implied by prox optimality, shape (T, n, d).
+
+    h = c m (v - x(t+1)) row-wise, where v = x(t) - P'(p(t) + c y(t)) / (c m)
+    is the prox center of round t+1.
+    """
+    rho = trace.c * comm.col_norms_sq[:, None]
+    centers = trace.xs[:-1] - comm.pt(trace.ps[:-1] + trace.c * trace.ys[:-1]) / rho
+    return rho * (centers - trace.xs[1:])
 
 
 def edge_weighted_laplacian(rng: np.random.Generator, g):

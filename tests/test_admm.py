@@ -24,7 +24,7 @@ from admmnet.objectives import (
     estimation_problem,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import random_connected_graph, row_scaled_laplacian
+from conftest import implicit_subgradients, random_connected_graph, recurrence_residuals, row_scaled_laplacian
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
 FIRST_Y = np.array([-1.0 / 7.0, 0.0, 1.0 / 7.0])
@@ -93,7 +93,7 @@ def test_node_edge_equivalence_custom_init(p3_problem):
 
 def test_recurrence_residuals_small(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=30))
-    resid = admm.recurrence_residuals(trace, k3_spectral)
+    resid = recurrence_residuals(trace, k3_problem, k3_spectral)
     assert float(np.max(resid)) <= 1e-10
 
 
@@ -102,16 +102,26 @@ def test_recurrence_detects_corruption(k3_problem, k3_spectral):
     # corrupt one node only; a constant shift would hide in the consensus
     # null space of the Gram matrix
     trace.xs[10:, 0, :] += 0.05
-    resid = admm.recurrence_residuals(trace, k3_spectral)
+    resid = recurrence_residuals(trace, k3_problem, k3_spectral)
     assert float(np.max(resid)) > 1e-6
 
 
 def test_implicit_subgradients_match_quadratic_gradient(k3_problem, k3_spectral):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
-    hs = admm.implicit_subgradients(trace, k3_spectral.comm)
+    hs = implicit_subgradients(trace, k3_spectral.comm)
     for t in range(20):
         for i, f in enumerate(k3_problem.objectives):
             assert np.max(np.abs(hs[t, i] - f.gradient(trace.xs[t + 1][i]))) <= 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (7, 3), (100, 3)])  # both routes of running_sums
+def test_running_sums_block_by_block_keep_the_bits_of_cumsum(n, d):
+    xs = np.random.default_rng(n).normal(scale=10.0, size=(2 * admm.SWEEP_ROUNDS + 9, n, d))
+    got = xs.copy()
+    carry = None
+    for lo in range(0, len(xs), admm.SWEEP_ROUNDS):
+        carry = admm.running_sums(got[lo : lo + admm.SWEEP_ROUNDS], carry)[-1]
+    np.testing.assert_array_equal(got, np.cumsum(xs, axis=0))
 
 
 def test_account_counts(k3, p3):
@@ -141,7 +151,7 @@ def test_vector_dimension_runs(k3):
     edge = admm.run(prob, admm.RunConfig(c=1.0, T=200, engine="edge"))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
     sd = compute_spectral_data(prob.comm)
-    assert float(np.max(admm.recurrence_residuals(node, sd))) <= 1e-10
+    assert float(np.max(recurrence_residuals(node, prob, sd))) <= 1e-10
     mean = np.mean(targets, axis=0)
     assert np.max(np.abs(node.xs[-1] - mean)) <= 1e-8
 
@@ -243,7 +253,7 @@ def test_vectorized_round_properties(n, d, seed):
     y0 = (prob.comm.dense() @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
     trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
     sd = compute_spectral_data(prob.comm)
-    assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
+    assert float(np.max(recurrence_residuals(trace, prob, sd))) <= 1e-8
 
 
 def _reference_prox(problem, V, rho):
@@ -424,9 +434,10 @@ def test_run_reuses_the_column_norms_of_the_spectral_data(monkeypatch, engine):
     assert made == ["bincount"]  # m, for the diagonal of M - W
     for _ in range(2):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=3, engine=engine))
-        assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
+        assert float(np.max(recurrence_residuals(trace, prob, sd))) <= 1e-8
     assert made == ["bincount", "dense_products_are_cheaper"]
-    assert len(read) == 4 and all(m is sd.comm.col_norms_sq for m in read)  # each run, then its recurrence check
+    # each run; the recurrence check reads comm.col_norms_sq directly, and bincount counts no second m
+    assert len(read) == 2 and all(m is sd.comm.col_norms_sq for m in read)
 
 
 def _forbid_per_node_calls(monkeypatch):
@@ -452,5 +463,5 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     for engine in ("node", "edge"):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
         aux = analysis.aux_sequences(trace, sd, optimal, 1.0)
-        assert len(reporting.trace_rows(trace, prob, sd, optimal, aux)["t"]) == 20
-        assert float(np.max(admm.recurrence_residuals(trace, sd))) <= 1e-8
+        assert len(reporting.trace_rows(trace, prob, optimal, aux)["t"]) == 20
+        assert float(np.max(admm.recurrence_residuals(trace, sd, aux.recurrence_w))) <= 1e-8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
@@ -25,9 +26,17 @@ from admmnet.objectives import (
     aggregate,
     central_solve,
     estimation_problem,
+    quadratic_rows,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import edge_weighted_laplacian, random_connected_graph, trace_table, with_slot_products
+from conftest import (
+    edge_weighted_laplacian,
+    implicit_subgradients,
+    random_connected_graph,
+    recurrence_residuals,
+    trace_table,
+    with_slot_products,
+)
 
 # hand-derived constants for the complete triangle with unit weights
 K3_BEST_PENALTY = math.sqrt(1.0 / 15.0)
@@ -483,7 +492,7 @@ def test_trace_table_matches_per_round_loop(engine):
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30, engine=engine))
     aux = analysis.aux_sequences(trace, sd, opt, 0.7)
-    table = reporting.trace_rows(trace, prob, sd, opt, aux)
+    table = reporting.trace_rows(trace, prob, opt, aux)
     rows = table_by_rounds(trace, prob, sd, opt, aux)
     assert tuple(table) == reporting.TRACE_COLUMNS
     for key in reporting.TRACE_COLUMNS:
@@ -495,8 +504,41 @@ def test_trace_table_matches_per_round_loop(engine):
             np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
 
 
+# four blocks of rounds, the last one part-full
+MULTI_BLOCK_T = 3 * admm.SWEEP_ROUNDS + admm.SWEEP_ROUNDS // 3
+
+
+def l1_rows_problem():
+    """Quadratic rows with an l1 term at d = 3, the closed-form objective of the l1_quadratic config kind."""
+    g = generate_graph("circulant", 9, d=4)
+    rng = np.random.default_rng(5)
+    rows = quadratic_rows(rng.normal(scale=2.0, size=(9, 3)), rng.uniform(0.5, 2.0, size=9), tau=0.4)
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+@pytest.mark.parametrize("make_problem", [mixed_custom_problem, l1_rows_problem])
+def test_trace_table_across_blocks(make_problem, engine):
+    prob = make_problem()
+    sd = compute_spectral_data(prob.comm)
+    opt = central_solve(prob)
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=MULTI_BLOCK_T, engine=engine))
+    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
+    table = reporting.trace_rows(trace, prob, opt, aux)
+    # the columns without W have the bits of one pass over the whole stack
+    np.testing.assert_array_equal(table["obj_gap"], prob.f_value(trace.xs[1:]) - opt.f_star)
+    np.testing.assert_array_equal(table["ergodic_obj_gap"], prob.f_value(trace.ergodic[1:]) - opt.f_star)
+    dev = trace.xs[1:] - opt.x_star
+    dev *= dev
+    np.testing.assert_array_equal(table["dist_sq"], dev.sum(axis=(1, 2)))
+    rows = table_by_rounds(trace, prob, sd, opt, aux)
+    for key in ("gnorm_sq", "feasibility"):
+        want = np.array([row[key] for row in rows])
+        np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
+
+
 def recurrence_by_rounds(trace, spectral):
-    hs = admm.implicit_subgradients(trace, spectral.comm)
+    hs = implicit_subgradients(trace, spectral.comm)
     Minv = 1.0 / spectral.comm.col_norms_sq[:, None]
     W = spectral.comm.W
     x_sum = np.zeros_like(trace.xs[0])
@@ -508,17 +550,56 @@ def recurrence_by_rounds(trace, spectral):
     return np.array(out)
 
 
+def assert_recurrence_matches_per_round_loop(trace, problem, spectral, corrupt_from):
+    scale = float(np.max(np.abs(trace.xs)))
+    clean = recurrence_residuals(trace, problem, spectral)
+    np.testing.assert_allclose(clean, recurrence_by_rounds(trace, spectral), rtol=0, atol=1e-12 * scale)
+    trace.xs[corrupt_from:, 2, 1] += 0.05  # residuals of order 0.05 from round corrupt_from - 1 on
+    corrupted = recurrence_residuals(trace, problem, spectral)
+    assert float(np.max(corrupted)) > 1e-3
+    np.testing.assert_allclose(corrupted, recurrence_by_rounds(trace, spectral), rtol=1e-12, atol=1e-12 * scale)
+
+
 def test_recurrence_residuals_match_per_round_loop():
     prob = mixed_custom_problem()
     sd = compute_spectral_data(prob.comm)
-    trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
-    scale = float(np.max(np.abs(trace.xs)))
-    clean = admm.recurrence_residuals(trace, sd)
-    np.testing.assert_allclose(clean, recurrence_by_rounds(trace, sd), rtol=0, atol=1e-12 * scale)
-    trace.xs[12:, 2, 1] += 0.05  # residuals of order 0.05 from round 11 on
-    corrupted = admm.recurrence_residuals(trace, sd)
-    assert float(np.max(corrupted)) > 1e-3
-    np.testing.assert_allclose(corrupted, recurrence_by_rounds(trace, sd), rtol=1e-12, atol=1e-12 * scale)
+    assert_recurrence_matches_per_round_loop(admm.run(prob, admm.RunConfig(c=0.7, T=30)), prob, sd, 12)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_recurrence_residuals_across_blocks(engine):
+    prob = mixed_custom_problem()
+    sd = compute_spectral_data(prob.comm)
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=MULTI_BLOCK_T, engine=engine))
+    assert_recurrence_matches_per_round_loop(trace, prob, sd, 2 * admm.SWEEP_ROUNDS - 5)
+
+
+def test_analysis_holds_no_stack_sized_temporary():
+    """The traced peak of the per-round analysis, in units of the (T+1, n, d) iterate stack.
+
+    Circulant n=200, T=500: aux_sequences, trace_rows and
+    recurrence_residuals each walk the stack in blocks of SWEEP_ROUNDS
+    rounds; one stack of the peak is the recurrence's W part, which
+    aux_sequences keeps for recurrence_residuals. W and the kept dense P,
+    made once per matrix, exist before the analysis starts, as they do in
+    ``run``. Temporaries the size of the whole stack made this 3.12.
+    """
+    prob = estimation_problem(generate_graph("circulant", 200, d=20))
+    sd = compute_spectral_data(prob.comm)
+    opt = central_solve(prob)
+    c = analysis.optimize_rate(1.0, 1.0, sd).penalty
+    trace = admm.run(prob, admm.RunConfig(c=c, T=500))
+    sd.comm.W
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        aux = analysis.aux_sequences(trace, sd, opt, c)
+        reporting.trace_rows(trace, prob, opt, aux)
+        admm.recurrence_residuals(trace, sd, aux.recurrence_w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * trace.xs.nbytes
 
 
 def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
@@ -583,7 +664,7 @@ def test_quadratic_forms_are_centered():
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
     aux = analysis.aux_sequences(trace, sd, opt, 1.0)
-    table = reporting.trace_rows(trace, prob, sd, opt, aux)
+    table = reporting.trace_rows(trace, prob, opt, aux)
     Q = gram_sqrt(sd)
     r = np.cumsum(Q @ trace.xs, axis=0)[1:] - Q @ aux.dual_ref
     dx = trace.xs[1:] - opt.x_star

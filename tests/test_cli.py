@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admmnet import analysis, cli, reporting, spectral
+from admmnet import admm, analysis, cli, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
-from admmnet.graph import generate_graph, laplacian, write_graph_file
+from admmnet.graph import CommunicationMatrix, generate_graph, laplacian, write_graph_file
 from admmnet.objectives import NetworkProblem
 from admmnet.spectral import compute_spectral_data
 
@@ -401,6 +401,31 @@ def test_run_and_check_judge_through_the_two_checks(tmp_path, monkeypatch, capsy
     assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
     assert calls == want
     assert ("check contraction: SKIP" in capsys.readouterr().out) is not judged
+
+
+def test_analysis_takes_one_w_product_per_round(tmp_path, monkeypatch):
+    # W products of (k, n, d) blocks of the iterate stack, counted in rounds:
+    # one sweep gives every W-form, the recurrence's W part included, so
+    # `run` and `check` each take one product per round; products with one
+    # (n, d) operand are not counted. Whole-stack products took 4 and 3 stacks.
+    rounds = []
+    w = CommunicationMatrix.w
+
+    def counting(self, x):
+        if x.ndim == 3:
+            rounds.append(x.shape[0])
+        return w(self, x)
+
+    monkeypatch.setattr(CommunicationMatrix, "w", counting)
+    T = 3 * admm.SWEEP_ROUNDS + 7
+    graph = "kind = circulant\nn = 20\nd = 4"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("T = 200", f"T = {T}"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sum(rounds) <= T + 1 and max(rounds) <= admm.SWEEP_ROUNDS
+    rounds.clear()
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert sum(rounds) <= T + 1 and max(rounds) <= admm.SWEEP_ROUNDS
 
 
 def test_invalid_graph_file_reports_line(tmp_path, capsys):
