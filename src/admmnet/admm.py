@@ -40,8 +40,9 @@ round formulas above as plain array expressions (the tests hold a
 reference of each). Both engines raise
 NonFiniteIterateError after a round that leaves a non-finite estimate.
 
-The analysis reads a trace in blocks of SWEEP_ROUNDS rounds and carries
-sums across blocks with ``running_sums``. ``recurrence_residuals`` checks
+The analysis reads a trace in the blocks of SWEEP_ROUNDS rounds that
+``sweep_blocks`` yields and carries sums across blocks with
+``running_sums``. ``recurrence_residuals`` checks
 the recurrence in its reduced form M^-1 [P'(p + c y) / c - W (x + S)],
 with its W part from the sweep of ``analysis.aux_sequences``.
 """
@@ -242,21 +243,25 @@ def run(problem: NetworkProblem, config: RunConfig) -> AdmmTrace:
     return AdmmTrace(c=c, xs=xs, ys=ys, ps=ps, accounting=acct)
 
 
+def sweep_blocks(T: int):
+    """The slices of rounds 0..T-1 that the analysis reads at a time: SWEEP_ROUNDS each, the last one part-full."""
+    return (slice(lo, min(lo + SWEEP_ROUNDS, T)) for lo in range(0, T, SWEEP_ROUNDS))
+
+
 def running_sums(block: np.ndarray, carry: np.ndarray | None = None) -> np.ndarray:
     """Turn a (k, n, d) block of rounds into its running sums in place, continued from ``carry``; returns the block.
 
     ``carry`` is the sum through the round before the block, None for the
     first block. Row 0 becomes ``carry + block[0]``, each later row the row
     before plus its round: the order of one ``np.cumsum`` over the stack,
-    so its bits. numpy's accumulate pays per (n, d) entry, a loop of row adds
-    per round: at 64 rounds (one thread) the accumulate took 0.8x the loop's
-    time at n d = 200 and 4-5x at n d = 1600, so wider rows take the loop.
+    so its bits. A loop of row adds, since numpy's accumulate along the
+    round axis steps through memory one (n, d) row apart per entry: at 64
+    rounds (one thread) it took 1.3x the loop's time at n d = 200 and
+    5.5-6x at n d = 1600.
     """
     rows = list(block)
     if carry is not None:
         np.add(carry, rows[0], out=rows[0])
-    if rows[0].size <= 4 * len(rows):
-        return np.cumsum(block, axis=0, out=block)
     for prev, row in zip(rows, rows[1:]):
         np.add(prev, row, out=row)
     return block
@@ -284,8 +289,7 @@ def recurrence_residuals(trace: AdmmTrace, spectral, recurrence_w: np.ndarray) -
     comm = spectral.comm
     m_inv = np.repeat(1.0 / comm.col_norms_sq[:, None], trace.dimension, axis=1)  # full width, as in _prox_weights
     out = np.empty(trace.T)
-    for lo in range(0, trace.T, SWEEP_ROUNDS):
-        rows = slice(lo, min(lo + SWEEP_ROUNDS, trace.T))
+    for rows in sweep_blocks(trace.T):
         q = np.multiply(1.0 / trace.c, trace.ps[rows])
         q += trace.ys[rows]
         r = comm.pt(q)  # P'(p + c y) / c

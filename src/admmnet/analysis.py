@@ -20,12 +20,13 @@ metric block:
   communication matrix is the graph Laplacian.
 
 Every W-form is read off the (T+1)-deep iterate stack in one sweep over
-blocks of ``admm.SWEEP_ROUNDS`` rounds (``aux_sequences``): each block is
+the blocks of ``admm.sweep_blocks`` (``aux_sequences``): each block is
 centered once and takes one W product, and W of the running sums is carried
 as running sums of those products, since W is linear. The metric distance,
-the ergodic feasibility and the W part of the recurrence that
-``admm.recurrence_residuals`` checks all follow, so a command takes one W
-product per round and no temporary the size of the stack.
+the ergodic feasibility and, when asked for (`run` asks, `check` does not),
+the W part of the recurrence that ``admm.recurrence_residuals`` checks all
+follow, so a command takes one W product per round and no temporary the
+size of the stack.
 
 `run` and `check` judge the per-round table with one function per
 certificate: ``sublinear_check`` for the two ergodic bounds and
@@ -49,7 +50,7 @@ from .errors import (
     MissingCurvatureMetadataError,
     OptimizationBracketFailureError,
 )
-from .admm import SWEEP_ROUNDS, AdmmTrace, running_sums
+from .admm import AdmmTrace, running_sums, sweep_blocks
 from .graph import Graph, laplacian
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
@@ -73,7 +74,8 @@ class AuxSequences:
     ``metric_dist_sq[t]`` = (S(t) - a)' W (S(t) - a) + |x(t) - x*|^2 weighted
     by the metric block, S(t) = sum_{s<=t} x(s); ``feasibility[t-1]`` =
     |Q xhat(t)| for the ergodic mean xhat(t); ``recurrence_w[t]`` =
-    W (x(t) + S(t)), centered, for ``admm.recurrence_residuals``;
+    W (x(t) + S(t)), centered, for ``admm.recurrence_residuals``, or None
+    unless asked for;
     ``dual_ref_residual`` = |W a + subgrad(x*)/c| (bounded, see
     ``aux_sequences``) and ``span_residual`` = |consensus part of a|.
     """
@@ -81,13 +83,13 @@ class AuxSequences:
     dual_ref: np.ndarray = field(repr=False)  # (n, d)
     metric_dist_sq: np.ndarray = field(repr=False)  # (T+1,)
     feasibility: np.ndarray = field(repr=False)  # (T,)
-    recurrence_w: np.ndarray = field(repr=False)  # (T, n, d)
+    recurrence_w: np.ndarray | None = field(repr=False)  # (T, n, d)
     dual_ref_residual: float = 0.0
     span_residual: float = 0.0
 
 
 def _centered_sweep(xs: np.ndarray, comm):
-    """Yield ``(lo, xc, wxc)`` per block of SWEEP_ROUNDS rounds of a (k, n, d) stack, from row lo.
+    """Yield ``(rows, xc, wxc)`` per ``sweep_blocks`` slice ``rows`` of a (k, n, d) stack.
 
     xc is each round minus its node mean and wxc = W xc, new arrays the
     caller may overwrite. W 1 = 0 holds only up to rounding, so v' W v loses
@@ -98,11 +100,11 @@ def _centered_sweep(xs: np.ndarray, comm):
     W once, so much shorter blocks cost more per round.
     """
     means = np.full(xs.shape[1], 1.0 / xs.shape[1])
-    for lo in range(0, xs.shape[0], SWEEP_ROUNDS):
-        block = xs[lo : lo + SWEEP_ROUNDS]
+    for rows in sweep_blocks(xs.shape[0]):
+        block = xs[rows]
         # node means by one product per block: numpy's mean over the middle axis is slow for small d
         xc = block - (means @ block)[:, None]
-        yield lo, xc, comm.w(xc)
+        yield rows, xc, comm.w(xc)
         del xc  # freed, with the caller's references, before the next block is made
 
 
@@ -127,9 +129,10 @@ def _metric_form(m: np.ndarray, s: np.ndarray, ws: np.ndarray, e: np.ndarray, e_
 
 
 def _metric_sweep(
-    xs: np.ndarray, comm, ref: np.ndarray, x_star: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The metric distances to (ref, x*) for t = 0..T, feasibilities for t = 1..T and W (x + S) for t = 0..T-1.
+    xs: np.ndarray, comm, ref: np.ndarray, x_star: np.ndarray, recurrence: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The metric distances to (ref, x*) for t = 0..T, feasibilities for t = 1..T and,
+    if ``recurrence``, W (x + S) for t = 0..T-1 (else None).
 
     One ``_centered_sweep`` of x(1..T) gives x_c and W x_c, and their running
     sums R(t) = sum_{1<=s<=t} x_c(s) and W R(t). Centered, S(t) - ref is
@@ -141,19 +144,23 @@ def _metric_sweep(
     x0c, ref_c = (v - v.mean(axis=0) for v in (xs[0], ref))
     wx0c = comm.w(x0c)
     base, wbase = ref_c - x0c, comm.w(ref_c) - wx0c  # S_c(t) - ref_c = R(t) - base
-    dist, feas, recurrence_w = np.empty(T + 1), np.empty(T), np.empty((T, *xs.shape[1:]))
+    dist, feas = np.empty(T + 1), np.empty(T)
     dist[:1] = _metric_form(m, base[None], wbase[None], (xs[0] - x_star)[None], _forms(x0c[None], wx0c[None]))
-    recurrence_w[0] = 2.0 * wx0c
+    recurrence_w = None
+    if recurrence:
+        recurrence_w = np.empty((T, *xs.shape[1:]))
+        recurrence_w[0] = 2.0 * wx0c
     carry = wcarry = None
-    for lo, xc, wxc in _centered_sweep(xs[1:], comm):
-        rows = slice(lo, lo + xc.shape[0])
+    for rows, xc, wxc in _centered_sweep(xs[1:], comm):
         x_form = _forms(xc, wxc)
-        w_next = recurrence_w[1 + lo : 1 + rows.stop]  # rounds lo + 1.. of the block, up to T - 1
-        np.add(wxc[: len(w_next)], wx0c, out=w_next)
+        if recurrence:
+            w_next = recurrence_w[1 + rows.start : 1 + rows.stop]  # rounds of the block, shifted by one, up to T - 1
+            np.add(wxc[: len(w_next)], wx0c, out=w_next)
         sums, wsums = running_sums(xc, carry), running_sums(wxc, wcarry)
         carry, wcarry = sums[-1].copy(), wsums[-1].copy()
-        w_next += wsums[: len(w_next)]
-        feas[rows] = np.sqrt(np.maximum(_forms(sums, wsums), 0.0)) / np.arange(lo + 1, rows.stop + 1)
+        if recurrence:
+            w_next += wsums[: len(w_next)]
+        feas[rows] = np.sqrt(np.maximum(_forms(sums, wsums), 0.0)) / np.arange(rows.start + 1, rows.stop + 1)
         sums -= base
         wsums -= wbase
         dist[1:][rows] = _metric_form(m, sums, wsums, xs[1:][rows] - x_star, x_form)
@@ -161,8 +168,13 @@ def _metric_sweep(
     return dist, feas, recurrence_w
 
 
-def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float) -> AuxSequences:
+def aux_sequences(
+    trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float, recurrence: bool = False
+) -> AuxSequences:
     """Every W-form of a run, with one W product per round.
+
+    ``recurrence`` asks for ``recurrence_w`` too, a (T, n, d) stack that
+    only ``admm.recurrence_residuals`` reads.
 
     Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
     """
@@ -173,7 +185,7 @@ def aux_sequences(trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoin
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
     span_resid = math.sqrt(spectral.comm.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
-    dist, feas, recurrence_w = _metric_sweep(trace.xs, spectral.comm, dual_ref, optimal.x_star)
+    dist, feas, recurrence_w = _metric_sweep(trace.xs, spectral.comm, dual_ref, optimal.x_star, recurrence)
     return AuxSequences(
         dual_ref=dual_ref,
         metric_dist_sq=dist,
@@ -447,8 +459,7 @@ def gap_inequality_check(
     m = np.repeat(comm.col_norms_sq, xs.shape[-1])
     lhs, step = np.empty(trace.T), np.empty(trace.T)
     # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
-    for (lo, xc0, wxc0), (_, xc1, wxc1) in zip(_centered_sweep(xs[:-1], comm), _centered_sweep(xs[1:], comm)):
-        rows = slice(lo, lo + xc0.shape[0])
+    for (rows, xc0, wxc0), (_, xc1, wxc1) in zip(_centered_sweep(xs[:-1], comm), _centered_sweep(xs[1:], comm)):
         x1 = xs[1:][rows]
         lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
         xc0 -= xc1

@@ -56,9 +56,11 @@ def _worst(v: analysis.Verdict) -> str:
     return f"worst margin {fmt(v.worst_margin)} at t={v.worst_t}"
 
 
-def _run_config(cfg: ExperimentConfig):
+def _run_config(cfg: ExperimentConfig, recurrence: bool = False):
     """(problem, spectral data, optimum, aggregate info, penalty, trace, auxiliary sequences,
-    per-round table, sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``."""
+    per-round table, sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``.
+
+    ``recurrence`` asks the auxiliary sequences for the recurrence's W part."""
     problem = build_problem(cfg)
     spectral = compute_spectral_data(problem.comm)
     optimal = central_solve(problem)
@@ -69,7 +71,7 @@ def _run_config(cfg: ExperimentConfig):
         cert = analysis.optimize_rate(*agg.curvature(), spectral, c=None if auto else cfg.admm.c)
     c = float(cfg.admm.c) if cert is None else cert.penalty
     trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
-    aux = analysis.aux_sequences(trace, spectral, optimal, c)
+    aux = analysis.aux_sequences(trace, spectral, optimal, c, recurrence)
     table = reporting.trace_rows(trace, problem, optimal, aux)
     sublinear = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
     return problem, spectral, optimal, agg, c, trace, aux, table, sublinear, None if cert is None else cert.rate
@@ -89,7 +91,7 @@ class _Recorder:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, spectral, optimal, agg, c, trace, aux, table, sublinear, rate = _run_config(cfg)
+    problem, spectral, optimal, agg, c, trace, aux, table, sublinear, rate = _run_config(cfg, recurrence=True)
     g = problem.graph
     reporting.write_trace_csv(out_dir / "trace.csv", table)
 

@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .admm import SWEEP_ROUNDS, AdmmTrace, running_sums
+from .admm import AdmmTrace, running_sums, sweep_blocks
 from .analysis import AuxSequences, contraction_ratios
 from .errors import ConfigParseError
 from .objectives import NetworkProblem, OptimalPoint
@@ -60,17 +60,16 @@ def trace_rows(
 ) -> dict[str, np.ndarray]:
     """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS.
 
-    The W-form columns come from ``aux``; the others take blocks of
-    SWEEP_ROUNDS rounds. A round's objective value is independent of the
+    The W-form columns come from ``aux``; the others take the blocks of
+    ``admm.sweep_blocks``. A round's objective value is independent of the
     others, and the ergodic sums are carried in ``trace.ergodic``'s order.
     """
     T = trace.T
     ts = np.arange(1, T + 1)
     obj_gaps, erg_gaps, dist_sq = np.empty(T), np.empty(T), np.empty(T)
     carry = None
-    for lo in range(0, T, SWEEP_ROUNDS):
-        x = trace.xs[1 + lo : 1 + lo + SWEEP_ROUNDS]
-        rows = slice(lo, lo + x.shape[0])
+    for rows in sweep_blocks(T):
+        x = trace.xs[1:][rows]
         obj_gaps[rows] = problem.f_value(x) - optimal.f_star
         erg = running_sums(x.copy(), carry)
         carry = erg[-1].copy()

@@ -30,7 +30,7 @@ def trace_table(trace, problem, sd, opt, c: float) -> dict:
 
 def recurrence_residuals(trace, problem, sd):
     """``admm.recurrence_residuals`` with its W part from the sweep of ``analysis.aux_sequences``, as `run` takes it."""
-    aux = analysis.aux_sequences(trace, sd, central_solve(problem), trace.c)
+    aux = analysis.aux_sequences(trace, sd, central_solve(problem), trace.c, recurrence=True)
     return admm.recurrence_residuals(trace, sd, aux.recurrence_w)
 
 

@@ -114,13 +114,13 @@ def test_implicit_subgradients_match_quadratic_gradient(k3_problem, k3_spectral)
             assert np.max(np.abs(hs[t, i] - f.gradient(trace.xs[t + 1][i]))) <= 1e-10
 
 
-@pytest.mark.parametrize("n,d", [(3, 1), (7, 3), (100, 3)])  # both routes of running_sums
+@pytest.mark.parametrize("n,d", [(3, 1), (7, 3), (100, 3)])
 def test_running_sums_block_by_block_keep_the_bits_of_cumsum(n, d):
     xs = np.random.default_rng(n).normal(scale=10.0, size=(2 * admm.SWEEP_ROUNDS + 9, n, d))
     got = xs.copy()
     carry = None
-    for lo in range(0, len(xs), admm.SWEEP_ROUNDS):
-        carry = admm.running_sums(got[lo : lo + admm.SWEEP_ROUNDS], carry)[-1]
+    for rows in admm.sweep_blocks(len(xs)):
+        carry = admm.running_sums(got[rows], carry)[-1]
     np.testing.assert_array_equal(got, np.cumsum(xs, axis=0))
 
 
@@ -462,6 +462,6 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     optimal = central_solve(prob)
     for engine in ("node", "edge"):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
-        aux = analysis.aux_sequences(trace, sd, optimal, 1.0)
+        aux = analysis.aux_sequences(trace, sd, optimal, 1.0, recurrence=True)
         assert len(reporting.trace_rows(trace, prob, optimal, aux)["t"]) == 20
         assert float(np.max(admm.recurrence_residuals(trace, sd, aux.recurrence_w))) <= 1e-8

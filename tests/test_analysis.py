@@ -57,6 +57,7 @@ def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
     assert np.allclose(aux.dual_ref[:, 0], np.array([-1.0, 0.0, 1.0]) / 3.0, atol=1e-10)
     assert aux.dual_ref_residual <= 1e-9
     assert aux.span_residual <= 1e-9
+    assert aux.recurrence_w is None  # only `run`, which checks the recurrence, asks for it
 
 
 def test_aux_dual_ref_zero_for_agreeing_targets(k3):
@@ -535,6 +536,10 @@ def test_trace_table_across_blocks(make_problem, engine):
     for key in ("gnorm_sq", "feasibility"):
         want = np.array([row[key] for row in rows])
         np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
+    # asking for the recurrence's W part leaves the bits of the other forms as they are
+    with_w = analysis.aux_sequences(trace, sd, opt, 0.7, recurrence=True)
+    np.testing.assert_array_equal(with_w.metric_dist_sq, aux.metric_dist_sq)
+    np.testing.assert_array_equal(with_w.feasibility, aux.feasibility)
 
 
 def recurrence_by_rounds(trace, spectral):
@@ -579,10 +584,11 @@ def test_analysis_holds_no_stack_sized_temporary():
 
     Circulant n=200, T=500: aux_sequences, trace_rows and
     recurrence_residuals each walk the stack in blocks of SWEEP_ROUNDS
-    rounds; one stack of the peak is the recurrence's W part, which
-    aux_sequences keeps for recurrence_residuals. W and the kept dense P,
-    made once per matrix, exist before the analysis starts, as they do in
-    ``run``. Temporaries the size of the whole stack made this 3.12.
+    rounds. In `run` one stack of the peak is the recurrence's W part,
+    which aux_sequences keeps for recurrence_residuals; `check` does not
+    ask for it. W and the kept dense P, made once per matrix, exist before
+    the analysis starts, as they do in ``run``. Temporaries the size of the
+    whole stack made this 3.12.
     """
     prob = estimation_problem(generate_graph("circulant", 200, d=20))
     sd = compute_spectral_data(prob.comm)
@@ -590,16 +596,19 @@ def test_analysis_holds_no_stack_sized_temporary():
     c = analysis.optimize_rate(1.0, 1.0, sd).penalty
     trace = admm.run(prob, admm.RunConfig(c=c, T=500))
     sd.comm.W
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        aux = analysis.aux_sequences(trace, sd, opt, c)
-        reporting.trace_rows(trace, prob, opt, aux)
-        admm.recurrence_residuals(trace, sd, aux.recurrence_w)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * trace.xs.nbytes
+    for recurrence, stacks in ((True, 1.6), (False, 0.6)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            aux = analysis.aux_sequences(trace, sd, opt, c, recurrence)
+            reporting.trace_rows(trace, prob, opt, aux)
+            if recurrence:
+                admm.recurrence_residuals(trace, sd, aux.recurrence_w)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        del aux
+        assert peak <= stacks * trace.xs.nbytes, recurrence
 
 
 def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
@@ -627,11 +636,11 @@ def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
     return np.array(margins), np.array(rhss)
 
 
-def test_gap_inequality_matches_per_round_loop():
+def assert_gap_margins_match_per_round_loop(T, corrupt_from):
     prob = mixed_custom_problem()
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
-    trace = admm.run(prob, admm.RunConfig(c=0.7, T=30))
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=T))
     aux = analysis.aux_sequences(trace, sd, opt, 0.7)
     for r in (np.zeros_like(opt.x_star), aux.dual_ref):
         want, rhs = gap_margins_by_rounds(trace, sd, opt, prob, 0.7, r)
@@ -639,7 +648,7 @@ def test_gap_inequality_matches_per_round_loop():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(rhs))))
 
     # one corrupted node breaks the inequality at several rounds; the first is reported
-    trace.xs[12:, 2, 1] += 0.05
+    trace.xs[corrupt_from:, 2, 1] += 0.05
     r = np.zeros_like(opt.x_star)
     margins, rhs = gap_margins_by_rounds(trace, sd, opt, prob, 0.7, r)
     violating = np.flatnonzero(margins < -analysis.BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
@@ -647,6 +656,15 @@ def test_gap_inequality_matches_per_round_loop():
     with pytest.raises(BoundViolatedError) as info:
         analysis.gap_inequality_check(trace, sd, opt, prob, 0.7, r=r)
     assert info.value.T == violating[0] + 1
+
+
+def test_gap_inequality_matches_per_round_loop():
+    assert_gap_margins_match_per_round_loop(30, 12)
+
+
+def test_gap_inequality_across_blocks():
+    # the two block sweeps of gap_inequality_check stay aligned across block seams and a part-full last block
+    assert_gap_margins_match_per_round_loop(MULTI_BLOCK_T, 2 * admm.SWEEP_ROUNDS - 5)
 
 
 def test_quadratic_forms_are_centered():
