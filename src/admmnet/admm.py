@@ -26,7 +26,7 @@ p_i(t) = lambda_ii(t) each round and rebuilds y(t) = D^-1 P x(t) after the
 loop.
 
 Both engines read P from ``problem.comm``, the same
-``graph.CommunicationMatrix`` the analysis reads, so m, |N(i)| and P' are
+``graph.CommunicationMatrix`` the analysis reads, so m and |N(i)| are
 made once per matrix: the node engine uses its products (P x, P'v), the
 edge engine its slot values P_ij, and neither forms W. P entries act as
 scalars on rows, so vector problems never materialize a Kronecker product,
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmmError, NonFiniteIterateError, ZeroMWeightError
+from .errors import AdmmError, NonFiniteIterateError
 from .graph import CommunicationMatrix, Graph
 from .objectives import NetworkProblem
 
@@ -138,11 +138,9 @@ def _prox_weights(comm: CommunicationMatrix, c: float, d: int) -> np.ndarray:
     """The prox weights c m_i at full (n, d) width.
 
     Row scalings are stored at full width: multiplying by an (n, 1) column
-    runs numpy's inner loop only d elements at a time.
+    runs numpy's inner loop only d elements at a time. P is the Laplacian of
+    a connected graph on n >= 2 nodes, so every m_i = d_i (d_i + 1) >= 2.
     """
-    zero = np.flatnonzero(comm.col_norms_sq <= 0.0)
-    if zero.size:
-        raise ZeroMWeightError(int(zero[0]))
     return np.repeat(c * comm.col_norms_sq[:, None], d, axis=1)
 
 

@@ -16,7 +16,7 @@ metric block:
     best balance = c^2 lam_max (2 + lam_min) / (2 nu L + c^2 lam_max (2 + lam_min))
     best penalty = sqrt(2 nu L / (lam_max (2 + lam_min)))
     best gain    = (1/2) sqrt(2 lam_min^2 / (lam_max (2 + lam_min)) / kappa)
-* degree/connectivity relaxations of the spectral quantities when the
+* degree/connectivity relaxations of the spectral quantities, whose
   communication matrix is the graph Laplacian.
 
 Every W-form is read off the (T+1)-deep iterate stack in one sweep over
@@ -43,7 +43,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BoundViolatedError,
     DegenerateSpectrumError,
     InvalidBetaError,
     InvalidCError,
@@ -52,7 +51,7 @@ from .errors import (
 )
 from .admm import AdmmTrace, running_sums, sweep_blocks
 from .graph import Graph, laplacian
-from .objectives import NetworkProblem, OptimalPoint
+from .objectives import OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
 
 # The tolerance policy shared by `run` and `check`.
@@ -429,49 +428,6 @@ def contraction_ratios(dist: np.ndarray) -> np.ndarray:
     ratios[~np.isfinite(ratios)] = np.inf
     ratios[np.isfinite(prev) & (prev < RATIO_FLOOR)] = np.nan
     return ratios
-
-
-def gap_inequality_check(
-    trace: AdmmTrace,
-    spectral: SpectralData,
-    optimal: OptimalPoint,
-    problem: NetworkProblem,
-    c: float,
-    r: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-round margins of the one-step gap inequality that telescopes
-    into the sublinear bounds.
-
-    For an x-space reference r (default 0; ``AuxSequences.dual_ref`` is the
-    one at the optimum), every round must satisfy
-    (2/c)(F(x(t+1)) - F*) + 2 r' W x(t+1)
-      <= dist(t) - dist(t+1) - step(t)
-    where the distances are squared metric distances to (r, x*), i.e. the
-    paper's inequality with its dual reference Q r. Returns rhs - lhs per
-    round and raises BoundViolatedError when negative beyond the shared
-    slack, at the first violating round.
-    """
-    if r is None:
-        r = np.zeros_like(optimal.x_star)
-    comm, xs = spectral.comm, trace.xs
-    dist = _metric_sweep(xs, comm, r, optimal.x_star)[0]
-    wr = comm.w(r)
-    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
-    lhs, step = np.empty(trace.T), np.empty(trace.T)
-    # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
-    for (rows, xc0, wxc0), (_, xc1, wxc1) in zip(_centered_sweep(xs[:-1], comm), _centered_sweep(xs[1:], comm)):
-        x1 = xs[1:][rows]
-        lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
-        xc0 -= xc1
-        wxc0 -= wxc1
-        step[rows] = _metric_form(m, xc1, wxc1, xs[:-1][rows] - x1, _forms(xc0, wxc0))
-    rhs = dist[:-1] - dist[1:] - step
-    margins = rhs - lhs
-    bad = np.flatnonzero(margins < -BOUND_SLACK * np.maximum(1.0, np.abs(rhs)))
-    if bad.size:
-        t = int(bad[0])
-        raise BoundViolatedError(t + 1, float(lhs[t]), float(rhs[t]), what="one-step gap inequality")
-    return margins
 
 
 # --- Laplacian network bounds ------------------------------------------------

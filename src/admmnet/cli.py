@@ -16,6 +16,7 @@ too large to allocate included).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -282,6 +283,7 @@ def cmd_run(args) -> int:
     return run_experiment(parse_experiment_config(args.config), out_dir)
 
 
+@functools.cache  # built once per process, on the first call rather than at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="admmnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -58,14 +58,6 @@ class GraphFileError(GraphError):
         self.lineno = lineno
 
 
-class CommMatrixError(GraphError):
-    """Communication matrix failed validation; carries the report."""
-
-    def __init__(self, report):
-        super().__init__("; ".join(v.message for v in report.violations))
-        self.report = report
-
-
 # --- spectral ------------------------------------------------------------
 
 
@@ -130,12 +122,6 @@ class NonFiniteIterateError(AdmmError):
         self.t = t
 
 
-class ZeroMWeightError(AdmmError):
-    def __init__(self, node: int):
-        super().__init__(f"zero prox weight at node {node} (all-zero column in P)")
-        self.node = node
-
-
 # --- analysis ------------------------------------------------------------
 
 
@@ -153,14 +139,6 @@ class InvalidCError(AnalysisError):
 
 class OptimizationBracketFailureError(AnalysisError):
     pass
-
-
-class BoundViolatedError(AnalysisError):
-    def __init__(self, T: int, lhs: float, rhs: float, what: str = "bound"):
-        super().__init__(f"{what} violated at T={T}: {lhs:.12g} > {rhs:.12g}")
-        self.T = T
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 # --- config / cli --------------------------------------------------------

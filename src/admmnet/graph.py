@@ -7,19 +7,19 @@ neighborhood N(i) of a node always includes the node itself, so
 operations with no loop over edges or nodes; only the connectivity check
 loops, over a few rounds of hooking and pointer jumping.
 
-A :class:`CommunicationMatrix` is an n x n matrix P whose sparsity follows
-the neighborhoods and whose null space is exactly span{1}. The canonical
-instance is the graph Laplacian. It is stored as its values on the n + 2|E|
-slots (i, j), j in N(i), in the row-major order of ``neighborhood_slots``,
-and holds everything derived from them, each made at most once: the column
+A :class:`CommunicationMatrix` is the communication matrix P of the
+algorithm, which is always the graph Laplacian here: its sparsity follows
+the neighborhoods and its null space is exactly span{1}, and it is
+symmetric, so P' = P. It is stored as its values on the n + 2|E| slots
+(i, j), j in N(i), in the row-major order of ``neighborhood_slots``, and
+holds everything derived from them, each made at most once: the column
 norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), whether P is
-circulant (``circulant``), P' on the slots, the Gram matrix W = P' D^-1 P
-and the products P x, P'v, W x and W^+ B, the last by conjugate gradients
-over the slots where they cost less than a dense solve. Over the slots a
-product runs one vector kernel per (n,) column of its operand: a gather
-to one entry per slot, an in-place scale and ``np.add.reduceat``.
-Outside this module only ``spectral`` reads a dense P or W, for their
-eigenvalues.
+circulant (``circulant``), the Gram matrix W = P' D^-1 P and the products
+P x, P'v, W x and W^+ B, the last by conjugate gradients over the slots
+where they cost less than a dense solve. Over the slots a product runs one
+vector kernel per (n,) column of its operand: a gather to one entry per
+slot, an in-place scale and ``np.add.reduceat``. Outside this module only
+``spectral`` reads a dense P or W, for their eigenvalues.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    CommMatrixError,
     ConnectivityRetryExhaustedError,
     DisconnectedError,
     DuplicateEdgeError,
@@ -42,8 +41,6 @@ from .errors import (
     SelfLoopError,
 )
 
-ROW_SUM_RTOL = 1e-12  # |P 1|_inf <= ROW_SUM_RTOL * max|P_ij|
-RANK_RTOL = 1e-9  # second-smallest singular value > RANK_RTOL * largest
 _ER_CHUNK = 1 << 16  # Erdos-Renyi pair draws held at once, so no (n(n-1)/2)-long array is built
 # Cost of a slot product in dense GEMV entries: per slot, and fixed per call
 # (see ``dense_products_are_cheaper``)
@@ -79,7 +76,7 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class CommunicationMatrix:
-    """P on the closed-neighborhood slots of its graph, with a provenance tag, and its products.
+    """The graph Laplacian P on the closed-neighborhood slots of its graph, and its products.
 
     ``cols`` and ``values`` are read-only (n + 2|E|,) arrays: slot k holds
     P[rows[k], cols[k]], in the row-major order of ``neighborhood_slots``,
@@ -96,15 +93,6 @@ class CommunicationMatrix:
     cols: np.ndarray = field(repr=False)
     starts: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    source: str  # "laplacian" | "custom"
-
-    @classmethod
-    def on_slots(cls, P, g: Graph) -> CommunicationMatrix:
-        """The entries of a dense P on g's slots, tagged custom; entries off the slots are dropped unchecked."""
-        rows, cols, starts = neighborhood_slots(g)
-        values = np.asarray(P, dtype=float)[rows, cols]
-        values.flags.writeable = False
-        return cls(n=g.n, cols=cols, starts=starts, values=values, source="custom")
 
     @property
     def rows(self) -> np.ndarray:
@@ -116,22 +104,15 @@ class CommunicationMatrix:
 
         Row j's slots (j, i) are ascending in i, and so are the slots (i, j)
         of column j in row-major order, so a stable sort by column lists
-        them in row j's places. Only the edge engine and P' of a custom P
-        over the slots read it.
+        them in row j's places. Only the edge engine reads it.
         """
         transpose = np.argsort(self.cols, kind="stable")
         transpose.flags.writeable = False
         return transpose
 
-    def dense(self) -> np.ndarray:
-        """P as a new writable n x n array: zeros with the slot values written in."""
-        P = np.zeros((self.n, self.n))
-        P[self.rows, self.cols] = self.values
-        return P
-
     @cached_property
     def kept_dense(self) -> np.ndarray:
-        """P as ``dense()`` builds it, built on first read and kept, read-only, as long as the matrix.
+        """P as an n x n array from its slots, built on first read and kept, read-only, as long as the matrix.
 
         Its first entry sits on a 64-byte boundary: at n=200 one-thread GEMVs
         with P and P' took 6-8 us there and 9-10 us at a 16-byte offset.
@@ -143,10 +124,6 @@ class CommunicationMatrix:
         P[self.rows, self.cols] = self.values
         P.flags.writeable = False
         return P
-
-    def graph_laplacian(self) -> CommunicationMatrix:
-        """The Laplacian of P's graph on P's own slots, which are that graph's closed neighborhoods: P itself when P is it."""
-        return self if self.source == "laplacian" else _laplacian_on_slots(self.n, self.rows, self.cols, self.starts)
 
     @cached_property
     def col_norms_sq(self) -> np.ndarray:
@@ -162,8 +139,8 @@ class CommunicationMatrix:
     def circulant(self) -> bool:
         """Whether P is circulant: every row holds row 0's offsets (j - i) mod n, with row 0's values on them.
 
-        Then every row has |N(0)| slots, so D is a multiple of I, and W,
-        M - W and the Laplacian on the slots are circulant too. The values
+        Then every row has |N(0)| slots, so D is a multiple of I, and W and
+        M - W are circulant too. The values
         must be equal exactly. A row's offsets are distinct, so a row of
         |N(0)| slots whose every offset is one of row 0's holds all of them.
         """
@@ -185,20 +162,16 @@ class CommunicationMatrix:
         B[rows, self.cols] = self.values * (1.0 / np.sqrt(self.nbhd_sizes))[rows]
         return B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
 
-    @cached_property
-    def _values_t(self) -> np.ndarray:
-        """P' on the slots: (P')_ij = P_ji sits at the slot of (j, i); the Laplacian is symmetric."""
-        return self.values if self.source == "laplacian" else self.values[self.transpose]
-
     def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense_products:
             return _apply(self.kept_dense, x, out)
         return self._slot_apply(self.values, x, out)
 
     def pt(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """P'v; over the slots the same product as P v, since P is symmetric, but the dense GEMV with P' sums in its own order."""
         if self.dense_products:
             return _apply(self.kept_dense.T, v, out)
-        return self._slot_apply(self._values_t, v, out)
+        return self._slot_apply(self.values, v, out)
 
     def w(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.W, x)
@@ -358,19 +331,6 @@ def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:
     the slots win there because they keep no n x n array.
     """
     return comm.n * comm.n <= SLOT_COST * comm.cols.size + SLOT_FIXED
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "SparsityViolation" | "NullSpaceViolation" | "ZeroColumn"
-    index: tuple[int, ...] | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -543,82 +503,11 @@ def neighborhood_slots(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def laplacian(g: Graph) -> CommunicationMatrix:
-    """Graph Laplacian: diagonal = degrees, -1 on edges, 0 elsewhere."""
-    return _laplacian_on_slots(g.n, *neighborhood_slots(g))
-
-
-def _laplacian_on_slots(n: int, rows: np.ndarray, cols: np.ndarray, starts: np.ndarray) -> CommunicationMatrix:
-    """The Laplacian on closed-neighborhood slots: |N(i)| - 1 on row i's diagonal slot, -1 on its others."""
+    """Graph Laplacian on g's closed-neighborhood slots: the degree |N(i)| - 1 on row i's diagonal slot, -1 on its others."""
+    rows, cols, starts = neighborhood_slots(g)
     values = np.where(rows == cols, np.diff(starts, append=cols.size)[rows] - 1, -1.0)
     values.flags.writeable = False
-    return CommunicationMatrix(n=n, cols=cols, starts=starts, values=values, source="laplacian")
-
-
-def validate_comm_matrix(P, g: Graph) -> ValidationReport:
-    """Check a candidate communication matrix against the graph.
-
-    ok iff: sparsity respects the closed neighborhoods, row sums vanish
-    (|P 1|_inf <= 1e-12 max|P_ij|), the second-smallest singular value
-    exceeds 1e-9 times the largest (null space is one-dimensional), and no
-    column is identically zero.
-    """
-    return _validated(P, g)[0]
-
-
-def custom_comm_matrix(P, g: Graph) -> CommunicationMatrix:
-    """Wrap a user-supplied P, raising CommMatrixError if validation fails."""
-    report, comm = _validated(P, g)
-    if not report.ok:
-        raise CommMatrixError(report)
-    return comm
-
-
-def _validated(P, g: Graph) -> tuple[ValidationReport, CommunicationMatrix]:
-    """The report of ``validate_comm_matrix`` and P on g's slots, from one slot build."""
-    if isinstance(P, CommunicationMatrix):
-        P = P.dense()
-    P = np.asarray(P, dtype=float)
-    if P.shape != (g.n, g.n):
-        raise InfeasibleParamsError(f"P has shape {P.shape}, expected ({g.n},{g.n})")
-    comm = CommunicationMatrix.on_slots(P, g)
-    violations: list[Violation] = []
-
-    # nonzeros in row-major order, tested against the slots' ascending keys i n + j
-    keys = comm.rows * g.n + comm.cols
-    nonzero = np.flatnonzero(P)
-    at = np.minimum(np.searchsorted(keys, nonzero), keys.size - 1)
-    for i, j in zip(*np.divmod(nonzero[keys[at] != nonzero][:10], g.n)):
-        violations.append(
-            Violation("SparsityViolation", (int(i), int(j)), f"P[{i},{j}] nonzero but {j} not in N({i})")
-        )
-
-    scale = float(np.max(np.abs(P)))
-    row_sums = P @ np.ones(g.n)
-    worst = int(np.argmax(np.abs(row_sums)))
-    if np.abs(row_sums[worst]) > ROW_SUM_RTOL * scale:
-        violations.append(
-            Violation(
-                "NullSpaceViolation",
-                (worst,),
-                f"row {worst} sums to {row_sums[worst]:.3e}, so P@1 != 0",
-            )
-        )
-
-    sv = np.linalg.svd(P, compute_uv=False)  # descending
-    if sv[-2] <= RANK_RTOL * sv[0] or sv[0] == 0.0:
-        violations.append(
-            Violation(
-                "NullSpaceViolation",
-                None,
-                f"rank deficiency: singular values {sv[-2]:.3e} vs largest {sv[0]:.3e}",
-            )
-        )
-
-    col_mags = np.max(np.abs(P), axis=0)
-    for j in np.nonzero(col_mags == 0.0)[0]:
-        violations.append(Violation("ZeroColumn", (int(j),), f"column {j} is all zeros"))
-
-    return ValidationReport(ok=not violations, violations=tuple(violations)), comm
+    return CommunicationMatrix(n=g.n, cols=cols, starts=starts, values=values)
 
 
 def write_graph_file(g: Graph, path) -> None:

@@ -9,20 +9,17 @@ W and P only for their spectra.
 read, the smallest nonzero eigenvalue of W and the largest eigenvalue of
 the metric block M - W, and, on first read, the algebraic connectivity
 a(G) that only the degree/connectivity relations read: the second
-eigenvalue of the Laplacian on P's slots (from P itself when P is the
-Laplacian). Each is known in one of three ways, its ``kind``, and each
-matrix takes one route, decided once:
+eigenvalue of P, which is the graph Laplacian. Each is known in one of
+three ways, its ``kind``, and each matrix takes one route, decided once:
 
 * CLOSED_FORM: P is circulant (``CommunicationMatrix.circulant``, read
   from its slots: the Laplacian of every circulant, cycle and complete
-  graph, and any circulant custom P). Then D is a multiple of I, so W and
-  M - W are circulant too, and ``_circulant_eigenvalues`` reads their
-  eigenvalues as cosine sums over the first row of W and of 0 - W with m_0
-  added at [0]. W, a syrk, matches circ(W[0]) to its own rounding, so by
-  Weyl's inequality the sums lie within ``eigvalsh``'s backward error of
-  its eigenvalues. a(G) is closed form whenever the Laplacian on P's slots
-  is circulant, from its first row on the slots, even when P's values are
-  not;
+  graph). Then D is a multiple of I, so W and M - W are circulant too,
+  and ``_circulant_eigenvalues`` reads their eigenvalues as cosine sums
+  over the first row of W and of 0 - W with m_0 added at [0]. W, a syrk,
+  matches circ(W[0]) to its own rounding, so by Weyl's inequality the sums
+  lie within ``eigvalsh``'s backward error of its eigenvalues. a(G) is
+  then closed form too, from P's first row on the slots;
 * EXACT: below ``certified_spectra_are_cheaper``'s size crossover, or where
   the certified path gives up, ``eigvalsh``;
 * CERTIFIED: above the crossover, a bound on the safe side, which is all
@@ -127,22 +124,21 @@ class SpectralData:
 
     @cached_property
     def connectivity(self) -> tuple[float, str]:
-        """(a(G), its kind): the second eigenvalue of the Laplacian on P's slots, a lower bound on it when CERTIFIED.
+        """(a(G), its kind): the second eigenvalue of P, the Laplacian, a lower bound on it when CERTIFIED.
 
         A circulant Laplacian gets the cosine sums of its first row, read
         from its slots; any other is written into W's upper triangle for its
         certificate or ``eigvalsh``, so no n x n Laplacian is built.
         """
         comm = self.comm
-        lap = comm.graph_laplacian()
-        if lap.circulant:
-            return float(_circulant_eigenvalues(_first_row(lap))[1]), CLOSED_FORM
-        diag = lap.values[lap.rows == lap.cols]
+        if comm.circulant:
+            return float(_circulant_eigenvalues(_first_row(comm))[1]), CLOSED_FORM
+        diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
-            found = _certified_second(lap.p, comm.W, diag, lap)
+            found = _certified_second(comm.p, comm.W, diag, comm)
             if found is not None:
                 return found[0], CERTIFIED
-        with _written_below(comm.W, diag, lap=lap) as A:
+        with _written_below(comm.W, diag, lap=comm) as A:
             return float(_eigvalsh(A)[1]), EXACT
 
     @property
@@ -485,7 +481,7 @@ def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
             eig_gram = Spectrum.of(_circulant_eigenvalues(W[0]), CLOSED_FORM)
         else:
             eig_gram = Spectrum.of(_eigvalsh(W), EXACT)
-        # null(W) = span{1} (validate_comm_matrix, connectivity), so lam_min is
+        # null(W) = null(P) = span{1} on a connected graph, so lam_min is
         # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
         gram = eig_gram, float(eig_gram.eigenvalues[1])
     eig_gram, min_pos = gram

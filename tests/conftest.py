@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from admmnet import admm, analysis, graph, reporting
-from admmnet.graph import build_graph, custom_comm_matrix, generate_graph, laplacian
+from admmnet.graph import build_graph, generate_graph
 from admmnet.objectives import central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
 
@@ -45,21 +45,40 @@ def implicit_subgradients(trace, comm):
     return rho * (centers - trace.xs[1:])
 
 
-def edge_weighted_laplacian(rng: np.random.Generator, g):
-    """A Laplacian with edge weights drawn from [0.5, 2): a custom P with the graph's sparsity."""
-    P = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        w = rng.uniform(0.5, 2.0)
-        P[[i, j], [i, j]] += w
-        P[[i, j], [j, i]] -= w
-    return custom_comm_matrix(P, g)
+def dense(comm):
+    """P as a new writable n x n array: zeros with the slot values written in."""
+    P = np.zeros((comm.n, comm.n))
+    P[comm.rows, comm.cols] = comm.values
+    return P
 
 
-def row_scaled_laplacian(rng: np.random.Generator, g):
-    """An edge-weighted Laplacian with its rows scaled apart: a custom P that is not symmetric."""
-    P = rng.uniform(0.5, 2.0, size=(g.n, 1)) * edge_weighted_laplacian(rng, g).dense()
-    P[P == 0.0] = 0.0  # no -0.0 off the slots
-    return custom_comm_matrix(P, g)
+def gap_inequality_check(trace, spectral, optimal, problem, c, r=None):
+    """Per-round margins rhs - lhs of the one-step gap inequality that telescopes into the sublinear bounds.
+
+    For an x-space reference r (default 0; ``AuxSequences.dual_ref`` is the
+    one at the optimum), every round must satisfy
+    (2/c)(F(x(t+1)) - F*) + 2 r' W x(t+1)
+      <= dist(t) - dist(t+1) - step(t)
+    where the distances are squared metric distances to (r, x*), i.e. the
+    paper's inequality with its dual reference Q r. The terms come from the
+    blocked sweeps of ``analysis``, so the margins also check those sweeps.
+    """
+    if r is None:
+        r = np.zeros_like(optimal.x_star)
+    comm, xs = spectral.comm, trace.xs
+    dist = analysis._metric_sweep(xs, comm, r, optimal.x_star)[0]
+    wr = comm.w(r)
+    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
+    lhs, step = np.empty(trace.T), np.empty(trace.T)
+    # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
+    sweeps = zip(analysis._centered_sweep(xs[:-1], comm), analysis._centered_sweep(xs[1:], comm))
+    for (rows, xc0, wxc0), (_, xc1, wxc1) in sweeps:
+        x1 = xs[1:][rows]
+        lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
+        xc0 -= xc1
+        wxc0 -= wxc1
+        step[rows] = analysis._metric_form(m, xc1, wxc1, xs[:-1][rows] - x1, analysis._forms(xc0, wxc0))
+    return dist[:-1] - dist[1:] - step - lhs
 
 
 def with_slot_products(comm):

@@ -12,9 +12,8 @@ from admmnet.errors import (
     InnerSolverNoConvergenceError,
     NonFiniteIterateError,
     ProxFailureError,
-    ZeroMWeightError,
 )
-from admmnet.graph import custom_comm_matrix, generate_graph, laplacian, stack_apply
+from admmnet.graph import generate_graph, laplacian, stack_apply
 from admmnet.objectives import (
     CustomSmooth,
     L1Quadratic,
@@ -24,7 +23,7 @@ from admmnet.objectives import (
     estimation_problem,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import implicit_subgradients, random_connected_graph, recurrence_residuals, row_scaled_laplacian
+from conftest import dense, implicit_subgradients, random_connected_graph, recurrence_residuals
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
 FIRST_Y = np.array([-1.0 / 7.0, 0.0, 1.0 / 7.0])
@@ -56,7 +55,7 @@ def test_p3_converges_to_mean(p3):
 
 def test_stacked_identities(p3_problem):
     trace = admm.run(p3_problem, admm.RunConfig(c=0.7, T=60))
-    P = p3_problem.comm.dense()
+    P = dense(p3_problem.comm)
     Dinv = np.diag(1.0 / np.array([2.0, 3.0, 2.0]))
     for t in range(1, trace.T + 1):
         assert np.max(np.abs(trace.ys[t] - Dinv @ P @ trace.xs[t])) <= 1e-12
@@ -169,18 +168,6 @@ def test_run_rejects_non_finite_penalty(k3_problem, c):
         admm.run(k3_problem, admm.RunConfig(c=c, T=3))
 
 
-def test_zero_column_raises_zero_weight(p3):
-    # a comm matrix with an all-zero column cannot weight that node's prox
-    P = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    P[:, 0] = 0.0
-    from admmnet.graph import CommunicationMatrix
-
-    comm = CommunicationMatrix.on_slots(P, p3)
-    prob = NetworkProblem(graph=p3, comm=comm, objectives=tuple(Quadratic(target=np.array([float(i)])) for i in range(3)))
-    with pytest.raises(ZeroMWeightError):
-        admm.run(prob, admm.RunConfig(c=1.0, T=1))
-
-
 @pytest.mark.parametrize("engine", ["node", "edge"])
 def test_non_finite_iterate_raises(k3_problem, engine):
     # c m overflows to inf, so the first prox returns nan on every node
@@ -222,11 +209,6 @@ def test_prox_failure_names_custom_node(engine):
 
 def _mixed_problem(rng, n, d):
     g = random_connected_graph(rng, n)
-    P = np.zeros((n, n))
-    for i, j in g.edges:  # edge-weighted Laplacian: custom P with the graph's sparsity
-        w = rng.uniform(0.5, 2.0)
-        P[[i, j], [i, j]] += w
-        P[[i, j], [j, i]] -= w
     objs = []
     for _ in range(n):
         target, weight = rng.normal(scale=3.0, size=d), rng.uniform(0.5, 2.0)
@@ -234,7 +216,7 @@ def _mixed_problem(rng, n, d):
             objs.append(Quadratic(target=target, weight=weight))
         else:
             objs.append(L1Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 1.0)))
-    return NetworkProblem(graph=g, comm=custom_comm_matrix(P, g), objectives=tuple(objs))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,7 +232,7 @@ def test_vectorized_round_properties(n, d, seed):
 
     # the recurrence eliminates p = c * sum_s D^-1 P x(s), so start on it
     x0 = init[0]
-    y0 = (prob.comm.dense() @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
+    y0 = (dense(prob.comm) @ x0) / (np.array(prob.graph.degrees) + 1.0)[:, None]
     trace = admm.run(prob, admm.RunConfig(c=c, T=30, init=(x0, y0, c * y0)))
     sd = compute_spectral_data(prob.comm)
     assert float(np.max(recurrence_residuals(trace, prob, sd))) <= 1e-8
@@ -273,7 +255,7 @@ def _reference_run(problem, c, T, init, engine):
     ``admm.run`` evaluates the same expressions in the same operand order on
     preallocated buffers, so its trace must agree bit for bit.
     """
-    P, n, d = problem.comm.dense(), problem.n, problem.dimension
+    P, n, d = dense(problem.comm), problem.n, problem.dimension
     inv_size = 1.0 / (np.array(problem.graph.degrees, dtype=float) + 1.0)[:, None]
     rho = c * np.einsum("ji,ji->i", P, P)[:, None]
     x0, y0, p0 = init
@@ -357,7 +339,7 @@ def _check_slot_identities(prob, c, T, init):
     assert edge.zs is None and edge.lams is None
     rows, cols = closed_neighborhood_slots(prob.graph)
     assert zs.shape == lams.shape == (T + 1, prob.n + 2 * prob.graph.m, prob.dimension)
-    P = prob.comm.dense()[rows, cols][:, None]
+    P = dense(prob.comm)[rows, cols][:, None]
     assert np.max(np.abs(lams - node.ps[:, rows])) <= 1e-10  # lambda_ij = p_i
     assert np.max(np.abs(zs - (P * node.xs[:, cols] - node.ys[:, rows]))) <= 1e-10  # z_ij = P_ij x_j - y_i
     for i in range(prob.n):
@@ -367,7 +349,7 @@ def _check_slot_identities(prob, c, T, init):
 @settings(max_examples=60, deadline=None)
 @given(_mixed_runs())
 def test_edge_slot_identities(case):
-    # irregular graphs with an edge-weighted P tell a slot (i, j) from (j, i)
+    # irregular graphs tell a slot (i, j) from (j, i): z_ij = P_ij x_j - y_i differs from z_ji
     prob, c, init = case
     _check_slot_identities(prob, c, 12, init)
 
@@ -420,9 +402,7 @@ def test_engines_never_form_w(engine):
 def test_run_reuses_the_column_norms_of_the_spectral_data(monkeypatch, engine):
     # m and the crossover belong to the matrix: a run after
     # compute_spectral_data on the same problem makes neither again
-    rng = np.random.default_rng(3)
-    g = generate_graph("erdos_renyi", 30, p=0.2, seed=1)
-    prob = NetworkProblem(graph=g, comm=row_scaled_laplacian(rng, g), objectives=estimation_problem(g).objectives)
+    prob = estimation_problem(generate_graph("erdos_renyi", 30, p=0.2, seed=1))
     made = []
     for owner, name in ((np, "bincount"), (graph, "dense_products_are_cheaper")):
         fn = getattr(owner, name)

@@ -247,6 +247,16 @@ def test_certify_output(capsys):
     assert "rate_star=0.72082548" in out
 
 
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    # the parser is built on the first call and reused by every later command in the process
+    built = cli.build_parser()
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", None)  # building another would fail
+    for _ in range(2):
+        assert cli.main(["certify", "--n", "3"]) == 0
+    assert cli.build_parser() is built
+    capsys.readouterr()
+
+
 def test_check_subcommand_roundtrip(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0

@@ -9,9 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from admmnet import graph, spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
-from admmnet.graph import CommunicationMatrix, dense_products_are_cheaper, generate_graph, laplacian, stack_apply
+from admmnet.graph import (
+    CommunicationMatrix,
+    dense_products_are_cheaper,
+    generate_graph,
+    laplacian,
+    neighborhood_slots,
+    stack_apply,
+)
 from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, compute_spectral_data, psd_certificates
-from conftest import edge_weighted_laplacian, random_connected_graph, row_scaled_laplacian, with_slot_products
+from conftest import dense, random_connected_graph, with_slot_products
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -38,7 +45,7 @@ def count_eigvalsh(monkeypatch) -> list:
 
 def algebraic_connectivity(g) -> float:
     """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense, by cosine sums if it is circulant."""
-    L = laplacian(g).dense()
+    L = dense(laplacian(g))
     lam = spectral._circulant_eigenvalues(L[0]) if np.array_equal(L, circulant(L[0])) else np.linalg.eigvalsh(L)
     return float(lam[1])
 
@@ -64,7 +71,7 @@ def test_sym_eig_identity(monkeypatch):
 
 
 def test_sym_eig_p3(p3):
-    assert np.allclose(spectral._eigvalsh(laplacian(p3).dense()), P3_EIGS, atol=1e-12)
+    assert np.allclose(spectral._eigvalsh(dense(laplacian(p3))), P3_EIGS, atol=1e-12)
 
 
 def test_sym_eig_k3(k3):
@@ -95,7 +102,7 @@ def test_sym_eig_invariants(n, seed, blocks):
 
 
 def test_sym_eig_deterministic(k3):
-    P = laplacian(k3).dense()
+    P = dense(laplacian(k3))
     a, b = (Spectrum.of(spectral._eigvalsh(P), EXACT) for _ in range(2))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert (a.min, a.max) == (float(a.eigenvalues[0]), float(a.eigenvalues[-1]))
@@ -103,7 +110,7 @@ def test_sym_eig_deterministic(k3):
 
 def test_spectral_data_k3(k3, k3_spectral):
     sd = k3_spectral
-    P = laplacian(k3).dense()
+    P = dense(laplacian(k3))
     assert np.allclose(sd.comm.col_norms_sq, [6, 6, 6])
     assert np.allclose(sd.comm.nbhd_sizes, [3, 3, 3])
     # P^2 = 3P on the complete triangle, so the Gram matrix is P itself
@@ -198,36 +205,18 @@ def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypat
     assert np.array_equal(sd.eig_metric.eigenvalues, fn(want))
 
 
-@pytest.mark.parametrize("kind,n,kw", [("erdos_renyi", 30, {"p": 0.2, "seed": 1}), ("path", 12, {}), ("circulant", 20, {"d": 4})])
-def test_laplacian_problem_reads_a_from_its_own_p(monkeypatch, kind, n, kw):
-    # a(G) of a problem whose P is the Laplacian is that P's second
-    # eigenvalue: no second n x n Laplacian is built; a custom P still builds one
-    g = generate_graph(kind, n, **kw)
-    comm = laplacian(g)
-    want = algebraic_connectivity(g)
-    built = []
-    fn = graph._laplacian_on_slots
-    monkeypatch.setattr(graph, "_laplacian_on_slots", lambda *a: built.append(a[0]) or fn(*a))
-    assert compute_spectral_data(comm).algebraic_connectivity == want
-    assert built == []
-    scaled = CommunicationMatrix.on_slots(2.0 * comm.dense(), g)
-    assert compute_spectral_data(scaled).algebraic_connectivity == want
-    assert built == [g.n]
-
-
 @pytest.mark.parametrize(
     "kind,n,kw",
     [("erdos_renyi", 30, {"p": 0.2, "seed": 1}), ("path", 12, {}), ("circulant", 20, {"d": 4}), ("erdos_renyi", 400, {"p": 0.05, "seed": 1})],
 )
-@pytest.mark.parametrize("weighted", [False, True])
-def test_custom_p_reads_a_from_the_laplacian_on_its_slots(kind, n, kw, weighted):
-    # the slots of a custom P are its graph's closed neighborhoods, so a(G)
-    # needs no Graph: it is the graph Laplacian's lam_2, bit for bit
+def test_laplacian_problem_reads_a_from_its_own_p(kind, n, kw):
+    # a(G) is the second eigenvalue of the problem's own P, the Laplacian,
+    # bit for bit, and reading it leaves W as it was
     g = generate_graph(kind, n, **kw)
-    rng = np.random.default_rng(n)
-    comm = row_scaled_laplacian(rng, g) if weighted else edge_weighted_laplacian(rng, g)
-    assert comm.source == "custom"
-    assert compute_spectral_data(comm).algebraic_connectivity == algebraic_connectivity(g)
+    sd = compute_spectral_data(laplacian(g))
+    W = sd.comm.W.copy()
+    assert sd.algebraic_connectivity == algebraic_connectivity(g)
+    assert sd.comm.W.tobytes() == W.tobytes()
 
 
 def test_algebraic_connectivity_values(k3, p3):
@@ -299,11 +288,13 @@ def test_long_path_min_eig_in_sandwich(n):
 
 def test_second_null_direction_is_degenerate():
     # two disjoint paths inside a 6-cycle: W has a two-dimensional null space
+    # (no Laplacian of a connected graph has one, so the matrix is built from slot values)
     g = generate_graph("cycle", 6)
     P = np.zeros((6, 6))
-    P[:3, :3] = P[3:, 3:] = laplacian(generate_graph("path", 3)).dense()
+    P[:3, :3] = P[3:, 3:] = dense(laplacian(generate_graph("path", 3)))
+    rows, cols, starts = neighborhood_slots(g)
     with pytest.raises(DegenerateSpectrumError):
-        compute_spectral_data(CommunicationMatrix.on_slots(P, g))
+        compute_spectral_data(CommunicationMatrix(n=g.n, cols=cols, starts=starts, values=P[rows, cols]))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -323,15 +314,15 @@ def test_stack_apply_matches_matmul(d, symmetric):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 30), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
-def test_operator_products_keep_their_bits(n, seed, weighted, d):
+@given(st.integers(2, 30), st.integers(0, 10_000), st.sampled_from([1, 3]))
+def test_operator_products_keep_their_bits(n, seed, d):
     """W is D^(-1/2) P's syrk, and each product is bit for bit np.matmul on an (n, d) operand and stack_apply on a stack."""
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
-    comm = edge_weighted_laplacian(rng, g) if weighted else laplacian(g)
+    comm = laplacian(g)
     assert compute_spectral_data(comm).comm is comm
     assert comm.dense_products  # below the crossover at n <= 30
-    P = comm.dense()
+    P = dense(comm)
     B = P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
     assert np.array_equal(comm.W, B.T @ B)
     assert np.array_equal(comm.col_norms_sq, np.einsum("ji,ji->i", P, P))
@@ -355,13 +346,12 @@ def test_operator_forms_w_on_first_read_only(p3):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(2, 40), st.integers(0, 10_000), st.booleans(), st.sampled_from([1, 3]))
-def test_slot_products_match_dense_products(n, seed, weighted, d):
-    # the weighted P is not symmetric, so P'v must read the transposed slots
+@given(st.integers(2, 40), st.integers(0, 10_000), st.sampled_from([1, 3]))
+def test_slot_products_match_dense_products(n, seed, d):
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
-    comm = row_scaled_laplacian(rng, g) if weighted else laplacian(g)
-    mat, P = with_slot_products(comm), comm.dense()
+    comm = laplacian(g)
+    mat, P = with_slot_products(comm), dense(comm)
     assert not mat.dense_products
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(7, n, d))
     tol = dict(rtol=1e-12, atol=1e-12 * float(np.abs(P).max()) * n)
@@ -377,16 +367,16 @@ def test_slot_products_match_dense_products(n, seed, weighted, d):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(300, 400), st.integers(0, 10_000), st.booleans())
-def test_vector_slot_products_match_the_column_path(n, seed, weighted):
+@given(st.integers(300, 400), st.integers(0, 10_000))
+def test_vector_slot_products_match_the_column_path(n, seed):
     # above the product crossover an (n,) operand of P, P' and W runs one
     # gather, scale and reduceat: bit for bit the (n, 1) operand's column,
     # which, like every column of (n, d), sums as one (S, d) reduceat would
     rng = np.random.default_rng(seed)
     g = generate_graph("erdos_renyi", n, p=float(rng.uniform(0.02, 0.045)), seed=seed)
-    comm = row_scaled_laplacian(rng, g) if weighted else laplacian(g)
+    comm = laplacian(g)
     assert not comm.dense_products
-    P = comm.dense()
+    P = dense(comm)
     x = rng.normal(size=n)
     for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w_by_products, comm.W)):
         got = got_of(x)
@@ -516,17 +506,16 @@ def test_w_pinv_falls_back_to_the_dense_solve_when_cg_misses():
 
 
 def gram_of(comm, g) -> np.ndarray:
-    B = comm.dense() * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
+    B = dense(comm) * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
     return B.T @ B
 
 
 @pytest.mark.parametrize("kind,n,kw", [("erdos_renyi", 40, {"p": 0.2, "seed": 2}), ("circulant", 30, {"d": 6}), ("path", 9, {})])
-@pytest.mark.parametrize("weighted", [False, True])
-def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw, weighted):
+def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw):
     # M - W and the Laplacian are built in W's own storage and W is
     # restored, also when a spectrum raises; a circulant P writes neither
     g = generate_graph(kind, n, **kw)
-    comm = edge_weighted_laplacian(np.random.default_rng(n), g) if weighted else laplacian(g)
+    comm = laplacian(g)
     want = gram_of(comm, g).tobytes()
     sd = compute_spectral_data(comm)
     assert sd.algebraic_connectivity > 0
@@ -582,7 +571,7 @@ def test_written_below_restores_w_bit_for_bit(monkeypatch, mode, raises):
     # (the M - W certificate) writes and restores only the diagonal
     n = 90
     g = generate_graph("erdos_renyi", n, p=0.1, seed=4)
-    comm = row_scaled_laplacian(np.random.default_rng(4), g)
+    comm = laplacian(g)
     W = comm.W
     want = W.copy()
     diag = np.random.default_rng(5).normal(size=n)
@@ -590,13 +579,13 @@ def test_written_below_restores_w_bit_for_bit(monkeypatch, mode, raises):
         "diagonal": {},
         "plus-p": {"p": 0.3},
         "negate": {"negate": True},
-        "laplacian": {"p": 0.3, "lap": comm.graph_laplacian()},
+        "laplacian": {"p": 0.3, "lap": comm},
     }[mode]
     below = {
         "diagonal": want,
         "plus-p": want + 0.3,
         "negate": 0.0 - want,
-        "laplacian": comm.graph_laplacian().dense() + 0.3,
+        "laplacian": dense(comm) + 0.3,
     }[mode]
     passes = []
     fn = spectral._each_above
@@ -618,10 +607,9 @@ def test_written_below_restores_w_bit_for_bit(monkeypatch, mode, raises):
 
 
 @pytest.mark.parametrize("n", [600, 800])
-@pytest.mark.parametrize("custom", [False, True], ids=["laplacian", "row-scaled"])
-def test_certified_scalars_bound_the_eigenvalues(n, custom):
+def test_certified_scalars_bound_the_eigenvalues(n):
     g = generate_graph("erdos_renyi", n, p=0.05, seed=1)
-    comm = row_scaled_laplacian(np.random.default_rng(n), g) if custom else laplacian(g)
+    comm = laplacian(g)
     W = comm.W.copy()
     sd = compute_spectral_data(comm)
     sigma, tau, sigma_a = sd.min_pos_eig_gram, sd.max_eig_metric, sd.algebraic_connectivity
@@ -630,7 +618,7 @@ def test_certified_scalars_bound_the_eigenvalues(n, custom):
     assert comm.W.tobytes() == W.tobytes()  # every certificate leaves W bit for bit
     lam = np.linalg.eigvalsh(W)
     metric = np.linalg.eigvalsh(np.diag(comm.col_norms_sq) - W)
-    a = np.linalg.eigvalsh(comm.graph_laplacian().dense())[1]
+    a = np.linalg.eigvalsh(dense(comm))[1]
     assert sigma <= lam[1] <= sigma * (1 + 1e-9)
     assert tau * (1 - 1e-9) <= metric[-1] <= tau
     assert sigma_a <= a <= sigma_a * (1 + 1e-9)
@@ -744,15 +732,6 @@ def test_certified_spectra_hold_one_factor_next_to_w():
 # --- circulance, read from the slots ---------------------------------------------
 
 
-def circulant_custom_p(n: int) -> CommunicationMatrix:
-    """A custom P, not symmetric, on circulant(n, 4): offset k of every row holds r[k], and the row sums to 0."""
-    g = generate_graph("circulant", n, d=4)
-    r = np.zeros(n)
-    r[[1, 2, n - 1, n - 2]] = -0.5, -1.0, -1.5, -0.25
-    r[0] = -r.sum()
-    return graph.custom_comm_matrix(circulant(r), g)
-
-
 def relabeled_circulant(n: int, d: int):
     g = generate_graph("circulant", n, d=d)
     return graph.build_graph(n, np.random.default_rng(n).permutation(n)[g.edges])
@@ -764,36 +743,31 @@ def relabeled_circulant(n: int, d: int):
         (lambda: laplacian(generate_graph("circulant", 40, d=6)), True),
         (lambda: laplacian(generate_graph("cycle", 25)), True),
         (lambda: laplacian(generate_graph("complete", 12)), True),
-        (lambda: circulant_custom_p(30), True),
         (lambda: laplacian(generate_graph("path", 30)), False),
         (lambda: laplacian(generate_graph("erdos_renyi", 40, p=0.2, seed=1)), False),
         (lambda: laplacian(relabeled_circulant(40, 6)), False),
-        (lambda: row_scaled_laplacian(np.random.default_rng(0), generate_graph("circulant", 40, d=6)), False),
     ],
-    ids=["circulant", "cycle", "complete", "custom-circulant", "path", "erdos-renyi", "relabeled", "row-scaled"],
+    ids=["circulant", "cycle", "complete", "path", "erdos-renyi", "relabeled"],
 )
 def test_circulance_is_read_from_the_slots(monkeypatch, make, want):
-    # a circulant P gets every spectrum as cosine sums, with no eigvalsh;
-    # any other P sends W and M - W to eigvalsh, one call each, and a(G)
-    # stays closed form exactly when the Laplacian on its slots is circulant
+    # a circulant P gets every spectrum, a(G) included, as cosine sums, with
+    # no eigvalsh; any other P sends W, M - W and then P to eigvalsh, one call each
     comm = make()
     n = comm.n
     assert comm.circulant is want
     calls = count_eigvalsh(monkeypatch)
     sd = compute_spectral_data(comm)
     assert calls == ([] if want else [(n, n), (n, n)])
-    lap_circulant = comm.graph_laplacian().circulant
     a = sd.algebraic_connectivity
-    assert len(calls) == (0 if want else 2) + (0 if lap_circulant else 1)
+    assert len(calls) == (0 if want else 3)
     kind = CLOSED_FORM if want else EXACT
-    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (kind, kind)
-    assert sd.connectivity[1] == (CLOSED_FORM if lap_circulant else EXACT)
+    assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (kind, kind, kind)
     W = comm.W
     for got, A in ((sd.eig_gram.eigenvalues, W), (sd.eig_metric.eigenvalues, np.diag(comm.col_norms_sq) - W)):
         lam = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(got, lam, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(lam))))
-    L = comm.graph_laplacian().dense()
-    if lap_circulant:
+    L = dense(comm)
+    if want:
         assert a == spectral._circulant_eigenvalues(L[0])[1]
     lam = np.linalg.eigvalsh(L)
     assert a == pytest.approx(lam[1], rel=0, abs=8 * n * EPS * lam[-1])
