@@ -34,7 +34,7 @@ from .errors import AdmmNetError, CertificateFailedError, ConfigParseError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
 from .objectives import aggregate, central_solve, estimation_problem, require_curvature
 from .reporting import fmt
-from .spectral import CERTIFIED, compute_spectral_data, psd_certificates
+from .spectral import CERTIFIED, Witness, compute_spectral_data, psd_certificates
 
 FIGURE1_DEGREES = (10, 20, 30)
 FIGURE1_N = 50
@@ -57,13 +57,14 @@ def _worst(v: analysis.Verdict) -> str:
     return f"worst margin {fmt(v.worst_margin)} at t={v.worst_t}"
 
 
-def _run_config(cfg: ExperimentConfig, recurrence: bool = False):
+def _run_config(cfg: ExperimentConfig, recurrence: bool = False, witness: Witness = Witness()):
     """(problem, spectral data, optimum, aggregate info, penalty, trace, auxiliary sequences,
     per-round table, sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``.
 
-    ``recurrence`` asks the auxiliary sequences for the recurrence's W part."""
+    ``recurrence`` asks the auxiliary sequences for the recurrence's W part;
+    ``witness`` holds recorded Ritz values to prove the certified spectra from."""
     problem = build_problem(cfg)
-    spectral = compute_spectral_data(problem.comm)
+    spectral = compute_spectral_data(problem.comm, witness)
     optimal = central_solve(problem)
     agg = aggregate(problem, optimal)
     auto = cfg.admm.c == "auto"
@@ -94,7 +95,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     problem, spectral, optimal, agg, c, trace, aux, table, sublinear, rate = _run_config(cfg, recurrence=True)
     g = problem.graph
-    reporting.write_trace_csv(out_dir / "trace.csv", table)
+    reporting.write_trace_csv(out_dir / "trace.csv", table, spectral.witness)
 
     lines = [
         "# admmnet report v2",
@@ -249,13 +250,13 @@ def cmd_check(args) -> int:
 
 
 def check_experiment(cfg: ExperimentConfig, trace_path) -> int:
-    table = reporting.read_trace_csv(trace_path)
+    table, witness = reporting.read_trace_csv(trace_path)
     lines: list[str] = []
     record = _Recorder(lines)
     if len(table["t"]) != cfg.admm.T:
         record("replay", False, f"trace has {len(table['t'])} rows, config says T={cfg.admm.T}")
     else:
-        *_, expected, sublinear, rate = _run_config(cfg)
+        *_, expected, sublinear, rate = _run_config(cfg, witness=witness)
         worst = reporting.replay_deviation(table, expected)
         record("replay", worst <= analysis.REPLAY_RTOL, f"worst relative deviation {fmt(worst)}")
         for name, v in zip(("objective", "feasibility"), analysis.sublinear_check(table, sublinear)):

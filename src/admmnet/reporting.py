@@ -1,8 +1,10 @@
 """The per-round table, its trace CSV schema and I/O, and slope fitting.
 
-The CSV layout is fixed and versioned by a leading comment line. A row per
-iteration t = 1..T; in memory the table is one array per column, integer
-for INT_COLUMNS:
+The CSV layout is fixed and versioned by a leading comment line,
+``# admmnet-trace v2`` followed by the run's spectral witness (see
+``WITNESS_FIELDS``); ``# admmnet-trace v1``, which carries none, is still
+read. A row per iteration t = 1..T; in memory the table is one array per
+column, integer for INT_COLUMNS:
 
     t, obj_gap, ergodic_obj_gap, feasibility, dist_sq, gnorm_sq,
     contraction_ratio, messages
@@ -32,8 +34,11 @@ from .admm import AdmmTrace, running_sums, sweep_blocks
 from .analysis import AuxSequences, contraction_ratios
 from .errors import ConfigParseError
 from .objectives import NetworkProblem, OptimalPoint
+from .spectral import Witness
 
-TRACE_SCHEMA = "# admmnet-trace v1"
+TRACE_SCHEMA = "# admmnet-trace v2"
+TRACE_SCHEMA_V1 = "# admmnet-trace v1"  # no witness
+WITNESS_FIELDS = {"gram_ritz": 2, "metric_ritz": 1}  # fields of the v2 first line, and how many numbers each holds
 TRACE_COLUMNS = (
     "t",
     "obj_gap",
@@ -113,27 +118,56 @@ def replay_deviation(got: Mapping[str, np.ndarray], want: Mapping[str, np.ndarra
     return worst
 
 
-def write_trace_csv(path, table: Mapping[str, np.ndarray]) -> None:
-    """Write the table as CSV with csv-module line ends ("\\r\\n"), floats as :func:`fmt` text."""
+def schema_line(witness: Witness) -> str:
+    """TRACE_SCHEMA, then ``gram_ritz=theta_2,top`` and ``metric_ritz=theta_max`` where ``witness`` has them, as :func:`fmt` text."""
+    fields = [TRACE_SCHEMA]
+    if witness.gram is not None:
+        fields.append("gram_ritz=" + ",".join(map(fmt, witness.gram)))
+    if witness.metric is not None:
+        fields.append("metric_ritz=" + fmt(witness.metric))
+    return " ".join(fields)
+
+
+def _read_schema_line(line: str) -> Witness:
+    """The witness of a trace's first line; ConfigParseError at line 1 for an unknown schema or field, or a bad number."""
+    if line == TRACE_SCHEMA_V1:
+        return Witness()
+    if line != TRACE_SCHEMA and not line.startswith(TRACE_SCHEMA + " "):
+        raise ConfigParseError(f"unknown trace schema {line!r}", lineno=1)
+    found = {}
+    for field in line[len(TRACE_SCHEMA) :].split():
+        name, _, text = field.partition("=")
+        if name not in WITNESS_FIELDS or name in found:
+            raise ConfigParseError(f"unknown or repeated trace field {field!r}", lineno=1)
+        try:
+            found[name] = tuple(float(v) for v in text.split(","))
+        except ValueError:
+            found[name] = ()
+        if len(found[name]) != WITNESS_FIELDS[name]:
+            raise ConfigParseError(f"{name} needs {WITNESS_FIELDS[name]} comma-separated numbers, got {text!r}", lineno=1)
+    metric = found.get("metric_ritz")
+    return Witness(gram=found.get("gram_ritz"), metric=None if metric is None else metric[0])
+
+
+def write_trace_csv(path, table: Mapping[str, np.ndarray], witness: Witness = Witness()) -> None:
+    """Write the table as CSV with csv-module line ends ("\\r\\n"), floats as :func:`fmt` text, ``witness`` on the first line."""
     row = ",".join("%d" if key in INT_COLUMNS else "%.17g" for key in TRACE_COLUMNS) + "\r\n"
     columns = [table[key].tolist() for key in TRACE_COLUMNS]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(TRACE_SCHEMA + "\n")
+        fh.write(schema_line(witness) + "\n")
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         fh.write((row * len(table["t"])) % tuple(chain.from_iterable(zip(*columns))))
 
 
-def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """The table written by :func:`write_trace_csv`; ConfigParseError if it cannot be read."""
+def read_trace_csv(path) -> tuple[dict[str, np.ndarray], Witness]:
+    """The table and witness written by :func:`write_trace_csv`, or a v1 table with no witness; ConfigParseError if it cannot be read."""
     try:
         with open(path, "r", newline="", encoding="ascii") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read trace: {exc}") from exc
     buf = io.StringIO(text, newline="")
-    first = buf.readline().rstrip("\n")
-    if first != TRACE_SCHEMA:
-        raise ConfigParseError(f"unknown trace schema {first!r}", lineno=1)
+    witness = _read_schema_line(buf.readline().rstrip("\n"))
     reader = csv.reader(buf)
     header = next(reader, None)
     if header is None or tuple(header) != TRACE_COLUMNS:
@@ -148,10 +182,11 @@ def read_trace_csv(path) -> dict[str, np.ndarray]:
         except (ValueError, OverflowError) as exc:
             raise ConfigParseError(str(exc), lineno=lineno) from None
     columns = zip(*rows) if rows else [()] * len(TRACE_COLUMNS)
-    return {
+    table = {
         key: np.array(col, dtype=np.int64 if key in INT_COLUMNS else float)
         for key, col in zip(TRACE_COLUMNS, columns)
     }
+    return table, witness
 
 
 def fit_tail_slope(errors: np.ndarray, tail_fraction: float = 0.5) -> tuple[float, float]:

@@ -40,6 +40,18 @@ three ways, its ``kind``, and each matrix takes one route, decided once:
   path n=300 is 4e-9; Lanczos stops as soon as the trace alone rules the
   bound out), or, for M - W, when the discs reach below the PSD floor.
 
+The search and the proof are apart: ``SpectralData.witness`` records the
+Ritz values each CERTIFIED scalar was proved from, (theta_2, top) of W and
+theta_max of M - W, and ``run`` writes them on the trace's first line.
+Given a ``Witness``, ``compute_spectral_data`` proves each scalar from it
+and runs no Lanczos; the back-off loop, the allowance, the tightness test,
+Kato-Temple and Gershgorin run unchanged, so a search's own witness gives
+that search's bits. A witness value that is not finite and positive (or a
+top below theta_2), or that proves nothing, sends its scalar back to the
+search and from there to ``eigvalsh``. Every bound is proven again, so a
+witness can never make a bound false; it can make one looser, as a lowered
+theta_2 or a raised theta_max still proves.
+
 W is the only dense matrix this module reads. Every other matrix that
 needs eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``,
 and the three certificate matrices for ``np.linalg.cholesky``) is written
@@ -109,11 +121,23 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """The Ritz values CERTIFIED scalars are proved from: (theta_2, top) of W, and theta_max of M - W.
+
+    A field is None where its scalar took the EXACT or CLOSED_FORM route.
+    """
+
+    gram: tuple[float, float] | None = None
+    metric: float | None = None
+
+
+@dataclass(frozen=True)
 class SpectralData:
     """The communication matrix and the spectra of W and M - W; M - W itself is not stored (see the module docstring).
 
     ``min_pos_eig_gram`` has ``eig_gram.kind`` and ``max_eig_metric`` has
-    ``eig_metric.kind``; a CERTIFIED one is a lower and an upper bound.
+    ``eig_metric.kind``; a CERTIFIED one is a lower and an upper bound, and
+    ``witness`` holds the Ritz values it was proved from.
     """
 
     comm: CommunicationMatrix = field(repr=False)
@@ -121,6 +145,7 @@ class SpectralData:
     eig_metric: Spectrum = field(repr=False)  # of M - W
     min_pos_eig_gram: float
     max_eig_metric: float
+    witness: Witness
 
     @cached_property
     def connectivity(self) -> tuple[float, str]:
@@ -367,24 +392,37 @@ def _allowance(norm: float, diag: np.ndarray, q) -> float:
     return gamma * (1.0 + 2.0 * gamma) * norm + 2.0 * _U * (math.fsum(diag.tolist()) + float(np.max(np.abs(q))))
 
 
-def _certified_second(apply, W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None = None):
-    """(sigma, top): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and H's largest Ritz value.
+def _certified_second(
+    apply, W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None = None, witness: tuple[float, float] | None = None
+):
+    """(sigma, (theta, top)): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and its witness.
 
     H is W or, with ``lap``, that Laplacian; ``apply`` is its product and
     ``diag`` its diagonal. Lanczos on 1's complement gives theta >= lam_2
-    and top; s = theta (1 - back-off). If H + p 11' - s I with p = top / n
-    factors, H + p 11' - sigma I >= 0 for sigma = s - rho (``_allowance``),
-    and for every x orthogonal to 1, x' H x >= sigma |x|^2, so
-    lam_2(H) >= sigma by Courant-Fischer. None if Lanczos has not converged
-    or gave up on the trace term, no back-off factors, or sigma lies below
+    and top, H's largest Ritz value. A ``witness`` (theta, top) recorded by
+    an earlier search is tried first, if 0 < theta <= top < inf; Lanczos
+    runs only if it is absent or proves nothing. None if Lanczos has not
+    converged or gave up on the trace term, or its values prove nothing
+    (``_second_from``).
+    """
+    if witness is not None and 0.0 < witness[0] <= witness[1] < math.inf:
+        found = _second_from(W, diag, lap, *witness)
+        if found is not None:
+            return found
+    ends = _ritz_ends(apply, W.shape[0], lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
+    return None if ends is None else _second_from(W, diag, lap, *ends)
+
+
+def _second_from(W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None, theta: float, top: float):
+    """(sigma, (theta, top)) proved from the Ritz values theta and top of H; None if no back-off factors, or sigma is loose.
+
+    s = theta (1 - back-off). If H + p 11' - s I with p = top / n factors,
+    H + p 11' - sigma I >= 0 for sigma = s - rho (``_allowance``), and for
+    every x orthogonal to 1, x' H x >= sigma |x|^2, so lam_2(H) >= sigma by
+    Courant-Fischer. None if no back-off factors, or sigma lies below
     theta (1 - BOUND_RTOL).
     """
-    n = W.shape[0]
-    ends = _ritz_ends(apply, n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
-    if ends is None:
-        return None
-    theta, top = ends
-    p = top / n
+    p = top / W.shape[0]
     for backoff in BACKOFFS:
         s = theta * (1.0 - backoff)
         q = p - s
@@ -392,7 +430,7 @@ def _certified_second(apply, W: np.ndarray, diag: np.ndarray, lap: Communication
         norm = _factor_norm(W, shifted, p, lap)
         if norm is not None:
             sigma = float(np.nextafter(s - _allowance(norm, shifted, q), -np.inf))
-            return (sigma, top) if sigma >= theta * (1.0 - BOUND_RTOL) else None
+            return (sigma, (theta, top)) if sigma >= theta * (1.0 - BOUND_RTOL) else None
     return None
 
 
@@ -412,42 +450,54 @@ def _gershgorin_floor(comm: CommunicationMatrix) -> float:
     return float(np.min(m - R - slack * (m + R)))
 
 
-def _certified_gram(comm: CommunicationMatrix, W: np.ndarray) -> tuple[Spectrum, float] | None:
-    """(W's ends, sigma <= lam_2(W)) by ``_certified_second``; None if not proven.
+def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[float, float] | None = None):
+    """(W's ends, sigma <= lam_2(W), (theta, top)) by ``_certified_second``, from ``witness`` if it proves; None if not proven.
 
     lam_min(W) needs no factorization: with u = 1/sqrt(n), rho = u'Wu and
     e = |Wu - rho u|, and no eigenvalue but lam_min below sigma, the
     Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
     in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
     """
-    found = _certified_second(comm.w_by_products, W, W.diagonal().copy())
+    found = _certified_second(comm.w_by_products, W, W.diagonal().copy(), witness=witness)
     if found is None:
         return None
-    sigma, top = found
+    sigma, ends = found
     y = comm.w_by_products(np.ones(comm.n))  # sqrt(n) W u
     rho = float(np.mean(y))
     e_sq = float(np.mean((y - rho) ** 2))
     floor = rho - e_sq / (sigma - rho) if sigma > rho else -math.inf
-    return Spectrum(min=floor, max=top, kind=CERTIFIED), sigma
+    return Spectrum(min=floor, max=ends[1], kind=CERTIFIED), sigma, ends
 
 
-def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | None:
-    """M - W's ends: the Gershgorin floor, and a proven upper bound tau on lam_max; None if not proven.
+def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, witness: float | None = None):
+    """(M - W's ends, theta): the Gershgorin floor and a proven upper bound tau on lam_max, and its witness; None if not proven.
 
-    Lanczos gives theta <= lam_max; s = theta (1 + back-off). If
-    s I - (M - W) = W + diag(s - m), written in place, factors, tau = s + rho
-    (``_allowance``). None if the floor lies below PSD_FLOOR (only a full
-    spectrum can tell), Lanczos has not converged, no back-off factors, or
-    tau lies above theta (1 + BOUND_RTOL).
+    Lanczos gives theta <= lam_max. A ``witness`` theta recorded by an
+    earlier search is tried first, if 0 < theta < inf; Lanczos runs only if
+    it is absent or proves nothing (``_metric_from``). None if the floor
+    lies below PSD_FLOOR (only a full spectrum can tell), Lanczos has not
+    converged, or its value proves nothing.
     """
     floor = _gershgorin_floor(comm)
     if floor < PSD_FLOOR:
         return None
+    if witness is not None and 0.0 < witness < math.inf:
+        found = _metric_from(comm, W, floor, witness)
+        if found is not None:
+            return found
     m = comm.col_norms_sq
     ends = _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
-    if ends is None:
-        return None
-    theta = ends[1]
+    return None if ends is None else _metric_from(comm, W, floor, ends[1])
+
+
+def _metric_from(comm: CommunicationMatrix, W: np.ndarray, floor: float, theta: float):
+    """(M - W's ends, theta) proved from the Ritz value theta of M - W; None if no back-off factors, or tau is loose.
+
+    s = theta (1 + back-off). If s I - (M - W) = W + diag(s - m), written in
+    place, factors, tau = s + rho (``_allowance``) bounds lam_max. None if
+    no back-off factors, or tau lies above theta (1 + BOUND_RTOL).
+    """
+    m = comm.col_norms_sq
     w_diag = W.diagonal().copy()
     for backoff in BACKOFFS:
         s = theta * (1.0 + backoff)
@@ -456,7 +506,7 @@ def _certified_metric(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum | No
         norm = _factor_norm(W, shifted, 0.0)
         if norm is not None:
             tau = float(np.nextafter(s + _allowance(norm, shifted, q), np.inf))
-            return Spectrum(min=floor, max=tau, kind=CERTIFIED) if tau <= theta * (1.0 + BOUND_RTOL) else None
+            return (Spectrum(min=floor, max=tau, kind=CERTIFIED), theta) if tau <= theta * (1.0 + BOUND_RTOL) else None
     return None
 
 
@@ -471,11 +521,12 @@ def _metric_spectrum(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum:
         return Spectrum.of(_eigvalsh(A), EXACT)
 
 
-def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
+def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness()) -> SpectralData:
+    """W's and M - W's spectra; a CERTIFIED scalar is proved from ``witness`` where it can be, and searched for otherwise."""
     W = comm.W
     certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
 
-    gram = _certified_gram(comm, W) if certify else None
+    gram = _certified_gram(comm, W, witness.gram) if certify else None
     if gram is None:
         if comm.circulant:  # D = |N(0)| I, so W is circulant too
             eig_gram = Spectrum.of(_circulant_eigenvalues(W[0]), CLOSED_FORM)
@@ -483,18 +534,20 @@ def compute_spectral_data(comm: CommunicationMatrix) -> SpectralData:
             eig_gram = Spectrum.of(_eigvalsh(W), EXACT)
         # null(W) = null(P) = span{1} on a connected graph, so lam_min is
         # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
-        gram = eig_gram, float(eig_gram.eigenvalues[1])
-    eig_gram, min_pos = gram
+        gram = eig_gram, float(eig_gram.eigenvalues[1]), None
+    eig_gram, min_pos, gram_ritz = gram
     if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    eig_metric = (_certified_metric(comm, W) if certify else None) or _metric_spectrum(comm, W)
+    metric = _certified_metric(comm, W, witness.metric) if certify else None
+    eig_metric, metric_ritz = metric or (_metric_spectrum(comm, W), None)
     return SpectralData(
         comm=comm,
         eig_gram=eig_gram,
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
         max_eig_metric=eig_metric.max,
+        witness=Witness(gram=gram_ritz, metric=metric_ritz),
     )
 
 

@@ -15,7 +15,8 @@ from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
 from admmnet.graph import CommunicationMatrix, generate_graph, laplacian, write_graph_file
 from admmnet.objectives import NetworkProblem
-from admmnet.spectral import compute_spectral_data
+from admmnet.reporting import fmt
+from admmnet.spectral import Witness, compute_spectral_data
 
 K3_CONFIG = """
 [graph]
@@ -67,7 +68,7 @@ def test_run_default_estimation_preset(tmp_path, capsys):
     assert "check contraction: PASS" in out
     assert "check recurrence: PASS" in out
     assert "check psd: PASS" in out
-    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    table, _ = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
     assert len(table["t"]) == 200
     assert table["obj_gap"][-1] <= 1e-10
     assert (tmp_path / "out" / "report.txt").exists()
@@ -77,7 +78,7 @@ def test_run_config_file(tmp_path):
     cfg = write_config(tmp_path)
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
-    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    table, _ = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
     assert table["t"][0] == 1
     assert table["messages"][0] == 6
 
@@ -86,7 +87,7 @@ def test_run_single_round(tmp_path):
     cfg = write_config(tmp_path, K3_CONFIG.replace("T = 200", "T = 1"))
     rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 0
-    table = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
+    table, _ = reporting.read_trace_csv(tmp_path / "out" / "trace.csv")
     assert len(table["t"]) == 1
     # x(1) = (1/7, 2/7, 3/7) gives a known distance to the optimum
     expect = sum((v - 2.0) ** 2 for v in (1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0))
@@ -353,8 +354,101 @@ def test_trace_csv_matches_csv_module(tmp_path, rows):
     reporting.write_trace_csv(tmp_path / "fast.csv", table)
     write_trace_csv_by_rows(tmp_path / "rows.csv", table)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-    back = reporting.read_trace_csv(tmp_path / "fast.csv")
+    back, _ = reporting.read_trace_csv(tmp_path / "fast.csv")
     assert reporting.replay_deviation(back, table) == 0.0
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [Witness(), Witness(gram=(0.1, 2.0**70)), Witness(metric=5e-324), Witness(gram=(1 / 3, 2 / 3), metric=1e300)],
+)
+def test_trace_witness_round_trips(tmp_path, witness):
+    table = {key: np.arange(1, 4, dtype=np.int64 if key in reporting.INT_COLUMNS else float) for key in reporting.TRACE_COLUMNS}
+    reporting.write_trace_csv(tmp_path / "trace.csv", table, witness)
+    back, got = reporting.read_trace_csv(tmp_path / "trace.csv")
+    assert got == witness and reporting.replay_deviation(back, table) == 0.0
+    first = (tmp_path / "trace.csv").read_bytes().split(b"\n", 1)[0].decode("ascii")
+    assert first == reporting.schema_line(witness) and first.startswith("# admmnet-trace v2")
+
+
+def with_first_line(trace: Path, line: str, name: str) -> Path:
+    """A copy of ``trace``, named ``name``, whose first line is ``line``."""
+    copy = trace.with_name(name)
+    copy.write_bytes(line.encode("ascii") + b"\n" + trace.read_bytes().split(b"\n", 1)[1])
+    return copy
+
+
+def er_run(tmp_path, capsys, n: int) -> tuple[Path, Path, Witness]:
+    """(config, trace, witness of its spectral data) of an Erdos-Renyi run at c = auto, T=5, past the size crossover."""
+    graph = f"kind = erdos_renyi\nn = {n}\np = 0.05\nseed = 1"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("c = 1.0", "c = auto").replace("T = 200", "T = 5"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    return cfg, out / "trace.csv", compute_spectral_data(build_problem(parse_experiment_config(cfg)).comm).witness
+
+
+def check_stdout(cfg: Path, trace: Path, capsys) -> str:
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(trace)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [600, 800])
+def test_check_proves_from_the_trace_witness(tmp_path, monkeypatch, capsys, n):
+    # run records the Ritz values it proved from; check proves from them with
+    # no Lanczos run, and a v1 copy of the trace searches again, with the same output
+    cfg, trace, w = er_run(tmp_path, capsys, n)
+    first = trace.read_bytes().split(b"\n", 1)[0].decode("ascii")
+    assert first == f"# admmnet-trace v2 gram_ritz={fmt(w.gram[0])},{fmt(w.gram[1])} metric_ritz={fmt(w.metric)}"
+    runs = []
+    fn = spectral._ritz_ends
+    monkeypatch.setattr(spectral, "_ritz_ends", lambda *args, **kwargs: runs.append(1) or fn(*args, **kwargs))
+    out = check_stdout(cfg, trace, capsys)
+    assert runs == []
+    assert check_stdout(cfg, with_first_line(trace, "# admmnet-trace v1", "v1.csv"), capsys) == out
+    assert len(runs) == 2
+    assert "check replay: PASS (worst relative deviation 0)" in out
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda theta, top, tm: f"gram_ritz={fmt(theta * (1 + 1e-6))},{fmt(top)} metric_ritz={fmt(tm * (1 - 1e-6))}",
+        lambda theta, top, tm: f"gram_ritz=nan,{fmt(top)} metric_ritz=inf",
+        lambda theta, top, tm: f"gram_ritz=0,{fmt(top)} metric_ritz=-0",
+        lambda theta, top, tm: f"gram_ritz={fmt(-theta)},{fmt(top)} metric_ritz={fmt(-tm)}",
+        lambda theta, top, tm: f"gram_ritz={fmt(theta)},{fmt(theta / 2)} metric_ritz={fmt(tm)}",
+    ],
+    ids=["past-the-eigenvalues", "non-finite", "zero", "negative", "top-below-theta"],
+)
+def test_check_falls_back_on_a_bad_witness(tmp_path, capsys, spoil):
+    cfg, trace, w = er_run(tmp_path, capsys, 600)
+    want = check_stdout(cfg, with_first_line(trace, "# admmnet-trace v1", "v1.csv"), capsys)
+    bad = with_first_line(trace, "# admmnet-trace v2 " + spoil(*w.gram, w.metric), "bad.csv")
+    assert check_stdout(cfg, bad, capsys) == want
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "# admmnet-trace v2 gram_ritz=1,2 rate=0.5",
+        "# admmnet-trace v2 metric_ritz=1.0x",
+        "# admmnet-trace v2 gram_ritz=1",
+        "# admmnet-trace v2 gram_ritz=1,2,3",
+        "# admmnet-trace v2 metric_ritz",
+        "# admmnet-trace v2 metric_ritz=1 metric_ritz=1",
+        "# admmnet-trace v1 metric_ritz=1",
+        "# admmnet-trace v2x",
+        "# admmnet-trace v3",
+    ],
+)
+def test_bad_trace_first_line_exits_2_at_line_1(tmp_path, capsys, line):
+    cfg = write_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    bad = with_first_line(tmp_path / "out" / "trace.csv", line, "bad.csv")
+    capsys.readouterr()
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
 
 
 @pytest.mark.parametrize("engine", ["node", "edge"])
@@ -864,7 +958,7 @@ def test_non_finite_distances_fail_contraction_in_run_and_check(tmp_path, capsys
     assert "check contraction: FAIL (bound 0.84210526315789469, checked 5, worst margin inf at t=1)" in run_out
     assert "check replay: PASS" in check_out
     assert "check contraction: FAIL (bound 0.84210526315789469, worst margin inf at t=1)" in check_out
-    assert np.all(reporting.read_trace_csv(out / "trace.csv")["contraction_ratio"] == np.inf)
+    assert np.all(reporting.read_trace_csv(out / "trace.csv")[0]["contraction_ratio"] == np.inf)
 
 
 def test_overflowing_targets_exit_2_naming_a(tmp_path, capsys):

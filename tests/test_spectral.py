@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from admmnet import graph, spectral
+from admmnet import analysis, graph, spectral
 from admmnet.errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
 from admmnet.graph import (
     CommunicationMatrix,
@@ -17,7 +18,7 @@ from admmnet.graph import (
     neighborhood_slots,
     stack_apply,
 )
-from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, compute_spectral_data, psd_certificates
+from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, Witness, compute_spectral_data, psd_certificates
 from conftest import dense, random_connected_graph, with_slot_products
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
@@ -686,6 +687,106 @@ def test_long_path_lanczos_gives_up_on_the_trace_term(monkeypatch):
     assert sd.connectivity[1] == spectral.EXACT
     assert len(runs) == 2
     assert all(steps < spectral.LANCZOS_STEPS and not found for steps, found in runs)
+
+
+# --- proving from a recorded witness ------------------------------------------
+
+
+def er_comm(n: int, seed: int = 1) -> CommunicationMatrix:
+    return laplacian(generate_graph("erdos_renyi", n, p=0.05, seed=seed))
+
+
+@functools.cache
+def searched(n: int, seed: int = 1) -> spectral.SpectralData:
+    """The spectral data of ``er_comm(n, seed)`` by the Lanczos search; its W is restored after every use."""
+    return compute_spectral_data(er_comm(n, seed))
+
+
+def assert_same_spectra(got, want) -> None:
+    assert (got.min_pos_eig_gram, got.max_eig_metric) == (want.min_pos_eig_gram, want.max_eig_metric)
+    assert (got.eig_gram, got.eig_metric, got.witness) == (want.eig_gram, want.eig_metric, want.witness)
+    # the estimation preset, nu = L = 1: c = auto and the rate follow bit for bit
+    assert analysis.optimize_rate(1.0, 1.0, got) == analysis.optimize_rate(1.0, 1.0, want)
+
+
+def test_exact_and_closed_form_spectra_record_no_witness():
+    for comm in (laplacian(generate_graph("path", 30)), laplacian(generate_graph("circulant", 40, d=6))):
+        assert compute_spectral_data(comm).witness == Witness()
+
+
+@pytest.mark.parametrize("n", [600, 800])
+def test_own_witness_proves_the_searched_spectra_without_lanczos(monkeypatch, n):
+    want = searched(n)
+    assert want.witness.gram[0] >= want.min_pos_eig_gram and want.witness.gram[1] == want.eig_gram.max
+    assert want.witness.metric <= want.max_eig_metric
+    runs = lanczos_steps(monkeypatch)
+    got = compute_spectral_data(er_comm(n), want.witness)
+    assert runs == []
+    assert_same_spectra(got, want)
+
+
+def bad_witness(case: str, n: int) -> tuple[Witness, int]:
+    """A witness of ``er_comm(n)`` spoiled as ``case`` says, and how many of its two scalars prove nothing from it."""
+    w = searched(n).witness
+    theta, top = w.gram
+    return {
+        # no back-off factors: the shift lies 1e-6 past the eigenvalue
+        "gram-raised": (replace(w, gram=(theta * (1 + 1e-6), top)), 1),
+        "metric-lowered": (replace(w, metric=w.metric * (1 - 1e-6)), 1),
+        "nan": (Witness(gram=(math.nan, top), metric=math.nan), 2),
+        "inf": (Witness(gram=(theta, math.inf), metric=math.inf), 2),
+        "zero": (Witness(gram=(0.0, top), metric=0.0), 2),
+        "negative": (Witness(gram=(-theta, top), metric=-w.metric), 2),
+        "top-below-theta": (replace(w, gram=(theta, theta * (1 - 1e-12))), 1),
+    }[case]
+
+
+@pytest.mark.parametrize("n", [600, 800])
+@pytest.mark.parametrize("case", ["gram-raised", "metric-lowered", "nan", "inf", "zero", "negative", "top-below-theta"])
+def test_bad_witness_falls_back_to_the_search(monkeypatch, n, case):
+    witness, spoiled = bad_witness(case, n)
+    runs = lanczos_steps(monkeypatch)
+    got = compute_spectral_data(er_comm(n), witness)
+    assert len(runs) == spoiled
+    assert_same_spectra(got, searched(n))
+
+
+@pytest.mark.parametrize("other", [2, 3])
+def test_witness_of_another_graph_proves_no_tighter_bound(monkeypatch, other):
+    # a foreign theta_2 above lam_2, or theta_max below lam_max, factors at
+    # no back-off and that scalar is searched for; on the other side it
+    # proves a looser bound, as any loosened witness does, which no test
+    # short of the search can tell from a foreign one
+    n = 800
+    want, foreign = searched(n), searched(n, other).witness
+    runs = lanczos_steps(monkeypatch)
+    got = compute_spectral_data(er_comm(n), foreign)
+    gram_searched = got.witness.gram == want.witness.gram
+    metric_searched = got.witness.metric == want.witness.metric
+    assert len(runs) == gram_searched + metric_searched
+    if gram_searched:
+        assert (got.eig_gram, got.min_pos_eig_gram) == (want.eig_gram, want.min_pos_eig_gram)
+    else:
+        assert got.witness.gram == foreign.gram and got.min_pos_eig_gram < want.min_pos_eig_gram
+    if metric_searched:
+        assert got.eig_metric == want.eig_metric
+    else:
+        assert got.witness.metric == foreign.metric and got.max_eig_metric > want.max_eig_metric
+
+
+@pytest.mark.parametrize("n", [600, 800])
+def test_loosened_witness_proves_a_looser_bound(n):
+    # every bound is proven again, so a witness can loosen a bound but never make it false
+    want = searched(n)
+    theta, top = want.witness.gram
+    comm = er_comm(n)
+    got = compute_spectral_data(comm, Witness(gram=(theta * (1 - 1e-3), top), metric=want.witness.metric * (1 + 1e-3)))
+    assert got.witness == Witness(gram=(theta * (1 - 1e-3), top), metric=want.witness.metric * (1 + 1e-3))
+    assert got.min_pos_eig_gram <= want.min_pos_eig_gram
+    assert got.max_eig_metric >= want.max_eig_metric
+    lam = np.linalg.eigvalsh(comm.W)
+    assert got.min_pos_eig_gram <= lam[1]
+    assert got.max_eig_metric >= np.linalg.eigvalsh(np.diag(comm.col_norms_sq) - comm.W)[-1]
 
 
 def test_failing_cholesky_falls_back_to_eigvalsh(monkeypatch):
