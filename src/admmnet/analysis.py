@@ -19,14 +19,15 @@ metric block:
 * degree/connectivity relaxations of the spectral quantities, whose
   communication matrix is the graph Laplacian.
 
-Every W-form is read off the (T+1)-deep iterate stack in one sweep over
-the blocks of ``admm.sweep_blocks`` (``aux_sequences``): each block is
-centered once and takes one W product, and W of the running sums is carried
-as running sums of those products, since W is linear. The metric distance,
-the ergodic feasibility and, when asked for (`run` asks, `check` does not),
-the W part of the recurrence that ``admm.recurrence_residuals`` checks all
-follow, so a command takes one W product per round and no temporary the
-size of the stack.
+Every O(T) column of a run is filled as its rounds stream from
+``admm.rounds``, one block of SWEEP_ROUNDS rounds at a time (``sweep``,
+``RoundSweep``): each block is centered once and takes one W product, and W
+of the running sums is carried as running sums of those products, since W
+is linear. The metric distance, the ergodic feasibility, the objective
+gaps, the distance to x* and, when asked for (`run` asks, `check` does
+not), the recurrence residuals all follow, so a command takes one W product
+per round and holds no (T+1)-deep stack; its memory does not grow with T.
+``aux_sequences`` feeds a collected trace through the same sweep.
 
 `run` and `check` judge the per-round table with one function per
 certificate: ``sublinear_check`` for the two ergodic bounds and
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,9 @@ from .errors import (
     MissingCurvatureMetadataError,
     OptimizationBracketFailureError,
 )
-from .admm import AdmmTrace, running_sums, sweep_blocks
+from . import admm  # attributes read at each call, so a wrapper set on the module sees them
 from .graph import Graph, laplacian
-from .objectives import OptimalPoint
+from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
 
 # The tolerance policy shared by `run` and `check`.
@@ -67,44 +68,28 @@ RECON_RTOL = 1e-10  # largest relative residual of the dual reference's solve wi
 
 @dataclass(frozen=True)
 class AuxSequences:
-    """The W-forms of a run, from one sweep of its iterates.
+    """Every O(T) column of a run, from one sweep of its rounds (``RoundSweep``).
 
     ``dual_ref`` is the x-space reference a = -(1/c) W^+ subgrad(x*), so
     ``metric_dist_sq[t]`` = (S(t) - a)' W (S(t) - a) + |x(t) - x*|^2 weighted
     by the metric block, S(t) = sum_{s<=t} x(s); ``feasibility[t-1]`` =
-    |Q xhat(t)| for the ergodic mean xhat(t); ``recurrence_w[t]`` =
-    W (x(t) + S(t)), centered, for ``admm.recurrence_residuals``, or None
-    unless asked for;
-    ``dual_ref_residual`` = |W a + subgrad(x*)/c| (bounded, see
-    ``aux_sequences``) and ``span_residual`` = |consensus part of a|.
+    |Q xhat(t)| for the ergodic mean xhat(t); ``obj_gap[t-1]``,
+    ``ergodic_obj_gap[t-1]`` and ``dist_sq[t-1]`` are F(x(t)) - F*,
+    F(xhat(t)) - F* and |x(t) - x*|^2; ``recurrence[t]`` is the residual of
+    ``admm.recurrence_residuals`` at round t = 0..T-1, or None unless asked
+    for; ``dual_ref_residual`` = |W a + subgrad(x*)/c| (bounded, see
+    ``dual_reference``) and ``span_residual`` = |consensus part of a|.
     """
 
     dual_ref: np.ndarray = field(repr=False)  # (n, d)
     metric_dist_sq: np.ndarray = field(repr=False)  # (T+1,)
     feasibility: np.ndarray = field(repr=False)  # (T,)
-    recurrence_w: np.ndarray | None = field(repr=False)  # (T, n, d)
+    obj_gap: np.ndarray = field(repr=False)  # (T,)
+    ergodic_obj_gap: np.ndarray = field(repr=False)  # (T,)
+    dist_sq: np.ndarray = field(repr=False)  # (T,)
+    recurrence: np.ndarray | None = field(repr=False)  # (T,)
     dual_ref_residual: float = 0.0
     span_residual: float = 0.0
-
-
-def _centered_sweep(xs: np.ndarray, comm):
-    """Yield ``(rows, xc, wxc)`` per ``sweep_blocks`` slice ``rows`` of a (k, n, d) stack.
-
-    xc is each round minus its node mean and wxc = W xc, new arrays the
-    caller may overwrite. W 1 = 0 holds only up to rounding, so v' W v loses
-    digits on a v with a large consensus part, such as a running sum of
-    iterates near x*; every W-form reads centered operands. Blocks keep
-    temporaries small: glibc hands a freed stack-sized array back to the
-    kernel, so each command would fault its pages in again. Each block reads
-    W once, so much shorter blocks cost more per round.
-    """
-    means = np.full(xs.shape[1], 1.0 / xs.shape[1])
-    for rows in sweep_blocks(xs.shape[0]):
-        block = xs[rows]
-        # node means by one product per block: numpy's mean over the middle axis is slow for small d
-        xc = block - (means @ block)[:, None]
-        yield rows, xc, comm.w(xc)
-        del xc  # freed, with the caller's references, before the next block is made
 
 
 def _forms(s: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -112,68 +97,117 @@ def _forms(s: np.ndarray, ws: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->k", s, ws)
 
 
-def _metric_form(m: np.ndarray, s: np.ndarray, ws: np.ndarray, e: np.ndarray, e_form: np.ndarray) -> np.ndarray:
-    """s' W s + e' (M - W) e per round of (k, n, d) blocks; overwrites e.
+def _metric_form(s: np.ndarray, ws: np.ndarray, e_metric: np.ndarray, e_form: np.ndarray) -> np.ndarray:
+    """s' W s + e' (M - W) e per round of (k, n, d) blocks, given e_metric = sum_i m_i |e_i|^2.
 
     s is centered, ws = W s, and e_form holds ec' W ec for e's centered part
-    ec (see ``_centered_sweep``); m is M's diagonal repeated d times.
-    M - W is not stored: e' (M - W) e = sum_i m_i |e_i|^2 - ec' W ec, since
-    W 1 = 0, and no further product is taken.
+    ec (see ``RoundSweep``). M - W is not stored: e' (M - W) e =
+    sum_i m_i |e_i|^2 - ec' W ec, since W 1 = 0, and no further product is
+    taken.
     """
     total = np.maximum(_forms(s, ws), 0.0)
     total -= e_form
-    e *= e
-    total += e.reshape(e.shape[0], -1) @ m
+    total += e_metric
     return total
 
 
-def _metric_sweep(
-    xs: np.ndarray, comm, ref: np.ndarray, x_star: np.ndarray, recurrence: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The metric distances to (ref, x*) for t = 0..T, feasibilities for t = 1..T and,
-    if ``recurrence``, W (x + S) for t = 0..T-1 (else None).
+def _weighted_sq(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sum_i m_i |e_i|^2 per round of a (k, n, d) block e, m repeated d times; squares e in place."""
+    e *= e
+    return e.reshape(e.shape[0], -1) @ m
 
-    One ``_centered_sweep`` of x(1..T) gives x_c and W x_c, and their running
-    sums R(t) = sum_{1<=s<=t} x_c(s) and W R(t). Centered, S(t) - ref is
-    R(t) - (ref_c - x_c(0)), xhat(t) is R(t) / t, x(t) - x* is x_c(t) (x*
-    has identical rows) and x(t) + S(t) is x_c(t) + x_c(0) + R(t).
+
+class RoundSweep:
+    """Fills every O(T) column of a run from its rounds, one ``admm.Block`` at a time, with one W product per round.
+
+    Per block of k rounds it centers x(t) (each round minus its node mean)
+    and takes W of the k centered rounds at once. W 1 = 0 holds only up to
+    rounding, so v' W v loses digits on a v with a large consensus part,
+    such as a running sum of iterates near x*; every W-form reads centered
+    operands. The running sums R(t) = sum_{1<=s<=t} x_c(s) and W R(t) are
+    carried from block to block (``admm.running_sums``), since W is linear.
+    Centered, S(t) - ref is R(t) - (ref_c - x_c(0)), xhat(t) is R(t) / t,
+    x(t) - x* is x_c(t) (x* has identical rows) and x(t) + S(t) is
+    x_c(t) + x_c(0) + R(t). The columns without W evaluate the objective
+    once per block of rounds and once per block of ergodic means, with the
+    bits of one pass over the whole stack.
+
+    Memory: the columns, O(T), and one block-sized work array made once
+    (two with the recurrence's W part), so it does not grow with T. Each
+    block reads W once, so much shorter blocks cost more per round.
+    ``recurrence`` asks for the residuals of ``admm.recurrence_residuals``
+    too (`run` asks, `check` does not).
     """
-    T = xs.shape[0] - 1
-    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
-    x0c, ref_c = (v - v.mean(axis=0) for v in (xs[0], ref))
-    wx0c = comm.w(x0c)
-    base, wbase = ref_c - x0c, comm.w(ref_c) - wx0c  # S_c(t) - ref_c = R(t) - base
-    dist, feas = np.empty(T + 1), np.empty(T)
-    dist[:1] = _metric_form(m, base[None], wbase[None], (xs[0] - x_star)[None], _forms(x0c[None], wx0c[None]))
-    recurrence_w = None
-    if recurrence:
-        recurrence_w = np.empty((T, *xs.shape[1:]))
-        recurrence_w[0] = 2.0 * wx0c
-    carry = wcarry = None
-    for rows, xc, wxc in _centered_sweep(xs[1:], comm):
+
+    def __init__(self, problem: NetworkProblem, comm, optimal: OptimalPoint, c: float, T: int, ref: np.ndarray, recurrence: bool = False):
+        n, d = problem.n, problem.dimension
+        self.problem, self.comm, self.optimal, self.c, self.ref = problem, comm, optimal, c, ref
+        self.dist = np.empty(T + 1)
+        self.feasibility, self.obj_gap, self.ergodic_obj_gap, self.dist_sq = (np.empty(T) for _ in range(4))
+        self.recurrence = np.empty(T) if recurrence else None
+        self.m = np.repeat(comm.col_norms_sq, d)
+        self.means = np.full(n, 1.0 / n)
+        rows = min(T, admm.SWEEP_ROUNDS)
+        self.work = np.empty((rows, n, d))
+        self.w_part = np.empty((rows + 1, n, d)) if recurrence else None  # row 0: the round before the block
+        self.carry = self.wcarry = self.ergodic_carry = None
+
+    def _start(self, x0: np.ndarray) -> None:
+        """The forms of round 0, and the centered constants of every later round."""
+        comm, x_star = self.comm, self.optimal.x_star
+        x0c, ref_c = (v - v.mean(axis=0) for v in (x0, self.ref))
+        self.wx0c = comm.w(x0c)
+        self.base, self.wbase = ref_c - x0c, comm.w(ref_c) - self.wx0c  # S_c(t) - ref_c = R(t) - base
+        e_metric = _weighted_sq(self.m, (x0 - x_star)[None])
+        self.dist[:1] = _metric_form(self.base[None], self.wbase[None], e_metric, _forms(x0c[None], self.wx0c[None]))
+        if self.w_part is not None:
+            self.w_part[0] = 2.0 * self.wx0c
+
+    def add(self, block) -> None:
+        """The columns of the block's rounds t0+1..t0+k, and the recurrence's of rounds t0..t0+k-1."""
+        if block.t0 == 0:
+            self._start(block.xs[0])
+        x = block.xs[1:]
+        k = x.shape[0]
+        rows = slice(block.t0, block.t0 + k)
+        ts = np.arange(block.t0 + 1, block.t0 + k + 1)
+        problem, f_star, x_star = self.problem, self.optimal.f_star, self.optimal.x_star
+        work = self.work[:k]
+        # the columns without W first, in the array the centered rounds take
+        # next: a round's objective value is independent of the others, and
+        # the ergodic sums are carried in ``AdmmTrace.ergodic``'s order
+        self.obj_gap[rows] = problem.f_value(x) - f_star
+        np.copyto(work, x)
+        erg = admm.running_sums(work, self.ergodic_carry)
+        self.ergodic_carry = erg[-1].copy()
+        erg /= ts[:, None, None]
+        self.ergodic_obj_gap[rows] = problem.f_value(erg) - f_star
+        e_sq = np.subtract(x, x_star, out=work)
+        e_metric = _weighted_sq(self.m, e_sq)
+        self.dist_sq[rows] = e_sq.sum(axis=(1, 2))
+        # node means by one product per block: numpy's mean over the middle axis is slow for small d
+        xc = np.subtract(x, (self.means @ x)[:, None], out=work)
+        wxc = self.comm.w(xc)
         x_form = _forms(xc, wxc)
-        if recurrence:
-            w_next = recurrence_w[1 + rows.start : 1 + rows.stop]  # rounds of the block, shifted by one, up to T - 1
-            np.add(wxc[: len(w_next)], wx0c, out=w_next)
-        sums, wsums = running_sums(xc, carry), running_sums(wxc, wcarry)
-        carry, wcarry = sums[-1].copy(), wsums[-1].copy()
-        if recurrence:
-            w_next += wsums[: len(w_next)]
-        feas[rows] = np.sqrt(np.maximum(_forms(sums, wsums), 0.0)) / np.arange(rows.start + 1, rows.stop + 1)
-        sums -= base
-        wsums -= wbase
-        dist[1:][rows] = _metric_form(m, sums, wsums, xs[1:][rows] - x_star, x_form)
-        del xc, wxc, sums, wsums  # see _centered_sweep
-    return dist, feas, recurrence_w
+        w_part = self.w_part
+        if w_part is not None:
+            np.add(wxc, self.wx0c, out=w_part[1 : k + 1])
+        sums, wsums = admm.running_sums(xc, self.carry), admm.running_sums(wxc, self.wcarry)
+        self.carry, self.wcarry = sums[-1].copy(), wsums[-1].copy()
+        if w_part is not None:
+            w_part[1 : k + 1] += wsums
+        self.feasibility[rows] = np.sqrt(np.maximum(_forms(sums, wsums), 0.0)) / ts
+        sums -= self.base
+        wsums -= self.wbase
+        self.dist[1:][rows] = _metric_form(sums, wsums, e_metric, x_form)
+        del wxc, wsums  # freed before the recurrence's product is made
+        if w_part is not None:
+            self.recurrence[rows] = admm.recurrence_residuals(block, self.comm, self.c, w_part[:k])
+            w_part[0] = w_part[k]
 
 
-def aux_sequences(
-    trace: AdmmTrace, spectral: SpectralData, optimal: OptimalPoint, c: float, recurrence: bool = False
-) -> AuxSequences:
-    """Every W-form of a run, with one W product per round.
-
-    ``recurrence`` asks for ``recurrence_w`` too, a (T, n, d) stack that
-    only ``admm.recurrence_residuals`` reads.
+def dual_reference(spectral: SpectralData, optimal: OptimalPoint, c: float) -> tuple[np.ndarray, float, float]:
+    """(a, |W a + subgrad/c|, |consensus part of a|) for the x-space reference a = -(1/c) W^+ subgrad(x*).
 
     Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
     """
@@ -184,15 +218,38 @@ def aux_sequences(
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")
     span_resid = math.sqrt(spectral.comm.n) * float(np.linalg.norm(dual_ref.mean(axis=0)))
-    dist, feas, recurrence_w = _metric_sweep(trace.xs, spectral.comm, dual_ref, optimal.x_star, recurrence)
+    return dual_ref, dual_resid, span_resid
+
+
+def sweep(
+    blocks: Iterable, problem: NetworkProblem, spectral: SpectralData, optimal: OptimalPoint, c: float, T: int, recurrence: bool = False
+) -> AuxSequences:
+    """Every O(T) column of a run at penalty c, from its T rounds in the blocks of ``admm.rounds``.
+
+    The dual reference and the columns are made before the first round, so
+    a degenerate spectrum or a T too large to allocate fails before the
+    engine runs. Raises DegenerateSpectrumError as ``dual_reference``.
+    """
+    dual_ref, dual_resid, span_resid = dual_reference(spectral, optimal, c)
+    consumer = RoundSweep(problem, spectral.comm, optimal, c, T, dual_ref, recurrence)
+    for block in blocks:
+        consumer.add(block)
     return AuxSequences(
         dual_ref=dual_ref,
-        metric_dist_sq=dist,
-        feasibility=feas,
-        recurrence_w=recurrence_w,
+        metric_dist_sq=consumer.dist,
+        feasibility=consumer.feasibility,
+        obj_gap=consumer.obj_gap,
+        ergodic_obj_gap=consumer.ergodic_obj_gap,
+        dist_sq=consumer.dist_sq,
+        recurrence=consumer.recurrence,
         dual_ref_residual=dual_resid,
         span_residual=span_resid,
     )
+
+
+def aux_sequences(trace: admm.AdmmTrace, problem: NetworkProblem, spectral: SpectralData, optimal: OptimalPoint) -> AuxSequences:
+    """``sweep`` of a collected trace, at its penalty and with the recurrence residuals."""
+    return sweep(admm.trace_blocks(trace), problem, spectral, optimal, trace.c, trace.T, recurrence=True)
 
 
 # --- linear rate certificates ----------------------------------------------

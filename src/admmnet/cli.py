@@ -58,11 +58,12 @@ def _worst(v: analysis.Verdict) -> str:
 
 
 def _run_config(cfg: ExperimentConfig, recurrence: bool = False, witness: Witness = Witness()):
-    """(problem, spectral data, optimum, aggregate info, penalty, trace, auxiliary sequences,
+    """(problem, spectral data, optimum, aggregate info, penalty, accounting, auxiliary sequences,
     per-round table, sublinear bound, certified rate or None without curvature metadata) of a run of ``cfg``.
 
-    ``recurrence`` asks the auxiliary sequences for the recurrence's W part;
-    ``witness`` holds recorded Ritz values to prove the certified spectra from."""
+    The rounds stream into the analysis block by block and are not kept.
+    ``recurrence`` asks for the recurrence residuals too; ``witness`` holds
+    recorded Ritz values to prove the certified spectra from."""
     problem = build_problem(cfg)
     spectral = compute_spectral_data(problem.comm, witness)
     optimal = central_solve(problem)
@@ -72,11 +73,12 @@ def _run_config(cfg: ExperimentConfig, recurrence: bool = False, witness: Witnes
     if auto or (agg.strong_convexity is not None and agg.lipschitz is not None):
         cert = analysis.optimize_rate(*agg.curvature(), spectral, c=None if auto else cfg.admm.c)
     c = float(cfg.admm.c) if cert is None else cert.penalty
-    trace = admm.run(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
-    aux = analysis.aux_sequences(trace, spectral, optimal, c, recurrence)
-    table = reporting.trace_rows(trace, problem, optimal, aux)
+    blocks = admm.rounds(problem, admm.RunConfig(c=c, T=cfg.admm.T, engine=cfg.admm.engine))
+    aux = analysis.sweep(blocks, problem, spectral, optimal, c, cfg.admm.T, recurrence)
+    acct = admm.account(problem.graph, problem.dimension)
+    table = reporting.trace_rows(aux, acct.messages_per_round)
     sublinear = analysis.sublinear_bounds(agg.subgrad_bound, spectral, optimal.x_star, c)
-    return problem, spectral, optimal, agg, c, trace, aux, table, sublinear, None if cert is None else cert.rate
+    return problem, spectral, optimal, agg, c, acct, aux, table, sublinear, None if cert is None else cert.rate
 
 
 class _Recorder:
@@ -93,7 +95,7 @@ class _Recorder:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    problem, spectral, optimal, agg, c, trace, aux, table, sublinear, rate = _run_config(cfg, recurrence=True)
+    problem, spectral, optimal, agg, c, acct, aux, table, sublinear, rate = _run_config(cfg, recurrence=True)
     g = problem.graph
     reporting.write_trace_csv(out_dir / "trace.csv", table, spectral.witness)
 
@@ -108,8 +110,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
         f"optimal: x_star={fmt(optimal.x_star[0, 0])} f_star={fmt(optimal.f_star)}"
         f" oracle_residual={fmt(optimal.residual)}",
         f"admm: engine={cfg.admm.engine} c={fmt(c)} T={cfg.admm.T}"
-        f" messages_per_round={trace.accounting.messages_per_round}"
-        f" storage_vectors={trace.accounting.storage_vectors}",
+        f" messages_per_round={acct.messages_per_round}"
+        f" storage_vectors={acct.storage_vectors}",
     ]
     record = _Recorder(lines)
     try:
@@ -125,10 +127,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         v = analysis.contraction_check(table, rate)
         detail = f"bound {fmt(rate)}, checked {v.judged}, {_worst(v)}"
-        if v.judged < trace.T:
+        if v.judged < cfg.admm.T:
             detail += ", converged"
         record("contraction", v.passed, detail)
-    worst = float(np.max(admm.recurrence_residuals(trace, spectral, aux.recurrence_w)))
+    worst = float(np.max(aux.recurrence))
     record("recurrence", worst <= analysis.RECURRENCE_LIMIT, f"max residual {fmt(worst)}")
 
     report = "\n".join(lines) + "\n"
@@ -154,9 +156,9 @@ def run_figure1(out_dir: Path) -> int:
         # trace rings; backing off keeps the tail on a clean log-linear decay
         c = cert.best_penalty / 4.0
         rate = analysis.optimize_rate(1.0, 1.0, spectral, c=c).rate  # certified at the penalty in use
-        trace = admm.run(problem, admm.RunConfig(c=c, T=FIGURE1_T))
-        aux = analysis.aux_sequences(trace, spectral, optimal, c)
-        table = reporting.trace_rows(trace, problem, optimal, aux)
+        blocks = admm.rounds(problem, admm.RunConfig(c=c, T=FIGURE1_T))
+        aux = analysis.sweep(blocks, problem, spectral, optimal, c, FIGURE1_T)
+        table = reporting.trace_rows(aux, admm.account(g).messages_per_round)
         reporting.write_trace_csv(out_dir / f"figure1_d{d}.csv", table)
         slope, r2 = reporting.fit_tail_slope(np.sqrt(table["dist_sq"]))
         slopes.append(slope)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -172,6 +172,17 @@ class CommunicationMatrix:
         if self.dense_products:
             return _apply(self.kept_dense.T, v, out)
         return self._slot_apply(self.values, v, out)
+
+    def products(self):
+        """(P x, P'v) as kernels ``(x, out=) -> out`` on (n, d) operands, bound to the route ``dense_products`` chose.
+
+        The same products as ``p`` and ``pt``, for a caller that takes them
+        once per round and reads the route only once.
+        """
+        if self.dense_products:
+            return partial(np.matmul, self.kept_dense), partial(np.matmul, self.kept_dense.T)
+        slots = partial(self._slot_apply, self.values)
+        return slots, slots
 
     def w(self, x: np.ndarray) -> np.ndarray:
         return _apply(self.W, x)

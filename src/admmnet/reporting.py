@@ -16,8 +16,8 @@ metric distance of the auxiliary state, contraction_ratio its one-step
 ratio (nan once converged) and messages the cumulative link messages
 through round t.
 
-``trace_rows`` takes the W-form columns from ``analysis.aux_sequences`` and
-evaluates the others block by block, with the bits of one whole-stack pass.
+``trace_rows`` assembles the table from the columns that
+``analysis.RoundSweep`` fills block by block as the rounds run.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from itertools import chain
 
 import numpy as np
 
-from .admm import AdmmTrace, running_sums, sweep_blocks
 from .analysis import AuxSequences, contraction_ratios
 from .errors import ConfigParseError
-from .objectives import NetworkProblem, OptimalPoint
 from .spectral import Witness
 
 TRACE_SCHEMA = "# admmnet-trace v2"
@@ -57,42 +55,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def trace_rows(
-    trace: AdmmTrace,
-    problem: NetworkProblem,
-    optimal: OptimalPoint,
-    aux: AuxSequences,
-) -> dict[str, np.ndarray]:
-    """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS.
-
-    The W-form columns come from ``aux``; the others take the blocks of
-    ``admm.sweep_blocks``. A round's objective value is independent of the
-    others, and the ergodic sums are carried in ``trace.ergodic``'s order.
-    """
-    T = trace.T
-    ts = np.arange(1, T + 1)
-    obj_gaps, erg_gaps, dist_sq = np.empty(T), np.empty(T), np.empty(T)
-    carry = None
-    for rows in sweep_blocks(T):
-        x = trace.xs[1:][rows]
-        obj_gaps[rows] = problem.f_value(x) - optimal.f_star
-        erg = running_sums(x.copy(), carry)
-        carry = erg[-1].copy()
-        erg /= ts[rows, None, None]
-        erg_gaps[rows] = problem.f_value(erg) - optimal.f_star
-        dev = np.subtract(x, optimal.x_star, out=erg)
-        dev *= dev
-        dist_sq[rows] = dev.sum(axis=(1, 2))
-        del erg, dev  # freed before the next block is made
+def trace_rows(aux: AuxSequences, messages_per_round: int) -> dict[str, np.ndarray]:
+    """The per-round table for t = 1..T: one array per column of TRACE_COLUMNS, from the columns of a sweep."""
+    ts = np.arange(1, aux.feasibility.size + 1)
     return {
         "t": ts,
-        "obj_gap": obj_gaps,
-        "ergodic_obj_gap": erg_gaps,
+        "obj_gap": aux.obj_gap,
+        "ergodic_obj_gap": aux.ergodic_obj_gap,
         "feasibility": aux.feasibility,
-        "dist_sq": dist_sq,
+        "dist_sq": aux.dist_sq,
         "gnorm_sq": aux.metric_dist_sq[1:],
         "contraction_ratio": contraction_ratios(aux.metric_dist_sq),
-        "messages": ts * trace.accounting.messages_per_round,
+        "messages": ts * messages_per_round,
     }
 
 

@@ -107,7 +107,7 @@ class Spectrum:
     ``eigenvalues``. CERTIFIED carries none: ``min`` is a proven lower bound
     on the smallest eigenvalue, and ``max`` is a proven upper bound on the
     largest for M - W and the largest Ritz value for W, where it only scales
-    a residual test (see ``analysis.aux_sequences``).
+    a residual test (see ``analysis.dual_reference``).
     """
 
     min: float
@@ -393,19 +393,26 @@ def _allowance(norm: float, diag: np.ndarray, q) -> float:
 
 
 def _certified_second(
-    apply, W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None = None, witness: tuple[float, float] | None = None
+    apply,
+    W: np.ndarray,
+    diag: np.ndarray,
+    lap: CommunicationMatrix | None = None,
+    witness: tuple[float, float] | None = None,
+    ceiling: float = math.inf,
 ):
     """(sigma, (theta, top)): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and its witness.
 
     H is W or, with ``lap``, that Laplacian; ``apply`` is its product and
     ``diag`` its diagonal. Lanczos on 1's complement gives theta >= lam_2
     and top, H's largest Ritz value. A ``witness`` (theta, top) recorded by
-    an earlier search is tried first, if 0 < theta <= top < inf; Lanczos
-    runs only if it is absent or proves nothing. None if Lanczos has not
-    converged or gave up on the trace term, or its values prove nothing
-    (``_second_from``).
+    an earlier search is tried first, if 0 < theta <= top and top lies in
+    [max_i H_ii, ``ceiling``], an upper bound on lam_max(H): every honest
+    top does, since max_i H_ii <= lam_max(H). Lanczos runs only if the
+    witness is absent, outside those bounds or proves nothing. None if
+    Lanczos has not converged or gave up on the trace term, or its values
+    prove nothing (``_second_from``).
     """
-    if witness is not None and 0.0 < witness[0] <= witness[1] < math.inf:
+    if witness is not None and 0.0 < witness[0] <= witness[1] and float(diag.max()) <= witness[1] <= ceiling:
         found = _second_from(W, diag, lap, *witness)
         if found is not None:
             return found
@@ -442,12 +449,21 @@ def _gershgorin_floor(comm: CommunicationMatrix) -> float:
     behind m and R have at most 2 |N| + 2 terms, and W is a syrk of at most
     n terms per entry, so (n + 2 max |N| + 4) u (m + R) covers their rounding.
     """
+    R, slack = _gershgorin_rows(comm)
+    m = comm.col_norms_sq
+    return float(np.min(m - R - slack * (m + R)))
+
+
+def _gershgorin_rows(comm: CommunicationMatrix) -> tuple[np.ndarray, float]:
+    """(R, slack): R = |P|' D^-1 |P| 1 >= |W| 1 entrywise, and the relative rounding of its sums (see ``_gershgorin_floor``).
+
+    max_i R_i (1 + slack) bounds every Gershgorin disc of W, so lam_max(W).
+    """
     a = np.abs(comm.values)
     y = np.add.reduceat(a, comm.starts) / comm.nbhd_sizes
     R = np.bincount(comm.cols, weights=a * y[comm.rows], minlength=comm.n)
-    m = comm.col_norms_sq
     slack = (comm.n + 2.0 * float(comm.nbhd_sizes.max()) + 4.0) * _U
-    return float(np.min(m - R - slack * (m + R)))
+    return R, slack
 
 
 def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[float, float] | None = None):
@@ -458,7 +474,11 @@ def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[flo
     Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
     in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
     """
-    found = _certified_second(comm.w_by_products, W, W.diagonal().copy(), witness=witness)
+    ceiling = math.inf  # read only with a witness
+    if witness is not None:
+        R, slack = _gershgorin_rows(comm)
+        ceiling = float(R.max()) * (1.0 + slack)
+    found = _certified_second(comm.w_by_products, W, W.diagonal().copy(), witness=witness, ceiling=ceiling)
     if found is None:
         return None
     sigma, ends = found

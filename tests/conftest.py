@@ -23,15 +23,22 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.
     return build_graph(n, sorted(edges))
 
 
-def trace_table(trace, problem, sd, opt, c: float) -> dict:
-    """The per-round table that `run` writes and judges, for a run at penalty c."""
-    return reporting.trace_rows(trace, problem, opt, analysis.aux_sequences(trace, sd, opt, c))
+def trace_table(trace, problem, sd, opt) -> dict:
+    """The per-round table that `run` writes and judges, for a collected run."""
+    return reporting.trace_rows(analysis.aux_sequences(trace, problem, sd, opt), trace.accounting.messages_per_round)
 
 
 def recurrence_residuals(trace, problem, sd):
-    """``admm.recurrence_residuals`` with its W part from the sweep of ``analysis.aux_sequences``, as `run` takes it."""
-    aux = analysis.aux_sequences(trace, sd, central_solve(problem), trace.c, recurrence=True)
-    return admm.recurrence_residuals(trace, sd, aux.recurrence_w)
+    """``admm.recurrence_residuals`` of every round of a collected run, from the sweep `run` takes."""
+    return analysis.aux_sequences(trace, problem, sd, central_solve(problem)).recurrence
+
+
+def sweep_distances(trace, problem, spectral, optimal, r):
+    """The squared metric distances to (r, x*) for t = 0..T, from ``analysis.RoundSweep`` fed the trace's blocks."""
+    consumer = analysis.RoundSweep(problem, spectral.comm, optimal, trace.c, trace.T, r)
+    for block in admm.trace_blocks(trace):
+        consumer.add(block)
+    return consumer.dist
 
 
 def implicit_subgradients(trace, comm):
@@ -60,24 +67,28 @@ def gap_inequality_check(trace, spectral, optimal, problem, c, r=None):
     (2/c)(F(x(t+1)) - F*) + 2 r' W x(t+1)
       <= dist(t) - dist(t+1) - step(t)
     where the distances are squared metric distances to (r, x*), i.e. the
-    paper's inequality with its dual reference Q r. The terms come from the
-    blocked sweeps of ``analysis``, so the margins also check those sweeps.
+    paper's inequality with its dual reference Q r. The distances come from
+    ``analysis.RoundSweep`` and the step terms from the same blocks, so the
+    margins also check the sweep.
     """
     if r is None:
         r = np.zeros_like(optimal.x_star)
-    comm, xs = spectral.comm, trace.xs
-    dist = analysis._metric_sweep(xs, comm, r, optimal.x_star)[0]
+    comm = spectral.comm
+    dist = sweep_distances(trace, problem, spectral, optimal, r)
     wr = comm.w(r)
-    m = np.repeat(comm.col_norms_sq, xs.shape[-1])
+    m = np.repeat(comm.col_norms_sq, trace.dimension)
     lhs, step = np.empty(trace.T), np.empty(trace.T)
     # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
-    sweeps = zip(analysis._centered_sweep(xs[:-1], comm), analysis._centered_sweep(xs[1:], comm))
-    for (rows, xc0, wxc0), (_, xc1, wxc1) in sweeps:
-        x1 = xs[1:][rows]
+    for block in admm.trace_blocks(trace):
+        x0, x1 = block.xs[:-1], block.xs[1:]
+        rows = slice(block.t0, block.t0 + len(x1))
         lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
+        xc0, xc1 = (x - x.mean(axis=1, keepdims=True) for x in (x0, x1))
+        wxc0, wxc1 = comm.w(xc0), comm.w(xc1)
         xc0 -= xc1
         wxc0 -= wxc1
-        step[rows] = analysis._metric_form(m, xc1, wxc1, xs[:-1][rows] - x1, analysis._forms(xc0, wxc0))
+        e_metric = analysis._weighted_sq(m, x0 - x1)
+        step[rows] = analysis._metric_form(xc1, wxc1, e_metric, analysis._forms(xc0, wxc0))
     return dist[:-1] - dist[1:] - step - lhs
 
 

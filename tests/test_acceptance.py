@@ -73,7 +73,7 @@ def test_criterion_4_sublinear_bounds():
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, sd, opt.x_star, 1.0)
-    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt, 1.0), bounds)
+    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt), bounds)
     ok = obj.passed and feas.passed
     detail = f"worst margins obj {obj.worst_margin:.3e} (t={obj.worst_t}), feas {feas.worst_margin:.3e} (t={feas.worst_t})"
     for T in range(1, 1001):
@@ -90,8 +90,8 @@ def test_criterion_5_linear_rate():
     cert = analysis.optimize_rate(1.0, 1.0, sd)
     c = cert.best_penalty
     trace = admm.run(prob, admm.RunConfig(c=c, T=250))
-    aux = analysis.aux_sequences(trace, sd, opt, c)
-    table = reporting.trace_rows(trace, prob, opt, aux)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
+    table = reporting.trace_rows(aux, trace.accounting.messages_per_round)
     v = analysis.contraction_check(table, cert.rate)
     ratios = table["contraction_ratio"]
     ok = v.passed and v.judged > 0

@@ -118,8 +118,8 @@ def test_running_sums_block_by_block_keep_the_bits_of_cumsum(n, d):
     xs = np.random.default_rng(n).normal(scale=10.0, size=(2 * admm.SWEEP_ROUNDS + 9, n, d))
     got = xs.copy()
     carry = None
-    for rows in admm.sweep_blocks(len(xs)):
-        carry = admm.running_sums(got[rows], carry)[-1]
+    for lo in range(0, len(xs), admm.SWEEP_ROUNDS):
+        carry = admm.running_sums(got[lo : lo + admm.SWEEP_ROUNDS], carry)[-1]
     np.testing.assert_array_equal(got, np.cumsum(xs, axis=0))
 
 
@@ -178,6 +178,20 @@ def test_non_finite_iterate_raises(k3_problem, engine):
 
 
 @pytest.mark.parametrize("engine", ["node", "edge"])
+def test_error_trapped_in_a_block_warns_or_raises_from_its_round(k3_problem, engine):
+    # c m overflows to inf, so round 1's prox takes inf * 0; the block runs
+    # with that error trapped and is replayed round by round under the
+    # caller's settings, so the round warns, or raises, as it does unblocked
+    config = admm.RunConfig(c=1e308, T=5, engine=engine)
+    with np.errstate(over="ignore"):
+        with pytest.warns(RuntimeWarning, match="invalid value"), pytest.raises(NonFiniteIterateError) as info:
+            admm.run(k3_problem, config)
+        assert (info.value.node, info.value.t) == (0, 1)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            admm.run(k3_problem, config)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
 def test_non_finite_iterate_names_node(p3_problem, engine):
     x0 = np.zeros((3, 1))
     x0[2] = np.inf  # path 0-1-2: only node 2 reads its own estimate back
@@ -188,22 +202,39 @@ def test_non_finite_iterate_names_node(p3_problem, engine):
     assert (info.value.node, info.value.t) == (2, 1)
 
 
-@pytest.mark.parametrize("engine", ["node", "edge"])
-def test_prox_failure_names_custom_node(engine):
+def stalling_problem(k: int) -> NetworkProblem:
+    """A path of 5 nodes whose node k declares a Lipschitz constant far too small.
+
+    Its prox's inner gradient iterations diverge once the prox center
+    leaves 0, overflow, and fail on a non-finite gradient.
+    """
     g = generate_graph("path", 5)
-    k = 2
-    # the declared Lipschitz constant is far too small, so the inner
-    # gradient iterations diverge once the prox center leaves 0
     stalling = CustomSmooth(
         value_fn=lambda x: 5e5 * float(x @ x), grad_fn=lambda x: 1e6 * x, dim=1, nu=1.0, lipschitz=1.0
     )
     objs = [Quadratic(target=np.array([float(i + 1)])) for i in range(5)]
     objs[k] = stalling
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_prox_failure_names_custom_node(engine):
+    k = 2
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ProxFailureError) as info:
-            admm.run(prob, admm.RunConfig(c=1.0, T=10, engine=engine))
+            admm.run(stalling_problem(k), admm.RunConfig(c=1.0, T=10, engine=engine))
     assert info.value.node == k
+    assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_error_trapped_inside_a_nodes_prox_replays_its_round(engine):
+    # the inner solver's overflow is trapped while the block runs, and the
+    # prox wraps it; the round is replayed under the caller's settings, so
+    # it warns and the prox fails on its own error, as it does unblocked
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ProxFailureError) as info:
+        admm.run(stalling_problem(2), admm.RunConfig(c=1.0, T=10, engine=engine))
+    assert info.value.node == 2
     assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
 
 
@@ -317,6 +348,19 @@ def test_rounds_bit_identical_to_reference(n, d, with_custom, seed):
         assert np.array_equal(trace.xs, xs)
         assert np.array_equal(trace.ys, ys)
         assert np.array_equal(trace.ps, ps)
+
+
+@pytest.mark.parametrize("T", [65, 129])
+def test_edge_y_rebuild_keeps_the_bits_of_one_whole_stack_product(T):
+    # the last block holds one round; a two-row GEMM for its y took BLAS's
+    # small-matrix kernel and moved the last bits (Erdos-Renyi n=80, d=3)
+    g = generate_graph("erdos_renyi", 80, p=0.15, seed=0)
+    prob = estimation_problem(g, dimension=3)
+    init = tuple(np.random.default_rng(T).normal(size=(80, 3)) for _ in range(3))
+    trace = admm.run(prob, admm.RunConfig(c=0.7, T=T, engine="edge", init=init))
+    xs, ys, ps, *_ = _reference_run(prob, 0.7, T, init, "edge")
+    assert np.array_equal(trace.xs, xs) and np.array_equal(trace.ps, ps)
+    assert np.array_equal(trace.ys, ys)
 
 
 @st.composite
@@ -442,6 +486,6 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     optimal = central_solve(prob)
     for engine in ("node", "edge"):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
-        aux = analysis.aux_sequences(trace, sd, optimal, 1.0, recurrence=True)
-        assert len(reporting.trace_rows(trace, prob, optimal, aux)["t"]) == 20
-        assert float(np.max(admm.recurrence_residuals(trace, sd, aux.recurrence_w))) <= 1e-8
+        aux = analysis.aux_sequences(trace, prob, sd, optimal)
+        assert len(reporting.trace_rows(aux, trace.accounting.messages_per_round)["t"]) == 20
+        assert float(np.max(aux.recurrence)) <= 1e-8

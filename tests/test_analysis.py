@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
@@ -15,6 +16,8 @@ from admmnet.errors import (
     InvalidBetaError,
     InvalidCError,
     MissingCurvatureMetadataError,
+    NonFiniteIterateError,
+    ProxFailureError,
 )
 from admmnet.graph import build_graph, generate_graph, laplacian
 from admmnet.objectives import (
@@ -49,14 +52,14 @@ def spectral_stub(lam_min, lam_max):
 
 def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=10))
-    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
+    aux = analysis.aux_sequences(trace, k3_problem, k3_spectral, k3_optimal)
     # |r*|^2 = a' W a = 2/3 and the metric part of x* is 72 on this instance
     assert aux.metric_dist_sq[0] == pytest.approx(72.0 + 2.0 / 3.0, abs=1e-10)
     # W = 3I - J on the triangle, so W a = [-1, 0, 1] gives a = [-1, 0, 1]/3
     assert np.allclose(aux.dual_ref[:, 0], np.array([-1.0, 0.0, 1.0]) / 3.0, atol=1e-10)
     assert aux.dual_ref_residual <= 1e-9
     assert aux.span_residual <= 1e-9
-    assert aux.recurrence_w is None  # only `run`, which checks the recurrence, asks for it
+    assert aux.recurrence.shape == (10,) and float(np.max(aux.recurrence)) <= 1e-10
 
 
 def test_aux_dual_ref_zero_for_agreeing_targets(k3):
@@ -65,7 +68,7 @@ def test_aux_dual_ref_zero_for_agreeing_targets(k3):
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=3))
-    aux = analysis.aux_sequences(trace, sd, opt, 1.0)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
     assert np.max(np.abs(aux.dual_ref)) <= 1e-12
 
 
@@ -124,14 +127,14 @@ def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral
     doctored = replace(k3_spectral, comm=comm)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
-        analysis.aux_sequences(trace, doctored, k3_optimal, 1.0)
+        analysis.aux_sequences(trace, k3_problem, doctored, k3_optimal)
     # on the conjugate-gradient route the solve runs on P's slots, which the
     # doctoring does not reach, and the residual is taken with the dense W
     comm = with_slot_products(replace(k3_problem.comm))
     vars(comm)["W"] = W
     with cg_route(), pytest.raises(DegenerateSpectrumError):
-        analysis.aux_sequences(trace, replace(k3_spectral, comm=comm), k3_optimal, 1.0)
-    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
+        analysis.aux_sequences(trace, k3_problem, replace(k3_spectral, comm=comm), k3_optimal)
+    aux = analysis.aux_sequences(trace, k3_problem, k3_spectral, k3_optimal)
     assert aux.dual_ref_residual <= analysis.RECON_RTOL * k3_spectral.eig_gram.max * np.linalg.norm(aux.dual_ref)
 
 
@@ -240,7 +243,7 @@ def test_sublinear_bounds_zero_subgradient(k3_spectral, k3_optimal):
 def test_sublinear_check_k3(k3_problem, k3_spectral, k3_optimal):
     agg = aggregate(k3_problem, k3_optimal)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=300))
-    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0)
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal)
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, k3_spectral, k3_optimal.x_star, 1.0)
     obj, feas = analysis.sublinear_check(table, bounds)
     assert obj.passed and feas.passed and obj.judged == feas.judged == 300
@@ -261,7 +264,7 @@ def test_sublinear_check_l1_instance(p3):
     agg = aggregate(prob, opt)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=400))
     bounds = analysis.sublinear_bounds(agg.subgrad_bound, sd, opt.x_star, 1.0)
-    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt, 1.0), bounds)
+    obj, feas = analysis.sublinear_check(trace_table(trace, prob, sd, opt), bounds)
     assert obj.passed and feas.passed
 
 
@@ -274,7 +277,7 @@ def test_sublinear_check_detects_violation(k3_problem, k3_spectral, k3_optimal):
         x_star_norm_sq=1e-6,
         penalty=1.0,
     )
-    obj, _ = analysis.sublinear_check(trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0), shrunk)
+    obj, _ = analysis.sublinear_check(trace_table(trace, k3_problem, k3_spectral, k3_optimal), shrunk)
     # the worst round is the first, whose ergodic gap is F(x(1)) - F* = 29/7
     assert not obj.passed and obj.worst_t == 1 and obj.value == pytest.approx(29.0 / 7.0, rel=1e-12)
 
@@ -302,7 +305,7 @@ def test_checks_report_worst_rounds(k3_spectral, k3_optimal):
 
 def test_gap_inequality_both_references(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=120))
-    aux = analysis.aux_sequences(trace, k3_spectral, k3_optimal, 1.0)
+    aux = analysis.aux_sequences(trace, k3_problem, k3_spectral, k3_optimal)
     m0 = gap_inequality_check(trace, k3_spectral, k3_optimal, k3_problem, 1.0)
     mref = gap_inequality_check(trace, k3_spectral, k3_optimal, k3_problem, 1.0, r=aux.dual_ref)
     assert np.all(m0 >= -1e-9)
@@ -326,7 +329,7 @@ def test_contraction_check_certified_rates(k3_problem, k3_spectral, k3_optimal):
         cert = analysis.optimize_rate(1.0, 1.0, k3_spectral, c=c)
         assert cert.gain == pytest.approx(gain, rel=1e-9)
         trace = admm.run(k3_problem, admm.RunConfig(c=c, T=150))
-        table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, c)
+        table = trace_table(trace, k3_problem, k3_spectral, k3_optimal)
         assert analysis.contraction_check(table, cert.rate).passed
         ratios = table["contraction_ratio"]
         assert np.all(ratios[~np.isnan(ratios)] <= cert.rate + 1e-9)
@@ -338,7 +341,7 @@ def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
     opt = central_solve(prob)
     init = (np.full((3, 1), 4.0), np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=10, init=init))
-    table = trace_table(trace, prob, k3_spectral, opt, 1.0)
+    table = trace_table(trace, prob, k3_spectral, opt)
     cert = analysis.optimize_rate(1.0, 1.0, k3_spectral, c=1.0)
     v = analysis.contraction_check(table, cert.rate)
     assert v.passed and v.judged == 0 and v.worst_t == 0
@@ -347,7 +350,7 @@ def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
 
 def test_contraction_check_fails_on_absurd_gain(k3_problem, k3_spectral, k3_optimal):
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
-    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, 1.0)
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal)
     absurd = 1.0 / (1.0 + 1e6)
     v = analysis.contraction_check(table, absurd)
     assert not v.passed and v.bound == absurd and v.worst_margin > analysis.BOUND_SLACK
@@ -405,7 +408,7 @@ def test_laplacian_bounds_random_graphs():
 def test_empirical_rate_beats_certificate(k3_problem, k3_spectral, k3_optimal):
     cert = analysis.optimize_rate(1.0, 1.0, k3_spectral)
     trace = admm.run(k3_problem, admm.RunConfig(c=cert.best_penalty, T=120))
-    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal, cert.best_penalty)
+    table = trace_table(trace, k3_problem, k3_spectral, k3_optimal)
     assert analysis.contraction_check(table, cert.rate).passed
     ratios = table["contraction_ratio"]
     fitted = float(np.exp(np.mean(np.log(ratios[~np.isnan(ratios)]))))
@@ -488,8 +491,8 @@ def test_trace_table_matches_per_round_loop(engine):
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=30, engine=engine))
-    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
-    table = reporting.trace_rows(trace, prob, opt, aux)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
+    table = reporting.trace_rows(aux, trace.accounting.messages_per_round)
     rows = table_by_rounds(trace, prob, sd, opt, aux)
     assert tuple(table) == reporting.TRACE_COLUMNS
     for key in reporting.TRACE_COLUMNS:
@@ -520,8 +523,8 @@ def test_trace_table_across_blocks(make_problem, engine):
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=MULTI_BLOCK_T, engine=engine))
-    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
-    table = reporting.trace_rows(trace, prob, opt, aux)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
+    table = reporting.trace_rows(aux, trace.accounting.messages_per_round)
     # the columns without W have the bits of one pass over the whole stack
     np.testing.assert_array_equal(table["obj_gap"], prob.f_value(trace.xs[1:]) - opt.f_star)
     np.testing.assert_array_equal(table["ergodic_obj_gap"], prob.f_value(trace.ergodic[1:]) - opt.f_star)
@@ -532,10 +535,93 @@ def test_trace_table_across_blocks(make_problem, engine):
     for key in ("gnorm_sq", "feasibility"):
         want = np.array([row[key] for row in rows])
         np.testing.assert_allclose(table[key], want, rtol=1e-12, atol=1e-12, err_msg=key)
-    # asking for the recurrence's W part leaves the bits of the other forms as they are
-    with_w = analysis.aux_sequences(trace, sd, opt, 0.7, recurrence=True)
-    np.testing.assert_array_equal(with_w.metric_dist_sq, aux.metric_dist_sq)
-    np.testing.assert_array_equal(with_w.feasibility, aux.feasibility)
+    # the recurrence residuals, which check does not ask for, leave the bits of the other columns as they are
+    plain = analysis.sweep(admm.trace_blocks(trace), prob, sd, opt, 0.7, trace.T)
+    assert plain.recurrence is None
+    for key in ("metric_dist_sq", "feasibility", "obj_gap", "ergodic_obj_gap", "dist_sq"):
+        np.testing.assert_array_equal(getattr(plain, key), getattr(aux, key), err_msg=key)
+
+
+BOUNDARY_T = (1, 63, 64, 65, 129)  # one round, a block short of full, full, one past, two blocks and one round
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+@pytest.mark.parametrize("make_problem", [l1_rows_problem, mixed_custom_problem], ids=["closed-form", "mixed-custom"])
+def test_streamed_columns_match_the_collector_at_block_boundaries(make_problem, engine):
+    # the table and run's recurrence maximum, streamed from admm.rounds,
+    # against the same columns of the admm.run collector; the collector's
+    # columns without W against one pass over its whole stack
+    prob = make_problem()
+    sd = compute_spectral_data(prob.comm)
+    opt = central_solve(prob)
+    for T in BOUNDARY_T:
+        config = admm.RunConfig(c=0.7, T=T, engine=engine)
+        streamed = analysis.sweep(admm.rounds(prob, config), prob, sd, opt, 0.7, T, recurrence=True)
+        trace = admm.run(prob, config)
+        collected = analysis.aux_sequences(trace, prob, sd, opt)
+        messages = trace.accounting.messages_per_round
+        want = reporting.trace_rows(collected, messages)
+        for key, got in reporting.trace_rows(streamed, messages).items():
+            np.testing.assert_array_equal(got, want[key], err_msg=f"T={T} {key}")
+        assert np.max(streamed.recurrence) == np.max(collected.recurrence) <= 1e-8
+        np.testing.assert_array_equal(want["obj_gap"], prob.f_value(trace.xs[1:]) - opt.f_star)
+        np.testing.assert_array_equal(want["ergodic_obj_gap"], prob.f_value(trace.ergodic[1:]) - opt.f_star)
+
+
+def poison_prox(monkeypatch, node: int, t: int, value: float = math.nan, fail_at: int | None = None):
+    """Make every prox bound from here on write ``value`` to ``node`` on its t-th call, and raise on call ``fail_at``.
+
+    Each engine calls its bound prox once per round, so call t is round t.
+    """
+    bind = NetworkProblem.bind_prox
+
+    def binding(self, rho):
+        prox, calls = bind(self, rho), []
+
+        def poisoned(V, out):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise ProxFailureError(node, RuntimeError("injected"))
+            prox(V, out)
+            if len(calls) == t:
+                out[node] = value
+            return out
+
+        return poisoned
+
+    monkeypatch.setattr(NetworkProblem, "bind_prox", binding)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+@pytest.mark.parametrize("make_problem", [l1_rows_problem, mixed_custom_problem], ids=["closed-form", "mixed-custom"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_round_in_the_second_block_is_named(monkeypatch, make_problem, engine, value):
+    # the block is tested once, after its rounds: the error names round 70
+    # and its node, and the rounds run past it, where inf - inf would warn,
+    # let no warning out
+    prob = make_problem()
+    poison_prox(monkeypatch, 3, 70, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterateError) as info:
+            for _ in admm.rounds(prob, admm.RunConfig(c=0.7, T=129, engine=engine)):
+                pass
+    assert (info.value.node, info.value.t) == (3, 70)
+
+
+@pytest.mark.parametrize("engine", ["node", "edge"])
+def test_prox_failing_mid_block_after_a_non_finite_round(monkeypatch, engine):
+    # the rounds written before the failing one are tested first
+    prob = mixed_custom_problem()
+    poison_prox(monkeypatch, 3, 70, fail_at=72)
+    with pytest.raises(NonFiniteIterateError) as info:
+        admm.run(prob, admm.RunConfig(c=0.7, T=129, engine=engine))
+    assert (info.value.node, info.value.t) == (3, 70)
+    monkeypatch.undo()
+    poison_prox(monkeypatch, 3, 200, fail_at=72)  # every round before the failing one finite
+    with pytest.raises(ProxFailureError) as failed:
+        admm.run(prob, admm.RunConfig(c=0.7, T=129, engine=engine))
+    assert failed.value.node == 3
 
 
 def recurrence_by_rounds(trace, spectral):
@@ -576,35 +662,35 @@ def test_recurrence_residuals_across_blocks(engine):
 
 
 def test_analysis_holds_no_stack_sized_temporary():
-    """The traced peak of the per-round analysis, in units of the (T+1, n, d) iterate stack.
+    """The traced peak of streaming a run (engine plus analysis, as `run` takes it), against a ceiling that does not grow with T.
 
-    Circulant n=200, T=500: aux_sequences, trace_rows and
-    recurrence_residuals each walk the stack in blocks of SWEEP_ROUNDS
-    rounds. In `run` one stack of the peak is the recurrence's W part,
-    which aux_sequences keeps for recurrence_residuals; `check` does not
-    ask for it. W and the kept dense P, made once per matrix, exist before
-    the analysis starts, as they do in ``run``. Temporaries the size of the
-    whole stack made this 3.12.
+    Circulant n=200, d=1, in units of one (SWEEP_ROUNDS + 1, n, d) block:
+    the engine's three x, y and p buffers, the sweep's work array and
+    recurrence W part, and the block temporaries of its W product, the
+    objective and the recurrence's P' product read 7-8 blocks at both T,
+    plus the O(T) columns. W and the kept dense P, made once per matrix,
+    exist before the rounds start, as they do in ``run``. Keeping the
+    (T+1, n, d) stacks, as the command path did, read 34 blocks at T=500
+    and 187 at T=3000.
     """
     prob = estimation_problem(generate_graph("circulant", 200, d=20))
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     c = analysis.optimize_rate(1.0, 1.0, sd).penalty
-    trace = admm.run(prob, admm.RunConfig(c=c, T=500))
-    sd.comm.W
-    for recurrence, stacks in ((True, 1.6), (False, 0.6)):
+    sd.comm.W, sd.comm.kept_dense
+    block_bytes = (admm.SWEEP_ROUNDS + 1) * prob.n * prob.dimension * 8
+    for T in (500, 3000):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            aux = analysis.aux_sequences(trace, sd, opt, c, recurrence)
-            reporting.trace_rows(trace, prob, opt, aux)
-            if recurrence:
-                admm.recurrence_residuals(trace, sd, aux.recurrence_w)
+            blocks = admm.rounds(prob, admm.RunConfig(c=c, T=T))
+            aux = analysis.sweep(blocks, prob, sd, opt, c, T, recurrence=True)
+            reporting.trace_rows(aux, 1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        del aux
-        assert peak <= stacks * trace.xs.nbytes, recurrence
+        columns = 10 * 8 * (T + 1)  # the six columns of the sweep and the table's own four
+        assert peak - columns <= 10 * block_bytes, (T, peak)
 
 
 def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
@@ -637,7 +723,7 @@ def assert_gap_margins_match_per_round_loop(T, corrupt_from):
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=0.7, T=T))
-    aux = analysis.aux_sequences(trace, sd, opt, 0.7)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
     for r in (np.zeros_like(opt.x_star), aux.dual_ref):
         want, rhs = gap_margins_by_rounds(trace, sd, opt, prob, 0.7, r)
         got = gap_inequality_check(trace, sd, opt, prob, 0.7, r=r)
@@ -676,8 +762,8 @@ def test_quadratic_forms_are_centered():
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=1000))
-    aux = analysis.aux_sequences(trace, sd, opt, 1.0)
-    table = reporting.trace_rows(trace, prob, opt, aux)
+    aux = analysis.aux_sequences(trace, prob, sd, opt)
+    table = reporting.trace_rows(aux, trace.accounting.messages_per_round)
     Q = gram_sqrt(sd)
     r = np.cumsum(Q @ trace.xs, axis=0)[1:] - Q @ aux.dual_ref
     dx = trace.xs[1:] - opt.x_star

@@ -428,6 +428,22 @@ def test_check_falls_back_on_a_bad_witness(tmp_path, capsys, spoil):
     assert check_stdout(cfg, bad, capsys) == want
 
 
+@pytest.mark.parametrize("top", ["theta", "1000"])
+def test_check_searches_again_for_a_top_outside_its_bracket(tmp_path, capsys, top):
+    # a recorded top below max_i W_ii (here theta_2 itself) or above W's
+    # Gershgorin row bound is not used; the search gives the run's spectra,
+    # so the replay is exact
+    graph = "kind = erdos_renyi\nn = 800\np = 0.05\nseed = 1"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("c = 1.0", "c = auto").replace("T = 200", "T = 30"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    w = compute_spectral_data(build_problem(parse_experiment_config(cfg)).comm).witness
+    theta = fmt(w.gram[0])
+    line = f"# admmnet-trace v2 gram_ritz={theta},{theta if top == 'theta' else top} metric_ritz={fmt(w.metric)}"
+    assert "check replay: PASS (worst relative deviation 0)" in check_stdout(cfg, with_first_line(out / "trace.csv", line, "top.csv"), capsys)
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -454,7 +470,10 @@ def test_bad_trace_first_line_exits_2_at_line_1(tmp_path, capsys, line):
 @pytest.mark.parametrize("engine", ["node", "edge"])
 def test_benchmark_tracer_follows_run_and_check(tmp_path, monkeypatch, engine):
     # the benchmark traces the CLI by wrapping module attributes by name;
-    # a renamed entry point or trace field would break it only at bench time
+    # a renamed entry point would break it only at bench time. The commands
+    # stream their rounds through admm.rounds, so the admm.run span is never
+    # entered and its counters read 0, while the recurrence keeps its span,
+    # one per block
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from spans import Tracer
 
@@ -464,8 +483,10 @@ def test_benchmark_tracer_follows_run_and_check(tmp_path, monkeypatch, engine):
     with tracer.installed():
         assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
         assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
-    assert any(span.name == "admm.run" for span in tracer.spans)
-    assert tracer.counts["admm.trace_bytes"] > 0
+    names = {span.name for span in tracer.spans}
+    assert {"spectral.compute", "objectives.f_value", "admm.recurrence", "reporting.trace_rows"} <= names
+    assert "admm.run" not in names and tracer.counts["admm.trace_bytes"] == 0
+    assert tracer.nesting_problems(math.inf) == []
 
 
 def test_benchmark_span_targets_exist(monkeypatch):
@@ -825,10 +846,12 @@ def test_run_holds_at_most_two_traced_dense_arrays(tmp_path, capsys):
     """The traced ceiling is W and one numpy transient (D^(-1/2) P while W is
     formed, or W + 11'/n, since conjugate gradients cost more than the dense
     solve at this size): two n x n arrays. P is kept as slots, M - W is built
-    in W's storage, and a(G) is not read. The (T+1, n, 1) trace stacks and
-    everything else add about 0.35 more. A run that keeps a dense P reads
-    3.33, and one that also stores M - W and builds a second Laplacian for
-    a(G) reads 4.5.
+    in W's storage, and a(G) is not read. Everything else adds about 0.39
+    more here. The rounds stream through blocks of at most SWEEP_ROUNDS + 1
+    rows, so the peak reads 2.73 at T=64 and at T=300; the 0.35 this
+    allowance once held counted (T+1, n, 1) trace stacks, which took the
+    peak to 4.79 at T=300. A run that keeps a dense P reads 3.33, and one that also
+    stores M - W and builds a second Laplacian for a(G) reads 4.5.
     """
     assert traced_peak_in_dense_arrays(tmp_path, "run") <= 2.75, capsys.readouterr().out
 

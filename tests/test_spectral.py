@@ -738,11 +738,18 @@ def bad_witness(case: str, n: int) -> tuple[Witness, int]:
         "zero": (Witness(gram=(0.0, top), metric=0.0), 2),
         "negative": (Witness(gram=(-theta, top), metric=-w.metric), 2),
         "top-below-theta": (replace(w, gram=(theta, theta * (1 - 1e-12))), 1),
+        # top outside [max_i W_ii, the Gershgorin row bound]: it would move
+        # the allowance and kappa, though theta alone still proves a bound
+        "top-below-diagonal": (replace(w, gram=(theta, theta)), 1),
+        "top-past-gershgorin": (replace(w, gram=(theta, 1000.0)), 1),
     }[case]
 
 
 @pytest.mark.parametrize("n", [600, 800])
-@pytest.mark.parametrize("case", ["gram-raised", "metric-lowered", "nan", "inf", "zero", "negative", "top-below-theta"])
+@pytest.mark.parametrize(
+    "case",
+    ["gram-raised", "metric-lowered", "nan", "inf", "zero", "negative", "top-below-theta", "top-below-diagonal", "top-past-gershgorin"],
+)
 def test_bad_witness_falls_back_to_the_search(monkeypatch, n, case):
     witness, spoiled = bad_witness(case, n)
     runs = lanczos_steps(monkeypatch)
