@@ -9,10 +9,9 @@ expressions over all nodes at once:
 2. y <- D^-1 P x, with D = diag(|N(i)|) over closed neighborhoods N(i)
 3. p <- p + c y
 
-The prox is bound once per run (``NetworkProblem.bind_prox``): when every
-node is exactly a Quadratic (with or without an l1 term), its closed form
-acts in place on stacked parameters precomputed at the run's weights;
-any other problem calls each node's own prox in turn.
+The prox is bound once per run (``NetworkProblem.bind_prox``): its closed
+form acts in place on the problem's stacked rows, with the parameters it
+needs precomputed at the run's weights.
 
 The edge-based engine is the reference formulation that keeps one pair
 (z_ij, lambda_ij) per directed neighborhood slot (i, j), j in N(i). The
@@ -59,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmmError, NonFiniteIterateError, ProxFailureError
+from .errors import AdmmError, NonFiniteIterateError
 from .graph import CommunicationMatrix, Graph
 from .objectives import NetworkProblem
 
@@ -223,7 +222,7 @@ def _blocks(T: int, xs: np.ndarray, ys: np.ndarray, ps: np.ndarray, start, updat
         yield Block(t0, xs[: k + 1], ys[: k + 1], ps[: k + 1])
 
 
-class _Trapped(FloatingPointError):
+class _Trapped(Exception):
     """A floating-point error trapped while a block runs (``_advance``)."""
 
 
@@ -231,48 +230,35 @@ def _trap(kind: str, flag: int) -> None:
     raise _Trapped(kind)
 
 
-def _trapped(exc: BaseException | None) -> bool:
-    """Whether ``exc`` or an exception it was raised from is a trapped error: a per-node prox wraps one in ProxFailureError."""
-    while exc is not None and not isinstance(exc, _Trapped):
-        exc = exc.__cause__
-    return exc is not None
-
-
 def _advance(xs: np.ndarray, t0: int, k: int, start, update_x, update_rest) -> None:
     """Rounds t0+1..t0+k into rows 1..k, with one finiteness test for the block.
 
     The rounds run with every floating-point error that would not be
-    ignored trapped, and stop at a trapped error or a failing prox
-    (ProxFailureError). The estimates written before it are tested
-    first, and NonFiniteIterateError names the first non-finite round and
-    node, as a test after every x-update would; no warning comes from a
-    round past it. A failing prox then raises as it did. An error trapped
-    before any non-finite estimate, in the arithmetic of a round or inside
-    a node's own prox, rewinds the engine to row 0 and replays the block
+    ignored trapped, and stop at a trapped error. The estimates written
+    before it are tested first, and NonFiniteIterateError names the first
+    non-finite round and node, as a test after every x-update would; no
+    warning comes from a round past it. An error trapped before any
+    non-finite estimate rewinds the engine to row 0 and replays the block
     one round at a time, testing each x-update, under the caller's error
-    settings, so that round warns or raises as it does unblocked. (A prox
-    that catches FloatingPointError itself would see the trapped error
-    where an unblocked round only warns; no objective here does.)
+    settings, so that round warns or raises as it does unblocked.
     """
     start()
     trapped = {kind: "call" for kind, mode in np.geterr().items() if mode != "ignore"}
-    failure, written = None, 0
+    failed, written = False, 0
     try:
         with np.errstate(call=_trap, **trapped):
             for j in range(1, k + 1):
                 update_x(j)
                 written = j
                 update_rest(j)
-    except (FloatingPointError, ProxFailureError) as exc:
-        failure = exc
+    except _Trapped:
+        failed = True
     finite = np.isfinite(xs[1 : written + 1]).all(axis=(1, 2))
     if not finite.all():
         first = int(np.argmin(finite)) + 1
         _require_finite(xs[first], t0 + first)
-    if failure is None:
+    if not failed:
         return
-    if not _trapped(failure):
-        raise failure
     start(rewind=True)
     for j in range(1, k + 1):
         update_x(j)

@@ -56,7 +56,7 @@ from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
 
 # The tolerance policy shared by `run` and `check`.
-BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver and prox noise
+BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver error and rounding; the prox is closed form, with no solver error
 RECURRENCE_LIMIT = 1e-8  # largest admissible residual of the eliminated-variable recurrence
 REPLAY_RTOL = 1e-9  # largest deviation |got - want| / max(1, |want|) of a replayed trace
 RATIO_FLOOR = 1e-24  # contraction ratios with a smaller denominator are nan, not judged

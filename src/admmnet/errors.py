@@ -88,12 +88,6 @@ class DimensionMismatchError(ObjectiveError):
     pass
 
 
-class InnerSolverNoConvergenceError(ObjectiveError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
-
-
 class MissingCurvatureMetadataError(ObjectiveError):
     pass
 
@@ -107,12 +101,6 @@ class OracleNoConvergenceError(ObjectiveError):
 
 class AdmmError(AdmmNetError):
     pass
-
-
-class ProxFailureError(AdmmError):
-    def __init__(self, node: int, cause: Exception):
-        super().__init__(f"prox update failed at node {node}: {cause}")
-        self.node = node
 
 
 class NonFiniteIterateError(AdmmError):

@@ -95,10 +95,10 @@ def replay_deviation(got: Mapping[str, np.ndarray], want: Mapping[str, np.ndarra
 def schema_line(witness: Witness) -> str:
     """TRACE_SCHEMA, then ``gram_ritz=theta_2,top`` and ``metric_ritz=theta_max`` where ``witness`` has them, as :func:`fmt` text."""
     fields = [TRACE_SCHEMA]
-    if witness.gram is not None:
-        fields.append("gram_ritz=" + ",".join(map(fmt, witness.gram)))
-    if witness.metric is not None:
-        fields.append("metric_ritz=" + fmt(witness.metric))
+    if witness.gram_ritz is not None:
+        fields.append("gram_ritz=" + ",".join(map(fmt, witness.gram_ritz)))
+    if witness.metric_ritz is not None:
+        fields.append("metric_ritz=" + fmt(witness.metric_ritz))
     return " ".join(fields)
 
 
@@ -120,7 +120,7 @@ def _read_schema_line(line: str) -> Witness:
         if len(found[name]) != WITNESS_FIELDS[name]:
             raise ConfigParseError(f"{name} needs {WITNESS_FIELDS[name]} comma-separated numbers, got {text!r}", lineno=1)
     metric = found.get("metric_ritz")
-    return Witness(gram=found.get("gram_ritz"), metric=None if metric is None else metric[0])
+    return Witness(gram_ritz=found.get("gram_ritz"), metric_ritz=None if metric is None else metric[0])
 
 
 def write_trace_csv(path, table: Mapping[str, np.ndarray], witness: Witness = Witness()) -> None:

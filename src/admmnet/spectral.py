@@ -127,8 +127,8 @@ class Witness:
     A field is None where its scalar took the EXACT or CLOSED_FORM route.
     """
 
-    gram: tuple[float, float] | None = None
-    metric: float | None = None
+    gram_ritz: tuple[float, float] | None = None
+    metric_ritz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -546,7 +546,7 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     W = comm.W
     certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
 
-    gram = _certified_gram(comm, W, witness.gram) if certify else None
+    gram = _certified_gram(comm, W, witness.gram_ritz) if certify else None
     if gram is None:
         if comm.circulant:  # D = |N(0)| I, so W is circulant too
             eig_gram = Spectrum.of(_circulant_eigenvalues(W[0]), CLOSED_FORM)
@@ -559,7 +559,7 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    metric = _certified_metric(comm, W, witness.metric) if certify else None
+    metric = _certified_metric(comm, W, witness.metric_ritz) if certify else None
     eig_metric, metric_ritz = metric or (_metric_spectrum(comm, W), None)
     return SpectralData(
         comm=comm,
@@ -567,7 +567,7 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
         max_eig_metric=eig_metric.max,
-        witness=Witness(gram=gram_ritz, metric=metric_ritz),
+        witness=Witness(gram_ritz=gram_ritz, metric_ritz=metric_ritz),
     )
 
 

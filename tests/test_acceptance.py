@@ -186,7 +186,7 @@ def test_criterion_9_objective_layer():
         for f in (Quadratic(target=a, weight=w), L1Quadratic(target=a, weight=w, tau=tau)):
             p = f.prox(v, rho)
             smooth = f.smooth_gradient(p) + rho * (p - v)
-            t = f.l1_weight
+            t = f.tau
             resid = 0.0
             for j in range(2):
                 if p[j] != 0.0:

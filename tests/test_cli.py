@@ -360,7 +360,12 @@ def test_trace_csv_matches_csv_module(tmp_path, rows):
 
 @pytest.mark.parametrize(
     "witness",
-    [Witness(), Witness(gram=(0.1, 2.0**70)), Witness(metric=5e-324), Witness(gram=(1 / 3, 2 / 3), metric=1e300)],
+    [
+        Witness(),
+        Witness(gram_ritz=(0.1, 2.0**70)),
+        Witness(metric_ritz=5e-324),
+        Witness(gram_ritz=(1 / 3, 2 / 3), metric_ritz=1e300),
+    ],
 )
 def test_trace_witness_round_trips(tmp_path, witness):
     table = {key: np.arange(1, 4, dtype=np.int64 if key in reporting.INT_COLUMNS else float) for key in reporting.TRACE_COLUMNS}
@@ -399,7 +404,7 @@ def test_check_proves_from_the_trace_witness(tmp_path, monkeypatch, capsys, n):
     # no Lanczos run, and a v1 copy of the trace searches again, with the same output
     cfg, trace, w = er_run(tmp_path, capsys, n)
     first = trace.read_bytes().split(b"\n", 1)[0].decode("ascii")
-    assert first == f"# admmnet-trace v2 gram_ritz={fmt(w.gram[0])},{fmt(w.gram[1])} metric_ritz={fmt(w.metric)}"
+    assert first == f"# admmnet-trace v2 gram_ritz={fmt(w.gram_ritz[0])},{fmt(w.gram_ritz[1])} metric_ritz={fmt(w.metric_ritz)}"
     runs = []
     fn = spectral._ritz_ends
     monkeypatch.setattr(spectral, "_ritz_ends", lambda *args, **kwargs: runs.append(1) or fn(*args, **kwargs))
@@ -424,7 +429,7 @@ def test_check_proves_from_the_trace_witness(tmp_path, monkeypatch, capsys, n):
 def test_check_falls_back_on_a_bad_witness(tmp_path, capsys, spoil):
     cfg, trace, w = er_run(tmp_path, capsys, 600)
     want = check_stdout(cfg, with_first_line(trace, "# admmnet-trace v1", "v1.csv"), capsys)
-    bad = with_first_line(trace, "# admmnet-trace v2 " + spoil(*w.gram, w.metric), "bad.csv")
+    bad = with_first_line(trace, "# admmnet-trace v2 " + spoil(*w.gram_ritz, w.metric_ritz), "bad.csv")
     assert check_stdout(cfg, bad, capsys) == want
 
 
@@ -439,8 +444,8 @@ def test_check_searches_again_for_a_top_outside_its_bracket(tmp_path, capsys, to
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     capsys.readouterr()
     w = compute_spectral_data(build_problem(parse_experiment_config(cfg)).comm).witness
-    theta = fmt(w.gram[0])
-    line = f"# admmnet-trace v2 gram_ritz={theta},{theta if top == 'theta' else top} metric_ritz={fmt(w.metric)}"
+    theta = fmt(w.gram_ritz[0])
+    line = f"# admmnet-trace v2 gram_ritz={theta},{theta if top == 'theta' else top} metric_ritz={fmt(w.metric_ritz)}"
     assert "check replay: PASS (worst relative deviation 0)" in check_stdout(cfg, with_first_line(out / "trace.csv", line, "top.csv"), capsys)
 
 

@@ -7,19 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from admmnet import objectives
 from admmnet.config import build_problem, parse_experiment_config
-from admmnet.errors import (
-    DimensionMismatchError,
-    InnerSolverNoConvergenceError,
-    MissingCurvatureMetadataError,
-    OracleNoConvergenceError,
-    ProxFailureError,
-)
+from admmnet.errors import DimensionMismatchError, MissingCurvatureMetadataError, OracleNoConvergenceError
 from admmnet.graph import generate_graph, laplacian
 from admmnet.objectives import (
-    CustomSmooth,
     L1Quadratic,
     NetworkProblem,
     Quadratic,
+    QuadraticRows,
     aggregate,
     central_solve,
     estimation_rows,
@@ -41,7 +35,7 @@ def prox_residual(f, v, rho, p):
     """First-order optimality violation of a candidate prox point."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     smooth = f.smooth_gradient(p) + rho * (p - v)
-    tau = f.l1_weight
+    tau = f.tau
     if tau == 0.0:
         return float(np.linalg.norm(smooth))
     worst = 0.0
@@ -108,34 +102,30 @@ def test_prox_first_order_optimality(seed):
         assert prox_residual(f, v, rho, p) <= 1e-10 * rho * (1 + np.linalg.norm(v))
 
 
-def test_custom_smooth_prox_refuses_non_finite_gradient():
-    f = CustomSmooth(
-        value_fn=lambda x: 0.0, grad_fn=lambda x: np.full_like(x, np.nan), dim=1, nu=1.0, lipschitz=1.0
-    )
-    with pytest.raises(InnerSolverNoConvergenceError):
-        f.prox(np.array([1.0]), 1.0)
-
-
-def test_custom_smooth_prox_matches_linear_solve():
-    H = np.array([[2.0, 0.5], [0.5, 1.0]])
-    b = np.array([0.3, -1.1])
-    eigs = np.linalg.eigvalsh(H)
-    f = CustomSmooth(
-        value_fn=lambda x: 0.5 * x @ H @ x - b @ x,
-        grad_fn=lambda x: H @ x - b,
-        dim=2,
-        nu=float(eigs[0]),
-        lipschitz=float(eigs[-1]),
-    )
-    v = np.array([0.2, 0.9])
-    rho = 1.7
-    expected = np.linalg.solve(H + rho * np.eye(2), b + rho * v)
-    assert np.linalg.norm(f.prox(v, rho) - expected) <= 1e-9
-
-
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         quad([1.0, 2.0]).value(1.0)
+
+
+@pytest.mark.parametrize(
+    "weight,target,tau",
+    [
+        ((3, 1), (4, 2), None),  # fewer weights than targets: passed, then failed in f_value on numpy's broadcast
+        ((4,), (4, 2), None),  # a weight vector, not a column
+        ((4, 1), (4,), None),  # a target vector, not (k, d)
+        ((4, 1), (4, 2), (4, 2)),  # one tau per entry, not per row
+        ((4, 1), (4, 2), (3, 1)),
+    ],
+)
+def test_rows_of_mismatched_shapes_are_refused(weight, target, tau):
+    with pytest.raises(DimensionMismatchError):
+        QuadraticRows(weight=np.ones(weight), target=np.zeros(target), tau=None if tau is None else np.ones(tau))
+
+
+def test_objectives_of_mixed_dimension_are_refused():
+    g = generate_graph("path", 3)
+    with pytest.raises(DimensionMismatchError, match="one dimension"):  # not np.stack's ValueError
+        NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), quad([1.0, 2.0]), quad(3.0)))
 
 
 def test_aggregate_weights(k3):
@@ -306,32 +296,6 @@ def test_bound_prox_writes_only_out():
     assert not np.array_equal(block[1], before[1])
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-def test_bound_prox_failure_names_custom_node(mixed):
-    def custom(curvature):
-        return CustomSmooth(
-            value_fn=lambda x: 0.5 * curvature * float(x @ x),
-            grad_fn=lambda x: curvature * x,
-            dim=1,
-            nu=1.0,
-            lipschitz=1.0,
-        )
-
-    k = 3
-    objs = [quad(float(i)) if mixed else custom(1.0) for i in range(5)]
-    # the declared Lipschitz constant is far too small, so the inner
-    # gradient iterations of node k diverge
-    objs[k] = custom(1e6)
-    g = generate_graph("path", 5)
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
-    kernel = prob.bind_prox(np.ones((5, 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ProxFailureError) as info:
-            kernel(np.full((5, 1), 2.0), np.empty((5, 1)))
-    assert info.value.node == k
-    assert isinstance(info.value.__cause__, InnerSolverNoConvergenceError)
-
-
 def test_zero_tau_is_the_plain_quadratic_bitwise():
     # one class: tau = 0 must reproduce the plain quadratic's formulas exactly
     assert L1Quadratic is Quadratic
@@ -341,7 +305,7 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
         x, v = rng.normal(scale=5.0, size=3), rng.normal(scale=5.0, size=3)
         diff = x - a
         for f in (Quadratic(target=a, weight=w), L1Quadratic(target=a, weight=w, tau=0.0)):
-            assert f.kind == "quadratic" and f.gradient_lipschitz == w
+            assert f.kind == "quadratic" and QuadraticRows.of([f]).curvature() == (w, w)
             assert f.value(x) == 0.5 * w * float(diff @ diff)
             assert np.array_equal(f.gradient(x), w * diff)
             assert np.array_equal(f.prox(v, rho), (w * a + rho * v) / (w + rho))
@@ -351,58 +315,35 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
 def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     g = generate_graph("path", 3)
     plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.0), quad(3.0)))
-    assert isinstance(plain._rows, objectives.QuadraticRows) and plain._rows.tau is None
+    assert isinstance(plain.objectives, QuadraticRows) and plain.objectives.tau is None
     mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
-    assert mixed._rows.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
+    assert mixed.objectives.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
     # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
     assert central_solve(plain).x_star[0, 0] == 2.0
-    # one CustomSmooth node puts every node, Quadratic ones too, on per-node rows
-    custom = CustomSmooth(value_fn=lambda x: 0.5 * float(x @ x), grad_fn=lambda x: x, dim=1, nu=1.0, lipschitz=1.0)
-    with_custom = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), custom, l1quad(2.0)))
-    assert isinstance(with_custom._rows, objectives._EachRow)
-    assert with_custom._rows.objectives is with_custom.objectives
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_stacked_rows_match_per_node_objectives_bit_for_bit(tau):
-    # the CLI's kinds hand stacked rows to the problem; its curvature and the
-    # oracle's sums read them in the order per-node objectives are read
+    # the CLI's kinds hand stacked rows to the problem; stacked per-node
+    # objectives give the same problem, and the curvature and the oracle's
+    # sums read the rows in node order
     rng = np.random.default_rng(7)
     g = generate_graph("erdos_renyi", 40, p=0.2, seed=7)
     targets, weights = rng.normal(scale=3.0, size=(40, 3)), rng.uniform(0.5, 2.0, size=40)
     rows = quadratic_rows(targets, weights, tau)
     per_node = tuple(Quadratic(target=a, weight=float(w), tau=tau) for a, w in zip(targets, weights))
-    each = objectives._EachRow(per_node)
-    assert rows.curvature() == each.curvature()
-    (lip, tau_sum, taus), (lip_each, tau_sum_each, taus_each) = rows.oracle_terms(), each.oracle_terms()
-    assert (lip, tau_sum) == (lip_each, tau_sum_each) and taus.tobytes() == taus_each.tobytes()
+    assert rows.curvature() == (min(o.weight for o in per_node), None if tau else max(o.weight for o in per_node))
+    lip, tau_sum, taus = rows.oracle_terms()
+    assert (lip, tau_sum) == (sum(o.weight for o in per_node), sum(o.tau for o in per_node))
+    assert taus.tobytes() == np.array([[o.tau] for o in per_node]).tobytes()
     stacked, from_nodes = (NetworkProblem(graph=g, comm=laplacian(g), objectives=o) for o in (rows, per_node))
-    assert stacked._rows is rows and aggregate(stacked) == aggregate(from_nodes)
+    assert stacked.objectives is rows and aggregate(stacked) == aggregate(from_nodes)
     a, b = central_solve(stacked), central_solve(from_nodes)
     assert a.x_star.tobytes() == b.x_star.tobytes() and a.subgrad.tobytes() == b.subgrad.tobytes()
     assert (a.f_star, a.residual) == (b.f_star, b.residual)
     assert [(o.kind, o.weight, o.target.tolist()) for o in stacked.objectives] == [
         (o.kind, o.weight, o.target.tolist()) for o in per_node
     ]
-
-
-def test_quadratic_subclass_keeps_its_own_methods():
-    # the stacked closed form is for Quadratic itself, not for a subclass that overrides it
-    class Shifted(Quadratic):
-        def value(self, x):
-            return super().value(x) + 1.0
-
-        def prox(self, v, rho):
-            return super().prox(v, rho) + 1.0
-
-    g = generate_graph("path", 3)
-    objs = tuple(Shifted(target=np.array([a]), weight=1.0) for a in (1.0, 2.0, 3.0))
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=objs)
-    assert isinstance(prob._rows, objectives._EachRow)
-    X = np.array([[1.0], [2.0], [3.0]])
-    assert prob.f_value(X) == 3.0
-    out = prob.bind_prox(np.ones((3, 1)))(X, np.empty_like(X))
-    assert out[:, 0].tolist() == [2.0, 3.0, 4.0]
 
 
 def test_oracle_stops_at_the_rounding_floor(monkeypatch):
@@ -421,26 +362,24 @@ def test_oracle_stops_at_the_rounding_floor(monkeypatch):
     assert objectives.ORACLE_TOL < opt.residual <= 1e-10
 
 
-def _curvature_misdeclared(a, factor):
-    """(factor/2)(x - a)^2 declared with Lipschitz constant 1."""
-    return CustomSmooth(
-        value_fn=lambda x: 0.5 * factor * float((x - a) @ (x - a)),
-        grad_fn=lambda x: factor * (x - a),
-        dim=1,
-        nu=1.0,
-        lipschitz=1.0,
-    )
-
-
 @pytest.mark.parametrize("factor", [2.0, 3.0], ids=["oscillates", "overflows"])
 def test_oracle_still_raises_without_convergence(monkeypatch, factor):
-    # step 1/(sum of declared L) is 1/factor of the true one: factor 2
-    # bounces between two points, factor 3 overflows to inf and then nan
+    # rows (factor/2)(x - a)^2 whose oracle_terms declare 1/factor of the
+    # true Lipschitz sum, so the step 1/(declared sum) is factor times too
+    # long: factor 2 bounces between two points, factor 3 overflows to inf
+    # and then nan
     monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+    oracle_terms = QuadraticRows.oracle_terms
+
+    def understated(self):
+        lip, tau_sum, taus = oracle_terms(self)
+        return lip / factor, tau_sum, taus
+
+    monkeypatch.setattr(QuadraticRows, "oracle_terms", understated)
     g = generate_graph("path", 2)
-    objs = (_curvature_misdeclared(np.array([1.0]), factor), _curvature_misdeclared(np.array([3.0]), factor))
+    rows = quadratic_rows(np.array([[1.0], [3.0]]), factor)
     with np.errstate(all="ignore"), pytest.raises(OracleNoConvergenceError):
-        central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+        central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows))
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
@@ -457,24 +396,6 @@ def test_oracle_stops_on_offset_targets(monkeypatch, tau):
     want = soft_threshold(targets.mean(axis=0), tau)
     assert np.allclose(opt.x_star, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     assert opt.residual <= 1e-10
-
-
-def test_oracle_takes_scalar_gradients_in_one_dimension():
-    # a d = 1 grad_fn may return a scalar; its rows still fill the (n, 1) gradients
-    def scalar_smooth(a):
-        return CustomSmooth(
-            value_fn=lambda x: 0.5 * float((x[0] - a) ** 2),
-            grad_fn=lambda x: float(x[0] - a),
-            dim=1,
-            nu=1.0,
-            lipschitz=1.0,
-        )
-
-    g = generate_graph("path", 3)
-    objs = tuple(scalar_smooth(a) for a in (1.0, 2.0, 6.0))
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
-    assert np.allclose(opt.x_star, 3.0, rtol=1e-12, atol=0.0)
-    assert opt.subgrad.shape == (3, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -717,8 +717,8 @@ def test_exact_and_closed_form_spectra_record_no_witness():
 @pytest.mark.parametrize("n", [600, 800])
 def test_own_witness_proves_the_searched_spectra_without_lanczos(monkeypatch, n):
     want = searched(n)
-    assert want.witness.gram[0] >= want.min_pos_eig_gram and want.witness.gram[1] == want.eig_gram.max
-    assert want.witness.metric <= want.max_eig_metric
+    assert want.witness.gram_ritz[0] >= want.min_pos_eig_gram and want.witness.gram_ritz[1] == want.eig_gram.max
+    assert want.witness.metric_ritz <= want.max_eig_metric
     runs = lanczos_steps(monkeypatch)
     got = compute_spectral_data(er_comm(n), want.witness)
     assert runs == []
@@ -728,20 +728,20 @@ def test_own_witness_proves_the_searched_spectra_without_lanczos(monkeypatch, n)
 def bad_witness(case: str, n: int) -> tuple[Witness, int]:
     """A witness of ``er_comm(n)`` spoiled as ``case`` says, and how many of its two scalars prove nothing from it."""
     w = searched(n).witness
-    theta, top = w.gram
+    theta, top = w.gram_ritz
     return {
         # no back-off factors: the shift lies 1e-6 past the eigenvalue
-        "gram-raised": (replace(w, gram=(theta * (1 + 1e-6), top)), 1),
-        "metric-lowered": (replace(w, metric=w.metric * (1 - 1e-6)), 1),
-        "nan": (Witness(gram=(math.nan, top), metric=math.nan), 2),
-        "inf": (Witness(gram=(theta, math.inf), metric=math.inf), 2),
-        "zero": (Witness(gram=(0.0, top), metric=0.0), 2),
-        "negative": (Witness(gram=(-theta, top), metric=-w.metric), 2),
-        "top-below-theta": (replace(w, gram=(theta, theta * (1 - 1e-12))), 1),
+        "gram-raised": (replace(w, gram_ritz=(theta * (1 + 1e-6), top)), 1),
+        "metric-lowered": (replace(w, metric_ritz=w.metric_ritz * (1 - 1e-6)), 1),
+        "nan": (Witness(gram_ritz=(math.nan, top), metric_ritz=math.nan), 2),
+        "inf": (Witness(gram_ritz=(theta, math.inf), metric_ritz=math.inf), 2),
+        "zero": (Witness(gram_ritz=(0.0, top), metric_ritz=0.0), 2),
+        "negative": (Witness(gram_ritz=(-theta, top), metric_ritz=-w.metric_ritz), 2),
+        "top-below-theta": (replace(w, gram_ritz=(theta, theta * (1 - 1e-12))), 1),
         # top outside [max_i W_ii, the Gershgorin row bound]: it would move
         # the allowance and kappa, though theta alone still proves a bound
-        "top-below-diagonal": (replace(w, gram=(theta, theta)), 1),
-        "top-past-gershgorin": (replace(w, gram=(theta, 1000.0)), 1),
+        "top-below-diagonal": (replace(w, gram_ritz=(theta, theta)), 1),
+        "top-past-gershgorin": (replace(w, gram_ritz=(theta, 1000.0)), 1),
     }[case]
 
 
@@ -768,27 +768,28 @@ def test_witness_of_another_graph_proves_no_tighter_bound(monkeypatch, other):
     want, foreign = searched(n), searched(n, other).witness
     runs = lanczos_steps(monkeypatch)
     got = compute_spectral_data(er_comm(n), foreign)
-    gram_searched = got.witness.gram == want.witness.gram
-    metric_searched = got.witness.metric == want.witness.metric
+    gram_searched = got.witness.gram_ritz == want.witness.gram_ritz
+    metric_searched = got.witness.metric_ritz == want.witness.metric_ritz
     assert len(runs) == gram_searched + metric_searched
     if gram_searched:
         assert (got.eig_gram, got.min_pos_eig_gram) == (want.eig_gram, want.min_pos_eig_gram)
     else:
-        assert got.witness.gram == foreign.gram and got.min_pos_eig_gram < want.min_pos_eig_gram
+        assert got.witness.gram_ritz == foreign.gram_ritz and got.min_pos_eig_gram < want.min_pos_eig_gram
     if metric_searched:
         assert got.eig_metric == want.eig_metric
     else:
-        assert got.witness.metric == foreign.metric and got.max_eig_metric > want.max_eig_metric
+        assert got.witness.metric_ritz == foreign.metric_ritz and got.max_eig_metric > want.max_eig_metric
 
 
 @pytest.mark.parametrize("n", [600, 800])
 def test_loosened_witness_proves_a_looser_bound(n):
     # every bound is proven again, so a witness can loosen a bound but never make it false
     want = searched(n)
-    theta, top = want.witness.gram
+    theta, top = want.witness.gram_ritz
     comm = er_comm(n)
-    got = compute_spectral_data(comm, Witness(gram=(theta * (1 - 1e-3), top), metric=want.witness.metric * (1 + 1e-3)))
-    assert got.witness == Witness(gram=(theta * (1 - 1e-3), top), metric=want.witness.metric * (1 + 1e-3))
+    looser = Witness(gram_ritz=(theta * (1 - 1e-3), top), metric_ritz=want.witness.metric_ritz * (1 + 1e-3))
+    got = compute_spectral_data(comm, looser)
+    assert got.witness == looser
     assert got.min_pos_eig_gram <= want.min_pos_eig_gram
     assert got.max_eig_metric >= want.max_eig_metric
     lam = np.linalg.eigvalsh(comm.W)
