@@ -209,11 +209,14 @@ class RoundSweep:
 def dual_reference(spectral: SpectralData, optimal: OptimalPoint, c: float) -> tuple[np.ndarray, float, float]:
     """(a, |W a + subgrad/c|, |consensus part of a|) for the x-space reference a = -(1/c) W^+ subgrad(x*).
 
-    Raises DegenerateSpectrumError if |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
+    W a is taken by two P products (``w_by_products``), so the residual
+    checks the solve against P itself, not against the W or the symbol it
+    was solved with. Raises DegenerateSpectrumError if
+    |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
     """
     kappa = spectral.eig_gram.max / spectral.min_pos_eig_gram  # W's condition number on 1's complement
     dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad, kappa)
-    dual_resid = float(np.linalg.norm(spectral.comm.w(dual_ref) + (1.0 / c) * optimal.subgrad))
+    dual_resid = float(np.linalg.norm(spectral.comm.w_by_products(dual_ref) + (1.0 / c) * optimal.subgrad))
     scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
     if not dual_resid <= RECON_RTOL * scale:
         raise DegenerateSpectrumError(f"dual reference residual {dual_resid:.3e} exceeds {RECON_RTOL:.0e} * {scale:.3e}")

@@ -134,7 +134,13 @@ def write_trace_csv(path, table: Mapping[str, np.ndarray], witness: Witness = Wi
 
 
 def read_trace_csv(path) -> tuple[dict[str, np.ndarray], Witness]:
-    """The table and witness written by :func:`write_trace_csv`, or a v1 table with no witness; ConfigParseError if it cannot be read."""
+    """The table and witness written by :func:`write_trace_csv`, or a v1 table with no witness; ConfigParseError if it cannot be read.
+
+    The body is split once and each column parsed with one ``map``. A body
+    that does not split into rows of len(TRACE_COLUMNS) fields ended by
+    "\\r\\n", or a field that does not parse, sends the rows to the csv module
+    one at a time, which names the first bad line.
+    """
     try:
         with open(path, "r", newline="", encoding="ascii") as fh:
             text = fh.read()
@@ -142,13 +148,37 @@ def read_trace_csv(path) -> tuple[dict[str, np.ndarray], Witness]:
         raise ConfigParseError(f"cannot read trace: {exc}") from exc
     buf = io.StringIO(text, newline="")
     witness = _read_schema_line(buf.readline().rstrip("\n"))
-    reader = csv.reader(buf)
-    header = next(reader, None)
+    header = next(csv.reader(buf), None)  # reads the header's line only
     if header is None or tuple(header) != TRACE_COLUMNS:
         raise ConfigParseError(f"unexpected trace header {header}", lineno=2)
+    body = buf.read()
+    return _columns(body) or _columns_by_rows(body), witness
+
+
+def _columns(body: str) -> dict[str, np.ndarray] | None:
+    """The table from the rows of a trace's body, one parse per column; None if a row is malformed or a field does not parse."""
+    width = len(TRACE_COLUMNS)
+    rows = body.split("\r\n")
+    # every row ends in "\r\n", with no other line end, and holds width fields
+    if rows.pop() != "" or not body.count("\r") == body.count("\n") == len(rows) or any(row.count(",") != width - 1 for row in rows):
+        return None
+    cells = ",".join(rows).split(",") if rows else []
+    try:
+        return {
+            key: np.array(list(map(int, cells[k::width])), dtype=np.int64)
+            if key in INT_COLUMNS
+            else np.array(list(map(float, cells[k::width])))
+            for k, key in enumerate(TRACE_COLUMNS)
+        }
+    except (ValueError, OverflowError):
+        return None
+
+
+def _columns_by_rows(body: str) -> dict[str, np.ndarray]:
+    """The table from the rows of a trace's body, read by the csv module one row at a time; ConfigParseError at the first bad line."""
     parsers = [np.int64 if key in INT_COLUMNS else float for key in TRACE_COLUMNS]
     rows = []
-    for lineno, rec in enumerate(reader, start=3):
+    for lineno, rec in enumerate(csv.reader(io.StringIO(body, newline="")), start=3):
         if len(rec) != len(TRACE_COLUMNS):
             raise ConfigParseError(f"expected {len(TRACE_COLUMNS)} fields", lineno=lineno)
         try:
@@ -156,11 +186,10 @@ def read_trace_csv(path) -> tuple[dict[str, np.ndarray], Witness]:
         except (ValueError, OverflowError) as exc:
             raise ConfigParseError(str(exc), lineno=lineno) from None
     columns = zip(*rows) if rows else [()] * len(TRACE_COLUMNS)
-    table = {
+    return {
         key: np.array(col, dtype=np.int64 if key in INT_COLUMNS else float)
         for key, col in zip(TRACE_COLUMNS, columns)
     }
-    return table, witness
 
 
 def fit_tail_slope(errors: np.ndarray, tail_fraction: float = 0.5) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Spectral quantities driving every convergence certificate.
 
 The certificates depend on the network only through the communication
-matrix P, a ``graph.CommunicationMatrix``, which forms W = P' D^-1 P and
-the column norms m and owns every product with P and W. This module reads
-W and P only for their spectra.
+matrix P, a ``graph.CommunicationMatrix``, which forms W = P' D^-1 P, the
+column norms m and a circulant P's Fourier symbol, and owns every product
+with P and W. This module reads W, P and the symbol only for their spectra.
 
 ``SpectralData`` holds the matrix and the numbers the rate certificates
 read, the smallest nonzero eigenvalue of W and the largest eigenvalue of
@@ -14,12 +14,14 @@ three ways, its ``kind``, and each matrix takes one route, decided once:
 
 * CLOSED_FORM: P is circulant (``CommunicationMatrix.circulant``, read
   from its slots: the Laplacian of every circulant, cycle and complete
-  graph). Then D is a multiple of I, so W and M - W are circulant too,
-  and ``_circulant_eigenvalues`` reads their eigenvalues as cosine sums
-  over the first row of W and of 0 - W with m_0 added at [0]. W, a syrk,
-  matches circ(W[0]) to its own rounding, so by Weyl's inequality the sums
-  lie within ``eigvalsh``'s backward error of its eigenvalues. a(G) is
-  then closed form too, from P's first row on the slots;
+  graph). Then D = |N(0)| I, so W = P^2 / |N(0)| and M - W = m_0 I - W
+  are circulant too, and all three spectra come from P's Fourier symbol
+  (``CommunicationMatrix.symbol``, sums of sin^2 terms >= 0 over P's first
+  row on the slots): lam(P) for a(G), lam(P)^2 / |N(0)| for W (its
+  ``gram_symbol``) and m_0 - lam(W) for M - W. They are the eigenvalues of
+  the exact W to a few ulps; no W is formed, so no rounding of a stored W
+  (whose row sums a syrk leaves near 4e-15, not 0, shifting lam_2 by
+  2.2e-9 relative at n=1600) enters them;
 * EXACT: below ``certified_spectra_are_cheaper``'s size crossover, or where
   the certified path gives up, ``eigvalsh``;
 * CERTIFIED: above the crossover, a bound on the safe side, which is all
@@ -52,9 +54,10 @@ search and from there to ``eigvalsh``. Every bound is proven again, so a
 witness can never make a bound false; it can make one looser, as a lowered
 theta_2 or a raised theta_max still proves.
 
-W is the only dense matrix this module reads. Every other matrix that
-needs eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``,
-and the three certificate matrices for ``np.linalg.cholesky``) is written
+Off the circulant family W is the only dense matrix this module reads; on
+it, none. Every other matrix that needs eigenvalues or a factor (M - W
+and the Laplacian for ``eigvalsh``, and the three certificate matrices for
+``np.linalg.cholesky``) is written
 into W's upper triangle by ``_written_below``, as W plus p, as 0 - W, or
 as the Laplacian plus p, each with its own diagonal. Both solvers read
 it as the lower triangle of the F-contiguous W.T, which is all they read,
@@ -63,13 +66,15 @@ certificate, W plus a diagonal, writes and restores only the diagonal.
 Each certificate pays for its Cholesky and one pass over the factor, made
 absolute in place for its norms. So M - W is never stored (its forms are
 sum_i m_i |x_i|^2 - x' W x, see ``analysis._metric_form``), and no n x n
-Laplacian is built. Above the product crossover a run holds at most
-three dense n x n float arrays at once: W plus at most two transients,
-which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W, M - W or
-the Laplacian, Cholesky's copy and factor of a certificate, or, where
-``CommunicationMatrix.w_pinv`` takes the dense solve, W + 11'/n and the
-solve's copy of it. Where it takes conjugate gradients over P's slots, W
-alone outlives the spectra. Below the crossover the kept P adds one. ``run`` and ``check`` never read
+Laplacian is built. Above the product crossover a run on a graph that is
+not circulant holds at most three dense n x n float arrays at once: W plus
+at most two transients, which are D^(-1/2) P while W is formed,
+``eigvalsh``'s copy of W, M - W or the Laplacian, Cholesky's copy and
+factor of a certificate, or, where ``CommunicationMatrix.w_pinv`` takes the
+dense solve, W + 11'/n and the solve's copy of it. Where it takes conjugate
+gradients over P's slots, W alone outlives the spectra. A circulant run
+holds none: its W products and W^+ run by FFT on the symbol. Below
+the product crossover the kept P adds one. ``run`` and ``check`` never read
 a(G), so the Laplacian is written into W only for ``spectra`` and
 ``certify``.
 """
@@ -87,7 +92,6 @@ from .errors import CertificateFailedError, DegenerateSpectrumError, EigNoConver
 from .graph import CommunicationMatrix
 
 PSD_FLOOR = -1e-10  # smallest eigenvalue the PSD certificates admit
-_BLOCK_ENTRIES = 1 << 13  # entries per temporary block of the cosine sums
 _SQUARE_ROWS = 64  # rows per block of W's upper triangle written or restored; only its diagonal square is masked
 _U = np.finfo(float).eps / 2.0  # unit roundoff
 
@@ -151,13 +155,13 @@ class SpectralData:
     def connectivity(self) -> tuple[float, str]:
         """(a(G), its kind): the second eigenvalue of P, the Laplacian, a lower bound on it when CERTIFIED.
 
-        A circulant Laplacian gets the cosine sums of its first row, read
-        from its slots; any other is written into W's upper triangle for its
-        certificate or ``eigvalsh``, so no n x n Laplacian is built.
+        A circulant Laplacian reads it from its symbol; any other is written
+        into W's upper triangle for its certificate or ``eigvalsh``, so no
+        n x n Laplacian is built.
         """
         comm = self.comm
         if comm.circulant:
-            return float(_circulant_eigenvalues(_first_row(comm))[1]), CLOSED_FORM
+            return float(_unfolded(comm.symbol, comm.n)[1]), CLOSED_FORM
         diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
             found = _certified_second(comm.p, comm.W, diag, comm)
@@ -204,33 +208,9 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
         raise EigNoConvergenceError(str(exc)) from exc
 
 
-def _first_row(comm: CommunicationMatrix) -> np.ndarray:
-    """Row 0 of the matrix, dense, from its slots."""
-    row = np.zeros(comm.n)
-    row[comm.cols[: comm.starts[1]]] = comm.values[: comm.starts[1]]
-    return row
-
-
-def _circulant_eigenvalues(r: np.ndarray) -> np.ndarray:
-    """Ascending lam_k = sum_j r_j cos(2 pi j k / n) of the symmetric circulant with first row r.
-
-    Only the nonzero r_j enter, so the sum costs O(n nnz(r)), taken over
-    blocks of k. It is evaluated as sum_j r_j - 2 sum_j r_j sin^2(pi j k / n),
-    with the row sum taken exactly (``math.fsum``): near k = 0 the cosines
-    round to 1 and the plain sum would cancel, while this form keeps a(G)
-    of a circulant Laplacian to about 1e-14 relative at n = 1600. j k is
-    reduced mod n in integers, so every angle lies in [0, pi).
-    """
-    n = r.size
-    j = np.flatnonzero(r)
-    rj = r[j]
-    k = np.arange(n // 2 + 1)  # lam_(n-k) = lam_k: the rest repeat k = 1 .. (n-1)/2
-    step = max(1, _BLOCK_ENTRIES // max(1, j.size))
-    lam = np.empty(k.size)
-    for k0 in range(0, k.size, step):
-        lam[k0 : k0 + step] = rj @ np.sin(np.outer(j, k[k0 : k0 + step]) % n * (np.pi / n)) ** 2
-    lam = math.fsum(rj.tolist()) - 2.0 * lam
-    return np.sort(np.concatenate((lam, lam[1 : (n + 1) // 2])))
+def _unfolded(half: np.ndarray, n: int) -> np.ndarray:
+    """Every eigenvalue, ascending, of an n x n symmetric circulant from its symbol at k = 0..n/2: lam_(n-k) = lam_k."""
+    return np.sort(np.concatenate((half, half[1 : (n + 1) // 2])))
 
 
 def _each_above(W: np.ndarray, fn) -> None:
@@ -530,28 +510,29 @@ def _metric_from(comm: CommunicationMatrix, W: np.ndarray, floor: float, theta: 
     return None
 
 
-def _metric_spectrum(comm: CommunicationMatrix, W: np.ndarray) -> Spectrum:
-    """M - W's spectrum: cosine sums when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's upper triangle."""
+def _metric_spectrum(comm: CommunicationMatrix) -> Spectrum:
+    """M - W's spectrum: m_0 - lam(W) when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's upper triangle."""
     m = comm.col_norms_sq
     if comm.circulant:
-        row = 0.0 - W[0]
-        row[0] += m[0]
-        return Spectrum.of(_circulant_eigenvalues(row), CLOSED_FORM)
+        return Spectrum.of(_unfolded(m[0] - comm.gram_symbol, comm.n), CLOSED_FORM)
+    W = comm.W
     with _written_below(W, (0.0 - W.diagonal()) + m, negate=True) as A:
         return Spectrum.of(_eigvalsh(A), EXACT)
 
 
 def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness()) -> SpectralData:
-    """W's and M - W's spectra; a CERTIFIED scalar is proved from ``witness`` where it can be, and searched for otherwise."""
-    W = comm.W
+    """W's and M - W's spectra; a CERTIFIED scalar is proved from ``witness`` where it can be, and searched for otherwise.
+
+    A circulant P reads every spectrum from its symbol and never forms W.
+    """
     certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
 
-    gram = _certified_gram(comm, W, witness.gram_ritz) if certify else None
+    gram = _certified_gram(comm, comm.W, witness.gram_ritz) if certify else None
     if gram is None:
-        if comm.circulant:  # D = |N(0)| I, so W is circulant too
-            eig_gram = Spectrum.of(_circulant_eigenvalues(W[0]), CLOSED_FORM)
+        if comm.circulant:
+            eig_gram = Spectrum.of(_unfolded(comm.gram_symbol, comm.n), CLOSED_FORM)
         else:
-            eig_gram = Spectrum.of(_eigvalsh(W), EXACT)
+            eig_gram = Spectrum.of(_eigvalsh(comm.W), EXACT)
         # null(W) = null(P) = span{1} on a connected graph, so lam_min is
         # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
         gram = eig_gram, float(eig_gram.eigenvalues[1]), None
@@ -559,8 +540,8 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    metric = _certified_metric(comm, W, witness.metric_ritz) if certify else None
-    eig_metric, metric_ritz = metric or (_metric_spectrum(comm, W), None)
+    metric = _certified_metric(comm, comm.W, witness.metric_ritz) if certify else None
+    eig_metric, metric_ritz = metric or (_metric_spectrum(comm), None)
     return SpectralData(
         comm=comm,
         eig_gram=eig_gram,

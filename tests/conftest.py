@@ -23,6 +23,16 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.
     return build_graph(n, sorted(edges))
 
 
+def random_circulant(rng: np.random.Generator, n: int, degree: int):
+    """A circulant graph on n >= 3 nodes: offset 1, so connected, and random offsets up to n/2, about ``degree`` edges a node."""
+    half = n // 2
+    offsets = np.concatenate(([1], rng.choice(np.arange(2, half + 1), size=min(degree // 2, half) - 1, replace=False)))
+    i = np.arange(n)
+    # offset n/2 joins each node to one other, so its edges start from the first half only
+    edges = [np.column_stack((i[: n - s], i[: n - s] + s)) if 2 * s == n else np.column_stack((i, (i + s) % n)) for s in offsets]
+    return build_graph(n, np.concatenate(edges))
+
+
 def trace_table(trace, problem, sd, opt) -> dict:
     """The per-round table that `run` writes and judges, for a collected run."""
     return reporting.trace_rows(analysis.aux_sequences(trace, problem, sd, opt), trace.accounting.messages_per_round)

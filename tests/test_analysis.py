@@ -116,23 +116,33 @@ def test_cg_pinv_on_slot_products_matches_eigh(n, seed, d):
     assert np.all(np.abs(got.sum(axis=0)) <= 1e-13 * np.linalg.norm(got, axis=0))  # orthogonal to 1
 
 
-def test_dual_ref_residual_check_raises_on_doctored_gram(k3_problem, k3_spectral, k3_optimal):
+def test_dual_ref_residual_check_raises_on_doctored_gram(p3_problem, p3_spectral):
     # a Gram matrix that no longer annihilates exactly span{1}: W + 11'/n is
-    # still invertible, but its solve is no longer W^+
-    comm = replace(k3_problem.comm)  # the same slots, with nothing derived yet
-    W = vars(comm)["W"] = k3_spectral.comm.W.copy()  # where the cached W would sit
+    # still invertible, but its solve is no longer W^+, and the residual,
+    # taken by two P products, does not read the doctored W
+    optimal = central_solve(p3_problem)
+    comm = replace(p3_problem.comm)  # the same slots, with nothing derived yet
+    W = vars(comm)["W"] = p3_spectral.comm.W.copy()  # where the cached W would sit
     W[0, 1] += 0.1
     W[1, 0] += 0.1
-    doctored = replace(k3_spectral, comm=comm)
+    trace = admm.run(p3_problem, admm.RunConfig(c=1.0, T=3))
+    with pytest.raises(DegenerateSpectrumError):
+        analysis.aux_sequences(trace, p3_problem, replace(p3_spectral, comm=comm), optimal)
+    aux = analysis.aux_sequences(trace, p3_problem, p3_spectral, optimal)
+    assert aux.dual_ref_residual <= analysis.RECON_RTOL * p3_spectral.eig_gram.max * np.linalg.norm(aux.dual_ref)
+
+
+def test_dual_ref_residual_check_raises_on_doctored_symbol(k3_problem, k3_spectral, k3_optimal):
+    # K3 is circulant: W^+ runs by np.fft on P's symbol and reads no W, so
+    # one doctored symbol entry gives a wrong W^+, which the residual, taken
+    # by two P products, catches
+    comm = replace(k3_problem.comm)
+    symbol = vars(comm)["symbol"] = k3_problem.comm.symbol.copy()  # where the cached symbol would sit
+    symbol[1] *= 1.1
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
-        analysis.aux_sequences(trace, k3_problem, doctored, k3_optimal)
-    # on the conjugate-gradient route the solve runs on P's slots, which the
-    # doctoring does not reach, and the residual is taken with the dense W
-    comm = with_slot_products(replace(k3_problem.comm))
-    vars(comm)["W"] = W
-    with cg_route(), pytest.raises(DegenerateSpectrumError):
         analysis.aux_sequences(trace, k3_problem, replace(k3_spectral, comm=comm), k3_optimal)
+    assert "W" not in vars(comm)
     aux = analysis.aux_sequences(trace, k3_problem, k3_spectral, k3_optimal)
     assert aux.dual_ref_residual <= analysis.RECON_RTOL * k3_spectral.eig_gram.max * np.linalg.norm(aux.dual_ref)
 

@@ -359,6 +359,43 @@ def test_trace_csv_matches_csv_module(tmp_path, rows):
 
 
 @pytest.mark.parametrize(
+    "damage",
+    [
+        lambda rows: rows,
+        lambda rows: [rows[0], rows[1].replace(",", ",x", 1), *rows[2:]],
+        lambda rows: [rows[0], rows[1].rsplit(",", 1)[0], *rows[2:]],
+        lambda rows: [rows[0], "", *rows[1:]],
+        lambda rows: [rows[0], rows[1] + "\r", *rows[2:]],
+        lambda rows: [rows[0], "99999999999999999999" + rows[1][rows[1].index(",") :], *rows[2:]],
+        lambda rows: ['"' + row.replace(",", '","') + '"' for row in rows],
+        lambda rows: [row.replace(",", ", ") for row in rows],
+    ],
+    ids=["intact", "bad-float", "short-row", "blank-line", "stray-cr", "int-overflow", "quoted", "spaced"],
+)
+@pytest.mark.parametrize("ends", ["\r\n", "\n"])
+def test_trace_read_by_columns_matches_the_csv_rows(tmp_path, damage, ends):
+    # the column-wise read gives the csv module's table bit for bit, or its
+    # ConfigParseError with the same message and line number
+    table = {key: np.arange(1, 6) * (7 if key == "messages" else 1) for key in reporting.INT_COLUMNS}
+    rng = np.random.default_rng(0)
+    for key in reporting.TRACE_COLUMNS:
+        table.setdefault(key, rng.normal(size=5) * 10.0 ** rng.integers(-300, 300, 5))
+    reporting.write_trace_csv(tmp_path / "intact.csv", table)
+    schema, header, body = (tmp_path / "intact.csv").read_bytes().decode("ascii").split("\n", 2)
+    body = ends.join(damage(body.split("\r\n")[:-1])) + ends
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"{schema}\n{header}\n{body}".encode("ascii"))
+
+    def outcome(read):
+        try:
+            return {key: (col.dtype, col.tobytes()) for key, col in read().items()}
+        except ConfigParseError as exc:
+            return str(exc), exc.lineno
+
+    assert outcome(lambda: reporting.read_trace_csv(path)[0]) == outcome(lambda: reporting._columns_by_rows(body))
+
+
+@pytest.mark.parametrize(
     "witness",
     [
         Witness(),
@@ -787,8 +824,28 @@ def eigen_calls_per_command(tmp_path, monkeypatch, graph: str) -> list:
 
 
 def test_eigen_calls_per_command(tmp_path, monkeypatch):
-    # W and the metric block are circulant on K3: cosine sums, no eigensolver at all
+    # W and the metric block are circulant on K3: spectra from the symbol, no eigensolver at all
     assert eigen_calls_per_command(tmp_path, monkeypatch, "kind = complete\nn = 3") == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("n", [20, 400], ids=["dense-p", "slots"])
+def test_circulant_commands_never_form_w(tmp_path, monkeypatch, n):
+    # every spectrum, W product and W^+ of a circulant comes from its symbol
+    seen = []
+    spectral_data = cli.compute_spectral_data
+
+    def recording(comm, *args):
+        seen.append(comm)
+        return spectral_data(comm, *args)
+
+    monkeypatch.setattr(cli, "compute_spectral_data", recording)
+    graph = f"kind = circulant\nn = {n}\nd = 6"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("c = 1.0", "c = auto").replace("T = 200", "T = 70"))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
+    assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
+    assert cli.main(["spectra", "--config", str(cfg)]) == 0
+    assert len(seen) == 3 and all(comm.circulant and "W" not in vars(comm) for comm in seen)
 
 
 def test_eigen_calls_per_command_path(tmp_path, monkeypatch):

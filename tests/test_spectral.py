@@ -19,7 +19,7 @@ from admmnet.graph import (
     stack_apply,
 )
 from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, Witness, compute_spectral_data, psd_certificates
-from conftest import dense, random_connected_graph, with_slot_products
+from conftest import dense, random_circulant, random_connected_graph, with_slot_products
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -30,13 +30,6 @@ P3_METRIC_MAX = (27.0 + math.sqrt(681.0)) / 12.0
 EPS = np.finfo(float).eps
 
 
-def circulant(r) -> np.ndarray:
-    """circ(r): row i is r shifted right by i."""
-    r = np.asarray(r, dtype=float)
-    n = r.size
-    return r[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-
-
 def count_eigvalsh(monkeypatch) -> list:
     calls = []
     fn = np.linalg.eigvalsh
@@ -45,10 +38,8 @@ def count_eigvalsh(monkeypatch) -> list:
 
 
 def algebraic_connectivity(g) -> float:
-    """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense, by cosine sums if it is circulant."""
-    L = dense(laplacian(g))
-    lam = spectral._circulant_eigenvalues(L[0]) if np.array_equal(L, circulant(L[0])) else np.linalg.eigvalsh(L)
-    return float(lam[1])
+    """a(G) the plain way: the second eigenvalue of g's Laplacian, built dense, by eigvalsh."""
+    return float(np.linalg.eigvalsh(dense(laplacian(g)))[1])
 
 
 def laplacian_closed_form(kind: str, n: int, d: int) -> np.ndarray:
@@ -76,8 +67,8 @@ def test_sym_eig_p3(p3):
 
 
 def test_sym_eig_k3(k3):
-    # K3's Laplacian is circulant: its cosine sums, from the first row of its slots
-    lam = spectral._circulant_eigenvalues(spectral._first_row(laplacian(k3)))
+    # K3's Laplacian is circulant: its spectrum from its symbol, read from the first row of its slots
+    lam = spectral._unfolded(laplacian(k3).symbol, 3)
     assert np.allclose(lam, K3_EIGS, atol=1e-12)
 
 
@@ -150,7 +141,7 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
     calls = count_eigvalsh(monkeypatch)
     g = generate_graph(kind, n, d=d if kind == "circulant" else None)
     sd = compute_spectral_data(laplacian(g))
-    lap = spectral._circulant_eigenvalues(spectral._first_row(laplacian(g)))
+    lap = spectral._unfolded(laplacian(g).symbol, n)
     a = sd.algebraic_connectivity
     assert calls == []
     assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (CLOSED_FORM,) * 3
@@ -162,16 +153,23 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(3, 64), st.integers(0, 10_000), st.booleans())
-def test_circulant_spectrum_matches_eigvalsh(n, seed, sparse):
-    rng = np.random.default_rng(seed)
-    half = rng.normal(size=n // 2 + 1)  # r_j = r_(n-j): half[min(j, n - j)]
-    if sparse:
-        half[rng.random(half.size) < 0.8] = 0.0
-    S = circulant(half[np.minimum(np.arange(n), n - np.arange(n))])
-    want = np.linalg.eigvalsh(S)
-    lam = spectral._circulant_eigenvalues(S[0])
-    np.testing.assert_allclose(lam, want, rtol=0, atol=8 * n * EPS * max(float(np.max(np.abs(want))), 1e-300))
+@given(st.integers(3, 64), st.integers(0, 10_000), st.sampled_from([2, 4, 6, 20]))
+def test_circulant_spectrum_matches_eigvalsh(n, seed, degree):
+    # P's, W's and M - W's spectra from the symbol, against eigvalsh of the
+    # dense matrices, on circulants with random offsets
+    g = random_circulant(np.random.default_rng(seed), n, degree)
+    comm = laplacian(g)
+    assert comm.circulant
+    sd = compute_spectral_data(comm)
+    W = gram_of(comm, g)
+    for got, A in (
+        (spectral._unfolded(comm.symbol, n), dense(comm)),
+        (sd.eig_gram.eigenvalues, W),
+        (sd.eig_metric.eigenvalues, np.diag(comm.col_norms_sq) - W),
+    ):
+        want = np.linalg.eigvalsh(A)
+        np.testing.assert_allclose(got, want, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(want))))
+    assert sd.eig_gram.eigenvalues[0] == 0.0 and sd.connectivity == (float(spectral._unfolded(comm.symbol, n)[1]), CLOSED_FORM)
 
 
 def test_one_eigendecomposition(monkeypatch):
@@ -212,11 +210,15 @@ def test_metric_block_handed_to_eigvalsh_is_diag_m_minus_w_bit_for_bit(monkeypat
 )
 def test_laplacian_problem_reads_a_from_its_own_p(kind, n, kw):
     # a(G) is the second eigenvalue of the problem's own P, the Laplacian,
-    # bit for bit, and reading it leaves W as it was
+    # bit for bit (a circulant's comes from its symbol: to 8 eps of the
+    # closed form), and reading it leaves W as it was
     g = generate_graph(kind, n, **kw)
     sd = compute_spectral_data(laplacian(g))
     W = sd.comm.W.copy()
-    assert sd.algebraic_connectivity == algebraic_connectivity(g)
+    if sd.comm.circulant:
+        assert sd.algebraic_connectivity == pytest.approx(laplacian_closed_form(kind, n, kw["d"])[1], rel=8 * EPS)
+    else:
+        assert sd.algebraic_connectivity == algebraic_connectivity(g)
     assert sd.comm.W.tobytes() == W.tobytes()
 
 
@@ -248,10 +250,10 @@ def test_psd_certificates_p3(p3_spectral):
 
 
 def test_psd_certificates_detect_violation(k3_spectral):
-    # the second block, circ(1, -2, -2) with eigenvalues -3, 3, 3, is read by the cosine sums
+    # the second block, circ(1, -2, -2) with eigenvalues -3, 3, 3, is read from its symbol (-3, 3)
     bad_blocks = (
         Spectrum.of(spectral._eigvalsh(np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), EXACT),
-        Spectrum.of(spectral._circulant_eigenvalues(np.array([1.0, -2.0, -2.0])), CLOSED_FORM),
+        Spectrum.of(spectral._unfolded(np.array([-3.0, 3.0]), 3), CLOSED_FORM),
     )
     for bad_block in bad_blocks:
         doctored = replace(k3_spectral, eig_metric=bad_block)
@@ -317,7 +319,10 @@ def test_stack_apply_matches_matmul(d, symmetric):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 30), st.integers(0, 10_000), st.sampled_from([1, 3]))
 def test_operator_products_keep_their_bits(n, seed, d):
-    """W is D^(-1/2) P's syrk, and each product is bit for bit np.matmul on an (n, d) operand and stack_apply on a stack."""
+    """W is D^(-1/2) P's syrk, and each product is bit for bit np.matmul on an (n, d) operand and stack_apply on a stack.
+
+    A circulant draw (K2, K3, a cycle) takes W x by np.fft instead: to 1e-12 of the dense W there.
+    """
     rng = np.random.default_rng(seed)
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = laplacian(g)
@@ -329,6 +334,11 @@ def test_operator_products_keep_their_bits(n, seed, d):
     assert np.array_equal(comm.col_norms_sq, np.einsum("ji,ji->i", P, P))
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(4, n, d))
     for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w, comm.W)):
+        if got_of == comm.w and comm.circulant:
+            for v in (x, stack):
+                want = np.matmul(A, v)
+                assert np.linalg.norm(got_of(v) - want) <= 1e-12 * np.linalg.norm(want)
+            continue
         assert np.array_equal(got_of(x), np.matmul(A, x))
         assert np.array_equal(got_of(stack), stack_apply(A, stack))
     for got_of, A in ((comm.p, P), (comm.pt, P.T)):
@@ -444,15 +454,70 @@ def dense_pinv(comm, B) -> np.ndarray:
 )
 def test_ill_conditioned_w_pinv_takes_the_dense_solve(kind, n, kw):
     # above the product crossover, but kappa (2e10 and 2e7) puts the
-    # conjugate-gradient bound far past the cost of one dense solve
+    # conjugate-gradient bound far past the cost of one dense solve; the
+    # circulant takes neither, but np.fft on its symbol, with no W
     comm = laplacian(generate_graph(kind, n, **kw))
     sd = compute_spectral_data(comm)
     assert not comm.dense_products
     assert not graph.conjugate_gradients_are_cheaper(comm, graph.cg_step_bound(condition_number(sd)), 1)
     B = np.random.default_rng(n).normal(size=(n, 1))
     with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
+        if comm.circulant:
+            with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("dense solve")):
+                got = comm.w_pinv(B, condition_number(sd))
+            assert "W" not in vars(comm)
+            # W^+ B solves W X = B - mean(B), checked with P itself, to a
+            # backward error of 1e-12 (the forward error grows with kappa)
+            residual = comm.w_by_products(got) - (B - B.mean())
+            assert np.linalg.norm(residual) <= 1e-12 * (sd.eig_gram.max * np.linalg.norm(got) + np.linalg.norm(B))
+            assert abs(float(got.sum())) <= 1e-13 * np.linalg.norm(got)
+            return
         got = comm.w_pinv(B, condition_number(sd))
     assert np.array_equal(got, dense_pinv(comm, B))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 300), st.integers(0, 10_000), st.sampled_from([2, 4, 6, 20]), st.sampled_from([1, 3]))
+def test_circulant_w_products_match_a_dense_w(n, seed, degree, d):
+    """W x and W^+ B by np.fft on the symbol, against the dense W formed here, with no W formed by the matrix.
+
+    W x to 1e-12 relative; W^+ B to a relative backward error of 1e-12 in
+    W X = B - mean(B), since its forward error grows with kappa (a cycle of
+    300 nodes has kappa 8e7), and orthogonal to 1.
+    """
+    rng = np.random.default_rng(seed)
+    g = random_circulant(rng, n, degree)
+    comm = laplacian(g)
+    assert comm.circulant
+    x, stack, B = rng.normal(size=(n, d)), rng.normal(size=(5, n, d)), rng.normal(size=(n, d))
+    got_x, got_stack, X = comm.w(x), comm.w(stack), comm.w_pinv(B, math.inf)
+    assert comm.w(x[:, 0]).shape == (n,)
+    assert "W" not in vars(comm)
+    W = gram_of(comm, g)
+    for got, v in ((got_x, x), (got_stack, stack), (comm.w(x[:, 0]), x[:, 0])):
+        want = np.matmul(W, v)
+        assert got.shape == v.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    lam_max = float(np.max(comm.gram_symbol))
+    residual = W @ X - (B - B.mean(axis=0))
+    assert np.linalg.norm(residual) <= 1e-12 * (lam_max * np.linalg.norm(X) + np.linalg.norm(B))
+    assert np.all(np.abs(X.sum(axis=0)) <= 1e-13 * np.linalg.norm(X, axis=0))
+
+
+@pytest.mark.parametrize("n", [1600, 10_000])
+def test_circulant_second_gram_eigenvalue_matches_mpmath(n):
+    # lam_2(W) = lam_1(P)^2 / 21, lam_1(P) = 2 sum_(j in N(0), j != 0) sin^2(pi r / n) = 4 sum_(s <= 10) sin^2(pi s / n):
+    # the angle reduction keeps every term's angle in [0, pi/2]; with angles
+    # near pi for the offsets n - s it reads 2.5e-14 and 1.2e-13 relative,
+    # and the syrk W's first row, whose sum rounds to 4e-15 and not 0, 2.2e-9 at n=1600
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    comm = laplacian(generate_graph("circulant", n, d=20))
+    sd = compute_spectral_data(comm)
+    lam_p = 4 * mpmath.fsum(mpmath.sin(mpmath.pi * s / n) ** 2 for s in range(1, 11))
+    want = lam_p**2 / 21
+    assert float(abs(sd.min_pos_eig_gram - want) / want) <= 1e-15
+    assert "W" not in vars(comm)
 
 
 @pytest.mark.parametrize("n,p,d", [(800, 0.05, 1), (1600, 0.0125, 3)], ids=["er-800-d1", "er-1600-d3"])
@@ -859,8 +924,8 @@ def relabeled_circulant(n: int, d: int):
     ids=["circulant", "cycle", "complete", "path", "erdos-renyi", "relabeled"],
 )
 def test_circulance_is_read_from_the_slots(monkeypatch, make, want):
-    # a circulant P gets every spectrum, a(G) included, as cosine sums, with
-    # no eigvalsh; any other P sends W, M - W and then P to eigvalsh, one call each
+    # a circulant P gets every spectrum, a(G) included, from its symbol, with
+    # no eigvalsh and no W; any other P sends W, M - W and then P to eigvalsh, one call each
     comm = make()
     n = comm.n
     assert comm.circulant is want
@@ -871,14 +936,12 @@ def test_circulance_is_read_from_the_slots(monkeypatch, make, want):
     assert len(calls) == (0 if want else 3)
     kind = CLOSED_FORM if want else EXACT
     assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (kind, kind, kind)
+    assert ("W" in vars(comm)) is not want
     W = comm.W
     for got, A in ((sd.eig_gram.eigenvalues, W), (sd.eig_metric.eigenvalues, np.diag(comm.col_norms_sq) - W)):
         lam = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(got, lam, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(lam))))
-    L = dense(comm)
-    if want:
-        assert a == spectral._circulant_eigenvalues(L[0])[1]
-    lam = np.linalg.eigvalsh(L)
+    lam = np.linalg.eigvalsh(dense(comm))
     assert a == pytest.approx(lam[1], rel=0, abs=8 * n * EPS * lam[-1])
 
 
