@@ -57,21 +57,32 @@ theta_2 or a raised theta_max still proves.
 Off the circulant family W is the only dense matrix this module reads; on
 it, none. Every other matrix that needs eigenvalues or a factor (M - W
 and the Laplacian for ``eigvalsh``, and the three certificate matrices for
-``np.linalg.cholesky``) is written
-into W's upper triangle by ``_written_below``, as W plus p, as 0 - W, or
-as the Laplacian plus p, each with its own diagonal. Both solvers read
-it as the lower triangle of the F-contiguous W.T, which is all they read,
-and W's upper triangle is restored from its lower one after; the M - W
-certificate, W plus a diagonal, writes and restores only the diagonal.
-Each certificate pays for its Cholesky and one pass over the factor, made
-absolute in place for its norms. So M - W is never stored (its forms are
-sum_i m_i |x_i|^2 - x' W x, see ``analysis._metric_form``), and no n x n
-Laplacian is built. Above the product crossover a run on a graph that is
-not circulant holds at most three dense n x n float arrays at once: W plus
-at most two transients, which are D^(-1/2) P while W is formed,
-``eigvalsh``'s copy of W, M - W or the Laplacian, Cholesky's copy and
-factor of a certificate, or, where ``CommunicationMatrix.w_pinv`` takes the
-dense solve, W + 11'/n and the solve's copy of it. Where it takes conjugate
+Cholesky) is written into W's upper triangle by ``_written_below``, as W
+plus p, as 0 - W, or as the Laplacian plus p, each with its own diagonal.
+Both solvers read it as the lower triangle of the F-contiguous W.T, which
+is all they read, and W's upper triangle is restored from its lower one
+after; the M - W certificate, W plus a diagonal, writes and restores only
+the diagonal. A certificate factors with ``cholesky_lo``, the gufunc of
+numpy.linalg._umath_linalg that ``np.linalg.cholesky`` wraps: the same
+LAPACK dpotrf, so the same factor. It writes into one column-major n x n
+buffer that ``compute_spectral_data`` allocates once per call, when it
+certifies, and that every certificate and back-off retry of the call
+shares; a(G) allocates its own on first read, and no buffer outlives its
+call. ``np.linalg.cholesky`` would also copy each factor, with a stride,
+into a fresh C-ordered array whose pages fault on first touch: at
+Erdos-Renyi n=800, p=0.05 it took 18 ms where the kernel takes 10, at
+n=1600, p=0.0125 104 ms against 70-74 (one thread, best of 15).
+A matrix that does not factor comes back NaN-filled, not as
+``LinAlgError``, and its norm is then not finite. Each certificate pays for
+its Cholesky and one pass over the factor, made absolute in place for its
+norms. So M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x,
+see ``analysis._metric_form``), and no n x n Laplacian is built. Above the
+product crossover a run on a graph that is not circulant holds at most
+three dense n x n float arrays at once: W plus at most two transients,
+which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W, M - W or
+the Laplacian, the factor buffer and Cholesky's copy of a certificate's
+matrix, or, where ``CommunicationMatrix.w_pinv`` takes the dense solve,
+W + 11'/n and the solve's copy of it. Where it takes conjugate
 gradients over P's slots, W alone outlives the spectra. A circulant run
 holds none: its W products and W^+ run by FFT on the symbol. Below
 the product crossover the kept P adds one. ``run`` and ``check`` never read
@@ -87,6 +98,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import CertificateFailedError, DegenerateSpectrumError, EigNoConvergenceError
 from .graph import CommunicationMatrix
@@ -164,7 +176,7 @@ class SpectralData:
             return float(_unfolded(comm.symbol, comm.n)[1]), CLOSED_FORM
         diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
-            found = _certified_second(comm.p, comm.W, diag, comm)
+            found = _certified_second(comm.p, comm.W, _factor_buffer(comm.n), diag, comm)
             if found is not None:
                 return found[0], CERTIFIED
         with _written_below(comm.W, diag, lap=comm) as A:
@@ -178,14 +190,16 @@ class SpectralData:
 def certified_spectra_are_cheaper(n: int) -> bool:
     """Whether Lanczos and one Cholesky per scalar cost less than a full ``eigvalsh``: n >= CERTIFY_MIN_N.
 
-    ``eigvalsh`` costs about 1e-10 n^3 s and a Cholesky about a quarter of
+    ``eigvalsh`` costs about 1e-10 n^3 s and a Cholesky about a sixth of
     that, while Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
     reorthogonalization, which does not shrink with n. Fitted to one-thread
     timings of all three scalars, certified against ``eigvalsh``, on
-    Erdos-Renyi p=0.05 (best of 5): 38 against 30 ms at n=400, 45 against
-    45 ms at n=500, 58 against 66 ms at n=600, 79 against 169 ms at n=800;
-    at n=1600, p=0.0125, 370 against 1313 ms. The crossover sits above the
-    break-even, as Lanczos needs more steps on some graphs.
+    Erdos-Renyi p=0.05, seed 1 (the two interleaved, best of 10): 54
+    against 37 ms at n=400, 49 against 61 ms at n=500, 59 against 87 ms at
+    n=600, 92 against 208 ms at n=800; at n=1600, p=0.0125, 396 against
+    1547 ms. The break-even lies near n=450: there the certified route won
+    on seeds 1-3, at n=400 on one of them and at n=500 on two. The
+    crossover sits above it, as Lanczos needs more steps on some graphs.
     """
     return n >= CERTIFY_MIN_N
 
@@ -238,13 +252,14 @@ def _written_below(
     ``negate``, 0 - W's entries, so that a zero entry stays +0, whose sign
     ``eigvalsh`` reads; with ``lap``, that Laplacian's entries plus p. They
     are written into W's upper triangle, the lower one of W.T, which is
-    F-contiguous: ``np.linalg.eigvalsh`` and ``np.linalg.cholesky`` copy it
-    into LAPACK's column-major order column by column (a C-ordered matrix
-    costs a strided copy, 3 ms of a 14 ms Cholesky at n=800), and they read
-    only that triangle, so W's strict lower triangle stays intact while they
-    run. W is then restored: its diagonal from a saved copy and, if anything
-    off the diagonal was written, its strict upper triangle from the lower
-    one (W is a syrk, exactly symmetric).
+    F-contiguous: ``np.linalg.eigvalsh`` and the Cholesky kernel of
+    ``_factor_norm`` copy it into LAPACK's column-major order column by
+    column (a C-ordered matrix costs a strided copy: the kernel took 12.1
+    against 10.4 ms at Erdos-Renyi n=800), and they read only that
+    triangle, so W's strict lower triangle stays intact while they run. W
+    is then restored: its diagonal from a saved copy and, if anything off
+    the diagonal was written, its strict upper triangle from the lower one
+    (W is a syrk, exactly symmetric).
     """
     saved = W.diagonal().copy()
     off_diagonal = lap is not None or negate or p != 0.0
@@ -336,18 +351,31 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool, trace: float | None =
     return None
 
 
-def _factor_norm(W: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None) -> float | None:
+def _factor_buffer(n: int) -> np.ndarray:
+    """An n x n column-major buffer for the Cholesky factors of ``_factor_norm``; each spectral call allocates its own."""
+    return np.empty((n, n), order="F")
+
+
+def _factor_norm(
+    W: np.ndarray, F: np.ndarray, diag: np.ndarray, p: float, lap: CommunicationMatrix | None = None
+) -> float | None:
     """|R|_1 |R|_inf of the Cholesky factor R of the matrix ``_written_below`` writes into W; None if it does not factor.
 
-    Cholesky holds its copy of the matrix and the factor, two n x n arrays,
-    next to W; the factor's entries are made absolute in place, and its row
-    and column sums are the two norms. A non-finite factor does not count.
+    The factor R' is written into F, a column-major n x n buffer (see
+    ``_factor_buffer``) that every certificate of one spectral call reuses,
+    by numpy's own gufunc ``cholesky_lo``: the LAPACK dpotrf kernel that
+    ``np.linalg.cholesky`` wraps, so the factor is bit-identical, but with
+    no fresh C-ordered result to copy it into with a stride. The kernel
+    zeroes F's upper triangle, so nothing of an earlier factor is read. A
+    matrix that does not factor comes back NaN-filled, with the invalid
+    flag raised, in place of ``LinAlgError``, hence the ``errstate``. F's
+    entries are then made absolute in place, and its row and column sums
+    are the two norms. A non-finite norm (a failed factor included) does
+    not count.
     """
     with _written_below(W, diag, p, lap=lap) as A:
-        try:
-            F = np.linalg.cholesky(A)  # lower, F = R'
-        except np.linalg.LinAlgError:
-            return None
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(A, out=F, signature="d->d")  # lower, F = R'
     np.abs(F, out=F)
     norm = float(F.sum(axis=1).max()) * float(F.sum(axis=0).max())
     return norm if math.isfinite(norm) else None
@@ -375,6 +403,7 @@ def _allowance(norm: float, diag: np.ndarray, q) -> float:
 def _certified_second(
     apply,
     W: np.ndarray,
+    F: np.ndarray,
     diag: np.ndarray,
     lap: CommunicationMatrix | None = None,
     witness: tuple[float, float] | None = None,
@@ -382,25 +411,26 @@ def _certified_second(
 ):
     """(sigma, (theta, top)): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and its witness.
 
-    H is W or, with ``lap``, that Laplacian; ``apply`` is its product and
-    ``diag`` its diagonal. Lanczos on 1's complement gives theta >= lam_2
-    and top, H's largest Ritz value. A ``witness`` (theta, top) recorded by
-    an earlier search is tried first, if 0 < theta <= top and top lies in
-    [max_i H_ii, ``ceiling``], an upper bound on lam_max(H): every honest
-    top does, since max_i H_ii <= lam_max(H). Lanczos runs only if the
-    witness is absent, outside those bounds or proves nothing. None if
+    H is W or, with ``lap``, that Laplacian; ``apply`` is its product,
+    ``diag`` its diagonal and F the buffer its factors go to. Lanczos on
+    1's complement gives theta >= lam_2 and top, H's largest Ritz value. A
+    ``witness`` (theta, top) recorded by an earlier search is tried first,
+    if 0 < theta <= top and top lies in [max_i H_ii, ``ceiling``], an upper
+    bound on lam_max(H): every honest top does, since max_i H_ii <=
+    lam_max(H). Lanczos runs only if the witness is absent, outside those
+    bounds or proves nothing. None if
     Lanczos has not converged or gave up on the trace term, or its values
     prove nothing (``_second_from``).
     """
     if witness is not None and 0.0 < witness[0] <= witness[1] and float(diag.max()) <= witness[1] <= ceiling:
-        found = _second_from(W, diag, lap, *witness)
+        found = _second_from(W, F, diag, lap, *witness)
         if found is not None:
             return found
     ends = _ritz_ends(apply, W.shape[0], lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
-    return None if ends is None else _second_from(W, diag, lap, *ends)
+    return None if ends is None else _second_from(W, F, diag, lap, *ends)
 
 
-def _second_from(W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None, theta: float, top: float):
+def _second_from(W: np.ndarray, F: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None, theta: float, top: float):
     """(sigma, (theta, top)) proved from the Ritz values theta and top of H; None if no back-off factors, or sigma is loose.
 
     s = theta (1 - back-off). If H + p 11' - s I with p = top / n factors,
@@ -414,7 +444,7 @@ def _second_from(W: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | Non
         s = theta * (1.0 - backoff)
         q = p - s
         shifted = diag + q
-        norm = _factor_norm(W, shifted, p, lap)
+        norm = _factor_norm(W, F, shifted, p, lap)
         if norm is not None:
             sigma = float(np.nextafter(s - _allowance(norm, shifted, q), -np.inf))
             return (sigma, (theta, top)) if sigma >= theta * (1.0 - BOUND_RTOL) else None
@@ -446,7 +476,7 @@ def _gershgorin_rows(comm: CommunicationMatrix) -> tuple[np.ndarray, float]:
     return R, slack
 
 
-def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[float, float] | None = None):
+def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: tuple[float, float] | None = None):
     """(W's ends, sigma <= lam_2(W), (theta, top)) by ``_certified_second``, from ``witness`` if it proves; None if not proven.
 
     lam_min(W) needs no factorization: with u = 1/sqrt(n), rho = u'Wu and
@@ -458,7 +488,7 @@ def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[flo
     if witness is not None:
         R, slack = _gershgorin_rows(comm)
         ceiling = float(R.max()) * (1.0 + slack)
-    found = _certified_second(comm.w_by_products, W, W.diagonal().copy(), witness=witness, ceiling=ceiling)
+    found = _certified_second(comm.w_by_products, W, F, W.diagonal().copy(), witness=witness, ceiling=ceiling)
     if found is None:
         return None
     sigma, ends = found
@@ -469,7 +499,7 @@ def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, witness: tuple[flo
     return Spectrum(min=floor, max=ends[1], kind=CERTIFIED), sigma, ends
 
 
-def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, witness: float | None = None):
+def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: float | None = None):
     """(M - W's ends, theta): the Gershgorin floor and a proven upper bound tau on lam_max, and its witness; None if not proven.
 
     Lanczos gives theta <= lam_max. A ``witness`` theta recorded by an
@@ -482,15 +512,15 @@ def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, witness: float |
     if floor < PSD_FLOOR:
         return None
     if witness is not None and 0.0 < witness < math.inf:
-        found = _metric_from(comm, W, floor, witness)
+        found = _metric_from(comm, W, F, floor, witness)
         if found is not None:
             return found
     m = comm.col_norms_sq
     ends = _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
-    return None if ends is None else _metric_from(comm, W, floor, ends[1])
+    return None if ends is None else _metric_from(comm, W, F, floor, ends[1])
 
 
-def _metric_from(comm: CommunicationMatrix, W: np.ndarray, floor: float, theta: float):
+def _metric_from(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, floor: float, theta: float):
     """(M - W's ends, theta) proved from the Ritz value theta of M - W; None if no back-off factors, or tau is loose.
 
     s = theta (1 + back-off). If s I - (M - W) = W + diag(s - m), written in
@@ -503,7 +533,7 @@ def _metric_from(comm: CommunicationMatrix, W: np.ndarray, floor: float, theta: 
         s = theta * (1.0 + backoff)
         q = s - m
         shifted = w_diag + q
-        norm = _factor_norm(W, shifted, 0.0)
+        norm = _factor_norm(W, F, shifted, 0.0)
         if norm is not None:
             tau = float(np.nextafter(s + _allowance(norm, shifted, q), np.inf))
             return (Spectrum(min=floor, max=tau, kind=CERTIFIED), theta) if tau <= theta * (1.0 + BOUND_RTOL) else None
@@ -526,8 +556,9 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     A circulant P reads every spectrum from its symbol and never forms W.
     """
     certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
+    F = _factor_buffer(comm.n) if certify else None  # both certificates' factors, freed on return
 
-    gram = _certified_gram(comm, comm.W, witness.gram_ritz) if certify else None
+    gram = _certified_gram(comm, comm.W, F, witness.gram_ritz) if certify else None
     if gram is None:
         if comm.circulant:
             eig_gram = Spectrum.of(_unfolded(comm.gram_symbol, comm.n), CLOSED_FORM)
@@ -540,7 +571,7 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    metric = _certified_metric(comm, comm.W, witness.metric_ritz) if certify else None
+    metric = _certified_metric(comm, comm.W, F, witness.metric_ritz) if certify else None
     eig_metric, metric_ritz = metric or (_metric_spectrum(comm), None)
     return SpectralData(
         comm=comm,

@@ -1,7 +1,10 @@
 import functools
 import math
 import tracemalloc
+import warnings
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -609,24 +612,128 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw):
 # --- certified scalars above the size crossover ---------------------------------
 
 
+def cholesky_kernel(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of A by the kernel ``spectral._factor_norm`` calls, into a NaN-filled column-major buffer."""
+    F = np.full(A.shape, np.nan, order="F")
+    with np.errstate(invalid="ignore"):
+        spectral._umath_linalg.cholesky_lo(A, out=F, signature="d->d")
+    return F
+
+
 def test_cholesky_reads_only_the_lower_triangle():
     # each certificate's matrix, and M - W and the Laplacian for eigvalsh, is
     # written into W's upper triangle, the lower one of the F-contiguous W.T
-    # that both solvers read, while W's lower triangle keeps W, from which
-    # the upper one is restored
+    # that the solvers read, while W's lower triangle keeps W, from which
+    # the upper one is restored; the certificates' kernel reads as little
     rng = np.random.default_rng(0)
     B = rng.normal(size=(60, 60))
     A = B @ B.T + 60.0 * np.eye(60)
     upper_nan = A.copy()
     upper_nan[np.triu_indices(60, 1)] = np.nan
     assert np.array_equal(np.linalg.cholesky(upper_nan), np.linalg.cholesky(A))
+    assert np.array_equal(cholesky_kernel(upper_nan), np.linalg.cholesky(A))
     assert np.array_equal(np.linalg.eigvalsh(upper_nan).view(np.int64), np.linalg.eigvalsh(A).view(np.int64))
     storage = A.copy()
     storage[np.tril_indices(60, -1)] = np.nan  # W's lower triangle, not A's
     view = storage.T
     assert view.flags.f_contiguous and np.isnan(view[np.triu_indices(60, 1)]).all()
     assert np.array_equal(np.linalg.cholesky(view), np.linalg.cholesky(A))
+    assert np.array_equal(cholesky_kernel(view), np.linalg.cholesky(A))
     assert np.array_equal(np.linalg.eigvalsh(view).view(np.int64), np.linalg.eigvalsh(A).view(np.int64))
+
+
+@pytest.mark.parametrize("mode", ["plus-p", "diagonal", "laplacian"])
+def test_factor_norm_matches_numpy_cholesky_bit_for_bit(mode):
+    # into a buffer pre-filled with NaN, the kernel's factor, made absolute,
+    # equals np.linalg.cholesky's, and so does its norm taken in the buffer's
+    # column-major order: the upper triangle is zeroed and nothing stale
+    # leaks; the same buffer then takes the next matrix. numpy sums a row
+    # pairwise where it is contiguous, so C order moves the norm's last bits
+    n = 120
+    comm = laplacian(generate_graph("erdos_renyi", n, p=0.1, seed=2))
+    W = comm.W
+    kwargs = {"plus-p": {"p": 0.3}, "diagonal": {"p": 0.0}, "laplacian": {"p": 0.3, "lap": comm}}[mode]
+    F = np.full((n, n), np.nan, order="F")
+    for shift in (1.0, 2.0):
+        diag = W.diagonal() + shift if mode != "laplacian" else comm.values[comm.rows == comm.cols] + shift
+        with spectral._written_below(W, diag, **kwargs) as A:
+            R = np.asfortranarray(np.abs(np.linalg.cholesky(A)))
+        want = float(R.sum(axis=1).max()) * float(R.sum(axis=0).max())
+        got = spectral._factor_norm(W, F, diag, **kwargs)
+        assert np.array_equal(F, R) and not np.isnan(F).any()
+        assert got == want
+        R = np.ascontiguousarray(R)
+        assert got == pytest.approx(float(R.sum(axis=1).max()) * float(R.sum(axis=0).max()), rel=2 * n * EPS, abs=0)
+        F[np.triu_indices(n, 1)] = np.nan  # stale entries where the next factor's zeros go
+
+
+def test_non_pd_matrix_gives_none_without_warnings():
+    # a failed factorization comes back NaN-filled with the invalid flag
+    # raised; _factor_norm swallows the flag, leaves the error state as it was and returns None
+    n = 80
+    comm = laplacian(generate_graph("erdos_renyi", n, p=0.1, seed=3))
+    W = comm.W
+    want = W.tobytes()
+    before = np.geterr()
+    F = spectral._factor_buffer(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # lam_min(W) = 0, so W - I is indefinite
+        assert spectral._factor_norm(W, F, W.diagonal() - 1.0, 0.0) is None
+        assert spectral._factor_norm(W, F, comm.values[comm.rows == comm.cols] - 1.0, 0.0, lap=comm) is None
+    assert np.isnan(F).all()
+    assert np.geterr() == before
+    assert W.tobytes() == want
+
+
+def test_failed_backoff_retried_in_the_same_buffer(monkeypatch):
+    # a first back-off that cannot factor (past the eigenvalue) leaves a
+    # NaN-filled buffer; the retry in that buffer proves the same sigma and
+    # tau as with a fresh buffer for every factorization
+    comm = er_comm(600)
+    monkeypatch.setattr(spectral, "BACKOFFS", (-1e-3, spectral.BACKOFFS[1]))
+    fn = spectral._factor_norm
+
+    def factored(fresh: bool):
+        norms, buffers = [], []
+
+        def logged(W, F, *args, **kwargs):
+            buffers.append(spectral._factor_buffer(comm.n) if fresh else F)
+            norms.append(fn(W, buffers[-1], *args, **kwargs))
+            return norms[-1]
+
+        monkeypatch.setattr(spectral, "_factor_norm", logged)
+        sd = compute_spectral_data(comm)
+        assert [norm is None for norm in norms] == [True, False, True, False]
+        assert all(F is buffers[0] for F in buffers) is not fresh
+        assert (sd.eig_gram.kind, sd.eig_metric.kind) == (spectral.CERTIFIED,) * 2
+        return sd
+
+    shared, fresh = factored(fresh=False), factored(fresh=True)
+    assert (shared.min_pos_eig_gram, shared.max_eig_metric) == (fresh.min_pos_eig_gram, fresh.max_eig_metric)
+    assert (shared.eig_gram, shared.eig_metric, shared.witness) == (fresh.eig_gram, fresh.eig_metric, fresh.witness)
+
+
+def test_one_factor_buffer_per_spectral_call(monkeypatch):
+    # both certificates of a compute_spectral_data call factor into one
+    # column-major buffer, freed when the call returns; a(G) allocates its own
+    comm = er_comm(600)
+    refs, alive = [], []
+    fn = spectral._factor_norm
+
+    def logged(W, F, *args, **kwargs):
+        assert F.flags.f_contiguous and F.shape == (comm.n, comm.n)
+        alive.append(refs[-1]() is F if refs else None)  # the previous factorization's buffer, if it still lives
+        refs.append(weakref.ref(F))
+        return fn(W, F, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_factor_norm", logged)
+    sd = compute_spectral_data(comm)
+    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (spectral.CERTIFIED,) * 2
+    assert alive == [None, True]
+    assert len(refs) == 2 and refs[0]() is None and refs[1]() is None
+    assert sd.connectivity[1] == spectral.CERTIFIED
+    assert len(refs) == 3 and refs[2]() is None  # a new buffer: the call's own was already gone
 
 
 @pytest.mark.parametrize("mode", ["diagonal", "plus-p", "negate", "laplacian"])
@@ -868,10 +975,12 @@ def test_failing_cholesky_falls_back_to_eigvalsh(monkeypatch):
         exact = compute_spectral_data(laplacian(g))
         want = (exact.eig_gram.eigenvalues, exact.eig_metric.eigenvalues, exact.algebraic_connectivity)
 
-    def refuse(A):
-        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    def refuse(A, out, signature):
+        # how the kernel reports a matrix that does not factor: a NaN-filled factor
+        out.fill(np.nan)
+        return out
 
-    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(spectral, "_umath_linalg", SimpleNamespace(cholesky_lo=refuse))
     comm = laplacian(g)
     W = comm.W.copy()
     sd = compute_spectral_data(comm)
