@@ -8,10 +8,15 @@ metric block:
     |F(xhat(T)) - F*| <= (c/2T) |x*|^2 lam_max + (2/cT) U^2 / lam_min
     |Q xhat(T)|       <= (1/2T) |x*|^2 lam_max + (1/2T) (2 + 2U^2/(c^2 lam_min))
   where U bounds the subgradient stack at the optimum;
-* a per-iteration contraction of the squared metric distance
+* a linear rate 1/(1 + gain) of the squared metric distance
     |q(t+1) - q*|_G^2 <= 1/(1 + gain) |q(t) - q*|_G^2
   with gain = min{ 2 beta nu / (c lam_max (1 + 2/lam_min)),
                    (1 - beta) c lam_min / L };
+  ``contraction_check`` judges that inequality round by round, as a
+  per-round ratio. It FAILs on the complete graph n=50 at c = auto (a
+  strict expected failure in the tests), whose one-step norm in the
+  metric exceeds the certified rate; whether the theorem bounds one step
+  or only the asymptotic rate is open (ROADMAP item 11);
 * the penalty maximizing that gain, with the closed forms
     best balance = c^2 lam_max (2 + lam_min) / (2 nu L + c^2 lam_max (2 + lam_min))
     best penalty = sqrt(2 nu L / (lam_max (2 + lam_min)))

@@ -92,10 +92,6 @@ class MissingCurvatureMetadataError(ObjectiveError):
     pass
 
 
-class OracleNoConvergenceError(ObjectiveError):
-    pass
-
-
 # --- admm ----------------------------------------------------------------
 
 

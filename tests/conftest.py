@@ -1,12 +1,137 @@
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from admmnet import admm, analysis, graph, reporting
+from admmnet.errors import DimensionMismatchError
 from admmnet.graph import build_graph, generate_graph
-from admmnet.objectives import central_solve, estimation_problem
+from admmnet.objectives import (
+    OptimalPoint,
+    QuadraticRows,
+    _node_sum,
+    _stacked,
+    central_solve,
+    estimation_problem,
+    soft_threshold,
+)
 from admmnet.spectral import compute_spectral_data
+
+
+@dataclass(frozen=True)
+class Quadratic:
+    """(weight/2) |x - target|^2 + tau |x|_1 at one node: the per-node reference of a ``QuadraticRows`` row.
+
+    The quadratic part is isotropic, so the prox is an exact soft threshold
+    of the combined quadratic minimizer; at tau = 0 the threshold is 0 and
+    returns that minimizer unchanged. ``gradient`` returns the subgradient
+    with sign(0) = 0 on the l1 part.
+    """
+
+    target: np.ndarray = field(repr=False)
+    weight: float = 1.0
+    tau: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "target", np.atleast_1d(np.asarray(self.target, dtype=float)))
+        if self.weight < 0 or self.tau < 0:
+            raise ValueError("weight and tau must be nonnegative")
+
+    @property
+    def kind(self) -> str:
+        return "l1_quadratic" if self.tau > 0 else "quadratic"
+
+    @property
+    def dimension(self) -> int:
+        return self.target.shape[0]
+
+    def _vec(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != (self.dimension,):
+            raise DimensionMismatchError(f"expected shape ({self.dimension},), got {x.shape}")
+        return x
+
+    def value(self, x) -> float:
+        x = self._vec(x)
+        diff = x - self.target
+        return 0.5 * self.weight * float(diff @ diff) + self.tau * float(np.sum(np.abs(x)))
+
+    def gradient(self, x) -> np.ndarray:
+        x = self._vec(x)
+        return self.weight * (x - self.target) + self.tau * np.sign(x)
+
+    def smooth_gradient(self, x) -> np.ndarray:
+        return self.weight * (self._vec(x) - self.target)
+
+    def prox(self, v, rho: float) -> np.ndarray:
+        v = self._vec(v)
+        if rho <= 0:
+            raise ValueError("rho must be positive")
+        u = (self.weight * self.target + rho * v) / (self.weight + rho)
+        return soft_threshold(u, self.tau / (self.weight + rho))
+
+
+def rows_of(quadratics) -> QuadraticRows:
+    """The stacked rows of per-node ``Quadratic`` objectives, one row each; tau is None when every tau is 0."""
+    taus = [q.tau for q in quadratics]
+    return QuadraticRows(
+        weight=np.array([q.weight for q in quadratics], dtype=float)[:, None],
+        target=np.stack([q.target for q in quadratics]),
+        tau=np.array(taus, dtype=float)[:, None] if any(taus) else None,
+    )
+
+
+def per_node(rows: QuadraticRows) -> tuple[Quadratic, ...]:
+    """Row i of ``rows`` as node i's ``Quadratic``, for every row: the inverse of ``rows_of``."""
+    taus = np.zeros(len(rows)) if rows.tau is None else rows.tau[:, 0]
+    return tuple(
+        Quadratic(target=a.copy(), weight=float(w), tau=float(t)) for a, w, t in zip(rows.target, rows.weight[:, 0], taus)
+    )
+
+
+ORACLE_TOL = 1e-12
+ORACLE_ROUNDING = 4.0 * np.finfo(float).eps  # residual floor per unit of |sum_i |grad f_i| + L |x||
+ORACLE_MAX_ITERS = 500_000
+
+
+def reference_oracle(problem) -> tuple[OptimalPoint, int]:
+    """(The optimum, the steps taken) by proximal-gradient iterations on sum_i f_i, the reference of ``central_solve``.
+
+    Steps of 1/(sum_i w_i), the l1 weights summed into one soft threshold,
+    run from x = 0 down to a residual of ORACLE_TOL, or to the rounding floor
+    ORACLE_ROUNDING |sum_i |g_i| + L |x||, when that is larger: the node-sum
+    rounds at the size of its terms, and x itself at ulp(x), which moves the
+    sum of gradients by up to L ulp(x), L = sum_i w_i. The per-node
+    subgradients share a single l1 sign vector, so their node-sum equals
+    the residual. Raises AssertionError after ORACLE_MAX_ITERS steps.
+    """
+    rows = problem.objectives
+    taus = np.zeros_like(rows.weight) if rows.tau is None else rows.tau
+    lip_total, tau_total = sum(rows.weight[:, 0].tolist()), sum(taus[:, 0].tolist())
+    x = np.zeros(problem.dimension)
+    xi = np.zeros_like(x)  # shared sign vector of the l1 terms
+    G = rows.smooth_gradients(np.zeros((problem.n, x.size)))
+    gs = _node_sum(G)
+    residual = float(np.linalg.norm(gs))
+    steps = 0
+    if lip_total > 0.0:  # else no smooth curvature at all: the l1 sum is minimized at 0
+        eta = 1.0 / lip_total
+        for steps in range(1, ORACLE_MAX_ITERS + 1):
+            u = x - eta * gs
+            x = soft_threshold(u, eta * tau_total) if tau_total > 0 else u
+            if tau_total > 0:
+                xi = (u - x) / (eta * tau_total)
+            G = rows.smooth_gradients(np.broadcast_to(x, G.shape))
+            gs = _node_sum(G)
+            residual = float(np.linalg.norm(gs + tau_total * xi))
+            if residual <= ORACLE_TOL or residual <= ORACLE_ROUNDING * float(
+                np.linalg.norm(np.abs(G).sum(axis=0) + tau_total * np.abs(xi) + lip_total * np.abs(x))
+            ) < np.inf:  # an overflowed iterate has an infinite floor and must not stop
+                break
+        else:
+            raise AssertionError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")
+    return _stacked(problem, x, G + taus * xi, residual), steps
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.25):

@@ -8,15 +8,9 @@ from hypothesis import given, settings, strategies as st
 from admmnet import admm, analysis, graph, reporting
 from admmnet.errors import AdmmError, NonFiniteIterateError
 from admmnet.graph import generate_graph, laplacian, stack_apply
-from admmnet.objectives import (
-    L1Quadratic,
-    NetworkProblem,
-    Quadratic,
-    central_solve,
-    estimation_problem,
-)
+from admmnet.objectives import NetworkProblem, central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
-from conftest import dense, implicit_subgradients, random_connected_graph, recurrence_residuals
+from conftest import Quadratic, dense, implicit_subgradients, per_node, random_connected_graph, recurrence_residuals, rows_of
 
 FIRST_X = np.array([1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0])
 FIRST_Y = np.array([-1.0 / 7.0, 0.0, 1.0 / 7.0])
@@ -32,7 +26,7 @@ def test_first_round_k3(k3_problem):
 
 def test_consensus_fixed_point(k3):
     objs = tuple(Quadratic(target=np.array([4.0]), weight=1.0) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
     x0 = np.full((3, 1), 4.0)
     init = (x0, np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, init=init))
@@ -41,7 +35,7 @@ def test_consensus_fixed_point(k3):
 
 def test_p3_converges_to_mean(p3):
     objs = tuple(Quadratic(target=np.array([v]), weight=1.0) for v in (0.0, 0.0, 3.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=objs)
+    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=300))
     assert np.max(np.abs(trace.xs[-1] - 1.0)) <= 1e-4
 
@@ -102,7 +96,7 @@ def test_implicit_subgradients_match_quadratic_gradient(k3_problem, k3_spectral)
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=20))
     hs = implicit_subgradients(trace, k3_spectral.comm)
     for t in range(20):
-        for i, f in enumerate(k3_problem.objectives):
+        for i, f in enumerate(per_node(k3_problem.objectives)):
             assert np.max(np.abs(hs[t, i] - f.gradient(trace.xs[t + 1][i]))) <= 1e-10
 
 
@@ -138,7 +132,7 @@ def test_determinism(k3_problem):
 def test_vector_dimension_runs(k3):
     targets = [np.array([1.0, -2.0]), np.array([2.0, 0.5]), np.array([3.0, 1.5])]
     objs = tuple(Quadratic(target=t, weight=1.0) for t in targets)
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
     node = admm.run(prob, admm.RunConfig(c=1.0, T=200))
     edge = admm.run(prob, admm.RunConfig(c=1.0, T=200, engine="edge"))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
@@ -203,8 +197,8 @@ def _mixed_problem(rng, n, d):
         if rng.random() < 0.5:
             objs.append(Quadratic(target=target, weight=weight))
         else:
-            objs.append(L1Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 1.0)))
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+            objs.append(Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 1.0)))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,7 +221,7 @@ def test_vectorized_round_properties(n, d, seed):
 
 
 def _reference_prox(problem, V, rho):
-    return np.array([f.prox(v, float(r)) for f, v, r in zip(problem.objectives, V, rho[:, 0])])
+    return np.array([f.prox(v, float(r)) for f, v, r in zip(per_node(problem.objectives), V, rho[:, 0])])
 
 
 def closed_neighborhood_slots(g):
@@ -409,9 +403,8 @@ def _forbid_per_node_calls(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-node objective call on the round path")
 
-    for kind in (Quadratic, L1Quadratic):
-        monkeypatch.setattr(kind, "prox", refuse)
-        monkeypatch.setattr(kind, "value", refuse)
+    monkeypatch.setattr(Quadratic, "prox", refuse)
+    monkeypatch.setattr(Quadratic, "value", refuse)
 
 
 @pytest.mark.parametrize("kind", ["estimation", "l1"])
@@ -420,8 +413,8 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
     if kind == "estimation":
         prob = estimation_problem(g, dimension=2)
     else:
-        objs = tuple(L1Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
-        prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=objs)
+        objs = tuple(Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
+        prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
     sd = compute_spectral_data(prob.comm)
     _forbid_per_node_calls(monkeypatch)
     optimal = central_solve(prob)

@@ -20,9 +20,7 @@ from admmnet.errors import (
 )
 from admmnet.graph import build_graph, generate_graph, laplacian
 from admmnet.objectives import (
-    L1Quadratic,
     NetworkProblem,
-    Quadratic,
     QuadraticRows,
     aggregate,
     central_solve,
@@ -33,6 +31,7 @@ from admmnet.spectral import compute_spectral_data
 from conftest import (
     gap_inequality_check,
     implicit_subgradients,
+    per_node,
     random_connected_graph,
     recurrence_residuals,
     trace_table,
@@ -62,8 +61,7 @@ def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
 
 
 def test_aux_dual_ref_zero_for_agreeing_targets(k3):
-    objs = tuple(Quadratic(target=np.array([2.5])) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=quadratic_rows(np.full((3, 1), 2.5)))
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=3))
@@ -262,12 +260,8 @@ def test_sublinear_check_k3(k3_problem, k3_spectral, k3_optimal):
 
 
 def test_sublinear_check_l1_instance(p3):
-    objs = (
-        L1Quadratic(target=np.array([-1.0]), weight=1.0, tau=0.5),
-        L1Quadratic(target=np.array([0.0]), weight=1.0, tau=0.5),
-        L1Quadratic(target=np.array([2.0]), weight=1.0, tau=0.5),
-    )
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=objs)
+    rows = quadratic_rows(np.array([[-1.0], [0.0], [2.0]]), 1.0, tau=0.5)
+    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows)
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     agg = aggregate(prob, opt)
@@ -345,8 +339,7 @@ def test_contraction_check_certified_rates(k3_problem, k3_spectral, k3_optimal):
 
 
 def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
-    objs = tuple(Quadratic(target=np.array([4.0])) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=quadratic_rows(np.full((3, 1), 4.0)))
     opt = central_solve(prob)
     init = (np.full((3, 1), 4.0), np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=10, init=init))
@@ -456,7 +449,7 @@ def table_by_rounds(trace, problem, spectral, optimal, aux):
     """The per-round table, one round at a time with scalar objective values."""
 
     def F(X):
-        return sum(f.value(x) for f, x in zip(problem.objectives, X))
+        return sum(f.value(x) for f, x in zip(per_node(problem.objectives), X))
 
     Q = gram_sqrt(spectral)
     q_ref = Q @ aux.dual_ref
@@ -701,7 +694,7 @@ def gap_margins_by_rounds(trace, spectral, optimal, problem, c, r):
         dist0 = metric_sq(running[t] - r, x0 - optimal.x_star)
         dist1 = metric_sq(running[t + 1] - r, x1 - optimal.x_star)
         step = metric_sq(running[t] - running[t + 1], x0 - x1)
-        f1 = sum(f.value(x) for f, x in zip(problem.objectives, x1))
+        f1 = sum(f.value(x) for f, x in zip(per_node(problem.objectives), x1))
         lhs = (2.0 / c) * (f1 - optimal.f_star) + 2.0 * float(np.sum(r * (Q @ x1)))
         rhs = dist0 - dist1 - step
         margins.append(rhs - lhs)
@@ -762,3 +755,31 @@ def test_quadratic_forms_are_centered():
     feasibility = np.linalg.norm(Q @ trace.ergodic[1:], axis=(1, 2))
     np.testing.assert_allclose(table["gnorm_sq"], gnorm_sq, rtol=analysis.REPLAY_RTOL, atol=0)
     np.testing.assert_allclose(table["feasibility"], feasibility, rtol=analysis.REPLAY_RTOL, atol=0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the recurrence residual recovers h(x(t+1)) from x(t+1) itself, so a wrong x-update cancels "
+    "and reads about 5e-16; it needs a check of the x-update (prox optimality at its center)",
+)
+def test_recurrence_check_sees_a_wrong_prox(monkeypatch):
+    # tripwire: the bound prox replaced by 0.5 prox + 3 must make the recurrence check fail
+    bind = QuadraticRows.bind
+
+    def corrupted(self, rho):
+        prox = bind(self, rho)
+
+        def wrong(V, out):
+            prox(V, out)
+            out *= 0.5
+            out += 3.0
+            return out
+
+        return wrong
+
+    prob = estimation_problem(generate_graph("complete", 5))
+    sd, opt = compute_spectral_data(prob.comm), central_solve(prob)
+    monkeypatch.setattr(QuadraticRows, "bind", corrupted)
+    config = admm.RunConfig(c=1.0, T=50)
+    aux = analysis.sweep(admm.rounds(prob, config), prob, sd, opt, config.c, config.T, recurrence=True)
+    assert float(np.max(aux.recurrence)) > analysis.RECURRENCE_LIMIT

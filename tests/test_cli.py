@@ -203,7 +203,7 @@ def test_certify_marks_certified_scalars(tmp_path, capsys, graph, marks, kind):
 @pytest.mark.xfail(
     strict=True,
     reason="at c = auto the one-step contraction ratio on complete n=50 exceeds the certified rate "
-    "(bound 0.90987372600773708, worst margin 0.051 at t=50), far above the rounding floor",
+    "(bound 0.90987372600773719, worst margin 0.051040137061109214 at t=50), far above the rounding floor",
 )
 def test_contraction_holds_on_complete_50_at_auto_penalty(tmp_path, capsys):
     text = "[graph]\nkind = complete\nn = 50\n\n[objective]\npreset = estimation\n\n[admm]\nc = auto\nT = 50\n"
@@ -762,7 +762,7 @@ def test_graph_keys_that_would_be_ignored_exit_2(tmp_path, capsys, graph, keys):
 def test_quadratic_kind_accepts_zero_tau(tmp_path):
     text = "[graph]\nkind = cycle\nn = 5\n\n[objective]\nkind = quadratic\na = 1, 2, 3, 4, 5\ntau = 0\n\n[admm]\nc = 1.0\nT = 20\n"
     cfg = parse_experiment_config(write_config(tmp_path, text))
-    assert build_problem(cfg).objectives[0].kind == "quadratic"
+    assert build_problem(cfg).objectives.tau is None  # plain quadratic rows, no l1 term
     with pytest.raises(ConfigParseError, match="tau"):
         ObjectiveSpec(preset=None, kind="quadratic", targets=((1.0,),), tau=0.5)
 

@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from admmnet import objectives
 from admmnet.config import build_problem, parse_experiment_config
-from admmnet.errors import DimensionMismatchError, MissingCurvatureMetadataError, OracleNoConvergenceError
+from admmnet.errors import DimensionMismatchError, MissingCurvatureMetadataError
 from admmnet.graph import generate_graph, laplacian
 from admmnet.objectives import (
-    L1Quadratic,
     NetworkProblem,
-    Quadratic,
     QuadraticRows,
     aggregate,
     central_solve,
@@ -22,13 +19,15 @@ from admmnet.objectives import (
     soft_threshold,
 )
 
+from conftest import Quadratic, reference_oracle, rows_of
+
 
 def quad(a, w=1.0):
     return Quadratic(target=np.atleast_1d(np.asarray(a, dtype=float)), weight=w)
 
 
 def l1quad(a, w=1.0, tau=0.5):
-    return L1Quadratic(target=np.atleast_1d(np.asarray(a, dtype=float)), weight=w, tau=tau)
+    return Quadratic(target=np.atleast_1d(np.asarray(a, dtype=float)), weight=w, tau=tau)
 
 
 def prox_residual(f, v, rho, p):
@@ -122,15 +121,16 @@ def test_rows_of_mismatched_shapes_are_refused(weight, target, tau):
         QuadraticRows(weight=np.ones(weight), target=np.zeros(target), tau=None if tau is None else np.ones(tau))
 
 
-def test_objectives_of_mixed_dimension_are_refused():
+def test_problem_refuses_per_node_objectives():
+    # QuadraticRows is the only objective model; a sequence is not stacked
     g = generate_graph("path", 3)
-    with pytest.raises(DimensionMismatchError, match="one dimension"):  # not np.stack's ValueError
-        NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), quad([1.0, 2.0]), quad(3.0)))
+    with pytest.raises(TypeError, match="QuadraticRows"):
+        NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), quad(2.0), quad(3.0)))
 
 
 def test_aggregate_weights(k3):
     objs = (quad(1.0, 1.0), quad(2.0, 2.0), quad(3.0, 4.0))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
     info = aggregate(prob)
     assert info.strong_convexity == 1.0
     assert info.lipschitz == 4.0
@@ -145,7 +145,7 @@ def test_aggregate_subgrad_bound(k3_problem, k3_optimal):
 
 def test_require_curvature_missing(p3):
     objs = (l1quad(1.0), l1quad(2.0), l1quad(3.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=objs)
+    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
     with pytest.raises(MissingCurvatureMetadataError):
         require_curvature(prob)
 
@@ -158,7 +158,7 @@ def test_central_solve_k3(k3_problem, k3_optimal):
 
 def test_central_solve_weighted():
     g = generate_graph("path", 2)
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(0.0, 1.0), quad(4.0, 3.0)))
+    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(0.0, 1.0), quad(4.0, 3.0))))
     opt = central_solve(prob)
     assert opt.x_star[0, 0] == pytest.approx(3.0, abs=1e-14)
     assert opt.f_star == pytest.approx(6.0, abs=1e-14)
@@ -166,7 +166,7 @@ def test_central_solve_weighted():
 
 def test_central_solve_consensus_trivial(k3):
     objs = tuple(quad(5.0) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
     opt = central_solve(prob)
     assert np.allclose(opt.x_star, 5.0)
     assert opt.f_star == 0.0
@@ -178,7 +178,7 @@ def test_central_solve_l1_hand_case(p3):
     # 1.5: the unpenalized mean 1/3 gives |sum of gradients| = 1 <= 1.5, so
     # the optimum is pinned at 0 with shared sign value 2/3
     objs = (l1quad(-1.0), l1quad(0.0), l1quad(2.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=objs)
+    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
     opt = central_solve(prob)
     assert abs(opt.x_star[0, 0]) <= 1e-13
     assert opt.residual <= 1e-12
@@ -187,9 +187,9 @@ def test_central_solve_l1_hand_case(p3):
 
 
 def test_central_solve_iterative_matches_closed_form(k3):
-    # the proximal-gradient iteration must land on the pure-quadratic weighted mean
+    # the oracle's proximal-gradient step must land on the pure-quadratic weighted mean
     objs = (quad(1.0, 2.0), quad(5.0, 1.0), l1quad(-2.0, w=3.0, tau=0.0))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=objs)
+    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
     opt = central_solve(prob)
     expected = (2.0 * 1.0 + 1.0 * 5.0 + 3.0 * -2.0) / 6.0
     assert opt.x_star[0, 0] == pytest.approx(expected, abs=1e-10)
@@ -246,9 +246,7 @@ def test_soft_threshold_basics():
 def test_estimation_objectives_targets():
     rows = estimation_rows(3, dimension=2)
     assert rows.target.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]] and rows.tau is None
-    objs = tuple(rows)  # node i's Quadratic, built on read
-    assert [o.target.tolist() for o in objs] == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
-    assert all(type(o) is Quadratic and o.weight == 1.0 and o.tau == 0.0 for o in objs)
+    assert rows.weight.tolist() == [[1.0], [1.0], [1.0]] and len(rows) == 3 and rows.dimension == 2
 
 
 def _kernel_problem(rng, n, d, kinds):
@@ -257,11 +255,9 @@ def _kernel_problem(rng, n, d, kinds):
     objs = []
     for i in range(n):
         target, weight = rng.normal(scale=3.0, size=d), rng.uniform(0.5, 2.0)
-        if kinds[i % len(kinds)] == "quadratic":
-            objs.append(Quadratic(target=target, weight=weight))
-        else:
-            objs.append(L1Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 2.0)))
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=tuple(objs))
+        tau = 0.0 if kinds[i % len(kinds)] == "quadratic" else rng.uniform(0.0, 2.0)
+        objs.append(Quadratic(target=target, weight=weight, tau=tau))
+    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)), objs
 
 
 @pytest.mark.parametrize("kinds", [("quadratic",), ("l1",), ("quadratic", "l1")])
@@ -270,7 +266,7 @@ def _kernel_problem(rng, n, d, kinds):
 def test_bound_prox_matches_objective_prox_bitwise(kinds, d, full_width):
     # Quadratic nodes with and without an l1 term share one stacked closed form
     rng = np.random.default_rng(7)
-    prob = _kernel_problem(rng, 8, d, kinds)
+    prob, objs = _kernel_problem(rng, 8, d, kinds)
     rho = rng.uniform(0.1, 10.0, size=(8, 1))
     kernel = prob.bind_prox(np.repeat(rho, d, axis=1) if full_width else rho)
     for _ in range(3):  # the kernel is reused across calls, as across rounds
@@ -279,14 +275,14 @@ def test_bound_prox_matches_objective_prox_bitwise(kinds, d, full_width):
         out = np.full((8, d), np.nan)
         assert kernel(V, out) is out
         assert np.array_equal(V, V_before)
-        want = np.array([f.prox(V[i], float(rho[i, 0])) for i, f in enumerate(prob.objectives)])
+        want = np.array([f.prox(V[i], float(rho[i, 0])) for i, f in enumerate(objs)])
         assert np.array_equal(out, want)
         assert np.array_equal(prob.bind_prox(rho)(V, np.empty_like(V)), want)
 
 
 def test_bound_prox_writes_only_out():
     rng = np.random.default_rng(3)
-    prob = _kernel_problem(rng, 6, 2, ("quadratic", "l1"))
+    prob, _ = _kernel_problem(rng, 6, 2, ("quadratic", "l1"))
     kernel = prob.bind_prox(np.full((6, 2), 1.5))
     block = rng.normal(size=(3, 6, 2))  # V and out are rows of one block
     before = block.copy()
@@ -298,14 +294,13 @@ def test_bound_prox_writes_only_out():
 
 def test_zero_tau_is_the_plain_quadratic_bitwise():
     # one class: tau = 0 must reproduce the plain quadratic's formulas exactly
-    assert L1Quadratic is Quadratic
     rng = np.random.default_rng(11)
     for _ in range(200):
         a, w, rho = rng.normal(scale=5.0, size=3), float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.05, 30.0))
         x, v = rng.normal(scale=5.0, size=3), rng.normal(scale=5.0, size=3)
         diff = x - a
-        for f in (Quadratic(target=a, weight=w), L1Quadratic(target=a, weight=w, tau=0.0)):
-            assert f.kind == "quadratic" and QuadraticRows.of([f]).curvature() == (w, w)
+        for f in (Quadratic(target=a, weight=w), Quadratic(target=a, weight=w, tau=0.0)):
+            assert f.kind == "quadratic" and rows_of([f]).curvature() == (w, w)
             assert f.value(x) == 0.5 * w * float(diff @ diff)
             assert np.array_equal(f.gradient(x), w * diff)
             assert np.array_equal(f.prox(v, rho), (w * a + rho * v) / (w + rho))
@@ -314,9 +309,9 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
 
 def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     g = generate_graph("path", 3)
-    plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.0), quad(3.0)))
+    plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.0), quad(3.0))))
     assert isinstance(plain.objectives, QuadraticRows) and plain.objectives.tau is None
-    mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), l1quad(2.0, tau=0.5), quad(3.0)))
+    mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.5), quad(3.0))))
     assert mixed.objectives.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
     # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
     assert central_solve(plain).x_star[0, 0] == 2.0
@@ -324,75 +319,58 @@ def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
 def test_stacked_rows_match_per_node_objectives_bit_for_bit(tau):
-    # the CLI's kinds hand stacked rows to the problem; stacked per-node
-    # objectives give the same problem, and the curvature and the oracle's
-    # sums read the rows in node order
+    # the CLI's kinds hand stacked rows to the problem; the per-node
+    # reference objectives stacked one row each give the same problem, and
+    # the curvature reads the rows in node order
     rng = np.random.default_rng(7)
     g = generate_graph("erdos_renyi", 40, p=0.2, seed=7)
     targets, weights = rng.normal(scale=3.0, size=(40, 3)), rng.uniform(0.5, 2.0, size=40)
     rows = quadratic_rows(targets, weights, tau)
     per_node = tuple(Quadratic(target=a, weight=float(w), tau=tau) for a, w in zip(targets, weights))
     assert rows.curvature() == (min(o.weight for o in per_node), None if tau else max(o.weight for o in per_node))
-    lip, tau_sum, taus = rows.oracle_terms()
-    assert (lip, tau_sum) == (sum(o.weight for o in per_node), sum(o.tau for o in per_node))
-    assert taus.tobytes() == np.array([[o.tau] for o in per_node]).tobytes()
-    stacked, from_nodes = (NetworkProblem(graph=g, comm=laplacian(g), objectives=o) for o in (rows, per_node))
+    stacked, from_nodes = (NetworkProblem(graph=g, comm=laplacian(g), objectives=o) for o in (rows, rows_of(per_node)))
     assert stacked.objectives is rows and aggregate(stacked) == aggregate(from_nodes)
+    for name in ("weight", "target", "tau"):
+        a, b = getattr(stacked.objectives, name), getattr(from_nodes.objectives, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
     a, b = central_solve(stacked), central_solve(from_nodes)
     assert a.x_star.tobytes() == b.x_star.tobytes() and a.subgrad.tobytes() == b.subgrad.tobytes()
     assert (a.f_star, a.residual) == (b.f_star, b.residual)
-    assert [(o.kind, o.weight, o.target.tolist()) for o in stacked.objectives] == [
-        (o.kind, o.weight, o.target.tolist()) for o in per_node
-    ]
 
 
-def test_oracle_stops_at_the_rounding_floor(monkeypatch):
+def _same_optimum(a, b):
+    return (
+        a.x_star.tobytes() == b.x_star.tobytes()
+        and a.subgrad.tobytes() == b.subgrad.tobytes()
+        and a.residual.hex() == b.residual.hex()
+        and a.f_star.hex() == b.f_star.hex()
+    )
+
+
+def test_oracle_stops_at_the_rounding_floor():
     # targets of size 1e3 put the rounding floor of the residual's node-sum
-    # above ORACLE_TOL; the oracle used to iterate there until it gave up
-    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+    # above 1e-12: the residual of the exact step is rounding, not 0
     rng = np.random.default_rng(0)
     n, tau = 80, 0.5
     targets, weights = rng.normal(0.0, 1e3, size=(n, 3)), rng.uniform(0.5, 2.0, size=n)
     g = generate_graph("circulant", n, d=2)
-    objs = tuple(L1Quadratic(target=a, weight=w, tau=tau) for a, w in zip(targets, weights))
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    rows = quadratic_rows(targets, weights, tau)
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows))
     # isotropic smooth parts: the optimum soft-thresholds the weighted mean
     want = soft_threshold(weights @ targets / weights.sum(), n * tau / weights.sum())
     assert np.allclose(opt.x_star, want, rtol=1e-12, atol=0.0)
-    assert objectives.ORACLE_TOL < opt.residual <= 1e-10
-
-
-@pytest.mark.parametrize("factor", [2.0, 3.0], ids=["oscillates", "overflows"])
-def test_oracle_still_raises_without_convergence(monkeypatch, factor):
-    # rows (factor/2)(x - a)^2 whose oracle_terms declare 1/factor of the
-    # true Lipschitz sum, so the step 1/(declared sum) is factor times too
-    # long: factor 2 bounces between two points, factor 3 overflows to inf
-    # and then nan
-    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
-    oracle_terms = QuadraticRows.oracle_terms
-
-    def understated(self):
-        lip, tau_sum, taus = oracle_terms(self)
-        return lip / factor, tau_sum, taus
-
-    monkeypatch.setattr(QuadraticRows, "oracle_terms", understated)
-    g = generate_graph("path", 2)
-    rows = quadratic_rows(np.array([[1.0], [3.0]]), factor)
-    with np.errstate(all="ignore"), pytest.raises(OracleNoConvergenceError):
-        central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows))
+    assert 1e-12 < opt.residual <= 1e-10
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
-def test_oracle_stops_on_offset_targets(monkeypatch, tau):
-    # targets near 1e4 with a small spread: the residual cannot fall below
-    # sum(w) ulp(x*), which the stop test must count even though every
-    # node gradient w (x - a_i) is small; the oracle used to give up here
-    monkeypatch.setattr(objectives, "ORACLE_MAX_ITERS", 2000)
+def test_oracle_stops_on_offset_targets(tau):
+    # targets near 1e4 with a small spread: the residual stays near
+    # sum(w) ulp(x*), even though every node gradient w (x - a_i) is small
     n = 20
     targets = 1e4 + 0.1 + 0.37 * np.arange(n)[:, None]
     g = generate_graph("path", n)
     objs = tuple(Quadratic(target=a, weight=1.0, tau=tau) for a in targets)
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)))
     want = soft_threshold(targets.mean(axis=0), tau)
     assert np.allclose(opt.x_star, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     assert opt.residual <= 1e-10
@@ -410,7 +388,7 @@ def test_oracle_on_quadratics_is_the_soft_thresholded_weighted_mean(n, d, offset
     taus = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n))
     g = generate_graph("path", n)
     objs = tuple(Quadratic(target=a, weight=w, tau=t) for a, w, t in zip(targets, weights, taus))
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=objs))
+    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)))
     w_sum, tau_sum = math.fsum(weights), math.fsum(taus)
     mean = np.array([math.fsum(weights * targets[:, j]) for j in range(d)]) / w_sum
     eps = np.finfo(float).eps
@@ -422,12 +400,45 @@ def test_oracle_on_quadratics_is_the_soft_thresholded_weighted_mean(n, d, offset
     assert abs(float(np.linalg.norm(opt.subgrad.sum(axis=0))) - opt.residual) <= 4.0 * eps * size
 
 
-def test_oracle_converges_on_the_edge_l1_workload(tmp_path, monkeypatch):
-    # the benchmark's l1 problem (n=80, d=3) reaches the oracle's tolerance
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.sampled_from([1, 3]),
+    st.sampled_from([0.0, 1e4, -1e6, 1e8]),
+    st.sampled_from(["none", "some", "all"]),
+    st.booleans(),
+    st.integers(0, 10_000),
+)
+@example(n=40, d=3, offset=1e8, zero_weights="some", with_tau=True, seed=0)
+@example(n=7, d=1, offset=-1e6, zero_weights="all", with_tau=True, seed=1)
+@example(n=2, d=3, offset=1e4, zero_weights="all", with_tau=False, seed=2)
+def test_oracle_is_the_reference_loop_bit_for_bit(n, d, offset, zero_weights, with_tau, seed):
+    # the closed-form step against the proximal-gradient loop it replaced:
+    # the loop stops after its first step, whose arithmetic the step repeats
+    rng = np.random.default_rng(seed)
+    targets, weights = offset + rng.normal(scale=3.0, size=(n, d)), rng.uniform(0.1, 5.0, size=n)
+    if zero_weights == "all":
+        weights[:] = 0.0
+    elif zero_weights == "some":
+        weights[rng.random(n) < 0.3] = 0.0
+    taus = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n)) if with_tau else np.zeros(n)
+    objs = tuple(Quadratic(target=a, weight=w, tau=t) for a, w, t in zip(targets, weights, taus))
+    g = generate_graph("path", n)
+    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
+    want, steps = reference_oracle(prob)
+    assert steps == (1 if weights.any() else 0)
+    assert _same_optimum(central_solve(prob), want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["circulant-long", "dense-spectral", "edge-l1"])
+def test_oracle_is_the_reference_loop_on_the_workloads(tmp_path, monkeypatch, workload, seed):
+    # the benchmark's problems: one step of the reference loop, the same bits
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     from workloads import config_text
 
-    cfg = tmp_path / "edge-l1.ini"
-    cfg.write_text(config_text("edge-l1", 1))
-    opt = central_solve(build_problem(parse_experiment_config(cfg)))
-    assert opt.residual <= objectives.ORACLE_TOL
+    cfg = tmp_path / f"{workload}.ini"
+    cfg.write_text(config_text(workload, seed))
+    prob = build_problem(parse_experiment_config(cfg))
+    want, steps = reference_oracle(prob)
+    assert steps == 1 and _same_optimum(central_solve(prob), want)
