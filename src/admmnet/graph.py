@@ -22,6 +22,9 @@ A circulant P takes W x and W^+ B by ``np.fft`` from its symbol and never
 forms W; any other takes W x with the dense W and W^+ B by conjugate
 gradients over the slots where they cost less than a dense solve. Outside
 this module only ``spectral`` reads a dense P or W, for their eigenvalues.
+The package's one thread is ``form_w``'s worker, which forms W while
+``spectral`` searches its spectra over the slots, and is joined before
+``form_w`` returns.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -88,10 +92,11 @@ class CommunicationMatrix:
     other derived quantity on first read, and kept.
 
     P x and P'v run on ``kept_dense`` or over the slots, as chosen once per
-    matrix by ``dense_products_are_cheaper``. W is formed on first read, as
-    one syrk of D^(-1/2) P written straight from the slots, and W x uses it
-    unless P is circulant: then W x and W^+ B are diagonal in the Fourier
-    basis and run by ``np.fft`` on ``gram_symbol``, and W is never read.
+    matrix by ``dense_products_are_cheaper``. W is formed on first read, or
+    by ``form_w`` while other work runs, as one syrk of D^(-1/2) P written
+    straight from the slots, and W x uses it unless P is circulant: then
+    W x and W^+ B are diagonal in the Fourier basis and run by ``np.fft``
+    on ``gram_symbol``, and W is never read.
     """
 
     n: int
@@ -198,10 +203,56 @@ class CommunicationMatrix:
 
     @cached_property
     def W(self) -> np.ndarray:
-        B = np.zeros((self.n, self.n))  # D^(-1/2) P, written straight from the slots
+        """P' D^-1 P, formed on first read by ``form_w`` and kept."""
+        self.form_w()
+        return self.__dict__["W"]
+
+    def form_w(self, alongside: Callable[[], object] | None = None) -> object:
+        """Form W and keep it where ``W`` reads it; returns ``alongside()``, run on this thread while a worker forms W.
+
+        This thread writes B = D^(-1/2) P straight from the slots and
+        allocates W; W is then one syrk, ``_syrk``. With ``alongside``, a
+        worker thread runs that syrk, which releases the GIL for its one
+        BLAS call, while this thread runs ``alongside()``: spectral's
+        Lanczos searches read only the slots, so they need not wait for W.
+        The worker is joined before this returns, or raises, and any
+        exception of its syrk is raised here, with W left unformed. Without
+        ``alongside`` the syrk runs here, as on every read of ``W``. Where W
+        is kept already, only ``alongside()`` runs. ``alongside()`` must not
+        read ``W``: W is kept only after the join, so that read would form a
+        second W. ``threading`` is imported here, so ``import admmnet.cli``
+        does not load it.
+        """
+        if "W" in self.__dict__:
+            return None if alongside is None else alongside()
+        B = np.zeros((self.n, self.n))
         rows = self.rows
         B[rows, self.cols] = self.values * (1.0 / np.sqrt(self.nbhd_sizes))[rows]
-        return B.T @ B  # numpy runs B' B as one syrk: half a GEMM, exactly symmetric
+        W = np.empty((self.n, self.n))
+        result = None
+        if alongside is None:
+            _syrk(B, W)
+        else:
+            import threading
+
+            failed = []
+
+            def syrk() -> None:
+                try:
+                    _syrk(B, W)
+                except BaseException as exc:  # raised on the calling thread after the join
+                    failed.append(exc)
+
+            worker = threading.Thread(target=syrk, name="admmnet-syrk")
+            worker.start()
+            try:
+                result = alongside()
+            finally:
+                worker.join()
+            if failed:
+                raise failed[0]
+        self.__dict__["W"] = W  # the slot ``W`` reads: W is formed once
+        return result
 
     def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.dense_products:
@@ -327,6 +378,11 @@ class CommunicationMatrix:
             column = (*lead, slice(None), j)
             _slot_product(self, values, x[column], res[column])
         return res
+
+
+def _syrk(B: np.ndarray, W: np.ndarray) -> None:
+    """W = B' B into W: numpy runs it as one BLAS syrk, half a GEMM, exactly symmetric, and allocates nothing."""
+    np.matmul(B.T, B, out=W)
 
 
 def _slot_product(comm: CommunicationMatrix, values: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:

@@ -28,10 +28,11 @@ three ways, its ``kind``, and each matrix takes one route, decided once:
   the certificates need: the contraction gain grows with lam_2(W) and
   shrinks with lam_max(M - W), and both sublinear envelopes grow as lam_2
   falls or lam_max rises. Lanczos with full reorthogonalization estimates
-  the scalar from products with P and P' alone (``_ritz_ends``); one
-  Cholesky factorization then proves the bound by Sylvester's law of
-  inertia (``_certified_second``, ``_certified_metric``), rounding
-  included (``_allowance``). The bound lies 1e-10 of the Ritz value plus
+  the scalar from products with P and P' alone (``_ritz_ends``), so W's
+  and M - W's searches run while a worker thread forms W (``_certified``);
+  one Cholesky factorization then proves the bound by Sylvester's law of
+  inertia (``_second_from``, ``_metric_from``), rounding included
+  (``_allowance``). The bound lies 1e-10 of the Ritz value plus
   that allowance from the eigenvalue: 1.0-1.2e-10 relative at Erdos-Renyi
   n=800, p=0.05, and 1.0-2.1e-10 at n=1600, p=0.0125. The PSD floors need
   no further factorization: Kato-Temple for W, Gershgorin discs for M - W.
@@ -66,9 +67,9 @@ the diagonal. A certificate factors with ``cholesky_lo``, the gufunc of
 numpy.linalg._umath_linalg that ``np.linalg.cholesky`` wraps: the same
 LAPACK dpotrf, so the same factor. It writes into one column-major n x n
 buffer that ``compute_spectral_data`` allocates once per call, when it
-certifies, and that every certificate and back-off retry of the call
-shares; a(G) allocates its own on first read, and no buffer outlives its
-call. ``np.linalg.cholesky`` would also copy each factor, with a stride,
+certifies and once W is formed, and that every certificate and back-off
+retry of the call shares; a(G) allocates its own on first read, and no
+buffer outlives its call. ``np.linalg.cholesky`` would also copy each factor, with a stride,
 into a fresh C-ordered array whose pages fault on first touch: at
 Erdos-Renyi n=800, p=0.05 it took 18 ms where the kernel takes 10, at
 n=1600, p=0.0125 104 ms against 70-74 (one thread, best of 15).
@@ -78,12 +79,15 @@ its Cholesky and one pass over the factor, made absolute in place for its
 norms. So M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x,
 see ``analysis._metric_form``), and no n x n Laplacian is built. Above the
 product crossover a run on a graph that is not circulant holds at most
-three dense n x n float arrays at once: W plus at most two transients,
-which are D^(-1/2) P while W is formed, ``eigvalsh``'s copy of W, M - W or
-the Laplacian, the factor buffer and Cholesky's copy of a certificate's
-matrix, or, where ``CommunicationMatrix.w_pinv`` takes the dense solve,
-W + 11'/n and the solve's copy of it. Where it takes conjugate
-gradients over P's slots, W alone outlives the spectra. A circulant run
+three dense n x n float arrays at once: W plus at most two transients.
+During a search D^(-1/2) P and W, being formed, coexist with the Lanczos
+basis, at most LANCZOS_STEPS x n (a third of one n x n array at n=600);
+the factor buffer and Cholesky's copy of a certificate's matrix come
+after, once D^(-1/2) P is freed. The other transients are ``eigvalsh``'s
+copy of W, M - W or the Laplacian, or, where
+``CommunicationMatrix.w_pinv`` takes the dense solve, W + 11'/n and the
+solve's copy of it. Where it takes conjugate gradients over P's slots, W
+alone outlives the spectra. A circulant run
 holds none: its W products and W^+ run by FFT on the symbol. Below
 the product crossover the kept P adds one. ``run`` and ``check`` never read
 a(G), so the Laplacian is written into W only for ``spectra`` and
@@ -176,7 +180,8 @@ class SpectralData:
             return float(_unfolded(comm.symbol, comm.n)[1]), CLOSED_FORM
         diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
-            found = _certified_second(comm.p, comm.W, _factor_buffer(comm.n), diag, comm)
+            ends = _ritz_ends(comm.p, comm.n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
+            found = None if ends is None else _second_from(comm.W, _factor_buffer(comm.n), diag, comm, *ends)
             if found is not None:
                 return found[0], CERTIFIED
         with _written_below(comm.W, diag, lap=comm) as A:
@@ -192,14 +197,17 @@ def certified_spectra_are_cheaper(n: int) -> bool:
 
     ``eigvalsh`` costs about 1e-10 n^3 s and a Cholesky about a sixth of
     that, while Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
-    reorthogonalization, which does not shrink with n. Fitted to one-thread
-    timings of all three scalars, certified against ``eigvalsh``, on
-    Erdos-Renyi p=0.05, seed 1 (the two interleaved, best of 10): 54
-    against 37 ms at n=400, 49 against 61 ms at n=500, 59 against 87 ms at
-    n=600, 92 against 208 ms at n=800; at n=1600, p=0.0125, 396 against
-    1547 ms. The break-even lies near n=450: there the certified route won
-    on seeds 1-3, at n=400 on one of them and at n=500 on two. The
-    crossover sits above it, as Lanczos needs more steps on some graphs.
+    reorthogonalization, which does not shrink with n, and its searches for
+    W and M - W now run while a worker forms W. Timed for all three scalars,
+    certified against ``eigvalsh``, on Erdos-Renyi p=0.05, seed 1 (one
+    thread, the two interleaved, best of 10): 28 against 28 ms at n=400, 31
+    against 47 ms at n=500, 46 against 73 ms at n=600, 60 against 168 ms at
+    n=800. On seeds 2 and 3 the certified route won at every one of those
+    sizes (20-24 against 27 ms at n=400), so the break-even now lies near
+    n=400; before the worker it lay near n=450. CERTIFY_MIN_N stays 600:
+    lowering it moves the route, and so the printed kinds and the bits, of
+    every graph between the old and the new value, and Lanczos needs more
+    steps on some graphs (sparse regular ones).
     """
     return n >= CERTIFY_MIN_N
 
@@ -400,34 +408,22 @@ def _allowance(norm: float, diag: np.ndarray, q) -> float:
     return gamma * (1.0 + 2.0 * gamma) * norm + 2.0 * _U * (math.fsum(diag.tolist()) + float(np.max(np.abs(q))))
 
 
-def _certified_second(
-    apply,
-    W: np.ndarray,
-    F: np.ndarray,
-    diag: np.ndarray,
-    lap: CommunicationMatrix | None = None,
-    witness: tuple[float, float] | None = None,
-    ceiling: float = math.inf,
-):
-    """(sigma, (theta, top)): a proven lower bound on the second eigenvalue of H, whose null space holds 1, and its witness.
+def _gram_search(comm: CommunicationMatrix) -> tuple[float, float] | None:
+    """``_ritz_ends`` of W on 1's complement, by ``w_by_products`` over P's slots, so it needs no W.
 
-    H is W or, with ``lap``, that Laplacian; ``apply`` is its product,
-    ``diag`` its diagonal and F the buffer its factors go to. Lanczos on
-    1's complement gives theta >= lam_2 and top, H's largest Ritz value. A
-    ``witness`` (theta, top) recorded by an earlier search is tried first,
-    if 0 < theta <= top and top lies in [max_i H_ii, ``ceiling``], an upper
-    bound on lam_max(H): every honest top does, since max_i H_ii <=
-    lam_max(H). Lanczos runs only if the witness is absent, outside those
-    bounds or proves nothing. None if
-    Lanczos has not converged or gave up on the trace term, or its values
-    prove nothing (``_second_from``).
+    Its give-up test reads tr W = sum_i m_i / |N(i)| from the slots (P is
+    symmetric, so m_i is also row i's squared norm), not from W's diagonal,
+    as W may still be being formed. The two sums differed by at most
+    2.3e-16, relative, on Erdos-Renyi n=600, 800 and 1600, seeds 1-5.
     """
-    if witness is not None and 0.0 < witness[0] <= witness[1] and float(diag.max()) <= witness[1] <= ceiling:
-        found = _second_from(W, F, diag, lap, *witness)
-        if found is not None:
-            return found
-    ends = _ritz_ends(apply, W.shape[0], lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
-    return None if ends is None else _second_from(W, F, diag, lap, *ends)
+    trace = math.fsum((comm.col_norms_sq / comm.nbhd_sizes).tolist())
+    return _ritz_ends(comm.w_by_products, comm.n, lowest=True, deflate=True, trace=trace)
+
+
+def _metric_search(comm: CommunicationMatrix) -> tuple[float, float] | None:
+    """``_ritz_ends`` of M - W at its top, by products over P's slots, so it needs no W."""
+    m = comm.col_norms_sq
+    return _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
 
 
 def _second_from(W: np.ndarray, F: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None, theta: float, top: float):
@@ -476,19 +472,32 @@ def _gershgorin_rows(comm: CommunicationMatrix) -> tuple[np.ndarray, float]:
     return R, slack
 
 
-def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: tuple[float, float] | None = None):
-    """(W's ends, sigma <= lam_2(W), (theta, top)) by ``_certified_second``, from ``witness`` if it proves; None if not proven.
+def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: tuple[float, float] | None, search):
+    """(W's ends, sigma <= lam_2(W), (theta, top)), from ``witness`` if it proves, else from ``search()``; None if not proven.
+
+    Lanczos on 1's complement gives theta >= lam_2 and top, W's largest Ritz
+    value (``_gram_search``), and ``_second_from`` proves sigma. A
+    ``witness`` (theta, top) recorded by an earlier search is tried first,
+    if 0 < theta <= top and top lies in [max_i W_ii, max_i R_i (1 + slack)]
+    (``_gershgorin_rows``), where every honest top does. ``search()`` gives
+    the search's ends, or None if Lanczos has not converged or gave up on
+    the trace term; it runs only if the witness is absent, outside those
+    bounds or proves nothing.
 
     lam_min(W) needs no factorization: with u = 1/sqrt(n), rho = u'Wu and
     e = |Wu - rho u|, and no eigenvalue but lam_min below sigma, the
     Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
     in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
     """
-    ceiling = math.inf  # read only with a witness
-    if witness is not None:
+    diag = W.diagonal().copy()
+    found = None
+    if witness is not None and 0.0 < witness[0] <= witness[1] and float(diag.max()) <= witness[1]:
         R, slack = _gershgorin_rows(comm)
-        ceiling = float(R.max()) * (1.0 + slack)
-    found = _certified_second(comm.w_by_products, W, F, W.diagonal().copy(), witness=witness, ceiling=ceiling)
+        if witness[1] <= float(R.max()) * (1.0 + slack):
+            found = _second_from(W, F, diag, None, *witness)
+    if found is None:
+        ends = search()
+        found = None if ends is None else _second_from(W, F, diag, None, *ends)
     if found is None:
         return None
     sigma, ends = found
@@ -499,24 +508,21 @@ def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, wit
     return Spectrum(min=floor, max=ends[1], kind=CERTIFIED), sigma, ends
 
 
-def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: float | None = None):
-    """(M - W's ends, theta): the Gershgorin floor and a proven upper bound tau on lam_max, and its witness; None if not proven.
+def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, floor: float, witness: float | None, search):
+    """(M - W's ends, theta): the Gershgorin ``floor`` and a proven upper bound tau on lam_max, and its witness; None if not proven.
 
-    Lanczos gives theta <= lam_max. A ``witness`` theta recorded by an
-    earlier search is tried first, if 0 < theta < inf; Lanczos runs only if
-    it is absent or proves nothing (``_metric_from``). None if the floor
-    lies below PSD_FLOOR (only a full spectrum can tell), Lanczos has not
-    converged, or its value proves nothing.
+    Lanczos gives theta <= lam_max (``_metric_search``). A ``witness`` theta
+    recorded by an earlier search is tried first, if 0 < theta < inf;
+    ``search()``, the search's ends or None if Lanczos has not converged,
+    is read only if the witness is absent or proves nothing
+    (``_metric_from``). The caller has checked that ``floor`` is at least
+    PSD_FLOOR: below it only a full spectrum can tell.
     """
-    floor = _gershgorin_floor(comm)
-    if floor < PSD_FLOOR:
-        return None
     if witness is not None and 0.0 < witness < math.inf:
         found = _metric_from(comm, W, F, floor, witness)
         if found is not None:
             return found
-    m = comm.col_norms_sq
-    ends = _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
+    ends = search()
     return None if ends is None else _metric_from(comm, W, F, floor, ends[1])
 
 
@@ -550,15 +556,46 @@ def _metric_spectrum(comm: CommunicationMatrix) -> Spectrum:
         return Spectrum.of(_eigvalsh(A), EXACT)
 
 
+def _certified(comm: CommunicationMatrix, witness: Witness):
+    """(gram, metric) of ``_certified_gram`` and ``_certified_metric``; each None where ``eigvalsh`` must decide.
+
+    The searches that no ``witness`` field stands in for run on this thread
+    while a worker forms W (``CommunicationMatrix.form_w``), as they read
+    only P's slots: W's first, then M - W's, only where its Gershgorin
+    floor admits a certificate. Each search runs at most once: one that
+    gives up sends its scalar to ``eigvalsh``, and a witness that proves
+    nothing sends its scalar to its search, run then. The factor buffer is
+    allocated once W is formed, so it never coexists with D^(-1/2) P.
+    """
+    floor = _gershgorin_floor(comm)
+    admitted = floor >= PSD_FLOOR
+    results = {}
+
+    def ends(search):
+        """``search(comm)``, run at most once."""
+        if search not in results:
+            results[search] = search(comm)
+        return results[search]
+
+    early = []
+    if witness.gram_ritz is None:
+        early.append(_gram_search)
+    if admitted and witness.metric_ritz is None:
+        early.append(_metric_search)
+    comm.form_w((lambda: [ends(search) for search in early]) if early else None)
+    W, F = comm.W, _factor_buffer(comm.n)  # F holds both certificates' factors, freed on return
+    gram = _certified_gram(comm, W, F, witness.gram_ritz, lambda: ends(_gram_search))
+    metric = _certified_metric(comm, W, F, floor, witness.metric_ritz, lambda: ends(_metric_search)) if admitted else None
+    return gram, metric
+
+
 def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness()) -> SpectralData:
     """W's and M - W's spectra; a CERTIFIED scalar is proved from ``witness`` where it can be, and searched for otherwise.
 
     A circulant P reads every spectrum from its symbol and never forms W.
     """
     certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
-    F = _factor_buffer(comm.n) if certify else None  # both certificates' factors, freed on return
-
-    gram = _certified_gram(comm, comm.W, F, witness.gram_ritz) if certify else None
+    gram, metric = _certified(comm, witness) if certify else (None, None)
     if gram is None:
         if comm.circulant:
             eig_gram = Spectrum.of(_unfolded(comm.gram_symbol, comm.n), CLOSED_FORM)
@@ -571,7 +608,6 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
     if not min_pos > comm.n * np.finfo(float).eps * eig_gram.max:  # nan included
         raise DegenerateSpectrumError(f"second eigenvalue {min_pos:.3e} of P' D^-1 P is numerically zero")
 
-    metric = _certified_metric(comm, comm.W, F, witness.metric_ritz) if certify else None
     eig_metric, metric_ritz = metric or (_metric_spectrum(comm), None)
     return SpectralData(
         comm=comm,

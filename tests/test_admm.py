@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from admmnet import admm, analysis, graph, reporting
 from admmnet.errors import AdmmError, NonFiniteIterateError
 from admmnet.graph import generate_graph, laplacian, stack_apply
-from admmnet.objectives import NetworkProblem, central_solve, estimation_problem
+from admmnet.objectives import NetworkProblem, QuadraticRows, central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
 from conftest import Quadratic, dense, implicit_subgradients, per_node, random_connected_graph, recurrence_residuals, rows_of
 
@@ -399,16 +399,10 @@ def test_run_reuses_the_column_norms_of_the_spectral_data(monkeypatch, engine):
     assert len(read) == 2 and all(m is sd.comm.col_norms_sq for m in read)
 
 
-def _forbid_per_node_calls(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-node objective call on the round path")
-
-    monkeypatch.setattr(Quadratic, "prox", refuse)
-    monkeypatch.setattr(Quadratic, "value", refuse)
-
-
 @pytest.mark.parametrize("kind", ["estimation", "l1"])
-def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
+def test_each_run_binds_the_prox_once(monkeypatch, kind):
+    # the module's contract: the prox is bound once per run, on both engines,
+    # and the analysis binds none; T spans more than one block of rounds
     g = generate_graph("circulant", 12, d=4)
     if kind == "estimation":
         prob = estimation_problem(g, dimension=2)
@@ -416,10 +410,15 @@ def test_round_path_makes_no_per_node_calls(monkeypatch, kind):
         objs = tuple(Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
         prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
     sd = compute_spectral_data(prob.comm)
-    _forbid_per_node_calls(monkeypatch)
+    binds = []
+    fn = QuadraticRows.bind
+    monkeypatch.setattr(QuadraticRows, "bind", lambda rows, rho: binds.append(rho.shape) or fn(rows, rho))
     optimal = central_solve(prob)
+    T = admm.SWEEP_ROUNDS + 6
     for engine in ("node", "edge"):
-        trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, engine=engine))
+        binds.clear()
+        trace = admm.run(prob, admm.RunConfig(c=1.0, T=T, engine=engine))
         aux = analysis.aux_sequences(trace, prob, sd, optimal)
-        assert len(reporting.trace_rows(aux, trace.accounting.messages_per_round)["t"]) == 20
+        assert len(reporting.trace_rows(aux, trace.accounting.messages_per_round)["t"]) == T
         assert float(np.max(aux.recurrence)) <= 1e-8
+        assert binds == [(12, 2)]

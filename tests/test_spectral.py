@@ -1,5 +1,6 @@
 import functools
 import math
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -1010,6 +1011,79 @@ def test_certified_spectra_hold_one_factor_next_to_w():
         tracemalloc.stop()
     assert sd.eig_gram.kind == spectral.CERTIFIED
     assert peak / (8 * n * n) <= 1.5
+
+
+@pytest.mark.parametrize("with_witness", [False, True], ids=["search", "witness"])
+def test_certified_spectra_hold_at_most_275_traced_dense_arrays(with_witness):
+    """Traced peak of one spectral call at Erdos-Renyi n=600, W not yet formed, in units of one n x n float array.
+
+    D^(-1/2) P and W coexist with the Lanczos basis (a third of one at
+    n=600) while they search; the factor buffer comes once D^(-1/2) P is
+    gone. Allocated before W, it took the peak to 3.05; it reads 2.52, and
+    2.16 from a witness, which searches nothing.
+    """
+    comm = er_comm(600)
+    witness = searched(600).witness if with_witness else Witness()
+    assert "W" not in vars(comm)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sd = compute_spectral_data(comm, witness)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (spectral.CERTIFIED,) * 2
+    assert peak / (8 * comm.n * comm.n) <= 2.75
+
+
+def syrk_of_slots(comm) -> np.ndarray:
+    """B' B for B = D^(-1/2) P built dense, the product ``CommunicationMatrix.W`` forms."""
+    B = dense(comm) * (1.0 / np.sqrt(comm.nbhd_sizes))[:, None]
+    return B.T @ B
+
+
+def test_w_formed_alongside_the_search_is_the_syrk_bit_for_bit(monkeypatch):
+    # the worker's one syrk runs off the calling thread while the searches
+    # run on it, and W is kept: formed once, the same bits as B' B
+    comm = er_comm(600)
+    caller = threading.get_ident()
+    syrks, searches = [], []
+    fn, ritz = graph._syrk, spectral._ritz_ends
+    monkeypatch.setattr(graph, "_syrk", lambda B, W: syrks.append(threading.get_ident()) or fn(B, W))
+    monkeypatch.setattr(spectral, "_ritz_ends", lambda *a, **k: searches.append(threading.get_ident()) or ritz(*a, **k))
+    sd = compute_spectral_data(comm)
+    assert (sd.eig_gram.kind, sd.eig_metric.kind) == (spectral.CERTIFIED,) * 2
+    assert len(syrks) == 1 and syrks[0] != caller
+    assert searches == [caller, caller]
+    assert comm.W is comm.W and len(syrks) == 1
+    assert comm.W.tobytes() == syrk_of_slots(comm).tobytes()
+    assert compute_spectral_data(comm) == sd and len(syrks) == 1  # a kept W is not formed again
+
+
+def test_w_kept_by_form_w_is_the_one_w_reads(p3):
+    comm = laplacian(p3)
+    assert comm.form_w(lambda: "searched") == "searched"
+    W = vars(comm)["W"]
+    assert comm.W is W and comm.W.tobytes() == syrk_of_slots(comm).tobytes()
+    assert comm.form_w(lambda: 3) == 3 and comm.W is W
+    fresh = laplacian(p3)
+    assert fresh.form_w() is None and fresh.W.tobytes() == W.tobytes()
+
+
+def test_failed_syrk_on_the_worker_reaches_the_caller(monkeypatch):
+    comm = er_comm(600)
+    threads = threading.active_count()
+
+    def refuse(B, W):
+        raise MemoryError("no room for W")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(graph, "_syrk", refuse)
+        with pytest.raises(MemoryError, match="no room for W"):
+            compute_spectral_data(comm)
+    assert threading.active_count() == threads
+    assert "W" not in vars(comm)
+    assert comm.W.tobytes() == syrk_of_slots(comm).tobytes()
 
 
 # --- circulance, read from the slots ---------------------------------------------
