@@ -108,10 +108,6 @@ class AdmmTrace:
     ys: np.ndarray
     ps: np.ndarray
     accounting: RoundAccounting
-    # always None: no slot history is stored, but the benchmark's tracer
-    # (bench/spans.py, Tracer._observe_trace) still reads these two names
-    zs: None = None
-    lams: None = None
 
     @property
     def T(self) -> int:

@@ -35,7 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigParseError
-from .graph import Graph, generate_graph, laplacian, read_graph_file
+# laplacian is not called here since NetworkProblem derives P from its graph; the
+# benchmark's tracer (bench/spans.py) still wraps config.laplacian by name
+from .graph import Graph, generate_graph, laplacian, read_graph_file  # noqa: F401
 from .objectives import NetworkProblem, estimation_rows, quadratic_rows
 
 
@@ -207,7 +209,7 @@ def build_graph_from_spec(spec: GraphSpec) -> Graph:
 
 
 def build_problem(cfg: ExperimentConfig) -> NetworkProblem:
-    """The graph, its Laplacian and the objective's stacked rows; no per-node objective is built."""
+    """The graph and the objective's stacked rows, no per-node objective; the problem builds P, the graph's Laplacian."""
     g = build_graph_from_spec(cfg.graph)
     spec = cfg.objective
     if spec.preset == "estimation":
@@ -227,4 +229,4 @@ def build_problem(cfg: ExperimentConfig) -> NetworkProblem:
         if wrong.size:
             raise ConfigParseError(f"target {spec.targets[wrong[0]]} does not match dimension {spec.dimension}")
         rows = quadratic_rows(spec.targets, weights, spec.tau)
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows)
+    return NetworkProblem(graph=g, objectives=rows)

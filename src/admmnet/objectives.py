@@ -134,11 +134,11 @@ class QuadraticRows:
 
 @dataclass(frozen=True)
 class NetworkProblem:
-    """Graph + communication matrix + the local objectives, one ``QuadraticRows`` row per node."""
+    """Graph + the local objectives, one ``QuadraticRows`` row per node; ``comm``, P, is derived: the graph's Laplacian."""
 
     graph: Graph
-    comm: CommunicationMatrix
     objectives: QuadraticRows
+    comm: CommunicationMatrix = field(init=False, repr=False, compare=False)  # P, the graph's Laplacian
 
     def __post_init__(self):
         if not isinstance(self.objectives, QuadraticRows):
@@ -147,8 +147,8 @@ class NetworkProblem:
             raise DimensionMismatchError(
                 f"{len(self.objectives)} objectives for {self.graph.n} nodes"
             )
-        if self.comm.n != self.graph.n:
-            raise DimensionMismatchError("communication matrix size does not match graph")
+        # built once, here, so the spectra and the engines share one matrix
+        object.__setattr__(self, "comm", laplacian(self.graph))
 
     @property
     def n(self) -> int:
@@ -192,7 +192,7 @@ def estimation_rows(n: int, dimension: int = 1) -> QuadraticRows:
 
 
 def estimation_problem(g: Graph, dimension: int = 1) -> NetworkProblem:
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=estimation_rows(g.n, dimension))
+    return NetworkProblem(graph=g, objectives=estimation_rows(g.n, dimension))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,14 @@ three ways, its ``kind``, and each matrix takes one route, decided once:
   falls or lam_max rises. Lanczos with full reorthogonalization estimates
   the scalar from products with P and P' alone (``_ritz_ends``), so W's
   and M - W's searches run while a worker thread forms W (``_certified``);
-  one Cholesky factorization then proves the bound by Sylvester's law of
-  inertia (``_second_from``, ``_metric_from``), rounding included
-  (``_allowance``). The bound lies 1e-10 of the Ritz value plus
+  one Cholesky factorization of a shifted matrix then proves the bound by
+  Sylvester's law of inertia, rounding included (``_allowance``): one
+  routine, ``_proved``, for lam_2(W), lam_max(M - W) and a(G) alike. The
+  bound lies 1e-10 of the Ritz value plus
   that allowance from the eigenvalue: 1.0-1.2e-10 relative at Erdos-Renyi
   n=800, p=0.05, and 1.0-2.1e-10 at n=1600, p=0.0125. The PSD floors need
-  no further factorization: Kato-Temple for W, Gershgorin discs for M - W.
+  no factorization: lam_min(W) is 0 exactly, as W = B'B is a Gram matrix
+  and W 1 = 0 (P 1 = 0), and M - W's is its Gershgorin floor (``_gershgorin``).
   A matrix falls back to ``eigvalsh`` when Lanczos has not converged
   within LANCZOS_STEPS, when neither back-off factors, when the bound would
   lie further than BOUND_RTOL from the Ritz value (small lam_2 next to a
@@ -47,8 +49,8 @@ The search and the proof are apart: ``SpectralData.witness`` records the
 Ritz values each CERTIFIED scalar was proved from, (theta_2, top) of W and
 theta_max of M - W, and ``run`` writes them on the trace's first line.
 Given a ``Witness``, ``compute_spectral_data`` proves each scalar from it
-and runs no Lanczos; the back-off loop, the allowance, the tightness test,
-Kato-Temple and Gershgorin run unchanged, so a search's own witness gives
+and runs no Lanczos; the back-off loop, the allowance, the tightness test
+and Gershgorin run unchanged, so a search's own witness gives
 that search's bits. A witness value that is not finite and positive (or a
 top below theta_2), or that proves nothing, sends its scalar back to the
 search and from there to ``eigvalsh``. Every bound is proven again, so a
@@ -124,10 +126,10 @@ class Spectrum:
     """The ends of a symmetric matrix's spectrum, and how they are known.
 
     EXACT and CLOSED_FORM carry every eigenvalue, ascending, in
-    ``eigenvalues``. CERTIFIED carries none: ``min`` is a proven lower bound
-    on the smallest eigenvalue, and ``max`` is a proven upper bound on the
-    largest for M - W and the largest Ritz value for W, where it only scales
-    a residual test (see ``analysis.dual_reference``).
+    ``eigenvalues``. CERTIFIED carries none: ``min`` is W's smallest
+    eigenvalue, 0, and a proven lower bound on M - W's; ``max`` is a proven
+    upper bound on the largest for M - W and the largest Ritz value for W,
+    where it only scales a residual test (see ``analysis.dual_reference``).
     """
 
     min: float
@@ -164,8 +166,11 @@ class SpectralData:
     eig_gram: Spectrum = field(repr=False)
     eig_metric: Spectrum = field(repr=False)  # of M - W
     min_pos_eig_gram: float
-    max_eig_metric: float
     witness: Witness
+
+    @property
+    def max_eig_metric(self) -> float:
+        return self.eig_metric.max
 
     @cached_property
     def connectivity(self) -> tuple[float, str]:
@@ -181,9 +186,10 @@ class SpectralData:
         diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
             ends = _ritz_ends(comm.p, comm.n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
-            found = None if ends is None else _second_from(comm.W, _factor_buffer(comm.n), diag, comm, *ends)
-            if found is not None:
-                return found[0], CERTIFIED
+            if ends is not None:
+                found = _proved(comm.W, _factor_buffer(comm.n), diag, ends[0], False, p=ends[1] / comm.n, lap=comm)
+                if found is not None:
+                    return found, CERTIFIED
         with _written_below(comm.W, diag, lap=comm) as A:
             return float(_eigvalsh(A)[1]), EXACT
 
@@ -315,7 +321,7 @@ def _ritz_ends(apply, n: int, lowest: bool, deflate: bool, trace: float | None =
     |theta - lam|, is below LANCZOS_RTOL |theta|.
 
     With the matrix's ``trace``, the lowest end gives up as soon as
-    ``_certified_second`` could no longer prove a bound from it: its
+    ``_proved`` could no longer prove a bound from it: its
     allowance holds the term 2u (trace + top - n theta), which needs no
     factor, and the bound must lie within BOUND_RTOL theta. As the run goes
     on theta only falls and top only rises (Cauchy interlacing), so once
@@ -408,142 +414,50 @@ def _allowance(norm: float, diag: np.ndarray, q) -> float:
     return gamma * (1.0 + 2.0 * gamma) * norm + 2.0 * _U * (math.fsum(diag.tolist()) + float(np.max(np.abs(q))))
 
 
-def _gram_search(comm: CommunicationMatrix) -> tuple[float, float] | None:
-    """``_ritz_ends`` of W on 1's complement, by ``w_by_products`` over P's slots, so it needs no W.
+def _proved(W, F, diag, theta: float, upper: bool, p: float = 0.0, m=0.0, lap: CommunicationMatrix | None = None) -> float | None:
+    """The bound proved from the Ritz value theta: a lower one on lam_2(H), or with ``upper`` an upper one on lam_max(M - W).
 
-    Its give-up test reads tr W = sum_i m_i / |N(i)| from the slots (P is
-    symmetric, so m_i is also row i's squared norm), not from W's diagonal,
-    as W may still be being formed. The two sums differed by at most
-    2.3e-16, relative, on Erdos-Renyi n=600, 800 and 1600, seeds 1-5.
+    Lower: H is W, or with ``lap`` that Laplacian, with diagonal ``diag``,
+    and p = top / n for H's largest Ritz value top. s = theta (1 - back-off).
+    If H + p 11' - s I factors, H + p 11' - sigma I >= 0 for
+    sigma = s - rho (``_allowance``), and for every x orthogonal to 1,
+    x' H x >= sigma |x|^2, so lam_2(H) >= sigma by Courant-Fischer.
+
+    Upper: ``diag`` is W's diagonal and m is M's. s = theta (1 + back-off).
+    If s I - (M - W) = W + diag(s - m), written in place, factors,
+    tau = s + rho bounds lam_max(M - W).
+
+    Each bound is rounded one ulp further from theta. None if no back-off
+    factors, or the bound lies further than BOUND_RTOL theta from theta.
     """
-    trace = math.fsum((comm.col_norms_sq / comm.nbhd_sizes).tolist())
-    return _ritz_ends(comm.w_by_products, comm.n, lowest=True, deflate=True, trace=trace)
-
-
-def _metric_search(comm: CommunicationMatrix) -> tuple[float, float] | None:
-    """``_ritz_ends`` of M - W at its top, by products over P's slots, so it needs no W."""
-    m = comm.col_norms_sq
-    return _ritz_ends(lambda v: m * v - comm.w_by_products(v), comm.n, lowest=False, deflate=False)
-
-
-def _second_from(W: np.ndarray, F: np.ndarray, diag: np.ndarray, lap: CommunicationMatrix | None, theta: float, top: float):
-    """(sigma, (theta, top)) proved from the Ritz values theta and top of H; None if no back-off factors, or sigma is loose.
-
-    s = theta (1 - back-off). If H + p 11' - s I with p = top / n factors,
-    H + p 11' - sigma I >= 0 for sigma = s - rho (``_allowance``), and for
-    every x orthogonal to 1, x' H x >= sigma |x|^2, so lam_2(H) >= sigma by
-    Courant-Fischer. None if no back-off factors, or sigma lies below
-    theta (1 - BOUND_RTOL).
-    """
-    p = top / W.shape[0]
+    sign = 1.0 if upper else -1.0
     for backoff in BACKOFFS:
-        s = theta * (1.0 - backoff)
-        q = p - s
+        s = theta * (1.0 + sign * backoff)
+        q = s - m if upper else p - s
         shifted = diag + q
         norm = _factor_norm(W, F, shifted, p, lap)
         if norm is not None:
-            sigma = float(np.nextafter(s - _allowance(norm, shifted, q), -np.inf))
-            return (sigma, (theta, top)) if sigma >= theta * (1.0 - BOUND_RTOL) else None
+            bound = float(np.nextafter(s + sign * _allowance(norm, shifted, q), sign * np.inf))
+            limit = theta * (1.0 + sign * BOUND_RTOL)
+            return bound if (bound <= limit if upper else bound >= limit) else None
     return None
 
 
-def _gershgorin_floor(comm: CommunicationMatrix) -> float:
-    """A lower bound on every eigenvalue of M - W from its Gershgorin discs, with no dense array.
+def _gershgorin(comm: CommunicationMatrix) -> tuple[float, float]:
+    """(floor, ceiling): Gershgorin bounds, with no dense array, below every eigenvalue of M - W and above every one of W.
 
-    Row i's disc reaches down to m_i - W_ii - sum_(j != i) |W_ij| >= m_i - R_i,
-    where R = |P|' D^-1 |P| 1 >= |W| 1 entrywise and W_ii >= 0. The sums
-    behind m and R have at most 2 |N| + 2 terms, and W is a syrk of at most
-    n terms per entry, so (n + 2 max |N| + 4) u (m + R) covers their rounding.
-    """
-    R, slack = _gershgorin_rows(comm)
-    m = comm.col_norms_sq
-    return float(np.min(m - R - slack * (m + R)))
-
-
-def _gershgorin_rows(comm: CommunicationMatrix) -> tuple[np.ndarray, float]:
-    """(R, slack): R = |P|' D^-1 |P| 1 >= |W| 1 entrywise, and the relative rounding of its sums (see ``_gershgorin_floor``).
-
-    max_i R_i (1 + slack) bounds every Gershgorin disc of W, so lam_max(W).
+    Row i's disc of M - W reaches down to m_i - W_ii - sum_(j != i) |W_ij|
+    >= m_i - R_i, and W's up to at most R_i, where R = |P|' D^-1 |P| 1 >= |W| 1
+    entrywise and W_ii >= 0. The sums behind m and R have at most
+    2 |N| + 2 terms, and W is a syrk of at most n terms per entry, so
+    slack = (n + 2 max |N| + 4) u, relative to m + R, covers their rounding.
     """
     a = np.abs(comm.values)
     y = np.add.reduceat(a, comm.starts) / comm.nbhd_sizes
     R = np.bincount(comm.cols, weights=a * y[comm.rows], minlength=comm.n)
     slack = (comm.n + 2.0 * float(comm.nbhd_sizes.max()) + 4.0) * _U
-    return R, slack
-
-
-def _certified_gram(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, witness: tuple[float, float] | None, search):
-    """(W's ends, sigma <= lam_2(W), (theta, top)), from ``witness`` if it proves, else from ``search()``; None if not proven.
-
-    Lanczos on 1's complement gives theta >= lam_2 and top, W's largest Ritz
-    value (``_gram_search``), and ``_second_from`` proves sigma. A
-    ``witness`` (theta, top) recorded by an earlier search is tried first,
-    if 0 < theta <= top and top lies in [max_i W_ii, max_i R_i (1 + slack)]
-    (``_gershgorin_rows``), where every honest top does. ``search()`` gives
-    the search's ends, or None if Lanczos has not converged or gave up on
-    the trace term; it runs only if the witness is absent, outside those
-    bounds or proves nothing.
-
-    lam_min(W) needs no factorization: with u = 1/sqrt(n), rho = u'Wu and
-    e = |Wu - rho u|, and no eigenvalue but lam_min below sigma, the
-    Kato-Temple bound gives lam_min >= rho - e^2 / (sigma - rho), computed
-    in floating point. For the Laplacian P 1 = 0 exactly and it reads 0.
-    """
-    diag = W.diagonal().copy()
-    found = None
-    if witness is not None and 0.0 < witness[0] <= witness[1] and float(diag.max()) <= witness[1]:
-        R, slack = _gershgorin_rows(comm)
-        if witness[1] <= float(R.max()) * (1.0 + slack):
-            found = _second_from(W, F, diag, None, *witness)
-    if found is None:
-        ends = search()
-        found = None if ends is None else _second_from(W, F, diag, None, *ends)
-    if found is None:
-        return None
-    sigma, ends = found
-    y = comm.w_by_products(np.ones(comm.n))  # sqrt(n) W u
-    rho = float(np.mean(y))
-    e_sq = float(np.mean((y - rho) ** 2))
-    floor = rho - e_sq / (sigma - rho) if sigma > rho else -math.inf
-    return Spectrum(min=floor, max=ends[1], kind=CERTIFIED), sigma, ends
-
-
-def _certified_metric(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, floor: float, witness: float | None, search):
-    """(M - W's ends, theta): the Gershgorin ``floor`` and a proven upper bound tau on lam_max, and its witness; None if not proven.
-
-    Lanczos gives theta <= lam_max (``_metric_search``). A ``witness`` theta
-    recorded by an earlier search is tried first, if 0 < theta < inf;
-    ``search()``, the search's ends or None if Lanczos has not converged,
-    is read only if the witness is absent or proves nothing
-    (``_metric_from``). The caller has checked that ``floor`` is at least
-    PSD_FLOOR: below it only a full spectrum can tell.
-    """
-    if witness is not None and 0.0 < witness < math.inf:
-        found = _metric_from(comm, W, F, floor, witness)
-        if found is not None:
-            return found
-    ends = search()
-    return None if ends is None else _metric_from(comm, W, F, floor, ends[1])
-
-
-def _metric_from(comm: CommunicationMatrix, W: np.ndarray, F: np.ndarray, floor: float, theta: float):
-    """(M - W's ends, theta) proved from the Ritz value theta of M - W; None if no back-off factors, or tau is loose.
-
-    s = theta (1 + back-off). If s I - (M - W) = W + diag(s - m), written in
-    place, factors, tau = s + rho (``_allowance``) bounds lam_max. None if
-    no back-off factors, or tau lies above theta (1 + BOUND_RTOL).
-    """
     m = comm.col_norms_sq
-    w_diag = W.diagonal().copy()
-    for backoff in BACKOFFS:
-        s = theta * (1.0 + backoff)
-        q = s - m
-        shifted = w_diag + q
-        norm = _factor_norm(W, F, shifted, 0.0)
-        if norm is not None:
-            tau = float(np.nextafter(s + _allowance(norm, shifted, q), np.inf))
-            return (Spectrum(min=floor, max=tau, kind=CERTIFIED), theta) if tau <= theta * (1.0 + BOUND_RTOL) else None
-    return None
+    return float(np.min(m - R - slack * (m + R))), float(R.max()) * (1.0 + slack)
 
 
 def _metric_spectrum(comm: CommunicationMatrix) -> Spectrum:
@@ -557,36 +471,69 @@ def _metric_spectrum(comm: CommunicationMatrix) -> Spectrum:
 
 
 def _certified(comm: CommunicationMatrix, witness: Witness):
-    """(gram, metric) of ``_certified_gram`` and ``_certified_metric``; each None where ``eigvalsh`` must decide.
+    """(W's ends, sigma <= lam_2(W), (theta_2, top)) and (M - W's ends, theta_max); each None where ``eigvalsh`` decides.
+
+    Lanczos on 1's complement gives theta_2 >= lam_2(W) and top, W's largest
+    Ritz value, and Lanczos on M - W gives theta_max <= lam_max(M - W);
+    ``_proved`` proves sigma and tau from them. Each scalar takes one step:
+    its ``witness`` field first where it is plausible, 0 < theta_2 <= top
+    with top in [max_i W_ii, the Gershgorin ceiling] where every honest top
+    lies, and 0 < theta_max < inf; else, or if the witness proves nothing,
+    its search, run at most once. A search that gives up sends its scalar
+    to ``eigvalsh``.
 
     The searches that no ``witness`` field stands in for run on this thread
     while a worker forms W (``CommunicationMatrix.form_w``), as they read
     only P's slots: W's first, then M - W's, only where its Gershgorin
-    floor admits a certificate. Each search runs at most once: one that
-    gives up sends its scalar to ``eigvalsh``, and a witness that proves
-    nothing sends its scalar to its search, run then. The factor buffer is
+    floor is at least PSD_FLOOR (below it only a full spectrum can tell).
+    W's search reads tr W = sum_i m_i / |N(i)| from the slots (P is
+    symmetric, so m_i is also row i's squared norm), as W may still be
+    being formed; the two sums differed by at most 2.3e-16, relative, on
+    Erdos-Renyi n=600, 800 and 1600, seeds 1-5. The factor buffer is
     allocated once W is formed, so it never coexists with D^(-1/2) P.
+    lam_min(W) is 0, and M - W's floor its Gershgorin floor.
     """
-    floor = _gershgorin_floor(comm)
+    n, m = comm.n, comm.col_norms_sq
+    floor, ceiling = _gershgorin(comm)
     admitted = floor >= PSD_FLOOR
-    results = {}
 
-    def ends(search):
-        """``search(comm)``, run at most once."""
-        if search not in results:
-            results[search] = search(comm)
-        return results[search]
+    def gram_search():
+        trace = math.fsum((m / comm.nbhd_sizes).tolist())
+        return _ritz_ends(comm.w_by_products, n, lowest=True, deflate=True, trace=trace)
 
-    early = []
-    if witness.gram_ritz is None:
-        early.append(_gram_search)
-    if admitted and witness.metric_ritz is None:
-        early.append(_metric_search)
-    comm.form_w((lambda: [ends(search) for search in early]) if early else None)
-    W, F = comm.W, _factor_buffer(comm.n)  # F holds both certificates' factors, freed on return
-    gram = _certified_gram(comm, W, F, witness.gram_ritz, lambda: ends(_gram_search))
-    metric = _certified_metric(comm, W, F, floor, witness.metric_ritz, lambda: ends(_metric_search)) if admitted else None
-    return gram, metric
+    def metric_search():
+        ends = _ritz_ends(lambda v: m * v - comm.w_by_products(v), n, lowest=False, deflate=False)
+        return None if ends is None else ends[1]
+
+    g, t = witness.gram_ritz, witness.metric_ritz
+    early = [search for search, wanted in ((gram_search, g is None), (metric_search, admitted and t is None)) if wanted]
+    ritz = {}  # each early search's result
+    comm.form_w((lambda: ritz.update({search: search() for search in early})) if early else None)
+    W, F = comm.W, _factor_buffer(n)  # F holds both certificates' factors, freed on return
+    diag = W.diagonal().copy()
+
+    def gram(given):
+        theta, top = given
+        sigma = _proved(W, F, diag, theta, False, p=top / n)
+        return None if sigma is None else (Spectrum(min=0.0, max=top, kind=CERTIFIED), sigma, (theta, top))
+
+    def metric(theta):
+        tau = _proved(W, F, diag, theta, True, m=m)
+        return None if tau is None else (Spectrum(min=floor, max=tau, kind=CERTIFIED), theta)
+
+    def step(prove, given, plausible: bool, search):
+        """prove(given) where ``plausible``, else, or if that proves nothing, prove(the search's); None if neither proves."""
+        found = prove(given) if plausible else None
+        if found is None:
+            ends = ritz[search] if search in ritz else search()
+            found = None if ends is None else prove(ends)
+        return found
+
+    gram_plausible = g is not None and 0.0 < g[0] <= g[1] and float(diag.max()) <= g[1] <= ceiling
+    return (
+        step(gram, g, gram_plausible, gram_search),
+        step(metric, t, t is not None and 0.0 < t < math.inf, metric_search) if admitted else None,
+    )
 
 
 def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness()) -> SpectralData:
@@ -614,7 +561,6 @@ def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness(
         eig_gram=eig_gram,
         eig_metric=eig_metric,
         min_pos_eig_gram=min_pos,
-        max_eig_metric=eig_metric.max,
         witness=Witness(gram_ritz=gram_ritz, metric_ritz=metric_ritz),
     )
 

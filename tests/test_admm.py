@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from admmnet import admm, analysis, graph, reporting
 from admmnet.errors import AdmmError, NonFiniteIterateError
-from admmnet.graph import generate_graph, laplacian, stack_apply
+from admmnet.graph import generate_graph, stack_apply
 from admmnet.objectives import NetworkProblem, QuadraticRows, central_solve, estimation_problem
 from admmnet.spectral import compute_spectral_data
 from conftest import Quadratic, dense, implicit_subgradients, per_node, random_connected_graph, recurrence_residuals, rows_of
@@ -26,7 +26,7 @@ def test_first_round_k3(k3_problem):
 
 def test_consensus_fixed_point(k3):
     objs = tuple(Quadratic(target=np.array([4.0]), weight=1.0) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=k3, objectives=rows_of(objs))
     x0 = np.full((3, 1), 4.0)
     init = (x0, np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=20, init=init))
@@ -35,7 +35,7 @@ def test_consensus_fixed_point(k3):
 
 def test_p3_converges_to_mean(p3):
     objs = tuple(Quadratic(target=np.array([v]), weight=1.0) for v in (0.0, 0.0, 3.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=p3, objectives=rows_of(objs))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=300))
     assert np.max(np.abs(trace.xs[-1] - 1.0)) <= 1e-4
 
@@ -132,7 +132,7 @@ def test_determinism(k3_problem):
 def test_vector_dimension_runs(k3):
     targets = [np.array([1.0, -2.0]), np.array([2.0, 0.5]), np.array([3.0, 1.5])]
     objs = tuple(Quadratic(target=t, weight=1.0) for t in targets)
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=k3, objectives=rows_of(objs))
     node = admm.run(prob, admm.RunConfig(c=1.0, T=200))
     edge = admm.run(prob, admm.RunConfig(c=1.0, T=200, engine="edge"))
     assert np.max(np.abs(node.xs - edge.xs)) <= 1e-9
@@ -198,7 +198,7 @@ def _mixed_problem(rng, n, d):
             objs.append(Quadratic(target=target, weight=weight))
         else:
             objs.append(Quadratic(target=target, weight=weight, tau=rng.uniform(0.0, 1.0)))
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
+    return NetworkProblem(graph=g, objectives=rows_of(objs))
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,7 +315,6 @@ def _check_slot_identities(prob, c, T, init):
     xs, _, ps, zs, lams = _reference_run(prob, c, T, init, "edge")
     assert np.array_equal(edge.xs, xs)
     assert np.array_equal(edge.ps, ps)
-    assert edge.zs is None and edge.lams is None
     rows, cols = closed_neighborhood_slots(prob.graph)
     assert zs.shape == lams.shape == (T + 1, prob.n + 2 * prob.graph.m, prob.dimension)
     P = dense(prob.comm)[rows, cols][:, None]
@@ -408,7 +407,7 @@ def test_each_run_binds_the_prox_once(monkeypatch, kind):
         prob = estimation_problem(g, dimension=2)
     else:
         objs = tuple(Quadratic(target=np.array([i - 5.0, 0.5 * i]), tau=0.3) for i in range(12))
-        prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
+        prob = NetworkProblem(graph=g, objectives=rows_of(objs))
     sd = compute_spectral_data(prob.comm)
     binds = []
     fn = QuadraticRows.bind

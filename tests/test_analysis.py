@@ -61,7 +61,7 @@ def test_aux_sequences_k3(k3_problem, k3_spectral, k3_optimal):
 
 
 def test_aux_dual_ref_zero_for_agreeing_targets(k3):
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=quadratic_rows(np.full((3, 1), 2.5)))
+    prob = NetworkProblem(graph=k3, objectives=quadratic_rows(np.full((3, 1), 2.5)))
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=3))
@@ -261,7 +261,7 @@ def test_sublinear_check_k3(k3_problem, k3_spectral, k3_optimal):
 
 def test_sublinear_check_l1_instance(p3):
     rows = quadratic_rows(np.array([[-1.0], [0.0], [2.0]]), 1.0, tau=0.5)
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows)
+    prob = NetworkProblem(graph=p3, objectives=rows)
     sd = compute_spectral_data(prob.comm)
     opt = central_solve(prob)
     agg = aggregate(prob, opt)
@@ -339,7 +339,7 @@ def test_contraction_check_certified_rates(k3_problem, k3_spectral, k3_optimal):
 
 
 def test_contraction_check_skips_at_fixed_point(k3, k3_spectral):
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=quadratic_rows(np.full((3, 1), 4.0)))
+    prob = NetworkProblem(graph=k3, objectives=quadratic_rows(np.full((3, 1), 4.0)))
     opt = central_solve(prob)
     init = (np.full((3, 1), 4.0), np.zeros((3, 1)), np.zeros((3, 1)))
     trace = admm.run(prob, admm.RunConfig(c=1.0, T=10, init=init))
@@ -429,7 +429,7 @@ def mixed_custom_problem():
         target=rng.normal(scale=2.0, size=(7, 3)),
         tau=np.array([[0.4], [0.0], [0.4], [0.8], [0.0], [0.2], [0.4]]),
     )
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows)
+    return NetworkProblem(graph=g, objectives=rows)
 
 
 def gram_sqrt(spectral):
@@ -514,7 +514,7 @@ def l1_rows_problem():
     g = generate_graph("circulant", 9, d=4)
     rng = np.random.default_rng(5)
     rows = quadratic_rows(rng.normal(scale=2.0, size=(9, 3)), rng.uniform(0.5, 2.0, size=9), tau=0.4)
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows)
+    return NetworkProblem(graph=g, objectives=rows)
 
 
 @pytest.mark.parametrize("engine", ["node", "edge"])

@@ -125,12 +125,25 @@ def test_problem_refuses_per_node_objectives():
     # QuadraticRows is the only objective model; a sequence is not stacked
     g = generate_graph("path", 3)
     with pytest.raises(TypeError, match="QuadraticRows"):
-        NetworkProblem(graph=g, comm=laplacian(g), objectives=(quad(1.0), quad(2.0), quad(3.0)))
+        NetworkProblem(graph=g, objectives=(quad(1.0), quad(2.0), quad(3.0)))
+
+
+def test_problem_communicates_over_its_own_graph():
+    # P is derived from the graph, not passed in, so no problem can run one
+    # graph's rounds while counting another's messages: K3's P has its 9
+    # slots, built once and shared by every reader
+    k3 = generate_graph("complete", 3)
+    prob = NetworkProblem(graph=k3, objectives=estimation_rows(3))
+    want = laplacian(k3)
+    assert prob.comm is prob.comm
+    assert prob.comm.cols.size == k3.n + 2 * k3.m == 9
+    for name in ("cols", "starts", "values"):
+        assert np.array_equal(getattr(prob.comm, name), getattr(want, name))
 
 
 def test_aggregate_weights(k3):
     objs = (quad(1.0, 1.0), quad(2.0, 2.0), quad(3.0, 4.0))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=k3, objectives=rows_of(objs))
     info = aggregate(prob)
     assert info.strong_convexity == 1.0
     assert info.lipschitz == 4.0
@@ -145,7 +158,7 @@ def test_aggregate_subgrad_bound(k3_problem, k3_optimal):
 
 def test_require_curvature_missing(p3):
     objs = (l1quad(1.0), l1quad(2.0), l1quad(3.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=p3, objectives=rows_of(objs))
     with pytest.raises(MissingCurvatureMetadataError):
         require_curvature(prob)
 
@@ -158,7 +171,7 @@ def test_central_solve_k3(k3_problem, k3_optimal):
 
 def test_central_solve_weighted():
     g = generate_graph("path", 2)
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(0.0, 1.0), quad(4.0, 3.0))))
+    prob = NetworkProblem(graph=g, objectives=rows_of((quad(0.0, 1.0), quad(4.0, 3.0))))
     opt = central_solve(prob)
     assert opt.x_star[0, 0] == pytest.approx(3.0, abs=1e-14)
     assert opt.f_star == pytest.approx(6.0, abs=1e-14)
@@ -166,7 +179,7 @@ def test_central_solve_weighted():
 
 def test_central_solve_consensus_trivial(k3):
     objs = tuple(quad(5.0) for _ in range(3))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=k3, objectives=rows_of(objs))
     opt = central_solve(prob)
     assert np.allclose(opt.x_star, 5.0)
     assert opt.f_star == 0.0
@@ -178,7 +191,7 @@ def test_central_solve_l1_hand_case(p3):
     # 1.5: the unpenalized mean 1/3 gives |sum of gradients| = 1 <= 1.5, so
     # the optimum is pinned at 0 with shared sign value 2/3
     objs = (l1quad(-1.0), l1quad(0.0), l1quad(2.0))
-    prob = NetworkProblem(graph=p3, comm=laplacian(p3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=p3, objectives=rows_of(objs))
     opt = central_solve(prob)
     assert abs(opt.x_star[0, 0]) <= 1e-13
     assert opt.residual <= 1e-12
@@ -189,7 +202,7 @@ def test_central_solve_l1_hand_case(p3):
 def test_central_solve_iterative_matches_closed_form(k3):
     # the oracle's proximal-gradient step must land on the pure-quadratic weighted mean
     objs = (quad(1.0, 2.0), quad(5.0, 1.0), l1quad(-2.0, w=3.0, tau=0.0))
-    prob = NetworkProblem(graph=k3, comm=laplacian(k3), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=k3, objectives=rows_of(objs))
     opt = central_solve(prob)
     expected = (2.0 * 1.0 + 1.0 * 5.0 + 3.0 * -2.0) / 6.0
     assert opt.x_star[0, 0] == pytest.approx(expected, abs=1e-10)
@@ -257,7 +270,7 @@ def _kernel_problem(rng, n, d, kinds):
         target, weight = rng.normal(scale=3.0, size=d), rng.uniform(0.5, 2.0)
         tau = 0.0 if kinds[i % len(kinds)] == "quadratic" else rng.uniform(0.0, 2.0)
         objs.append(Quadratic(target=target, weight=weight, tau=tau))
-    return NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)), objs
+    return NetworkProblem(graph=g, objectives=rows_of(objs)), objs
 
 
 @pytest.mark.parametrize("kinds", [("quadratic",), ("l1",), ("quadratic", "l1")])
@@ -309,9 +322,9 @@ def test_zero_tau_is_the_plain_quadratic_bitwise():
 
 def test_zero_taus_stack_without_threshold_and_mix_into_one_group():
     g = generate_graph("path", 3)
-    plain = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.0), quad(3.0))))
+    plain = NetworkProblem(graph=g, objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.0), quad(3.0))))
     assert isinstance(plain.objectives, QuadraticRows) and plain.objectives.tau is None
-    mixed = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.5), quad(3.0))))
+    mixed = NetworkProblem(graph=g, objectives=rows_of((quad(1.0), l1quad(2.0, tau=0.5), quad(3.0))))
     assert mixed.objectives.tau[:, 0].tolist() == [0.0, 0.5, 0.0]
     # every tau is 0: one step of 1/sum(w) lands on the exact weighted mean
     assert central_solve(plain).x_star[0, 0] == 2.0
@@ -328,7 +341,7 @@ def test_stacked_rows_match_per_node_objectives_bit_for_bit(tau):
     rows = quadratic_rows(targets, weights, tau)
     per_node = tuple(Quadratic(target=a, weight=float(w), tau=tau) for a, w in zip(targets, weights))
     assert rows.curvature() == (min(o.weight for o in per_node), None if tau else max(o.weight for o in per_node))
-    stacked, from_nodes = (NetworkProblem(graph=g, comm=laplacian(g), objectives=o) for o in (rows, rows_of(per_node)))
+    stacked, from_nodes = (NetworkProblem(graph=g, objectives=o) for o in (rows, rows_of(per_node)))
     assert stacked.objectives is rows and aggregate(stacked) == aggregate(from_nodes)
     for name in ("weight", "target", "tau"):
         a, b = getattr(stacked.objectives, name), getattr(from_nodes.objectives, name)
@@ -355,7 +368,7 @@ def test_oracle_stops_at_the_rounding_floor():
     targets, weights = rng.normal(0.0, 1e3, size=(n, 3)), rng.uniform(0.5, 2.0, size=n)
     g = generate_graph("circulant", n, d=2)
     rows = quadratic_rows(targets, weights, tau)
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows))
+    opt = central_solve(NetworkProblem(graph=g, objectives=rows))
     # isotropic smooth parts: the optimum soft-thresholds the weighted mean
     want = soft_threshold(weights @ targets / weights.sum(), n * tau / weights.sum())
     assert np.allclose(opt.x_star, want, rtol=1e-12, atol=0.0)
@@ -370,7 +383,7 @@ def test_oracle_stops_on_offset_targets(tau):
     targets = 1e4 + 0.1 + 0.37 * np.arange(n)[:, None]
     g = generate_graph("path", n)
     objs = tuple(Quadratic(target=a, weight=1.0, tau=tau) for a in targets)
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)))
+    opt = central_solve(NetworkProblem(graph=g, objectives=rows_of(objs)))
     want = soft_threshold(targets.mean(axis=0), tau)
     assert np.allclose(opt.x_star, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     assert opt.residual <= 1e-10
@@ -388,7 +401,7 @@ def test_oracle_on_quadratics_is_the_soft_thresholded_weighted_mean(n, d, offset
     taus = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n))
     g = generate_graph("path", n)
     objs = tuple(Quadratic(target=a, weight=w, tau=t) for a, w, t in zip(targets, weights, taus))
-    opt = central_solve(NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs)))
+    opt = central_solve(NetworkProblem(graph=g, objectives=rows_of(objs)))
     w_sum, tau_sum = math.fsum(weights), math.fsum(taus)
     mean = np.array([math.fsum(weights * targets[:, j]) for j in range(d)]) / w_sum
     eps = np.finfo(float).eps
@@ -424,7 +437,7 @@ def test_oracle_is_the_reference_loop_bit_for_bit(n, d, offset, zero_weights, wi
     taus = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 2.0, size=n)) if with_tau else np.zeros(n)
     objs = tuple(Quadratic(target=a, weight=w, tau=t) for a, w, t in zip(targets, weights, taus))
     g = generate_graph("path", n)
-    prob = NetworkProblem(graph=g, comm=laplacian(g), objectives=rows_of(objs))
+    prob = NetworkProblem(graph=g, objectives=rows_of(objs))
     want, steps = reference_oracle(prob)
     assert steps == (1 if weights.any() else 0)
     assert _same_optimum(central_solve(prob), want)

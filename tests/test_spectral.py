@@ -266,6 +266,14 @@ def test_psd_certificates_detect_violation(k3_spectral):
     np.testing.assert_allclose(doctored.eig_metric.eigenvalues, [-3.0, 3.0, 3.0], rtol=0, atol=1e-14)
 
 
+def test_max_eig_metric_follows_the_metric_spectrum(k3_spectral):
+    # max_eig_metric is read off eig_metric, so a replaced spectrum carries its own top
+    top = Spectrum.of(np.array([1.0, 2.0, 7.5]), EXACT)
+    doctored = replace(k3_spectral, eig_metric=top)
+    assert doctored.max_eig_metric == top.max == 7.5
+    assert k3_spectral.max_eig_metric == k3_spectral.eig_metric.max
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(4, 40), st.integers(0, 10_000))
 def test_spectral_inequalities_random_graphs(n, seed):
@@ -952,6 +960,20 @@ def test_witness_of_another_graph_proves_no_tighter_bound(monkeypatch, other):
         assert got.eig_metric == want.eig_metric
     else:
         assert got.witness.metric_ritz == foreign.metric_ritz and got.max_eig_metric > want.max_eig_metric
+
+
+@pytest.mark.parametrize("n,p,seed", [(600, 0.05, 1), (800, 0.05, 1), (600, 0.5, 2)], ids=["er-600", "er-800", "er-600-dense"])
+def test_certified_gram_floor_is_plus_zero(n, p, seed):
+    # W = B'B is PSD and W 1 = 0, so lam_min(W) is 0 exactly: the certified
+    # route records +0.0, sign bit included, from the search and from the
+    # graph's own witness (p=0.5 takes the dense products)
+    g = generate_graph("erdos_renyi", n, p=p, seed=seed)
+    found = compute_spectral_data(laplacian(g))
+    own = compute_spectral_data(laplacian(g), found.witness)
+    assert laplacian(g).dense_products is (p == 0.5)
+    for sd in (found, own):
+        assert sd.eig_gram.kind == spectral.CERTIFIED
+        assert sd.eig_gram.min == 0.0 and not np.signbit(sd.eig_gram.min)
 
 
 @pytest.mark.parametrize("n", [600, 800])
