@@ -31,14 +31,19 @@ edge engine its slot values P_ij, and neither forms W. P entries act as
 scalars on rows, so vector problems never materialize a Kronecker product,
 and P follows the graph's sparsity. A round pays only for its arithmetic:
 everything constant within a run (the row and slot scalings at full (., d)
-width, the flat element indices of the edge engine's gathers, the bound
-prox, the node engine's P and P' kernels) is built before the first
-round, and every round writes into preallocated buffers. Each expression
-keeps its operand order, so the rounds are bit-identical to evaluating the
-round formulas above as plain array expressions (the tests hold a
-reference of each). Both engines raise NonFiniteIterateError naming the
-first round and node that leave a non-finite estimate; the estimates are
-tested once per block (``_advance``).
+width, the flat element indices of the edge engine's gathers, the flat and
+row views of the buffers they read and write, the bound prox, the node
+engine's P and P' kernels) is built before the first round, and every
+round writes into preallocated buffers. The edge engine's gathers clip
+rather than raise: in raise mode numpy buffers ``out`` and copies every
+gather twice, so their indices are checked to lie in range once instead,
+when the engine's kernels are built, and one that does not raises
+AdmmError. Each expression keeps its operand order, so the rounds are
+bit-identical to evaluating the round formulas above as plain array
+expressions (the tests hold a reference of each). Both engines raise
+NonFiniteIterateError naming the first round and node that leave a
+non-finite estimate; the estimates are tested once per block
+(``_advance``).
 
 ``rounds`` yields a run in blocks of SWEEP_ROUNDS rounds, written into
 x, y and p buffers reused for the whole run, so memory does not grow with
@@ -313,14 +318,29 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
     P = np.repeat(comm.values[:, None], d, axis=1)  # P_ij per slot
     z = P * xs[0][cols] - y0[rows]
     lam = p0[rows]
-    # flat gathers: np.take of elements beats fancy indexing of rows
+    # flat gathers: np.take of elements beats fancy indexing of rows. In its
+    # default raise mode numpy buffers ``out`` and copies each gather twice, so
+    # the gathers clip, and every index is checked here, once, to lie in range
+    # of the array it reads: a clipped index would be clamped silently.
     by_col_flat, cols_flat, rows_flat, diag_flat = (
         _flat_rows(idx, d) for idx in (by_col, cols, rows, np.flatnonzero(rows == cols))
     )
-    np.take(lam.reshape(-1), diag_flat, out=ps[0].reshape(-1))
+    for name, flat, size in (
+        ("by_col", by_col_flat, S * d),  # reads w
+        ("cols", cols_flat, n * d),  # reads a row of x
+        ("rows", rows_flat, n * d),  # reads mu
+        ("diag", diag_flat, S * d),  # reads lambda
+    ):
+        if not 0 <= flat.min() <= flat.max() < size:
+            raise AdmmError(f"edge gather {name!r} has an index outside 0..{size - 1}")
     w, w_by_col, Px, u, r = (np.empty((S, d)) for _ in range(5))
     center, mu = np.empty((n, d)), np.empty((n, d))
     z_saved, lam_saved = np.empty_like(z), np.empty_like(lam)
+    # flat and row views, made once
+    w_flat, w_by_col_flat, Px_flat, mu_flat, r_flat, lam_flat = (a.reshape(-1) for a in (w, w_by_col, Px, mu, r, lam))
+    x_rows = list(xs)
+    x_flat, p_flat = ([row.reshape(-1) for row in buf] for buf in (xs, ps))
+    np.take(lam_flat, diag_flat, out=p_flat[0], mode="clip")
 
     def start(rewind: bool = False) -> None:
         if rewind:
@@ -336,13 +356,13 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
         np.multiply(c, z, out=w)
         np.subtract(w, lam, out=w)
         np.multiply(w, P, out=w)
-        np.take(w.reshape(-1), by_col_flat, out=w_by_col.reshape(-1))
+        np.take(w_flat, by_col_flat, out=w_by_col_flat, mode="clip")
         np.add.reduceat(w_by_col, starts, out=center)
         np.divide(center, rho, out=center)
-        prox(center, xs[j])
+        prox(center, x_rows[j])
 
     def update_rest(j: int) -> None:
-        np.take(xs[j].reshape(-1), cols_flat, out=Px.reshape(-1))
+        np.take(x_flat[j], cols_flat, out=Px_flat, mode="clip")
         np.multiply(Px, P, out=Px)  # P_ij x_j
         np.divide(lam, c, out=u)
         np.add(u, Px, out=u)
@@ -350,12 +370,12 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
         # unconstrained minimizer by subtracting the neighborhood mean
         np.add.reduceat(u, starts, out=mu)
         np.multiply(mu, inv_size, out=mu)
-        np.take(mu.reshape(-1), rows_flat, out=r.reshape(-1))
+        np.take(mu_flat, rows_flat, out=r_flat, mode="clip")
         np.subtract(u, r, out=z)
         np.subtract(Px, z, out=r)
         np.multiply(r, c, out=r)
         np.add(lam, r, out=lam)
-        np.take(lam.reshape(-1), diag_flat, out=ps[j].reshape(-1))  # p_i(t) = lambda_ii(t)
+        np.take(lam_flat, diag_flat, out=p_flat[j], mode="clip")  # p_i(t) = lambda_ii(t)
 
     def finish(k: int) -> None:
         np.multiply(comm.p(xs), inv_size, out=ys)  # y(t) = D^-1 P x(t)

@@ -56,7 +56,7 @@ from .errors import (
     OptimizationBracketFailureError,
 )
 from . import admm  # attributes read at each call, so a wrapper set on the module sees them
-from .graph import Graph, laplacian
+from .graph import CommunicationMatrix
 from .objectives import NetworkProblem, OptimalPoint
 from .spectral import SpectralData, compute_spectral_data
 
@@ -525,10 +525,13 @@ class LaplacianBounds:
         return not self.violated
 
 
-def laplacian_network_bounds(g: Graph, nu: float | None = None, lipschitz: float | None = None) -> LaplacianBounds:
-    sd = compute_spectral_data(laplacian(g))
+def laplacian_network_bounds(
+    comm: CommunicationMatrix, nu: float | None = None, lipschitz: float | None = None
+) -> LaplacianBounds:
+    """The relations of ``LaplacianBounds`` on the graph whose Laplacian is ``comm``; its degrees are |N(i)| - 1."""
+    sd = compute_spectral_data(comm)
     a, a_kind = sd.connectivity
-    dmax, dmin = g.d_max, g.d_min
+    dmax, dmin = int(comm.nbhd_sizes.max()) - 1, int(comm.nbhd_sizes.min()) - 1
     lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric
 
     low = a * a / (dmax + 1.0)

@@ -221,12 +221,12 @@ def cmd_certify(args) -> int:
     if args.config:
         cfg = parse_experiment_config(args.config)
         problem = build_problem(cfg)
-        g = problem.graph
+        comm = problem.comm
         nu, lip = require_curvature(problem)
     else:
-        g = _graph_for_table(args)
+        comm = laplacian(_graph_for_table(args))
         nu, lip = (1.0 if v is None else v for v in (args.nu, args.lipschitz))
-    net = analysis.laplacian_network_bounds(g, nu=nu, lipschitz=lip)
+    net = analysis.laplacian_network_bounds(comm, nu=nu, lipschitz=lip)
     cert = analysis.optimize_rate(nu, lip, net)  # net carries both spectral scalars
     eps = 1e-6
     iters = math.ceil(math.log(1.0 / eps) / math.log(1.0 / cert.best_rate))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from admmnet import admm, analysis, graph, reporting
 from admmnet.errors import AdmmError, NonFiniteIterateError
 from admmnet.graph import generate_graph, stack_apply
-from admmnet.objectives import NetworkProblem, QuadraticRows, central_solve, estimation_problem
+from admmnet.objectives import NetworkProblem, QuadraticRows, central_solve, estimation_problem, quadratic_rows
 from admmnet.spectral import compute_spectral_data
 from conftest import Quadratic, dense, implicit_subgradients, per_node, random_connected_graph, recurrence_residuals, rows_of
 
@@ -296,6 +296,43 @@ def test_edge_y_rebuild_keeps_the_bits_of_one_whole_stack_product(T):
     xs, ys, ps, *_ = _reference_run(prob, 0.7, T, init, "edge")
     assert np.array_equal(trace.xs, xs) and np.array_equal(trace.ps, ps)
     assert np.array_equal(trace.ys, ys)
+
+
+def test_edge_gathers_keep_the_reference_bits_at_workload_scale():
+    # the edge-l1 benchmark shape: Erdos-Renyi n=80 (1050 slots), l1 rows at
+    # d = 3, zero start, c = 1; T = 130 runs three blocks
+    g = generate_graph("erdos_renyi", 80, p=0.15, seed=0)
+    targets = np.random.default_rng(1).normal(0.0, 3.0, size=(80, 3))
+    prob = NetworkProblem(graph=g, objectives=quadratic_rows(targets, 1.0, 0.5))
+    init = tuple(np.zeros((80, 3)) for _ in range(3))
+    trace = admm.run(prob, admm.RunConfig(c=1.0, T=130, engine="edge"))
+    xs, ys, ps, *_ = _reference_run(prob, 1.0, 130, init, "edge")
+    assert np.array_equal(trace.xs, xs)
+    assert np.array_equal(trace.ys, ys)
+    assert np.array_equal(trace.ps, ps)
+
+
+EDGE_GATHERS = ("by_col", "cols", "rows", "diag")  # in the order the edge engine makes their indices
+
+
+@pytest.mark.parametrize("gather", range(4), ids=EDGE_GATHERS)
+def test_edge_gather_index_out_of_range_raises_before_the_first_round(monkeypatch, k3_problem, gather):
+    # the gathers clip, so an index one past the end would read the last
+    # element; the kernels refuse it when they are built, not in a round
+    made = []
+    flat_rows = admm._flat_rows
+
+    def one_past_the_end(idx, d):
+        flat = flat_rows(idx, d)
+        if len(made) == gather:
+            flat[np.argmax(flat)] += 1  # every gather's largest index is the last element it reads
+        made.append(flat)
+        return flat
+
+    monkeypatch.setattr(admm, "_flat_rows", one_past_the_end)
+    with pytest.raises(AdmmError, match=f"'{EDGE_GATHERS[gather]}'"):
+        admm.rounds(k3_problem, admm.RunConfig(c=1.0, T=3, engine="edge"))
+    assert len(made) == 4
 
 
 @st.composite

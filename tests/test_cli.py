@@ -13,7 +13,7 @@ import pytest
 from admmnet import admm, analysis, cli, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
-from admmnet.graph import CommunicationMatrix, generate_graph, laplacian, write_graph_file
+from admmnet.graph import CommunicationMatrix, generate_graph, laplacian, neighborhood_slots, write_graph_file
 from admmnet.objectives import NetworkProblem
 from admmnet.reporting import fmt
 from admmnet.spectral import Witness, compute_spectral_data
@@ -794,6 +794,16 @@ def test_certify_computes_spectral_data_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "compute_spectral_data", counting)
     monkeypatch.setattr(analysis, "compute_spectral_data", counting)
     assert cli.main(["certify", "--n", "5"]) == 0
+    assert len(calls) == 1
+    assert "rate_star=" in capsys.readouterr().out
+
+
+def test_certify_config_builds_the_laplacian_once(monkeypatch, tmp_path, capsys):
+    # the network bounds read the problem's own communication matrix
+    calls = []
+    monkeypatch.setattr("admmnet.graph.neighborhood_slots", lambda g: calls.append(g) or neighborhood_slots(g))
+    cfg = write_config(tmp_path, "[graph]\nkind = erdos_renyi\nn = 40\np = 0.2\nseed = 1\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 0
     assert len(calls) == 1
     assert "rate_star=" in capsys.readouterr().out
 
