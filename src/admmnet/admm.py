@@ -270,9 +270,9 @@ def _advance(xs: np.ndarray, t0: int, k: int, start, update_x, update_rest) -> N
 def _node_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, ys, ps, y0, p0):
     """The node engine's kernels for ``_blocks``, with q = c y and the center v as its state.
 
-    P x and P'v are bound once per run (``CommunicationMatrix.products``).
+    P x and P'v are the kernels of the matrix's ``route``, bound once per matrix.
     """
-    p, pt = comm.products()
+    p, pt = comm.route.p, comm.route.pt
     ys[0], ps[0] = y0, p0
     q, v = np.empty_like(y0), np.empty_like(y0)  # q = c y(t-1) on entry to round t
 
@@ -378,7 +378,7 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
         np.take(lam_flat, diag_flat, out=p_flat[j], mode="clip")  # p_i(t) = lambda_ii(t)
 
     def finish(k: int) -> None:
-        np.multiply(comm.p(xs), inv_size, out=ys)  # y(t) = D^-1 P x(t)
+        np.multiply(comm.route.p(xs), inv_size, out=ys)  # y(t) = D^-1 P x(t)
 
     return start, update_x, update_rest, finish
 
@@ -440,7 +440,7 @@ def recurrence_residuals(block: Block, comm: CommunicationMatrix, c: float, w_pa
     m_inv = np.repeat(1.0 / comm.col_norms_sq[:, None], block.xs.shape[-1], axis=1)  # full width, as in _prox_weights
     q = np.multiply(1.0 / c, block.ps[:-1])
     q += block.ys[:-1]
-    r = comm.pt(q)  # P'(p + c y) / c
+    r = comm.route.pt(q)  # P'(p + c y) / c
     r -= w_part
     r *= m_inv
     return np.abs(r, out=r).max(axis=(1, 2))

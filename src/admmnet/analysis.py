@@ -147,6 +147,7 @@ class RoundSweep:
     def __init__(self, problem: NetworkProblem, comm, optimal: OptimalPoint, c: float, T: int, ref: np.ndarray, recurrence: bool = False):
         n, d = problem.n, problem.dimension
         self.problem, self.comm, self.optimal, self.c, self.ref = problem, comm, optimal, c, ref
+        self.w = comm.route.w
         self.dist = np.empty(T + 1)
         self.feasibility, self.obj_gap, self.ergodic_obj_gap, self.dist_sq = (np.empty(T) for _ in range(4))
         self.recurrence = np.empty(T) if recurrence else None
@@ -159,10 +160,10 @@ class RoundSweep:
 
     def _start(self, x0: np.ndarray) -> None:
         """The forms of round 0, and the centered constants of every later round."""
-        comm, x_star = self.comm, self.optimal.x_star
+        x_star = self.optimal.x_star
         x0c, ref_c = (v - v.mean(axis=0) for v in (x0, self.ref))
-        self.wx0c = comm.w(x0c)
-        self.base, self.wbase = ref_c - x0c, comm.w(ref_c) - self.wx0c  # S_c(t) - ref_c = R(t) - base
+        self.wx0c = self.w(x0c)
+        self.base, self.wbase = ref_c - x0c, self.w(ref_c) - self.wx0c  # S_c(t) - ref_c = R(t) - base
         e_metric = _weighted_sq(self.m, (x0 - x_star)[None])
         self.dist[:1] = _metric_form(self.base[None], self.wbase[None], e_metric, _forms(x0c[None], self.wx0c[None]))
         if self.w_part is not None:
@@ -192,7 +193,7 @@ class RoundSweep:
         self.dist_sq[rows] = e_sq.sum(axis=(1, 2))
         # node means by one product per block: numpy's mean over the middle axis is slow for small d
         xc = np.subtract(x, (self.means @ x)[:, None], out=work)
-        wxc = self.comm.w(xc)
+        wxc = self.w(xc)
         x_form = _forms(xc, wxc)
         w_part = self.w_part
         if w_part is not None:
@@ -220,7 +221,7 @@ def dual_reference(spectral: SpectralData, optimal: OptimalPoint, c: float) -> t
     |W a + subgrad/c| > RECON_RTOL (lam_max |a| + |subgrad|/c).
     """
     kappa = spectral.eig_gram.max / spectral.min_pos_eig_gram  # W's condition number on 1's complement
-    dual_ref = -(1.0 / c) * spectral.comm.w_pinv(optimal.subgrad, kappa)
+    dual_ref = -(1.0 / c) * spectral.comm.route.w_pinv(optimal.subgrad, kappa)
     dual_resid = float(np.linalg.norm(spectral.comm.w_by_products(dual_ref) + (1.0 / c) * optimal.subgrad))
     scale = spectral.eig_gram.max * float(np.linalg.norm(dual_ref)) + float(np.linalg.norm(optimal.subgrad)) / c
     if not dual_resid <= RECON_RTOL * scale:

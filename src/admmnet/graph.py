@@ -13,15 +13,11 @@ the neighborhoods and its null space is exactly span{1}, and it is
 symmetric, so P' = P. It is stored as its values on the n + 2|E| slots
 (i, j), j in N(i), in the row-major order of ``neighborhood_slots``, and
 holds everything derived from them, each made at most once: the column
-norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), whether P is
-circulant (``circulant``) and then its Fourier symbol (``symbol``), the
-Gram matrix W = P' D^-1 P and the products P x, P'v, W x and W^+ B. Over
-the slots a product runs one vector kernel per (n,) column of its operand:
-a gather to one entry per slot, an in-place scale and ``np.add.reduceat``.
-A circulant P takes W x and W^+ B by ``np.fft`` from its symbol and never
-forms W; any other takes W x with the dense W and W^+ B by conjugate
-gradients over the slots where they cost less than a dense solve. Outside
-this module only ``spectral`` reads a dense P or W, for their eigenvalues.
+norms m (``col_norms_sq``), |N(i)| (``nbhd_sizes``), the Gram matrix
+W = P' D^-1 P and its ``Route``, the one place where P's structure is
+decided: the kernels of P x, P'v, W x and W^+ B, and the spectra known in
+closed form. Outside this module only ``spectral`` reads a dense P or W,
+for their eigenvalues.
 The package's one thread is ``form_w``'s worker, which forms W while
 ``spectral`` searches its spectra over the slots, and is joined before
 ``form_w`` returns.
@@ -30,6 +26,7 @@ The package's one thread is ``form_w``'s worker, which forms W while
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -82,6 +79,45 @@ class Graph:
 
 
 @dataclass(frozen=True, eq=False)
+class ClosedForm:
+    """Every eigenvalue, ascending, of a circulant P (``laplacian``), of its W (``gram``) and of M - W (``metric``).
+
+    D = |N(0)| I, so W = P^2 / |N(0)| and M - W = m_0 I - W are circulant
+    too, and each spectrum is unfolded from its symbol: lam_k(P) (``_symbol``),
+    lam_k(P)^2 / |N(0)| and m_0 - lam_k(W). They are the eigenvalues of the
+    exact W to a few ulps, as no W is formed for them.
+    """
+
+    laplacian: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
+    metric: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class Route:
+    """How one ``CommunicationMatrix`` takes its products and which spectra it knows, bound once (``CommunicationMatrix.route``).
+
+    ``p(x, out=None)`` and ``pt(v, out=None)`` are P x and P'v of an (n,)
+    or (n, d) operand, into ``out`` if given, or of an (..., n, d) stack; P
+    is symmetric, so over the slots they are one kernel, while the dense
+    GEMV with P' sums in its own order. ``w(x)`` is W x of the same
+    operands, and ``w_pinv(B, kappa)`` is W^+ B of an (n, d) B, orthogonal
+    to the consensus direction, for W's condition number ``kappa`` on 1's
+    complement. ``spectra`` is a circulant's ``ClosedForm``, else None.
+    The matrix keeps its route, so the route holds the matrix only weakly,
+    in the W kernels of a matrix that is not circulant: a strong reference
+    back would be a cycle that keeps W until the garbage collector runs.
+    Those two kernels work while their matrix lives.
+    """
+
+    p: Callable[..., np.ndarray]
+    pt: Callable[..., np.ndarray]
+    w: Callable[[np.ndarray], np.ndarray]
+    w_pinv: Callable[[np.ndarray, float], np.ndarray]
+    spectra: ClosedForm | None
+
+
+@dataclass(frozen=True, eq=False)
 class CommunicationMatrix:
     """The graph Laplacian P on the closed-neighborhood slots of its graph, and its products.
 
@@ -91,12 +127,8 @@ class CommunicationMatrix:
     slots is zero. ``rows`` is derived from ``starts`` on each read; every
     other derived quantity on first read, and kept.
 
-    P x and P'v run on ``kept_dense`` or over the slots, as chosen once per
-    matrix by ``dense_products_are_cheaper``. W is formed on first read, or
-    by ``form_w`` while other work runs, as one syrk of D^(-1/2) P written
-    straight from the slots, and W x uses it unless P is circulant: then
-    W x and W^+ B are diagonal in the Fourier basis and run by ``np.fft``
-    on ``gram_symbol``, and W is never read.
+    W is formed on first read, or by ``form_w`` while other work runs, as
+    one syrk of D^(-1/2) P written straight from the slots.
     """
 
     n: int
@@ -122,10 +154,10 @@ class CommunicationMatrix:
 
     @cached_property
     def kept_dense(self) -> np.ndarray:
-        """P as an n x n array from its slots, built on first read and kept, read-only, as long as the matrix.
+        """P as an n x n array from its slots, built by the dense-product route and kept, read-only, as long as the matrix.
 
-        Its first entry sits on a 64-byte boundary: at n=200 one-thread GEMVs
-        with P and P' took 6-8 us there and 9-10 us at a 16-byte offset.
+        Its first entry sits on a 64-byte boundary, where its GEMVs measured
+        faster (README, Performance).
         """
         size = self.n * self.n
         buf = np.zeros(size + 8)
@@ -146,60 +178,32 @@ class CommunicationMatrix:
         return np.diff(self.starts, append=self.cols.size).astype(float)
 
     @cached_property
-    def circulant(self) -> bool:
-        """Whether P is circulant: every row holds row 0's offsets (j - i) mod n, with row 0's values on them.
+    def route(self) -> Route:
+        """This matrix's ``Route``, made on first read: the product crossover and circulance are each decided here, once.
 
-        Then every row has |N(0)| slots, so D is a multiple of I, and W and
-        M - W are circulant too. The values
-        must be equal exactly. A row's offsets are distinct, so a row of
-        |N(0)| slots whose every offset is one of row 0's holds all of them.
+        The two are independent. Below the crossover
+        (``dense_products_are_cheaper``) P x and P'v are ``np.matmul`` with
+        the kept dense P and P' (``stack_apply`` on a stack); above it they
+        run over the slots (``_slot_apply``). A circulant P (``_circulant``)
+        takes W x and W^+ B by ``np.fft`` on W's symbol, never forms W, and
+        carries its ``ClosedForm`` spectra; any other takes W x with the
+        dense W and W^+ B by ``_solved_pinv``, and knows no spectrum.
         """
-        if np.any(self.nbhd_sizes != self.nbhd_sizes[0]):
-            return False
-        offsets = (self.cols - self.rows) % self.n
-        first = np.full(self.n, np.nan)  # row 0 by offset; nan off its slots, equal to no value
-        first[offsets[: self.starts[1]]] = self.values[: self.starts[1]]
-        return bool(np.all(first[offsets] == self.values))
-
-    @cached_property
-    def symbol(self) -> np.ndarray:
-        """P's eigenvalues lam_k(P), k = 0..n/2 in ``np.fft.rfft`` order, of a circulant P; lam_(n-k) = lam_k.
-
-        A symmetric circulant is diagonal in the Fourier basis (Davis,
-        *Circulant Matrices*, 1979): lam_k = sum_j P_0j cos(2 pi j k / n) over
-        row 0's slots, taken as sum_j P_0j + sum_(j != 0) (-2 P_0j) sin^2(pi r / n)
-        with r = min(jk mod n, n - jk mod n) in integers. So every angle lies
-        in [0, pi/2], and for the Laplacian, whose rows sum to 0 exactly and
-        whose off-diagonal entries are -1, lam_k = 2 sum_(j != 0) sin^2(pi r / n)
-        is a sum of terms >= 0, correct to a few ulps even where cosines near
-        1 would cancel, or angles near pi lose digits: lam_2(W) of circulant
-        n=1600 and n=10^4, degree 20, lies within 4e-17 and 4e-16 of an
-        mpmath value, relative (2.5e-14 and 1.2e-13 with angles in [0, pi)).
-        Taken over blocks of k, so the temporaries stay small on dense rows.
-        """
-        row = slice(0, self.starts[1])
-        j, values = self.cols[row], self.values[row]
-        off = j != 0
-        j, weights = j[off], -2.0 * values[off]
-        n = self.n
-        k = np.arange(n // 2 + 1)
-        lam = np.empty(k.size)
-        step = max(1, _BLOCK_ENTRIES // max(1, j.size))
-        for k0 in range(0, k.size, step):
-            jk = np.outer(k[k0 : k0 + step], j) % n
-            lam[k0 : k0 + step] = np.sin(np.minimum(jk, n - jk) * (np.pi / n)) ** 2 @ weights
-        lam += math.fsum(values.tolist())
-        lam.flags.writeable = False
-        return lam
-
-    @property
-    def gram_symbol(self) -> np.ndarray:
-        """W's eigenvalues in ``symbol``'s order, lam_k(P)^2 / |N(0)|: for a circulant P, D = |N(0)| I and W = P^2 / |N(0)|."""
-        return self.symbol * self.symbol / self.nbhd_sizes[0]
-
-    @cached_property
-    def dense_products(self) -> bool:
-        return dense_products_are_cheaper(self)
+        dense = dense_products_are_cheaper(self)
+        if dense:
+            P = self.kept_dense
+            p, pt = partial(_apply, P), partial(_apply, P.T)
+        else:
+            p = pt = partial(_slot_apply, self.cols, self.starts, self.values)
+        if not _circulant(self):
+            me = weakref.proxy(self)  # see ``Route``
+            return Route(p, pt, lambda x: _apply(me.W, x), lambda B, kappa: me._solved_pinv(B, kappa, not dense), None)
+        n, symbol = self.n, _symbol(self)
+        gram = symbol * symbol / self.nbhd_sizes[0]
+        spectra = ClosedForm(*(_unfolded(half, n) for half in (symbol, gram, self.col_norms_sq[0] - gram)))
+        gain = np.zeros(symbol.size)  # 1 / lam_k(W), and 0 on the k = 0 mode: the consensus direction, W's null space
+        np.divide(1.0, gram[1:], out=gain[1:])
+        return Route(p, pt, partial(_fourier, gain=gram, n=n), lambda B, kappa: _fourier(B, gain, n), spectra)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -221,7 +225,8 @@ class CommunicationMatrix:
         is kept already, only ``alongside()`` runs. ``alongside()`` must not
         read ``W``: W is kept only after the join, so that read would form a
         second W. ``threading`` is imported here, so ``import admmnet.cli``
-        does not load it.
+        does not load it. The overlap saves time only where the process
+        really gets a second core; W and every output keep their bits either way.
         """
         if "W" in self.__dict__:
             return None if alongside is None else alongside()
@@ -254,74 +259,31 @@ class CommunicationMatrix:
         self.__dict__["W"] = W  # the slot ``W`` reads: W is formed once
         return result
 
-    def p(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if self.dense_products:
-            return _apply(self.kept_dense, x, out)
-        return self._slot_apply(x, out)
-
-    def pt(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P'v; over the slots the same product as P v, since P is symmetric, but the dense GEMV with P' sums in its own order."""
-        if self.dense_products:
-            return _apply(self.kept_dense.T, v, out)
-        return self._slot_apply(v, out)
-
-    def products(self):
-        """(P x, P'v) as kernels ``(x, out=) -> out`` on (n, d) operands, bound to the route ``dense_products`` chose.
-
-        The same products as ``p`` and ``pt``, for a caller that takes them
-        once per round and reads the route only once.
-        """
-        if self.dense_products:
-            return partial(np.matmul, self.kept_dense), partial(np.matmul, self.kept_dense.T)
-        return self._slot_apply, self._slot_apply
-
-    def w(self, x: np.ndarray) -> np.ndarray:
-        """W x of an (n,) or (n, d) operand or an (..., n, d) stack: irfft(rfft(x) lam(W)) on a circulant, else with the dense W."""
-        if self.circulant:
-            return self._fourier(x, self.gram_symbol)
-        return _apply(self.W, x)
-
     def w_by_products(self, x: np.ndarray) -> np.ndarray:
         """W x = P'(D^-1 (P x)) of an (n,) or (n, d) operand, by two P products and no W."""
-        y = self.p(x)
+        route = self.route
+        y = route.p(x)
         y /= self.nbhd_sizes if x.ndim == 1 else self.nbhd_sizes[:, None]
-        return self.pt(y)
+        return route.pt(y)
 
-    def w_pinv(self, B: np.ndarray, kappa: float) -> np.ndarray:
-        """W^+ B: by ``np.fft`` on a circulant, else by conjugate gradients over the slots where they cost less, else by one dense solve.
+    def _solved_pinv(self, B: np.ndarray, kappa: float, slots: bool) -> np.ndarray:
+        """W^+ B off the circulant family: by conjugate gradients over the slots where they cost less, else by one dense solve.
 
-        On a circulant, irfft(rfft(B) times 1/lam(W)), with the k = 0 mode, the
-        consensus direction and W's null space, set to 0, whatever ``kappa``.
-        Otherwise ``kappa`` is W's condition number on 1's complement, lam_max / lam_2
-        from the spectra, which bounds the conjugate-gradient steps
-        (``cg_step_bound``; inf sends B to the dense solve). Above
-        the product crossover, where ``conjugate_gradients_are_cheaper`` says
-        so for B's d columns, ``_cg_pinv`` solves with no n x n array; if it
-        misses CG_RTOL within the bound, the dense solve runs instead. That
-        solve: null(W) = span{1}, so W + 11'/n is invertible with inverse
-        W^+ + 11'/n; removing the column means of its solve drops the 11'/n B
-        part exactly and leaves W^+ B, which is orthogonal to the consensus
-        direction.
+        ``kappa`` bounds the conjugate-gradient steps (``cg_step_bound``; inf
+        sends B to the dense solve). Where P's products run over the
+        ``slots`` and ``conjugate_gradients_are_cheaper`` says so for B's d
+        columns, ``_cg_pinv`` solves with no n x n array; if it misses CG_RTOL
+        within the bound, the dense solve runs instead: null(W) = span{1}, so
+        W + 11'/n is invertible with inverse W^+ + 11'/n, and removing the
+        column means of its solve drops the 11'/n B part exactly.
         """
-        if self.circulant:
-            lam = self.gram_symbol
-            gain = np.zeros(lam.size)
-            np.divide(1.0, lam[1:], out=gain[1:])
-            return self._fourier(B, gain)
         steps = cg_step_bound(kappa)
-        if not self.dense_products and conjugate_gradients_are_cheaper(self, steps, B.shape[1]):
+        if slots and conjugate_gradients_are_cheaper(self, steps, B.shape[1]):
             X = self._cg_pinv(B, steps)
             if X is not None:
                 return X
         X = np.linalg.solve(self.W + 1.0 / self.n, B)
         return X - X.mean(axis=0)
-
-    def _fourier(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        """irfft(rfft(x) gain) along x's node axis, axis 0 of an (n,) operand and -2 otherwise, for a gain per mode k = 0..n/2."""
-        axis = 0 if x.ndim == 1 else -2
-        modes = np.fft.rfft(x, axis=axis)
-        modes *= gain if x.ndim == 1 else gain[:, None]
-        return np.fft.irfft(modes, n=self.n, axis=axis)
 
     def _cg_pinv(self, B: np.ndarray, steps: int) -> np.ndarray | None:
         """W^+ B by conjugate gradients on 1's complement, one column of B at a time; None if a column misses CG_RTOL.
@@ -360,23 +322,57 @@ class CommunicationMatrix:
             X[:, j] = x - x.mean()
         return X
 
-    def _slot_apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """P x over the slots, into ``out`` if given.
 
-        An (n,) operand is one ``_slot_product``; an (n, d) operand or an
-        (..., n, d) stack is one per (n,) column, which sums each row in the
-        order an (n, d) ``reduceat`` would, so the bits agree. At Erdos-Renyi
-        n=800, p=0.05 (one thread) three columns took 0.27 ms against 0.45 ms
-        for one (n, 3) gather, scale and ``reduceat``, and a (301, 800, 1)
-        stack 17 ms against 24 ms in blocks of four iterates.
-        """
-        if x.ndim == 1:
-            return _slot_product(self, x, out)
-        res = np.empty(x.shape) if out is None else out
-        for *lead, j in np.ndindex(*x.shape[:-2], x.shape[-1]):
-            column = (*lead, slice(None), j)
-            _slot_product(self, x[column], res[column])
-        return res
+def _circulant(comm: CommunicationMatrix) -> bool:
+    """Whether P is circulant: every row holds row 0's offsets (j - i) mod n, with row 0's values on them.
+
+    Then every row has |N(0)| slots, so D is a multiple of I, and W and
+    M - W are circulant too. The values must be equal exactly. A row's
+    offsets are distinct, so a row of |N(0)| slots whose every offset is one
+    of row 0's holds all of them.
+    """
+    if np.any(comm.nbhd_sizes != comm.nbhd_sizes[0]):
+        return False
+    offsets = (comm.cols - comm.rows) % comm.n
+    first = np.full(comm.n, np.nan)  # row 0 by offset; nan off its slots, equal to no value
+    first[offsets[: comm.starts[1]]] = comm.values[: comm.starts[1]]
+    return bool(np.all(first[offsets] == comm.values))
+
+
+def _symbol(comm: CommunicationMatrix) -> np.ndarray:
+    """P's eigenvalues lam_k(P), k = 0..n/2 in ``np.fft.rfft`` order, of a circulant P; lam_(n-k) = lam_k.
+
+    A symmetric circulant is diagonal in the Fourier basis (Davis,
+    *Circulant Matrices*, 1979): lam_k = sum_j P_0j cos(2 pi j k / n) over
+    row 0's slots, taken as sum_j P_0j + sum_(j != 0) (-2 P_0j) sin^2(pi r / n)
+    with r = min(jk mod n, n - jk mod n) in integers. So every angle lies
+    in [0, pi/2], and for the Laplacian, whose rows sum to 0 exactly and
+    whose off-diagonal entries are -1, lam_k = 2 sum_(j != 0) sin^2(pi r / n)
+    is a sum of terms >= 0, correct to a few ulps even where cosines near
+    1 would cancel, or angles near pi lose digits: lam_2(W) of circulant
+    n=1600 and n=10^4, degree 20, lies within 4e-17 and 4e-16 of an
+    mpmath value, relative (2.5e-14 and 1.2e-13 with angles in [0, pi)).
+    Taken over blocks of k, so the temporaries stay small on dense rows.
+    """
+    row = slice(0, comm.starts[1])
+    j, values = comm.cols[row], comm.values[row]
+    off = j != 0
+    j, weights = j[off], -2.0 * values[off]
+    n = comm.n
+    k = np.arange(n // 2 + 1)
+    lam = np.empty(k.size)
+    step = max(1, _BLOCK_ENTRIES // max(1, j.size))
+    for k0 in range(0, k.size, step):
+        jk = np.outer(k[k0 : k0 + step], j) % n
+        lam[k0 : k0 + step] = np.sin(np.minimum(jk, n - jk) * (np.pi / n)) ** 2 @ weights
+    lam += math.fsum(values.tolist())
+    lam.flags.writeable = False
+    return lam
+
+
+def _unfolded(half: np.ndarray, n: int) -> np.ndarray:
+    """Every eigenvalue, ascending, of an n x n symmetric circulant from its symbol at k = 0..n/2: lam_(n-k) = lam_k."""
+    return np.sort(np.concatenate((half, half[1 : (n + 1) // 2])))
 
 
 def _syrk(B: np.ndarray, W: np.ndarray) -> None:
@@ -384,16 +380,41 @@ def _syrk(B: np.ndarray, W: np.ndarray) -> None:
     np.matmul(B.T, B, out=W)
 
 
-def _slot_product(comm: CommunicationMatrix, x: np.ndarray, out=None) -> np.ndarray:
+def _slot_apply(cols, starts, values, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """P x over P's slots ``cols``, ``starts`` and ``values``, into ``out`` if given.
+
+    An (n,) operand is one ``_slot_product``; an (n, d) operand or an
+    (..., n, d) stack is one per (n,) column, which sums each row in the
+    order an (n, d) ``reduceat`` would, so the bits agree; column by
+    column is the faster of the two.
+    """
+    if x.ndim == 1:
+        return _slot_product(cols, starts, values, x, out)
+    res = np.empty(x.shape) if out is None else out
+    for *lead, j in np.ndindex(*x.shape[:-2], x.shape[-1]):
+        column = (*lead, slice(None), j)
+        _slot_product(cols, starts, values, x[column], res[column])
+    return res
+
+
+def _slot_product(cols, starts, values, x: np.ndarray, out=None) -> np.ndarray:
     """sum_{j in N(i)} P_ij x_j for every row i of an (n,) operand, into ``out`` if given.
 
     x is gathered to one entry per slot by fancy indexing (cast to float, a
     no-op for a float x), scaled in place by the slot values and summed over
     each row's slots with ``np.add.reduceat``.
     """
-    buf = x[comm.cols].astype(float, copy=False)
-    buf *= comm.values
-    return np.add.reduceat(buf, comm.starts, out=out)
+    buf = x[cols].astype(float, copy=False)
+    buf *= values
+    return np.add.reduceat(buf, starts, out=out)
+
+
+def _fourier(x: np.ndarray, gain: np.ndarray, n: int) -> np.ndarray:
+    """irfft(rfft(x) gain) along x's node axis, axis 0 of an (n,) operand and -2 otherwise, for a gain per mode k = 0..n/2."""
+    axis = 0 if x.ndim == 1 else -2
+    modes = np.fft.rfft(x, axis=axis)
+    modes *= gain if x.ndim == 1 else gain[:, None]
+    return np.fft.irfft(modes, n=n, axis=axis)
 
 
 def _apply(A: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -429,16 +450,11 @@ def conjugate_gradients_are_cheaper(comm: CommunicationMatrix, steps: float, d: 
     """Whether ``steps`` conjugate-gradient steps on each of d columns, two slot products each, cost less than the dense solve for W^+.
 
     The dense solve forms W + 11'/n and LU-factors it: about n^3 / SOLVE_DIV
-    dense GEMV entries, whatever d (its d triangular solves add 2 n^2 d).
-    Where the two routes cross, at Erdos-Renyi n=400-800
-    and p=0.05 (one thread), it took 0.043-0.066 ns per n^3 and a slot entry
-    0.28-0.32 ns, so n^3 / 6.7 to n^3 / 4.3 entries; SOLVE_DIV = 8 leaves the
-    dense solve a margin. Larger n runs the LU faster per n^3 (n^3 / 12 at
-    n=1600). ``_cg_pinv`` takes one column at a time, so d columns cost d
-    times one. Timed on Erdos-Renyi n=800-1600 with d = 1, 3 and 10 (one
-    thread), this rule took the faster route in 11 of 12 cases; in the
-    twelfth (n=1600, p=0.0125, d=10) the two were within 6%. The vector
-    updates of a step cost O(n), little next to its two products.
+    dense GEMV entries, whatever d (its d triangular solves add 2 n^2 d);
+    SOLVE_DIV leaves the dense solve a margin where the two routes cross
+    (README, Performance). ``_cg_pinv`` takes one column at a time, so d
+    columns cost d times one. The vector updates of a step cost O(n),
+    little next to its two products.
     """
     return 2.0 * steps * d * (SLOT_COST * comm.cols.size + SLOT_FIXED) < comm.n**3 / SOLVE_DIV
 
@@ -446,13 +462,11 @@ def conjugate_gradients_are_cheaper(comm: CommunicationMatrix, steps: float, d: 
 def dense_products_are_cheaper(comm: CommunicationMatrix) -> bool:
     """Whether P x costs less as a dense GEMV than over the n + 2|E| slots.
 
-    A dense GEMV costs n^2 entries of about 0.19 ns while P stays in cache.
-    A slot product costs about SLOT_COST entries per slot (its gather, scale
-    and sum) plus SLOT_FIXED per call (its three numpy calls, about 7 us).
-    Fitted to one-thread d = 1 timings; at n=80-200 the dense GEMV is 1.4-3x
-    faster, from n=600 on Erdos-Renyi p=0.05 the slots are 2.5x faster.
-    Near the crossover (n=300-400 at 5% fill) the two are within 1.5x, and
-    the slots win there because they keep no n x n array.
+    A dense GEMV costs n^2 entries. A slot product costs about SLOT_COST
+    entries per slot (its gather, scale and sum) plus SLOT_FIXED per call
+    (its three numpy calls), fitted to one-thread d = 1 timings (README,
+    Performance). Near the crossover the two cost about the same, and the
+    slots keep no n x n array.
     """
     return comm.n * comm.n <= SLOT_COST * comm.cols.size + SLOT_FIXED
 

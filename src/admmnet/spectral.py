@@ -1,9 +1,10 @@
 """Spectral quantities driving every convergence certificate.
 
 The certificates depend on the network only through the communication
-matrix P, a ``graph.CommunicationMatrix``, which forms W = P' D^-1 P, the
-column norms m and a circulant P's Fourier symbol, and owns every product
-with P and W. This module reads W, P and the symbol only for their spectra.
+matrix P, a ``graph.CommunicationMatrix``, which forms W = P' D^-1 P and the
+column norms m, and whose ``route`` owns every product with P and W and
+the spectra known in closed form. This module reads W and P only for
+their spectra.
 
 ``SpectralData`` holds the matrix and the numbers the rate certificates
 read, the smallest nonzero eigenvalue of W and the largest eigenvalue of
@@ -12,13 +13,9 @@ a(G) that only the degree/connectivity relations read: the second
 eigenvalue of P, which is the graph Laplacian. Each is known in one of
 three ways, its ``kind``, and each matrix takes one route, decided once:
 
-* CLOSED_FORM: P is circulant (``CommunicationMatrix.circulant``, read
-  from its slots: the Laplacian of every circulant, cycle and complete
-  graph). Then D = |N(0)| I, so W = P^2 / |N(0)| and M - W = m_0 I - W
-  are circulant too, and all three spectra come from P's Fourier symbol
-  (``CommunicationMatrix.symbol``, sums of sin^2 terms >= 0 over P's first
-  row on the slots): lam(P) for a(G), lam(P)^2 / |N(0)| for W (its
-  ``gram_symbol``) and m_0 - lam(W) for M - W. They are the eigenvalues of
+* CLOSED_FORM: the matrix's route knows all three spectra
+  (``graph.ClosedForm``, the route of a circulant P: the Laplacian of
+  every circulant, cycle and complete graph). They are the eigenvalues of
   the exact W to a few ulps; no W is formed, so no rounding of a stored W
   (whose row sums a syrk leaves near 4e-15, not 0, shifting lam_2 by
   2.2e-9 relative at n=1600) enters them;
@@ -57,42 +54,40 @@ search and from there to ``eigvalsh``. Every bound is proven again, so a
 witness can never make a bound false; it can make one looser, as a lowered
 theta_2 or a raised theta_max still proves.
 
-Off the circulant family W is the only dense matrix this module reads; on
-it, none. Every other matrix that needs eigenvalues or a factor (M - W
-and the Laplacian for ``eigvalsh``, and the three certificate matrices for
-Cholesky) is written into W's upper triangle by ``_written_below``, as W
-plus p, as 0 - W, or as the Laplacian plus p, each with its own diagonal.
-Both solvers read it as the lower triangle of the F-contiguous W.T, which
-is all they read, and W's upper triangle is restored from its lower one
-after; the M - W certificate, W plus a diagonal, writes and restores only
-the diagonal. A certificate factors with ``cholesky_lo``, the gufunc of
-numpy.linalg._umath_linalg that ``np.linalg.cholesky`` wraps: the same
-LAPACK dpotrf, so the same factor. It writes into one column-major n x n
-buffer that ``compute_spectral_data`` allocates once per call, when it
-certifies and once W is formed, and that every certificate and back-off
-retry of the call shares; a(G) allocates its own on first read, and no
-buffer outlives its call. ``np.linalg.cholesky`` would also copy each factor, with a stride,
-into a fresh C-ordered array whose pages fault on first touch: at
-Erdos-Renyi n=800, p=0.05 it took 18 ms where the kernel takes 10, at
-n=1600, p=0.0125 104 ms against 70-74 (one thread, best of 15).
-A matrix that does not factor comes back NaN-filled, not as
-``LinAlgError``, and its norm is then not finite. Each certificate pays for
-its Cholesky and one pass over the factor, made absolute in place for its
-norms. So M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x,
-see ``analysis._metric_form``), and no n x n Laplacian is built. Above the
+Where the route knows no spectrum W is the only dense matrix this module
+reads; where it knows them, none. Every other matrix that needs
+eigenvalues or a factor (M - W and the Laplacian for ``eigvalsh``, and the
+three certificate matrices for Cholesky) is written into W's upper
+triangle by ``_written_below``, as W plus p, as 0 - W, or as the Laplacian
+plus p, each with its own diagonal. Both solvers read it as the lower
+triangle of the F-contiguous W.T, which is all they read, and W's upper
+triangle is restored from its lower one after; the M - W certificate, W
+plus a diagonal, writes and restores only the diagonal. A certificate
+factors with ``cholesky_lo``, the gufunc of numpy.linalg._umath_linalg
+that ``np.linalg.cholesky`` wraps: the same LAPACK dpotrf, so the same
+factor. It writes into one column-major n x n buffer that
+``compute_spectral_data`` allocates once per call, when it certifies and
+once W is formed, and that every certificate and back-off retry of the
+call shares; a(G) allocates its own on first read, and no buffer outlives
+its call. ``np.linalg.cholesky`` would also copy each factor, with a
+stride, into a fresh C-ordered array whose pages fault on first touch. A
+matrix that does not factor comes back NaN-filled, not as ``LinAlgError``,
+and its norm is then not finite. Each certificate pays for its Cholesky
+and one pass over the factor, made absolute in place for its norms. So
+M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x, see
+``analysis._metric_form``), and no n x n Laplacian is built. Above the
 product crossover a run on a graph that is not circulant holds at most
 three dense n x n float arrays at once: W plus at most two transients.
 During a search D^(-1/2) P and W, being formed, coexist with the Lanczos
 basis, at most LANCZOS_STEPS x n (a third of one n x n array at n=600);
 the factor buffer and Cholesky's copy of a certificate's matrix come
 after, once D^(-1/2) P is freed. The other transients are ``eigvalsh``'s
-copy of W, M - W or the Laplacian, or, where
-``CommunicationMatrix.w_pinv`` takes the dense solve, W + 11'/n and the
-solve's copy of it. Where it takes conjugate gradients over P's slots, W
-alone outlives the spectra. A circulant run
-holds none: its W products and W^+ run by FFT on the symbol. Below
-the product crossover the kept P adds one. ``run`` and ``check`` never read
-a(G), so the Laplacian is written into W only for ``spectra`` and
+copy of W, M - W or the Laplacian, or, where the route's ``w_pinv`` takes
+the dense solve, W + 11'/n and the solve's copy of it. Where it takes
+conjugate gradients over P's slots, W alone outlives the spectra. A
+circulant run holds none: its route takes W products and W^+ by FFT. Below
+the product crossover the kept P adds one. ``run`` and ``check`` never
+read a(G), so the Laplacian is written into W only for ``spectra`` and
 ``certify``.
 """
 
@@ -176,16 +171,17 @@ class SpectralData:
     def connectivity(self) -> tuple[float, str]:
         """(a(G), its kind): the second eigenvalue of P, the Laplacian, a lower bound on it when CERTIFIED.
 
-        A circulant Laplacian reads it from its symbol; any other is written
-        into W's upper triangle for its certificate or ``eigvalsh``, so no
-        n x n Laplacian is built.
+        Read from the route's closed-form spectra where it has them; else the
+        Laplacian is written into W's upper triangle for its certificate or
+        ``eigvalsh``, so no n x n Laplacian is built.
         """
         comm = self.comm
-        if comm.circulant:
-            return float(_unfolded(comm.symbol, comm.n)[1]), CLOSED_FORM
+        closed = comm.route.spectra
+        if closed is not None:
+            return float(closed.laplacian[1]), CLOSED_FORM
         diag = comm.values[comm.rows == comm.cols]
         if certified_spectra_are_cheaper(comm.n):
-            ends = _ritz_ends(comm.p, comm.n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
+            ends = _ritz_ends(comm.route.p, comm.n, lowest=True, deflate=True, trace=math.fsum(diag.tolist()))
             if ends is not None:
                 found = _proved(comm.W, _factor_buffer(comm.n), diag, ends[0], False, p=ends[1] / comm.n, lap=comm)
                 if found is not None:
@@ -201,16 +197,11 @@ class SpectralData:
 def certified_spectra_are_cheaper(n: int) -> bool:
     """Whether Lanczos and one Cholesky per scalar cost less than a full ``eigvalsh``: n >= CERTIFY_MIN_N.
 
-    ``eigvalsh`` costs about 1e-10 n^3 s and a Cholesky about a sixth of
-    that, while Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
+    ``eigvalsh`` costs O(n^3) and a Cholesky about a sixth of that, while
+    Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
     reorthogonalization, which does not shrink with n, and its searches for
-    W and M - W now run while a worker forms W. Timed for all three scalars,
-    certified against ``eigvalsh``, on Erdos-Renyi p=0.05, seed 1 (one
-    thread, the two interleaved, best of 10): 28 against 28 ms at n=400, 31
-    against 47 ms at n=500, 46 against 73 ms at n=600, 60 against 168 ms at
-    n=800. On seeds 2 and 3 the certified route won at every one of those
-    sizes (20-24 against 27 ms at n=400), so the break-even now lies near
-    n=400; before the worker it lay near n=450. CERTIFY_MIN_N stays 600:
+    W and M - W run while a worker forms W. The measured break-even lies
+    below CERTIFY_MIN_N (README, Performance), which stays put because
     lowering it moves the route, and so the printed kinds and the bits, of
     every graph between the old and the new value, and Lanczos needs more
     steps on some graphs (sparse regular ones).
@@ -234,11 +225,6 @@ def _eigvalsh(S: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise EigNoConvergenceError(str(exc)) from exc
-
-
-def _unfolded(half: np.ndarray, n: int) -> np.ndarray:
-    """Every eigenvalue, ascending, of an n x n symmetric circulant from its symbol at k = 0..n/2: lam_(n-k) = lam_k."""
-    return np.sort(np.concatenate((half, half[1 : (n + 1) // 2])))
 
 
 def _each_above(W: np.ndarray, fn) -> None:
@@ -268,8 +254,7 @@ def _written_below(
     are written into W's upper triangle, the lower one of W.T, which is
     F-contiguous: ``np.linalg.eigvalsh`` and the Cholesky kernel of
     ``_factor_norm`` copy it into LAPACK's column-major order column by
-    column (a C-ordered matrix costs a strided copy: the kernel took 12.1
-    against 10.4 ms at Erdos-Renyi n=800), and they read only that
+    column (a C-ordered matrix would cost a strided copy), and they read only that
     triangle, so W's strict lower triangle stays intact while they run. W
     is then restored: its diagonal from a saved copy and, if anything off
     the diagonal was written, its strict upper triangle from the lower one
@@ -461,12 +446,12 @@ def _gershgorin(comm: CommunicationMatrix) -> tuple[float, float]:
 
 
 def _metric_spectrum(comm: CommunicationMatrix) -> Spectrum:
-    """M - W's spectrum: m_0 - lam(W) when P is circulant, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's upper triangle."""
-    m = comm.col_norms_sq
-    if comm.circulant:
-        return Spectrum.of(_unfolded(m[0] - comm.gram_symbol, comm.n), CLOSED_FORM)
+    """M - W's spectrum: the route's closed form where it has one, else ``eigvalsh`` of diag(m) - W written as 0 - W into W's upper triangle."""
+    closed = comm.route.spectra
+    if closed is not None:
+        return Spectrum.of(closed.metric, CLOSED_FORM)
     W = comm.W
-    with _written_below(W, (0.0 - W.diagonal()) + m, negate=True) as A:
+    with _written_below(W, (0.0 - W.diagonal()) + comm.col_norms_sq, negate=True) as A:
         return Spectrum.of(_eigvalsh(A), EXACT)
 
 
@@ -539,15 +524,14 @@ def _certified(comm: CommunicationMatrix, witness: Witness):
 def compute_spectral_data(comm: CommunicationMatrix, witness: Witness = Witness()) -> SpectralData:
     """W's and M - W's spectra; a CERTIFIED scalar is proved from ``witness`` where it can be, and searched for otherwise.
 
-    A circulant P reads every spectrum from its symbol and never forms W.
+    Where the matrix's route knows the spectra in closed form, they are
+    read from it and no W is formed.
     """
-    certify = certified_spectra_are_cheaper(comm.n) and not comm.circulant
+    closed = comm.route.spectra
+    certify = closed is None and certified_spectra_are_cheaper(comm.n)
     gram, metric = _certified(comm, witness) if certify else (None, None)
     if gram is None:
-        if comm.circulant:
-            eig_gram = Spectrum.of(_unfolded(comm.gram_symbol, comm.n), CLOSED_FORM)
-        else:
-            eig_gram = Spectrum.of(_eigvalsh(comm.W), EXACT)
+        eig_gram = Spectrum.of(_eigvalsh(comm.W), EXACT) if closed is None else Spectrum.of(closed.gram, CLOSED_FORM)
         # null(W) = null(P) = span{1} on a connected graph, so lam_min is
         # the second eigenvalue; long paths have lam_2 below 1e-9 lam_max
         gram = eig_gram, float(eig_gram.eigenvalues[1]), None

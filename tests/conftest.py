@@ -183,7 +183,7 @@ def implicit_subgradients(trace, comm):
     is the prox center of round t+1.
     """
     rho = trace.c * comm.col_norms_sq[:, None]
-    centers = trace.xs[:-1] - comm.pt(trace.ps[:-1] + trace.c * trace.ys[:-1]) / rho
+    centers = trace.xs[:-1] - comm.route.pt(trace.ps[:-1] + trace.c * trace.ys[:-1]) / rho
     return rho * (centers - trace.xs[1:])
 
 
@@ -210,7 +210,7 @@ def gap_inequality_check(trace, spectral, optimal, problem, c, r=None):
         r = np.zeros_like(optimal.x_star)
     comm = spectral.comm
     dist = sweep_distances(trace, problem, spectral, optimal, r)
-    wr = comm.w(r)
+    wr = comm.route.w(r)
     m = np.repeat(comm.col_norms_sq, trace.dimension)
     lhs, step = np.empty(trace.T), np.empty(trace.T)
     # step(t) is the metric form of (S(t) - S(t+1), x(t) - x(t+1)) = (-x(t+1), x(t) - x(t+1))
@@ -219,7 +219,7 @@ def gap_inequality_check(trace, spectral, optimal, problem, c, r=None):
         rows = slice(block.t0, block.t0 + len(x1))
         lhs[rows] = (2.0 / c) * (problem.f_value(x1) - optimal.f_star) + 2.0 * np.sum(wr * x1, axis=(1, 2))
         xc0, xc1 = (x - x.mean(axis=1, keepdims=True) for x in (x0, x1))
-        wxc0, wxc1 = comm.w(xc0), comm.w(xc1)
+        wxc0, wxc1 = comm.route.w(xc0), comm.route.w(xc1)
         xc0 -= xc1
         wxc0 -= wxc1
         e_metric = analysis._weighted_sq(m, x0 - x1)
@@ -228,10 +228,15 @@ def gap_inequality_check(trace, spectral, optimal, problem, c, r=None):
 
 
 def with_slot_products(comm):
-    """The matrix, with its P products set to run over the slots whatever the crossover says."""
+    """The matrix, with its route's P products set to run over the slots whatever the crossover says."""
     with mock.patch.object(graph, "dense_products_are_cheaper", return_value=False):
-        comm.dense_products  # chosen on first read and kept
+        comm.route  # chosen on first read and kept
     return comm
+
+
+def dense_products(comm) -> bool:
+    """Whether the matrix's route takes P x and P'v with its kept dense P rather than over the slots."""
+    return comm.route.p.func is graph._apply
 
 
 @pytest.fixture(scope="session")

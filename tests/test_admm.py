@@ -426,11 +426,12 @@ def test_run_reuses_the_column_norms_of_the_spectral_data(monkeypatch, engine):
     prox_weights = admm._prox_weights
     monkeypatch.setattr(admm, "_prox_weights", lambda comm, *a: read.append(comm.col_norms_sq) or prox_weights(comm, *a))
     sd = compute_spectral_data(prob.comm)
-    assert made == ["bincount"]  # m, for the diagonal of M - W
+    # the route, chosen as the spectra ask whether it knows them, and m, for the diagonal of M - W
+    assert made == ["dense_products_are_cheaper", "bincount"]
     for _ in range(2):
         trace = admm.run(prob, admm.RunConfig(c=1.0, T=3, engine=engine))
         assert float(np.max(recurrence_residuals(trace, prob, sd))) <= 1e-8
-    assert made == ["bincount", "dense_products_are_cheaper"]
+    assert made == ["dense_products_are_cheaper", "bincount"]
     # each run; the recurrence check reads comm.col_norms_sq directly, and bincount counts no second m
     assert len(read) == 2 and all(m is sd.comm.col_norms_sq for m in read)
 

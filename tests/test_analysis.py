@@ -85,7 +85,7 @@ def test_gram_pinv_apply_matches_eigh(n, seed, d):
     sd = compute_spectral_data(laplacian(g))
     B = rng.normal(size=(n, d))
     want = eigh_pinv(sd.comm.W) @ B
-    got = sd.comm.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
+    got = sd.comm.route.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -109,7 +109,7 @@ def test_cg_pinv_on_slot_products_matches_eigh(n, seed, d):
     B = rng.normal(size=(n, d))
     want = eigh_pinv(comm.W) @ B
     with cg_route():
-        got = comm.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
+        got = comm.route.w_pinv(B, sd.eig_gram.max / sd.min_pos_eig_gram)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.all(np.abs(got.sum(axis=0)) <= 1e-13 * np.linalg.norm(got, axis=0))  # orthogonal to 1
 
@@ -134,9 +134,11 @@ def test_dual_ref_residual_check_raises_on_doctored_symbol(k3_problem, k3_spectr
     # K3 is circulant: W^+ runs by np.fft on P's symbol and reads no W, so
     # one doctored symbol entry gives a wrong W^+, which the residual, taken
     # by two P products, catches
-    comm = replace(k3_problem.comm)
-    symbol = vars(comm)["symbol"] = k3_problem.comm.symbol.copy()  # where the cached symbol would sit
+    comm = replace(k3_problem.comm)  # the same slots, with no route chosen yet
+    symbol = graph._symbol(comm).copy()
     symbol[1] *= 1.1
+    with mock.patch.object(graph, "_symbol", return_value=symbol):
+        comm.route  # made from the doctored symbol
     trace = admm.run(k3_problem, admm.RunConfig(c=1.0, T=3))
     with pytest.raises(DegenerateSpectrumError):
         analysis.aux_sequences(trace, k3_problem, replace(k3_spectral, comm=comm), k3_optimal)

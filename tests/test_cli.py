@@ -10,10 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from admmnet import admm, analysis, cli, reporting, spectral
+from admmnet import admm, analysis, cli, graph, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
 from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
-from admmnet.graph import CommunicationMatrix, generate_graph, laplacian, neighborhood_slots, write_graph_file
+from admmnet.graph import generate_graph, laplacian, neighborhood_slots, write_graph_file
 from admmnet.objectives import NetworkProblem
 from admmnet.reporting import fmt
 from admmnet.spectral import Witness, compute_spectral_data
@@ -575,18 +575,19 @@ def test_analysis_takes_one_w_product_per_round(tmp_path, monkeypatch):
     # one sweep gives every W-form, the recurrence's W part included, so
     # `run` and `check` each take one product per round; products with one
     # (n, d) operand are not counted. Whole-stack products took 4 and 3 stacks.
+    # (the circulant route's W x is its Fourier product, bound when the route is made)
     rounds = []
-    w = CommunicationMatrix.w
+    fourier = graph._fourier
 
-    def counting(self, x):
+    def counting(x, gain, n):
         if x.ndim == 3:
             rounds.append(x.shape[0])
-        return w(self, x)
+        return fourier(x, gain, n)
 
-    monkeypatch.setattr(CommunicationMatrix, "w", counting)
+    monkeypatch.setattr(graph, "_fourier", counting)
     T = 3 * admm.SWEEP_ROUNDS + 7
-    graph = "kind = circulant\nn = 20\nd = 4"
-    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", graph).replace("T = 200", f"T = {T}"))
+    topology = "kind = circulant\nn = 20\nd = 4"
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", topology).replace("T = 200", f"T = {T}"))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert sum(rounds) <= T + 1 and max(rounds) <= admm.SWEEP_ROUNDS
@@ -855,7 +856,24 @@ def test_circulant_commands_never_form_w(tmp_path, monkeypatch, n):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--check-all"]) == 0
     assert cli.main(["check", "--config", str(cfg), "--trace", str(out / "trace.csv")]) == 0
     assert cli.main(["spectra", "--config", str(cfg)]) == 0
-    assert len(seen) == 3 and all(comm.circulant and "W" not in vars(comm) for comm in seen)
+    assert len(seen) == 3 and all(comm.route.spectra is not None and "W" not in vars(comm) for comm in seen)
+
+
+@pytest.mark.parametrize(
+    "topology",
+    ["kind = circulant\nn = 20\nd = 4", "kind = erdos_renyi\nn = 40\np = 0.2\nseed = 1", "kind = erdos_renyi\nn = 800\np = 0.05\nseed = 1"],
+    ids=["dense-symbol", "dense-exact", "slots-certified"],
+)
+def test_one_route_choice_per_matrix_through_a_run(tmp_path, monkeypatch, topology):
+    # the product crossover and circulance are each decided once, when the
+    # matrix's route is made; spectra, engine, sweep and recurrence take its kernels
+    made = []
+    for name in ("dense_products_are_cheaper", "_circulant"):
+        fn = getattr(graph, name)
+        monkeypatch.setattr(graph, name, lambda comm, _fn=fn, _name=name: made.append(_name) or _fn(comm))
+    cfg = write_config(tmp_path, K3_CONFIG.replace("kind = complete\nn = 3", topology).replace("c = 1.0", "c = auto").replace("T = 200", "T = 70"))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--check-all"]) == 0
+    assert made == ["dense_products_are_cheaper", "_circulant"]
 
 
 def test_eigen_calls_per_command_path(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from admmnet.graph import (
     stack_apply,
 )
 from admmnet.spectral import CLOSED_FORM, EXACT, Spectrum, Witness, compute_spectral_data, psd_certificates
-from conftest import dense, random_circulant, random_connected_graph, with_slot_products
+from conftest import dense, dense_products, random_circulant, random_connected_graph, with_slot_products
 
 # characteristic polynomials by hand: P3 Laplacian -> (0, 1, 3), K3 -> (0, 3, 3)
 P3_EIGS = (0.0, 1.0, 3.0)
@@ -72,7 +72,7 @@ def test_sym_eig_p3(p3):
 
 def test_sym_eig_k3(k3):
     # K3's Laplacian is circulant: its spectrum from its symbol, read from the first row of its slots
-    lam = spectral._unfolded(laplacian(k3).symbol, 3)
+    lam = laplacian(k3).route.spectra.laplacian
     assert np.allclose(lam, K3_EIGS, atol=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_regular_graph_closed_forms(monkeypatch, kind, n, d):
     calls = count_eigvalsh(monkeypatch)
     g = generate_graph(kind, n, d=d if kind == "circulant" else None)
     sd = compute_spectral_data(laplacian(g))
-    lap = spectral._unfolded(laplacian(g).symbol, n)
+    lap = laplacian(g).route.spectra.laplacian
     a = sd.algebraic_connectivity
     assert calls == []
     assert (sd.eig_gram.kind, sd.eig_metric.kind, sd.connectivity[1]) == (CLOSED_FORM,) * 3
@@ -163,17 +163,17 @@ def test_circulant_spectrum_matches_eigvalsh(n, seed, degree):
     # dense matrices, on circulants with random offsets
     g = random_circulant(np.random.default_rng(seed), n, degree)
     comm = laplacian(g)
-    assert comm.circulant
+    assert comm.route.spectra is not None
     sd = compute_spectral_data(comm)
     W = gram_of(comm, g)
     for got, A in (
-        (spectral._unfolded(comm.symbol, n), dense(comm)),
+        (comm.route.spectra.laplacian, dense(comm)),
         (sd.eig_gram.eigenvalues, W),
         (sd.eig_metric.eigenvalues, np.diag(comm.col_norms_sq) - W),
     ):
         want = np.linalg.eigvalsh(A)
         np.testing.assert_allclose(got, want, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(want))))
-    assert sd.eig_gram.eigenvalues[0] == 0.0 and sd.connectivity == (float(spectral._unfolded(comm.symbol, n)[1]), CLOSED_FORM)
+    assert sd.eig_gram.eigenvalues[0] == 0.0 and sd.connectivity == (float(comm.route.spectra.laplacian[1]), CLOSED_FORM)
 
 
 def test_one_eigendecomposition(monkeypatch):
@@ -219,7 +219,7 @@ def test_laplacian_problem_reads_a_from_its_own_p(kind, n, kw):
     g = generate_graph(kind, n, **kw)
     sd = compute_spectral_data(laplacian(g))
     W = sd.comm.W.copy()
-    if sd.comm.circulant:
+    if sd.comm.route.spectra is not None:
         assert sd.algebraic_connectivity == pytest.approx(laplacian_closed_form(kind, n, kw["d"])[1], rel=8 * EPS)
     else:
         assert sd.algebraic_connectivity == algebraic_connectivity(g)
@@ -257,7 +257,7 @@ def test_psd_certificates_detect_violation(k3_spectral):
     # the second block, circ(1, -2, -2) with eigenvalues -3, 3, 3, is read from its symbol (-3, 3)
     bad_blocks = (
         Spectrum.of(spectral._eigvalsh(np.array([[1.0, -2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), EXACT),
-        Spectrum.of(spectral._unfolded(np.array([-3.0, 3.0]), 3), CLOSED_FORM),
+        Spectrum.of(graph._unfolded(np.array([-3.0, 3.0]), 3), CLOSED_FORM),
     )
     for bad_block in bad_blocks:
         doctored = replace(k3_spectral, eig_metric=bad_block)
@@ -339,33 +339,25 @@ def test_operator_products_keep_their_bits(n, seed, d):
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = laplacian(g)
     assert compute_spectral_data(comm).comm is comm
-    assert comm.dense_products  # below the crossover at n <= 30
+    assert dense_products(comm)  # below the crossover at n <= 30
     P = dense(comm)
     B = P * (1.0 / np.sqrt(g.degrees + 1.0))[:, None]
     assert np.array_equal(comm.W, B.T @ B)
     assert np.array_equal(comm.col_norms_sq, np.einsum("ji,ji->i", P, P))
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(4, n, d))
-    for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w, comm.W)):
-        if got_of == comm.w and comm.circulant:
+    route = comm.route
+    for got_of, A in ((route.p, P), (route.pt, P.T), (route.w, comm.W)):
+        if got_of is route.w and route.spectra is not None:
             for v in (x, stack):
                 want = np.matmul(A, v)
                 assert np.linalg.norm(got_of(v) - want) <= 1e-12 * np.linalg.norm(want)
             continue
         assert np.array_equal(got_of(x), np.matmul(A, x))
         assert np.array_equal(got_of(stack), stack_apply(A, stack))
-    for got_of, A in ((comm.p, P), (comm.pt, P.T)):
+    for got_of, A in ((route.p, P), (route.pt, P.T)):
         out = np.empty((n, d))
         assert got_of(x, out=out) is out
         assert np.array_equal(out, np.matmul(A, x))
-
-
-def test_operator_forms_w_on_first_read_only(p3):
-    mat = laplacian(p3)
-    assert "W" not in vars(mat)
-    mat.p(np.ones((3, 1)))
-    mat.pt(np.ones((2, 3, 1)))
-    assert "W" not in vars(mat)
-    assert mat.W is mat.W
 
 
 @settings(max_examples=40, deadline=None)
@@ -375,10 +367,10 @@ def test_slot_products_match_dense_products(n, seed, d):
     g = random_connected_graph(rng, n, extra_p=float(rng.uniform(0.05, 0.5)))
     comm = laplacian(g)
     mat, P = with_slot_products(comm), dense(comm)
-    assert not mat.dense_products
+    assert not dense_products(mat)
     x, stack = rng.normal(size=(n, d)), rng.normal(size=(7, n, d))
     tol = dict(rtol=1e-12, atol=1e-12 * float(np.abs(P).max()) * n)
-    for got_of, A in ((mat.p, P), (mat.pt, P.T)):
+    for got_of, A in ((mat.route.p, P), (mat.route.pt, P.T)):
         np.testing.assert_allclose(got_of(x), A @ x, **tol)
         out = np.empty((n, d))
         assert got_of(x, out=out) is out
@@ -398,19 +390,19 @@ def test_vector_slot_products_match_the_column_path(n, seed):
     rng = np.random.default_rng(seed)
     g = generate_graph("erdos_renyi", n, p=float(rng.uniform(0.02, 0.045)), seed=seed)
     comm = laplacian(g)
-    assert not comm.dense_products
+    assert not dense_products(comm)
     P = dense(comm)
     x = rng.normal(size=n)
-    for got_of, A in ((comm.p, P), (comm.pt, P.T), (comm.w_by_products, comm.W)):
+    for got_of, A in ((comm.route.p, P), (comm.route.pt, P.T), (comm.w_by_products, comm.W)):
         got = got_of(x)
         assert got.shape == (n,)
         assert np.array_equal(got.view(np.int64), got_of(x[:, None])[:, 0].view(np.int64))
         np.testing.assert_allclose(got, A @ x, rtol=1e-12, atol=1e-12 * float(np.abs(A).max()) * n)
     X = rng.normal(size=(n, 3))
     rows_at_once = np.add.reduceat(X[comm.cols] * comm.values[:, None], comm.starts, axis=0)
-    assert np.array_equal(comm.p(X).view(np.int64), rows_at_once.view(np.int64))
+    assert np.array_equal(comm.route.p(X).view(np.int64), rows_at_once.view(np.int64))
     ints = rng.integers(-5, 5, size=n)
-    assert np.array_equal(comm.p(ints), comm.p(ints.astype(float)))
+    assert np.array_equal(comm.route.p(ints), comm.route.p(ints.astype(float)))
 
 
 def test_stack_products_allocate_at_most_one_dense_array():
@@ -422,9 +414,9 @@ def test_stack_products_allocate_at_most_one_dense_array():
     n, T = 1200, 300
     g = generate_graph("erdos_renyi", n, p=20 / n, seed=1)
     mat = laplacian(g)
-    assert not mat.dense_products
+    assert not dense_products(mat)
     stack = np.random.default_rng(0).normal(size=(T + 1, n, 1))
-    for product in (mat.p, mat.pt):
+    for product in (mat.route.p, mat.route.pt):
         tracemalloc.start()
         try:
             product(stack)
@@ -435,7 +427,7 @@ def test_stack_products_allocate_at_most_one_dense_array():
 
 
 @pytest.mark.parametrize(
-    "kind,n,kw,dense",
+    "kind,n,kw,dense_p",
     [
         ("circulant", 200, {"d": 20}, True),  # circulant-long's graph
         ("erdos_renyi", 80, {"p": 0.15, "seed": 0}, True),  # edge-l1's graph
@@ -444,11 +436,49 @@ def test_stack_products_allocate_at_most_one_dense_array():
         ("erdos_renyi", 1600, {"p": 0.0125, "seed": 1}, False),
     ],
 )
-def test_crossover_by_graph_size_and_fill(kind, n, kw, dense):
+def test_crossover_by_graph_size_and_fill(kind, n, kw, dense_p):
+    """Each graph's route follows the product crossover and circulance, and its kernels and closed forms match dense references.
+
+    The first three graphs are the three route combinations the benchmark
+    workloads take. P x and P'v, which form no W, and W x to 1e-12
+    relative; W^+ B to a relative backward error of 1e-12 in
+    W X = B - mean(B), since its forward error grows with kappa (4.6e3 on
+    the circulant); a circulant's spectra against ``eigvalsh``. The matrix
+    keeps W once, and no reference cycle: dropping it frees it, and its W,
+    by reference counting alone.
+    """
     g = generate_graph(kind, n, **kw)
     comm = laplacian(g)
-    assert dense_products_are_cheaper(comm) is dense
-    assert comm.dense_products is dense
+    assert dense_products_are_cheaper(comm) is dense_p
+    route = comm.route
+    assert dense_products(comm) is dense_p and (route.spectra is not None) is (kind == "circulant")
+    rng = np.random.default_rng(n)
+    P, W = dense(comm), gram_of(comm, g)
+    x, stack, B = rng.normal(size=(n, 3)), rng.normal(size=(4, n, 3)), rng.normal(size=(n, 1))
+    for got_of, A in ((route.p, P), (route.pt, P.T)):
+        for v in (x, stack, x[:, 0]):
+            want = np.matmul(A, v)
+            assert np.linalg.norm(got_of(v) - want) <= 1e-12 * np.linalg.norm(want)
+        out = np.empty((n, 3))
+        assert got_of(x, out=out) is out
+    assert "W" not in vars(comm)
+    sd = compute_spectral_data(comm)
+    for v in (x, stack, x[:, 0]):
+        want = np.matmul(W, v)
+        assert np.linalg.norm(route.w(v) - want) <= 1e-12 * np.linalg.norm(want)
+    X = route.w_pinv(B, condition_number(sd))
+    residual = W @ X - (B - B.mean(axis=0))
+    assert np.linalg.norm(residual) <= 1e-12 * (sd.eig_gram.max * np.linalg.norm(X) + np.linalg.norm(B))
+    assert abs(float(X.sum())) <= 1e-13 * np.linalg.norm(X)
+    if route.spectra is not None:
+        assert "W" not in vars(comm)
+        for got, A in ((route.spectra.laplacian, P), (route.spectra.gram, W), (route.spectra.metric, np.diag(comm.col_norms_sq) - W)):
+            want = np.linalg.eigvalsh(A)
+            np.testing.assert_allclose(got, want, rtol=0, atol=8 * n * EPS * float(np.max(np.abs(want))))
+    assert comm.W is comm.W
+    freed = weakref.ref(comm)
+    del comm, sd
+    assert freed() is None
 
 
 def condition_number(sd) -> float:
@@ -470,13 +500,13 @@ def test_ill_conditioned_w_pinv_takes_the_dense_solve(kind, n, kw):
     # circulant takes neither, but np.fft on its symbol, with no W
     comm = laplacian(generate_graph(kind, n, **kw))
     sd = compute_spectral_data(comm)
-    assert not comm.dense_products
+    assert not dense_products(comm)
     assert not graph.conjugate_gradients_are_cheaper(comm, graph.cg_step_bound(condition_number(sd)), 1)
     B = np.random.default_rng(n).normal(size=(n, 1))
     with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
-        if comm.circulant:
+        if comm.route.spectra is not None:
             with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("dense solve")):
-                got = comm.w_pinv(B, condition_number(sd))
+                got = comm.route.w_pinv(B, condition_number(sd))
             assert "W" not in vars(comm)
             # W^+ B solves W X = B - mean(B), checked with P itself, to a
             # backward error of 1e-12 (the forward error grows with kappa)
@@ -484,7 +514,7 @@ def test_ill_conditioned_w_pinv_takes_the_dense_solve(kind, n, kw):
             assert np.linalg.norm(residual) <= 1e-12 * (sd.eig_gram.max * np.linalg.norm(got) + np.linalg.norm(B))
             assert abs(float(got.sum())) <= 1e-13 * np.linalg.norm(got)
             return
-        got = comm.w_pinv(B, condition_number(sd))
+        got = comm.route.w_pinv(B, condition_number(sd))
     assert np.array_equal(got, dense_pinv(comm, B))
 
 
@@ -500,17 +530,17 @@ def test_circulant_w_products_match_a_dense_w(n, seed, degree, d):
     rng = np.random.default_rng(seed)
     g = random_circulant(rng, n, degree)
     comm = laplacian(g)
-    assert comm.circulant
+    assert comm.route.spectra is not None
     x, stack, B = rng.normal(size=(n, d)), rng.normal(size=(5, n, d)), rng.normal(size=(n, d))
-    got_x, got_stack, X = comm.w(x), comm.w(stack), comm.w_pinv(B, math.inf)
-    assert comm.w(x[:, 0]).shape == (n,)
+    got_x, got_stack, X = comm.route.w(x), comm.route.w(stack), comm.route.w_pinv(B, math.inf)
+    assert comm.route.w(x[:, 0]).shape == (n,)
     assert "W" not in vars(comm)
     W = gram_of(comm, g)
-    for got, v in ((got_x, x), (got_stack, stack), (comm.w(x[:, 0]), x[:, 0])):
+    for got, v in ((got_x, x), (got_stack, stack), (comm.route.w(x[:, 0]), x[:, 0])):
         want = np.matmul(W, v)
         assert got.shape == v.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    lam_max = float(np.max(comm.gram_symbol))
+    lam_max = float(comm.route.spectra.gram[-1])
     residual = W @ X - (B - B.mean(axis=0))
     assert np.linalg.norm(residual) <= 1e-12 * (lam_max * np.linalg.norm(X) + np.linalg.norm(B))
     assert np.all(np.abs(X.sum(axis=0)) <= 1e-13 * np.linalg.norm(X, axis=0))
@@ -547,7 +577,7 @@ def test_well_conditioned_w_pinv_takes_conjugate_gradients_with_no_dense_array(n
     with mock.patch.object(np.linalg, "solve", side_effect=AssertionError("dense solve")):
         tracemalloc.start()
         try:
-            got = comm.w_pinv(B, condition_number(sd))
+            got = comm.route.w_pinv(B, condition_number(sd))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -569,7 +599,7 @@ def test_w_pinv_route_counts_the_columns():
     assert not graph.conjugate_gradients_are_cheaper(comm, steps, 3)
     B = np.random.default_rng(0).normal(size=(800, 3))
     with mock.patch.object(CommunicationMatrix, "_cg_pinv", side_effect=AssertionError("conjugate gradients")):
-        got = comm.w_pinv(B, condition_number(sd))
+        got = comm.route.w_pinv(B, condition_number(sd))
     assert np.array_equal(got, dense_pinv(comm, B))
 
 
@@ -579,7 +609,7 @@ def test_w_pinv_falls_back_to_the_dense_solve_when_cg_misses():
     B = np.random.default_rng(0).normal(size=(800, 1))
     with mock.patch.object(graph, "cg_step_bound", return_value=3):  # CG_RTOL is out of reach in 3 steps
         assert comm._cg_pinv(B, 3) is None
-        got = comm.w_pinv(B, condition_number(sd))
+        got = comm.route.w_pinv(B, condition_number(sd))
     assert np.array_equal(got, dense_pinv(comm, B))
 
 
@@ -608,7 +638,7 @@ def test_metric_block_leaves_w_bytes_unchanged(monkeypatch, kind, n, kw):
         return _fn(S)
 
     monkeypatch.setattr(spectral, "_eigvalsh", second_call_raises)
-    if comm.circulant:
+    if comm.route.spectra is not None:
         compute_spectral_data(comm)
         assert seen == []
     else:
@@ -970,7 +1000,7 @@ def test_certified_gram_floor_is_plus_zero(n, p, seed):
     g = generate_graph("erdos_renyi", n, p=p, seed=seed)
     found = compute_spectral_data(laplacian(g))
     own = compute_spectral_data(laplacian(g), found.witness)
-    assert laplacian(g).dense_products is (p == 0.5)
+    assert dense_products(laplacian(g)) is (p == 0.5)
     for sd in (found, own):
         assert sd.eig_gram.kind == spectral.CERTIFIED
         assert sd.eig_gram.min == 0.0 and not np.signbit(sd.eig_gram.min)
@@ -1133,7 +1163,7 @@ def test_circulance_is_read_from_the_slots(monkeypatch, make, want):
     # no eigvalsh and no W; any other P sends W, M - W and then P to eigvalsh, one call each
     comm = make()
     n = comm.n
-    assert comm.circulant is want
+    assert (comm.route.spectra is not None) is want
     calls = count_eigvalsh(monkeypatch)
     sd = compute_spectral_data(comm)
     assert calls == ([] if want else [(n, n), (n, n)])
