@@ -360,6 +360,15 @@ def test_operator_products_keep_their_bits(n, seed, d):
         assert np.array_equal(out, np.matmul(A, x))
 
 
+def test_operator_forms_w_on_first_read_only(p3):
+    mat = laplacian(p3)
+    assert "W" not in vars(mat)
+    mat.route.p(np.ones((3, 1)))
+    mat.route.pt(np.ones((2, 3, 1)))
+    assert "W" not in vars(mat)
+    assert mat.W is mat.W
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 40), st.integers(0, 10_000), st.sampled_from([1, 3]))
 def test_slot_products_match_dense_products(n, seed, d):
