@@ -407,9 +407,8 @@ def running_sums(block: np.ndarray, carry: np.ndarray | None = None) -> np.ndarr
     first block. Row 0 becomes ``carry + block[0]``, each later row the row
     before plus its round: the order of one ``np.cumsum`` over the stack,
     so its bits. A loop of row adds, since numpy's accumulate along the
-    round axis steps through memory one (n, d) row apart per entry: at 64
-    rounds (one thread) it took 1.3x the loop's time at n d = 200 and
-    5.5-6x at n d = 1600.
+    round axis steps through memory one (n, d) row apart per entry, and
+    costs more (README, Performance).
     """
     rows = list(block)
     if carry is not None:

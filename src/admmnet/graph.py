@@ -18,9 +18,6 @@ W = P' D^-1 P and its ``Route``, the one place where P's structure is
 decided: the kernels of P x, P'v, W x and W^+ B, and the spectra known in
 closed form. Outside this module only ``spectral`` reads a dense P or W,
 for their eigenvalues.
-The package's one thread is ``form_w``'s worker, which forms W while
-``spectral`` searches its spectra over the slots, and is joined before
-``form_w`` returns.
 """
 
 from __future__ import annotations
@@ -127,8 +124,8 @@ class CommunicationMatrix:
     slots is zero. ``rows`` is derived from ``starts`` on each read; every
     other derived quantity on first read, and kept.
 
-    W is formed on first read, or by ``form_w`` while other work runs, as
-    one syrk of D^(-1/2) P written straight from the slots.
+    W is formed on first read, as one syrk of D^(-1/2) P written straight
+    from the slots.
     """
 
     n: int
@@ -207,57 +204,13 @@ class CommunicationMatrix:
 
     @cached_property
     def W(self) -> np.ndarray:
-        """P' D^-1 P, formed on first read by ``form_w`` and kept."""
-        self.form_w()
-        return self.__dict__["W"]
-
-    def form_w(self, alongside: Callable[[], object] | None = None) -> object:
-        """Form W and keep it where ``W`` reads it; returns ``alongside()``, run on this thread while a worker forms W.
-
-        This thread writes B = D^(-1/2) P straight from the slots and
-        allocates W; W is then one syrk, ``_syrk``. With ``alongside``, a
-        worker thread runs that syrk, which releases the GIL for its one
-        BLAS call, while this thread runs ``alongside()``: spectral's
-        Lanczos searches read only the slots, so they need not wait for W.
-        The worker is joined before this returns, or raises, and any
-        exception of its syrk is raised here, with W left unformed. Without
-        ``alongside`` the syrk runs here, as on every read of ``W``. Where W
-        is kept already, only ``alongside()`` runs. ``alongside()`` must not
-        read ``W``: W is kept only after the join, so that read would form a
-        second W. ``threading`` is imported here, so ``import admmnet.cli``
-        does not load it. The overlap saves time only where the process
-        really gets a second core; W and every output keep their bits either way.
-        """
-        if "W" in self.__dict__:
-            return None if alongside is None else alongside()
+        """P' D^-1 P, formed on first read and kept: B = D^(-1/2) P written straight from the slots, then one syrk, ``_syrk``."""
         B = np.zeros((self.n, self.n))
         rows = self.rows
         B[rows, self.cols] = self.values * (1.0 / np.sqrt(self.nbhd_sizes))[rows]
         W = np.empty((self.n, self.n))
-        result = None
-        if alongside is None:
-            _syrk(B, W)
-        else:
-            import threading
-
-            failed = []
-
-            def syrk() -> None:
-                try:
-                    _syrk(B, W)
-                except BaseException as exc:  # raised on the calling thread after the join
-                    failed.append(exc)
-
-            worker = threading.Thread(target=syrk, name="admmnet-syrk")
-            worker.start()
-            try:
-                result = alongside()
-            finally:
-                worker.join()
-            if failed:
-                raise failed[0]
-        self.__dict__["W"] = W  # the slot ``W`` reads: W is formed once
-        return result
+        _syrk(B, W)
+        return W
 
     def w_by_products(self, x: np.ndarray) -> np.ndarray:
         """W x = P'(D^-1 (P x)) of an (n,) or (n, d) operand, by two P products and no W."""

@@ -26,7 +26,7 @@ three ways, its ``kind``, and each matrix takes one route, decided once:
   shrinks with lam_max(M - W), and both sublinear envelopes grow as lam_2
   falls or lam_max rises. Lanczos with full reorthogonalization estimates
   the scalar from products with P and P' alone (``_ritz_ends``), so W's
-  and M - W's searches run while a worker thread forms W (``_certified``);
+  and M - W's searches run before W is formed (``_certified``);
   one Cholesky factorization of a shifted matrix then proves the bound by
   Sylvester's law of inertia, rounding included (``_allowance``): one
   routine, ``_proved``, for lam_2(W), lam_max(M - W) and a(G) alike. The
@@ -78,17 +78,20 @@ M - W is never stored (its forms are sum_i m_i |x_i|^2 - x' W x, see
 ``analysis._metric_form``), and no n x n Laplacian is built. Above the
 product crossover a run on a graph that is not circulant holds at most
 three dense n x n float arrays at once: W plus at most two transients.
-During a search D^(-1/2) P and W, being formed, coexist with the Lanczos
-basis, at most LANCZOS_STEPS x n (a third of one n x n array at n=600);
-the factor buffer and Cholesky's copy of a certificate's matrix come
-after, once D^(-1/2) P is freed. The other transients are ``eigvalsh``'s
+A certified call runs its searches first, and their Lanczos basis (at
+most LANCZOS_STEPS x n, a third of one n x n array at n=600) is freed
+before D^(-1/2) P is written and W formed; the factor buffer and
+Cholesky's copy of a certificate's matrix come after, once D^(-1/2) P is
+freed. So a certified call's traced peak is two n x n arrays and a sliver
+(2.06 at Erdos-Renyi n=600, searched or proved from a witness; Cholesky's
+copy is allocated outside numpy). The other transients are ``eigvalsh``'s
 copy of W, M - W or the Laplacian, or, where the route's ``w_pinv`` takes
 the dense solve, W + 11'/n and the solve's copy of it. Where it takes
 conjugate gradients over P's slots, W alone outlives the spectra. A
-circulant run holds none: its route takes W products and W^+ by FFT. Below
-the product crossover the kept P adds one. ``run`` and ``check`` never
-read a(G), so the Laplacian is written into W only for ``spectra`` and
-``certify``.
+circulant run holds none: its route takes W products and W^+ by FFT.
+Below the product crossover the kept P adds one. ``run`` and ``check``
+never read a(G), so the Laplacian is written into W only for ``spectra``
+and ``certify``.
 """
 
 from __future__ import annotations
@@ -199,12 +202,11 @@ def certified_spectra_are_cheaper(n: int) -> bool:
 
     ``eigvalsh`` costs O(n^3) and a Cholesky about a sixth of that, while
     Lanczos costs 20-140 steps of O(n + |E|) products and O(k n)
-    reorthogonalization, which does not shrink with n, and its searches for
-    W and M - W run while a worker forms W. The measured break-even lies
-    below CERTIFY_MIN_N (README, Performance), which stays put because
-    lowering it moves the route, and so the printed kinds and the bits, of
-    every graph between the old and the new value, and Lanczos needs more
-    steps on some graphs (sparse regular ones).
+    reorthogonalization, which does not shrink with n. The measured
+    break-even lies below CERTIFY_MIN_N (README, Performance), which stays
+    put because lowering it moves the route, and so the printed kinds and
+    the bits, of every graph between the old and the new value, and Lanczos
+    needs more steps on some graphs (sparse regular ones).
     """
     return n >= CERTIFY_MIN_N
 
@@ -467,16 +469,20 @@ def _certified(comm: CommunicationMatrix, witness: Witness):
     its search, run at most once. A search that gives up sends its scalar
     to ``eigvalsh``.
 
-    The searches that no ``witness`` field stands in for run on this thread
-    while a worker forms W (``CommunicationMatrix.form_w``), as they read
-    only P's slots: W's first, then M - W's, only where its Gershgorin
-    floor is at least PSD_FLOOR (below it only a full spectrum can tell).
-    W's search reads tr W = sum_i m_i / |N(i)| from the slots (P is
-    symmetric, so m_i is also row i's squared norm), as W may still be
-    being formed; the two sums differed by at most 2.3e-16, relative, on
-    Erdos-Renyi n=600, 800 and 1600, seeds 1-5. The factor buffer is
-    allocated once W is formed, so it never coexists with D^(-1/2) P.
-    lam_min(W) is 0, and M - W's floor its Gershgorin floor.
+    The order is: the searches that no ``witness`` field stands in for,
+    then D^(-1/2) P and W (the first read of ``comm.W``), then the factor
+    buffer. The searches read only P's slots: W's first, then M - W's, only
+    where its Gershgorin floor is at least PSD_FLOOR (below it only a full
+    spectrum can tell). W's search reads tr W = sum_i m_i / |N(i)| from the
+    slots (P is symmetric, so m_i is also row i's squared norm), as W is not
+    formed yet; the two sums differed by at most 2.3e-16, relative, on
+    Erdos-Renyi n=600, 800 and 1600, seeds 1-5. So the Lanczos basis is
+    freed before D^(-1/2) P is written, and D^(-1/2) P before the factor
+    buffer is allocated: W and at most one of them at once, a traced peak
+    of 2.06 n x n at Erdos-Renyi n=600, searched or proved from a witness.
+    Only a witness that proves nothing searches after W is formed, its
+    basis next to W and the buffer. lam_min(W) is 0, and M - W's floor its
+    Gershgorin floor.
     """
     n, m = comm.n, comm.col_norms_sq
     floor, ceiling = _gershgorin(comm)
@@ -491,9 +497,8 @@ def _certified(comm: CommunicationMatrix, witness: Witness):
         return None if ends is None else ends[1]
 
     g, t = witness.gram_ritz, witness.metric_ritz
-    early = [search for search, wanted in ((gram_search, g is None), (metric_search, admitted and t is None)) if wanted]
-    ritz = {}  # each early search's result
-    comm.form_w((lambda: ritz.update({search: search() for search in early})) if early else None)
+    wanted = ((gram_search, g is None), (metric_search, admitted and t is None))
+    ritz = {search: search() for search, needed in wanted if needed}  # before W is formed
     W, F = comm.W, _factor_buffer(n)  # F holds both certificates' factors, freed on return
     diag = W.diagonal().copy()
 
