@@ -318,10 +318,12 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
     P = np.repeat(comm.values[:, None], d, axis=1)  # P_ij per slot
     z = P * xs[0][cols] - y0[rows]
     lam = p0[rows]
-    # flat gathers: np.take of elements beats fancy indexing of rows. In its
-    # default raise mode numpy buffers ``out`` and copies each gather twice, so
-    # the gathers clip, and every index is checked here, once, to lie in range
-    # of the array it reads: a clipped index would be clamped silently.
+    # flat gathers: a take of elements beats fancy indexing of rows. Each is
+    # the method ``ndarray.take``, which goes straight to C, where ``np.take``
+    # first passes through numpy's Python wrapper. In its default raise mode
+    # numpy buffers ``out`` and copies each gather twice, so the gathers clip,
+    # and every index is checked here, once, to lie in range of the array it
+    # reads: a clipped index would be clamped silently.
     by_col_flat, cols_flat, rows_flat, diag_flat = (
         _flat_rows(idx, d) for idx in (by_col, cols, rows, np.flatnonzero(rows == cols))
     )
@@ -340,7 +342,7 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
     w_flat, w_by_col_flat, Px_flat, mu_flat, r_flat, lam_flat = (a.reshape(-1) for a in (w, w_by_col, Px, mu, r, lam))
     x_rows = list(xs)
     x_flat, p_flat = ([row.reshape(-1) for row in buf] for buf in (xs, ps))
-    np.take(lam_flat, diag_flat, out=p_flat[0], mode="clip")
+    lam_flat.take(diag_flat, out=p_flat[0], mode="clip")
 
     def start(rewind: bool = False) -> None:
         if rewind:
@@ -356,13 +358,13 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
         np.multiply(c, z, out=w)
         np.subtract(w, lam, out=w)
         np.multiply(w, P, out=w)
-        np.take(w_flat, by_col_flat, out=w_by_col_flat, mode="clip")
+        w_flat.take(by_col_flat, out=w_by_col_flat, mode="clip")
         np.add.reduceat(w_by_col, starts, out=center)
         np.divide(center, rho, out=center)
         prox(center, x_rows[j])
 
     def update_rest(j: int) -> None:
-        np.take(x_flat[j], cols_flat, out=Px_flat, mode="clip")
+        x_flat[j].take(cols_flat, out=Px_flat, mode="clip")
         np.multiply(Px, P, out=Px)  # P_ij x_j
         np.divide(lam, c, out=u)
         np.add(u, Px, out=u)
@@ -370,12 +372,12 @@ def _edge_engine(comm: CommunicationMatrix, prox, rho, inv_size, c: float, xs, y
         # unconstrained minimizer by subtracting the neighborhood mean
         np.add.reduceat(u, starts, out=mu)
         np.multiply(mu, inv_size, out=mu)
-        np.take(mu_flat, rows_flat, out=r_flat, mode="clip")
+        mu_flat.take(rows_flat, out=r_flat, mode="clip")
         np.subtract(u, r, out=z)
         np.subtract(Px, z, out=r)
         np.multiply(r, c, out=r)
         np.add(lam, r, out=lam)
-        np.take(lam_flat, diag_flat, out=p_flat[j], mode="clip")  # p_i(t) = lambda_ii(t)
+        lam_flat.take(diag_flat, out=p_flat[j], mode="clip")  # p_i(t) = lambda_ii(t)
 
     def finish(k: int) -> None:
         np.multiply(comm.route.p(xs), inv_size, out=ys)  # y(t) = D^-1 P x(t)

@@ -378,10 +378,14 @@ def _apply(A: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.nd
 def stack_apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A v for every (n, d) entry of an (..., n, d) stack, as one GEMM of rows (A v)' = v' A'.
 
-    For d = 1 the rows are a free reshape; for d > 1 the stack is transposed first.
+    For d = 1 the rows are a free reshape; for d > 1 the stack is transposed
+    first. The result is C-contiguous, as every route's stacks are: for d = 1
+    the GEMM's own array, for d > 1 one transposing copy of it. Its swapped
+    view steps (n d, 1, n) entries along its axes, and every ufunc that met
+    it ran 9-10x slower than on a contiguous array (README, Performance).
     """
     rows = np.swapaxes(v, -1, -2)  # (..., d, n)
-    return np.swapaxes((rows.reshape(-1, v.shape[-2]) @ A.T).reshape(rows.shape), -1, -2)
+    return np.ascontiguousarray(np.swapaxes((rows.reshape(-1, v.shape[-2]) @ A.T).reshape(rows.shape), -1, -2))
 
 
 def cg_step_bound(kappa: float) -> float:

@@ -298,14 +298,22 @@ def test_edge_y_rebuild_keeps_the_bits_of_one_whole_stack_product(T):
     assert np.array_equal(trace.ys, ys)
 
 
-def test_edge_gathers_keep_the_reference_bits_at_workload_scale():
+def test_edge_gathers_keep_the_reference_bits_at_workload_scale(monkeypatch):
     # the edge-l1 benchmark shape: Erdos-Renyi n=80 (1050 slots), l1 rows at
-    # d = 3, zero start, c = 1; T = 130 runs three blocks
+    # d = 3, zero start, c = 1; T = 130 runs three blocks. Every gather is
+    # ndarray.take, straight to C: np.take, which passes through numpy's
+    # Python wrapper, raises while the engine runs
     g = generate_graph("erdos_renyi", 80, p=0.15, seed=0)
     targets = np.random.default_rng(1).normal(0.0, 3.0, size=(80, 3))
     prob = NetworkProblem(graph=g, objectives=quadratic_rows(targets, 1.0, 0.5))
     init = tuple(np.zeros((80, 3)) for _ in range(3))
-    trace = admm.run(prob, admm.RunConfig(c=1.0, T=130, engine="edge"))
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("np.take called by the edge engine")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np, "take", wrapper)
+        trace = admm.run(prob, admm.RunConfig(c=1.0, T=130, engine="edge"))
     xs, ys, ps, *_ = _reference_run(prob, 1.0, 130, init, "edge")
     assert np.array_equal(trace.xs, xs)
     assert np.array_equal(trace.ys, ys)

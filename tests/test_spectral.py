@@ -326,6 +326,35 @@ def test_stack_apply_matches_matmul(d, symmetric):
     np.testing.assert_allclose(stack_apply(A, v[:, :, ::-1]), want[:, :, ::-1], rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(stack_apply(A, v[2]), A @ v[2], rtol=1e-13, atol=1e-13)
     assert stack_apply(A, v).shape == v.shape
+    # the swapped view of the one GEMM of rows, bit for bit, made C-contiguous:
+    # for d = 1 that view is the GEMM's own (k, n) array, with no copy
+    for stack in (v, v[1:3], v[:, :, ::-1], v[None]):
+        rows = np.swapaxes(stack, -1, -2)
+        got = stack_apply(A, stack)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, np.swapaxes((rows.reshape(-1, 9) @ A.T).reshape(rows.shape), -1, -2))
+        if d == 1:
+            assert got.base is not None and got.base.flags.owndata and got.base.shape == (got.size // 9, 9)
+
+
+@pytest.mark.parametrize(
+    "kind, n, params, dense_route, fourier",
+    [
+        ("erdos_renyi", 80, {"p": 0.15, "seed": 0}, True, False),
+        ("erdos_renyi", 800, {"p": 0.05, "seed": 1}, False, False),
+        ("circulant", 200, {"d": 20}, True, True),
+    ],
+    ids=["dense-products", "slots", "fourier"],
+)
+def test_every_route_returns_stacks_c_contiguous(kind, n, params, dense_route, fourier):
+    """P x, P'v and W x of a (k, n, 3) stack come back C-contiguous on every route, so the analysis meets one layout."""
+    comm = laplacian(generate_graph(kind, n, **params))
+    route = comm.route
+    assert dense_products(comm) is dense_route and (route.spectra is not None) is fourier
+    stack = np.random.default_rng(n).normal(size=(4, n, 3))
+    for product in (route.p, route.pt, route.w):
+        got = product(stack)
+        assert got.shape == stack.shape and got.flags.c_contiguous
 
 
 @settings(max_examples=30, deadline=None)
