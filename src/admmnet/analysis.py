@@ -17,12 +17,15 @@ metric block:
   strict expected failure in the tests), whose one-step norm in the
   metric exceeds the certified rate; whether the theorem bounds one step
   or only the asymptotic rate is open (ROADMAP item 11);
-* the penalty maximizing that gain, with the closed forms
+* the penalty maximizing that gain, in closed form (``optimize_rate``
+  evaluates these and searches nothing), with kappa = L / nu:
     best balance = c^2 lam_max (2 + lam_min) / (2 nu L + c^2 lam_max (2 + lam_min))
     best penalty = sqrt(2 nu L / (lam_max (2 + lam_min)))
     best gain    = (1/2) sqrt(2 lam_min^2 / (lam_max (2 + lam_min)) / kappa)
 * degree/connectivity relaxations of the spectral quantities, whose
-  communication matrix is the graph Laplacian.
+  communication matrix is the graph Laplacian, read from the caller's
+  SpectralData (``laplacian_network_bounds``); this module computes no
+  spectra.
 
 Every O(T) column of a run is filled as its rounds stream from
 ``admm.rounds``, one block of SWEEP_ROUNDS rounds at a time (``sweep``,
@@ -53,12 +56,10 @@ from .errors import (
     InvalidBetaError,
     InvalidCError,
     MissingCurvatureMetadataError,
-    OptimizationBracketFailureError,
 )
 from . import admm  # attributes read at each call, so a wrapper set on the module sees them
-from .graph import CommunicationMatrix
 from .objectives import NetworkProblem, OptimalPoint
-from .spectral import SpectralData, compute_spectral_data
+from .spectral import SpectralData
 
 # The tolerance policy shared by `run` and `check`.
 BOUND_SLACK = 1e-9  # additive slack absorbing eigensolver error and rounding; the prox is closed form, with no solver error
@@ -274,17 +275,14 @@ class RateCertificate:
     best_balance: float
     best_gain: float
     best_rate: float
-    condition_number: float
-    min_pos_eig_gram: float
-    max_eig_metric: float
 
 
 def _check_curvature(nu: float, lipschitz: float) -> None:
     """Raise MissingCurvatureMetadataError unless 0 < nu <= L < inf (nan fails) and the certificate's forms are representable.
 
-    Its closed forms and its search bracket read nu L, 2 nu L and L / nu:
-    each must be a finite normal float, or sqrt(nu L) underflows to 0 and
-    the bracket's log fails, or the best penalty overflows to inf.
+    Its closed forms read 2 nu L, under a square root, and L / nu: with nu L
+    a finite normal float and L / nu finite, the best penalty neither
+    overflows to inf nor falls into the subnormals, where it loses digits.
     """
     if not 0.0 < nu <= lipschitz < math.inf:
         raise MissingCurvatureMetadataError(f"need 0 < nu <= L, got nu={nu}, L={lipschitz}")
@@ -319,56 +317,19 @@ def balance_star(nu: float, lipschitz: float, c: float, spectral) -> float:
     return balance
 
 
-def _gain_at(nu: float, lipschitz: float, c: float, spectral) -> float:
-    """Contraction gain with the balance optimized at this penalty."""
-    lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
-    return 2.0 * nu * lam_min * c / (2.0 * nu * lipschitz + c * c * lam_max * (2.0 + lam_min))
-
-
 def optimize_rate(nu: float, lipschitz: float, spectral, c: float | None = None) -> RateCertificate:
-    """Build the rate certificate, optimizing the penalty by golden section.
+    """The rate certificate at penalty c, or at the best penalty when c is None, from the closed forms.
 
-    ``spectral`` carries ``min_pos_eig_gram`` and ``max_eig_metric``: SpectralData or LaplacianBounds.
-
-    The numeric optimizer runs on log(penalty) over the bracket
-    [1e-6, 1e6] sqrt(nu L) to relative precision 1e-12 and is cross-checked
-    against the closed forms; disagreement above 1e-6 relative raises.
+    ``spectral`` is a SpectralData, or any object with its two scalars
+    ``min_pos_eig_gram`` and ``max_eig_metric``. The best penalty and gain
+    are the closed forms of the module docstring; the balance at either
+    penalty is ``balance_star``'s.
     """
     _check_curvature(nu, lipschitz)
     lam_min, lam_max = spectral.min_pos_eig_gram, spectral.max_eig_metric
-    kappa = lipschitz / nu
-
-    scale = math.sqrt(nu * lipschitz)
-    lo, hi = math.log(1e-6 * scale), math.log(1e6 * scale)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1 = _gain_at(nu, lipschitz, math.exp(x1), spectral)
-    f2 = _gain_at(nu, lipschitz, math.exp(x2), spectral)
-    while (b - a) > 1e-12:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = _gain_at(nu, lipschitz, math.exp(x2), spectral)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = _gain_at(nu, lipschitz, math.exp(x1), spectral)
-    c_numeric = math.exp((a + b) / 2.0)
-    gain_numeric = _gain_at(nu, lipschitz, c_numeric, spectral)
-
     best_penalty = math.sqrt(2.0 * nu * lipschitz / (lam_max * (2.0 + lam_min)))
+    kappa = lipschitz / nu
     best_gain = 0.5 * math.sqrt(2.0 * lam_min * lam_min / (lam_max * (2.0 + lam_min)) / kappa)
-    if not (lo <= math.log(best_penalty) <= hi):
-        raise OptimizationBracketFailureError(
-            f"closed-form penalty {best_penalty:.3e} outside the search bracket"
-        )
-    if abs(gain_numeric - best_gain) > 1e-6 * best_gain:
-        raise OptimizationBracketFailureError(
-            f"numeric gain {gain_numeric:.12g} disagrees with closed form {best_gain:.12g}"
-        )
-
     penalty = best_penalty if c is None else float(c)
     balance = balance_star(nu, lipschitz, penalty, spectral)
     gain = contraction_gain(nu, lipschitz, penalty, balance, spectral)
@@ -381,9 +342,6 @@ def optimize_rate(nu: float, lipschitz: float, spectral, c: float | None = None)
         best_balance=balance_star(nu, lipschitz, best_penalty, spectral),
         best_gain=best_gain,
         best_rate=1.0 / (1.0 + best_gain),
-        condition_number=kappa,
-        min_pos_eig_gram=lam_min,
-        max_eig_metric=lam_max,
     )
 
 
@@ -505,12 +463,6 @@ class LaplacianBounds:
 
     d_max: int
     d_min: int
-    algebraic_connectivity: float
-    connectivity_kind: str  # how a(G) is known: a ``spectral`` kind
-    min_pos_eig_gram: float
-    gram_kind: str  # how min_pos_eig_gram is known; CERTIFIED: a lower bound
-    max_eig_metric: float
-    metric_kind: str  # how max_eig_metric is known; CERTIFIED: an upper bound
     sandwich_low: float  # a(G)^2 / (d_max + 1) <= lam_min
     sandwich_high: float  # lam_min <= a(G)^2 / (d_min + 1)
     metric_eig_bound: float  # lam_max <= d_max (d_max + 1) + 4 d_max^2/(d_min + 1)
@@ -526,13 +478,10 @@ class LaplacianBounds:
         return not self.violated
 
 
-def laplacian_network_bounds(
-    comm: CommunicationMatrix, nu: float | None = None, lipschitz: float | None = None
-) -> LaplacianBounds:
-    """The relations of ``LaplacianBounds`` on the graph whose Laplacian is ``comm``; its degrees are |N(i)| - 1."""
-    sd = compute_spectral_data(comm)
-    a, a_kind = sd.connectivity
-    dmax, dmin = int(comm.nbhd_sizes.max()) - 1, int(comm.nbhd_sizes.min()) - 1
+def laplacian_network_bounds(sd: SpectralData, nu: float | None = None, lipschitz: float | None = None) -> LaplacianBounds:
+    """The relations of ``LaplacianBounds`` on the graph whose Laplacian is ``sd.comm``; its degrees are |N(i)| - 1."""
+    a = sd.algebraic_connectivity
+    dmax, dmin = int(sd.comm.nbhd_sizes.max()) - 1, int(sd.comm.nbhd_sizes.min()) - 1
     lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric
 
     low = a * a / (dmax + 1.0)
@@ -558,12 +507,6 @@ def laplacian_network_bounds(
     return LaplacianBounds(
         d_max=dmax,
         d_min=dmin,
-        algebraic_connectivity=a,
-        connectivity_kind=a_kind,
-        min_pos_eig_gram=lam_min,
-        gram_kind=sd.eig_gram.kind,
-        max_eig_metric=lam_max,
-        metric_kind=sd.eig_metric.kind,
         sandwich_low=low,
         sandwich_high=high,
         metric_eig_bound=metric_bound,

@@ -30,7 +30,7 @@ from .config import (
     build_problem,
     parse_experiment_config,
 )
-from .errors import AdmmNetError, CertificateFailedError, ConfigParseError
+from .errors import AdmmNetError, CertificateFailedError, ConfigParseError, MissingCurvatureMetadataError
 from .graph import Graph, generate_graph, laplacian, read_graph_file
 from .objectives import aggregate, central_solve, estimation_problem, require_curvature
 from .reporting import fmt
@@ -150,12 +150,12 @@ def run_figure1(out_dir: Path) -> int:
         problem = estimation_problem(g)
         spectral = compute_spectral_data(problem.comm)
         optimal = central_solve(problem)
-        cert = analysis.optimize_rate(1.0, 1.0, spectral)
+        curvature = require_curvature(problem)
         # quarter of the certificate-optimal penalty: at the optimum the
         # dominant error mode of the denser graphs is a complex pair and the
         # trace rings; backing off keeps the tail on a clean log-linear decay
-        c = cert.best_penalty / 4.0
-        rate = analysis.optimize_rate(1.0, 1.0, spectral, c=c).rate  # certified at the penalty in use
+        c = analysis.optimize_rate(*curvature, spectral).best_penalty / 4.0
+        rate = analysis.optimize_rate(*curvature, spectral, c=c).rate  # certified at the penalty in use
         blocks = admm.rounds(problem, admm.RunConfig(c=c, T=FIGURE1_T))
         aux = analysis.sweep(blocks, problem, spectral, optimal, c, FIGURE1_T)
         table = reporting.trace_rows(aux, admm.account(g).messages_per_round)
@@ -195,7 +195,7 @@ def cmd_spectra(args) -> int:
         psd = f"failed: {exc}"
     graph_cells = (str(g.n), str(g.d_max), str(g.d_min))
     scalars = (  # value, kind, and the side a certified value bounds the true one from
-        (spectral.algebraic_connectivity, spectral.connectivity[1], ">="),
+        (*spectral.connectivity, ">="),
         (spectral.min_pos_eig_gram, spectral.eig_gram.kind, ">="),
         (spectral.max_eig_metric, spectral.eig_metric.kind, "<="),
     )
@@ -226,21 +226,25 @@ def cmd_certify(args) -> int:
     else:
         comm = laplacian(_graph_for_table(args))
         nu, lip = (1.0 if v is None else v for v in (args.nu, args.lipschitz))
-    net = analysis.laplacian_network_bounds(comm, nu=nu, lipschitz=lip)
-    cert = analysis.optimize_rate(nu, lip, net)  # net carries both spectral scalars
+    sd = compute_spectral_data(comm)
+    net = analysis.laplacian_network_bounds(sd, nu=nu, lipschitz=lip)
+    cert = analysis.optimize_rate(nu, lip, sd)
+    if not cert.best_gain > 0.0:  # lam_min^2 / kappa underflowed: no iteration count is finite
+        raise MissingCurvatureMetadataError(f"nu={nu} and L={lip} are too extreme for this graph: the best gain underflows to 0")
     eps = 1e-6
-    iters = math.ceil(math.log(1.0 / eps) / math.log(1.0 / cert.best_rate))
-    print(f"nu={fmt(nu)} L={fmt(lip)} kappa={fmt(cert.condition_number)}")
+    iters = math.ceil(math.log(1.0 / eps) / math.log1p(cert.best_gain))  # log(1 / best_rate), without its rounding
+    a, a_kind = sd.connectivity
+    print(f"nu={fmt(nu)} L={fmt(lip)} kappa={fmt(lip / nu)}")
     print(
-        f"min_nonzero_eig{_is(net.gram_kind, '>=')}{fmt(cert.min_pos_eig_gram)}"
-        f" max_metric_eig{_is(net.metric_kind, '<=')}{fmt(cert.max_eig_metric)}"
+        f"min_nonzero_eig{_is(sd.eig_gram.kind, '>=')}{fmt(sd.min_pos_eig_gram)}"
+        f" max_metric_eig{_is(sd.eig_metric.kind, '<=')}{fmt(sd.max_eig_metric)}"
     )
     print(f"penalty_star={fmt(cert.best_penalty)}")
     print(f"balance_star={fmt(cert.best_balance)}")
     print(f"gain_star={fmt(cert.best_gain)}")
     print(f"rate_star={fmt(cert.best_rate)}")
     print(f"certified_iterations_to_{eps:g}={iters}")
-    print(f"a(G){_is(net.connectivity_kind, '>=')}{fmt(net.algebraic_connectivity)}")
+    print(f"a(G){_is(a_kind, '>=')}{fmt(a)}")
     print(f"degree_connectivity_coefficient={fmt(net.iteration_coefficient)}")
     # the coefficient rests on complexity_lhs <= complexity_coeff, which fails on sparse graphs
     print(f"network_bounds={'ok' if net.ok else 'violated(' + ','.join(net.violated) + ')'}")

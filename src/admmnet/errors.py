@@ -121,10 +121,6 @@ class InvalidCError(AnalysisError):
     pass
 
 
-class OptimizationBracketFailureError(AnalysisError):
-    pass
-
-
 # --- config / cli --------------------------------------------------------
 
 

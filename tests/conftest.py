@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass, field
 from unittest import mock
 
@@ -132,6 +133,36 @@ def reference_oracle(problem) -> tuple[OptimalPoint, int]:
         else:
             raise AssertionError(f"oracle residual {residual:.3e} after {ORACLE_MAX_ITERS} iterations")
     return _stacked(problem, x, G + taus * xi, residual), steps
+
+
+def reference_best_penalty(nu: float, lipschitz: float, spectral) -> tuple[float, float]:
+    """(penalty, gain) maximizing the contraction gain at the balanced split, the numeric reference of ``analysis.optimize_rate``.
+
+    Golden section on log(penalty) over [1e-6, 1e6] sqrt(nu L), down to a
+    bracket 1e-12 wide, of contraction_gain(nu, L, c, balance_star(c)).
+    The gain is flat at its peak, so the penalty is known to about the
+    square root of the gain's precision.
+    """
+
+    def gain(log_c: float) -> float:
+        c = math.exp(log_c)
+        return analysis.contraction_gain(nu, lipschitz, c, analysis.balance_star(nu, lipschitz, c, spectral), spectral)
+
+    scale = math.sqrt(nu * lipschitz)
+    a, b = math.log(1e-6 * scale), math.log(1e6 * scale)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    f1, f2 = gain(x1), gain(x2)
+    while b - a > 1e-12:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = gain(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = gain(x1)
+    return math.exp((a + b) / 2.0), gain((a + b) / 2.0)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra_p: float = 0.25):

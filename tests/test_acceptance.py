@@ -17,7 +17,7 @@ from admmnet.objectives import (
     quadratic_rows,
 )
 from admmnet.spectral import compute_spectral_data
-from conftest import random_connected_graph, recurrence_residuals, trace_table
+from conftest import random_connected_graph, recurrence_residuals, reference_best_penalty, trace_table
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -107,23 +107,29 @@ def test_criterion_5_linear_rate():
 def test_criterion_6_certificate_consistency():
     rng = np.random.default_rng(2024)
     worst_rel = 0.0
+    worst_ref = 0.0
+    worst_log_c = 0.0
     worst_eq = 0.0
     for _ in range(50):
         g = random_connected_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.08, 0.6)))
         sd = compute_spectral_data(laplacian(g))
         nu = float(rng.uniform(0.05, 8.0))
-        lip = nu * float(rng.uniform(1.0, 80.0))
+        lip = nu * 10.0 ** float(rng.uniform(0.0, 6.0))  # kappa up to 1e6
         cert = analysis.optimize_rate(nu, lip, sd)
         numeric = analysis.contraction_gain(nu, lip, cert.best_penalty, cert.best_balance, sd)
         worst_rel = max(worst_rel, abs(numeric - cert.best_gain) / cert.best_gain)
+        penalty, gain = reference_best_penalty(nu, lip, sd)  # the closed forms against a numeric search
+        worst_ref = max(worst_ref, abs(gain - cert.best_gain) / cert.best_gain)
+        worst_log_c = max(worst_log_c, abs(math.log(penalty / cert.best_penalty)))
         for c in (cert.best_penalty, 1.0):
             beta = analysis.balance_star(nu, lip, c, sd)
             lam_min, lam_max = sd.min_pos_eig_gram, sd.max_eig_metric
             t1 = 2.0 * beta * nu / (c * lam_max * (1.0 + 2.0 / lam_min))
             t2 = (1.0 - beta) * c * lam_min / lip
             worst_eq = max(worst_eq, abs(t1 - t2))
-    ok = worst_rel <= 1e-6 and worst_eq <= 1e-12
-    report(6, "certificate internal consistency", ok, f"gain rel err {worst_rel:.2e}, term gap {worst_eq:.2e}")
+    ok = worst_rel <= 1e-6 and worst_ref <= 1e-12 and worst_log_c <= 1e-6 and worst_eq <= 1e-12
+    detail = f"gain rel err {worst_rel:.2e}, search: gain {worst_ref:.2e}, log c {worst_log_c:.2e}, term gap {worst_eq:.2e}"
+    report(6, "certificate internal consistency", ok, detail)
 
 
 def test_criterion_7_spectral_inequalities():

@@ -34,6 +34,7 @@ from conftest import (
     per_node,
     random_connected_graph,
     recurrence_residuals,
+    reference_best_penalty,
     trace_table,
     with_slot_products,
 )
@@ -225,13 +226,17 @@ def test_gain_monotonicity():
 
 
 def test_numeric_optimizer_matches_closed_form_random():
+    # the closed forms against a golden-section search over log c, with kappa up to 1e6
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(4, 20)), float(rng.uniform(0.1, 0.6)))
         sd = compute_spectral_data(laplacian(g))
         nu = float(rng.uniform(0.05, 5.0))
-        lip = nu * float(rng.uniform(1.0, 50.0))
-        cert = analysis.optimize_rate(nu, lip, sd)  # raises if numeric/closed form disagree
+        lip = nu * 10.0 ** float(rng.uniform(0.0, 6.0))
+        cert = analysis.optimize_rate(nu, lip, sd)
+        penalty, gain = reference_best_penalty(nu, lip, sd)
+        assert gain == pytest.approx(cert.best_gain, rel=1e-12)
+        assert math.log(penalty) == pytest.approx(math.log(cert.best_penalty), abs=1e-6)
         num = analysis.contraction_gain(nu, lip, cert.best_penalty, cert.best_balance, sd)
         assert num == pytest.approx(cert.best_gain, rel=1e-9)
 
@@ -361,7 +366,7 @@ def test_contraction_check_fails_on_absurd_gain(k3_problem, k3_spectral, k3_opti
 
 
 def test_laplacian_bounds_k3(k3):
-    rep = analysis.laplacian_network_bounds(laplacian(k3), nu=1.0, lipschitz=1.0)
+    rep = analysis.laplacian_network_bounds(compute_spectral_data(laplacian(k3)), nu=1.0, lipschitz=1.0)
     assert rep.sandwich_low == pytest.approx(3.0)
     assert rep.sandwich_high == pytest.approx(3.0)
     assert rep.metric_eig_bound == pytest.approx(6.0 + 16.0 / 3.0)
@@ -374,7 +379,7 @@ def test_laplacian_bounds_k3(k3):
 @pytest.mark.parametrize("kind,n,d", [("circulant", 200, 20), ("cycle", 300, None), ("path", 50, None)])
 def test_laplacian_bounds_name_the_failing_relation(kind, n, d):
     # lam_max (2 + lam_min)/lam_min^2 grows like 1/a(G)^4, 16 d_max^4/(d_min a(G)^2) like 1/a(G)^2
-    rep = analysis.laplacian_network_bounds(laplacian(generate_graph(kind, n, d=d)))
+    rep = analysis.laplacian_network_bounds(compute_spectral_data(laplacian(generate_graph(kind, n, d=d))))
     assert rep.violated == ("complexity",) and not rep.ok
     assert rep.complexity_lhs > rep.complexity_coeff
 
@@ -391,14 +396,16 @@ def test_relabeled_circulant_keeps_the_network_verdicts(d):
     assert spectral.CLOSED_FORM not in (relabeled.eig_gram.kind, relabeled.eig_metric.kind, relabeled.connectivity[1])
     if d == 300:
         assert relabeled.eig_gram.kind == relabeled.connectivity[1] == spectral.CERTIFIED
-    assert analysis.laplacian_network_bounds(laplacian(h)).violated == analysis.laplacian_network_bounds(laplacian(g)).violated
+    original = compute_spectral_data(laplacian(g))
+    assert analysis.laplacian_network_bounds(relabeled).violated == analysis.laplacian_network_bounds(original).violated
 
 
 def test_laplacian_bounds_p3(p3):
-    rep = analysis.laplacian_network_bounds(laplacian(p3))
+    sd = compute_spectral_data(laplacian(p3))
+    rep = analysis.laplacian_network_bounds(sd)
     assert rep.sandwich_low == pytest.approx(1.0 / 3.0)
     assert rep.sandwich_high == pytest.approx(0.5)
-    assert rep.min_pos_eig_gram == pytest.approx(0.5, abs=1e-12)
+    assert sd.min_pos_eig_gram == pytest.approx(0.5, abs=1e-12)
     assert rep.ok
 
 
@@ -406,7 +413,7 @@ def test_laplacian_bounds_random_graphs():
     rng = np.random.default_rng(17)
     for _ in range(8):
         g = random_connected_graph(rng, int(rng.integers(4, 30)), float(rng.uniform(0.1, 0.5)))
-        assert analysis.laplacian_network_bounds(laplacian(g)).ok
+        assert analysis.laplacian_network_bounds(compute_spectral_data(laplacian(g))).ok
 
 
 def test_empirical_rate_beats_certificate(k3_problem, k3_spectral, k3_optimal):

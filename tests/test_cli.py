@@ -12,7 +12,7 @@ import pytest
 
 from admmnet import admm, analysis, cli, graph, reporting, spectral
 from admmnet.config import ObjectiveSpec, build_problem, parse_experiment_config
-from admmnet.errors import ConfigParseError, OptimizationBracketFailureError
+from admmnet.errors import ConfigParseError, InvalidCError
 from admmnet.graph import generate_graph, laplacian, neighborhood_slots, write_graph_file
 from admmnet.objectives import NetworkProblem
 from admmnet.reporting import fmt
@@ -793,7 +793,6 @@ def test_certify_computes_spectral_data_once(monkeypatch, capsys):
         return compute_spectral_data(*args)
 
     monkeypatch.setattr(cli, "compute_spectral_data", counting)
-    monkeypatch.setattr(analysis, "compute_spectral_data", counting)
     assert cli.main(["certify", "--n", "5"]) == 0
     assert len(calls) == 1
     assert "rate_star=" in capsys.readouterr().out
@@ -1005,12 +1004,12 @@ def test_one_rate_certificate_per_command(tmp_path, monkeypatch, c):
 
 def test_explicit_penalty_is_certified_before_the_rounds(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
-        raise OptimizationBracketFailureError("closed-form penalty outside the search bracket")
+        raise InvalidCError("penalty 1 is too extreme for the rate certificate")
 
     monkeypatch.setattr(analysis, "optimize_rate", failing)
     cfg = write_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--check-all"]) == 2
-    assert "outside the search bracket" in capsys.readouterr().err
+    assert "too extreme for the rate certificate" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
@@ -1087,11 +1086,35 @@ def test_overflowing_targets_exit_2_naming_a(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["1e-200", "1e200"])
 def test_extreme_curvature_exits_2_naming_nu_and_l(capsys, value):
-    # nu L underflows to 0 or overflows to inf: the certificate's bracket and penalty cannot be formed
+    # nu L underflows to 0 or overflows to inf: the certificate's penalty cannot be formed
     assert cli.main(["certify", "--n", "5", "--nu", value, "--L", value]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: nu={float(value)} and L={float(value)} are too extreme")
     assert "Traceback" not in err
+
+
+def certified_iterations(capsys) -> int:
+    (line,) = (ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("certified_iterations_to_1e-06="))
+    return int(line.split("=")[1])
+
+
+def test_certified_iterations_divide_by_log1p_of_the_gain(tmp_path, capsys):
+    # log(1 / rate) = log1p(gain): at gain 1e-20 the rate rounds to 1.0, and
+    # near 1 the subtraction loses digits (path n=300 at nu = L = 1)
+    assert cli.main(["certify", "--n", "5", "--nu", "1e-20", "--L", "1e20"]) == 0
+    assert 0 < certified_iterations(capsys) < math.inf
+    cfg = write_config(tmp_path, "[graph]\nkind = path\nn = 300\n")
+    assert cli.main(["certify", "--config", str(cfg)]) == 0
+    cert = analysis.optimize_rate(1.0, 1.0, compute_spectral_data(build_problem(parse_experiment_config(cfg)).comm))
+    assert certified_iterations(capsys) == math.ceil(math.log(1e6) / math.log1p(cert.best_gain))
+
+
+def test_certify_exits_2_where_the_best_gain_underflows(tmp_path, capsys):
+    # on path n=200 at kappa = 1e308, lam_min^2 / kappa underflows to 0: no finite iteration count
+    path = tmp_path / "p200.txt"
+    write_graph_file(generate_graph("path", 200), path)
+    assert cli.main(["certify", "--graph-file", str(path), "--nu", "1e-154", "--L", "1e154"]) == 2
+    assert capsys.readouterr().err == "error: nu=1e-154 and L=1e+154 are too extreme for this graph: the best gain underflows to 0\n"
 
 
 @pytest.mark.parametrize("c", ["1e-300", "1e300"])
